@@ -2,7 +2,7 @@
 //! form, the WCDE bisection, the onion peel and the continuous mapping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rush_core::mapping::{map_continuous, MapJob};
+use rush_core::mapping::{map_continuous, map_profile, MapJob, OccupationProfile};
 use rush_core::onion::{peel, OnionJob};
 use rush_core::{rem, wcde};
 use rush_prob::dist::{Continuous, Gaussian};
@@ -64,21 +64,33 @@ fn bench_onion(c: &mut Criterion) {
     group.finish();
 }
 
+/// The segment-emitting Algorithm 4 next to the planner's run-length
+/// mapper, on the paper testbed (48 containers, runs ≈ containers) and at
+/// fleet scale (4096, where the profile stays a few hundred runs).
 fn bench_mapping(c: &mut Criterion) {
     let mut group = c.benchmark_group("continuous_mapping");
     group.sample_size(20);
-    for n in [10usize, 100, 1000] {
-        let jobs: Vec<MapJob> = (0..n)
-            .map(|i| MapJob {
-                tasks: 5 + (i % 20) as u64,
-                task_len: 10 + (i % 7) as u64,
-                target: 100 * (1 + i as u64),
-                lax: i % 5 == 0,
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &jobs, |b, jobs| {
-            b.iter(|| map_continuous(std::hint::black_box(jobs), 48).unwrap());
-        });
+    for capacity in [48u32, 4096] {
+        for n in [10usize, 100, 1000] {
+            let jobs: Vec<MapJob> = (0..n)
+                .map(|i| MapJob {
+                    tasks: 5 + (i % 20) as u64,
+                    task_len: 10 + (i % 7) as u64,
+                    target: 100 * (1 + i as u64),
+                    lax: i % 5 == 0,
+                })
+                .collect();
+            let id = format!("C{capacity}/{n}");
+            group.bench_with_input(BenchmarkId::new("map_continuous", &id), &jobs, |b, jobs| {
+                b.iter(|| map_continuous(std::hint::black_box(jobs), capacity).unwrap());
+            });
+            let mut profile = OccupationProfile::default();
+            group.bench_with_input(BenchmarkId::new("map_profile", &id), &jobs, |b, jobs| {
+                b.iter(|| {
+                    map_profile(std::hint::black_box(jobs), capacity, &mut profile).unwrap().len()
+                });
+            });
+        }
     }
     group.finish();
 }

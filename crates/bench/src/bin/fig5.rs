@@ -19,8 +19,8 @@
 //! * **cached** — steady state: each scheduling event mutates one job and
 //!   re-plans through a warm [`rush_core::plan::PlanState`]: the estimate +
 //!   WCDE stage re-solves only the mutated job, the onion peel *replays*
-//!   its recorded probe trajectory (delta peeling), and the mapping reuses
-//!   the unchanged prefix of its pack order.
+//!   its recorded probe trajectory (delta peeling), and the mapping is
+//!   rerun whole over occupation runs (`mapping::map_profile`).
 //!
 //! Results are written to `BENCH_fig5_scheduler_cost.json` (override with
 //! `--out PATH`) so the speedup is a versioned artifact, not terminal
@@ -251,8 +251,8 @@ fn main() {
 
         // Cached: steady-state event cost. Each event mutates one job, so
         // the memoized estimate + WCDE stage re-solves that job, the peel
-        // replays its recorded trajectory, and the mapping repacks only
-        // from the first changed pack-order position. The identical event
+        // replays its recorded trajectory, and the run-length mapping is
+        // rerun whole on recycled buffers. The identical event
         // series runs three times from a fresh state and the fastest round
         // is kept — min-of-k suppresses host scheduling noise, which at
         // sub-millisecond budgets otherwise dominates the estimate.

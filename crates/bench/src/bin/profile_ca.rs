@@ -1,10 +1,14 @@
 //! Stage-level breakdown of one CA pass: estimate+WCDE vs onion peel vs
 //! continuous mapping, at growing job counts. Used to decide where
-//! incrementalization effort pays off (companion to `fig5`).
+//! incrementalization effort pays off (companion to `fig5`). The mapping
+//! is timed twice on the same inputs — the segment-emitting
+//! `map_continuous` and the planner's run-length `map_profile` — and the
+//! whole table is printed for the paper testbed (`--capacity`, default 48)
+//! and for a 4096-container fleet.
 
 use rand::Rng;
 use rush_bench::{flag, parse_args};
-use rush_core::mapping::{map_continuous, MapJob};
+use rush_core::mapping::{map_continuous, map_profile, MapJob, OccupationProfile};
 use rush_core::onion::{peel, OnionJob, Shifted};
 use rush_core::plan::PlanInput;
 use rush_core::wcde::worst_case_quantile;
@@ -42,13 +46,24 @@ fn main() {
     let args = parse_args();
     let reps: usize = flag(&args, "reps", 3);
     let capacity: u32 = flag(&args, "capacity", 48);
+    for capacity in [capacity, 4096] {
+        profile(reps, capacity);
+    }
+}
+
+fn profile(reps: usize, capacity: u32) {
     let cfg = RushConfig::default();
     let de = GaussianEstimator::new(cfg.max_bins).with_prior(cfg.cold_prior);
+    let mut occupation = OccupationProfile::default();
 
-    println!("{:>6} {:>12} {:>12} {:>12}", "jobs", "est+wcde_ms", "peel_ms", "map_ms");
+    println!("capacity {capacity}");
+    println!(
+        "{:>6} {:>12} {:>12} {:>12} {:>15}",
+        "jobs", "est+wcde_ms", "peel_ms", "map_ms", "map_profile_ms"
+    );
     for &n in &[100usize, 500, 1000] {
         let jobs = synth_jobs(n, 1);
-        let (mut t_est, mut t_peel, mut t_map) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut t_est, mut t_peel, mut t_map, mut t_profile) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for _ in 0..reps {
             let t0 = Instant::now();
             let mut etas = Vec::with_capacity(n);
@@ -90,13 +105,18 @@ fn main() {
                 .collect();
             let _ = map_continuous(&map_jobs, capacity).unwrap();
             t_map += t2.elapsed().as_secs_f64();
+
+            let t3 = Instant::now();
+            let _ = map_profile(&map_jobs, capacity, &mut occupation).unwrap();
+            t_profile += t3.elapsed().as_secs_f64();
         }
         let r = reps as f64;
         println!(
-            "{n:>6} {:>12.2} {:>12.2} {:>12.2}",
+            "{n:>6} {:>12.2} {:>12.2} {:>12.2} {:>15.3}",
             t_est * 1e3 / r,
             t_peel * 1e3 / r,
-            t_map * 1e3 / r
+            t_map * 1e3 / r,
+            t_profile * 1e3 / r
         );
     }
 }

@@ -9,6 +9,11 @@
 //! later than `T_i + R_i` — at most one average task runtime past its
 //! target — provided the targets satisfy the Theorem 2 prefix-capacity
 //! condition.
+//!
+//! Two evaluations of the same algorithm live here: [`map_continuous`]
+//! keeps every queue and spells out every segment; [`map_profile`], the one
+//! the planner runs, keeps queues as runs of equal occupation and reports
+//! only the per-job summary a plan is assembled from.
 
 use crate::CoreError;
 
@@ -62,7 +67,9 @@ impl Placement {
     pub fn active_at(&self, t: u64) -> u32 {
         self.segments
             .iter()
-            .filter(|s| s.start <= t && t < s.start + s.tasks * self.task_len)
+            .filter(|s| {
+                s.start <= t && ((t - s.start) as u128) < s.tasks as u128 * self.task_len as u128
+            })
             .count() as u32
     }
 }
@@ -78,78 +85,29 @@ impl Placement {
 /// affected job's completion simply exceeds `target + task_len` (callers
 /// can detect this by comparing).
 ///
+/// This is the segment-emitting form — O(C) per job — kept as the oracle
+/// [`map_profile`] is proven against and as the Fig. 5 baseline.
+///
 /// # Errors
 ///
 /// [`CoreError::InvalidConfig`] if `capacity == 0` or any `task_len == 0`.
 pub fn map_continuous(jobs: &[MapJob], capacity: u32) -> Result<Vec<Placement>, CoreError> {
     validate(jobs, capacity)?;
-    let order = pack_order(jobs);
+    let mut order = Vec::new();
+    pack_order(jobs, &mut order);
     let mut occupation = vec![0u64; capacity as usize];
-    let mut placements = empty_placements(jobs);
-    pack_suffix(jobs, &order, 0, &mut occupation, &mut placements);
-    check_mapping_contract(jobs, &placements, capacity);
-    Ok(placements)
-}
-
-fn validate(jobs: &[MapJob], capacity: u32) -> Result<(), CoreError> {
-    if capacity == 0 {
-        return Err(CoreError::InvalidConfig { reason: "capacity must be > 0" });
-    }
-    if jobs.iter().any(|j| j.task_len == 0) {
-        return Err(CoreError::InvalidConfig { reason: "task_len must be >= 1" });
-    }
-    Ok(())
-}
-
-/// Pack order: strict jobs by ascending target; lax jobs afterwards, also
-/// by target (for lax jobs the target is not a deadline but an ordering
-/// hint assigned by the onion peel). Ties broken by input index, so the
-/// order is a pure function of the job list.
-fn pack_order(jobs: &[MapJob]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| {
-        let j = &jobs[i];
-        (j.lax, j.target, i)
-    });
-    order
-}
-
-fn empty_placements(jobs: &[MapJob]) -> Vec<Placement> {
-    jobs.iter()
+    let mut placements: Vec<Placement> = jobs
+        .iter()
         .map(|j| Placement { task_len: j.task_len, completion: 0, segments: Vec::new() })
-        .collect()
-}
-
-/// Packs `order[from..]` onto the queues, given the occupation the prefix
-/// `order[..from]` left behind. Packing one position at a time makes this
-/// the shared tail of both the full and the incremental mapping: identical
-/// inputs produce identical placements, bit for bit.
-///
-/// Least-occupied-queue selection (lax packing and overflow spill) is
-/// evaluated in closed form by [`water_fill`] — O(C · log(t·R)) per job
-/// instead of O(C) per *task*, with placements identical to the
-/// one-task-at-a-time scan.
-fn pack_suffix(
-    jobs: &[MapJob],
-    order: &[usize],
-    from: usize,
-    occupation: &mut [u64],
-    placements: &mut [Placement],
-) {
-    for &i in &order[from..] {
+        .collect();
+    for &i in &order {
         let job = jobs[i];
-        // Reset in place: the slot may hold a recycled placement from the
-        // previous pass — clearing keeps its segment buffer's capacity, so
-        // steady-state repacks allocate nothing.
         let p = &mut placements[i];
-        p.task_len = job.task_len;
-        p.completion = 0;
-        p.segments.clear();
         if job.lax {
             // Leftover packing: least-occupied-queue filling — work-
             // conserving, and strictly behind every strict reservation
             // already placed (the pack order puts every strict job first).
-            water_fill(occupation, job.task_len, job.tasks, p);
+            water_fill(&mut occupation, job.task_len, job.tasks, p);
             continue;
         }
         let mut remaining = job.tasks;
@@ -174,9 +132,33 @@ fn pack_suffix(
         // Overflow (targets violated capacity): spill onto the
         // least-occupied queues, same selection rule as lax packing.
         if remaining > 0 {
-            water_fill(occupation, job.task_len, remaining, p);
+            water_fill(&mut occupation, job.task_len, remaining, p);
         }
     }
+    #[cfg(feature = "strict-invariants")]
+    check_mapping_contract(jobs, &placements, capacity);
+    Ok(placements)
+}
+
+fn validate(jobs: &[MapJob], capacity: u32) -> Result<(), CoreError> {
+    if capacity == 0 {
+        return Err(CoreError::InvalidConfig { reason: "capacity must be > 0" });
+    }
+    if jobs.iter().any(|j| j.task_len == 0) {
+        return Err(CoreError::InvalidConfig { reason: "task_len must be >= 1" });
+    }
+    Ok(())
+}
+
+/// Pack order: strict jobs by ascending target; lax jobs afterwards, also
+/// by target (for lax jobs the target is not a deadline but an ordering
+/// hint assigned by the onion peel). Ties broken by input index, so the
+/// order is a pure function of the job list. Written into a caller-owned
+/// buffer so the planner's mapper can recycle it across passes.
+fn pack_order(jobs: &[MapJob], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..jobs.len());
+    order.sort_unstable_by_key(|&i| (jobs[i].lax, jobs[i].target, i));
 }
 
 /// Exact floor division by a fixed divisor via a precomputed reciprocal
@@ -224,12 +206,10 @@ impl Recip {
 /// `w` of the `t`-th smallest key: every key strictly below `w` is taken,
 /// and the remainder goes to the queues whose progression hits `w`
 /// exactly, in ascending queue order (the key tie-break). `w` is located
-/// by a volume bound that pins it inside a window of width O(R) (bisection
-/// narrows the rare cases where the bound is loose), then *selected*
-/// outright as the matching order statistic of the ≤ 3 per-queue
-/// progression keys inside the window — O(C) total, independent of how
-/// many tasks each queue absorbs — and each queue's tasks land as one
-/// contiguous segment, exactly where the scan would have stacked them.
+/// by a volume bound that pins it inside a window of width O(R), then by
+/// bisection — O(C · log R), independent of how many tasks each queue
+/// absorbs — and each queue's tasks land as one contiguous segment,
+/// exactly where the scan would have stacked them.
 fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut Placement) {
     if tasks == 0 {
         return;
@@ -260,33 +240,16 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
     };
     // The least-occupied queue alone exposes `tasks + 1` keys by
     // `min_o + tasks·R`, so the t-th smallest key is at most that. The
-    // volume bound sharpens both ends: summing over *all* queues (queues
-    // above `w` contribute negatively), `count(w) > (C·w − Σo)/R`, so
-    // `w` with `C·w ≥ t·R + Σo` is a valid upper end; and each of the
-    // `A ≤ C` active queues overshoots the real quotient by less than 1,
-    // so `count(w) < (C·w − Σo)/R + C` *when every queue is active* —
-    // making the symmetric lower end a guess that one probe verifies.
+    // volume bound sharpens it: summing over *all* queues (queues above
+    // `w` contribute negatively), `count(w) > (C·w − Σo)/R`, so `w` with
+    // `C·w ≥ t·R + Σo` is a valid upper end.
     let c = occupation.len() as u128;
     let hi_bound = ((tasks as u128 * l as u128 + sum_o) / c + 1) as u64;
-    let lo_guess = ((tasks.saturating_sub(c as u64) as u128 * l as u128 + sum_o) / c) as u64;
-    let mut hi = (min_o + tasks * l).min(hi_bound.max(min_o));
-    let mut lo = min_o.max(lo_guess.min(hi));
-    if lo > min_o && count(occupation, lo) >= tasks {
-        // Some queue sat above the water level: the all-active bound did
-        // not apply. Fall back to the safe lower end.
-        hi = lo;
-        lo = min_o;
-    }
+    let mut hi = (min_o + tasks * l).min(hi_bound);
+    let mut lo = min_o;
     // Invariants: `count(hi) ≥ tasks` and `count(lo − 1) < tasks`, so the
-    // t-th smallest key value lies in `[lo, hi]`. Bisection narrows the
-    // window to width ≤ 2R (the volume guess usually lands there outright);
-    // within such a window each queue's progression holds at most three
-    // keys, so the t-th smallest is *selected* from the enumerated step
-    // points rather than probed for — and the same enumeration yields the
-    // strictly-below-`w` count the tie split needs, probe-free.
-    const STACK_KEYS: usize = 256;
-    let window = l.saturating_mul(2);
-    while hi - lo > window {
+    // t-th smallest key value lies in `[lo, hi]`; bisect down to it.
+    while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if count(occupation, mid) >= tasks {
             hi = mid;
@@ -294,52 +257,8 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
             lo = mid + 1;
         }
     }
-    let (w, below_w) = if lo < hi && 3 * occupation.len() <= STACK_KEYS {
-        // `base` (keys strictly below the window) falls out of the same
-        // divisions that locate each queue's first in-window key — no
-        // separate counting probe.
-        let mut base = 0u64;
-        let mut keys = [0u64; STACK_KEYS];
-        let mut nk = 0usize;
-        for &o in occupation.iter() {
-            // Smallest progression key ≥ lo, then every key up to hi.
-            let mut key = if o >= lo {
-                o
-            } else {
-                let q = div.div(lo - o);
-                let f = o + q * l;
-                if f < lo {
-                    base += q + 1;
-                    f + l
-                } else {
-                    base += q;
-                    f
-                }
-            };
-            while key <= hi {
-                keys[nk] = key;
-                nk += 1;
-                key += l;
-            }
-        }
-        // `nk = count(hi) − base ≥ tasks − base`, so the rank is in range.
-        let k = (tasks - base) as usize;
-        let (_, kth, _) = keys[..nk].select_nth_unstable(k - 1);
-        let w = *kth;
-        (w, base + keys[..nk].iter().filter(|&&x| x < w).count() as u64)
-    } else {
-        // Degenerate window or very wide fleet: finish by bisection.
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-                if count(occupation, mid) >= tasks {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let w = lo;
-        (w, if w == 0 { 0 } else { count(occupation, w - 1) })
-    };
+    let w = lo;
+    let below_w = if w == 0 { 0 } else { count(occupation, w - 1) };
     // Keys strictly below `w` are all taken (count(w−1) < tasks by
     // minimality of `w`); ties at exactly `w` fill in queue order.
     let mut leftover = tasks - below_w;
@@ -376,211 +295,286 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
     debug_assert_eq!(leftover, 0, "water_fill under-placed");
 }
 
-#[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
+/// Conservation (every task of every job lands in exactly one segment —
+/// the spill path guarantees totality) and Theorem 3.
+#[cfg(feature = "strict-invariants")]
 fn check_mapping_contract(jobs: &[MapJob], placements: &[Placement], capacity: u32) {
-    #[cfg(feature = "strict-invariants")]
-    {
-        // Conservation: every task of every job lands in exactly one
-        // segment — the spill path guarantees totality.
-        for (i, p) in placements.iter().enumerate() {
-            let placed: u64 = p.segments.iter().map(|s| s.tasks).sum();
-            debug_assert_eq!(
-                placed, jobs[i].tasks,
-                "mapping contract: job {i} placed {placed} of {} tasks",
-                jobs[i].tasks
-            );
-        }
-        // Theorem 3: when the strict jobs' targets satisfy the Theorem 2
-        // prefix-capacity condition, every strict job completes within one
-        // task runtime of its target. (Lax jobs are packed after every
-        // strict job and cannot affect strict completions.)
-        let strict: Vec<MapJob> = jobs.iter().copied().filter(|j| !j.lax).collect();
-        if capacity_condition_holds(&strict, capacity) {
-            for (i, job) in jobs.iter().enumerate() {
-                if job.lax {
-                    continue;
-                }
-                debug_assert!(
-                    placements[i].completion <= job.target + job.task_len,
-                    "Theorem 3 contract: job {i} completion {} > T + R = {}",
-                    placements[i].completion,
-                    job.target + job.task_len
-                );
-            }
-        }
+    for (i, p) in placements.iter().enumerate() {
+        let placed: u64 = p.segments.iter().map(|s| s.tasks).sum();
+        debug_assert_eq!(
+            placed, jobs[i].tasks,
+            "mapping contract: job {i} placed {placed} of {} tasks",
+            jobs[i].tasks
+        );
+    }
+    check_theorem3(jobs, placements.iter().map(|p| p.completion), capacity);
+}
+
+/// Theorem 3: when the strict jobs' targets satisfy the Theorem 2
+/// prefix-capacity condition, every strict job completes within one task
+/// runtime of its target. (Lax jobs are packed after every strict job and
+/// cannot affect strict completions.) `completions` parallels `jobs`.
+#[cfg(feature = "strict-invariants")]
+fn check_theorem3(jobs: &[MapJob], completions: impl Iterator<Item = u64>, capacity: u32) {
+    let strict: Vec<MapJob> = jobs.iter().copied().filter(|j| !j.lax).collect();
+    if !capacity_condition_holds(&strict, capacity) {
+        return;
+    }
+    for (i, (job, completion)) in jobs.iter().zip(completions).enumerate() {
+        debug_assert!(
+            job.lax || completion <= job.target + job.task_len,
+            "Theorem 3 contract: job {i} completion {completion} > T + R = {}",
+            job.target + job.task_len
+        );
     }
 }
 
-/// Telemetry: how the last [`map_continuous_incremental`] pass executed.
+/// Telemetry of a [`map_profile`] pass. The run-length mapper repacks every
+/// job on every pass (a full pass over a few hundred runs beats replaying a
+/// cached per-container prefix), so `delta` is always `false` and
+/// `reused_prefix` 0; the fields stay because phase telemetry reads them.
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MapStats {
     /// Whether any cached prefix was eligible for reuse.
     pub delta: bool,
     /// Pack-order positions whose cached placements were reused verbatim.
     pub reused_prefix: usize,
-    /// Pack-order positions repacked from the divergence point on.
+    /// Pack-order positions packed by the pass.
     pub repacked: usize,
 }
 
-/// Cross-pass state for [`map_continuous_incremental`]: the previous
-/// pass's inputs, pack order and placements (in input order). All
-/// buffers — placements, their segment vectors, the pack order and the
-/// occupation array — are recycled in place across passes, so a
-/// steady-state single-job delta allocates nothing.
-#[derive(Default, Debug, Clone)]
-pub struct MapState {
-    capacity: u32,
-    jobs: Vec<MapJob>,
-    order: Vec<usize>,
-    placements: Vec<Placement>,
-    occupation: Vec<u64>,
-    valid: bool,
-    stats: MapStats,
+/// The two numbers the planner reads from one job's placement.
+#[derive(Default, Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MapSummary {
+    /// [`Placement::active_at`]`(0)`: queues at occupation 0 that received
+    /// at least one of the job's tasks.
+    pub desired_now: u32,
+    /// [`Placement::completion`]: the highest occupation the job left on a
+    /// queue it touched (0 for a task-less job).
+    pub completion: u64,
 }
 
-impl MapState {
-    /// Creates an empty state; the first pass packs everything.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the cached pack: the next pass repacks from scratch.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// How the most recent pass executed.
-    pub fn last_stats(&self) -> MapStats {
-        self.stats
-    }
+/// `len` adjacent queues that all sit at `occupation`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    occupation: u64,
+    len: u32,
 }
 
-/// Beyond this many changed jobs a splice repair of the cached pack
-/// order stops paying for itself (each splice memmoves O(n) entries and
-/// the divergence point drops toward 0 anyway); fall back to a full
-/// re-sort and repack.
-const MAX_SPLICED_CHANGES: usize = 16;
-
-/// [`map_continuous`] with cross-pass memoization.
+/// Queue state and scratch of [`map_profile`], recycled across passes so a
+/// steady-state map allocates nothing.
 ///
-/// Algorithm 4 packs one pack-order position at a time, and a position's
-/// placement depends only on the queue occupations left by the positions
-/// before it. So when the jobs at pack-order positions `0..p` are
-/// unchanged since the previous pass, their cached placements are reused
-/// verbatim: the occupation array they imply is replayed from their
-/// recorded segments (each segment's end *is* the queue's occupation at
-/// the moment it was placed), and only positions `p..` are repacked —
-/// in place, onto the recycled placement buffers. The cached pack order
-/// is likewise repaired by splicing out the changed jobs and
-/// re-inserting them at their new key positions instead of re-sorting.
-/// The returned slice (borrowed from `state`, in input order) is
-/// bit-identical to [`map_continuous`]'s result in every case.
+/// Algorithm 4 only ever reads a queue's occupation, and both of its moves
+/// treat equally-occupied neighbours alike, so the `C` queues are kept as
+/// runs of equal occupation in container order, starting from `(0, C)`. A
+/// job's strict pass splits at most one run in three, or else its
+/// water-fill one in two: at most `1 + 2n` runs after `n` jobs, however
+/// large the fleet.
+#[derive(Default, Debug, Clone)]
+pub struct OccupationProfile {
+    order: Vec<usize>,
+    runs: Vec<Run>,
+    summaries: Vec<MapSummary>,
+}
+
+impl OccupationProfile {
+    /// Runs the most recent pass ended with.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+}
+
+/// Algorithm 4 evaluated per run of equally-occupied queues, emitting only
+/// each job's [`MapSummary`] (borrowed from `profile`, in input order):
+/// equal to `(active_at(0), completion)` of [`map_continuous`]'s placements
+/// in every case, at O(runs) instead of O(C) per job.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidConfig`] under the same conditions as
-/// [`map_continuous`].
-pub fn map_continuous_incremental<'a>(
+/// [`CoreError::InvalidConfig`] exactly when [`map_continuous`] errs.
+pub fn map_profile<'a>(
     jobs: &[MapJob],
     capacity: u32,
-    state: &'a mut MapState,
-) -> Result<&'a [Placement], CoreError> {
+    profile: &'a mut OccupationProfile,
+) -> Result<&'a [MapSummary], CoreError> {
     validate(jobs, capacity)?;
-    let n = jobs.len();
-    let eligible = state.valid && state.capacity == capacity && state.jobs.len() == n;
-    // First pack-order position whose inputs differ from the cached pass;
-    // everything before it keeps its placement verbatim.
-    let mut from = 0usize;
-    if eligible {
-        from = splice_order(jobs, &mut state.order, &state.jobs);
-    } else {
-        state.order.clear();
-        state.order.extend(0..n);
-        state.order.sort_unstable_by_key(|&i| (jobs[i].lax, jobs[i].target, i));
-    }
-    state.jobs.clear();
-    state.jobs.extend_from_slice(jobs);
-    // Recycle the placement slots; stale suffix entries are reset inside
-    // `pack_suffix`, prefix entries are already correct.
-    if state.placements.len() != n {
-        state
-            .placements
-            .resize(n, Placement { task_len: 1, completion: 0, segments: Vec::new() });
-    }
-    state.occupation.clear();
-    state.occupation.resize(capacity as usize, 0);
-    for &i in &state.order[..from] {
-        // Replay occupancy: segments are recorded in placement order, so
-        // the last write to a queue leaves its true occupation.
-        let p = &state.placements[i];
-        for s in &p.segments {
-            state.occupation[s.container as usize] = s.start + s.tasks * p.task_len;
+    let OccupationProfile { order, runs, summaries } = profile;
+    pack_order(jobs, order);
+    runs.clear();
+    runs.push(Run { occupation: 0, len: capacity });
+    summaries.clear();
+    summaries.resize(jobs.len(), MapSummary::default());
+    for &i in order.iter() {
+        let job = &jobs[i];
+        #[cfg(feature = "strict-invariants")]
+        let before = volume(runs);
+        let spill = if job.lax { job.tasks } else { strict_fill(runs, job, &mut summaries[i]) };
+        if spill > 0 {
+            level_fill(runs, capacity, job.task_len, spill, &mut summaries[i]);
         }
+        // Conservation: every task adds exactly `task_len` to one queue.
+        #[cfg(feature = "strict-invariants")]
+        debug_assert_eq!(
+            volume(runs) - before,
+            job.tasks as u128 * job.task_len as u128,
+            "mapping contract: job {i} did not place exactly {} tasks",
+            job.tasks
+        );
     }
-    pack_suffix(jobs, &state.order, from, &mut state.occupation, &mut state.placements);
-    check_mapping_contract(jobs, &state.placements, capacity);
-    state.capacity = capacity;
-    state.stats = MapStats { delta: eligible, reused_prefix: from, repacked: n - from };
-    state.valid = true;
-    Ok(&state.placements)
+    #[cfg(feature = "strict-invariants")]
+    {
+        let queues: u64 = runs.iter().map(|r| r.len as u64).sum();
+        debug_assert_eq!(queues, capacity as u64, "profile contract: runs must cover the fleet");
+        debug_assert!(runs.len() <= 1 + 2 * jobs.len(), "profile contract: {} runs", runs.len());
+        let desired: u64 = summaries.iter().map(|s| s.desired_now as u64).sum();
+        debug_assert!(desired <= capacity as u64, "profile contract: Σ desired_now = {desired}");
+        check_theorem3(jobs, summaries.iter().map(|s| s.completion), capacity);
+    }
+    Ok(summaries)
 }
 
-/// Repairs a cached pack order after some jobs changed: every changed
-/// job is spliced out (located by its *old* sort key) and re-inserted at
-/// its *new* key position, leaving `order` exactly equal to
-/// [`pack_order`]`(jobs)` — the key `(lax, target, index)` is unique, so
-/// sorted-by-unique-key is a canonical form. Returns the first position
-/// the repair touched (the repack divergence point); positions before it
-/// kept both their order entry and that job's fields.
-///
-/// Falls back to a full re-sort when more than [`MAX_SPLICED_CHANGES`]
-/// jobs changed, returning 0.
-fn splice_order(jobs: &[MapJob], order: &mut Vec<usize>, old_jobs: &[MapJob]) -> usize {
-    let n = jobs.len();
-    let mut from = n;
-    // (old position, job index) of changed jobs whose sort key moved.
-    let mut moved = [(0usize, 0usize); MAX_SPLICED_CHANGES];
-    let mut moved_len = 0usize;
-    for (k, (job, old)) in jobs.iter().zip(old_jobs).enumerate() {
-        if job == old {
+/// Container·slots reserved across the profile.
+#[cfg(feature = "strict-invariants")]
+fn volume(runs: &[Run]) -> u128 {
+    runs.iter().map(|r| r.occupation as u128 * r.len as u128).sum()
+}
+
+/// Replaces run `k` by the non-empty `pieces` (whose lengths sum to its).
+fn split_run(runs: &mut Vec<Run>, k: usize, pieces: &[Run]) {
+    for (at, &piece) in (k..).zip(pieces.iter().filter(|p| p.len > 0)) {
+        if at == k {
+            runs[k] = piece;
+        } else {
+            runs.insert(at, piece);
+        }
+    }
+}
+
+/// Records that the job raised `queues` queues from occupation `from` to `to`.
+fn note(summary: &mut MapSummary, from: u64, to: u64, queues: u32) {
+    if queues > 0 {
+        summary.completion = summary.completion.max(to);
+        summary.desired_now += if from == 0 { queues } else { 0 };
+    }
+}
+
+/// The strict pass: in container order, a queue below the target takes the
+/// `⌈(T − o)/R⌉` tasks that can still start before it. Every queue of a run
+/// takes the same `fit`, so the first `remaining / fit` of them take `fit`,
+/// the next takes the remainder and the rest of the run is untouched.
+/// Returns the tasks no queue could start in time (Theorem 2 violated).
+fn strict_fill(runs: &mut Vec<Run>, job: &MapJob, summary: &mut MapSummary) -> u64 {
+    let l = job.task_len;
+    // Dividends are at most `target + R − 1`.
+    let div = Recip::new(l, job.target.saturating_add(l));
+    let mut remaining = job.tasks;
+    for k in 0..runs.len() {
+        if remaining == 0 {
+            break;
+        }
+        let Run { occupation: o, len } = runs[k];
+        if o >= job.target {
             continue;
         }
-        let old_key = (old.lax, old.target, k);
-        let pos = order
-            .binary_search_by_key(&old_key, |&i| (old_jobs[i].lax, old_jobs[i].target, i))
-            // rush-lint: allow(RUSH-L003): the key is read from the same cached order being searched
-            .expect("cached pack order is sorted by the cached jobs' keys");
-        if (job.lax, job.target) == (old.lax, old.target) {
-            // Key unchanged: the job stays put, but its packing inputs
-            // changed, so repack must start no later than here.
-            from = from.min(pos);
+        let fit = div.div(job.target - o + (l - 1));
+        let full = (remaining / fit).min(len as u64) as u32;
+        remaining -= full as u64 * fit;
+        note(summary, o, o + fit * l, full);
+        if full == len {
+            runs[k].occupation = o + fit * l;
             continue;
         }
-        if moved_len == MAX_SPLICED_CHANGES {
-            order.clear();
-            order.extend(0..n);
-            order.sort_unstable_by_key(|&i| (jobs[i].lax, jobs[i].target, i));
-            return 0;
+        // The job runs out inside this run: `remaining < fit`.
+        let last = u32::from(remaining > 0);
+        note(summary, o, o + remaining * l, last);
+        let pieces = [
+            Run { occupation: o + fit * l, len: full },
+            Run { occupation: o + remaining * l, len: last },
+            Run { occupation: o, len: len - full - last },
+        ];
+        split_run(runs, k, &pieces);
+        return 0;
+    }
+    remaining
+}
+
+/// Least-occupied-queue selection over runs, in [`water_fill`]'s closed
+/// form: the level `w` is the `tasks`-th smallest key of the progressions
+/// `o + j·R`, each counted `len` times — `count(w) = Σ len·(⌊(w − o)/R⌋ + 1)`
+/// over the runs with `o ≤ w`. Every key below `w` is taken; the ties at
+/// `w` itself go to the lowest-indexed queues, splitting at most one run.
+fn level_fill(runs: &mut Vec<Run>, queues: u32, l: u64, tasks: u64, summary: &mut MapSummary) {
+    let (mut min_o, mut at_min, mut sum_o) = (u64::MAX, 0u64, 0u128);
+    for r in runs.iter() {
+        if r.occupation < min_o {
+            (min_o, at_min) = (r.occupation, 0);
         }
-        moved[moved_len] = (pos, k);
-        moved_len += 1;
+        if r.occupation == min_o {
+            at_min += r.len as u64;
+        }
+        sum_o += r.occupation as u128 * r.len as u128;
     }
-    let moved = &mut moved[..moved_len];
-    // Remove in descending position order so earlier removals don't
-    // shift the positions still pending; the smallest removal position is
-    // removed last and hence unshifted — safe to take as a `from` bound.
-    moved.sort_unstable_by_key(|m| std::cmp::Reverse(m.0));
-    for &(pos, _) in moved.iter() {
-        order.remove(pos);
-        from = from.min(pos);
+    // Dividends are `w − o ≤ tasks·R`: no probe passes `min_o + tasks·R`,
+    // by which the least-occupied queue alone exposes `tasks + 1` keys.
+    let div = Recip::new(l, tasks.saturating_mul(l));
+    // Keys ≤ w, exact below `tasks` (all a probe needs to know beyond that
+    // is that the level was reached).
+    let count = |runs: &[Run], w: u64| {
+        let mut n = 0u64;
+        for r in runs.iter().filter(|r| r.occupation <= w) {
+            n = n.saturating_add((div.div(w - r.occupation) + 1).saturating_mul(r.len as u64));
+            if n >= tasks {
+                break;
+            }
+        }
+        n
+    };
+    // Bisect with `count(lo − 1) = below < tasks ≤ count(hi)`. Enough empty
+    // (or equally low) queues settle it outright; otherwise the volume
+    // bound `count(w) > (C·w − Σo)/R` caps `hi` a task length above the mean.
+    let (mut lo, mut hi, mut below) = (min_o, min_o, 0u64);
+    if at_min < tasks {
+        let by_volume = (tasks as u128 * l as u128 + sum_o) / queues as u128 + 1;
+        hi = min_o.saturating_add(tasks.saturating_mul(l));
+        hi = hi.min(u64::try_from(by_volume).unwrap_or(u64::MAX));
     }
-    for &(_, k) in moved.iter() {
-        let new_key = (jobs[k].lax, jobs[k].target, k);
-        let ins = order.partition_point(|&i| (jobs[i].lax, jobs[i].target, i) < new_key);
-        order.insert(ins, k);
-        from = from.min(ins);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let n = count(runs, mid);
+        if n >= tasks {
+            hi = mid;
+        } else {
+            (lo, below) = (mid + 1, n);
+        }
     }
-    from
+    let (w, mut ties_left) = (lo, tasks - below);
+    let mut k = 0usize;
+    while k < runs.len() {
+        let Run { occupation: o, len } = runs[k];
+        k += 1;
+        if o > w {
+            continue;
+        }
+        // Taking every key below `w` leaves a queue at its first key ≥ w;
+        // one that also wins a tie at `w` ends a task higher.
+        let q = div.div(w - o);
+        let tied = q * l == w - o;
+        let level = if tied { w } else { o + (q + 1) * l };
+        let ties = if tied { ties_left.min(len as u64) as u32 } else { 0 };
+        ties_left -= ties as u64;
+        if level > o {
+            note(summary, o, level, len - ties);
+        }
+        note(summary, o, level + l, ties);
+        if ties == 0 || ties == len {
+            runs[k - 1].occupation = if ties == 0 { level } else { level + l };
+        } else {
+            let raised = Run { occupation: level + l, len: ties };
+            split_run(runs, k - 1, &[raised, Run { occupation: level, len: len - ties }]);
+            k += 1;
+        }
+    }
+    debug_assert_eq!(ties_left, 0, "level_fill under-placed");
 }
 
 /// Checks the Theorem 2 prefix-capacity condition for (target, demand)
@@ -593,7 +587,7 @@ pub fn capacity_condition_holds(jobs: &[MapJob], capacity: u32) -> bool {
     order.sort_by_key(|&i| jobs[i].target);
     let mut cum = 0u128;
     for &i in &order {
-        cum += (jobs[i].tasks * jobs[i].task_len) as u128;
+        cum += jobs[i].tasks as u128 * jobs[i].task_len as u128;
         if cum > capacity as u128 * jobs[i].target as u128 {
             return false;
         }
@@ -823,11 +817,21 @@ mod tests {
         assert!(p[3].completion <= 60 + 10);
     }
 
-    /// The memoized pack must be bit-identical to the full pack across a
-    /// deterministic stream of single-job mutations (target moves, task
-    /// count changes, lax flips, job churn at both ends of the order).
+    fn oracle_summaries(jobs: &[MapJob], capacity: u32) -> Vec<MapSummary> {
+        map_continuous(jobs, capacity)
+            .unwrap()
+            .iter()
+            .map(|p| MapSummary { desired_now: p.active_at(0), completion: p.completion })
+            .collect()
+    }
+
+    /// The run-length mapper must agree with the segment-emitting oracle
+    /// across a deterministic stream of single-job mutations (target
+    /// moves, task count changes, lax flips, task-length changes) on one
+    /// recycled profile — stale scratch from the previous event must never
+    /// leak into the next.
     #[test]
-    fn incremental_mapping_matches_full_pack() {
+    fn profile_matches_map_continuous_across_event_stream() {
         let mut jobs: Vec<MapJob> = (0..50)
             .map(|i| MapJob {
                 tasks: 1 + (i * 7) % 9,
@@ -836,7 +840,7 @@ mod tests {
                 lax: i % 5 == 0,
             })
             .collect();
-        let mut state = MapState::new();
+        let mut profile = OccupationProfile::default();
         let capacity = 8;
         for step in 0..40u64 {
             let k = (step as usize * 11) % jobs.len();
@@ -846,23 +850,41 @@ mod tests {
                 2 => jobs[k].lax = !jobs[k].lax,
                 _ => jobs[k].task_len = 1 + (jobs[k].task_len + 4) % 17,
             }
-            let full = map_continuous(&jobs, capacity).unwrap();
-            let inc = map_continuous_incremental(&jobs, capacity, &mut state).unwrap();
-            assert_eq!(full, inc, "step {step}");
-            if step > 0 {
-                assert!(state.last_stats().delta, "step {step} should take the delta path");
-            }
+            let got = map_profile(&jobs, capacity, &mut profile).unwrap();
+            assert_eq!(got, oracle_summaries(&jobs, capacity), "step {step}");
         }
-        // Capacity change invalidates the cache but stays correct.
-        let full = map_continuous(&jobs, capacity + 1).unwrap();
-        let inc = map_continuous_incremental(&jobs, capacity + 1, &mut state).unwrap();
-        assert_eq!(full, inc);
-        assert!(!state.last_stats().delta);
-        // No-op replan: the entire pack order is reused.
-        let again = map_continuous_incremental(&jobs, capacity + 1, &mut state).unwrap();
-        assert_eq!(full, again);
-        assert_eq!(state.last_stats().reused_prefix, jobs.len());
-        assert_eq!(state.last_stats().repacked, 0);
+        // A capacity change and a shrinking job list reuse the same buffers.
+        let got = map_profile(&jobs, capacity + 1, &mut profile).unwrap();
+        assert_eq!(got, oracle_summaries(&jobs, capacity + 1));
+        let got = map_profile(&jobs[..7], 3, &mut profile).unwrap();
+        assert_eq!(got, oracle_summaries(&jobs[..7], 3));
+    }
+
+    #[test]
+    fn profile_splits_runs_not_containers() {
+        // 5 tasks of 10 slots before target 20 on a wide fleet: two queues
+        // take two tasks, one takes the last, the rest stay one run.
+        let jobs = [MapJob { tasks: 5, task_len: 10, target: 20, lax: false }];
+        let mut profile = OccupationProfile::default();
+        let got = map_profile(&jobs, 1_000_000, &mut profile).unwrap();
+        assert_eq!(got, [MapSummary { desired_now: 3, completion: 20 }]);
+        assert_eq!(profile.runs(), 3);
+        assert!(map_profile(&jobs, 0, &mut profile).is_err());
+    }
+
+    #[test]
+    fn demand_products_widen_before_multiplying() {
+        // tasks · task_len = 2^66: the u64 product used to wrap to 0 and
+        // pass the capacity condition / miss the active interval.
+        let huge = MapJob { tasks: 1 << 33, task_len: 1 << 33, target: 10, lax: false };
+        assert!(!capacity_condition_holds(&[huge], 4));
+        let p = Placement {
+            task_len: 1 << 33,
+            completion: u64::MAX,
+            segments: vec![Segment { container: 0, start: 0, tasks: 1 << 33 }],
+        };
+        assert_eq!(p.active_at(5), 1);
+        assert_eq!(p.active_at(u64::MAX), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! therefore produces bit-identical plans to an uncached one.
 
 use crate::config::EstimatorKind;
-use crate::mapping::{map_continuous, map_continuous_incremental, MapJob, MapState, MapStats};
+use crate::mapping::{map_profile, MapJob, MapStats, MapSummary, OccupationProfile};
 use crate::onion::{peel, peel_incremental, OnionJob, PeelState, ReplayStats, Shifted};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
@@ -496,7 +496,7 @@ pub struct PlanPhaseStats {
     pub assemble_ns: u64,
     /// How the peel executed (replayed / resumed / re-recorded).
     pub peel_replay: ReplayStats,
-    /// How the mapping executed (prefix reuse).
+    /// How the mapping executed (always a full run-length pass).
     pub map_delta: MapStats,
 }
 
@@ -507,13 +507,13 @@ pub struct PlanPhaseStats {
 const SPOT_CHECK_INTERVAL: u64 = 64;
 
 /// Cross-pass state for [`compute_plan_incremental`]: the per-job memo
-/// table plus the peel trace and mapping pack the delta paths patch
-/// between events.
+/// table and the peel trace the delta paths patch between events, plus
+/// the mapper's recycled scratch buffers.
 #[derive(Default, Debug, Clone)]
 pub struct PlanState {
     cache: PlanCache,
     peel: PeelState,
-    map: MapState,
+    map: OccupationProfile,
     /// Utility/age context of the previous pass: the peel replay is only
     /// sound when demands are the sole change, so these are compared
     /// (bitwise for ages) before taking the delta path.
@@ -533,7 +533,6 @@ impl PlanState {
     pub fn invalidate(&mut self) {
         self.cache.clear();
         self.peel.invalidate();
-        self.map.invalidate();
         self.last_utilities.clear();
         self.last_ages.clear();
     }
@@ -554,11 +553,11 @@ impl PlanState {
     }
 }
 
-/// Runs one CA pass with every stage memoized across events: the per-job
-/// estimate + WCDE stage through [`PlanCache`], the onion peel through
-/// delta replay ([`crate::onion::peel_incremental`]) and the continuous
-/// mapping through pack-prefix reuse
-/// ([`crate::mapping::map_continuous_incremental`]).
+/// Runs one CA pass with the expensive stages memoized across events: the
+/// per-job estimate + WCDE stage through [`PlanCache`] and the onion peel
+/// through delta replay ([`crate::onion::peel_incremental`]). The continuous
+/// mapping is the same run-length pass [`compute_plan`] runs
+/// ([`crate::mapping::map_profile`]), on buffers recycled in the state.
 ///
 /// This is the planner-facing steady-state entry: feeding consecutive
 /// scheduling events through one [`PlanState`] turns the O(n² log n) peel
@@ -650,10 +649,10 @@ fn compute_plan_incremental_inner<E: PlanEstimator>(
     let t2 = Instant::now();
 
     let (map_jobs, target_of, level_of) = build_map_jobs(config, jobs, &etas, &task_lens, &targets);
-    let placements = map_continuous_incremental(&map_jobs, capacity, &mut state.map)?;
+    let summaries = map_profile(&map_jobs, capacity, &mut state.map)?;
     let t3 = Instant::now();
 
-    let plan = assemble(jobs, &etas, &task_lens, &target_of, &level_of, placements);
+    let plan = assemble(&etas, &task_lens, &target_of, &level_of, summaries);
     if !same_context {
         state.last_utilities.clear();
         state.last_utilities.extend(jobs.iter().map(|j| j.utility));
@@ -671,6 +670,14 @@ fn compute_plan_incremental_inner<E: PlanEstimator>(
             "delta-plan contract: incremental pass {} diverged from a from-scratch CA pass",
             state.passes
         );
+        // Both passes share the run-length mapper: hold it to the oracle too.
+        let oracle = crate::mapping::map_continuous(&map_jobs, capacity)?;
+        debug_assert!(
+            plan.entries.iter().zip(&oracle).all(|(e, p)| {
+                (e.desired_now, e.planned_completion) == (p.active_at(0), p.completion)
+            }),
+            "mapping contract: run-length summary diverged from map_continuous"
+        );
     }
 
     state.stats = PlanPhaseStats {
@@ -679,7 +686,7 @@ fn compute_plan_incremental_inner<E: PlanEstimator>(
         map_ns: (t3 - t2).as_nanos() as u64,
         assemble_ns: (t4 - t3).as_nanos() as u64,
         peel_replay: state.peel.last_stats(),
-        map_delta: state.map.last_stats(),
+        map_delta: MapStats { delta: false, reused_prefix: 0, repacked: jobs.len() },
     };
     Ok(plan)
 }
@@ -723,9 +730,8 @@ fn build_map_jobs(
                 // job's own demand (mirroring the deferred phase's
                 // smallest-demand-first commit order) rather than its
                 // ASAP deadline: the deadline shifts for *every* deferred
-                // job whenever any demand changes, which would invalidate
-                // the incremental mapping's cached order and prefix on
-                // every event.
+                // job whenever any demand changes, which would reshuffle
+                // who gets the leftover containers on every event.
                 MapJob { tasks: n, task_len: r, target: n.saturating_mul(r), lax: true }
             } else {
                 MapJob { tasks: n, task_len: r, target: shaved as u64, lax: false }
@@ -737,23 +743,22 @@ fn build_map_jobs(
 
 /// Step 5: entry assembly, shared by the pure and incremental pipelines.
 fn assemble(
-    jobs: &[PlanInput<'_>],
     etas: &[u64],
     task_lens: &[u64],
     target_of: &[f64],
     level_of: &[f64],
-    placements: &[crate::mapping::Placement],
+    summaries: &[MapSummary],
 ) -> Plan {
-    let entries = jobs
+    let entries = summaries
         .iter()
         .enumerate()
-        .map(|(i, _)| PlanEntry {
+        .map(|(i, s)| PlanEntry {
             eta: etas[i],
             task_len: task_lens[i],
             target: target_of[i],
             level: level_of[i],
-            desired_now: placements[i].active_at(0),
-            planned_completion: placements[i].completion,
+            desired_now: s.desired_now,
+            planned_completion: s.completion,
             impossible: level_of[i] <= 1e-9,
         })
         .collect();
@@ -798,10 +803,11 @@ fn compute_plan_inner<E: PlanEstimator>(
 
     // 4. Continuous mapping, with the Theorem 3 slack shaved off targets.
     let (map_jobs, target_of, level_of) = build_map_jobs(config, jobs, &etas, &task_lens, &targets);
-    let placements = map_continuous(&map_jobs, capacity)?;
+    let mut profile = OccupationProfile::default();
+    let summaries = map_profile(&map_jobs, capacity, &mut profile)?;
 
     // 5. Assemble.
-    Ok(assemble(jobs, &etas, &task_lens, &target_of, &level_of, &placements))
+    Ok(assemble(&etas, &task_lens, &target_of, &level_of, summaries))
 }
 
 /// Renders a plan as the monitoring table the paper's enhanced HTTP

@@ -4,9 +4,10 @@
 //! step checked two ways:
 //!
 //! * the incremental plan must be **bit-identical** to a from-scratch
-//!   `compute_plan` pass — the delta replay, the resumed layer loop, and
-//!   the spliced mapping all share the full path's arithmetic, so there is
-//!   no tolerance to hide behind; and
+//!   `compute_plan` pass — the delta replay and the resumed layer loop
+//!   share the full path's arithmetic and both pipelines run the same
+//!   mapper (on recycled buffers here), so there is no tolerance to hide
+//!   behind; and
 //! * the peel layering must agree with the frozen `onion::naive::peel`
 //!   oracle (Algorithm 3 transcribed) to within bisection wobble, exactly
 //!   as the non-incremental differential suite checks.
@@ -125,8 +126,8 @@ fn long_stream_crosses_spot_check_interval() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The maintained `PlanState` (peel trace + incremental mapping + keyed
-    /// solve cache) survives an arbitrary event stream: after *every*
+    /// The maintained `PlanState` (peel trace + recycled mapping buffers +
+    /// keyed solve cache) survives an arbitrary event stream: after *every*
     /// event the incremental plan is bit-identical to a from-scratch pass
     /// over the same inputs.
     #[test]

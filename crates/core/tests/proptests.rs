@@ -4,7 +4,9 @@
 //! (mapping completes every job by `T + R`).
 
 use proptest::prelude::*;
-use rush_core::mapping::{capacity_condition_holds, map_continuous, MapJob};
+use rush_core::mapping::{
+    capacity_condition_holds, map_continuous, map_profile, MapJob, OccupationProfile,
+};
 use rush_core::onion::{peel, OnionJob};
 use rush_core::rem;
 use rush_core::wcde::worst_case_quantile;
@@ -347,4 +349,90 @@ proptest! {
             );
         }
     }
+}
+
+/// Hostile mapping instances for the run-length mapper: lax jobs, targets
+/// far too tight for the fleet (strict prefix + overflow spill on the same
+/// queues), zero-task and target-0 jobs, a single queue, fleets on both
+/// sides of `water_fill`'s stack-selection cut-off (`3·C ≤ 256`), demand
+/// bursts wider than the fleet, and task lengths past 2³² where the
+/// reciprocal division falls back to hardware `div`.
+fn hostile_mapping_instance() -> impl Strategy<Value = (Vec<MapJob>, u32)> {
+    (
+        prop::collection::vec((0u64..40, 1u64..60, 0u64..400, 0u32..10), 0..24),
+        0usize..6,
+        0u32..4,
+    )
+        .prop_map(|(raw, fleet, scale)| {
+            let capacity = [1u32, 7, 85, 86, 300, 4096][fleet];
+            let jobs = raw
+                .into_iter()
+                .map(|(tasks, len, target, kind)| {
+                    // One draw in four stretches every length and target by
+                    // 2³² (+ the small draw, so residues still vary).
+                    let stretch = |v: u64| if scale == 0 { (v << 32) + v } else { v };
+                    MapJob {
+                        tasks: if kind >= 8 { tasks * (capacity as u64 / 4 + 1) } else { tasks },
+                        task_len: stretch(len),
+                        target: stretch(target),
+                        lax: kind % 4 == 0,
+                    }
+                })
+                .collect();
+            (jobs, capacity)
+        })
+}
+
+proptest! {
+    /// The planner's run-length mapper reports exactly what the
+    /// segment-emitting Algorithm 4 would: `desired_now == active_at(0)`
+    /// and `completion` per job, with the profile inside its split bound
+    /// and still covering the whole fleet.
+    #[test]
+    fn profile_summary_matches_map_continuous((jobs, capacity) in hostile_mapping_instance()) {
+        let oracle = map_continuous(&jobs, capacity).unwrap();
+        let mut profile = OccupationProfile::default();
+        let got = map_profile(&jobs, capacity, &mut profile).unwrap();
+        prop_assert_eq!(got.len(), jobs.len());
+        for (i, (s, p)) in got.iter().zip(&oracle).enumerate() {
+            prop_assert_eq!(
+                (s.desired_now, s.completion),
+                (p.active_at(0), p.completion),
+                "job {} of {:?} on {} queues", i, jobs, capacity
+            );
+        }
+        let desired: u64 = got.iter().map(|s| s.desired_now as u64).sum();
+        prop_assert!(desired <= capacity as u64);
+        prop_assert!(profile.runs() <= 1 + 3 * jobs.len());
+    }
+}
+
+/// The shape `serve_closed_large` maps on every replan: 4096 queues, 500
+/// resident jobs of ~20 tasks, one in five lax. The profile must stay
+/// within `1 + 3n` runs (it is the whole point that it does not grow with
+/// the fleet) and agree with the per-container oracle job for job.
+#[test]
+fn profile_at_serve_scale_matches_oracle_within_run_bound() {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |n: u64| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    };
+    let jobs: Vec<MapJob> = (0..500)
+        .map(|i| MapJob {
+            tasks: 12 + draw(17),
+            task_len: 20 + draw(60),
+            target: 40 + draw(1500),
+            lax: i % 5 == 0,
+        })
+        .collect();
+    let capacity = 4096;
+    let oracle = map_continuous(&jobs, capacity).unwrap();
+    let mut profile = OccupationProfile::default();
+    let got = map_profile(&jobs, capacity, &mut profile).unwrap();
+    for (i, (s, p)) in got.iter().zip(&oracle).enumerate() {
+        assert_eq!((s.desired_now, s.completion), (p.active_at(0), p.completion), "job {i}");
+    }
+    assert!(profile.runs() <= 1 + 3 * jobs.len(), "{} runs", profile.runs());
+    assert!(profile.runs() < capacity as usize / 4, "{} runs: profile tracks the fleet", profile.runs());
 }

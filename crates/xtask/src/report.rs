@@ -214,12 +214,13 @@ impl Rule {
                 "RUSH-L007: full rebuild\n\
                  \n\
                  Delta-peeling made the incremental path (`compute_plan_incremental`,\n\
-                 `peel_incremental`, `map_continuous_incremental`) the only planner-facing\n\
-                 entry into the CA pipeline: steady-state replans patch the previous\n\
-                 onion layering and mapping instead of recomputing them, which is what\n\
-                 takes a 1000-job replan from tens of milliseconds to under one. The\n\
-                 batch entry points — `compute_plan`, the full `onion::peel`, and\n\
-                 `map_continuous` — exist as the differential oracle the delta path is\n\
+                 `peel_incremental`, and the run-length `map_profile`) the only\n\
+                 planner-facing entry into the CA pipeline: steady-state replans patch\n\
+                 the previous onion layering instead of recomputing it and map over\n\
+                 occupation runs instead of containers, which is what takes a 1000-job\n\
+                 replan from tens of milliseconds to about one. The batch entry points —\n\
+                 `compute_plan`, the full `onion::peel`, and the segment-emitting\n\
+                 `map_continuous` — exist as the differential oracles the planner path is\n\
                  proven bit-identical against, and as bench baselines. An adapter that\n\
                  calls them on the hot path silently forfeits the entire speedup and\n\
                  bypasses the cache-coherence invariants the kernel maintains.\n\

@@ -20,9 +20,9 @@ const PLANNER_OWNER_CRATES: &[&str] = &["rush-planner", "rush-core"];
 
 /// Identifiers RUSH-L007 reserves to the full-rebuild path: the batch CA
 /// entry points that recompute the plan from scratch. The delta path
-/// (`compute_plan_incremental` / `peel_incremental` /
-/// `map_continuous_incremental` — distinct identifiers, never flagged) is
-/// the only planner-facing entry.
+/// (`compute_plan_incremental` / `peel_incremental`, and the run-length
+/// `map_profile` both pipelines share — distinct identifiers, never
+/// flagged) is the only planner-facing entry.
 const FULL_REBUILD_IDENTS: &[&str] = &["compute_plan", "peel", "map_continuous"];
 
 /// Crates allowed to reference [`FULL_REBUILD_IDENTS`]: rush-core owns the
@@ -871,7 +871,7 @@ mod tests {
         let delta = run(
             "use rush_core::plan::compute_plan_incremental;\n\
              use rush_core::onion::peel_incremental;\n\
-             use rush_core::mapping::map_continuous_incremental;\n",
+             use rush_core::mapping::map_profile;\n",
             &outsider,
             "src/lib.rs",
         );
