@@ -304,13 +304,9 @@ pub fn serve_config(cli: &Cli) -> Result<rush_serve::ServeConfig, String> {
     cfg.epoch_max_batch = flag(cli, "batch", cfg.epoch_max_batch);
     cfg.ms_per_slot = flag(cli, "ms-per-slot", cfg.ms_per_slot);
     cfg.shards = flag(cli, "shards", cfg.shards);
-    // The CLI defaults to the epoll reactor where it exists (lower tail
-    // latency at high connection counts); `--frontend threads` opts back
-    // into the blocking per-connection workers. Non-unix platforms have no
-    // epoll, so the library's threads default stands there.
-    let default_frontend =
-        if cfg!(unix) { rush_serve::Frontend::Reactor } else { cfg.frontend };
-    cfg.frontend = flag(cli, "frontend", default_frontend);
+    // No flag means `Frontend::default()`: the reactor on Linux, threads
+    // elsewhere — the same default `rushd` has.
+    cfg.frontend = flag(cli, "frontend", cfg.frontend);
     cfg.reactors = flag(cli, "reactors", cfg.reactors);
     cfg.snapshot_path = cli.flags.get("snapshot").map(std::path::PathBuf::from);
     cfg.rush.theta = flag(cli, "theta", cfg.rush.theta);
@@ -573,14 +569,15 @@ mod tests {
         assert_eq!(cfg.frontend, rush_serve::Frontend::Threads);
     }
 
-    #[cfg(unix)]
     #[test]
-    fn serve_defaults_to_the_reactor_frontend() {
+    fn serve_defaults_to_the_library_default_frontend() {
         let cfg = serve_config(&cli("serve", &[])).unwrap();
+        assert_eq!(cfg.frontend, rush_serve::ServeConfig::default().frontend);
+        #[cfg(target_os = "linux")]
         assert_eq!(cfg.frontend, rush_serve::Frontend::Reactor);
     }
 
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     #[test]
     fn loadgen_open_loop_drives_a_reactor_daemon() {
         // The reactor frontend and the open-loop engine end to end: a

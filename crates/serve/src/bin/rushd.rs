@@ -7,9 +7,10 @@
 //!       [--snapshot PATH] [--theta 0.9] [--delta 0.7]
 //! ```
 //!
-//! `--frontend reactor` serves connections on nonblocking epoll event
-//! loops (`--reactors N` of them) instead of one thread per connection;
-//! both frontends speak JSON and the negotiated binary codec.
+//! `--frontend reactor` (the default on Linux) serves connections on
+//! nonblocking epoll event loops (`--reactors N` of them);
+//! `--frontend threads` (the default elsewhere) runs one thread per
+//! connection. Both frontends speak JSON and the negotiated binary codec.
 //!
 //! Prints `rushd listening on ADDR` once the socket is bound (CI's
 //! serve-smoke step greps for it), then serves until a client sends the

@@ -21,7 +21,7 @@
 //! [`MAX_FRAME_LEN`]; an oversized or unparseable length prefix is
 //! connection-fatal (there is no way to resynchronize), while a
 //! well-framed but malformed payload yields a structured
-//! [`ErrorCode::BadFrame`]/[`ErrorCode::BadField`] error and the
+//! `ErrorCode::BadFrame`/`ErrorCode::BadField` error and the
 //! connection keeps serving — mirroring the JSON codec's contract.
 //!
 //! ## Field encoding
@@ -34,14 +34,14 @@
 //! * Utilities travel in the same persist text form as JSON
 //!   (`sigmoid:700,5,0.02`), so all wire formats share one grammar.
 //!
-//! Every payload starts with a one-byte variant tag; the tag tables for
-//! requests and responses are documented in `DESIGN.md` §15.
+//! Every payload starts with a one-byte variant tag. The tags, the field
+//! order and the field codecs themselves live in `wire.rs`, the one
+//! description both wire formats are derived from; this file keeps the
+//! handshake and the framing. The tag tables are documented in
+//! `DESIGN.md` §15.
 
-use crate::protocol::{
-    Decision, DeferReason, ErrorCode, JobSubmission, PlanRow, Request, Response, StatsReport,
-    WireError,
-};
-use rush_workload::persist::{utility_from_text, utility_to_text};
+use crate::protocol::{Request, Response, WireError};
+use crate::wire::{self, bad_frame};
 
 /// The 5-byte connection magic both hellos open with.
 pub const MAGIC: &[u8; 5] = b"RUSH1";
@@ -67,10 +67,6 @@ pub enum Scan<T> {
     },
 }
 
-fn bad_frame(why: impl Into<String>) -> WireError {
-    WireError::new(ErrorCode::BadFrame, why)
-}
-
 // ---------------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------------
@@ -93,7 +89,7 @@ pub fn hello(version: u8) -> [u8; 6] {
 ///
 /// # Errors
 ///
-/// [`ErrorCode::BadFrame`] when the magic does not match (connection-fatal:
+/// `ErrorCode::BadFrame` when the magic does not match (connection-fatal:
 /// the peer is not speaking this protocol).
 pub fn scan_hello(buf: &[u8]) -> Result<Scan<u8>, WireError> {
     let prefix = buf.len().min(MAGIC.len());
@@ -113,7 +109,7 @@ pub fn scan_hello(buf: &[u8]) -> Result<Scan<u8>, WireError> {
 
 /// Appends a varint length prefix + `payload` to `out`.
 pub fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
-    put_varint(payload.len() as u64, out);
+    wire::put_varint(payload.len() as u64, out);
     out.extend_from_slice(payload);
 }
 
@@ -122,7 +118,7 @@ pub fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// [`ErrorCode::BadFrame`] for an oversized or malformed length prefix —
+/// `ErrorCode::BadFrame` for an oversized or malformed length prefix —
 /// connection-fatal, since the stream cannot be resynchronized.
 pub fn scan_frame(buf: &[u8]) -> Result<Scan<std::ops::Range<usize>>, WireError> {
     let mut len: u64 = 0;
@@ -155,453 +151,29 @@ pub fn scan_frame(buf: &[u8]) -> Result<Scan<std::ops::Range<usize>>, WireError>
 }
 
 // ---------------------------------------------------------------------------
-// Primitive field codecs
+// Payloads
 // ---------------------------------------------------------------------------
-
-fn put_varint(mut v: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_f64(v: f64, out: &mut Vec<u8>) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    put_varint(s.len() as u64, out);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(b: bool, out: &mut Vec<u8>) {
-    out.push(u8::from(b));
-}
-
-fn put_opt_varint(v: Option<u64>, out: &mut Vec<u8>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_varint(v, out);
-        }
-    }
-}
-
-fn put_opt_f64(v: Option<f64>, out: &mut Vec<u8>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_f64(v, out);
-        }
-    }
-}
-
-/// A checked cursor over one frame payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        let b = self
-            .buf
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| bad_frame(format!("truncated payload reading {what}")))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, WireError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8(what)?;
-            if shift == 63 && byte > 1 {
-                return Err(bad_frame(format!("varint overflow in {what}")));
-            }
-            if shift >= 64 {
-                return Err(bad_frame(format!("varint overflow in {what}")));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, WireError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad_frame(format!("truncated payload reading {what}")))?;
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, WireError> {
-        let len = self.varint(what)? as usize;
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad_frame(format!("truncated payload reading {what}")))?;
-        let s = std::str::from_utf8(&self.buf[self.pos..end])
-            .map_err(|_| bad_frame(format!("invalid UTF-8 in {what}")))?;
-        self.pos = end;
-        Ok(s.to_string())
-    }
-
-    fn boolean(&mut self, what: &str) -> Result<bool, WireError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(bad_frame(format!("bad boolean byte {b} in {what}"))),
-        }
-    }
-
-    fn opt_varint(&mut self, what: &str) -> Result<Option<u64>, WireError> {
-        if self.boolean(what)? {
-            Ok(Some(self.varint(what)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, WireError> {
-        if self.boolean(what)? {
-            Ok(Some(self.f64(what)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad_frame(format!("{} trailing bytes after payload", self.buf.len() - self.pos)))
-        }
-    }
-}
-
-fn bad_field(name: &str, why: &str) -> WireError {
-    WireError::new(ErrorCode::BadField, format!("field \"{name}\": {why}"))
-}
-
-// ---------------------------------------------------------------------------
-// Request codec
-// ---------------------------------------------------------------------------
-
-const REQ_SUBMIT: u8 = 0;
-const REQ_REPORT_SAMPLE: u8 = 1;
-const REQ_QUERY_PLAN: u8 = 2;
-const REQ_PREDICT: u8 = 3;
-const REQ_CANCEL: u8 = 4;
-const REQ_STATS: u8 = 5;
-const REQ_SHUTDOWN: u8 = 6;
-const REQ_SET_CAPACITY: u8 = 7;
 
 /// Encodes a request payload (tag + fields, no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    match req {
-        Request::Submit(sub) => {
-            out.push(REQ_SUBMIT);
-            put_str(&sub.label, &mut out);
-            put_varint(sub.tasks, &mut out);
-            put_opt_f64(sub.runtime_hint, &mut out);
-            put_str(&utility_to_text(&sub.utility), &mut out);
-            put_opt_varint(sub.budget, &mut out);
-            put_varint(u64::from(sub.priority), &mut out);
-        }
-        Request::ReportSample { job, runtime } => {
-            out.push(REQ_REPORT_SAMPLE);
-            put_varint(*job, &mut out);
-            put_varint(*runtime, &mut out);
-        }
-        Request::QueryPlan { job } => {
-            out.push(REQ_QUERY_PLAN);
-            put_opt_varint(*job, &mut out);
-        }
-        Request::Predict { job } => {
-            out.push(REQ_PREDICT);
-            put_varint(*job, &mut out);
-        }
-        Request::Cancel { job } => {
-            out.push(REQ_CANCEL);
-            put_varint(*job, &mut out);
-        }
-        Request::Stats => out.push(REQ_STATS),
-        Request::SetCapacity { capacity } => {
-            out.push(REQ_SET_CAPACITY);
-            put_varint(u64::from(*capacity), &mut out);
-        }
-        Request::Shutdown { snapshot } => {
-            out.push(REQ_SHUTDOWN);
-            put_bool(*snapshot, &mut out);
-        }
-    }
-    out
+    wire::request_to_rush1(req)
 }
 
 /// Decodes a request payload, applying exactly the validation the JSON
-/// decoder applies (`tasks >= 1`, `hint > 0`, utility grammar, priority in
-/// `1..=u32::MAX`).
+/// decoder applies (both walk the one description in `wire.rs`).
 ///
 /// # Errors
 ///
-/// [`ErrorCode::BadFrame`] for structural problems, [`ErrorCode::BadOp`]
-/// for an unknown tag, [`ErrorCode::BadField`] for validation failures —
+/// `ErrorCode::BadFrame` for structural problems, `ErrorCode::BadOp`
+/// for an unknown tag, `ErrorCode::BadField` for validation failures —
 /// the connection stays usable after any of them.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8("request tag")?;
-    let req = match tag {
-        REQ_SUBMIT => {
-            let label = r.string("label")?;
-            let tasks = r.varint("tasks")?;
-            if tasks == 0 {
-                return Err(bad_field("tasks", "must be >= 1"));
-            }
-            let hint = r.opt_f64("hint")?;
-            if let Some(h) = hint {
-                if h <= 0.0 || !h.is_finite() {
-                    return Err(bad_field("hint", "must be > 0"));
-                }
-            }
-            let utility =
-                utility_from_text(&r.string("utility")?).map_err(|e| bad_field("utility", &e))?;
-            let budget = r.opt_varint("budget")?;
-            let priority = r.varint("priority")?;
-            let priority =
-                u32::try_from(priority).map_err(|_| bad_field("priority", "must fit in u32"))?;
-            if priority == 0 {
-                return Err(bad_field("priority", "must be >= 1"));
-            }
-            Request::Submit(JobSubmission { label, tasks, runtime_hint: hint, utility, budget, priority })
-        }
-        REQ_REPORT_SAMPLE => {
-            Request::ReportSample { job: r.varint("job")?, runtime: r.varint("runtime")? }
-        }
-        REQ_QUERY_PLAN => Request::QueryPlan { job: r.opt_varint("job")? },
-        REQ_PREDICT => Request::Predict { job: r.varint("job")? },
-        REQ_CANCEL => Request::Cancel { job: r.varint("job")? },
-        REQ_STATS => Request::Stats,
-        REQ_SET_CAPACITY => {
-            let capacity = r.varint("capacity")?;
-            let capacity =
-                u32::try_from(capacity).map_err(|_| bad_field("capacity", "must fit in u32"))?;
-            if capacity == 0 {
-                return Err(bad_field("capacity", "must be >= 1"));
-            }
-            Request::SetCapacity { capacity }
-        }
-        REQ_SHUTDOWN => Request::Shutdown { snapshot: r.boolean("snapshot")? },
-        other => {
-            return Err(WireError::new(ErrorCode::BadOp, format!("unknown request tag {other}")))
-        }
-    };
-    r.finish()?;
-    Ok(req)
-}
-
-// ---------------------------------------------------------------------------
-// Response codec
-// ---------------------------------------------------------------------------
-
-const RESP_SUBMITTED: u8 = 0;
-const RESP_ACK: u8 = 1;
-const RESP_PLAN_TABLE: u8 = 2;
-const RESP_PREDICTION: u8 = 3;
-const RESP_STATS: u8 = 4;
-const RESP_SHUTTING_DOWN: u8 = 5;
-const RESP_ERROR: u8 = 6;
-const RESP_CAPACITY_SET: u8 = 7;
-
-fn decision_tag(d: Decision) -> u8 {
-    match d {
-        Decision::Admit => 0,
-        Decision::Defer => 1,
-        Decision::Reject => 2,
-    }
-}
-
-fn decision_from_tag(tag: u8) -> Result<Decision, WireError> {
-    match tag {
-        0 => Ok(Decision::Admit),
-        1 => Ok(Decision::Defer),
-        2 => Ok(Decision::Reject),
-        other => Err(bad_frame(format!("unknown decision tag {other}"))),
-    }
-}
-
-/// `Option<DeferReason>` as one byte: 0 = none, 1 = overcommit,
-/// 2 = awaiting-restock.
-fn defer_reason_tag(r: Option<DeferReason>) -> u8 {
-    match r {
-        None => 0,
-        Some(DeferReason::Overcommit) => 1,
-        Some(DeferReason::AwaitingRestock) => 2,
-    }
-}
-
-fn defer_reason_from_tag(tag: u8) -> Result<Option<DeferReason>, WireError> {
-    match tag {
-        0 => Ok(None),
-        1 => Ok(Some(DeferReason::Overcommit)),
-        2 => Ok(Some(DeferReason::AwaitingRestock)),
-        other => Err(bad_frame(format!("unknown defer-reason tag {other}"))),
-    }
-}
-
-fn error_code_tag(c: ErrorCode) -> u8 {
-    match c {
-        ErrorCode::BadJson => 0,
-        ErrorCode::BadFrame => 1,
-        ErrorCode::BadVersion => 2,
-        ErrorCode::BadOp => 3,
-        ErrorCode::BadField => 4,
-        ErrorCode::UnknownJob => 5,
-        ErrorCode::Deferred => 6,
-        ErrorCode::Shutdown => 7,
-        ErrorCode::Internal => 8,
-    }
-}
-
-fn error_code_from_tag(tag: u8) -> Result<ErrorCode, WireError> {
-    match tag {
-        0 => Ok(ErrorCode::BadJson),
-        1 => Ok(ErrorCode::BadFrame),
-        2 => Ok(ErrorCode::BadVersion),
-        3 => Ok(ErrorCode::BadOp),
-        4 => Ok(ErrorCode::BadField),
-        5 => Ok(ErrorCode::UnknownJob),
-        6 => Ok(ErrorCode::Deferred),
-        7 => Ok(ErrorCode::Shutdown),
-        8 => Ok(ErrorCode::Internal),
-        other => Err(bad_frame(format!("unknown error-code tag {other}"))),
-    }
-}
-
-fn put_plan_row(row: &PlanRow, out: &mut Vec<u8>) {
-    put_varint(row.job, out);
-    put_str(&row.label, out);
-    put_varint(row.eta, out);
-    put_varint(row.task_len, out);
-    put_f64(row.target, out);
-    put_f64(row.level, out);
-    put_varint(u64::from(row.desired_now), out);
-    put_varint(row.planned_completion, out);
-    put_bool(row.impossible, out);
-    put_varint(row.remaining_tasks, out);
-}
-
-fn read_plan_row(r: &mut Reader<'_>) -> Result<PlanRow, WireError> {
-    let job = r.varint("row.job")?;
-    let label = r.string("row.label")?;
-    let eta = r.varint("row.eta")?;
-    let task_len = r.varint("row.task_len")?;
-    let target = r.f64("row.target")?;
-    let level = r.f64("row.level")?;
-    let desired = r.varint("row.desired_now")?;
-    let desired_now =
-        u32::try_from(desired).map_err(|_| bad_field("desired_now", "must fit in u32"))?;
-    Ok(PlanRow {
-        job,
-        label,
-        eta,
-        task_len,
-        target,
-        level,
-        desired_now,
-        planned_completion: r.varint("row.planned_completion")?,
-        impossible: r.boolean("row.impossible")?,
-        remaining_tasks: r.varint("row.remaining_tasks")?,
-    })
+    wire::request_from_rush1(payload)
 }
 
 /// Encodes a response payload (tag + fields, no length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    match resp {
-        Response::Submitted { job, decision, epoch, waited_us, defer_reason } => {
-            out.push(RESP_SUBMITTED);
-            put_opt_varint(*job, &mut out);
-            out.push(decision_tag(*decision));
-            put_varint(*epoch, &mut out);
-            put_varint(*waited_us, &mut out);
-            out.push(defer_reason_tag(*defer_reason));
-        }
-        Response::Ack => out.push(RESP_ACK),
-        Response::PlanTable { now_slot, epoch, rows } => {
-            out.push(RESP_PLAN_TABLE);
-            put_varint(*now_slot, &mut out);
-            put_varint(*epoch, &mut out);
-            put_varint(rows.len() as u64, &mut out);
-            for row in rows {
-                put_plan_row(row, &mut out);
-            }
-        }
-        Response::Prediction { job, target, task_len, bound, planned_completion, impossible } => {
-            out.push(RESP_PREDICTION);
-            put_varint(*job, &mut out);
-            put_f64(*target, &mut out);
-            put_varint(*task_len, &mut out);
-            put_f64(*bound, &mut out);
-            put_varint(*planned_completion, &mut out);
-            put_bool(*impossible, &mut out);
-        }
-        Response::Stats(s) => {
-            out.push(RESP_STATS);
-            for v in [
-                s.active_jobs,
-                s.deferred_jobs,
-                s.epochs,
-                s.admitted,
-                s.deferred,
-                s.rejected,
-                s.cancelled,
-                s.completed,
-                s.samples,
-                s.cache_hits,
-                s.cache_misses,
-                s.now_slot,
-            ] {
-                put_varint(v, &mut out);
-            }
-        }
-        Response::CapacitySet { capacity } => {
-            out.push(RESP_CAPACITY_SET);
-            put_varint(u64::from(*capacity), &mut out);
-        }
-        Response::ShuttingDown { snapshot_written } => {
-            out.push(RESP_SHUTTING_DOWN);
-            put_bool(*snapshot_written, &mut out);
-        }
-        Response::Error(e) => {
-            out.push(RESP_ERROR);
-            out.push(error_code_tag(e.code));
-            put_str(&e.message, &mut out);
-        }
-    }
-    out
+    wire::response_to_rush1(resp)
 }
 
 /// Decodes a response payload (the client side of the codec).
@@ -610,73 +182,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 ///
 /// [`WireError`] when the payload is not a well-formed response.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8("response tag")?;
-    let resp = match tag {
-        RESP_SUBMITTED => {
-            let job = r.opt_varint("job")?;
-            let decision = decision_from_tag(r.u8("decision")?)?;
-            let epoch = r.varint("epoch")?;
-            let waited_us = r.varint("waited_us")?;
-            let defer_reason = defer_reason_from_tag(r.u8("defer_reason")?)?;
-            Response::Submitted { job, decision, epoch, waited_us, defer_reason }
-        }
-        RESP_ACK => Response::Ack,
-        RESP_PLAN_TABLE => {
-            let now_slot = r.varint("now_slot")?;
-            let epoch = r.varint("epoch")?;
-            let count = r.varint("rows")? as usize;
-            // Each row is at least 14 bytes; pre-check against the payload
-            // so a hostile count cannot balloon the allocation.
-            if count > payload.len() {
-                return Err(bad_frame("row count exceeds payload size"));
-            }
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push(read_plan_row(&mut r)?);
-            }
-            Response::PlanTable { now_slot, epoch, rows }
-        }
-        RESP_PREDICTION => Response::Prediction {
-            job: r.varint("job")?,
-            target: r.f64("target")?,
-            task_len: r.varint("task_len")?,
-            bound: r.f64("bound")?,
-            planned_completion: r.varint("planned_completion")?,
-            impossible: r.boolean("impossible")?,
-        },
-        RESP_STATS => Response::Stats(StatsReport {
-            active_jobs: r.varint("active_jobs")?,
-            deferred_jobs: r.varint("deferred_jobs")?,
-            epochs: r.varint("epochs")?,
-            admitted: r.varint("admitted")?,
-            deferred: r.varint("deferred")?,
-            rejected: r.varint("rejected")?,
-            cancelled: r.varint("cancelled")?,
-            completed: r.varint("completed")?,
-            samples: r.varint("samples")?,
-            cache_hits: r.varint("cache_hits")?,
-            cache_misses: r.varint("cache_misses")?,
-            now_slot: r.varint("now_slot")?,
-        }),
-        RESP_CAPACITY_SET => {
-            let capacity = r.varint("capacity")?;
-            Response::CapacitySet {
-                capacity: u32::try_from(capacity)
-                    .map_err(|_| bad_field("capacity", "must fit in u32"))?,
-            }
-        }
-        RESP_SHUTTING_DOWN => Response::ShuttingDown { snapshot_written: r.boolean("snapshot_written")? },
-        RESP_ERROR => {
-            let code = error_code_from_tag(r.u8("code")?)?;
-            Response::Error(WireError::new(code, r.string("message")?))
-        }
-        other => {
-            return Err(WireError::new(ErrorCode::BadOp, format!("unknown response tag {other}")))
-        }
-    };
-    r.finish()?;
-    Ok(resp)
+    wire::response_from_rush1(payload)
 }
 
 /// Encodes a request as one complete frame (length prefix + payload).
@@ -698,7 +204,34 @@ pub fn frame_response(resp: &Response) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Decision, DeferReason, ErrorCode, JobSubmission, PlanRow, StatsReport};
+    use crate::wire::put_varint;
     use rush_utility::TimeUtility;
+
+    // Hand-rolled payload bytes, independent of the encoder under test.
+    const REQ_SUBMIT: u8 = 0;
+    const REQ_SHUTDOWN: u8 = 6;
+    const REQ_SET_CAPACITY: u8 = 7;
+    const RESP_SUBMITTED: u8 = 0;
+
+    fn put_str(s: &str, out: &mut Vec<u8>) {
+        put_varint(s.len() as u64, out);
+        out.extend_from_slice(s.as_bytes());
+    }
+
+    fn put_opt_varint(v: Option<u64>, out: &mut Vec<u8>) {
+        out.push(u8::from(v.is_some()));
+        if let Some(v) = v {
+            put_varint(v, out);
+        }
+    }
+
+    fn put_opt_f64(v: Option<f64>, out: &mut Vec<u8>) {
+        out.push(u8::from(v.is_some()));
+        if let Some(v) = v {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
 
     fn sub() -> JobSubmission {
         JobSubmission {

@@ -255,10 +255,20 @@ fn eof() -> ServeError {
     ))
 }
 
+/// The one place the client looks at every response kind: the typed
+/// helpers above hand it whatever they did not ask for, so a new variant
+/// must be classified here before the crate compiles under clippy.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn unexpected(resp: &Response) -> ServeError {
     match resp {
         Response::Error(e) => ServeError::Wire(e.clone()),
-        other => ServeError::Wire(WireError {
+        other @ (Response::Submitted { .. }
+        | Response::Ack
+        | Response::PlanTable { .. }
+        | Response::Prediction { .. }
+        | Response::Stats(_)
+        | Response::CapacitySet { .. }
+        | Response::ShuttingDown { .. }) => ServeError::Wire(WireError {
             code: crate::protocol::ErrorCode::BadOp,
             message: format!("unexpected response kind: {other:?}"),
         }),

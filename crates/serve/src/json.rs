@@ -150,22 +150,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // Rust's f64 Display is shortest-round-trip, and whole
-                    // numbers print without a fraction — both parse back
-                    // to the identical bit pattern.
-                    let mut s = format!("{v}");
-                    if !s.contains(['.', 'e', 'E']) && s.parse::<i64>().is_err() {
-                        // Magnitudes beyond i64 print like "1e300" already;
-                        // nothing to normalize. (Unreachable in practice.)
-                        s.push_str(".0");
-                    }
-                    out.push_str(&s);
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(v) => write_num(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -193,7 +178,27 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends a number the way every frame and snapshot spells it: `null`
+/// for a non-finite value, else the shortest text that parses back to the
+/// identical bit pattern.
+pub(crate) fn write_num(v: f64, out: &mut String) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    // Rust's f64 Display is shortest-round-trip, and whole numbers print
+    // without a fraction — both parse back to the identical bit pattern.
+    let mut s = format!("{v}");
+    if !s.contains(['.', 'e', 'E']) && s.parse::<i64>().is_err() {
+        // Whole magnitudes beyond i64 print as a bare digit run; mark
+        // them as floats.
+        s.push_str(".0");
+    }
+    out.push_str(&s);
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

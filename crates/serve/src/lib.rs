@@ -14,6 +14,9 @@
 //! * [`binary`] — the version-negotiated, length-prefixed binary codec
 //!   carrying the same `Request`/`Response` values (`RUSH1` magic + varint
 //!   framing); a frontend sniffs binary vs. JSON from the first byte;
+//! * `wire` (private) — the one description both codecs and the snapshot
+//!   are derived from: each message's fields, order, tags and validation
+//!   stated once, walked by a JSON and a `RUSH1` reader and writer;
 //! * [`state`] — protocol/epoch/admission bookkeeping over the shared
 //!   planner kernel ([`rush_planner::PlannerCore`]): many submissions
 //!   arriving close together are planned by **one** kernel replan;
@@ -54,6 +57,7 @@ pub mod reactor_frontend;
 pub mod server;
 pub mod snapshot;
 pub mod state;
+mod wire;
 
 pub use client::Client;
 pub use protocol::{Decision, ErrorCode, Request, Response, PROTOCOL_VERSION};

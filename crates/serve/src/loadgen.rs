@@ -353,7 +353,7 @@ fn run_workers(
 /// The nonblocking open-loop engine: thousands of concurrent connections
 /// multiplexed on one `rush_reactor::Poller`, submissions round-robined
 /// across them at their scheduled times.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod open_loop {
     use super::{LoadgenConfig, WorkerOutcome};
     use crate::binary::{self, Scan};
@@ -679,11 +679,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     let start = Instant::now();
 
     let merged = if cfg.connections > 0 {
-        #[cfg(unix)]
+        #[cfg(target_os = "linux")]
         {
             open_loop::run(cfg, &plan, deadline_us)?
         }
-        #[cfg(not(unix))]
+        #[cfg(not(target_os = "linux"))]
         {
             return Err(ServeError::Config(
                 "the open-loop engine needs epoll; use --connections 0".into(),

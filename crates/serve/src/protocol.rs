@@ -11,11 +11,12 @@
 //! see [`rush_workload::persist::utility_from_text`]) so the wire format,
 //! the workload files and the snapshot format all share one grammar.
 //!
-//! The full grammar is documented in `DESIGN.md` §10.
+//! This file holds the message *types*; their field names, order, tags and
+//! validation are stated once, for every encoding, in `wire.rs`. The
+//! full grammar is documented in `DESIGN.md` §10.
 
-use crate::json::{parse, Json};
+use crate::wire;
 use rush_utility::TimeUtility;
-use rush_workload::persist::{utility_from_text, utility_to_text};
 use std::fmt;
 
 /// Wire protocol version carried in every request's `"v"` field.
@@ -49,33 +50,7 @@ pub enum ErrorCode {
 impl ErrorCode {
     /// The wire form of the code.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadJson => "bad-json",
-            ErrorCode::BadFrame => "bad-frame",
-            ErrorCode::BadVersion => "bad-version",
-            ErrorCode::BadOp => "bad-op",
-            ErrorCode::BadField => "bad-field",
-            ErrorCode::UnknownJob => "unknown-job",
-            ErrorCode::Deferred => "deferred",
-            ErrorCode::Shutdown => "shutdown",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
-    /// Parses the wire form.
-    pub fn from_wire(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad-json" => ErrorCode::BadJson,
-            "bad-frame" => ErrorCode::BadFrame,
-            "bad-version" => ErrorCode::BadVersion,
-            "bad-op" => ErrorCode::BadOp,
-            "bad-field" => ErrorCode::BadField,
-            "unknown-job" => ErrorCode::UnknownJob,
-            "deferred" => ErrorCode::Deferred,
-            "shutdown" => ErrorCode::Shutdown,
-            "internal" => ErrorCode::Internal,
-            _ => return None,
-        })
+        wire::name_of(self)
     }
 }
 
@@ -116,27 +91,6 @@ pub enum Decision {
     Reject,
 }
 
-impl Decision {
-    /// The wire form of the decision.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Decision::Admit => "admit",
-            Decision::Defer => "defer",
-            Decision::Reject => "reject",
-        }
-    }
-
-    /// Parses the wire form.
-    pub fn from_wire(s: &str) -> Option<Decision> {
-        Some(match s {
-            "admit" => Decision::Admit,
-            "defer" => Decision::Defer,
-            "reject" => Decision::Reject,
-            _ => return None,
-        })
-    }
-}
-
 /// Why a submission was deferred (parked) rather than admitted outright.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeferReason {
@@ -150,25 +104,6 @@ pub enum DeferReason {
     /// provisioned capacity — so it waits for the restock instead of
     /// being rejected.
     AwaitingRestock,
-}
-
-impl DeferReason {
-    /// The wire form of the reason.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DeferReason::Overcommit => "overcommit",
-            DeferReason::AwaitingRestock => "awaiting-restock",
-        }
-    }
-
-    /// Parses the wire form.
-    pub fn from_wire(s: &str) -> Option<DeferReason> {
-        Some(match s {
-            "overcommit" => DeferReason::Overcommit,
-            "awaiting-restock" => DeferReason::AwaitingRestock,
-            _ => return None,
-        })
-    }
 }
 
 /// A job submission: everything the paper's job-configuration interface
@@ -189,6 +124,22 @@ pub struct JobSubmission {
     pub budget: Option<u64>,
     /// Priority weight.
     pub priority: u32,
+}
+
+/// The blank a reader starts from (see `wire.rs`); it fails the
+/// wire's own validation (`tasks`, `priority` ≥ 1), so it can never pass
+/// for a decoded submission.
+impl Default for JobSubmission {
+    fn default() -> Self {
+        JobSubmission {
+            label: String::new(),
+            tasks: 0,
+            runtime_hint: None,
+            utility: TimeUtility::Constant { weight: 1.0 },
+            budget: None,
+            priority: 0,
+        }
+    }
 }
 
 impl JobSubmission {
@@ -246,7 +197,7 @@ pub enum Request {
 
 /// One row of the plan table, mirroring [`rush_core::plan::PlanEntry`] plus
 /// the job's identity.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlanRow {
     /// Job id.
     pub job: u64,
@@ -359,139 +310,10 @@ pub enum Response {
     Error(WireError),
 }
 
-// ---------------------------------------------------------------------------
-// Field-access helpers (decode side)
-// ---------------------------------------------------------------------------
-
-fn bad_field(name: &str, why: &str) -> WireError {
-    WireError::new(ErrorCode::BadField, format!("field \"{name}\": {why}"))
-}
-
-fn need_u64(obj: &Json, name: &str) -> Result<u64, WireError> {
-    obj.get(name)
-        .ok_or_else(|| bad_field(name, "missing"))?
-        .as_u64()
-        .ok_or_else(|| bad_field(name, "expected a non-negative integer"))
-}
-
-fn opt_u64(obj: &Json, name: &str) -> Result<Option<u64>, WireError> {
-    match obj.get(name) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            v.as_u64().map(Some).ok_or_else(|| bad_field(name, "expected a non-negative integer"))
-        }
-    }
-}
-
-fn need_f64(obj: &Json, name: &str) -> Result<f64, WireError> {
-    obj.get(name)
-        .ok_or_else(|| bad_field(name, "missing"))?
-        .as_f64()
-        .ok_or_else(|| bad_field(name, "expected a number"))
-}
-
-fn opt_f64(obj: &Json, name: &str) -> Result<Option<f64>, WireError> {
-    match obj.get(name) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| bad_field(name, "expected a number")),
-    }
-}
-
-fn need_str<'a>(obj: &'a Json, name: &str) -> Result<&'a str, WireError> {
-    obj.get(name)
-        .ok_or_else(|| bad_field(name, "missing"))?
-        .as_str()
-        .ok_or_else(|| bad_field(name, "expected a string"))
-}
-
-fn need_bool(obj: &Json, name: &str) -> Result<bool, WireError> {
-    obj.get(name)
-        .ok_or_else(|| bad_field(name, "missing"))?
-        .as_bool()
-        .ok_or_else(|| bad_field(name, "expected a boolean"))
-}
-
-fn opt_bool(obj: &Json, name: &str, default: bool) -> Result<bool, WireError> {
-    match obj.get(name) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| bad_field(name, "expected a boolean")),
-    }
-}
-
-fn parse_frame(line: &str) -> Result<Json, WireError> {
-    let v = parse(line)
-        .map_err(|e| WireError::new(ErrorCode::BadJson, e.to_string()))?;
-    if !matches!(v, Json::Obj(_)) {
-        return Err(WireError::new(ErrorCode::BadJson, "frame must be a JSON object"));
-    }
-    Ok(v)
-}
-
-fn check_version(obj: &Json) -> Result<(), WireError> {
-    match obj.get("v").and_then(Json::as_u64) {
-        Some(PROTOCOL_VERSION) => Ok(()),
-        Some(v) => Err(WireError::new(
-            ErrorCode::BadVersion,
-            format!("unsupported protocol version {v} (expected {PROTOCOL_VERSION})"),
-        )),
-        None => Err(WireError::new(ErrorCode::BadVersion, "missing \"v\" field")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Request codec
-// ---------------------------------------------------------------------------
-
 impl Request {
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut fields = vec![("v".to_string(), Json::u64(PROTOCOL_VERSION))];
-        match self {
-            Request::Submit(sub) => {
-                fields.push(("op".into(), Json::str("submit")));
-                fields.push(("label".into(), Json::str(sub.label.clone())));
-                fields.push(("tasks".into(), Json::u64(sub.tasks)));
-                if let Some(h) = sub.runtime_hint {
-                    fields.push(("hint".into(), Json::f64(h)));
-                }
-                fields.push(("utility".into(), Json::str(utility_to_text(&sub.utility))));
-                if let Some(b) = sub.budget {
-                    fields.push(("budget".into(), Json::u64(b)));
-                }
-                fields.push(("priority".into(), Json::u64(u64::from(sub.priority))));
-            }
-            Request::ReportSample { job, runtime } => {
-                fields.push(("op".into(), Json::str("report-sample")));
-                fields.push(("job".into(), Json::u64(*job)));
-                fields.push(("runtime".into(), Json::u64(*runtime)));
-            }
-            Request::QueryPlan { job } => {
-                fields.push(("op".into(), Json::str("query-plan")));
-                if let Some(id) = job {
-                    fields.push(("job".into(), Json::u64(*id)));
-                }
-            }
-            Request::Predict { job } => {
-                fields.push(("op".into(), Json::str("predict")));
-                fields.push(("job".into(), Json::u64(*job)));
-            }
-            Request::Cancel { job } => {
-                fields.push(("op".into(), Json::str("cancel")));
-                fields.push(("job".into(), Json::u64(*job)));
-            }
-            Request::Stats => {
-                fields.push(("op".into(), Json::str("stats")));
-            }
-            Request::SetCapacity { capacity } => {
-                fields.push(("op".into(), Json::str("set-capacity")));
-                fields.push(("capacity".into(), Json::u64(u64::from(*capacity))));
-            }
-            Request::Shutdown { snapshot } => {
-                fields.push(("op".into(), Json::str("shutdown")));
-                fields.push(("snapshot".into(), Json::Bool(*snapshot)));
-            }
-        }
-        Json::Obj(fields).encode()
+        wire::request_to_json(self)
     }
 
     /// Decodes one request line.
@@ -502,180 +324,14 @@ impl Request {
     /// [`ErrorCode::BadOp`] or [`ErrorCode::BadField`]; the connection
     /// stays usable after any of them.
     pub fn decode(line: &str) -> Result<Request, WireError> {
-        let obj = parse_frame(line)?;
-        check_version(&obj)?;
-        let op = obj
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| WireError::new(ErrorCode::BadOp, "missing \"op\" field"))?;
-        match op {
-            "submit" => {
-                let tasks = need_u64(&obj, "tasks")?;
-                if tasks == 0 {
-                    return Err(bad_field("tasks", "must be >= 1"));
-                }
-                let hint = opt_f64(&obj, "hint")?;
-                if let Some(h) = hint {
-                    // The JSON layer only yields finite numbers, so this
-                    // cleanly rejects zero and negatives.
-                    if h <= 0.0 {
-                        return Err(bad_field("hint", "must be > 0"));
-                    }
-                }
-                let utility = utility_from_text(need_str(&obj, "utility")?)
-                    .map_err(|e| bad_field("utility", &e))?;
-                let priority = need_u64(&obj, "priority")?;
-                let priority = u32::try_from(priority)
-                    .map_err(|_| bad_field("priority", "must fit in u32"))?;
-                if priority == 0 {
-                    return Err(bad_field("priority", "must be >= 1"));
-                }
-                Ok(Request::Submit(JobSubmission {
-                    label: need_str(&obj, "label")?.to_string(),
-                    tasks,
-                    runtime_hint: hint,
-                    utility,
-                    budget: opt_u64(&obj, "budget")?,
-                    priority,
-                }))
-            }
-            "report-sample" => Ok(Request::ReportSample {
-                job: need_u64(&obj, "job")?,
-                runtime: need_u64(&obj, "runtime")?,
-            }),
-            "query-plan" => Ok(Request::QueryPlan { job: opt_u64(&obj, "job")? }),
-            "predict" => Ok(Request::Predict { job: need_u64(&obj, "job")? }),
-            "cancel" => Ok(Request::Cancel { job: need_u64(&obj, "job")? }),
-            "stats" => Ok(Request::Stats),
-            "set-capacity" => {
-                let capacity = need_u64(&obj, "capacity")?;
-                let capacity = u32::try_from(capacity)
-                    .map_err(|_| bad_field("capacity", "must fit in u32"))?;
-                if capacity == 0 {
-                    return Err(bad_field("capacity", "must be >= 1"));
-                }
-                Ok(Request::SetCapacity { capacity })
-            }
-            "shutdown" => Ok(Request::Shutdown { snapshot: opt_bool(&obj, "snapshot", true)? }),
-            other => {
-                Err(WireError::new(ErrorCode::BadOp, format!("unknown op \"{other}\"")))
-            }
-        }
+        wire::request_from_json(line)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Response codec
-// ---------------------------------------------------------------------------
-
-fn plan_row_to_json(r: &PlanRow) -> Json {
-    Json::Obj(vec![
-        ("job".into(), Json::u64(r.job)),
-        ("label".into(), Json::str(r.label.clone())),
-        ("eta".into(), Json::u64(r.eta)),
-        ("task_len".into(), Json::u64(r.task_len)),
-        ("target".into(), Json::f64(r.target)),
-        ("level".into(), Json::f64(r.level)),
-        ("desired_now".into(), Json::u64(u64::from(r.desired_now))),
-        ("planned_completion".into(), Json::u64(r.planned_completion)),
-        ("impossible".into(), Json::Bool(r.impossible)),
-        ("remaining_tasks".into(), Json::u64(r.remaining_tasks)),
-    ])
-}
-
-fn plan_row_from_json(v: &Json) -> Result<PlanRow, WireError> {
-    let desired = need_u64(v, "desired_now")?;
-    Ok(PlanRow {
-        job: need_u64(v, "job")?,
-        label: need_str(v, "label")?.to_string(),
-        eta: need_u64(v, "eta")?,
-        task_len: need_u64(v, "task_len")?,
-        target: need_f64(v, "target")?,
-        level: need_f64(v, "level")?,
-        desired_now: u32::try_from(desired)
-            .map_err(|_| bad_field("desired_now", "must fit in u32"))?,
-        planned_completion: need_u64(v, "planned_completion")?,
-        impossible: need_bool(v, "impossible")?,
-        remaining_tasks: need_u64(v, "remaining_tasks")?,
-    })
 }
 
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let fields = match self {
-            Response::Submitted { job, decision, epoch, waited_us, defer_reason } => {
-                let mut f = vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("kind".into(), Json::str("submitted")),
-                    ("decision".into(), Json::str(decision.as_str())),
-                    ("epoch".into(), Json::u64(*epoch)),
-                    ("waited_us".into(), Json::u64(*waited_us)),
-                ];
-                if let Some(reason) = defer_reason {
-                    f.push(("defer_reason".into(), Json::str(reason.as_str())));
-                }
-                if let Some(id) = job {
-                    f.insert(2, ("job".into(), Json::u64(*id)));
-                }
-                f
-            }
-            Response::Ack => vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("kind".into(), Json::str("ack")),
-            ],
-            Response::PlanTable { now_slot, epoch, rows } => vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("kind".into(), Json::str("plan")),
-                ("now_slot".into(), Json::u64(*now_slot)),
-                ("epoch".into(), Json::u64(*epoch)),
-                ("rows".into(), Json::Arr(rows.iter().map(plan_row_to_json).collect())),
-            ],
-            Response::Prediction { job, target, task_len, bound, planned_completion, impossible } => {
-                vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("kind".into(), Json::str("prediction")),
-                    ("job".into(), Json::u64(*job)),
-                    ("target".into(), Json::f64(*target)),
-                    ("task_len".into(), Json::u64(*task_len)),
-                    ("bound".into(), Json::f64(*bound)),
-                    ("planned_completion".into(), Json::u64(*planned_completion)),
-                    ("impossible".into(), Json::Bool(*impossible)),
-                ]
-            }
-            Response::Stats(s) => vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("kind".into(), Json::str("stats")),
-                ("active_jobs".into(), Json::u64(s.active_jobs)),
-                ("deferred_jobs".into(), Json::u64(s.deferred_jobs)),
-                ("epochs".into(), Json::u64(s.epochs)),
-                ("admitted".into(), Json::u64(s.admitted)),
-                ("deferred".into(), Json::u64(s.deferred)),
-                ("rejected".into(), Json::u64(s.rejected)),
-                ("cancelled".into(), Json::u64(s.cancelled)),
-                ("completed".into(), Json::u64(s.completed)),
-                ("samples".into(), Json::u64(s.samples)),
-                ("cache_hits".into(), Json::u64(s.cache_hits)),
-                ("cache_misses".into(), Json::u64(s.cache_misses)),
-                ("now_slot".into(), Json::u64(s.now_slot)),
-            ],
-            Response::CapacitySet { capacity } => vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("kind".into(), Json::str("capacity-set")),
-                ("capacity".into(), Json::u64(u64::from(*capacity))),
-            ],
-            Response::ShuttingDown { snapshot_written } => vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("kind".into(), Json::str("shutting-down")),
-                ("snapshot_written".into(), Json::Bool(*snapshot_written)),
-            ],
-            Response::Error(e) => vec![
-                ("ok".to_string(), Json::Bool(false)),
-                ("code".into(), Json::str(e.code.as_str())),
-                ("message".into(), Json::str(e.message.clone())),
-            ],
-        };
-        Json::Obj(fields).encode()
+        wire::response_to_json(self)
     }
 
     /// Decodes one response line (the client side of the codec).
@@ -684,91 +340,7 @@ impl Response {
     ///
     /// [`WireError`] when the line is not a well-formed response frame.
     pub fn decode(line: &str) -> Result<Response, WireError> {
-        let obj = parse_frame(line)?;
-        let ok = need_bool(&obj, "ok")?;
-        if !ok {
-            let code_str = need_str(&obj, "code")?;
-            let code = ErrorCode::from_wire(code_str)
-                .ok_or_else(|| bad_field("code", "unknown error code"))?;
-            return Ok(Response::Error(WireError::new(
-                code,
-                need_str(&obj, "message")?.to_string(),
-            )));
-        }
-        let kind = obj
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| WireError::new(ErrorCode::BadOp, "missing \"kind\" field"))?;
-        match kind {
-            "submitted" => {
-                let decision = Decision::from_wire(need_str(&obj, "decision")?)
-                    .ok_or_else(|| bad_field("decision", "unknown decision"))?;
-                let defer_reason = match obj.get("defer_reason") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .and_then(DeferReason::from_wire)
-                            .ok_or_else(|| bad_field("defer_reason", "unknown defer reason"))?,
-                    ),
-                };
-                Ok(Response::Submitted {
-                    job: opt_u64(&obj, "job")?,
-                    decision,
-                    epoch: need_u64(&obj, "epoch")?,
-                    waited_us: need_u64(&obj, "waited_us")?,
-                    defer_reason,
-                })
-            }
-            "ack" => Ok(Response::Ack),
-            "plan" => {
-                let rows_json = obj
-                    .get("rows")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad_field("rows", "expected an array"))?;
-                let rows: Result<Vec<PlanRow>, WireError> =
-                    rows_json.iter().map(plan_row_from_json).collect();
-                Ok(Response::PlanTable {
-                    now_slot: need_u64(&obj, "now_slot")?,
-                    epoch: need_u64(&obj, "epoch")?,
-                    rows: rows?,
-                })
-            }
-            "prediction" => Ok(Response::Prediction {
-                job: need_u64(&obj, "job")?,
-                target: need_f64(&obj, "target")?,
-                task_len: need_u64(&obj, "task_len")?,
-                bound: need_f64(&obj, "bound")?,
-                planned_completion: need_u64(&obj, "planned_completion")?,
-                impossible: need_bool(&obj, "impossible")?,
-            }),
-            "stats" => Ok(Response::Stats(StatsReport {
-                active_jobs: need_u64(&obj, "active_jobs")?,
-                deferred_jobs: need_u64(&obj, "deferred_jobs")?,
-                epochs: need_u64(&obj, "epochs")?,
-                admitted: need_u64(&obj, "admitted")?,
-                deferred: need_u64(&obj, "deferred")?,
-                rejected: need_u64(&obj, "rejected")?,
-                cancelled: need_u64(&obj, "cancelled")?,
-                completed: need_u64(&obj, "completed")?,
-                samples: need_u64(&obj, "samples")?,
-                cache_hits: need_u64(&obj, "cache_hits")?,
-                cache_misses: need_u64(&obj, "cache_misses")?,
-                now_slot: need_u64(&obj, "now_slot")?,
-            })),
-            "capacity-set" => {
-                let capacity = need_u64(&obj, "capacity")?;
-                Ok(Response::CapacitySet {
-                    capacity: u32::try_from(capacity)
-                        .map_err(|_| bad_field("capacity", "must fit in u32"))?,
-                })
-            }
-            "shutting-down" => Ok(Response::ShuttingDown {
-                snapshot_written: need_bool(&obj, "snapshot_written")?,
-            }),
-            other => {
-                Err(WireError::new(ErrorCode::BadOp, format!("unknown kind \"{other}\"")))
-            }
-        }
+        wire::response_from_json(line)
     }
 
     /// Shorthand for an error response.

@@ -31,7 +31,7 @@
 //! [`PlannerMsg::EpochTick`] to every shard each `epoch_ms`, so epoch
 //! deadlines are honored even when every connection is idle.
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub(crate) use imp::spawn;
 
 /// What `spawn` hands back: the reactor threads' join handles plus one
@@ -40,7 +40,7 @@ pub(crate) use imp::spawn;
 pub(crate) type ReactorHandles =
     (Vec<std::thread::JoinHandle<()>>, Vec<std::sync::Arc<rush_reactor::Waker>>);
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 pub(crate) fn spawn(
     _listener: std::net::TcpListener,
     _txs: Vec<std::sync::mpsc::Sender<crate::server::PlannerMsg>>,
@@ -48,11 +48,11 @@ pub(crate) fn spawn(
     _stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
 ) -> Result<ReactorHandles, crate::ServeError> {
     Err(crate::ServeError::Config(
-        "the reactor frontend requires a unix platform (epoll); use --frontend threads".into(),
+        "the reactor frontend requires Linux (epoll); use --frontend threads".into(),
     ))
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod imp {
     use crate::binary::{self, Scan};
     use crate::protocol::{ErrorCode, Request, Response, WireError};

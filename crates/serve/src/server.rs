@@ -79,6 +79,19 @@ pub enum Frontend {
     Reactor,
 }
 
+/// The reactor wherever `rush_reactor` has a poller (Linux: epoll), the
+/// thread frontend elsewhere — so every daemon entry point agrees on what
+/// "no `--frontend` flag" means.
+impl Default for Frontend {
+    fn default() -> Self {
+        if cfg!(target_os = "linux") {
+            Frontend::Reactor
+        } else {
+            Frontend::Threads
+        }
+    }
+}
+
 impl std::str::FromStr for Frontend {
     type Err = String;
 
@@ -160,7 +173,7 @@ impl Default for ServeConfig {
             ms_per_slot: 1000,
             snapshot_path: None,
             shards: 1,
-            frontend: Frontend::Threads,
+            frontend: Frontend::default(),
             reactors: 1,
             max_inflight: 64,
             max_write_buffer: 4 * 1024 * 1024,
@@ -551,6 +564,7 @@ fn close_epoch(
 /// Answers a non-submit request against the state. `shard` / `shards`
 /// locate this planner inside the daemon so a broadcast `set-capacity`
 /// can compute its own slice of the new total.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn answer_immediate(
     state: &mut ServeState,
     req: Request,
@@ -649,6 +663,7 @@ fn local_to_wire(job: u64, shard: usize, shards: usize) -> u64 {
 }
 
 /// Rewrites the shard-local job ids of a planner reply to wire ids.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub(crate) fn encode_response(mut resp: Response, shard: usize, shards: usize) -> Response {
     match &mut resp {
         Response::Submitted { job, .. } => {
@@ -698,6 +713,7 @@ pub(crate) enum Routed {
 
 /// Routes one decoded request: picks the owning shard(s) and localizes
 /// wire job ids.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub(crate) fn route(req: Request, shards: usize) -> Routed {
     match req {
         Request::Submit(sub) => {

@@ -1,7 +1,8 @@
 //! Durable daemon state: snapshot on shutdown, restore on startup.
 //!
 //! The snapshot is one JSON document (same strict codec as the wire
-//! protocol) holding the job table, the id counter, the daemon counters
+//! protocol, and the same `wire.rs` field list for the submission
+//! inside each job record) holding the job table, the id counter, the daemon counters
 //! and the logical slot at which the snapshot was taken. It deliberately
 //! does **not** store the [`rush_core::RushConfig`] or the capacity as the
 //! source of truth — those come from the daemon's startup flags — but it
@@ -14,199 +15,145 @@
 //! daemon would have produced at that slot (`tests/snapshot_restore.rs`
 //! proves this).
 
-use crate::json::{parse, Json};
-use crate::protocol::JobSubmission;
 use crate::state::{Counters, JobState, ServeState};
+use crate::wire::{self, DocFormat, Wire};
 use crate::ServeError;
 use rush_core::cluster::{ClusterModel, ContainerClass, ReliabilityTier};
 use rush_core::RushConfig;
-use rush_workload::persist::{utility_from_text, utility_to_text};
 use std::path::Path;
 
 /// Format version of the snapshot document.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
+const KIND: &str = "rushd-snapshot";
+
 fn snap_err(msg: impl Into<String>) -> ServeError {
     ServeError::Snapshot(msg.into())
 }
 
-fn need_u64(v: &Json, name: &str) -> Result<u64, ServeError> {
-    v.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| snap_err(format!("missing or non-integer field \"{name}\"")))
+/// The snapshot document, described once for both directions like every
+/// wire message (see `wire.rs`).
+#[derive(Default)]
+struct Document {
+    now_slot: u64,
+    next_id: u64,
+    capacity: u32,
+    /// The attached [`ClusterModel`], minus its event schedule: capacity
+    /// changes arrive over the wire, so only the provisioned classes are
+    /// durable state. Absent in a pre-model snapshot, which restores
+    /// without revocation-aware admission, exactly as that daemon ran.
+    cluster: Option<ClusterModel>,
+    theta: f64,
+    delta: f64,
+    counters: Counters,
+    jobs: Vec<(u64, JobState)>,
 }
 
-fn job_to_json(id: u64, j: &JobState) -> Json {
-    let sub = &j.submission;
-    let mut fields = vec![
-        ("id".to_string(), Json::u64(id)),
-        ("label".into(), Json::str(sub.label.clone())),
-        ("tasks".into(), Json::u64(sub.tasks)),
-        ("utility".into(), Json::str(utility_to_text(&sub.utility))),
-        ("priority".into(), Json::u64(u64::from(sub.priority))),
-        ("remaining_tasks".into(), Json::u64(j.remaining_tasks)),
-        ("arrived_slot".into(), Json::u64(j.arrived_slot)),
-        ("parked".into(), Json::Bool(j.parked)),
-        ("samples".into(), Json::Arr(j.samples.iter().map(|&s| Json::u64(s)).collect())),
-    ];
-    if let Some(h) = sub.runtime_hint {
-        fields.insert(4, ("hint".into(), Json::f64(h)));
-    }
-    if let Some(b) = sub.budget {
-        fields.insert(4, ("budget".into(), Json::u64(b)));
-    }
-    Json::Obj(fields)
-}
-
-fn job_from_json(v: &Json) -> Result<(u64, JobState), ServeError> {
-    let utility = utility_from_text(
-        v.get("utility")
-            .and_then(Json::as_str)
-            .ok_or_else(|| snap_err("job is missing \"utility\""))?,
-    )
-    .map_err(|e| snap_err(format!("bad utility: {e}")))?;
-    let hint = match v.get("hint") {
-        None | Some(Json::Null) => None,
-        Some(h) => Some(h.as_f64().ok_or_else(|| snap_err("bad \"hint\""))?),
+fn document<F: DocFormat>(f: &mut F, d: &Document) -> Wire<Document> {
+    let v = f.u64("v", SNAPSHOT_VERSION)?;
+    f.reject(v != SNAPSHOT_VERSION, "v", "unsupported snapshot version")?;
+    let kind = f.string("kind", KIND)?;
+    f.reject(kind != KIND, "kind", "not a rushd snapshot")?;
+    let now_slot = f.u64("now_slot", d.now_slot)?;
+    let next_id = f.u64("next_id", d.next_id)?;
+    let capacity = f.u32("capacity", d.capacity)?;
+    let no_model = ClusterModel { classes: Vec::new(), events: Vec::new() };
+    let cluster = if f.present("cluster", d.cluster.is_some())? {
+        Some(f.nested("cluster", d.cluster.as_ref().unwrap_or(&no_model), cluster)?)
+    } else {
+        None
     };
-    let budget = match v.get("budget") {
-        None | Some(Json::Null) => None,
-        Some(b) => Some(b.as_u64().ok_or_else(|| snap_err("bad \"budget\""))?),
+    Ok(Document {
+        now_slot,
+        next_id,
+        capacity,
+        cluster,
+        theta: f.f64("theta", d.theta)?,
+        delta: f.f64("delta", d.delta)?,
+        counters: f.nested("counters", &d.counters, counters)?,
+        jobs: f.list("jobs", &d.jobs, &Default::default(), job)?,
+    })
+}
+
+fn cluster<F: DocFormat>(f: &mut F, m: &ClusterModel) -> Wire<ClusterModel> {
+    let provisioned = f.u32("provisioned", m.total_capacity())?;
+    let blank = ContainerClass {
+        name: String::new(),
+        count: 0,
+        price: 0.0,
+        tier: ReliabilityTier::Reserved,
     };
-    let samples: Result<Vec<u64>, ServeError> = v
-        .get("samples")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| snap_err("job is missing \"samples\""))?
-        .iter()
-        .map(|s| s.as_u64().ok_or_else(|| snap_err("non-integer sample")))
-        .collect();
-    let priority = u32::try_from(need_u64(v, "priority")?)
-        .map_err(|_| snap_err("priority does not fit in u32"))?;
-    Ok((
-        need_u64(v, "id")?,
-        JobState {
-            submission: JobSubmission {
-                label: v
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| snap_err("job is missing \"label\""))?
-                    .to_string(),
-                tasks: need_u64(v, "tasks")?,
-                runtime_hint: hint,
-                utility,
-                budget,
-                priority,
-            },
-            samples: samples?,
-            remaining_tasks: need_u64(v, "remaining_tasks")?,
-            arrived_slot: need_u64(v, "arrived_slot")?,
-            parked: v
-                .get("parked")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| snap_err("job is missing \"parked\""))?,
-        },
-    ))
-}
-
-/// The attached [`ClusterModel`], minus its event schedule: capacity
-/// changes arrive over the wire, so only the provisioned classes are
-/// durable state.
-fn cluster_to_json(m: &ClusterModel) -> Json {
-    Json::Obj(vec![
-        ("provisioned".into(), Json::u64(u64::from(m.total_capacity()))),
-        (
-            "classes".into(),
-            Json::Arr(
-                m.classes
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::str(c.name.clone())),
-                            ("count".into(), Json::u64(u64::from(c.count))),
-                            ("price".into(), Json::f64(c.price)),
-                            ("tier".into(), Json::str(c.tier.as_str())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn cluster_from_json(v: &Json) -> Result<ClusterModel, ServeError> {
-    let classes: Result<Vec<ContainerClass>, ServeError> = v
-        .get("classes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| snap_err("cluster is missing \"classes\""))?
-        .iter()
-        .map(|c| {
-            Ok(ContainerClass {
-                name: c
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| snap_err("container class is missing \"name\""))?
-                    .to_string(),
-                count: u32::try_from(need_u64(c, "count")?)
-                    .map_err(|_| snap_err("container class count does not fit in u32"))?,
-                price: c
-                    .get("price")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| snap_err("container class is missing \"price\""))?,
-                tier: c
-                    .get("tier")
-                    .and_then(Json::as_str)
-                    .and_then(ReliabilityTier::from_wire)
-                    .ok_or_else(|| snap_err("container class has an unknown \"tier\""))?,
-            })
-        })
-        .collect();
-    let model = ClusterModel { classes: classes?, events: Vec::new() };
-    if need_u64(v, "provisioned")? != u64::from(model.total_capacity()) {
-        return Err(snap_err("cluster \"provisioned\" disagrees with its classes"));
-    }
+    let model =
+        ClusterModel { classes: f.list("classes", &m.classes, &blank, class)?, events: Vec::new() };
+    f.reject(provisioned != model.total_capacity(), "provisioned", "disagrees with the classes")?;
     Ok(model)
+}
+
+fn class<F: DocFormat>(f: &mut F, c: &ContainerClass) -> Wire<ContainerClass> {
+    Ok(ContainerClass {
+        name: f.string("name", &c.name)?,
+        count: f.u32("count", c.count)?,
+        price: f.f64("price", c.price)?,
+        tier: f.text(
+            "tier",
+            c.tier,
+            |t| t.as_str().to_string(),
+            |s| ReliabilityTier::from_wire(s).ok_or_else(|| "unknown tier".to_string()),
+        )?,
+    })
+}
+
+fn counters<F: DocFormat>(f: &mut F, c: &Counters) -> Wire<Counters> {
+    Ok(Counters {
+        epochs: f.u64("epochs", c.epochs)?,
+        admitted: f.u64("admitted", c.admitted)?,
+        deferred: f.u64("deferred", c.deferred)?,
+        rejected: f.u64("rejected", c.rejected)?,
+        cancelled: f.u64("cancelled", c.cancelled)?,
+        completed: f.u64("completed", c.completed)?,
+        samples: f.u64("samples", c.samples)?,
+    })
+}
+
+/// A job record is the wire's submission — same fields, same validation —
+/// plus the daemon's bookkeeping for it.
+fn job<F: DocFormat>(f: &mut F, (id, j): &(u64, JobState)) -> Wire<(u64, JobState)> {
+    let id = f.u64("id", *id)?;
+    let submission = wire::submission(f, &j.submission)?;
+    let remaining_tasks = f.u64("remaining_tasks", j.remaining_tasks)?;
+    f.reject(remaining_tasks > submission.tasks, "remaining_tasks", "must be <= tasks")?;
+    let state = JobState {
+        submission,
+        remaining_tasks,
+        arrived_slot: f.u64("arrived_slot", j.arrived_slot)?,
+        parked: f.boolean("parked", j.parked)?,
+        samples: f.u64s("samples", &j.samples)?,
+    };
+    Ok((id, state))
 }
 
 /// Serializes the daemon state (plus the slot it was taken at) to a JSON
 /// document.
 pub fn encode(state: &ServeState, now_slot: u64) -> String {
-    let c = state.counters();
-    let mut fields = vec![
-        ("v".to_string(), Json::u64(SNAPSHOT_VERSION)),
-        ("kind".into(), Json::str("rushd-snapshot")),
-        ("now_slot".into(), Json::u64(now_slot)),
-        ("next_id".into(), Json::u64(state.next_id())),
-        ("capacity".into(), Json::u64(u64::from(state.capacity()))),
-    ];
-    if let Some(m) = state.cluster_model() {
-        fields.push(("cluster".into(), cluster_to_json(m)));
-    }
-    fields.extend(vec![
-        ("theta".into(), Json::f64(state.config().theta)),
-        ("delta".into(), Json::f64(state.config().delta)),
-        (
-            "counters".into(),
-            Json::Obj(vec![
-                ("epochs".into(), Json::u64(c.epochs)),
-                ("admitted".into(), Json::u64(c.admitted)),
-                ("deferred".into(), Json::u64(c.deferred)),
-                ("rejected".into(), Json::u64(c.rejected)),
-                ("cancelled".into(), Json::u64(c.cancelled)),
-                ("completed".into(), Json::u64(c.completed)),
-                ("samples".into(), Json::u64(c.samples)),
-            ]),
-        ),
-        (
-            "jobs".into(),
-            Json::Arr(state.jobs().map(|(id, j)| job_to_json(id, &j)).collect()),
-        ),
-    ]);
-    Json::Obj(fields).encode()
+    let doc = Document {
+        now_slot,
+        next_id: state.next_id(),
+        capacity: state.capacity(),
+        cluster: state.cluster_model().cloned(),
+        theta: state.config().theta,
+        delta: state.config().delta,
+        counters: state.counters(),
+        jobs: state.jobs().collect(),
+    };
+    wire::to_json(|w| document(w, &doc).map(drop))
 }
 
 /// Rebuilds a [`ServeState`] from a snapshot document under the daemon's
 /// startup `config` and `capacity`. Returns the state and the logical slot
 /// the snapshot was taken at (the restarted clock's base).
+///
+/// A snapshot file is input from outside the program: every job record
+/// passes the same validation a `submit` frame does.
 ///
 /// # Errors
 ///
@@ -214,60 +161,31 @@ pub fn encode(state: &ServeState, now_slot: u64) -> String {
 /// different format version, or was taken under a different capacity /
 /// `θ` / `δ` than the daemon was restarted with.
 pub fn decode(text: &str, config: RushConfig, capacity: u32) -> Result<(ServeState, u64), ServeError> {
-    let doc = parse(text).map_err(|e| snap_err(format!("not valid JSON: {e}")))?;
-    if doc.get("kind").and_then(Json::as_str) != Some("rushd-snapshot") {
-        return Err(snap_err("not a rushd snapshot"));
-    }
-    match need_u64(&doc, "v")? {
-        SNAPSHOT_VERSION => {}
-        v => return Err(snap_err(format!("unsupported snapshot version {v}"))),
-    }
-    let snap_capacity = need_u64(&doc, "capacity")?;
-    if snap_capacity != u64::from(capacity) {
+    let doc = wire::from_json(text, |r| document(r, &Document::default()))
+        .map_err(|e| snap_err(e.message))?;
+    if doc.capacity != capacity {
         return Err(snap_err(format!(
-            "snapshot was taken at capacity {snap_capacity}, daemon restarted with {capacity}"
+            "snapshot was taken at capacity {}, daemon restarted with {capacity}",
+            doc.capacity
         )));
     }
-    for (name, have) in [("theta", config.theta), ("delta", config.delta)] {
-        let want = doc
-            .get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| snap_err(format!("missing \"{name}\"")))?;
+    for (name, want, have) in
+        [("theta", doc.theta, config.theta), ("delta", doc.delta, config.delta)]
+    {
         if (want - have).abs() > 1e-12 {
             return Err(snap_err(format!(
                 "snapshot was taken with {name}={want}, daemon restarted with {have}"
             )));
         }
     }
-    let now_slot = need_u64(&doc, "now_slot")?;
-    let cj = doc.get("counters").ok_or_else(|| snap_err("missing \"counters\""))?;
-    let counters = Counters {
-        epochs: need_u64(cj, "epochs")?,
-        admitted: need_u64(cj, "admitted")?,
-        deferred: need_u64(cj, "deferred")?,
-        rejected: need_u64(cj, "rejected")?,
-        cancelled: need_u64(cj, "cancelled")?,
-        completed: need_u64(cj, "completed")?,
-        samples: need_u64(cj, "samples")?,
-    };
-    let jobs: Result<Vec<(u64, JobState)>, ServeError> = doc
-        .get("jobs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| snap_err("missing \"jobs\""))?
-        .iter()
-        .map(job_from_json)
-        .collect();
-    let state =
-        ServeState::from_parts(config, capacity, jobs?, need_u64(&doc, "next_id")?, counters)?;
-    // An absent "cluster" field is a pre-model snapshot: restore without
-    // revocation-aware admission, exactly as that daemon ran.
-    let state = match doc.get("cluster") {
-        None | Some(Json::Null) => state,
-        Some(cv) => state
-            .with_cluster_model(cluster_from_json(cv)?)
+    let state = ServeState::from_parts(config, capacity, doc.jobs, doc.next_id, doc.counters)?;
+    let state = match doc.cluster {
+        None => state,
+        Some(model) => state
+            .with_cluster_model(model)
             .map_err(|e| snap_err(format!("cluster model: {e}")))?,
     };
-    Ok((state, now_slot))
+    Ok((state, doc.now_slot))
 }
 
 /// Writes a snapshot atomically (temp file + rename).
@@ -296,7 +214,7 @@ pub fn read(path: &Path, config: RushConfig, capacity: u32) -> Result<(ServeStat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Decision;
+    use crate::protocol::{Decision, JobSubmission};
     use rush_utility::TimeUtility;
 
     fn populated() -> (ServeState, u64) {
@@ -406,6 +324,29 @@ mod tests {
                 matches!(decode(&bad, RushConfig::default(), 16), Err(ServeError::Snapshot(_))),
                 "{from} -> {to}"
             );
+        }
+    }
+
+    #[test]
+    fn job_records_face_the_wire_validation_on_restore() {
+        // A snapshot file is outside input: what a `submit` frame could
+        // not carry, a hand-edited snapshot cannot smuggle in either.
+        let (state, slot) = populated();
+        let text = encode(&state, slot);
+        for (from, to, field) in [
+            ("\"tasks\":12", "\"tasks\":0", "tasks"),
+            ("\"priority\":4", "\"priority\":0", "priority"),
+            ("\"hint\":40", "\"hint\":-3", "hint"),
+            ("\"remaining_tasks\":10", "\"remaining_tasks\":13", "remaining_tasks"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text, "replacement {from:?} must apply");
+            match decode(&bad, RushConfig::default(), 16) {
+                Err(ServeError::Snapshot(msg)) => {
+                    assert!(msg.contains(&format!("\"{field}\"")), "{from} -> {to}: {msg}")
+                }
+                other => panic!("{from} -> {to} must be refused, got {:?}", other.map(|_| ())),
+            }
         }
     }
 

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 /// One resident job, as exchanged with the snapshot layer. Internally the
 /// kernel's [`JobRecord`] is the source of truth; this type reassembles the
 /// record with its wire submission.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobState {
     /// The submission as received.
     pub submission: JobSubmission,

@@ -255,3 +255,56 @@ fn malformed_responses_are_structured_errors_too() {
         assert!(Response::decode(bad).is_err(), "{bad:?}");
     }
 }
+
+/// One rule for both codecs: a `submit` with several invalid fields is
+/// refused for the *first* of them in declaration order (`tasks`, `hint`,
+/// `utility`, `priority`), with `bad-field` naming it — whichever codec
+/// carried the frame. (`label` and `budget` have no invalid value RUSH1
+/// can express; their JSON-only rows follow.)
+#[test]
+fn the_first_faulty_field_in_declaration_order_wins_in_both_codecs() {
+    const ORDER: [&str; 4] = ["tasks", "hint", "utility", "priority"];
+    let varint_str = |s: &str, out: &mut Vec<u8>| {
+        out.push(s.len() as u8);
+        out.extend_from_slice(s.as_bytes());
+    };
+    for mask in 1u8..16 {
+        let faulty = |field: &str| ORDER.iter().position(|f| *f == field).is_some_and(|i| mask >> i & 1 == 1);
+        let want = ORDER.iter().find(|f| faulty(f)).expect("mask is non-zero");
+        let (tasks, hint, utility, priority) = (
+            if faulty("tasks") { 0u8 } else { 2 },
+            if faulty("hint") { -4.0f64 } else { 4.0 },
+            if faulty("utility") { "warp:1" } else { "constant:1" },
+            if faulty("priority") { 0u8 } else { 1 },
+        );
+
+        let json = format!(
+            r#"{{"v":1,"op":"submit","priority":{priority},"utility":"{utility}","hint":{hint},"tasks":{tasks},"label":"x"}}"#
+        );
+        let mut rush1 = vec![0u8]; // submit tag
+        varint_str("x", &mut rush1);
+        rush1.push(tasks);
+        rush1.push(1); // hint present
+        rush1.extend_from_slice(&hint.to_bits().to_le_bytes());
+        varint_str(utility, &mut rush1);
+        rush1.push(0); // no budget
+        rush1.push(priority);
+
+        for (codec, e) in [
+            ("json", Request::decode(&json).expect_err("faulty frame")),
+            ("rush1", binary::decode_request(&rush1).expect_err("faulty frame")),
+        ] {
+            assert_eq!(e.code, ErrorCode::BadField, "{codec} mask {mask:04b}: {e}");
+            assert!(e.message.contains(&format!("\"{want}\"")), "{codec} mask {mask:04b}: {e}");
+        }
+    }
+    // JSON alone can mistype a field; declaration order still decides.
+    for (line, want) in [
+        (r#"{"v":1,"op":"submit","label":7,"tasks":0,"utility":"constant:1","priority":0}"#, "label"),
+        (r#"{"v":1,"op":"submit","label":"x","tasks":2,"utility":"constant:1","budget":"soon","priority":0}"#, "budget"),
+    ] {
+        let e = Request::decode(line).expect_err("faulty frame");
+        assert_eq!(e.code, ErrorCode::BadField, "{line}");
+        assert!(e.message.contains(&format!("\"{want}\"")), "{line}: {e}");
+    }
+}

@@ -11,7 +11,7 @@
 //!   `reactor`×binary must leave byte-identical snapshots (the planner
 //!   state cannot depend on the transport).
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use rush_serve::protocol::{Decision, Request, Response};
 use rush_serve::server::{serve, Frontend, ServeConfig};

@@ -4,7 +4,7 @@
 //! in `malformed_frames.rs`.
 
 use rush_serve::protocol::{Decision, ErrorCode, Request, Response};
-use rush_serve::server::{serve, ServeConfig};
+use rush_serve::server::{serve, Frontend, ServeConfig};
 use rush_serve::Client;
 use rush_utility::TimeUtility;
 use std::io::{BufRead, BufReader, Write};
@@ -17,6 +17,9 @@ fn test_config() -> ServeConfig {
         epoch_max_batch: 8,
         epoch_ms: 10,
         ms_per_slot: 3_600_000,
+        // This suite is the thread frontend's; `reactor_e2e.rs` is the
+        // reactor's.
+        frontend: Frontend::Threads,
         ..ServeConfig::default()
     }
 }

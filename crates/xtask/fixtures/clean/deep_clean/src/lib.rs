@@ -1,11 +1,10 @@
 //! Deep-rule clean fixture: the fixed shape of everything the violations
-//! corpus trips, all four deep rules active in one crate.
+//! corpus trips, the deep rules that scope by crate all active in one.
 //!
 //! * L009: nothing reachable from `serve_loop` panics or indexes.
 //! * L010: slot/capacity arithmetic is saturating.
 //! * L011: every function takes `jobs` before `plans`; guards are
 //!   dropped before socket writes.
-//! * L012: this surface covers every `Frame` variant with no wildcard.
 //! * L013: `serve_loop` doubles as a declared reactor loop (nothing it
 //!   reaches blocks — `report` and its `write_all` are not called from
 //!   it), and the whole file is declared panic-free.

@@ -1,4 +1,4 @@
-//! Lightweight AST for the deep lint rules (RUSH-L009 … RUSH-L012).
+//! Lightweight AST for the deep lint rules (RUSH-L009 … RUSH-L014).
 //!
 //! The tree is deliberately smaller than a compiler AST: types, generics,
 //! visibility and attribute bodies are *skipped* during parsing, because no
@@ -23,7 +23,7 @@ pub enum Item {
     Impl(ImplBlock),
     /// An inline module with the items inside it.
     Mod(Module),
-    /// An `enum` definition (variant names recorded for RUSH-L012).
+    /// An `enum` definition.
     Enum(EnumDef),
     /// Anything else: structs, traits are parsed for their methods, but
     /// uses, type aliases, consts, macros etc. carry no analysis payload.

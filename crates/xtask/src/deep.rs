@@ -1,9 +1,9 @@
-//! The deep lint pass: RUSH-L009 … RUSH-L014 over the workspace model.
+//! The deep lint pass: RUSH-L009 … RUSH-L014 (no L012) over the workspace model.
 //!
 //! Shallow rules look at one token stream at a time; these rules consume
 //! the [`crate::model::WorkspaceModel`] — the symbol table, the name-based
-//! call graph, the per-function lock dataflow summaries, and the protocol
-//! metadata — so they can state *cross-function* properties:
+//! call graph and the per-function lock dataflow summaries — so they can
+//! state *cross-function* properties:
 //!
 //! * **RUSH-L009** — no panic site reachable from a declared entry point,
 //!   proven by BFS over the call graph with a witness path per finding;
@@ -11,8 +11,6 @@
 //!   that opt into kernel arithmetic hygiene;
 //! * **RUSH-L011** — a globally consistent lock-acquisition order and no
 //!   lock held across socket I/O or planner fan-out;
-//! * **RUSH-L012** — every protocol-enum variant covered on every declared
-//!   protocol surface, and no wildcard arms that would swallow new ones;
 //! * **RUSH-L013** — no blocking primitive reachable from a declared
 //!   reactor event loop, and declared codec files panic-free;
 //! * **RUSH-L014** — cluster capacity mutated only by the crates that
@@ -25,7 +23,7 @@
 //! RUSH-L003 escapes — both rules police panic hygiene, and a site a
 //! human already justified for L003 needs no second justification.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::model::{CallTarget, FnInfo, PanicKind, WorkspaceModel};
 use crate::report::{Finding, Report, Rule};
@@ -61,7 +59,6 @@ pub fn check(model: &WorkspaceModel, allow: &Allowlist, report: &mut Report) {
     check_panic_reachability(model, &mut pending);
     check_arith_hygiene(model, &mut pending);
     check_lock_discipline(model, &mut pending);
-    check_protocol_exhaustiveness(model, &mut pending);
     check_reactor_discipline(model, &mut pending);
     check_capacity_fence(model, &mut pending);
 
@@ -74,7 +71,8 @@ pub fn check(model: &WorkspaceModel, allow: &Allowlist, report: &mut Report) {
             Rule::LockDiscipline => &["RUSH-L011"],
             Rule::ReactorDiscipline => &["RUSH-L013"],
             Rule::CapacityFence => &["RUSH-L014"],
-            _ => &["RUSH-L012"],
+            // Shallow rules never reach this pass.
+            _ => &[],
         };
         let fm = model.files.iter().find(|f| f.rel_path == finding.file);
         let mut suppressed = false;
@@ -376,104 +374,6 @@ fn check_lock_discipline(model: &WorkspaceModel, out: &mut Vec<Finding>) {
     }
 }
 
-// ---- RUSH-L012: protocol exhaustiveness --------------------------------
-
-fn check_protocol_exhaustiveness(model: &WorkspaceModel, out: &mut Vec<Finding>) {
-    // Group files by crate; only crates declaring both enums and surfaces
-    // participate.
-    let mut crates: BTreeSet<&str> = BTreeSet::new();
-    for fm in &model.files {
-        if !fm.protocol_enums.is_empty() && !fm.protocol_surfaces.is_empty() {
-            crates.insert(fm.crate_name.as_str());
-        }
-    }
-    for krate in crates {
-        let files: Vec<usize> = (0..model.files.len())
-            .filter(|&i| model.files[i].crate_name == krate)
-            .collect();
-        let meta = &model.files[files[0]];
-        let enums = meta.protocol_enums.clone();
-        let surfaces = meta.protocol_surfaces.clone();
-        // Crate root as a root-relative prefix (rel_path ends with crate_rel).
-        let crate_prefix = meta
-            .rel_path
-            .strip_suffix(&meta.crate_rel)
-            .unwrap_or("")
-            .to_string();
-
-        // Variant lists from the crate's own enum definitions.
-        let mut variants: BTreeMap<&str, &[String]> = BTreeMap::new();
-        for &fi in &files {
-            for (name, vs) in &model.files[fi].enums {
-                if enums.iter().any(|e| e == name) {
-                    variants.entry(name.as_str()).or_insert(vs.as_slice());
-                }
-            }
-        }
-        for e in &enums {
-            if !variants.contains_key(e.as_str()) {
-                out.push(Finding {
-                    rule: Rule::ProtocolExhaustiveness,
-                    file: format!("{crate_prefix}Cargo.toml"),
-                    line: 1,
-                    message: format!(
-                        "protocol enum `{e}` declared in rush-lint metadata but not defined in `{krate}`"
-                    ),
-                });
-            }
-        }
-
-        for surface in &surfaces {
-            let Some(&fi) = files.iter().find(|&&i| model.files[i].crate_rel == *surface)
-            else {
-                out.push(Finding {
-                    rule: Rule::ProtocolExhaustiveness,
-                    file: format!("{crate_prefix}{surface}"),
-                    line: 1,
-                    message: format!(
-                        "declared protocol surface `{surface}` not found in `{krate}`"
-                    ),
-                });
-                continue;
-            };
-            let fm = &model.files[fi];
-            // (1) token-level variant coverage.
-            for (ename, vs) in &variants {
-                for v in vs.iter() {
-                    let covered = fm
-                        .path_pairs
-                        .iter()
-                        .any(|(a, b, _)| a == ename && b == v);
-                    if !covered {
-                        out.push(Finding {
-                            rule: Rule::ProtocolExhaustiveness,
-                            file: fm.rel_path.clone(),
-                            line: 1,
-                            message: format!(
-                                "`{ename}::{v}` is never handled in protocol surface `{surface}`"
-                            ),
-                        });
-                    }
-                }
-            }
-            // (2) AST-level wildcard fencing.
-            for f in model.fns.iter().filter(|f| f.file == fi && !f.is_test) {
-                for w in &f.wildcards {
-                    out.push(Finding {
-                        rule: Rule::ProtocolExhaustiveness,
-                        file: fm.rel_path.clone(),
-                        line: w.line,
-                        message: format!(
-                            "wildcard `_` arm in a match over protocol enum `{}` in `{}` — enumerate the variants so new ones fail to compile",
-                            w.enum_name, f.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 // ---- RUSH-L013: reactor discipline -------------------------------------
 
 /// Does `f` match a `reactor-loops` entry? `Type::name` requires a method
@@ -749,37 +649,6 @@ mod tests {
         assert!(held[0].message.contains("write_all"));
     }
 
-    #[test]
-    fn l012_coverage_and_wildcards() {
-        let rep = run(
-            "pub enum Request { Submit, Cancel, Stats }\n\
-             pub fn dispatch(r: Request) -> u32 {\n\
-                 match r {\n\
-                     Request::Submit => 1,\n\
-                     Request::Cancel => 2,\n\
-                     _ => 0,\n\
-                 }\n\
-             }\n",
-            "[package]\nname = \"x\"\n[package.metadata.rush-lint]\n\
-             protocol-enums = [\"Request\"]\nprotocol-surfaces = [\"src/lib.rs\"]\n",
-        );
-        let l12: Vec<_> = rep
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::ProtocolExhaustiveness)
-            .collect();
-        assert!(
-            l12.iter().any(|f| f.message.contains("`Request::Stats` is never handled")),
-            "{:?}",
-            rep.findings
-        );
-        assert!(
-            l12.iter().any(|f| f.message.contains("wildcard `_` arm")),
-            "{:?}",
-            rep.findings
-        );
-    }
-
     const REACTOR_MANIFEST: &str = "[package]\nname = \"x\"\n\
         [package.metadata.rush-lint]\nreactor-loops = [\"Reactor::run\"]\n";
 
@@ -901,32 +770,5 @@ mod tests {
             rep.findings
         );
         assert_eq!(rep.suppressed, 1);
-    }
-
-    #[test]
-    fn l012_named_catch_all_allowed() {
-        let rep = run(
-            "pub enum Request { Submit, Cancel }\n\
-             pub fn dispatch(r: Request) -> u32 {\n\
-                 match r {\n\
-                     Request::Submit => 1,\n\
-                     Request::Cancel => 2,\n\
-                 }\n\
-             }\n\
-             pub fn classify(r: &Request) -> u32 {\n\
-                 match r {\n\
-                     Request::Submit => 1,\n\
-                     other => fallback(other),\n\
-                 }\n\
-             }\n\
-             fn fallback(_r: &Request) -> u32 { 0 }\n",
-            "[package]\nname = \"x\"\n[package.metadata.rush-lint]\n\
-             protocol-enums = [\"Request\"]\nprotocol-surfaces = [\"src/lib.rs\"]\n",
-        );
-        assert!(
-            rep.findings.iter().all(|f| f.rule != Rule::ProtocolExhaustiveness),
-            "{:?}",
-            rep.findings
-        );
     }
 }

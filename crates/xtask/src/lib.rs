@@ -7,8 +7,9 @@
 //! isolation) plus, under `--deep`, five AST/call-graph rules proved on a
 //! workspace model built by the from-scratch recursive-descent parser
 //! (panic reachability, slot/capacity arithmetic hygiene, lock
-//! discipline, protocol-match exhaustiveness, reactor discipline — see
-//! `cargo xtask lint --explain RUSH-L001` … `RUSH-L013`) — and `bench-gate`, the fig5
+//! discipline, reactor discipline, capacity fence — see
+//! `cargo xtask lint --explain RUSH-L001` … `RUSH-L014`; there is no
+//! L012) — and `bench-gate`, the fig5
 //! steady-state regression gate CI runs against the checked-in benchmark
 //! numbers, plus its `--sharded` scaling-floor mode.
 

@@ -15,8 +15,7 @@ Commands:
   lint --deep                   also run the AST + call-graph rules
                                 (RUSH-L009..L014: panic reachability,
                                 arithmetic hygiene, lock discipline,
-                                protocol exhaustiveness, reactor
-                                discipline, capacity fence)
+                                reactor discipline, capacity fence)
   lint --explain RUSH-LNNN      print the documentation for one rule
   lint --list                   list rule codes and summaries
   bench-gate --baseline A.json --candidate B.json [--jobs N] [--factor F]

@@ -24,12 +24,6 @@ pub struct Manifest {
     /// `package.metadata.rush-lint.arith-hygiene` — L10 applies to
     /// slot/capacity arithmetic in this crate.
     pub arith_hygiene: bool,
-    /// `package.metadata.rush-lint.protocol-enums` — enum names whose
-    /// variants L12 requires each protocol surface to cover.
-    pub protocol_enums: Vec<String>,
-    /// `package.metadata.rush-lint.protocol-surfaces` — crate-relative
-    /// source paths L12 checks for variant coverage.
-    pub protocol_surfaces: Vec<String>,
     /// `package.metadata.rush-lint.reactor-loops` — event-loop functions
     /// (`Type::name` or bare names) the deep lint uses as RUSH-L013
     /// blocking-reachability roots.
@@ -97,8 +91,6 @@ pub fn parse_str(text: &str) -> Manifest {
                     "library-hygiene" => m.library_hygiene = on,
                     "arith-hygiene" => m.arith_hygiene = on,
                     "entry-points" => m.entry_points = parse_list(value),
-                    "protocol-enums" => m.protocol_enums = parse_list(value),
-                    "protocol-surfaces" => m.protocol_surfaces = parse_list(value),
                     "reactor-loops" => m.reactor_loops = parse_list(value),
                     "panic-free" => m.panic_free = parse_list(value),
                     "capacity-authority" => m.capacity_authority = on,
@@ -153,8 +145,6 @@ deterministic = true
 library-hygiene = true
 arith-hygiene = true
 entry-points = ["connection_loop", "planner_loop"]
-protocol-enums = ["Request", "Response"]
-protocol-surfaces = ["src/protocol.rs", "src/server.rs"]
 reactor-loops = ["Reactor::run", "Engine::drive"]
 panic-free = ["src/binary.rs"]
 capacity-authority = true
@@ -168,8 +158,6 @@ capacity-authority = true
         assert!(m.library_hygiene);
         assert!(m.arith_hygiene);
         assert_eq!(m.entry_points, ["connection_loop", "planner_loop"]);
-        assert_eq!(m.protocol_enums, ["Request", "Response"]);
-        assert_eq!(m.protocol_surfaces, ["src/protocol.rs", "src/server.rs"]);
         assert_eq!(m.reactor_loops, ["Reactor::run", "Engine::drive"]);
         assert_eq!(m.panic_free, ["src/binary.rs"]);
         assert!(m.capacity_authority);

@@ -2,19 +2,17 @@
 //!
 //! [`WorkspaceModel::build`] parses every scanned file with
 //! [`crate::parser`], walks the trees once, and distills exactly the facts
-//! the deep rules (RUSH-L009 … RUSH-L012) consume:
+//! the deep rules (RUSH-L009 … RUSH-L014) consume:
 //!
 //! * a **symbol table** of every function (free, associated, method) with
 //!   its defining file, impl type, and test-gating;
 //! * per-function **fact lists**: outgoing calls (the edges of the call
-//!   graph), potential panic sites, slot/capacity arithmetic sites, and
-//!   wildcard match arms over protocol enums;
+//!   graph), potential panic sites and slot/capacity arithmetic sites;
 //! * a per-function **lock dataflow summary**: which guards are held when
 //!   other locks are acquired (the global acquisition-order graph) and
 //!   which calls happen under a held guard;
-//! * per-file metadata: pragma/bound-comment lines, `Enum::Variant` token
-//!   pairs (for protocol coverage), enum definitions, and the manifest
-//!   facts that scope each rule.
+//! * per-file metadata: pragma/bound-comment lines and the manifest facts
+//!   that scope each rule.
 //!
 //! Name resolution is deliberately *name-based and over-approximate*: a
 //! method call `.foo()` may target any method named `foo` in the
@@ -25,8 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Block, EnumDef, Expr, Item, Pat, Stmt};
-use crate::lexer::TokKind;
+use crate::ast::{Block, Expr, Item, Stmt};
 use crate::parser::{parse_file, ParseOutcome};
 use crate::rules::{pragma_lines, bound_comment_lines, FileInput, SHIM_NAMES};
 
@@ -88,15 +85,6 @@ pub struct ArithSite {
     pub line: u32,
 }
 
-/// A wildcard arm in a `match` that also names protocol-enum variants.
-#[derive(Debug, Clone)]
-pub struct WildcardSite {
-    /// The protocol enum the match destructures.
-    pub enum_name: String,
-    /// 1-based line of the `_` arm.
-    pub line: u32,
-}
-
 /// Lock dataflow summary for one function.
 #[derive(Debug, Clone, Default)]
 pub struct LockSummary {
@@ -126,8 +114,6 @@ pub struct FnInfo {
     pub panics: Vec<PanicSite>,
     /// Unchecked slot/capacity arithmetic sites.
     pub arith: Vec<ArithSite>,
-    /// Wildcard arms over protocol enums.
-    pub wildcards: Vec<WildcardSite>,
     /// Lock dataflow summary.
     pub locks: LockSummary,
 }
@@ -145,10 +131,6 @@ pub struct FileModel {
     pub entry_points: Vec<String>,
     /// The crate opts into L010.
     pub arith_hygiene: bool,
-    /// The crate's protocol enums (L012).
-    pub protocol_enums: Vec<String>,
-    /// The crate's protocol surface files (crate-relative, L012).
-    pub protocol_surfaces: Vec<String>,
     /// The crate's L013 reactor event-loop roots (`Type::name` or bare).
     pub reactor_loops: Vec<String>,
     /// The crate's L013 panic-free files (crate-relative).
@@ -165,11 +147,6 @@ pub struct FileModel {
     pub pragmas: BTreeMap<u32, BTreeSet<&'static str>>,
     /// Lines whose comments document a bound.
     pub bound_lines: BTreeSet<u32>,
-    /// `Enum::Variant` adjacent ident pairs from the token stream, with
-    /// the test-gated ones excluded (L012 coverage evidence).
-    pub path_pairs: Vec<(String, String, u32)>,
-    /// Non-test enum definitions: name → variants.
-    pub enums: Vec<(String, Vec<String>)>,
     /// Structural parse errors in this file.
     pub parse_errors: usize,
     /// Tokens consumed by soft recovery.
@@ -199,14 +176,12 @@ impl WorkspaceModel {
     /// Add one parsed file to the model.
     pub fn add_file(&mut self, input: &FileInput<'_>, outcome: &ParseOutcome) {
         let file_idx = self.files.len();
-        let mut fm = FileModel {
+        let fm = FileModel {
             rel_path: input.rel_path.clone(),
             crate_rel: input.crate_rel.clone(),
             crate_name: input.manifest.name.clone(),
             entry_points: input.manifest.entry_points.clone(),
             arith_hygiene: input.manifest.arith_hygiene,
-            protocol_enums: input.manifest.protocol_enums.clone(),
-            protocol_surfaces: input.manifest.protocol_surfaces.clone(),
             reactor_loops: input.manifest.reactor_loops.clone(),
             panic_free: input.manifest.panic_free.clone(),
             capacity_authority: input.manifest.capacity_authority,
@@ -215,18 +190,14 @@ impl WorkspaceModel {
             lines: input.src.lines().map(str::to_string).collect(),
             pragmas: pragma_lines(input),
             bound_lines: bound_comment_lines(input),
-            path_pairs: collect_path_pairs(input),
-            enums: Vec::new(),
             parse_errors: outcome.errors.len(),
             recovered: outcome.recovered.len(),
         };
-        let protocol_enums = fm.protocol_enums.clone();
         let mut fns = Vec::new();
         collect_items(
             &outcome.file.items,
-            &Ctx { file: file_idx, self_type: None, in_test: false, protocol_enums: &protocol_enums },
+            &Ctx { file: file_idx, self_type: None, in_test: false },
             &mut fns,
-            &mut fm.enums,
         );
         self.files.push(fm);
         self.fns.extend(fns);
@@ -234,19 +205,13 @@ impl WorkspaceModel {
 }
 
 /// Extraction context while walking the item tree.
-struct Ctx<'a> {
+struct Ctx {
     file: usize,
     self_type: Option<String>,
     in_test: bool,
-    protocol_enums: &'a [String],
 }
 
-fn collect_items(
-    items: &[Item],
-    ctx: &Ctx<'_>,
-    fns: &mut Vec<FnInfo>,
-    enums: &mut Vec<(String, Vec<String>)>,
-) {
+fn collect_items(items: &[Item], ctx: &Ctx, fns: &mut Vec<FnInfo>) {
     for item in items {
         match item {
             Item::Fn(f) => {
@@ -259,13 +224,11 @@ fn collect_items(
                     calls: Vec::new(),
                     panics: Vec::new(),
                     arith: Vec::new(),
-                    wildcards: Vec::new(),
                     locks: LockSummary::default(),
                 };
                 if let Some(body) = &f.body {
                     let mut w = FactWalker {
                         self_type: ctx.self_type.clone(),
-                        protocol_enums: ctx.protocol_enums,
                         info: &mut info,
                         held: Vec::new(),
                     };
@@ -286,10 +249,8 @@ fn collect_items(
                                 file: ctx.file,
                                 self_type: ctx.self_type.clone(),
                                 in_test: info.is_test,
-                                protocol_enums: ctx.protocol_enums,
                             },
                             fns,
-                            enums,
                         );
                     }
                 }
@@ -302,10 +263,8 @@ fn collect_items(
                         file: ctx.file,
                         self_type: Some(imp.self_type.clone()),
                         in_test: ctx.in_test || imp.is_test,
-                        protocol_enums: ctx.protocol_enums,
                     },
                     fns,
-                    enums,
                 );
             }
             Item::Mod(m) => {
@@ -315,24 +274,13 @@ fn collect_items(
                         file: ctx.file,
                         self_type: None,
                         in_test: ctx.in_test || m.is_test,
-                        protocol_enums: ctx.protocol_enums,
                     },
                     fns,
-                    enums,
                 );
             }
-            Item::Enum(e) => {
-                if !(ctx.in_test || e.is_test) {
-                    record_enum(e, enums);
-                }
-            }
-            Item::Skipped => {}
+            Item::Enum(_) | Item::Skipped => {}
         }
     }
-}
-
-fn record_enum(e: &EnumDef, enums: &mut Vec<(String, Vec<String>)>) {
-    enums.push((e.name.clone(), e.variants.clone()));
 }
 
 /// Macros that unconditionally (or conditionally) panic at runtime.
@@ -351,7 +299,6 @@ struct Guard {
 
 struct FactWalker<'a> {
     self_type: Option<String>,
-    protocol_enums: &'a [String],
     info: &'a mut FnInfo,
     held: Vec<Guard>,
 }
@@ -514,26 +461,7 @@ impl FactWalker<'_> {
             }
             Expr::Match { scrutinee, arms, .. } => {
                 self.walk_expr(scrutinee);
-                // A wildcard arm alongside protocol-enum variant patterns.
-                let mut enum_hit: Option<String> = None;
                 for arm in arms {
-                    if let Pat::Variants(paths) = &arm.pat {
-                        for path in paths {
-                            if path.len() >= 2 {
-                                let ty = &path[path.len() - 2];
-                                if self.protocol_enums.iter().any(|e| e == ty) {
-                                    enum_hit = Some(ty.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                for arm in arms {
-                    if let (Pat::Wild, Some(en)) = (&arm.pat, &enum_hit) {
-                        self.info
-                            .wildcards
-                            .push(WildcardSite { enum_name: en.clone(), line: arm.line });
-                    }
                     self.walk_expr(&arm.body);
                 }
             }
@@ -665,29 +593,6 @@ fn slot_operand_name(e: &Expr) -> Option<String> {
     }
 }
 
-/// Token-level `Enum::Variant` adjacency pairs outside test code — the
-/// evidence L012 uses for variant coverage on protocol surfaces.
-fn collect_path_pairs(input: &FileInput<'_>) -> Vec<(String, String, u32)> {
-    let toks = &input.lexed.tokens;
-    let mask = crate::rules::test_mask(toks);
-    let mut out = Vec::new();
-    for i in 0..toks.len().saturating_sub(2) {
-        if mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let (a, sep, b) = (&toks[i], &toks[i + 1], &toks[i + 2]);
-        if a.kind == TokKind::Ident
-            && sep.is_punct("::")
-            && b.kind == TokKind::Ident
-            && a.text.chars().next().is_some_and(char::is_uppercase)
-            && b.text.chars().next().is_some_and(char::is_uppercase)
-        {
-            out.push((a.text.clone(), b.text.clone(), b.line));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,8 +613,7 @@ mod tests {
 
     fn manifest() -> Manifest {
         crate::manifest::parse_str(
-            "[package]\nname = \"x\"\n[package.metadata.rush-lint]\narith-hygiene = true\n\
-             protocol-enums = [\"Request\"]\n",
+            "[package]\nname = \"x\"\n[package.metadata.rush-lint]\narith-hygiene = true\n",
         )
     }
 
@@ -796,22 +700,17 @@ mod tests {
     }
 
     #[test]
-    fn arith_and_wildcards() {
+    fn arith_sites_extracted() {
         let m = manifest();
         let model = build_one(
-            "fn g(slots: u32, used: u32, r: Request) -> u32 {\n\
+            "fn g(slots: u32, used: u32) -> u32 {\n\
                  let free = slots - used;\n\
-                 match r {\n\
-                     Request::Submit => 1,\n\
-                     _ => 0,\n\
-                 };\n\
                  free\n\
              }\n",
             &m,
         );
         let g = &model.fns[0];
         assert!(g.arith.iter().any(|a| a.op == "-" && a.operand == "slots"));
-        assert!(g.wildcards.iter().any(|w| w.enum_name == "Request"));
     }
 
     #[test]
@@ -826,19 +725,5 @@ mod tests {
         assert!(helper.is_test);
         let live = model.fns.iter().find(|f| f.name == "live").expect("live");
         assert!(!live.is_test);
-    }
-
-    #[test]
-    fn enums_and_path_pairs_recorded() {
-        let m = manifest();
-        let model = build_one(
-            "pub enum Request { Submit, Cancel }\n\
-             fn h(r: &Request) -> u32 { match r { Request::Submit => 1, Request::Cancel => 2 } }\n",
-            &m,
-        );
-        let fm = &model.files[0];
-        assert_eq!(fm.enums, vec![("Request".into(), vec!["Submit".into(), "Cancel".into()])]);
-        assert!(fm.path_pairs.iter().any(|(e, v, _)| e == "Request" && v == "Submit"));
-        assert!(fm.path_pairs.iter().any(|(e, v, _)| e == "Request" && v == "Cancel"));
     }
 }

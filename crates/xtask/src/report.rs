@@ -33,9 +33,6 @@ pub enum Rule {
     /// RUSH-L011 — lock discipline (deep): consistent acquisition order;
     /// no lock held across I/O or planner fan-out.
     LockDiscipline,
-    /// RUSH-L012 — protocol exhaustiveness (deep): every protocol-enum
-    /// variant handled on every declared protocol surface, no wildcards.
-    ProtocolExhaustiveness,
     /// RUSH-L013 — reactor discipline (deep): no blocking call reachable
     /// from a declared reactor event loop; declared codec files panic-free.
     ReactorDiscipline,
@@ -58,7 +55,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::PanicReachability,
     Rule::ArithHygiene,
     Rule::LockDiscipline,
-    Rule::ProtocolExhaustiveness,
     Rule::ReactorDiscipline,
     Rule::CapacityFence,
 ];
@@ -69,7 +65,6 @@ pub const DEEP_RULES: &[Rule] = &[
     Rule::PanicReachability,
     Rule::ArithHygiene,
     Rule::LockDiscipline,
-    Rule::ProtocolExhaustiveness,
     Rule::ReactorDiscipline,
     Rule::CapacityFence,
 ];
@@ -89,7 +84,6 @@ impl Rule {
             Rule::PanicReachability => "RUSH-L009",
             Rule::ArithHygiene => "RUSH-L010",
             Rule::LockDiscipline => "RUSH-L011",
-            Rule::ProtocolExhaustiveness => "RUSH-L012",
             Rule::ReactorDiscipline => "RUSH-L013",
             Rule::CapacityFence => "RUSH-L014",
         }
@@ -115,7 +109,6 @@ impl Rule {
             Rule::PanicReachability => "panic path reachable from a daemon entry point",
             Rule::ArithHygiene => "unchecked slot/capacity arithmetic in kernel code",
             Rule::LockDiscipline => "lock-order or held-across-I/O hazard",
-            Rule::ProtocolExhaustiveness => "protocol enum variant not exhaustively handled",
             Rule::ReactorDiscipline => "blocking call or panic in reactor/codec hot path",
             Rule::CapacityFence => "direct capacity mutation outside the planner event path",
         }
@@ -322,28 +315,6 @@ impl Rule {
                  state per thread) — this rule is the fence that keeps future shared-\n\
                  state shortcuts honest. Intentional exceptions take a pragma:\n\
                  // rush-lint: allow(RUSH-L011): <why>\n"
-            }
-            Rule::ProtocolExhaustiveness => {
-                "RUSH-L012: protocol-match exhaustiveness (deep)\n\
-                 \n\
-                 The wire protocol is versioned and about to grow a second (binary)\n\
-                 codec; a `Request`/`Response` variant that one surface forgets is a\n\
-                 silent drift bug that only shows up as a live daemon rejecting or\n\
-                 mis-framing traffic. Crates declare their protocol enums and the\n\
-                 surfaces that must stay in lockstep in\n\
-                 `[package.metadata.rush-lint]`:\n\
-                 protocol-enums = [\"Request\", \"Response\"]\n\
-                 protocol-surfaces = [\"src/protocol.rs\", \"src/server.rs\", ...]\n\
-                 \n\
-                 Two checks per surface: (1) token-level coverage — every declared\n\
-                 variant must appear as `Enum::Variant` somewhere in the surface's\n\
-                 non-test code (constructing, matching, or encoding it); (2) AST-level\n\
-                 wildcard fencing — a `match` whose arms name protocol-enum variants\n\
-                 must not also contain a bare `_` arm, because a wildcard silently\n\
-                 swallows the next variant added. A named catch-all binding (e.g.\n\
-                 `other => fail(other)`) stays allowed: it is explicit in the source\n\
-                 and typically routes to an error path. Genuine don't-care surfaces\n\
-                 take a pragma:  // rush-lint: allow(RUSH-L012): <why>\n"
             }
             Rule::ReactorDiscipline => {
                 "RUSH-L013: reactor discipline (deep)\n\
