@@ -69,8 +69,5 @@ pub mod wcde;
 pub use cluster::{CapacityChange, CapacityEvent, ClusterModel, ContainerClass, ReliabilityTier};
 pub use config::RushConfig;
 pub use error::CoreError;
-pub use plan::{
-    compute_plan, compute_plan_cached, compute_plan_incremental, Plan, PlanCache, PlanInput,
-    PlanState,
-};
+pub use plan::{compute_plan, compute_plan_incremental, Plan, PlanCache, PlanInput, PlanState};
 pub use scheduler::ReferenceScheduler;

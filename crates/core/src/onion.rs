@@ -536,7 +536,8 @@ fn deadline_for(job: &OnionJob<'_>, level: f64, horizon: f64) -> f64 {
     }
 }
 
-/// Runs the onion-peeling algorithm (Algorithm 3).
+/// Runs the onion-peeling algorithm (Algorithm 3) from scratch:
+/// [`peel_incremental`] on a cold [`PeelState`].
 ///
 /// Returns one [`Target`] per job (in peel order). `tolerance` is the
 /// bisection stopping width `Δ` on utility levels; `horizon` caps the
@@ -573,12 +574,7 @@ pub fn peel(
     tolerance: f64,
     horizon: f64,
 ) -> Result<Vec<Target>, CoreError> {
-    validate_params(capacity, tolerance, horizon)?;
-    let mut ctx = PeelCtx::fresh(jobs, capacity, tolerance, horizon);
-    run_layers(&mut ctx);
-    finish_deferred(&mut ctx);
-    debug_check_theorem2(&ctx.committed, capacity, ctx.overloaded);
-    Ok(ctx.targets)
+    peel_incremental(jobs, capacity, tolerance, horizon, false, &mut PeelState::new())
 }
 
 fn validate_params(capacity: u32, tolerance: f64, horizon: f64) -> Result<(), CoreError> {

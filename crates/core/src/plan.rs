@@ -1,7 +1,12 @@
 //! The container-assignment (CA) pipeline: one full pass of the RUSH
-//! feedback cycle as a pure function.
+//! feedback cycle.
 //!
-//! [`compute_plan`] chains estimate → WCDE → onion peel → continuous
+//! There is exactly one pipeline body. [`compute_plan_incremental`] runs it
+//! on a caller-held [`PlanState`] (warm: the expensive stages are memoized
+//! across scheduling events); [`compute_plan`] runs the same body on a cold
+//! `PlanState::new()` and is therefore a pure function of its inputs.
+//!
+//! A pass chains estimate → WCDE → onion peel → continuous
 //! mapping and reports, per job, the robust demand `η`, the target
 //! completion time, the achieved max-min level, and the number of
 //! containers the plan gives the job in the *next* slot. The
@@ -15,17 +20,17 @@
 //!
 //! A scheduling event (task completion, failure, arrival) changes the
 //! estimator-visible state of *one* job; the other jobs' robust demands
-//! `(η, R)` are unchanged. [`PlanCache`] memoizes the estimate + WCDE
-//! stage per job, keyed by a fingerprint of everything that stage reads:
-//! the sample multiset (order-sensitive — estimators may window), the
-//! remaining-task count, the failure count and the config knobs. Ages and
-//! utilities are deliberately **not** part of the key: they only enter the
-//! peel and mapping stages, which are always recomputed. A cached pass
-//! therefore produces bit-identical plans to an uncached one.
+//! `(η, R)` are unchanged. A [`PlanState`]'s [`PlanCache`] memoizes the
+//! estimate + WCDE stage per job, keyed by a fingerprint of everything that
+//! stage reads: the sample multiset (order-sensitive — estimators may
+//! window), the remaining-task count, the failure count and the config
+//! knobs. Ages and utilities are deliberately **not** part of the key: they
+//! only enter the peel and mapping stages. A warm pass therefore produces
+//! plans bit-identical to a cold one.
 
 use crate::config::EstimatorKind;
 use crate::mapping::{map_profile, MapJob, MapStats, MapSummary, OccupationProfile};
-use crate::onion::{peel, peel_incremental, OnionJob, PeelState, ReplayStats, Shifted};
+use crate::onion::{peel_incremental, OnionJob, PeelState, ReplayStats, Shifted};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
 use rush_estimator::{
@@ -113,10 +118,24 @@ pub struct JobSolve {
 /// touched, so memory is bounded by the live job set, and entries for
 /// departed jobs vanish on the next pass.
 ///
-/// When used through [`compute_plan_with_cached`] with a *custom*
-/// estimator, dedicate one cache per estimator instance — the fingerprint
-/// can only see the estimator named in the config.
-#[derive(Debug, Clone, Default)]
+/// A cache exists only inside a [`PlanState`] and is fed only by the
+/// pipeline: outside this crate it can be read (through
+/// [`PlanState::cache`]) but neither built nor passed in, so a second memo
+/// table beside the planner's cannot be written.
+///
+/// ```
+/// let state = rush_core::plan::PlanState::new();
+/// assert!(state.cache().is_empty()); // reading is the whole public surface
+/// ```
+///
+/// ```compile_fail
+/// let cache = rush_core::plan::PlanCache::new(); // private: E0624
+/// ```
+///
+/// ```compile_fail
+/// let cache = rush_core::plan::PlanCache::default(); // no `Default`: E0599
+/// ```
+#[derive(Debug, Clone)]
 pub struct PlanCache {
     // rush-lint: allow(RUSH-L001): keyed by u128 fingerprint, get/insert only
     map: HashMap<u128, JobSolve>,
@@ -129,9 +148,8 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    fn new() -> Self {
+        PlanCache { map: Default::default(), by_index: Vec::new(), hits: 0, misses: 0 }
     }
 
     /// Lifetime count of per-job stage results served from memory.
@@ -155,7 +173,7 @@ impl PlanCache {
     }
 
     /// Drops all entries (counters are kept).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.map.clear();
         self.by_index.clear();
     }
@@ -311,19 +329,14 @@ fn solve_batch<E: PlanEstimator>(
     jobs.iter().map(|j| solve_one(config, j, estimator)).collect()
 }
 
-/// Per-job stage with optional memoization. Rotates the cache map so only
-/// fingerprints touched by *this* pass survive into the next one.
+/// Per-job stage, memoized. Rotates the cache map so only fingerprints
+/// touched by *this* pass survive into the next one.
 fn solve_jobs<E: PlanEstimator>(
     config: &RushConfig,
     jobs: &[PlanInput<'_>],
     estimator: &E,
-    cache: Option<&mut PlanCache>,
+    cache: &mut PlanCache,
 ) -> Result<Vec<JobSolve>, CoreError> {
-    let Some(cache) = cache else {
-        let refs: Vec<&PlanInput<'_>> = jobs.iter().collect();
-        return solve_batch(config, &refs, estimator);
-    };
-
     let n = jobs.len();
     let tag = config_tag(config);
     let prints: Vec<u128> = jobs.iter().map(|j| fingerprint(tag, j)).collect();
@@ -386,7 +399,8 @@ fn solve_jobs<E: PlanEstimator>(
 /// the keyed map (a positional reshuffle, not a content change).
 const INDEX_SHIFT_SPILL: usize = 2;
 
-/// Runs one CA pass with the estimator class named in `config`.
+/// Runs one CA pass with the estimator class named in `config`, from
+/// scratch: [`compute_plan_incremental`] on a cold [`PlanState`].
 ///
 /// # Errors
 ///
@@ -397,59 +411,11 @@ pub fn compute_plan(
     capacity: u32,
     jobs: &[PlanInput<'_>],
 ) -> Result<Plan, CoreError> {
-    dispatch(config, capacity, jobs, None)
+    compute_plan_incremental(config, capacity, jobs, &mut PlanState::new())
 }
 
-/// [`compute_plan`] with the estimate + WCDE stage memoized in `cache`.
-///
-/// Feeding consecutive scheduling events through the same cache skips the
-/// per-job robustification for every job whose samples, task counts and
-/// failure counts are unchanged — the common case, since one event
-/// touches one job. The resulting plan is bit-identical to
-/// [`compute_plan`]'s.
-///
-/// # Errors
-///
-/// Same as [`compute_plan`]; a failed pass leaves the cache usable.
-pub fn compute_plan_cached(
-    config: &RushConfig,
-    capacity: u32,
-    jobs: &[PlanInput<'_>],
-    cache: &mut PlanCache,
-) -> Result<Plan, CoreError> {
-    dispatch(config, capacity, jobs, Some(cache))
-}
-
-fn dispatch(
-    config: &RushConfig,
-    capacity: u32,
-    jobs: &[PlanInput<'_>],
-    cache: Option<&mut PlanCache>,
-) -> Result<Plan, CoreError> {
-    match config.estimator {
-        EstimatorKind::Mean => {
-            let de = MeanEstimator::new(config.max_bins).with_prior(config.cold_prior);
-            compute_plan_inner(config, capacity, jobs, &de, cache)
-        }
-        EstimatorKind::Gaussian => {
-            let de = GaussianEstimator::new(config.max_bins).with_prior(config.cold_prior);
-            compute_plan_inner(config, capacity, jobs, &de, cache)
-        }
-        EstimatorKind::Empirical { resamples } => {
-            let de =
-                EmpiricalEstimator::new(config.max_bins, resamples).with_prior(config.cold_prior);
-            compute_plan_inner(config, capacity, jobs, &de, cache)
-        }
-        EstimatorKind::Windowed { window } => {
-            let de =
-                WindowedEstimator::new(config.max_bins, window).with_prior(config.cold_prior);
-            compute_plan_inner(config, capacity, jobs, &de, cache)
-        }
-    }
-}
-
-/// Runs one CA pass with a caller-supplied estimator (for custom DE
-/// classes, as the paper invites).
+/// Runs one from-scratch CA pass with a caller-supplied estimator (for
+/// custom DE classes, as the paper invites).
 ///
 /// # Errors
 ///
@@ -462,28 +428,11 @@ pub fn compute_plan_with<E: PlanEstimator>(
     jobs: &[PlanInput<'_>],
     estimator: &E,
 ) -> Result<Plan, CoreError> {
-    compute_plan_inner(config, capacity, jobs, estimator, None)
-}
-
-/// [`compute_plan_with`] with the per-job stage memoized in `cache`. Use
-/// one cache per estimator instance: the key cannot observe a custom
-/// estimator's identity, only the config's knobs.
-///
-/// # Errors
-///
-/// Same as [`compute_plan_with`]; a failed pass leaves the cache usable.
-pub fn compute_plan_with_cached<E: PlanEstimator>(
-    config: &RushConfig,
-    capacity: u32,
-    jobs: &[PlanInput<'_>],
-    estimator: &E,
-    cache: &mut PlanCache,
-) -> Result<Plan, CoreError> {
-    compute_plan_inner(config, capacity, jobs, estimator, Some(cache))
+    run_pass(config, capacity, jobs, estimator, &mut PlanState::new())
 }
 
 /// Wall-clock phase breakdown and delta telemetry for the most recent
-/// [`compute_plan_incremental`] pass. Times are nanoseconds.
+/// pass through a [`PlanState`]. Times are nanoseconds.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct PlanPhaseStats {
     /// Estimate + WCDE stage (including memo-table lookups).
@@ -500,16 +449,18 @@ pub struct PlanPhaseStats {
     pub map_delta: MapStats,
 }
 
-/// Under `strict-invariants`, every this-many incremental passes the plan
-/// is recomputed from scratch and compared — the delta structures must
-/// never drift from the pure pipeline.
+/// Under `strict-invariants`, every this-many passes through one state the
+/// plan is recomputed on a cold state and compared — the delta structures
+/// must never drift from a from-scratch pass.
 #[cfg(feature = "strict-invariants")]
 const SPOT_CHECK_INTERVAL: u64 = 64;
 
 /// Cross-pass state for [`compute_plan_incremental`]: the per-job memo
 /// table and the peel trace the delta paths patch between events, plus
-/// the mapper's recycled scratch buffers.
-#[derive(Default, Debug, Clone)]
+/// the mapper's recycled scratch buffers. A state that has seen no pass
+/// (or was just [invalidated](Self::invalidate)) is *cold*: the next pass
+/// computes everything and is a pure function of its inputs.
+#[derive(Debug, Clone)]
 pub struct PlanState {
     cache: PlanCache,
     peel: PeelState,
@@ -523,10 +474,24 @@ pub struct PlanState {
     stats: PlanPhaseStats,
 }
 
+impl Default for PlanState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PlanState {
-    /// Creates an empty state; the first pass computes everything.
+    /// Creates a cold state; the first pass computes everything.
     pub fn new() -> Self {
-        Self::default()
+        PlanState {
+            cache: PlanCache::new(),
+            peel: PeelState::new(),
+            map: OccupationProfile::default(),
+            last_utilities: Vec::new(),
+            last_ages: Vec::new(),
+            passes: 0,
+            stats: PlanPhaseStats::default(),
+        }
     }
 
     /// Drops all cross-pass structures; the next pass runs cold.
@@ -547,7 +512,7 @@ impl PlanState {
         self.stats
     }
 
-    /// Incremental passes fed through this state so far.
+    /// Passes fed through this state so far.
     pub fn passes(&self) -> u64 {
         self.passes
     }
@@ -556,15 +521,15 @@ impl PlanState {
 /// Runs one CA pass with the expensive stages memoized across events: the
 /// per-job estimate + WCDE stage through [`PlanCache`] and the onion peel
 /// through delta replay ([`crate::onion::peel_incremental`]). The continuous
-/// mapping is the same run-length pass [`compute_plan`] runs
-/// ([`crate::mapping::map_profile`]), on buffers recycled in the state.
+/// mapping is a full run-length pass ([`crate::mapping::map_profile`]) on
+/// buffers recycled in the state.
 ///
 /// This is the planner-facing steady-state entry: feeding consecutive
 /// scheduling events through one [`PlanState`] turns the O(n² log n) peel
 /// into an O(n) arithmetic replay whenever only demands changed, while
-/// producing plans bit-identical to [`compute_plan`] in every case. Under
-/// the `strict-invariants` feature the equivalence is re-proved from
-/// scratch every [`SPOT_CHECK_INTERVAL`] passes.
+/// producing plans bit-identical to a cold pass ([`compute_plan`]) in every
+/// case. Under the `strict-invariants` feature the equivalence is re-proved
+/// on a cold state every [`SPOT_CHECK_INTERVAL`] passes.
 ///
 /// # Errors
 ///
@@ -578,26 +543,27 @@ pub fn compute_plan_incremental(
     match config.estimator {
         EstimatorKind::Mean => {
             let de = MeanEstimator::new(config.max_bins).with_prior(config.cold_prior);
-            compute_plan_incremental_inner(config, capacity, jobs, &de, state)
+            run_pass(config, capacity, jobs, &de, state)
         }
         EstimatorKind::Gaussian => {
             let de = GaussianEstimator::new(config.max_bins).with_prior(config.cold_prior);
-            compute_plan_incremental_inner(config, capacity, jobs, &de, state)
+            run_pass(config, capacity, jobs, &de, state)
         }
         EstimatorKind::Empirical { resamples } => {
             let de =
                 EmpiricalEstimator::new(config.max_bins, resamples).with_prior(config.cold_prior);
-            compute_plan_incremental_inner(config, capacity, jobs, &de, state)
+            run_pass(config, capacity, jobs, &de, state)
         }
         EstimatorKind::Windowed { window } => {
             let de =
                 WindowedEstimator::new(config.max_bins, window).with_prior(config.cold_prior);
-            compute_plan_incremental_inner(config, capacity, jobs, &de, state)
+            run_pass(config, capacity, jobs, &de, state)
         }
     }
 }
 
-fn compute_plan_incremental_inner<E: PlanEstimator>(
+/// The CA pass: every public entry point ends here.
+fn run_pass<E: PlanEstimator>(
     config: &RushConfig,
     capacity: u32,
     jobs: &[PlanInput<'_>],
@@ -617,7 +583,7 @@ fn compute_plan_incremental_inner<E: PlanEstimator>(
     }
 
     let t0 = Instant::now();
-    let solves = solve_jobs(config, jobs, estimator, Some(&mut state.cache))?;
+    let solves = solve_jobs(config, jobs, estimator, &mut state.cache)?;
     let t1 = Instant::now();
     let etas: Vec<u64> = solves.iter().map(|s| s.eta).collect();
     let task_lens: Vec<u64> = solves.iter().map(|s| s.task_len).collect();
@@ -664,10 +630,11 @@ fn compute_plan_incremental_inner<E: PlanEstimator>(
 
     #[cfg(feature = "strict-invariants")]
     if state.passes % SPOT_CHECK_INTERVAL == 0 {
-        let scratch = compute_plan_inner(config, capacity, jobs, estimator, None)?;
+        // A cold state's pass count is 1, so this does not recurse.
+        let scratch = compute_plan_with(config, capacity, jobs, estimator)?;
         debug_assert_eq!(
             plan, scratch,
-            "delta-plan contract: incremental pass {} diverged from a from-scratch CA pass",
+            "delta-plan contract: warm pass {} diverged from a cold CA pass",
             state.passes
         );
         // Both passes share the run-length mapper: hold it to the oracle too.
@@ -691,9 +658,8 @@ fn compute_plan_incremental_inner<E: PlanEstimator>(
     Ok(plan)
 }
 
-/// Builds the mapping inputs from peel targets (step 4 preamble), shared
-/// by the pure and incremental pipelines. Returns `(map_jobs, target_of,
-/// level_of)` in input order.
+/// Builds the mapping inputs from peel targets (step 4 preamble). Returns
+/// `(map_jobs, target_of, level_of)` in input order.
 fn build_map_jobs(
     config: &RushConfig,
     jobs: &[PlanInput<'_>],
@@ -741,7 +707,7 @@ fn build_map_jobs(
     (map_jobs, target_of, level_of)
 }
 
-/// Step 5: entry assembly, shared by the pure and incremental pipelines.
+/// Step 5: entry assembly.
 fn assemble(
     etas: &[u64],
     task_lens: &[u64],
@@ -763,51 +729,6 @@ fn assemble(
         })
         .collect();
     Plan { entries }
-}
-
-fn compute_plan_inner<E: PlanEstimator>(
-    config: &RushConfig,
-    capacity: u32,
-    jobs: &[PlanInput<'_>],
-    estimator: &E,
-    cache: Option<&mut PlanCache>,
-) -> Result<Plan, CoreError> {
-    config.validate()?;
-    if capacity == 0 {
-        return Err(CoreError::InvalidConfig { reason: "capacity must be > 0" });
-    }
-    if jobs.is_empty() {
-        // A drained cluster retains no per-job state.
-        if let Some(c) = cache {
-            c.map.clear();
-            c.by_index.clear();
-        }
-        return Ok(Plan::default());
-    }
-
-    // 1–2. Estimate reference distributions and robustify into η —
-    // memoized and/or fanned out per job (see solve_jobs / solve_batch).
-    let solves = solve_jobs(config, jobs, estimator, cache)?;
-    let etas: Vec<u64> = solves.iter().map(|s| s.eta).collect();
-    let task_lens: Vec<u64> = solves.iter().map(|s| s.task_len).collect();
-
-    // 3. Onion peel on age-shifted utilities.
-    let shifted: Vec<Shifted<'_>> =
-        jobs.iter().map(|j| Shifted::new(&j.utility, j.age)).collect();
-    let onion_jobs: Vec<OnionJob<'_>> = shifted
-        .iter()
-        .zip(&etas)
-        .map(|(u, &eta)| OnionJob { demand: eta, utility: u })
-        .collect();
-    let targets = peel(&onion_jobs, capacity, config.tolerance, config.horizon)?;
-
-    // 4. Continuous mapping, with the Theorem 3 slack shaved off targets.
-    let (map_jobs, target_of, level_of) = build_map_jobs(config, jobs, &etas, &task_lens, &targets);
-    let mut profile = OccupationProfile::default();
-    let summaries = map_profile(&map_jobs, capacity, &mut profile)?;
-
-    // 5. Assemble.
-    Ok(assemble(&etas, &task_lens, &target_of, &level_of, summaries))
 }
 
 /// Renders a plan as the monitoring table the paper's enhanced HTTP
@@ -1044,30 +965,31 @@ mod tests {
     fn cached_plan_is_bit_identical_to_uncached() {
         let cfg = RushConfig::default();
         let jobs = mixed_fleet(40);
-        let mut cache = PlanCache::new();
-        let cold = compute_plan_cached(&cfg, 16, &jobs, &mut cache).unwrap();
+        let mut state = PlanState::new();
+        let cold = compute_plan_incremental(&cfg, 16, &jobs, &mut state).unwrap();
         let plain = compute_plan(&cfg, 16, &jobs).unwrap();
-        assert_eq!(cold, plain, "cold cached pass must equal uncached");
+        assert_eq!(cold, plain, "cold pass through a state must equal compute_plan");
+        assert_eq!(state.cache().hits(), 0, "a cold pass computes every job");
         // Warm pass: all per-job solves served from the cache, same plan.
-        let misses_after_cold = cache.misses();
-        let warm = compute_plan_cached(&cfg, 16, &jobs, &mut cache).unwrap();
-        assert_eq!(warm, plain, "warm cached pass must equal uncached");
-        assert_eq!(cache.misses(), misses_after_cold, "warm pass must not recompute");
-        assert_eq!(cache.hits(), jobs.len() as u64);
+        let misses_after_cold = state.cache().misses();
+        let warm = compute_plan_incremental(&cfg, 16, &jobs, &mut state).unwrap();
+        assert_eq!(warm, plain, "warm pass must equal compute_plan");
+        assert_eq!(state.cache().misses(), misses_after_cold, "warm pass must not recompute");
+        assert_eq!(state.cache().hits(), jobs.len() as u64);
     }
 
     #[test]
     fn cache_misses_only_the_mutated_job() {
         let cfg = RushConfig::default();
         let mut jobs = mixed_fleet(20);
-        let mut cache = PlanCache::new();
-        compute_plan_cached(&cfg, 16, &jobs, &mut cache).unwrap();
-        let baseline_misses = cache.misses();
+        let mut state = PlanState::new();
+        compute_plan_incremental(&cfg, 16, &jobs, &mut state).unwrap();
+        let baseline_misses = state.cache().misses();
         // One event: job 7 completes a task.
         jobs[7].samples.to_mut().push(44);
         jobs[7].remaining_tasks -= 1;
-        let incremental = compute_plan_cached(&cfg, 16, &jobs, &mut cache).unwrap();
-        assert_eq!(cache.misses(), baseline_misses + 1, "exactly one job recomputed");
+        let incremental = compute_plan_incremental(&cfg, 16, &jobs, &mut state).unwrap();
+        assert_eq!(state.cache().misses(), baseline_misses + 1, "exactly one job recomputed");
         let fresh = compute_plan(&cfg, 16, &jobs).unwrap();
         assert_eq!(incremental, fresh);
     }
@@ -1076,20 +998,23 @@ mod tests {
     fn cache_prunes_departed_jobs_and_keys_on_config() {
         let cfg = RushConfig::default();
         let jobs = mixed_fleet(10);
-        let mut cache = PlanCache::new();
-        compute_plan_cached(&cfg, 16, &jobs, &mut cache).unwrap();
-        assert!(cache.len() <= 10);
+        let mut state = PlanState::new();
+        compute_plan_incremental(&cfg, 16, &jobs, &mut state).unwrap();
+        assert!(state.cache().len() <= 10);
         // Half the fleet departs: the next pass retains only live entries.
-        compute_plan_cached(&cfg, 16, &jobs[..5], &mut cache).unwrap();
-        assert!(cache.len() <= 5, "cache kept {} entries for 5 jobs", cache.len());
-        // A changed θ misses (stale η would be wrong) and still matches
-        // the uncached pipeline.
+        compute_plan_incremental(&cfg, 16, &jobs[..5], &mut state).unwrap();
+        let kept = state.cache().len();
+        assert!(kept <= 5, "cache kept {kept} entries for 5 jobs");
+        // A changed θ misses (stale η would be wrong) and still matches a
+        // from-scratch pass.
+        let misses = state.cache().misses();
         let cfg2 = cfg.with_theta(0.95);
-        let p = compute_plan_cached(&cfg2, 16, &jobs[..5], &mut cache).unwrap();
+        let p = compute_plan_incremental(&cfg2, 16, &jobs[..5], &mut state).unwrap();
         assert_eq!(p, compute_plan(&cfg2, 16, &jobs[..5]).unwrap());
+        assert_eq!(state.cache().misses(), misses + 5, "every job re-solved under the new θ");
         // An emptied cluster clears the cache entirely.
-        compute_plan_cached(&cfg, 16, &[], &mut cache).unwrap();
-        assert!(cache.is_empty());
+        compute_plan_incremental(&cfg, 16, &[], &mut state).unwrap();
+        assert!(state.cache().is_empty());
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! assignment behavior and `SimResult`s. Do not evolve this file with new
 //! scheduling features — change the kernel and its adapter instead.
 //!
-//! On every scheduling event the CA unit re-runs the full pipeline
-//! ([`compute_plan`](crate::plan::compute_plan())), obtains each job's
-//! desired next-slot allocation, and hands the free container to the job
-//! with the **largest gap between planned and current occupancy** — the
+//! What is frozen is the *driving* logic — sample pools, cold start,
+//! invalidation, the dispatch rule; the CA pipeline underneath is the one
+//! every caller shares. On every scheduling event the CA unit re-runs it
+//! ([`compute_plan_incremental`] on the scheduler's own [`PlanState`]),
+//! obtains each job's desired next-slot allocation, and hands the free
+//! container to the job with the **largest gap between planned and
+//! current occupancy** — the
 //! paper's dispatch rule (Sec. IV, "Container Assignment"). The plan is
 //! cached for the current slot and invalidated by arrivals, completions or
 //! the clock moving, so a burst of free containers in one slot costs one
@@ -25,7 +28,7 @@
 //! when no runtime evidence exists at all — mirroring how production
 //! clusters benchmark recurring applications.
 
-use crate::plan::{compute_plan_cached, Plan, PlanCache, PlanInput};
+use crate::plan::{compute_plan_incremental, Plan, PlanInput, PlanState};
 use crate::RushConfig;
 use rush_sim::view::{ClusterView, TaskSample};
 use rush_sim::{JobId, Scheduler, Slot};
@@ -77,10 +80,10 @@ pub struct ReferenceScheduler {
     /// The most recent full plan, for introspection (the paper's HTTP
     /// monitoring interface exposes exactly this).
     last_plan: Plan,
-    /// Memo table for the per-job estimate + WCDE stage: a scheduling
-    /// event touches one job, so the other jobs' robust demands are
-    /// served from here (see [`PlanCache`]).
-    plan_cache: PlanCache,
+    /// Cross-event pipeline state: a scheduling event touches one job, so
+    /// the other jobs' robust demands are served from here (see
+    /// [`PlanState`]).
+    plan_state: PlanState,
 }
 
 impl ReferenceScheduler {
@@ -95,7 +98,7 @@ impl ReferenceScheduler {
             global_pool: Vec::new(),
             labels: BTreeMap::new(),
             last_plan: Plan::default(),
-            plan_cache: PlanCache::new(),
+            plan_state: PlanState::new(),
         }
     }
 
@@ -151,8 +154,8 @@ impl ReferenceScheduler {
             return;
         }
         // Destructure for disjoint borrows: the inputs borrow the sample
-        // pools while the pipeline takes the plan cache mutably.
-        let Self { config, label_pool, global_pool, plan_cache, .. } = &mut *self;
+        // pools while the pipeline takes the plan state mutably.
+        let Self { config, label_pool, global_pool, plan_state, .. } = &mut *self;
         let inputs: Vec<PlanInput<'_>> = view
             .jobs
             .iter()
@@ -172,8 +175,8 @@ impl ReferenceScheduler {
             .collect();
         // On estimation failure (pathological inputs) fall back to an empty
         // plan; the assign() fallbacks keep the cluster from stalling.
-        let plan =
-            compute_plan_cached(config, view.capacity, &inputs, plan_cache).unwrap_or_default();
+        let plan = compute_plan_incremental(config, view.capacity, &inputs, plan_state)
+            .unwrap_or_default();
         let desired = view
             .jobs
             .iter()

@@ -1,12 +1,13 @@
-//! Property-based tests for the incremental CA pipeline: the memoized
-//! (and, when the `parallel` feature is on, multi-threaded) plan path must
-//! be indistinguishable from the straightforward one, and the optimized
+//! Property-based tests for the CA pipeline's memo table: a pass through a
+//! warm `PlanState` (and, when the `parallel` feature is on, the
+//! multi-threaded solve) must be indistinguishable from a cold one, the
+//! cache must hit, miss and prune exactly as promised, and the optimized
 //! onion peel must produce the same layering as the reference
 //! transcription of Algorithm 3.
 
 use proptest::prelude::*;
 use rush_core::onion::{self, OnionJob};
-use rush_core::plan::{compute_plan, compute_plan_cached, PlanCache, PlanInput};
+use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
 use rush_core::{config::EstimatorKind, RushConfig};
 use rush_utility::TimeUtility;
 
@@ -71,22 +72,27 @@ proptest! {
     ) {
         let cfg = RushConfig { theta, delta, ..RushConfig::default() };
         let mut jobs = build_inputs(&raw);
-        let mut cache = PlanCache::new();
+        let n = jobs.len() as u64;
+        let mut state = PlanState::new();
 
         // Cold cache (all misses) and warm cache (all hits) both match.
         let uncached = compute_plan(&cfg, capacity, &jobs).unwrap();
-        let cold = compute_plan_cached(&cfg, capacity, &jobs, &mut cache).unwrap();
+        let cold = compute_plan_incremental(&cfg, capacity, &jobs, &mut state).unwrap();
         assert_plans_identical(&uncached, &cold)?;
-        let warm = compute_plan_cached(&cfg, capacity, &jobs, &mut cache).unwrap();
+        prop_assert_eq!((state.cache().hits(), state.cache().misses()), (0, n));
+        let warm = compute_plan_incremental(&cfg, capacity, &jobs, &mut state).unwrap();
         assert_plans_identical(&uncached, &warm)?;
+        prop_assert_eq!((state.cache().hits(), state.cache().misses()), (n, n));
 
         // One scheduling event: mutate a single job, replan through the
         // warm cache, and compare against a from-scratch plan.
         let k = raw.len() / 2;
         jobs[k].samples.to_mut().push(mutate_sample);
         let after_uncached = compute_plan(&cfg, capacity, &jobs).unwrap();
-        let after_cached = compute_plan_cached(&cfg, capacity, &jobs, &mut cache).unwrap();
+        let after_cached = compute_plan_incremental(&cfg, capacity, &jobs, &mut state).unwrap();
         assert_plans_identical(&after_uncached, &after_cached)?;
+        prop_assert_eq!(state.cache().misses(), n + 1, "only the mutated job is re-solved");
+        prop_assert_eq!(state.cache().len(), jobs.len());
     }
 
     /// The cache keys on the full estimator configuration: switching the
@@ -97,7 +103,7 @@ proptest! {
         capacity in 4u32..64,
     ) {
         let jobs = build_inputs(&raw);
-        let mut cache = PlanCache::new();
+        let mut state = PlanState::new();
         for kind in [
             EstimatorKind::Gaussian,
             EstimatorKind::Mean,
@@ -105,9 +111,10 @@ proptest! {
         ] {
             let cfg = RushConfig { estimator: kind, ..RushConfig::default() };
             let uncached = compute_plan(&cfg, capacity, &jobs).unwrap();
-            let cached = compute_plan_cached(&cfg, capacity, &jobs, &mut cache).unwrap();
+            let cached = compute_plan_incremental(&cfg, capacity, &jobs, &mut state).unwrap();
             assert_plans_identical(&uncached, &cached)?;
         }
+        prop_assert_eq!(state.cache().hits(), 0, "no entry may survive an estimator switch");
     }
 
     /// Differential test: the optimized peel (incremental committed index,

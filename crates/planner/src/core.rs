@@ -547,7 +547,26 @@ impl PlannerCore {
     /// Updates the planning capacity; a change invalidates the plan.
     /// Roster-mode adapters call this with the view's capacity before
     /// planning (the simulator owns the cluster size, not the kernel).
-    pub fn set_capacity(&mut self, capacity: u32) {
+    ///
+    /// Crate-private: outside `rush-planner` capacity changes only through
+    /// [`PlannerCore::apply`] with [`PlannerEvent::CapacityChange`], so
+    /// every change is a typed, validated, replayable event.
+    ///
+    /// ```
+    /// use rush_planner::{PlannerCore, PlannerEvent};
+    /// let mut core = PlannerCore::new(rush_core::RushConfig::default(), 8).unwrap();
+    /// core.apply(PlannerEvent::CapacityChange { capacity: 4 }).unwrap();
+    /// assert_eq!(core.capacity(), 4);
+    /// ```
+    ///
+    /// ```compile_fail
+    /// use rush_planner::PlannerCore;
+    /// let mut core = PlannerCore::new(rush_core::RushConfig::default(), 8).unwrap();
+    /// core.set_capacity(4); // private: E0624
+    /// ```
+    ///
+    /// [`PlannerEvent::CapacityChange`]: crate::PlannerEvent::CapacityChange
+    pub(crate) fn set_capacity(&mut self, capacity: u32) {
         if self.capacity != capacity {
             self.capacity = capacity;
             self.dirty = true;

@@ -98,8 +98,9 @@ impl PlannerCore {
     /// Applies one typed event. Equivalent to calling the corresponding
     /// named method ([`PlannerCore::admit`], [`PlannerCore::ingest_sample`],
     /// [`PlannerCore::record_failure`], [`PlannerCore::cancel`],
-    /// [`PlannerCore::set_parked`], [`PlannerCore::plan_at`],
-    /// [`PlannerCore::set_capacity`]).
+    /// [`PlannerCore::set_parked`], [`PlannerCore::plan_at`]) — except
+    /// [`PlannerEvent::CapacityChange`], whose setter is crate-private:
+    /// the event is the only public way to change capacity.
     ///
     /// # Errors
     ///

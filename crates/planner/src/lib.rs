@@ -50,7 +50,7 @@ pub use crate::core::{
 };
 pub use event::{EventOutcome, PlannerEvent};
 pub use scheduler::RushScheduler;
-pub use sharded::{shard_of_label, ShardedPlanner, DEFAULT_REBALANCE_INTERVAL};
+pub use sharded::{even_split, shard_of_label, ShardedPlanner, DEFAULT_REBALANCE_INTERVAL};
 
 use std::fmt;
 

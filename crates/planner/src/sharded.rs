@@ -57,7 +57,7 @@ pub fn shard_of_label(label: &str, shards: usize) -> usize {
 /// An even split of `total` containers into `shards` slices: the first
 /// `total % shards` slices get one extra container. Requires
 /// `total >= shards` so every slice stays positive.
-fn even_split(total: u32, shards: usize) -> Vec<u32> {
+pub fn even_split(total: u32, shards: usize) -> Vec<u32> {
     let n = shards as u32;
     let base = total / n;
     let extra = total % n;
@@ -221,8 +221,9 @@ impl ShardedPlanner {
     }
 
     /// Read access to one shard kernel, for introspection and tests.
-    /// Mutation goes through the [`ShardedPlanner`] surface only — lint
-    /// RUSH-L008 keeps adapter code off this accessor.
+    /// Mutation goes through the [`ShardedPlanner`] surface only: the
+    /// shared borrow is read-only and ends before the wrapper's next
+    /// `&mut self` call.
     pub fn shard_core(&self, shard: usize) -> &PlannerCore {
         &self.shards[shard]
     }
@@ -405,7 +406,24 @@ impl ShardedPlanner {
     ///
     /// [`PlannerError::Config`] when `capacity < shard_count` — a slice
     /// cannot hold less than one container.
-    pub fn set_capacity(&mut self, capacity: u32) -> Result<(), PlannerError> {
+    ///
+    /// Crate-private: outside `rush-planner` the total changes only through
+    /// [`ShardedPlanner::apply`] / [`ShardedPlanner::apply_batch`] with
+    /// [`PlannerEvent::CapacityChange`].
+    ///
+    /// ```
+    /// use rush_planner::{PlannerEvent, ShardedPlanner};
+    /// let mut p = ShardedPlanner::new(rush_core::RushConfig::default(), 8, 2).unwrap();
+    /// p.apply(PlannerEvent::CapacityChange { capacity: 4 }).unwrap();
+    /// assert_eq!(p.capacity(), 4);
+    /// ```
+    ///
+    /// ```compile_fail
+    /// use rush_planner::ShardedPlanner;
+    /// let mut p = ShardedPlanner::new(rush_core::RushConfig::default(), 8, 2).unwrap();
+    /// let _ = p.set_capacity(4); // private: E0624
+    /// ```
+    pub(crate) fn set_capacity(&mut self, capacity: u32) -> Result<(), PlannerError> {
         if capacity == self.total {
             return Ok(());
         }

@@ -167,19 +167,13 @@ fn run_stream(ops: &[Op], cold_start: ColdStart, retire: bool) {
                 assert_eq!(a.is_ok(), b.is_ok(), "park result diverged {ctx}");
             }
             Op::Capacity { containers } => {
-                // Drive the sharded side through the typed event path and
-                // the bare kernel through the method, so the stream also
-                // proves `PlannerEvent::CapacityChange` is equivalent to a
-                // direct `set_capacity` call.
-                let out = sharded
-                    .apply(PlannerEvent::CapacityChange { capacity: *containers })
-                    .expect("1-shard capacity event");
-                assert_eq!(
-                    out,
-                    EventOutcome::CapacityChanged { capacity: *containers },
-                    "capacity outcome diverged {ctx}"
-                );
-                core.set_capacity(*containers);
+                // The typed event is the only capacity route open to code
+                // outside `rush-planner`; both sides take it.
+                let event = PlannerEvent::CapacityChange { capacity: *containers };
+                let a = sharded.apply(event.clone()).expect("1-shard capacity event");
+                let b = core.apply(event).expect("kernel capacity event");
+                assert_eq!(a, b, "capacity outcome diverged {ctx}");
+                assert_eq!(a, EventOutcome::CapacityChanged { capacity: *containers }, "{ctx}");
             }
             Op::Tick { advance } => {
                 now += advance;
@@ -282,8 +276,8 @@ proptest! {
                 Op::Capacity { containers } => {
                     // Clamp so every shard keeps a container.
                     let c = (*containers).max(shards as u32);
-                    a.set_capacity(c).expect("capacity");
-                    b.set_capacity(c).expect("capacity");
+                    a.apply(PlannerEvent::CapacityChange { capacity: c }).expect("capacity");
+                    b.apply(PlannerEvent::CapacityChange { capacity: c }).expect("capacity");
                 }
                 Op::Tick { advance } => {
                     now += advance;

@@ -346,15 +346,6 @@ fn shard_snapshot_path(base: Option<&PathBuf>, shard: usize, shards: usize) -> O
     })
 }
 
-/// An even split of `total` into `shards` slices (first slices take the
-/// remainder), mirroring the planner's slice initialization.
-fn split_capacity(total: u32, shards: usize) -> Vec<u32> {
-    let n = shards as u32;
-    let base = total / n;
-    let extra = total % n;
-    (0..n).map(|i| base + u32::from(i < extra)).collect()
-}
-
 /// Starts the daemon: binds `config.addr`, restores the snapshot(s) if
 /// present, and spawns one planner thread per shard plus the configured
 /// frontend (a thread acceptor or N epoll reactors).
@@ -400,7 +391,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         // is legitimate — a daemon restarted mid-outage.
     }
 
-    let slices = split_capacity(config.capacity, config.shards);
+    let slices = rush_planner::even_split(config.capacity, config.shards);
     let mut shard_states = Vec::with_capacity(config.shards);
     for (i, &slice) in slices.iter().enumerate() {
         let path = shard_snapshot_path(config.snapshot_path.as_ref(), i, config.shards);
@@ -608,12 +599,11 @@ fn answer_immediate(
                     ),
                 });
             }
-            // `split_capacity` returns exactly `shards` slices; a missing
+            // `even_split` returns exactly `shards` slices; a missing
             // one would be an internal routing bug, not a client error.
-            let Some(&slice) = split_capacity(capacity, shards).get(shard) else {
+            let Some(&slice) = rush_planner::even_split(capacity, shards).get(shard) else {
                 return Response::error(ErrorCode::Internal, "shard index out of range");
             };
-            // rush-lint: allow(RUSH-L014): sanctioned wire adapter — ServeState lowers onto PlannerEvent::CapacityChange
             match state.set_capacity(slice) {
                 // Each shard reports its slice; the broadcast merge sums
                 // them back to the cluster-wide total.

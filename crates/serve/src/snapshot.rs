@@ -20,7 +20,9 @@ use crate::wire::{self, DocFormat, Wire};
 use crate::ServeError;
 use rush_core::cluster::{ClusterModel, ContainerClass, ReliabilityTier};
 use rush_core::RushConfig;
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Format version of the snapshot document.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -188,15 +190,37 @@ pub fn decode(text: &str, config: RushConfig, capacity: u32) -> Result<(ServeSta
     Ok((state, doc.now_slot))
 }
 
-/// Writes a snapshot atomically (temp file + rename).
+/// The file a snapshot bound for `path` is staged in: `.tmp` appended to
+/// the whole file name, so distinct snapshot paths stage in distinct files.
+/// (`Path::with_extension` *replaces* the last extension and would stage
+/// `snap.json.shard0` and `snap.json.shard1` in the same `snap.json.tmp`,
+/// which concurrently snapshotting shards then race on.)
+fn temp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
+/// Writes a snapshot atomically and durably: the document is staged in a
+/// temp file next to `path`, synced to disk, and renamed into place, so a
+/// crash leaves either the previous snapshot or the complete new one.
 ///
 /// # Errors
 ///
 /// [`ServeError::Io`] on filesystem failure.
 pub fn write(path: &Path, state: &ServeState, now_slot: u64) -> Result<(), ServeError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, encode(state, now_slot) + "\n")?;
+    let tmp = temp_path(path);
+    let mut file = File::create(&tmp)?;
+    file.write_all((encode(state, now_slot) + "\n").as_bytes())?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    // The rename itself is durable only once the directory entry is.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -274,6 +298,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(restored_slot, slot);
         assert_eq!(restored.next_id(), state.next_id());
+    }
+
+    #[test]
+    fn distinct_snapshot_paths_stage_in_distinct_temp_files() {
+        // Shards snapshot concurrently: two targets must never share a
+        // staging file, whatever their extensions look like.
+        let paths = ["snap.json", "snap.json.shard0", "snap.json.shard1", "snap"];
+        let temps: Vec<PathBuf> = paths.iter().map(|p| temp_path(Path::new(p))).collect();
+        for (i, a) in temps.iter().enumerate() {
+            assert!(!paths.iter().any(|p| Path::new(p) == a), "{a:?} shadows a snapshot path");
+            for b in &temps[i + 1..] {
+                assert_ne!(a, b, "two snapshot paths share a temp file");
+            }
+        }
+        assert_eq!(temps[1], Path::new("snap.json.shard0.tmp"));
     }
 
     #[test]

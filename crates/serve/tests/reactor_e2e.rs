@@ -271,3 +271,55 @@ fn frontends_and_codecs_produce_identical_planner_state() {
     assert_eq!(reference, reactor_json, "reactor×JSON diverged from threads×JSON");
     assert_eq!(reference, reactor_bin, "reactor×binary diverged from threads×JSON");
 }
+
+/// Satellite regression: `shutdown {snapshot:true}` reaches every planner
+/// thread at once, so the shards write their `.shard<i>` files
+/// concurrently. Each write must stage in a file of its own — with a
+/// shared temp file one shard renames another's bytes into place (or
+/// finds its temp file already renamed away and fails).
+#[test]
+fn concurrent_shard_snapshots_each_restore_their_own_jobs() {
+    const SHARDS: usize = 4;
+    let snap: PathBuf =
+        std::env::temp_dir().join(format!("rushd-shard-snap-{}.json", std::process::id()));
+    let shard_path = |i: usize| PathBuf::from(format!("{}.shard{i}", snap.display()));
+    for i in 0..SHARDS {
+        std::fs::remove_file(shard_path(i)).ok();
+    }
+    let cfg = ServeConfig {
+        shards: SHARDS,
+        reactors: 2,
+        snapshot_path: Some(snap.clone()),
+        ..reactor_config()
+    };
+    let (capacity, rush) = (cfg.capacity, cfg.rush);
+    let handle = serve(cfg).expect("serve");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+
+    // Same-label jobs share a shard: keep submitting fresh labels until
+    // every shard owns at least two jobs.
+    let mut owned: Vec<Vec<String>> = vec![Vec::new(); SHARDS];
+    let mut next = 0;
+    while owned.iter().any(|labels| labels.len() < 2) {
+        let label = format!("tpl-{next}");
+        next += 1;
+        let (decision, _, _, _) = client.submit(submission(&label, 2)).expect("submit");
+        assert_eq!(decision, Decision::Admit);
+        owned[rush_planner::shard_of_label(&label, SHARDS)].push(label);
+    }
+
+    assert!(client.shutdown(true).expect("shutdown"), "snapshot_written must be true");
+    handle.join().expect("join");
+
+    let slices = rush_planner::even_split(capacity, SHARDS);
+    for (i, want) in owned.iter_mut().enumerate() {
+        let path = shard_path(i);
+        let (state, _) = rush_serve::snapshot::read(&path, rush, slices[i])
+            .unwrap_or_else(|e| panic!("shard {i} snapshot: {e}"));
+        std::fs::remove_file(&path).ok();
+        let mut have: Vec<String> = state.jobs().map(|(_, j)| j.submission.label).collect();
+        have.sort();
+        want.sort();
+        assert_eq!(&have, want, "shard {i} restored another shard's jobs");
+    }
+}

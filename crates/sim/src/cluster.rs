@@ -332,10 +332,20 @@ impl FreePool {
     /// (and has been removed from the pool); `false` if it was busy — the
     /// caller owns killing whatever runs on it.
     ///
+    /// Crate-private, like [`restore`](Self::restore): only the engine's
+    /// capacity-event queue takes containers out of service, so a revocation
+    /// is always a scheduled, replayable [`CapacityEvent`].
+    ///
+    /// ```compile_fail
+    /// use rush_sim::cluster::{ClusterSpec, FreePool};
+    /// let mut pool = FreePool::new(&ClusterSpec::homogeneous(1, 4).unwrap());
+    /// pool.revoke(3); // private: E0624
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `c` is out of range or already revoked.
-    pub fn revoke(&mut self, c: u32) -> bool {
+    pub(crate) fn revoke(&mut self, c: u32) -> bool {
         assert!(c < self.capacity, "container {c} out of range (capacity {})", self.capacity);
         assert!(!self.is_revoked(c), "container {c} revoked twice");
         self.revoked[(c / 64) as usize] |= 1 << (c % 64);
@@ -352,7 +362,7 @@ impl FreePool {
     /// # Panics
     ///
     /// Panics if `c` is out of range or not currently revoked.
-    pub fn restore(&mut self, c: u32) {
+    pub(crate) fn restore(&mut self, c: u32) {
         assert!(c < self.capacity, "container {c} out of range (capacity {})", self.capacity);
         assert!(self.is_revoked(c), "restore of in-service container {c}");
         self.revoked[(c / 64) as usize] &= !(1 << (c % 64));

@@ -30,9 +30,6 @@ pub fn grandfathered(x: Option<u8>) -> u8 {
     x.expect("seed-era invariant")
 }
 
-#[cfg(feature = "parallel")]
-pub fn fan_out() {}
-
 #[cfg(test)]
 mod tests {
     #[test]

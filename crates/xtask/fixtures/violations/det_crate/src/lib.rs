@@ -36,12 +36,6 @@ pub fn head(xs: &[u8]) -> u8 {
     xs[0] // RUSH-L003 (literal index, undocumented)
 }
 
-#[cfg(feature = "serde")]
-pub fn gated_ok() {} // declared feature: not a finding
-
-#[cfg(feature = "paralel")] // RUSH-L004 (typo, not declared)
-pub fn gated_typo() {}
-
 #[cfg(test)]
 mod tests {
     // Test code is exempt from L1/L2/L3: none of these may be flagged.

@@ -1,4 +1,4 @@
-//! Lightweight AST for the deep lint rules (RUSH-L009 … RUSH-L014).
+//! Lightweight AST for the deep lint rules (RUSH-L009 … RUSH-L013).
 //!
 //! The tree is deliberately smaller than a compiler AST: types, generics,
 //! visibility and attribute bodies are *skipped* during parsing, because no

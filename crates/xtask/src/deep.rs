@@ -1,6 +1,6 @@
-//! The deep lint pass: RUSH-L009 … RUSH-L014 (no L012) over the workspace model.
+//! The AST pass: RUSH-L009, L010, L011 and L013 over the workspace model.
 //!
-//! Shallow rules look at one token stream at a time; these rules consume
+//! The token rules look at one token stream at a time; these rules consume
 //! the [`crate::model::WorkspaceModel`] — the symbol table, the name-based
 //! call graph and the per-function lock dataflow summaries — so they can
 //! state *cross-function* properties:
@@ -12,12 +12,9 @@
 //! * **RUSH-L011** — a globally consistent lock-acquisition order and no
 //!   lock held across socket I/O or planner fan-out;
 //! * **RUSH-L013** — no blocking primitive reachable from a declared
-//!   reactor event loop, and declared codec files panic-free;
-//! * **RUSH-L014** — cluster capacity mutated only by the crates that
-//!   declare `capacity-authority` (the planner event path, the sim
-//!   engine); everyone else routes through `PlannerEvent::CapacityChange`.
+//!   reactor event loop, and declared codec files panic-free.
 //!
-//! Suppression matches the shallow engine: inline
+//! Suppression matches the token engine: inline
 //! `// rush-lint: allow(CODE)` pragmas (own line + next line) and the
 //! checked-in `xtask-lint.allow` allowlist. L009 additionally honors
 //! RUSH-L003 escapes — both rules police panic hygiene, and a site a
@@ -48,19 +45,13 @@ const BLOCKING_FNS: &[&str] = &[
     "write_fmt", "read_exact", "read_line", "read_to_end", "read_to_string",
 ];
 
-/// Capacity mutators fenced by RUSH-L014: the planner resize entry point
-/// and the simulator free-pool revocation pair. Only crates declaring
-/// `capacity-authority = true` may call them from library code.
-const CAPACITY_MUTATORS: &[&str] = &["set_capacity", "revoke", "restore"];
-
-/// Run the deep rules, appending suppressed-aware findings to `report`.
+/// Run the AST rules, appending suppressed-aware findings to `report`.
 pub fn check(model: &WorkspaceModel, allow: &Allowlist, report: &mut Report) {
     let mut pending: Vec<Finding> = Vec::new();
     check_panic_reachability(model, &mut pending);
     check_arith_hygiene(model, &mut pending);
     check_lock_discipline(model, &mut pending);
     check_reactor_discipline(model, &mut pending);
-    check_capacity_fence(model, &mut pending);
 
     // Suppression: pragmas (own line + previous line) and allowlist.
     // RUSH-L009 shares RUSH-L003's escape hatch (both are panic hygiene).
@@ -70,8 +61,7 @@ pub fn check(model: &WorkspaceModel, allow: &Allowlist, report: &mut Report) {
             Rule::ArithHygiene => &["RUSH-L010"],
             Rule::LockDiscipline => &["RUSH-L011"],
             Rule::ReactorDiscipline => &["RUSH-L013"],
-            Rule::CapacityFence => &["RUSH-L014"],
-            // Shallow rules never reach this pass.
+            // Token rules never reach this pass.
             _ => &[],
         };
         let fm = model.files.iter().find(|f| f.rel_path == finding.file);
@@ -482,33 +472,6 @@ fn check_reactor_discipline(model: &WorkspaceModel, out: &mut Vec<Finding>) {
     }
 }
 
-// ---- RUSH-L014: capacity fence -----------------------------------------
-
-fn check_capacity_fence(model: &WorkspaceModel, out: &mut Vec<Finding>) {
-    for f in &model.fns {
-        let fm = &model.files[f.file];
-        if f.is_test || fm.is_shim || !fm.is_library || fm.capacity_authority {
-            continue;
-        }
-        for call in &f.calls {
-            let callee = match &call.target {
-                CallTarget::Free(n) | CallTarget::Method(n) | CallTarget::Assoc(_, n) => n,
-            };
-            if CAPACITY_MUTATORS.contains(&callee.as_str()) {
-                out.push(Finding {
-                    rule: Rule::CapacityFence,
-                    file: fm.rel_path.clone(),
-                    line: call.line,
-                    message: format!(
-                        "capacity mutator `{callee}` called in `{}` of `{}`, which declares no capacity-authority — route the resize through `PlannerEvent::CapacityChange` (or the sim capacity-event queue)",
-                        f.name, fm.crate_name
-                    ),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,56 +682,6 @@ mod tests {
         assert_eq!(l13.len(), 1, "{:?}", rep.findings);
         assert_eq!(l13[0].line, 1);
         assert!(l13[0].message.contains("panic-free file `src/lib.rs`"));
-        assert_eq!(rep.suppressed, 1);
-    }
-
-    #[test]
-    fn l014_flags_mutation_without_authority() {
-        let rep = run(
-            "pub fn resize(kernel: &mut K, pool: &mut P) {\n\
-                 kernel.set_capacity(8);\n\
-                 pool.revoke(2);\n\
-                 pool.restore(2);\n\
-             }\n\
-             #[cfg(test)]\nmod tests {\n\
-                 fn probe(k: &mut super::K) { k.set_capacity(4); }\n\
-             }\n",
-            "[package]\nname = \"x\"\n",
-        );
-        let l14: Vec<_> = rep
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::CapacityFence)
-            .collect();
-        assert_eq!(l14.len(), 3, "{:?}", rep.findings);
-        assert!(l14[0].message.contains("`set_capacity`"));
-        assert!(l14[0].message.contains("PlannerEvent::CapacityChange"));
-        assert_eq!([l14[0].line, l14[1].line, l14[2].line], [2, 3, 4]);
-    }
-
-    #[test]
-    fn l014_authority_crate_and_pragma_are_exempt() {
-        let authority = "[package]\nname = \"x\"\n\
-            [package.metadata.rush-lint]\ncapacity-authority = true\n";
-        let rep = run("pub fn resize(k: &mut K) { k.set_capacity(8); }\n", authority);
-        assert!(
-            rep.findings.iter().all(|f| f.rule != Rule::CapacityFence),
-            "{:?}",
-            rep.findings
-        );
-
-        let rep = run(
-            "pub fn dispatch(state: &mut S, slice: u32) {\n\
-                 // rush-lint: allow(RUSH-L014): lowers onto the planner event path\n\
-                 state.set_capacity(slice);\n\
-             }\n",
-            "[package]\nname = \"x\"\n",
-        );
-        assert!(
-            rep.findings.iter().all(|f| f.rule != Rule::CapacityFence),
-            "{:?}",
-            rep.findings
-        );
         assert_eq!(rep.suppressed, 1);
     }
 }

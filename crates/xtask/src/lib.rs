@@ -1,17 +1,17 @@
 //! `xtask` — offline workspace automation for RUSH.
 //!
 //! Two subcommands: `lint`, a from-scratch, registry-free static-analysis
-//! pass enforcing the workspace's RUSH-specific rules — eight token-level
-//! rules (determinism, float hygiene, panic hygiene, feature-gate hygiene,
-//! shim drift, planner layering, full-rebuild containment, shard
-//! isolation) plus, under `--deep`, five AST/call-graph rules proved on a
-//! workspace model built by the from-scratch recursive-descent parser
-//! (panic reachability, slot/capacity arithmetic hygiene, lock
-//! discipline, reactor discipline, capacity fence — see
-//! `cargo xtask lint --explain RUSH-L001` … `RUSH-L014`; there is no
-//! L012) — and `bench-gate`, the fig5
-//! steady-state regression gate CI runs against the checked-in benchmark
-//! numbers, plus its `--sharded` scaling-floor mode.
+//! pass enforcing the workspace's RUSH-specific rules — three token-level
+//! rules (determinism, float hygiene, panic hygiene) and four AST/call-graph
+//! rules proved on a workspace model built by the from-scratch
+//! recursive-descent parser (panic reachability, slot/capacity arithmetic
+//! hygiene, lock discipline, reactor discipline — see
+//! `cargo xtask lint --explain RUSH-L001` … `RUSH-L013`). A rule earns its
+//! place only where the compiler cannot hold the fence: what visibility,
+//! borrowck or rustc's own lints already enforce is not re-checked here.
+//! `bench-gate` is the fig5 steady-state regression gate CI runs against
+//! the checked-in benchmark numbers, plus its `--sharded` scaling-floor
+//! mode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,27 +26,19 @@ pub mod parser;
 pub mod report;
 pub mod rules;
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use manifest::Manifest;
 use model::WorkspaceModel;
 use report::Report;
-use rules::{Allowlist, Engine, FileInput, ShimApi, SHIM_NAMES};
+use rules::{Allowlist, Engine, FileInput};
 
 /// Directory names never descended into during the scan.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".cargo", "fixtures", "node_modules"];
 
 /// Name of the checked-in grandfathered-site allowlist at the scan root.
 pub const ALLOWLIST_FILE: &str = "xtask-lint.allow";
-
-/// Options for a lint run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintOptions {
-    /// Also run the deep (AST + call-graph) rules RUSH-L009 … RUSH-L013.
-    pub deep: bool,
-}
 
 /// Recursively collect files under `dir`, skipping [`SKIP_DIRS`].
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -130,13 +122,9 @@ fn load_files(files: &[PathBuf], crates: &[CrateInfo], root: &Path) -> Vec<Loade
     jobs.iter().filter_map(load_one).collect()
 }
 
-/// Run the full lint over the tree rooted at `root` (shallow rules only).
+/// Run the lint — token rules, then the AST rules over the workspace
+/// model — over the tree rooted at `root`.
 pub fn lint(root: &Path) -> std::io::Result<Report> {
-    lint_with(root, LintOptions::default())
-}
-
-/// Run the lint over the tree rooted at `root` with explicit options.
-pub fn lint_with(root: &Path, opts: LintOptions) -> std::io::Result<Report> {
     let started = Instant::now();
     let mut files = Vec::new();
     walk(root, &mut files);
@@ -155,27 +143,11 @@ pub fn lint_with(root: &Path, opts: LintOptions) -> std::io::Result<Report> {
     // Longest-prefix owner wins for nested crates.
     crates.sort_by_key(|c| std::cmp::Reverse(c.dir.components().count()));
 
-    // Lex the shim crates found in-tree to build their API surfaces.
-    let mut shims: Vec<ShimApi> = Vec::new();
-    for c in &crates {
-        if SHIM_NAMES.contains(&c.manifest.name.as_str()) {
-            let mut idents = BTreeSet::new();
-            for f in &files {
-                if f.extension().and_then(|e| e.to_str()) == Some("rs") && f.starts_with(c.dir.join("src")) {
-                    if let Ok(src) = std::fs::read_to_string(f) {
-                        rules::collect_api(&lexer::lex(&src), &mut idents);
-                    }
-                }
-            }
-            shims.push(ShimApi { name: c.manifest.name.clone(), idents });
-        }
-    }
-
     let allow_text = std::fs::read_to_string(root.join(ALLOWLIST_FILE)).unwrap_or_default();
     let allow = Allowlist::parse(&allow_text);
-    let engine = Engine { shims: &shims, allow: &allow };
+    let engine = Engine { allow: &allow };
 
-    let mut report = Report { crates_scanned: crates.len(), deep: opts.deep, ..Report::default() };
+    let mut report = Report { crates_scanned: crates.len(), ..Report::default() };
 
     let loaded = load_files(&files, &crates, root);
     let inputs: Vec<FileInput<'_>> = loaded
@@ -194,10 +166,8 @@ pub fn lint_with(root: &Path, opts: LintOptions) -> std::io::Result<Report> {
         engine.check_file(input, &mut report);
     }
 
-    if opts.deep {
-        let model = WorkspaceModel::build(&inputs);
-        deep::check(&model, &allow, &mut report);
-    }
+    let model = WorkspaceModel::build(&inputs);
+    deep::check(&model, &allow, &mut report);
 
     report.finalize();
     report.wall_ms = started.elapsed().as_millis() as u64;

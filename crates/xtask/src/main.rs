@@ -1,4 +1,4 @@
-//! CLI entry point: `cargo xtask lint [--deep] [--json] [--root PATH]`,
+//! CLI entry point: `cargo xtask lint [--json] [--root PATH]`,
 //! `cargo xtask lint --explain RUSH-LNNN` and
 //! `cargo xtask bench-gate --baseline A.json --candidate B.json`.
 
@@ -11,11 +11,9 @@ const USAGE: &str = "\
 Usage: cargo xtask <command>
 
 Commands:
-  lint [--json] [--root PATH]   run the RUSH static-analysis pass
-  lint --deep                   also run the AST + call-graph rules
-                                (RUSH-L009..L014: panic reachability,
-                                arithmetic hygiene, lock discipline,
-                                reactor discipline, capacity fence)
+  lint [--json] [--root PATH]   run the RUSH static-analysis pass: the
+                                token rules (RUSH-L001..L003) and the AST
+                                + call-graph rules (RUSH-L009..L013)
   lint --explain RUSH-LNNN      print the documentation for one rule
   lint --list                   list rule codes and summaries
   bench-gate --baseline A.json --candidate B.json [--jobs N] [--factor F]
@@ -68,13 +66,11 @@ fn default_root() -> PathBuf {
 
 fn lint_cmd(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut deep = false;
     let mut root = default_root();
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
             "--json" => json = true,
-            "--deep" => deep = true,
             "--list" => {
                 for &r in ALL_RULES {
                     println!("{}  {}", r.code(), r.summary());
@@ -83,7 +79,7 @@ fn lint_cmd(args: &[String]) -> ExitCode {
             }
             "--explain" => {
                 let Some(code) = args.get(i + 1) else {
-                    eprintln!("--explain needs a rule code (RUSH-L001..RUSH-L014)");
+                    eprintln!("--explain needs a rule code (see `lint --list`)");
                     return ExitCode::from(2);
                 };
                 let Some(rule) = Rule::from_code(code) else {
@@ -113,7 +109,7 @@ fn lint_cmd(args: &[String]) -> ExitCode {
         i += 1;
     }
 
-    match xtask::lint_with(&root, xtask::LintOptions { deep }) {
+    match xtask::lint(&root) {
         Ok(report) => {
             if json {
                 print!("{}", report.render_json());

@@ -1,10 +1,8 @@
 //! Minimal `Cargo.toml` reader — just enough TOML for the lint rules.
 //!
-//! We only need: the package name, the declared `[features]` keys (plus
-//! implicit features from optional dependencies), and the boolean flags
-//! under `[package.metadata.rush-lint]` that opt a crate into rule scopes.
+//! We only need: the package name and the flags and lists under
+//! `[package.metadata.rush-lint]` that opt a crate into rule scopes.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Parsed subset of a crate manifest.
@@ -12,8 +10,6 @@ use std::path::Path;
 pub struct Manifest {
     /// `package.name`, empty for a virtual (workspace-only) manifest.
     pub name: String,
-    /// Keys of `[features]` plus implicit `optional = true` dependency features.
-    pub features: BTreeSet<String>,
     /// `package.metadata.rush-lint.deterministic` — L1 applies.
     pub deterministic: bool,
     /// `package.metadata.rush-lint.library-hygiene` — L3 applies.
@@ -31,10 +27,6 @@ pub struct Manifest {
     /// `package.metadata.rush-lint.panic-free` — crate-relative source
     /// paths whose non-test functions RUSH-L013 requires to be panic-free.
     pub panic_free: Vec<String>,
-    /// `package.metadata.rush-lint.capacity-authority` — this crate owns a
-    /// capacity seam (planner event path or sim engine), so RUSH-L014 does
-    /// not fence its calls to the capacity mutators.
-    pub capacity_authority: bool,
 }
 
 fn unquote(v: &str) -> String {
@@ -81,9 +73,6 @@ pub fn parse_str(text: &str) -> Manifest {
             "package" if key == "name" => {
                 m.name = unquote(value);
             }
-            "features" => {
-                m.features.insert(key.to_string());
-            }
             "package.metadata.rush-lint" => {
                 let on = value == "true";
                 match key {
@@ -93,28 +82,10 @@ pub fn parse_str(text: &str) -> Manifest {
                     "entry-points" => m.entry_points = parse_list(value),
                     "reactor-loops" => m.reactor_loops = parse_list(value),
                     "panic-free" => m.panic_free = parse_list(value),
-                    "capacity-authority" => m.capacity_authority = on,
                     _ => {}
                 }
             }
-            // Implicit feature from an optional dependency (inline table).
-            s if (s == "dependencies"
-                || s == "dev-dependencies"
-                || s == "build-dependencies"
-                || s.starts_with("dependencies.")
-                || s.starts_with("target."))
-                && value.contains("optional")
-                && value.contains("true") =>
-            {
-                m.features.insert(key.to_string());
-            }
             _ => {}
-        }
-        // `optional = true` inside a `[dependencies.foo]` table.
-        if key == "optional" && value == "true" {
-            if let Some(dep) = section.strip_prefix("dependencies.") {
-                m.features.insert(dep.to_string());
-            }
         }
     }
     m
@@ -125,7 +96,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_name_features_and_metadata() {
+    fn parses_name_and_metadata() {
         let m = parse_str(
             r#"
 [package]
@@ -147,20 +118,15 @@ arith-hygiene = true
 entry-points = ["connection_loop", "planner_loop"]
 reactor-loops = ["Reactor::run", "Engine::drive"]
 panic-free = ["src/binary.rs"]
-capacity-authority = true
 "#,
         );
         assert_eq!(m.name, "rush-core");
-        assert!(m.features.contains("serde"));
-        assert!(m.features.contains("parallel"));
-        assert!(m.features.contains("maybe"));
         assert!(m.deterministic);
         assert!(m.library_hygiene);
         assert!(m.arith_hygiene);
         assert_eq!(m.entry_points, ["connection_loop", "planner_loop"]);
         assert_eq!(m.reactor_loops, ["Reactor::run", "Engine::drive"]);
         assert_eq!(m.panic_free, ["src/binary.rs"]);
-        assert!(m.capacity_authority);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`WorkspaceModel::build`] parses every scanned file with
 //! [`crate::parser`], walks the trees once, and distills exactly the facts
-//! the deep rules (RUSH-L009 … RUSH-L014) consume:
+//! the deep rules (RUSH-L009 … RUSH-L013) consume:
 //!
 //! * a **symbol table** of every function (free, associated, method) with
 //!   its defining file, impl type, and test-gating;
@@ -125,8 +125,6 @@ pub struct FileModel {
     pub rel_path: String,
     /// Path relative to the owning crate.
     pub crate_rel: String,
-    /// Owning crate name.
-    pub crate_name: String,
     /// The crate's L009 entry-point function names.
     pub entry_points: Vec<String>,
     /// The crate opts into L010.
@@ -135,8 +133,6 @@ pub struct FileModel {
     pub reactor_loops: Vec<String>,
     /// The crate's L013 panic-free files (crate-relative).
     pub panic_free: Vec<String>,
-    /// The crate owns a capacity seam (L014 exempts its mutator calls).
-    pub capacity_authority: bool,
     /// Library code (in `src/`, not a bin target).
     pub is_library: bool,
     /// Belongs to a vendored shim crate.
@@ -179,12 +175,10 @@ impl WorkspaceModel {
         let fm = FileModel {
             rel_path: input.rel_path.clone(),
             crate_rel: input.crate_rel.clone(),
-            crate_name: input.manifest.name.clone(),
             entry_points: input.manifest.entry_points.clone(),
             arith_hygiene: input.manifest.arith_hygiene,
             reactor_loops: input.manifest.reactor_loops.clone(),
             panic_free: input.manifest.panic_free.clone(),
-            capacity_authority: input.manifest.capacity_authority,
             is_library: input.is_library(),
             is_shim: SHIM_NAMES.contains(&input.manifest.name.as_str()),
             lines: input.src.lines().map(str::to_string).collect(),

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Stable rule codes. The numeric part never changes once shipped.
+/// Stable rule codes. The numeric part never changes once shipped, and
+/// the number of a retired rule (L004–L008, L012, L014) is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// RUSH-L001 — determinism: no hash-order iteration in deterministic crates.
@@ -11,35 +12,18 @@ pub enum Rule {
     FloatHygiene,
     /// RUSH-L003 — panic hygiene: no `unwrap`/`expect`/`panic!` in library code.
     PanicHygiene,
-    /// RUSH-L004 — feature-gate hygiene: `cfg(feature = ...)` must be declared.
-    FeatureGate,
-    /// RUSH-L005 — shim drift: only use the API the vendored shims implement.
-    ShimDrift,
-    /// RUSH-L006 — planner layering: `compute_plan_cached`/`PlanCache` are
-    /// kernel-internal; adapters go through `rush_planner::PlannerCore`.
-    PlannerLayering,
-    /// RUSH-L007 — full rebuild: `compute_plan`/`peel`/`map_continuous` are
-    /// oracle/bench entry points; steady-state callers use the delta path.
-    FullRebuild,
-    /// RUSH-L008 — shard isolation: per-shard planner state is reached only
-    /// through the `ShardedPlanner` API, never via raw `shard_core` handles.
-    ShardIsolation,
-    /// RUSH-L009 — panic reachability (deep): no panic path reachable from
+    /// RUSH-L009 — panic reachability: no panic path reachable from
     /// the daemon's declared entry points on the workspace call graph.
     PanicReachability,
-    /// RUSH-L010 — arithmetic hygiene (deep): unchecked `+`/`-`/`*` on
+    /// RUSH-L010 — arithmetic hygiene: unchecked `+`/`-`/`*` on
     /// slot/capacity integers in kernel crates.
     ArithHygiene,
-    /// RUSH-L011 — lock discipline (deep): consistent acquisition order;
+    /// RUSH-L011 — lock discipline: consistent acquisition order;
     /// no lock held across I/O or planner fan-out.
     LockDiscipline,
-    /// RUSH-L013 — reactor discipline (deep): no blocking call reachable
+    /// RUSH-L013 — reactor discipline: no blocking call reachable
     /// from a declared reactor event loop; declared codec files panic-free.
     ReactorDiscipline,
-    /// RUSH-L014 — capacity fence (deep): cluster capacity is mutated only
-    /// by the crates that own it (the planner event path and the sim
-    /// engine); adapters route resizes through `PlannerEvent::CapacityChange`.
-    CapacityFence,
 }
 
 /// All rules, in code order.
@@ -47,26 +31,10 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::Determinism,
     Rule::FloatHygiene,
     Rule::PanicHygiene,
-    Rule::FeatureGate,
-    Rule::ShimDrift,
-    Rule::PlannerLayering,
-    Rule::FullRebuild,
-    Rule::ShardIsolation,
     Rule::PanicReachability,
     Rule::ArithHygiene,
     Rule::LockDiscipline,
     Rule::ReactorDiscipline,
-    Rule::CapacityFence,
-];
-
-/// The rules that only run under `cargo xtask lint --deep` (they need the
-/// AST + call-graph model, not just the token stream).
-pub const DEEP_RULES: &[Rule] = &[
-    Rule::PanicReachability,
-    Rule::ArithHygiene,
-    Rule::LockDiscipline,
-    Rule::ReactorDiscipline,
-    Rule::CapacityFence,
 ];
 
 impl Rule {
@@ -76,16 +44,10 @@ impl Rule {
             Rule::Determinism => "RUSH-L001",
             Rule::FloatHygiene => "RUSH-L002",
             Rule::PanicHygiene => "RUSH-L003",
-            Rule::FeatureGate => "RUSH-L004",
-            Rule::ShimDrift => "RUSH-L005",
-            Rule::PlannerLayering => "RUSH-L006",
-            Rule::FullRebuild => "RUSH-L007",
-            Rule::ShardIsolation => "RUSH-L008",
             Rule::PanicReachability => "RUSH-L009",
             Rule::ArithHygiene => "RUSH-L010",
             Rule::LockDiscipline => "RUSH-L011",
             Rule::ReactorDiscipline => "RUSH-L013",
-            Rule::CapacityFence => "RUSH-L014",
         }
     }
 
@@ -101,16 +63,10 @@ impl Rule {
             Rule::Determinism => "hash-ordered collection in a determinism-critical crate",
             Rule::FloatHygiene => "float comparison hazard",
             Rule::PanicHygiene => "panic path in library code",
-            Rule::FeatureGate => "cfg(feature) names an undeclared feature",
-            Rule::ShimDrift => "API not implemented by the vendored shim",
-            Rule::PlannerLayering => "planner-kernel internals used outside rush-planner",
-            Rule::FullRebuild => "full-rebuild CA entry point used outside rush-core",
-            Rule::ShardIsolation => "per-shard planner state reached outside rush-planner",
             Rule::PanicReachability => "panic path reachable from a daemon entry point",
             Rule::ArithHygiene => "unchecked slot/capacity arithmetic in kernel code",
             Rule::LockDiscipline => "lock-order or held-across-I/O hazard",
             Rule::ReactorDiscipline => "blocking call or panic in reactor/codec hot path",
-            Rule::CapacityFence => "direct capacity mutation outside the planner event path",
         }
     }
 
@@ -161,97 +117,8 @@ impl Rule {
                  Integer-literal indexing is accepted when the line (or the line above)\n\
                  carries a `bound:`-style comment explaining why it cannot be out of range.\n"
             }
-            Rule::FeatureGate => {
-                "RUSH-L004: feature-gate hygiene\n\
-                 \n\
-                 Every `#[cfg(feature = \"name\")]` / `#[cfg_attr(feature = \"name\", ..)]`\n\
-                 and `cfg!(feature = \"name\")` must name a feature declared in that crate's\n\
-                 `Cargo.toml` `[features]` table (or an implicit optional-dependency\n\
-                 feature). A typo here silently compiles the gated code out forever —\n\
-                 rustc only warns under `-W unexpected_cfgs` with extra configuration,\n\
-                 and the offline container has no external linting.\n"
-            }
-            Rule::ShimDrift => {
-                "RUSH-L005: shim drift\n\
-                 \n\
-                 The workspace vendors minimal offline shims for `rand`, `proptest` and\n\
-                 `criterion` (the container cannot reach a registry). The shims implement a\n\
-                 deliberate subset of the upstream API. This rule lexes the shim sources to\n\
-                 collect the names they actually define and flags any `rand::...`,\n\
-                 `proptest::...` or `criterion::...` path whose segments are not in that\n\
-                 set, plus a curated denylist of well-known upstream API the shims omit\n\
-                 (`thread_rng`, `shuffle`, `choose`, `StdRng`, `from_entropy`, ...).\n\
-                 Either extend the shim or stay inside the implemented subset.\n"
-            }
-            Rule::PlannerLayering => {
-                "RUSH-L006: planner layering\n\
-                 \n\
-                 The event-driven planner kernel (`rush-planner`) is the single owner of\n\
-                 the CA pipeline's incremental machinery: the `PlanCache` memo table and\n\
-                 the `compute_plan_cached` entry point it feeds. Adapters (the simulator\n\
-                 scheduler, the `rushd` daemon, the CLI) must drive planning through\n\
-                 `rush_planner::PlannerCore` — never by calling `compute_plan_cached` or\n\
-                 holding a `PlanCache` of their own. A second cache outside the kernel\n\
-                 reintroduces exactly the duplicated freshness/invalidation state the\n\
-                 kernel refactor removed, and its hit/miss counters silently diverge\n\
-                 from the ones `stats` reports.\n\
-                 \n\
-                 The rule flags any reference to `compute_plan_cached` or `PlanCache` in\n\
-                 non-test library code of crates other than `rush-planner` and\n\
-                 `rush-core` (which defines them). Test code, benches and binaries are\n\
-                 exempt, as are the two owning crates. If a new layer legitimately needs\n\
-                 the raw cache, put it behind a kernel API instead, or justify the site:\n\
-                 // rush-lint: allow(RUSH-L006): <why>\n"
-            }
-            Rule::FullRebuild => {
-                "RUSH-L007: full rebuild\n\
-                 \n\
-                 Delta-peeling made the incremental path (`compute_plan_incremental`,\n\
-                 `peel_incremental`, and the run-length `map_profile`) the only\n\
-                 planner-facing entry into the CA pipeline: steady-state replans patch\n\
-                 the previous onion layering instead of recomputing it and map over\n\
-                 occupation runs instead of containers, which is what takes a 1000-job\n\
-                 replan from tens of milliseconds to about one. The batch entry points —\n\
-                 `compute_plan`, the full `onion::peel`, and the segment-emitting\n\
-                 `map_continuous` — exist as the differential oracles the planner path is\n\
-                 proven bit-identical against, and as bench baselines. An adapter that\n\
-                 calls them on the hot path silently forfeits the entire speedup and\n\
-                 bypasses the cache-coherence invariants the kernel maintains.\n\
-                 \n\
-                 The rule flags any reference to `compute_plan`, `peel` or\n\
-                 `map_continuous` in non-test library code of crates other than\n\
-                 `rush-core` (which owns the full pipeline and the naive oracle).\n\
-                 Test code, benches and binaries are exempt — differential suites and\n\
-                 figure reproductions are exactly where the full rebuild belongs. A\n\
-                 cold-start or recovery path that genuinely needs a from-scratch plan\n\
-                 should seed a fresh `PlanState` and go through the kernel, or justify\n\
-                 the site:  // rush-lint: allow(RUSH-L007): <why>\n"
-            }
-            Rule::ShardIsolation => {
-                "RUSH-L008: shard isolation\n\
-                 \n\
-                 `ShardedPlanner` partitions the job registry across per-shard\n\
-                 `PlannerCore` instances and owns every invariant that makes the split\n\
-                 sound: label-hash routing, globally unique job ids, capacity slices\n\
-                 that sum to the configured total, and the periodic headroom-driven\n\
-                 rebalance. `shard_core(i)` exists so tests and diagnostics can inspect\n\
-                 one shard, but an adapter that holds a per-shard handle is coupled to\n\
-                 the current partition: the rebalancer may resize the slice, a cancel\n\
-                 may drop the job it cached, and any state derived from one shard\n\
-                 silently goes stale without the wrapper's freshness tracking.\n\
-                 \n\
-                 The rule flags any reference to `shard_core` in non-test library code\n\
-                 of crates other than `rush-planner` (which defines the sharded\n\
-                 wrapper). Test code, benches and binaries are exempt — the invariant\n\
-                 suites and the fig5 sweep are exactly where per-shard inspection\n\
-                 belongs. Adapters route events and read merged state through the\n\
-                 `ShardedPlanner` API (`admit`, `ingest_sample`, `plan_at`, `planned`,\n\
-                 `jobs`, `slices`, `headrooms`); a genuinely missing view should become\n\
-                 a wrapper method, or justify the site:\n\
-                 // rush-lint: allow(RUSH-L008): <why>\n"
-            }
             Rule::PanicReachability => {
-                "RUSH-L009: panic reachability (deep)\n\
+                "RUSH-L009: panic reachability\n\
                  \n\
                  RUSH's robustness guarantees (Theorems 2/3) only hold if the daemon\n\
                  survives every request: a panic mid-epoch tears down a connection\n\
@@ -275,7 +142,7 @@ impl Rule {
                  // rush-lint: allow(RUSH-L009): <why>\n"
             }
             Rule::ArithHygiene => {
-                "RUSH-L010: slot/capacity arithmetic hygiene (deep)\n\
+                "RUSH-L010: slot/capacity arithmetic hygiene\n\
                  \n\
                  Slot counts and capacity totals are the load-bearing integers of the\n\
                  planner: the sharded capacity slices must sum to `C`, the onion peel\n\
@@ -294,7 +161,7 @@ impl Rule {
                  justification:  // rush-lint: allow(RUSH-L010): <why>\n"
             }
             Rule::LockDiscipline => {
-                "RUSH-L011: lock discipline (deep)\n\
+                "RUSH-L011: lock discipline\n\
                  \n\
                  The sharded daemon runs one planner thread per shard plus a thread\n\
                  per connection; a deadlock freezes every epoch deadline at once, and\n\
@@ -317,7 +184,7 @@ impl Rule {
                  // rush-lint: allow(RUSH-L011): <why>\n"
             }
             Rule::ReactorDiscipline => {
-                "RUSH-L013: reactor discipline (deep)\n\
+                "RUSH-L013: reactor discipline\n\
                  \n\
                  The epoll frontend multiplexes thousands of connections onto a handful\n\
                  of event-loop threads. One blocking call anywhere in a loop's call\n\
@@ -351,37 +218,6 @@ impl Rule {
                  named `m` in the workspace), which is sound for reachability. Where\n\
                  that over-approximation misfires, rename the colliding function or\n\
                  justify the site:  // rush-lint: allow(RUSH-L013): <why>\n"
-            }
-            Rule::CapacityFence => {
-                "RUSH-L014: capacity fence (deep)\n\
-                 \n\
-                 Dynamic cluster capacity (tiered supply, spot revocation, restock)\n\
-                 flows through exactly one seam per layer: the simulator's typed\n\
-                 capacity-event queue mutates the free pool (`FreePool::revoke`/\n\
-                 `restore`), and the planner kernel resizes itself when\n\
-                 `PlannerEvent::CapacityChange` reaches `apply` — which re-splits the\n\
-                 shard slices, re-admits against the shrunk prefix capacity and feeds\n\
-                 the delta-peel divergence machinery. An adapter that calls\n\
-                 `set_capacity` (or the pool mutators) directly skips all of that:\n\
-                 admission keeps trusting a stale capacity, the rebalancer's slice\n\
-                 invariant (slices sum to C) silently breaks, and the replan does a\n\
-                 full rebuild instead of a delta patch.\n\
-                 \n\
-                 Crates that own a capacity seam declare it in their manifest:\n\
-                 [package.metadata.rush-lint]\n\
-                 capacity-authority = true   (rush-planner, rush-sim)\n\
-                 \n\
-                 This rule walks every parsed non-test library function in crates\n\
-                 *without* that declaration and flags any call to `set_capacity`,\n\
-                 `revoke` or `restore`. Resolution is name-based and deliberately\n\
-                 over-approximate, like RUSH-L009/L013: a `.set_capacity(..)` call on\n\
-                 a wire client is still reported, because at the lint's resolution it\n\
-                 is indistinguishable from a kernel mutation. Sanctioned adapters —\n\
-                 e.g. the serve dispatcher lowering a `set-capacity` request onto\n\
-                 `ServeState::set_capacity`, which itself applies\n\
-                 `PlannerEvent::CapacityChange` — justify the site with a pragma:\n\
-                 // rush-lint: allow(RUSH-L014): <why>\n\
-                 Tests, benches and binaries are exempt; so are the vendored shims.\n"
             }
         }
     }
@@ -417,8 +253,6 @@ pub struct Report {
     pub crates_scanned: usize,
     /// Findings suppressed by pragma or allowlist (for the summary line).
     pub suppressed: usize,
-    /// The deep (AST + call-graph) pass ran.
-    pub deep: bool,
     /// Wall-clock time of the whole lint run, in milliseconds.
     pub wall_ms: u64,
 }
@@ -448,8 +282,7 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "lint{}: {} finding(s) in {} file(s) across {} crate(s) ({} suppressed, {} ms)\n",
-            if self.deep { " --deep" } else { "" },
+            "lint: {} finding(s) in {} file(s) across {} crate(s) ({} suppressed, {} ms)\n",
             self.findings.len(),
             self.files_scanned,
             self.crates_scanned,
@@ -489,11 +322,10 @@ impl Report {
         );
         out.push_str("},\n");
         out.push_str(&format!(
-            "  \"files_scanned\": {},\n  \"crates_scanned\": {},\n  \"suppressed\": {},\n  \"deep\": {},\n  \"wall_ms\": {},\n  \"total\": {}\n}}\n",
+            "  \"files_scanned\": {},\n  \"crates_scanned\": {},\n  \"suppressed\": {},\n  \"wall_ms\": {},\n  \"total\": {}\n}}\n",
             self.files_scanned,
             self.crates_scanned,
             self.suppressed,
-            self.deep,
             self.wall_ms,
             self.findings.len()
         ));

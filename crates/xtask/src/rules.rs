@@ -1,6 +1,6 @@
-//! The eight RUSH lint rules (RUSH-L001 … RUSH-L008), plus the supporting
-//! machinery: `#[cfg(test)]` region detection, pragma comments, the
-//! grandfathered-site allowlist and shim API surface extraction.
+//! The three token-level rules (RUSH-L001 … RUSH-L003), plus the
+//! supporting machinery: `#[cfg(test)]` region detection, pragma comments
+//! and the grandfathered-site allowlist.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -8,51 +8,9 @@ use crate::lexer::{Lexed, TokKind, Token};
 use crate::manifest::Manifest;
 use crate::report::{Finding, Report, Rule};
 
-/// Names of the vendored shim crates checked by RUSH-L005.
+/// Names of the vendored shim crates: exempt from float hygiene and never
+/// part of the live call graph.
 pub const SHIM_NAMES: &[&str] = &["rand", "proptest", "criterion"];
-
-/// Identifiers RUSH-L006 reserves to the planner kernel.
-const PLANNER_INTERNAL_IDENTS: &[&str] = &["compute_plan_cached", "PlanCache"];
-
-/// Crates allowed to reference [`PLANNER_INTERNAL_IDENTS`]: the kernel
-/// itself and the crate that defines the CA pipeline.
-const PLANNER_OWNER_CRATES: &[&str] = &["rush-planner", "rush-core"];
-
-/// Identifiers RUSH-L007 reserves to the full-rebuild path: the batch CA
-/// entry points that recompute the plan from scratch. The delta path
-/// (`compute_plan_incremental` / `peel_incremental`, and the run-length
-/// `map_profile` both pipelines share — distinct identifiers, never
-/// flagged) is the only planner-facing entry.
-const FULL_REBUILD_IDENTS: &[&str] = &["compute_plan", "peel", "map_continuous"];
-
-/// Crates allowed to reference [`FULL_REBUILD_IDENTS`]: rush-core owns the
-/// full pipeline and the naive oracle the delta path is verified against.
-const FULL_REBUILD_OWNER_CRATES: &[&str] = &["rush-core"];
-
-/// Identifiers RUSH-L008 reserves to the sharded wrapper: the per-shard
-/// escape hatch. Adapters read merged state and route events through the
-/// `ShardedPlanner` API instead of holding raw shard handles.
-const SHARD_INTERNAL_IDENTS: &[&str] = &["shard_core"];
-
-/// Crates allowed to reference [`SHARD_INTERNAL_IDENTS`]: the crate that
-/// defines `ShardedPlanner` and its invariants.
-const SHARD_OWNER_CRATES: &[&str] = &["rush-planner"];
-
-/// Upstream API the shims deliberately do NOT implement. These fire even when
-/// the shim crate itself is outside the scanned tree (pure-name matching,
-/// gated on the file actually referencing the shim crate).
-const SHIM_DENYLIST: &[(&str, &[&str])] = &[
-    (
-        "rand",
-        &[
-            "thread_rng", "StdRng", "OsRng", "ThreadRng", "from_entropy", "from_rng",
-            "gen_ratio", "shuffle", "choose", "choose_multiple", "choose_weighted",
-            "sample_iter", "SliceRandom", "IteratorRandom", "try_fill",
-        ],
-    ),
-    ("proptest", &["prop_compose", "prop_assert_ne", "prop_recursive", "TestRunner"]),
-    ("criterion", &["Throughput", "PlotConfiguration", "SamplingMode", "async_executor"]),
-];
 
 /// Identifier keywords that rule out "expression followed by `[`" indexing.
 const EXPR_BREAK_KEYWORDS: &[&str] = &[
@@ -107,61 +65,6 @@ impl Allowlist {
         self.entries.iter().any(|e| {
             e.code == code && file.ends_with(&e.path_suffix) && line_text.contains(&e.line_substr)
         })
-    }
-}
-
-/// Implemented API surface of one vendored shim crate, lexed from its source.
-#[derive(Debug)]
-pub struct ShimApi {
-    /// Crate name (`rand`, ...).
-    pub name: String,
-    /// Every identifier the shim defines (items, trait methods, macros,
-    /// re-exports). A superset is fine: false negatives only.
-    pub idents: BTreeSet<String>,
-}
-
-/// Collect the defined-name surface of a shim from its lexed sources.
-/// Picks up `fn`/`struct`/`enum`/`trait`/`mod`/`type`/`const`/`static` names,
-/// `macro_rules!` names and every identifier inside `pub use` trees.
-pub fn collect_api(lexed: &Lexed, out: &mut BTreeSet<String>) {
-    let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "fn" | "struct" | "enum" | "trait" | "mod" | "type" | "const" | "static" => {
-                    if let Some(next) = toks.get(i + 1) {
-                        if next.kind == TokKind::Ident {
-                            out.insert(next.text.clone());
-                        }
-                    }
-                }
-                "macro_rules" => {
-                    // macro_rules ! name
-                    if let (Some(bang), Some(name)) = (toks.get(i + 1), toks.get(i + 2)) {
-                        if bang.is_punct("!") && name.kind == TokKind::Ident {
-                            out.insert(name.text.clone());
-                        }
-                    }
-                }
-                "use" => {
-                    // Only harvest re-exports (`pub use ...`): everything in the
-                    // tree becomes part of the public path surface.
-                    let public = i > 0 && toks[i - 1].is_ident("pub");
-                    let mut j = i + 1;
-                    while j < toks.len() && !toks[j].is_punct(";") {
-                        if public && toks[j].kind == TokKind::Ident {
-                            out.insert(toks[j].text.clone());
-                        }
-                        j += 1;
-                    }
-                    i = j;
-                }
-                _ => {}
-            }
-        }
-        i += 1;
     }
 }
 
@@ -279,10 +182,8 @@ impl FileInput<'_> {
     }
 }
 
-/// The rule engine. Holds cross-file state (shim API sets, allowlist).
+/// The rule engine. Holds cross-file state (the allowlist).
 pub struct Engine<'a> {
-    /// API surfaces of shims found in the scanned tree.
-    pub shims: &'a [ShimApi],
     /// Grandfathered-site allowlist.
     pub allow: &'a Allowlist,
 }
@@ -435,165 +336,6 @@ impl Engine<'_> {
             }
         }
 
-        // ---- RUSH-L004: feature-gate hygiene ---------------------------
-        if !f.manifest.name.is_empty() {
-            let mut i = 0usize;
-            while i < toks.len() {
-                let t = &toks[i];
-                if t.kind == TokKind::Ident && (t.text == "cfg" || t.text == "cfg_attr") {
-                    // cfg( ... )  or  cfg!( ... )
-                    let mut open = i + 1;
-                    if toks.get(open).map(|n| n.is_punct("!")) == Some(true) {
-                        open += 1;
-                    }
-                    if toks.get(open).map(|n| n.is_punct("(")) == Some(true) {
-                        if let Some(close) = match_delim(toks, open, "(", ")") {
-                            let mut j = open + 1;
-                            while j + 2 < close + 1 && j + 2 <= close {
-                                if toks[j].is_ident("feature")
-                                    && toks[j + 1].is_punct("=")
-                                    && toks[j + 2].kind == TokKind::Str
-                                {
-                                    let raw = toks[j + 2].text.trim_matches('"');
-                                    if !f.manifest.features.contains(raw) {
-                                        emit(
-                                            Rule::FeatureGate,
-                                            toks[j + 2].line,
-                                            format!(
-                                                "feature `{}` is not declared in [features] of crate `{}`",
-                                                raw, f.manifest.name
-                                            ),
-                                        );
-                                    }
-                                }
-                                j += 1;
-                            }
-                            i = close + 1;
-                            continue;
-                        }
-                    }
-                }
-                i += 1;
-            }
-        }
-
-        // ---- RUSH-L005: shim drift -------------------------------------
-        if !is_shim_crate {
-            let mentions: BTreeSet<&str> = SHIM_NAMES
-                .iter()
-                .copied()
-                .filter(|name| toks.iter().any(|t| t.is_ident(name)))
-                .collect();
-            // Path checks against the lexed shim API (when the shim is in-tree).
-            for api in self.shims {
-                if !mentions.contains(api.name.as_str()) {
-                    continue;
-                }
-                let mut i = 0usize;
-                while i < toks.len() {
-                    let root_here = toks[i].is_ident(&api.name)
-                        && (i == 0 || !(toks[i - 1].is_punct("::") || toks[i - 1].is_punct(".")))
-                        && toks.get(i + 1).map(|n| n.is_punct("::")) == Some(true);
-                    if root_here {
-                        let (idents, consumed) = walk_path_tree(toks, i + 2);
-                        for (ident, line) in idents {
-                            if !api.idents.contains(&ident) {
-                                emit(
-                                    Rule::ShimDrift,
-                                    line,
-                                    format!(
-                                        "`{}::...::{}` is not implemented by the vendored `{}` shim",
-                                        api.name, ident, api.name
-                                    ),
-                                );
-                            }
-                        }
-                        i = consumed;
-                        continue;
-                    }
-                    i += 1;
-                }
-            }
-            // Curated denylist of well-known upstream API the shims omit.
-            for (shim, denied) in SHIM_DENYLIST {
-                if !mentions.contains(shim) {
-                    continue;
-                }
-                for (i, t) in toks.iter().enumerate() {
-                    if t.kind != TokKind::Ident || !denied.contains(&t.text.as_str()) {
-                        continue;
-                    }
-                    let type_like = t.text.chars().next().map(|c| c.is_uppercase()) == Some(true);
-                    let method_or_call = (i > 0 && toks[i - 1].is_punct("."))
-                        || toks.get(i + 1).map(|n| n.is_punct("(")) == Some(true);
-                    if type_like || method_or_call {
-                        emit(
-                            Rule::ShimDrift,
-                            t.line,
-                            format!("`{}` is upstream `{}` API the vendored shim does not implement", t.text, shim),
-                        );
-                    }
-                }
-            }
-        }
-
-        // ---- RUSH-L006: planner layering -------------------------------
-        if !PLANNER_OWNER_CRATES.contains(&f.manifest.name.as_str()) && f.is_library() {
-            for (i, t) in toks.iter().enumerate() {
-                if in_test(i) || t.kind != TokKind::Ident {
-                    continue;
-                }
-                if PLANNER_INTERNAL_IDENTS.contains(&t.text.as_str()) {
-                    emit(
-                        Rule::PlannerLayering,
-                        t.line,
-                        format!(
-                            "`{}` is planner-kernel internal API; drive planning through `rush_planner::PlannerCore`",
-                            t.text
-                        ),
-                    );
-                }
-            }
-        }
-
-        // ---- RUSH-L007: full-rebuild entry points ----------------------
-        if !FULL_REBUILD_OWNER_CRATES.contains(&f.manifest.name.as_str()) && f.is_library() {
-            for (i, t) in toks.iter().enumerate() {
-                if in_test(i) || t.kind != TokKind::Ident {
-                    continue;
-                }
-                if FULL_REBUILD_IDENTS.contains(&t.text.as_str()) {
-                    emit(
-                        Rule::FullRebuild,
-                        t.line,
-                        format!(
-                            "`{}` rebuilds the plan from scratch; steady-state callers take the delta path (`compute_plan_incremental` via `rush_planner::PlannerCore`)",
-                            t.text
-                        ),
-                    );
-                }
-            }
-        }
-
-        // ---- RUSH-L008: shard isolation --------------------------------
-        if !SHARD_OWNER_CRATES.contains(&f.manifest.name.as_str()) && f.is_library() {
-            for (i, t) in toks.iter().enumerate() {
-                if in_test(i) || t.kind != TokKind::Ident {
-                    continue;
-                }
-                if SHARD_INTERNAL_IDENTS.contains(&t.text.as_str()) {
-                    emit(
-                        Rule::ShardIsolation,
-                        t.line,
-                        format!(
-                            "`{}` hands out a raw per-shard planner; read merged state and route events through the `ShardedPlanner` API",
-                            t.text
-                        ),
-                    );
-                }
-            }
-        }
-
         // ---- suppression: pragmas and allowlist ------------------------
         for finding in pending {
             let code = finding.rule.code();
@@ -611,56 +353,6 @@ impl Engine<'_> {
             }
         }
     }
-}
-
-/// Walk a `::`-path (optionally with a use-tree `{a, b::c}`) starting at
-/// `start` (the token after the leading `name::`). Returns the identifiers to
-/// validate (with their lines) and the index to resume scanning from.
-fn walk_path_tree(toks: &[Token], start: usize) -> (Vec<(String, u32)>, usize) {
-    let mut idents = Vec::new();
-    let mut i = start;
-    let mut depth = 0usize;
-    let mut after_as = false;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "as" => after_as = true,
-                "self" | "super" | "crate" | "_" => after_as = false,
-                _ => {
-                    if !after_as {
-                        idents.push((t.text.clone(), t.line));
-                    }
-                    after_as = false;
-                }
-            }
-            i += 1;
-            continue;
-        }
-        if t.is_punct("::") || t.is_punct(",") || t.is_punct("*") {
-            i += 1;
-            continue;
-        }
-        if t.is_punct("{") {
-            // Only a use-tree group directly after `::` belongs to the path.
-            if i > start && toks[i - 1].is_punct("::") {
-                depth += 1;
-                i += 1;
-                continue;
-            }
-            break;
-        }
-        if t.is_punct("}") {
-            if depth == 0 {
-                break;
-            }
-            depth -= 1;
-            i += 1;
-            continue;
-        }
-        break;
-    }
-    (idents, i)
 }
 
 /// Map of line → rule codes allowed by `// rush-lint: allow(CODE, ...)`
@@ -708,7 +400,7 @@ mod tests {
     fn run(src: &str, manifest: &Manifest, crate_rel: &str) -> Report {
         let lexed = lex(src);
         let allow = Allowlist::default();
-        let engine = Engine { shims: &[], allow: &allow };
+        let engine = Engine { allow: &allow };
         let mut report = Report::default();
         engine.check_file(
             &FileInput {
@@ -782,135 +474,6 @@ mod tests {
         // Array literals are not indexing.
         let arr = run("fn f() -> [u8; 1] { [0] }\n", &m, "src/lib.rs");
         assert!(arr.findings.iter().all(|f| f.rule != Rule::PanicHygiene));
-    }
-
-    #[test]
-    fn undeclared_feature_flagged() {
-        let m = det_manifest();
-        let src = "#[cfg(feature = \"serde\")]\nfn a() {}\n#[cfg(feature = \"paralel\")]\nfn b() {}\n";
-        let r = run(src, &m, "src/lib.rs");
-        let fg: Vec<_> = r.findings.iter().filter(|f| f.rule == Rule::FeatureGate).collect();
-        assert_eq!(fg.len(), 1);
-        assert!(fg[0].message.contains("paralel"));
-    }
-
-    #[test]
-    fn shim_path_and_denylist() {
-        let m = det_manifest();
-        let mut idents = BTreeSet::new();
-        collect_api(&lex("pub mod rngs { pub struct SmallRng; }\npub trait Rng { fn gen_range(&mut self); }"), &mut idents);
-        let shims = [ShimApi { name: "rand".into(), idents }];
-        let allow = Allowlist::default();
-        let engine = Engine { shims: &shims, allow: &allow };
-        let src = "use rand::rngs::SmallRng;\nuse rand::rngs::StdRng;\nfn f(v: &mut Vec<u8>, rng: &mut SmallRng) { v.shuffle(rng); }\n";
-        let lexed = lex(src);
-        let mut report = Report::default();
-        engine.check_file(
-            &FileInput {
-                rel_path: "crates/x/src/lib.rs".into(),
-                crate_rel: "src/lib.rs".into(),
-                manifest: &m,
-                src,
-                lexed: &lexed,
-            },
-            &mut report,
-        );
-        report.finalize();
-        let drift: Vec<_> = report.findings.iter().filter(|f| f.rule == Rule::ShimDrift).collect();
-        // StdRng via path check (x2: path walk + type-like denylist) and shuffle via denylist.
-        assert!(drift.iter().any(|f| f.message.contains("StdRng")));
-        assert!(drift.iter().any(|f| f.message.contains("shuffle")));
-        assert!(drift.iter().all(|f| !f.message.contains("SmallRng")));
-    }
-
-    #[test]
-    fn planner_internals_flagged_outside_owner_crates() {
-        let outsider = crate::manifest::parse_str(
-            "[package]\nname = \"rush-serve\"\n\
-             [package.metadata.rush-lint]\ndeterministic = false\nlibrary-hygiene = false\n",
-        );
-        let src = "use rush_core::plan::{compute_plan_cached, PlanCache};\n\
-                   pub struct S { cache: PlanCache }\n\
-                   #[cfg(test)]\nmod tests { use rush_core::plan::PlanCache; }\n";
-        let r = run(src, &outsider, "src/lib.rs");
-        let hits: Vec<_> =
-            r.findings.iter().filter(|f| f.rule == Rule::PlannerLayering).collect();
-        assert_eq!(hits.len(), 3, "two idents on line 1 + field type on line 2: {hits:#?}");
-        assert!(hits.iter().all(|f| f.line <= 2), "test-gated use is exempt");
-        // The owning crates may reference the internals freely.
-        for owner in super::PLANNER_OWNER_CRATES {
-            let m = crate::manifest::parse_str(&format!(
-                "[package]\nname = \"{owner}\"\n\
-                 [package.metadata.rush-lint]\ndeterministic = true\nlibrary-hygiene = true\n"
-            ));
-            let r = run("pub fn f(c: &mut PlanCache) { compute_plan_cached(c); }\n", &m, "src/lib.rs");
-            assert!(r.findings.iter().all(|f| f.rule != Rule::PlannerLayering), "{owner}");
-        }
-        // Bench/bin targets are not library code.
-        let bench = run(src, &outsider, "benches/b.rs");
-        assert!(bench.findings.iter().all(|f| f.rule != Rule::PlannerLayering));
-        let bin = run(src, &outsider, "src/bin/tool.rs");
-        assert!(bin.findings.iter().all(|f| f.rule != Rule::PlannerLayering));
-    }
-
-    #[test]
-    fn full_rebuild_flagged_outside_core() {
-        let outsider = crate::manifest::parse_str(
-            "[package]\nname = \"rush-serve\"\n\
-             [package.metadata.rush-lint]\ndeterministic = false\nlibrary-hygiene = false\n",
-        );
-        let src = "use rush_core::plan::compute_plan;\n\
-                   use rush_core::onion::peel;\n\
-                   use rush_core::mapping::map_continuous;\n\
-                   pub fn hot(s: &mut S) { s.plan = compute_plan(&s.cfg, s.cap, &s.jobs); }\n\
-                   #[cfg(test)]\nmod tests { use rush_core::plan::compute_plan; }\n";
-        let r = run(src, &outsider, "src/lib.rs");
-        let hits: Vec<_> = r.findings.iter().filter(|f| f.rule == Rule::FullRebuild).collect();
-        assert_eq!(hits.len(), 4, "three use-sites + one call, test module exempt: {hits:#?}");
-        // The delta-path identifiers are distinct tokens and never flagged.
-        let delta = run(
-            "use rush_core::plan::compute_plan_incremental;\n\
-             use rush_core::onion::peel_incremental;\n\
-             use rush_core::mapping::map_profile;\n",
-            &outsider,
-            "src/lib.rs",
-        );
-        assert!(delta.findings.iter().all(|f| f.rule != Rule::FullRebuild));
-        // rush-core (full pipeline + naive oracle) may reference them freely.
-        let core = run(src, &det_manifest(), "src/lib.rs");
-        assert!(core.findings.iter().all(|f| f.rule != Rule::FullRebuild));
-        // Bench/bin targets are where the full rebuild belongs: exempt.
-        let bench = run(src, &outsider, "benches/b.rs");
-        assert!(bench.findings.iter().all(|f| f.rule != Rule::FullRebuild));
-        let bin = run(src, &outsider, "src/bin/tool.rs");
-        assert!(bin.findings.iter().all(|f| f.rule != Rule::FullRebuild));
-    }
-
-    #[test]
-    fn shard_escape_hatch_flagged_outside_planner() {
-        let outsider = crate::manifest::parse_str(
-            "[package]\nname = \"rush-serve\"\n\
-             [package.metadata.rush-lint]\ndeterministic = false\nlibrary-hygiene = false\n",
-        );
-        let src = "pub fn poke(p: &rush_planner::ShardedPlanner) -> u32 {\n\
-                   p.shard_core(0).capacity()\n\
-                   }\n\
-                   #[cfg(test)]\nmod tests { fn t(p: &rush_planner::ShardedPlanner) { p.shard_core(0); } }\n";
-        let r = run(src, &outsider, "src/lib.rs");
-        let hits: Vec<_> = r.findings.iter().filter(|f| f.rule == Rule::ShardIsolation).collect();
-        assert_eq!(hits.len(), 1, "library site flagged, test-gated site exempt: {hits:#?}");
-        // The owning crate may hand out shard handles freely.
-        let owner = crate::manifest::parse_str(
-            "[package]\nname = \"rush-planner\"\n\
-             [package.metadata.rush-lint]\ndeterministic = false\nlibrary-hygiene = true\n",
-        );
-        let r = run("pub fn shard_core(&self, i: usize) -> &PlannerCore { &self.shards[i] }\n", &owner, "src/sharded.rs");
-        assert!(r.findings.iter().all(|f| f.rule != Rule::ShardIsolation));
-        // Tests/benches/bins are where per-shard inspection belongs: exempt.
-        let bench = run(src, &outsider, "benches/b.rs");
-        assert!(bench.findings.iter().all(|f| f.rule != Rule::ShardIsolation));
-        let bin = run(src, &outsider, "src/bin/tool.rs");
-        assert!(bin.findings.iter().all(|f| f.rule != Rule::ShardIsolation));
     }
 
     #[test]

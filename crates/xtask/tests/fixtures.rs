@@ -9,14 +9,13 @@ fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name)
 }
 
-fn deep_lint(name: &str) -> xtask::report::Report {
-    xtask::lint_with(&fixture(name), xtask::LintOptions { deep: true })
-        .expect("fixture tree readable")
+fn lint(name: &str) -> xtask::report::Report {
+    xtask::lint(&fixture(name)).expect("fixture tree readable")
 }
 
 #[test]
 fn violations_corpus_trips_every_rule_family() {
-    let report = deep_lint("violations");
+    let report = lint("violations");
     assert!(!report.findings.is_empty(), "seeded corpus must produce findings");
     for &rule in ALL_RULES {
         assert!(
@@ -29,8 +28,8 @@ fn violations_corpus_trips_every_rule_family() {
 }
 
 #[test]
-fn deep_corpus_flags_expected_sites() {
-    let report = deep_lint("violations");
+fn ast_rules_flag_expected_sites() {
+    let report = lint("violations");
     let has = |rule: Rule, file_part: &str, msg_part: &str| {
         report
             .findings
@@ -92,27 +91,11 @@ fn deep_corpus_flags_expected_sites() {
         "blocking in unreached code must stay silent: {:#?}",
         report.findings
     );
-    // L014: the direct resize and both free-pool mutators in the
-    // non-authority adapter; the pragma-justified dispatch and the
-    // test-gated probe stay silent.
-    assert!(has(Rule::CapacityFence, "capacity", "`set_capacity` called in `shortcut_resize`"));
-    assert!(has(Rule::CapacityFence, "capacity", "`revoke` called in `shortcut_resize`"));
-    assert!(has(Rule::CapacityFence, "capacity", "`restore` called in `shortcut_resize`"));
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::CapacityFence && f.file.contains("capacity"))
-            .count(),
-        3,
-        "pragma site + test probe exempt: {:#?}",
-        report.findings
-    );
 }
 
 #[test]
-fn violations_corpus_flags_expected_sites() {
-    let report = xtask::lint(&fixture("violations")).expect("fixture tree readable");
+fn token_rules_flag_expected_sites() {
+    let report = lint("violations");
     let has = |rule: Rule, file_part: &str, msg_part: &str| {
         report
             .findings
@@ -127,60 +110,16 @@ fn violations_corpus_flags_expected_sites() {
     assert!(has(Rule::PanicHygiene, "det_crate", "`.unwrap()`"));
     assert!(has(Rule::PanicHygiene, "det_crate", "`panic!`"));
     assert!(has(Rule::PanicHygiene, "det_crate", "literal index"));
-    assert!(has(Rule::FeatureGate, "det_crate", "paralel"));
-    assert!(has(Rule::ShimDrift, "consumer", "StdRng"));
-    assert!(has(Rule::ShimDrift, "consumer", "from_entropy"));
-    assert!(has(Rule::ShimDrift, "consumer", "shuffle"));
-    assert!(has(Rule::ShimDrift, "consumer", "thread_rng"));
-    assert!(has(Rule::PlannerLayering, "layering", "compute_plan_cached"));
-    assert!(has(Rule::PlannerLayering, "layering", "PlanCache"));
-    assert!(has(Rule::FullRebuild, "rebuild", "`compute_plan`"));
-    assert!(has(Rule::FullRebuild, "rebuild", "`peel`"));
-    assert!(has(Rule::FullRebuild, "rebuild", "`map_continuous`"));
-    assert!(has(Rule::ShardIsolation, "sharding", "`shard_core`"));
-    // The declared feature and the implemented shim path must NOT fire.
-    assert!(!has(Rule::FeatureGate, "det_crate", "serde"));
-    assert!(!has(Rule::ShimDrift, "consumer", "SmallRng"));
-    // The layering fixture's test-gated use of the internals is exempt.
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::PlannerLayering && f.file.contains("layering"))
-            .count(),
-        3,
-        "two use-sites + the struct field, test module exempt"
-    );
-    // The rebuild fixture's test-gated use of the full path is exempt.
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::FullRebuild && f.file.contains("rebuild"))
-            .count(),
-        3,
-        "three use-sites, test module exempt"
-    );
-    // The sharding fixture's test-gated shard probe is exempt.
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::ShardIsolation && f.file.contains("sharding"))
-            .count(),
-        2,
-        "two library sites, test module exempt"
-    );
     // Test-gated code in the corpus is exempt.
-    assert!(report.findings.iter().all(|f| f.line < 44 || !f.file.contains("det_crate")));
+    assert!(report.findings.iter().all(|f| f.line < 39 || !f.file.contains("det_crate")));
 }
 
 #[test]
 fn clean_corpus_passes_with_suppressions_exercised() {
-    // Deep mode so the fixed shapes in `deep_clean` (saturating slot
-    // math, consistent lock order, panic-free
-    // entry point) are checked by the rules they silence.
-    let report = deep_lint("clean");
+    // The fixed shapes in `deep_clean` (saturating slot math, consistent
+    // lock order, panic-free entry point) are checked by the rules they
+    // silence.
+    let report = lint("clean");
     assert!(
         report.findings.is_empty(),
         "clean corpus must produce no findings, got: {:#?}",
@@ -192,8 +131,7 @@ fn clean_corpus_passes_with_suppressions_exercised() {
 
 #[test]
 fn json_report_carries_codes_and_counts() {
-    let mut report = xtask::lint(&fixture("violations")).expect("fixture tree readable");
-    report.finalize();
+    let report = lint("violations");
     let json = report.render_json();
     for &rule in ALL_RULES {
         assert!(json.contains(rule.code()), "JSON must mention {}", rule.code());

@@ -1,7 +1,7 @@
 //! Parser self-test: the deep-lint recursive-descent parser must accept
 //! every `.rs` file in the real workspace with zero structural errors and
 //! zero recovered tokens. Anything less means the workspace model (and so
-//! RUSH-L009..L014) is built from an incomplete picture of the code.
+//! RUSH-L009..L013) is built from an incomplete picture of the code.
 
 use std::path::PathBuf;
 
