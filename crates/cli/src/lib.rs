@@ -73,12 +73,11 @@ pub fn usage() -> String {
        gantt     --scheduler NAME --jobs N --seed S [--width W]\n\
        dashboard --jobs N --seed S [--at SLOT]\n\
        serve     [--addr A] [--capacity N] [--shards N] [--epoch-ms T]\n\
-                 [--frontend reactor|threads] [--reactors N]\n\
-                 [--batch N] [--ms-per-slot T] [--snapshot FILE]\n\
-                 [--theta F] [--delta F]\n\
-       loadgen   --addr A [--jobs N] [--workers N] [--connections N]\n\
-                 [--binary true] [--frontend-label L] [--mean-ms F] [--seed S]\n\
-                 [--epoch-ms T] [--out FILE] [--append true] [--shutdown true]\n"
+                 [--reactors N] [--batch N] [--ms-per-slot T]\n\
+                 [--snapshot FILE] [--theta F] [--delta F]\n\
+       loadgen   --addr A [--jobs N] [--connections N] [--binary true]\n\
+                 [--mean-ms F] [--seed S] [--epoch-ms T] [--out FILE]\n\
+                 [--append true] [--shutdown true]\n"
         .to_owned()
 }
 
@@ -304,9 +303,6 @@ pub fn serve_config(cli: &Cli) -> Result<rush_serve::ServeConfig, String> {
     cfg.epoch_max_batch = flag(cli, "batch", cfg.epoch_max_batch);
     cfg.ms_per_slot = flag(cli, "ms-per-slot", cfg.ms_per_slot);
     cfg.shards = flag(cli, "shards", cfg.shards);
-    // No flag means `Frontend::default()`: the reactor on Linux, threads
-    // elsewhere — the same default `rushd` has.
-    cfg.frontend = flag(cli, "frontend", cfg.frontend);
     cfg.reactors = flag(cli, "reactors", cfg.reactors);
     cfg.snapshot_path = cli.flags.get("snapshot").map(std::path::PathBuf::from);
     cfg.rush.theta = flag(cli, "theta", cfg.rush.theta);
@@ -342,10 +338,8 @@ pub fn loadgen_config(cli: &Cli) -> Result<rush_serve::loadgen::LoadgenConfig, S
     Ok(rush_serve::loadgen::LoadgenConfig {
         addr: cli.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4117".into()),
         jobs: flag(cli, "jobs", 100),
-        workers: flag(cli, "workers", 8),
-        connections: flag(cli, "connections", 0),
+        connections: flag(cli, "connections", 8),
         binary: flag(cli, "binary", false),
-        frontend: cli.flags.get("frontend-label").cloned().unwrap_or_else(|| "threads".into()),
         mean_interarrival_ms: flag(cli, "mean-ms", 10.0),
         seed: flag(cli, "seed", 7),
         epoch_ms: flag(cli, "epoch-ms", 25),
@@ -372,7 +366,7 @@ pub fn cmd_loadgen(cli: &Cli) -> Result<String, String> {
          p50 {} us, p99 {} us, p999 {} us; {:.0} sub/s; \
          {:.1}% within epoch deadline; {} epochs\n",
         report.submitted,
-        cfg.effective_connections(),
+        cfg.connections,
         cfg.codec(),
         report.admitted,
         report.deferred,
@@ -529,10 +523,8 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:9");
         assert_eq!(cfg.jobs, 5);
-        assert_eq!(cfg.workers, 8);
-        assert_eq!(cfg.connections, 0);
+        assert_eq!(cfg.connections, 8);
         assert!(!cfg.binary);
-        assert_eq!(cfg.frontend, "threads");
         assert!(cfg.shutdown);
         assert!(!cfg.append);
         assert!(cfg.out.is_none());
@@ -542,49 +534,38 @@ mod tests {
             &[
                 ("connections", "64"),
                 ("binary", "true"),
-                ("frontend-label", "reactor"),
                 ("append", "true"),
             ],
         ))
         .unwrap();
         assert_eq!(cfg.connections, 64);
         assert!(cfg.binary);
-        assert_eq!(cfg.frontend, "reactor");
         assert!(cfg.append);
-        assert_eq!(cfg.effective_connections(), 64);
         assert_eq!(cfg.codec(), "binary");
     }
 
     #[test]
-    fn serve_config_parses_frontend_flags() {
-        let cfg = serve_config(&cli(
-            "serve",
-            &[("frontend", "reactor"), ("reactors", "2")],
-        ))
-        .unwrap();
+    fn frontend_is_not_a_flag() {
+        // There is one frontend and nothing selects it: `--frontend` is
+        // ignored like every flag the subcommand does not know.
+        let cfg = serve_config(&cli("serve", &[("frontend", "threads"), ("reactors", "2")])).unwrap();
         assert_eq!(cfg.frontend, rush_serve::Frontend::Reactor);
         assert_eq!(cfg.reactors, 2);
-        // Threads stays one flag away.
-        let cfg = serve_config(&cli("serve", &[("frontend", "threads")])).unwrap();
-        assert_eq!(cfg.frontend, rush_serve::Frontend::Threads);
+        assert!(!usage().contains("--frontend"));
+        assert!(!usage().contains("--workers"));
     }
 
     #[test]
-    fn serve_defaults_to_the_library_default_frontend() {
-        let cfg = serve_config(&cli("serve", &[])).unwrap();
-        assert_eq!(cfg.frontend, rush_serve::ServeConfig::default().frontend);
-        #[cfg(target_os = "linux")]
-        assert_eq!(cfg.frontend, rush_serve::Frontend::Reactor);
+    fn loadgen_refuses_zero_connections() {
+        let err = cmd_loadgen(&cli("loadgen", &[("connections", "0")])).unwrap_err();
+        assert!(err.contains("connections must be >= 1"), "{err}");
     }
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn loadgen_open_loop_drives_a_reactor_daemon() {
-        // The reactor frontend and the open-loop engine end to end: a
-        // binary-codec loadgen over concurrent nonblocking connections.
+    fn loadgen_drives_a_live_daemon_over_the_binary_codec() {
         let handle = rush_serve::serve(rush_serve::ServeConfig {
             addr: "127.0.0.1:0".into(),
-            frontend: rush_serve::Frontend::Reactor,
             ..serve_config(&cli("serve", &[("epoch-ms", "5")])).unwrap()
         })
         .unwrap();
@@ -596,7 +577,6 @@ mod tests {
                 ("jobs", "8"),
                 ("connections", "4"),
                 ("binary", "true"),
-                ("frontend-label", "reactor"),
                 ("mean-ms", "2"),
                 ("epoch-ms", "5"),
                 ("shutdown", "true"),
@@ -609,6 +589,7 @@ mod tests {
         assert_eq!(waits.count(), 8);
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn loadgen_drives_a_live_daemon_to_shutdown() {
         // serve+loadgen end to end through the CLI layer: bind on an
@@ -625,7 +606,7 @@ mod tests {
             &[
                 ("addr", &addr),
                 ("jobs", "6"),
-                ("workers", "2"),
+                ("connections", "2"),
                 ("mean-ms", "2"),
                 ("epoch-ms", "5"),
                 ("shutdown", "true"),

@@ -25,7 +25,6 @@ use rush_sim::Slot;
 /// How likely a container class is to be reclaimed by the provider, and
 /// how quickly reclaimed capacity tends to return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReliabilityTier {
     /// Capacity the operator owns outright; leaves only on node failure.
     Reserved,
@@ -76,7 +75,6 @@ impl ReliabilityTier {
 
 /// One class of interchangeable containers.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ContainerClass {
     /// Class name (unique within a model), e.g. `"spot-m4"`.
     pub name: String,
@@ -90,7 +88,6 @@ pub struct ContainerClass {
 
 /// A class-tagged change to the container supply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CapacityChange {
     /// The provider reclaims `n` containers of class `class`.
     Revoke {
@@ -110,7 +107,6 @@ pub enum CapacityChange {
 
 /// A [`CapacityChange`] scheduled at an absolute slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CapacityEvent {
     /// Slot at which the change takes effect.
     pub at: Slot,
@@ -120,7 +116,6 @@ pub struct CapacityEvent {
 
 /// A tiered container supply with a deterministic capacity-event stream.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterModel {
     /// Container classes; at least one, with unique names.
     pub classes: Vec<ContainerClass>,

@@ -5,7 +5,6 @@ use rush_estimator::RuntimePrior;
 
 /// Which distribution-estimator class the DE units use (paper Sec. IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EstimatorKind {
     /// Impulse at `mean runtime × remaining tasks`.
     Mean,
@@ -31,7 +30,6 @@ pub enum EstimatorKind {
 /// estimation, and a 10⁶-slot planning horizon for completion-time
 /// insensitive jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RushConfig {
     /// Completion-probability percentile `θ ∈ (0, 1)`.
     pub theta: f64,

@@ -19,7 +19,6 @@ use crate::CoreError;
 
 /// One job's mapping input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MapJob {
     /// Remaining tasks to place.
     pub tasks: u64,
@@ -36,7 +35,6 @@ pub struct MapJob {
 
 /// A contiguous run of one job's tasks on one container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// Container (queue) index, `0..capacity`.
     pub container: u32,
@@ -48,7 +46,6 @@ pub struct Segment {
 
 /// Where one job's tasks were placed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     /// Task runtime used for this job.
     pub task_len: u64,

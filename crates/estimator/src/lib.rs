@@ -129,7 +129,6 @@ pub trait DistributionEstimator {
 
 /// Optional prior used before any sample has been observed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RuntimePrior {
     /// Prior mean task runtime (slots).
     pub mean: f64,
@@ -185,7 +184,6 @@ fn sample_moments(samples: &[u64]) -> (f64, f64) {
 /// `mean task runtime × remaining tasks`. Cheap, but blind to variance —
 /// the WCDE robustness margin is all that protects it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MeanEstimator {
     max_bins: usize,
     prior: Option<RuntimePrior>,
@@ -239,7 +237,6 @@ impl DistributionEstimator for MeanEstimator {
 /// of `n` i.i.d. task runtimes is approximately `N(n·x̄, n·s²)`; the
 /// estimator quantizes that normal into the reference PMF.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GaussianEstimator {
     max_bins: usize,
     prior: Option<RuntimePrior>,
@@ -305,7 +302,6 @@ impl DistributionEstimator for GaussianEstimator {
 /// Determinism: the resampling RNG is seeded from the sample content, so
 /// identical inputs always produce identical estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmpiricalEstimator {
     max_bins: usize,
     resamples: usize,
@@ -529,7 +525,6 @@ mod tests {
 /// reason the reference distribution is only approximate; a windowed fit is
 /// the standard mitigation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowedEstimator {
     inner: GaussianEstimator,
     window: usize,

@@ -36,7 +36,6 @@ const EPS: f64 = 1e-9;
 
 /// Constraint relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Relation {
     /// `a·x ≤ b`
     Le,
@@ -74,7 +73,6 @@ impl Solution {
 
 /// A linear program over non-negative variables `x ≥ 0`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Problem {
     /// Objective coefficients (maximization).
     c: Vec<f64>,

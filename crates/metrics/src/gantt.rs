@@ -9,7 +9,6 @@
 /// One placed task attempt: container, start slot, duration, and the label
 /// character to draw (e.g. a job's letter).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GanttSpan {
     /// Container (row) index.
     pub container: u32,

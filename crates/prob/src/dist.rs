@@ -68,7 +68,6 @@ pub trait Continuous {
 /// distribution (Fig. 3: N(60 s, 20 s)) and as the shape reported by the
 /// Gaussian/CLT estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gaussian {
     mean: f64,
     std: f64,
@@ -152,7 +151,6 @@ impl Continuous for Gaussian {
 /// Models the right-skewed, straggler-prone task runtimes typical of I/O
 /// heavy MapReduce stages (e.g. the sort and join workload templates).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -228,7 +226,6 @@ impl Continuous for LogNormal {
 
 /// The continuous uniform distribution on `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Uniform {
     lo: f64,
     hi: f64,
@@ -284,7 +281,6 @@ impl Continuous for Uniform {
 /// Drives the Poisson job-arrival process of the paper's evaluation
 /// (inter-arrival times ~ Exp(1/130 s)).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Exponential {
     rate: f64,
 }
@@ -354,7 +350,6 @@ impl Continuous for Exponential {
 /// wear-out-style distributions. Included for users modelling task
 /// runtimes beyond the paper's Gaussian/log-normal templates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weibull {
     shape: f64,
     scale: f64,
@@ -443,7 +438,6 @@ impl Continuous for Weibull {
 ///
 /// The mean-time estimator of the paper reports exactly this shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Impulse {
     at: f64,
 }

@@ -38,7 +38,6 @@ pub const NORMALIZATION_EPS: f64 = 1e-9;
 /// which is what keeps the WCDE bisection at O(log bins) per solve (the
 /// Fig. 5 scheduling-cost hot path).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pmf {
     probs: Vec<f64>,
     cdf: Vec<f64>,

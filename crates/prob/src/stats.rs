@@ -51,7 +51,6 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
 
 /// Five-number summary with Tukey outliers, as rendered by a boxplot.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FiveNumber {
     /// Lower whisker: smallest sample ≥ `q1 − 1.5·IQR`.
     pub whisker_lo: f64,
@@ -125,7 +124,6 @@ impl FiveNumber {
 /// assert_eq!(ecdf.eval(10.0), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -16,14 +16,14 @@
 //! * [`Waker`] — an eventfd registered in the poller; any thread can make
 //!   a parked reactor return from `wait` (wakes coalesce).
 //! * [`TimerWheel`] — lazy-deletion deadline heap; the reactor derives its
-//!   poll timeout from `next_deadline`, so timers (epoch ticks,
-//!   slow-reader eviction) fire even when every connection is idle.
+//!   poll timeout from `next_deadline`, so timers (slow-reader
+//!   eviction) fire even when every connection is idle.
 //! * [`ReadBuf`] / [`WriteBuf`] — per-connection byte queues with
 //!   occupancy accounting for backpressure decisions.
 //!
 //! The crate deliberately stops below the protocol layer: it knows nothing
 //! about frames, codecs, or the planner. `rush-serve` composes these
-//! primitives into its `--frontend reactor` connection state machines.
+//! primitives into its connection state machines.
 //!
 //! # Example
 //!
@@ -44,7 +44,7 @@
 //!     }
 //! }
 //! for token in timers.expired(Instant::now()) {
-//!     assert_eq!(token, 1); // epoch tick due
+//!     assert_eq!(token, 1); // the timer scheduled above is due
 //! }
 //! # Ok::<(), std::io::Error>(())
 //! ```

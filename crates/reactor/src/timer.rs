@@ -5,8 +5,7 @@
 //! completion heap): `unschedule` marks the timer id dead in O(log n) amortized
 //! time and the heap entry is discarded when it surfaces. The reactor
 //! derives its `epoll_wait` timeout from [`TimerWheel::next_deadline`], so
-//! epoch ticks and slow-reader evictions fire on schedule with no traffic
-//! at all.
+//! slow-reader evictions fire on schedule with no traffic at all.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};

@@ -1,17 +1,15 @@
 //! `rush-loadgen` — open-loop Poisson load generator for `rushd`.
 //!
 //! ```text
-//! rush-loadgen --addr 127.0.0.1:4117 [--jobs 100] [--workers 8]
-//!              [--connections 0] [--binary] [--frontend-label threads]
-//!              [--mean-ms 10] [--seed 7] [--epoch-ms 25]
-//!              [--out BENCH_serve_latency.json] [--append]
-//!              [--quick] [--shutdown]
+//! rush-loadgen --addr 127.0.0.1:4117 [--jobs 100] [--connections 8]
+//!              [--binary] [--mean-ms 10] [--seed 7] [--epoch-ms 25]
+//!              [--out PATH] [--append] [--quick] [--shutdown]
 //! ```
 //!
-//! `--connections N` switches to the open-loop reactor engine: one thread
-//! multiplexing `N` concurrent nonblocking connections. `--binary`
-//! negotiates the length-prefixed `RUSH1` codec. `--append` merges the
-//! run into an existing report (for benchmark sweeps).
+//! One thread multiplexes `--connections N` (≥ 1) concurrent nonblocking
+//! connections. `--binary` negotiates the length-prefixed `RUSH1` codec.
+//! `--out PATH` writes the JSON report; `--append` merges the run into an
+//! existing one (for sweeps).
 //!
 //! Exits non-zero when any frame draws a protocol error, so CI's
 //! serve-smoke step fails loudly on wire regressions.
@@ -20,9 +18,9 @@ use rush_serve::loadgen::{run, LoadgenConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: rush-loadgen --addr A [--jobs N] [--workers N] [--connections N] \
-                     [--binary] [--frontend-label L] [--mean-ms F] [--seed N] [--epoch-ms T] \
-                     [--out PATH] [--append] [--quick] [--shutdown]";
+const USAGE: &str = "usage: rush-loadgen --addr A [--jobs N] [--connections N] [--binary] \
+                     [--mean-ms F] [--seed N] [--epoch-ms T] [--out PATH] [--append] \
+                     [--quick] [--shutdown]";
 
 fn take(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
     it.next().cloned().ok_or_else(|| format!("flag {flag} needs a value"))
@@ -32,17 +30,15 @@ fn parse_flags(args: &[String]) -> Result<LoadgenConfig, String> {
     let mut cfg = LoadgenConfig {
         addr: "127.0.0.1:4117".into(),
         jobs: 100,
-        workers: 8,
-        connections: 0,
+        connections: 8,
         binary: false,
-        frontend: "threads".into(),
         mean_interarrival_ms: 10.0,
         seed: 7,
         epoch_ms: 25,
         report_samples: true,
         shutdown: false,
         append: false,
-        out: Some(PathBuf::from("BENCH_serve_latency.json")),
+        out: None,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -50,10 +46,6 @@ fn parse_flags(args: &[String]) -> Result<LoadgenConfig, String> {
             "--addr" => cfg.addr = take(&mut it, flag)?,
             "--jobs" => {
                 cfg.jobs = take(&mut it, flag)?.parse().map_err(|e| format!("--jobs: {e}"))?;
-            }
-            "--workers" => {
-                cfg.workers =
-                    take(&mut it, flag)?.parse().map_err(|e| format!("--workers: {e}"))?;
             }
             "--mean-ms" => {
                 cfg.mean_interarrival_ms =
@@ -71,13 +63,12 @@ fn parse_flags(args: &[String]) -> Result<LoadgenConfig, String> {
                     take(&mut it, flag)?.parse().map_err(|e| format!("--connections: {e}"))?;
             }
             "--binary" => cfg.binary = true,
-            "--frontend-label" => cfg.frontend = take(&mut it, flag)?,
             "--out" => cfg.out = Some(PathBuf::from(take(&mut it, flag)?)),
             "--append" => cfg.append = true,
             "--quick" => {
                 let quick = LoadgenConfig::quick(cfg.addr.clone(), cfg.epoch_ms);
                 cfg.jobs = quick.jobs;
-                cfg.workers = quick.workers;
+                cfg.connections = quick.connections;
                 cfg.mean_interarrival_ms = quick.mean_interarrival_ms;
             }
             "--shutdown" => cfg.shutdown = true,
@@ -104,7 +95,7 @@ fn main() -> ExitCode {
                  {} rejected; p50 {} us, p99 {} us, p999 {} us; {:.0} sub/s; \
                  {:.1}% within epoch deadline; {} epochs",
                 report.submitted,
-                cfg.effective_connections(),
+                cfg.connections,
                 cfg.codec(),
                 report.admitted,
                 report.deferred,

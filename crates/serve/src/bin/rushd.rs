@@ -2,15 +2,12 @@
 //!
 //! ```text
 //! rushd [--addr 127.0.0.1:4117] [--capacity 16] [--shards 1]
-//!       [--frontend threads|reactor] [--reactors 1]
-//!       [--epoch-ms 25] [--batch 32] [--ms-per-slot 1000]
+//!       [--reactors 1] [--epoch-ms 25] [--batch 32] [--ms-per-slot 1000]
 //!       [--snapshot PATH] [--theta 0.9] [--delta 0.7]
 //! ```
 //!
-//! `--frontend reactor` (the default on Linux) serves connections on
-//! nonblocking epoll event loops (`--reactors N` of them);
-//! `--frontend threads` (the default elsewhere) runs one thread per
-//! connection. Both frontends speak JSON and the negotiated binary codec.
+//! Connections are served on `--reactors N` nonblocking epoll event loops
+//! (Linux only), each speaking JSON and the negotiated binary codec.
 //!
 //! Prints `rushd listening on ADDR` once the socket is bound (CI's
 //! serve-smoke step greps for it), then serves until a client sends the
@@ -51,10 +48,6 @@ fn parse_flags(args: &[String]) -> Result<ServeConfig, String> {
                 cfg.ms_per_slot =
                     take(&mut it, flag)?.parse().map_err(|e| format!("--ms-per-slot: {e}"))?;
             }
-            "--frontend" => {
-                cfg.frontend =
-                    take(&mut it, flag)?.parse().map_err(|e| format!("--frontend: {e}"))?;
-            }
             "--reactors" => {
                 cfg.reactors =
                     take(&mut it, flag)?.parse().map_err(|e| format!("--reactors: {e}"))?;
@@ -75,9 +68,9 @@ fn parse_flags(args: &[String]) -> Result<ServeConfig, String> {
     Ok(cfg)
 }
 
-const USAGE: &str = "usage: rushd [--addr A] [--capacity N] [--shards N] \
-                     [--frontend threads|reactor] [--reactors N] [--epoch-ms T] [--batch N] \
-                     [--ms-per-slot T] [--snapshot PATH] [--theta F] [--delta F]";
+const USAGE: &str = "usage: rushd [--addr A] [--capacity N] [--shards N] [--reactors N] \
+                     [--epoch-ms T] [--batch N] [--ms-per-slot T] [--snapshot PATH] \
+                     [--theta F] [--delta F]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

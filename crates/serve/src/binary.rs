@@ -11,7 +11,7 @@
 //! `b"RUSH1"` followed by the highest frame version the client speaks.
 //! The server answers with the same magic and the negotiated version
 //! (`min(client, server)`), or version `0` ("no common version") and a
-//! close. The magic's first byte (`R`, 0x52) is how a frontend sniffs
+//! close. The magic's first byte (`R`, 0x52) is how the daemon sniffs
 //! binary from JSON on one port: a JSON frame always starts with `{`.
 //!
 //! ## Framing

@@ -13,7 +13,8 @@
 //!   `stats`, `shutdown`);
 //! * [`binary`] — the version-negotiated, length-prefixed binary codec
 //!   carrying the same `Request`/`Response` values (`RUSH1` magic + varint
-//!   framing); a frontend sniffs binary vs. JSON from the first byte;
+//!   framing); the daemon sniffs binary vs. JSON from a connection's
+//!   first byte;
 //! * `wire` (private) — the one description both codecs and the snapshot
 //!   are derived from: each message's fields, order, tags and validation
 //!   stated once, walked by a JSON and a `RUSH1` reader and writer;
@@ -26,14 +27,14 @@
 //! * [`snapshot`] — durable state: a graceful shutdown writes the job table
 //!   to disk and a restarted daemon reproduces the same plan (bit-identical
 //!   `η` and targets) for in-flight jobs;
-//! * [`server`] / [`client`] — the TCP daemon (connection frontends
-//!   feeding per-shard planner threads over channels) and a blocking
-//!   client;
-//! * [`reactor_frontend`] — the nonblocking epoll frontend: N event-loop
-//!   threads multiplexing thousands of connections with bounded in-flight
-//!   frames, write-buffer caps and slow-reader eviction;
+//! * [`server`] / [`client`] — the TCP daemon (epoll reactors feeding
+//!   per-shard planner threads over channels) and a blocking client;
+//! * [`reactor_frontend`] — the daemon's one connection frontend: N
+//!   nonblocking event-loop threads multiplexing thousands of connections
+//!   with bounded in-flight frames, write-buffer caps and slow-reader
+//!   eviction;
 //! * [`loadgen`] — an open-loop Poisson load generator that measures
-//!   submit→planned latency and writes `BENCH_serve_latency.json`.
+//!   submit→planned latency.
 //!
 //! Time is a **logical slot clock**: `now_slot = base + elapsed_ms /
 //! ms_per_slot`, integer-quantized, so plans depend only on (state,

@@ -7,18 +7,14 @@
 //! regardless of how fast the daemon answers, which is what exposes epoch
 //! batching under bursts.
 //!
-//! Two client engines share the schedule and the metrics:
-//!
-//! * **worker mode** (`connections == 0`) — a handful of blocking threads,
-//!   each owning one connection; good for smoke tests and CI;
-//! * **open-loop reactor mode** (`connections > 0`) — a single thread
-//!   multiplexing thousands of nonblocking connections on a
-//!   [`rush_reactor::Poller`], round-robining submissions across them.
-//!   This is the engine that measures how many *concurrent connections* a
-//!   frontend sustains, not just how many requests per second.
-//!
-//! Both engines speak either codec (`binary: true` negotiates the
-//! length-prefixed `RUSH1` protocol). Latency is recorded per submission
+//! One engine sends it: a single thread multiplexing
+//! [`LoadgenConfig::connections`] nonblocking connections on a
+//! [`rush_reactor::Poller`], round-robining submissions across them — four
+//! connections for a smoke test, thousands to measure how many
+//! *concurrent connections* the daemon sustains. It speaks either codec
+//! (`binary: true` negotiates the length-prefixed `RUSH1` protocol) and
+//! needs epoll: off Linux [`run`] returns the `Unsupported` error
+//! `rush_reactor` reports. Latency is recorded per submission
 //! (client-observed submit→response and daemon-reported epoch wait) into
 //! [`rush_metrics::Histogram`]s; the report carries p50/p99/p999 and the
 //! sustained submissions/sec of the run.
@@ -28,10 +24,9 @@
 //! one full epoch window; the factor 2 absorbs scheduling jitter on loaded
 //! CI machines). The run fails loudly if any frame draws a protocol error.
 //!
-//! The report is one *run* in `BENCH_serve_latency.json`, a document with
-//! a `runs` array keyed by `(frontend, codec, connections)` so a benchmark
-//! sweep (`--append`) accumulates the thread-frontend baseline and the
-//! reactor scaling runs side by side.
+//! The report is one *run* in a document with a `runs` array keyed by
+//! `(codec, connections)`, so a sweep (`--append`) accumulates its runs
+//! side by side.
 
 use crate::client::Client;
 use crate::json::Json;
@@ -41,10 +36,6 @@ use rush_metrics::Histogram;
 use rush_sim::cluster::ClusterSpec;
 use rush_workload::{generate, Experiment, WorkloadConfig};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -53,17 +44,10 @@ pub struct LoadgenConfig {
     pub addr: String,
     /// Number of jobs to submit.
     pub jobs: usize,
-    /// Blocking worker threads (worker mode only).
-    pub workers: usize,
-    /// Concurrent nonblocking connections for the open-loop reactor
-    /// engine; `0` selects the blocking worker mode.
+    /// Concurrent nonblocking connections the engine holds open (≥ 1).
     pub connections: usize,
     /// Negotiate the length-prefixed binary codec instead of JSON.
     pub binary: bool,
-    /// Frontend label recorded in the report (`threads` / `reactor`); the
-    /// generator cannot observe which frontend the daemon runs, so the
-    /// caller says.
-    pub frontend: String,
     /// Mean interarrival time in wall-clock milliseconds.
     pub mean_interarrival_ms: f64,
     /// Workload seed.
@@ -76,7 +60,7 @@ pub struct LoadgenConfig {
     /// Send `shutdown` (with snapshot) after the run.
     pub shutdown: bool,
     /// Merge this run into an existing report instead of overwriting it
-    /// (runs with the same `(frontend, codec, connections)` are replaced).
+    /// (runs with the same `(codec, connections)` are replaced).
     pub append: bool,
     /// Where to write the JSON report (`None` = don't write).
     pub out: Option<PathBuf>,
@@ -88,26 +72,15 @@ impl LoadgenConfig {
         LoadgenConfig {
             addr,
             jobs: 24,
-            workers: 4,
-            connections: 0,
+            connections: 4,
             binary: false,
-            frontend: "threads".into(),
             mean_interarrival_ms: 4.0,
             seed: 7,
             epoch_ms,
             report_samples: true,
             shutdown: false,
             append: false,
-            out: Some(PathBuf::from("BENCH_serve_latency.json")),
-        }
-    }
-
-    /// The number of concurrent connections this run actually holds open.
-    pub fn effective_connections(&self) -> usize {
-        if self.connections > 0 {
-            self.connections
-        } else {
-            self.workers.max(1)
+            out: None,
         }
     }
 
@@ -171,7 +144,7 @@ impl LoadgenReport {
     }
 }
 
-struct WorkerOutcome {
+struct Outcome {
     client_latency_us: Histogram,
     epoch_wait_us: Histogram,
     admitted_ids: Vec<(u64, u64)>,
@@ -179,14 +152,14 @@ struct WorkerOutcome {
     rejected: u64,
     protocol_errors: u64,
     within_deadline: u64,
-    /// Submission-phase wall time, microseconds (`0` = the caller should
-    /// measure; the open-loop engine sets it to exclude the connect phase).
+    /// Submission-phase wall time, microseconds (the connect phase is
+    /// setup, not offered load, and is excluded).
     drive_us: u64,
 }
 
-impl WorkerOutcome {
-    fn new() -> WorkerOutcome {
-        WorkerOutcome {
+impl Outcome {
+    fn new() -> Outcome {
+        Outcome {
             client_latency_us: Histogram::new(),
             epoch_wait_us: Histogram::new(),
             admitted_ids: Vec::new(),
@@ -196,17 +169,6 @@ impl WorkerOutcome {
             within_deadline: 0,
             drive_us: 0,
         }
-    }
-
-    fn merge(&mut self, o: WorkerOutcome) {
-        self.client_latency_us.merge(&o.client_latency_us);
-        self.epoch_wait_us.merge(&o.epoch_wait_us);
-        self.admitted_ids.extend(o.admitted_ids);
-        self.deferred += o.deferred;
-        self.rejected += o.rejected;
-        self.protocol_errors += o.protocol_errors;
-        self.within_deadline += o.within_deadline;
-        self.drive_us = self.drive_us.max(o.drive_us);
     }
 
     /// Records one `Submitted` response for the job at `plan[i]`.
@@ -279,83 +241,11 @@ pub fn schedule(
         .collect())
 }
 
-fn run_worker(
-    addr: &str,
-    binary: bool,
-    plan: &[(u64, JobSubmission)],
-    next: &AtomicUsize,
-    start: Instant,
-    deadline_us: u64,
-) -> WorkerOutcome {
-    let mut out = WorkerOutcome::new();
-    let connected =
-        if binary { Client::connect_binary(addr) } else { Client::connect(addr) };
-    let mut client = match connected {
-        Ok(c) => c,
-        Err(_) => {
-            // Count every submission this worker would have sent.
-            while next.fetch_add(1, Ordering::SeqCst) < plan.len() {
-                out.protocol_errors += 1;
-            }
-            return out;
-        }
-    };
-    loop {
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        if i >= plan.len() {
-            break;
-        }
-        let (offset_ms, sub) = &plan[i];
-        let due = start + Duration::from_millis(*offset_ms);
-        let now = Instant::now();
-        if due > now {
-            thread::sleep(due - now);
-        }
-        let sent = Instant::now();
-        match client.submit(sub.clone()) {
-            Ok((decision, id, _epoch, waited_us)) => {
-                let latency_us = sent.elapsed().as_micros() as u64;
-                out.record_submitted(sub, decision, id, waited_us, latency_us, deadline_us);
-            }
-            Err(_) => out.protocol_errors += 1,
-        }
-    }
-    out
-}
-
-/// The blocking worker-thread engine (`connections == 0`).
-fn run_workers(
-    cfg: &LoadgenConfig,
-    plan: &Arc<Vec<(u64, JobSubmission)>>,
-    deadline_us: u64,
-    start: Instant,
-) -> WorkerOutcome {
-    let next = Arc::new(AtomicUsize::new(0));
-    let workers: Vec<thread::JoinHandle<WorkerOutcome>> = (0..cfg.workers.max(1))
-        .map(|_| {
-            let plan = Arc::clone(plan);
-            let next = Arc::clone(&next);
-            let addr = cfg.addr.clone();
-            let binary = cfg.binary;
-            thread::spawn(move || run_worker(&addr, binary, &plan, &next, start, deadline_us))
-        })
-        .collect();
-    let mut merged = WorkerOutcome::new();
-    for w in workers {
-        match w.join() {
-            Ok(o) => merged.merge(o),
-            Err(_) => merged.protocol_errors += 1,
-        }
-    }
-    merged
-}
-
 /// The nonblocking open-loop engine: thousands of concurrent connections
 /// multiplexed on one `rush_reactor::Poller`, submissions round-robined
 /// across them at their scheduled times.
-#[cfg(target_os = "linux")]
 mod open_loop {
-    use super::{LoadgenConfig, WorkerOutcome};
+    use super::{LoadgenConfig, Outcome};
     use crate::binary::{self, Scan};
     use crate::protocol::{JobSubmission, Request, Response};
     use crate::ServeError;
@@ -390,13 +280,13 @@ mod open_loop {
         deadline_us: u64,
         poller: Poller,
         conns: Vec<Conn>,
-        out: WorkerOutcome,
+        out: Outcome,
         /// Responses accounted for (answers, or submissions written off
         /// against dead connections).
         settled: usize,
     }
 
-    /// Runs the schedule; returns the merged outcome.
+    /// Runs the schedule; returns its outcome.
     ///
     /// The Poisson clock is re-anchored to the moment the whole fleet is
     /// connected: connecting thousands of sockets takes real time (the
@@ -408,8 +298,8 @@ mod open_loop {
         cfg: &LoadgenConfig,
         plan: &[(u64, JobSubmission)],
         deadline_us: u64,
-    ) -> Result<WorkerOutcome, ServeError> {
-        let n = cfg.connections.max(1);
+    ) -> Result<Outcome, ServeError> {
+        let n = cfg.connections;
         let poller = Poller::with_capacity(n)?;
         let mut conns = Vec::with_capacity(n);
         for token in 0..n {
@@ -438,7 +328,7 @@ mod open_loop {
             deadline_us,
             poller,
             conns,
-            out: WorkerOutcome::new(),
+            out: Outcome::new(),
             settled: 0,
         };
         let t0 = Instant::now();
@@ -669,45 +559,26 @@ mod open_loop {
 ///
 /// # Errors
 ///
-/// [`ServeError::Config`] when the workload cannot be generated (or the
-/// open-loop engine is requested on a platform without epoll),
-/// [`ServeError::Io`] when the report cannot be written or the final
+/// [`ServeError::Config`] when `connections` is zero or the workload
+/// cannot be generated, [`ServeError::Io`] when a connection fails (or the
+/// platform has no epoll), when the report cannot be written or the final
 /// stats/shutdown calls fail.
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
-    let plan = Arc::new(schedule(cfg.jobs, cfg.mean_interarrival_ms, cfg.seed)?);
+    if cfg.connections == 0 {
+        return Err(ServeError::Config("connections must be >= 1".into()));
+    }
+    let plan = schedule(cfg.jobs, cfg.mean_interarrival_ms, cfg.seed)?;
     let deadline_us = 2 * cfg.epoch_ms * 1000;
-    let start = Instant::now();
-
-    let merged = if cfg.connections > 0 {
-        #[cfg(target_os = "linux")]
-        {
-            open_loop::run(cfg, &plan, deadline_us)?
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            return Err(ServeError::Config(
-                "the open-loop engine needs epoll; use --connections 0".into(),
-            ));
-        }
-    } else {
-        run_workers(cfg, &plan, deadline_us, start)
-    };
-    // Open-loop runs report the submission phase alone; the sequential
-    // connect of thousands of sockets is setup, not offered load.
-    let elapsed_us = if merged.drive_us > 0 {
-        merged.drive_us
-    } else {
-        start.elapsed().as_micros() as u64
-    };
+    let outcome = open_loop::run(cfg, &plan, deadline_us)?;
 
     let mut tail = if cfg.binary {
         Client::connect_binary(&cfg.addr)?
     } else {
         Client::connect(&cfg.addr)?
     };
-    let mut protocol_errors = merged.protocol_errors;
+    let mut protocol_errors = outcome.protocol_errors;
     if cfg.report_samples {
-        for &(id, runtime) in &merged.admitted_ids {
+        for &(id, runtime) in &outcome.admitted_ids {
             // The job may already have completed or been cancelled; only
             // transport failures count against the run.
             if tail.call(&crate::protocol::Request::ReportSample { job: id, runtime }).is_err() {
@@ -722,17 +593,17 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
 
     let report = LoadgenReport {
         submitted: plan.len() as u64,
-        admitted: merged.admitted_ids.len() as u64,
-        deferred: merged.deferred,
-        rejected: merged.rejected,
+        admitted: outcome.admitted_ids.len() as u64,
+        deferred: outcome.deferred,
+        rejected: outcome.rejected,
         protocol_errors,
-        within_deadline: merged.within_deadline,
-        client_latency_us: merged.client_latency_us,
-        epoch_wait_us: merged.epoch_wait_us,
+        within_deadline: outcome.within_deadline,
+        client_latency_us: outcome.client_latency_us,
+        epoch_wait_us: outcome.epoch_wait_us,
         epochs: stats.epochs,
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
-        elapsed_us,
+        elapsed_us: outcome.drive_us,
     };
     if let Some(path) = &cfg.out {
         write_report(cfg, &report, path)?;
@@ -754,11 +625,9 @@ fn hist_json(h: &Histogram) -> Json {
 /// Renders one run entry of the report document.
 fn run_entry(cfg: &LoadgenConfig, r: &LoadgenReport) -> Json {
     Json::Obj(vec![
-        ("frontend".to_string(), Json::str(cfg.frontend.clone())),
-        ("codec".into(), Json::str(cfg.codec())),
-        ("connections".into(), Json::u64(cfg.effective_connections() as u64)),
+        ("codec".to_string(), Json::str(cfg.codec())),
+        ("connections".into(), Json::u64(cfg.connections as u64)),
         ("jobs".into(), Json::u64(cfg.jobs as u64)),
-        ("workers".into(), Json::u64(cfg.workers as u64)),
         ("mean_interarrival_ms".into(), Json::f64(cfg.mean_interarrival_ms)),
         ("epoch_ms".into(), Json::u64(cfg.epoch_ms)),
         ("submitted".into(), Json::u64(r.submitted)),
@@ -778,10 +647,9 @@ fn run_entry(cfg: &LoadgenConfig, r: &LoadgenReport) -> Json {
     ])
 }
 
-/// The `(frontend, codec, connections)` identity of a run entry.
-fn run_key(entry: &Json) -> (String, String, u64) {
+/// The `(codec, connections)` identity of a run entry.
+fn run_key(entry: &Json) -> (String, u64) {
     (
-        entry.get("frontend").and_then(Json::as_str).unwrap_or("").to_string(),
         entry.get("codec").and_then(Json::as_str).unwrap_or("").to_string(),
         entry.get("connections").and_then(Json::as_u64).unwrap_or(0),
     )
@@ -797,7 +665,7 @@ pub fn report_json(cfg: &LoadgenConfig, r: &LoadgenReport) -> String {
 }
 
 /// Writes (or, with `append`, merges) the run into the report file. Runs
-/// are keyed by `(frontend, codec, connections)`: re-running a sweep step
+/// are keyed by `(codec, connections)`: re-running a sweep step
 /// replaces its old entry instead of duplicating it.
 ///
 /// # Errors

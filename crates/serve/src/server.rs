@@ -1,19 +1,14 @@
 //! The `rushd` TCP daemon.
 //!
-//! Concurrency model: connection frontends feeding **one planner thread per
-//! shard** over `mpsc` channels. Frontend code only parses and frames — all
+//! Concurrency model: [`ServeConfig::reactors`] nonblocking epoll event
+//! loops (see [`crate::reactor_frontend`]) feeding **one planner thread per
+//! shard** over `mpsc` channels. The event loops only parse and frame — all
 //! scheduling state lives on the planner threads, so there are no locks
-//! around scheduler state anywhere in the daemon. Two frontends share the
-//! routing layer:
+//! around scheduler state anywhere in the daemon.
 //!
-//! * [`Frontend::Threads`] — one blocking worker thread per connection (the
-//!   original model, kept as the differential oracle);
-//! * [`Frontend::Reactor`] — N nonblocking epoll event loops multiplexing
-//!   thousands of connections each (see [`crate::reactor_frontend`]).
-//!
-//! Both frontends speak both codecs, sniffed from the first byte of a
-//! connection: `R` opens the [`crate::binary`] `RUSH1` handshake, anything
-//! else is treated as newline-delimited JSON.
+//! A connection speaks either codec, sniffed from its first byte: `R`
+//! opens the [`crate::binary`] `RUSH1` handshake, anything else is treated
+//! as newline-delimited JSON.
 //!
 //! **Epoch batching.** `submit` requests are not planned individually: the
 //! planner collects them until either `epoch_max_batch` submissions are
@@ -24,11 +19,11 @@
 //! client then receives its verdict, stamped with the microseconds it
 //! waited; the planner records that wait in a
 //! [`rush_metrics::Histogram`] surfaced through the load generator.
-//! Non-submit requests never wait for an epoch. The epoch deadline is
-//! enforced after **every** planner-channel turn (not only when the
-//! channel goes idle), and the reactor frontend additionally fires
-//! [`PlannerMsg::EpochTick`] from its timer wheel so deadlines hold even
-//! with zero connection activity.
+//! Non-submit requests never wait for an epoch. The planner thread is the
+//! only epoch clock: it sleeps on its channel until the pending batch's
+//! deadline and re-checks that deadline after **every** channel turn, so
+//! deadlines hold with zero connection activity and under a steady stream
+//! of immediate requests alike.
 //!
 //! **Time.** The daemon quantizes its wall clock into logical slots:
 //! `now_slot = base_slot + elapsed_ms / ms_per_slot`. Plans are a pure
@@ -38,8 +33,8 @@
 //!
 //! **Shards.** With [`ServeConfig::shards`] `> 1` the daemon runs one
 //! planner thread per shard, each owning an independent [`ServeState`]
-//! over a slice of the capacity. Frontends route submissions by label hash
-//! ([`rush_planner::shard_of_label`] — same-label jobs share a shard, so
+//! over a slice of the capacity. The reactors route submissions by label
+//! hash ([`rush_planner::shard_of_label`] — same-label jobs share a shard, so
 //! cold-start pools and epoch batching stay effective) and per-job
 //! requests by wire id. Wire ids encode the owner:
 //! `wire = local * shards + shard`, which is the identity when
@@ -47,7 +42,6 @@
 //! pre-sharding one. Cluster-wide requests (full plan table, stats,
 //! shutdown) are broadcast and merged in shard order.
 
-use crate::binary::{self, Scan};
 use crate::protocol::{ErrorCode, JobSubmission, Request, Response, WireError};
 use crate::snapshot;
 use crate::state::ServeState;
@@ -57,59 +51,29 @@ use rush_core::RushConfig;
 use rush_metrics::Histogram;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Which connection frontend the daemon runs.
+/// The connection frontend the daemon runs. There is exactly one — the
+/// epoll reactor — and nothing selects it; the type, the
+/// [`ServeConfig::frontend`] field and the `Display` impl remain only
+/// because `benchmark/` names them and is frozen between benchmark PRs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Frontend {
-    /// One blocking worker thread per connection. Simple, and the
-    /// differential oracle for the reactor: both must produce identical
-    /// planner state from identical request streams.
-    Threads,
     /// [`ServeConfig::reactors`] nonblocking epoll event loops, each
     /// multiplexing its share of the connections (see
     /// [`crate::reactor_frontend`]).
     Reactor,
 }
 
-/// The reactor wherever `rush_reactor` has a poller (Linux: epoll), the
-/// thread frontend elsewhere — so every daemon entry point agrees on what
-/// "no `--frontend` flag" means.
-impl Default for Frontend {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            Frontend::Reactor
-        } else {
-            Frontend::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "threads" => Ok(Frontend::Threads),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!("unknown frontend {other:?} (expected `threads` or `reactor`)")),
-        }
-    }
-}
-
 impl fmt::Display for Frontend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Frontend::Threads => "threads",
-            Frontend::Reactor => "reactor",
-        })
+        f.write_str("reactor")
     }
 }
 
@@ -135,11 +99,11 @@ pub struct ServeConfig {
     /// the pre-sharding daemon; more shards split the capacity and plan
     /// label-hash partitions of the jobs independently.
     pub shards: usize,
-    /// Connection frontend: blocking thread-per-connection workers or
-    /// nonblocking epoll reactors.
+    /// Always [`Frontend::Reactor`]; see [`Frontend`] for why the field
+    /// exists.
     pub frontend: Frontend,
-    /// Reactor event-loop threads (reactor frontend only). Each accepts
-    /// from the shared listener and owns the connections it accepted.
+    /// Reactor event-loop threads. Each accepts from the shared listener
+    /// and owns the connections it accepted.
     pub reactors: usize,
     /// Reactor backpressure: per-connection cap on requests handed to the
     /// planner whose responses have not yet been serialized. A connection
@@ -173,7 +137,7 @@ impl Default for ServeConfig {
             ms_per_slot: 1000,
             snapshot_path: None,
             shards: 1,
-            frontend: Frontend::default(),
+            frontend: Frontend::Reactor,
             reactors: 1,
             max_inflight: 64,
             max_write_buffer: 4 * 1024 * 1024,
@@ -198,10 +162,10 @@ pub(crate) struct Completion {
     pub(crate) resp: Response,
 }
 
-/// The reactor half of [`ReplySink`]: planner threads push completions
-/// onto the owning reactor's queue and wake its event loop.
-#[derive(Clone)]
-pub(crate) struct ReactorSink {
+/// Where a planner reply goes: onto the owning reactor's completion
+/// queue, followed by a wake of its event loop. `send` never blocks the
+/// planner.
+pub(crate) struct ReplySink {
     pub(crate) queue: Arc<Mutex<VecDeque<Completion>>>,
     pub(crate) waker: Arc<rush_reactor::Waker>,
     pub(crate) conn: u64,
@@ -209,51 +173,29 @@ pub(crate) struct ReactorSink {
     pub(crate) shard: usize,
 }
 
-/// Where a planner reply goes: the thread frontend blocks a worker on an
-/// mpsc channel; the reactor frontend enqueues a completion and wakes the
-/// owning event loop. Either way `send` never blocks the planner.
-pub(crate) enum ReplySink {
-    /// Thread frontend: a connection worker blocked on the channel.
-    Channel(Sender<Response>),
-    /// Reactor frontend: completion queue plus the loop's waker.
-    Reactor(ReactorSink),
-}
-
 impl ReplySink {
     /// Delivers one response. Delivery failures (a vanished peer) are
     /// dropped — the planner does not care whether anyone is listening.
     pub(crate) fn send(self, resp: Response) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(resp);
-            }
-            ReplySink::Reactor(sink) => {
-                let completion = Completion {
-                    conn: sink.conn,
-                    seq: sink.seq,
-                    shard: sink.shard,
-                    resp,
-                };
-                if let Ok(mut queue) = sink.queue.lock() {
-                    queue.push_back(completion);
-                }
-                // The guard dropped above, before the eventfd write:
-                // never hold a lock across I/O, even a nonblocking one. A
-                // failed wake is survivable — the reactor also drains its
-                // completion queue on every loop turn.
-                let _ = sink.waker.wake();
-            }
+        let completion = Completion { conn: self.conn, seq: self.seq, shard: self.shard, resp };
+        if let Ok(mut queue) = self.queue.lock() {
+            queue.push_back(completion);
         }
+        // The guard dropped above, before the eventfd write: never hold a
+        // lock across I/O, even a nonblocking one. A failed wake is
+        // survivable — the reactor also drains its completion queue on
+        // every loop turn.
+        let _ = self.waker.wake();
     }
 }
 
-/// What frontends send the planner.
+/// What the reactors send the planner.
 pub(crate) enum PlannerMsg {
     /// A submission waiting for its epoch.
     Submit {
         /// The submission.
         sub: JobSubmission,
-        /// When the frontend enqueued it (starts the epoch clock).
+        /// When the reactor enqueued it (starts the epoch clock).
         enqueued: Instant,
         /// Where the verdict goes.
         reply: ReplySink,
@@ -265,11 +207,6 @@ pub(crate) enum PlannerMsg {
         /// Where the answer goes.
         reply: ReplySink,
     },
-    /// A frontend timer tick: close the epoch if its deadline has passed.
-    /// The reactor fires one per shard every `epoch_ms` from its timer
-    /// wheel so deadlines hold even with zero connection activity; the
-    /// planner also enforces deadlines itself after every channel turn.
-    EpochTick,
 }
 
 /// A running daemon. Dropping the handle does *not* stop the daemon; send
@@ -310,9 +247,8 @@ impl ServerHandle {
                 }
             }
         }
-        // The planners exit first and flip the stop flag; the thread
-        // acceptor notices within one poll interval, the reactors on the
-        // wake below.
+        // The planners exit first and flip the stop flag; the reactors
+        // notice on the wake below.
         self.stop.store(true, Ordering::SeqCst);
         for waker in &self.wakers {
             let _ = waker.wake();
@@ -347,12 +283,13 @@ fn shard_snapshot_path(base: Option<&PathBuf>, shard: usize, shards: usize) -> O
 }
 
 /// Starts the daemon: binds `config.addr`, restores the snapshot(s) if
-/// present, and spawns one planner thread per shard plus the configured
-/// frontend (a thread acceptor or N epoll reactors).
+/// present, and spawns one planner thread per shard plus
+/// [`ServeConfig::reactors`] epoll event loops.
 ///
 /// # Errors
 ///
-/// [`ServeError::Io`] when the bind fails, [`ServeError::Snapshot`] when a
+/// [`ServeError::Io`] when the bind fails or the platform has no epoll
+/// (`Unsupported`, off Linux), [`ServeError::Snapshot`] when a
 /// present snapshot is malformed or mismatched, [`ServeError::Planner`] /
 /// [`ServeError::Config`] for invalid configuration.
 pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
@@ -430,17 +367,8 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         }));
     }
 
-    let (frontend, wakers) = match config.frontend {
-        Frontend::Threads => {
-            let stop = Arc::clone(&stop);
-            let txs = Arc::new(txs);
-            let acceptor = thread::spawn(move || acceptor_loop(&listener, &txs, &stop));
-            (vec![acceptor], Vec::new())
-        }
-        Frontend::Reactor => {
-            crate::reactor_frontend::spawn(listener, txs, &config, Arc::clone(&stop))?
-        }
-    };
+    let (frontend, wakers) =
+        crate::reactor_frontend::spawn(listener, txs, &config, Arc::clone(&stop))?;
 
     Ok(ServerHandle { addr, planners, frontend, wakers, stop })
 }
@@ -499,9 +427,6 @@ fn planner_loop(
                 let slot = now_slot(base_slot, started, config.ms_per_slot);
                 reply.send(answer_immediate(&mut state, req, slot, shard, config.shards));
             }
-            // The tick itself carries no work; the deadline check below
-            // (which runs on every turn) does the closing.
-            Ok(PlannerMsg::EpochTick) => {}
             Err(RecvTimeoutError::Timeout) => {
                 if stop.load(Ordering::SeqCst) {
                     return Ok(waits);
@@ -618,23 +543,6 @@ fn answer_immediate(
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, txs: &Arc<Vec<Sender<PlannerMsg>>>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let txs = Arc::clone(txs);
-                thread::spawn(move || connection_loop(stream, &txs));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            // Transient accept errors (e.g. a peer resetting mid-handshake)
-            // must not kill the daemon.
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Wire-id codec: `wire = local * shards + shard` (identity with one
 // shard), so every wire id names its owner without a shared table.
@@ -677,8 +585,7 @@ pub(crate) fn encode_response(mut resp: Response, shard: usize, shards: usize) -
 }
 
 /// Where one decoded request goes, with wire job ids already rewritten to
-/// shard-local ids. Shared by both frontends so routing semantics cannot
-/// drift between them.
+/// shard-local ids.
 pub(crate) enum Routed {
     /// An epoch-batched submission for one shard.
     Submit {
@@ -732,31 +639,11 @@ pub(crate) fn route(req: Request, shards: usize) -> Routed {
     }
 }
 
-/// Sends one request to one shard's planner and waits for the reply, with
-/// wire-id translation on both legs.
-fn ask_shard(
-    txs: &[Sender<PlannerMsg>],
-    shard: usize,
-    make: impl FnOnce(ReplySink) -> PlannerMsg,
-) -> Response {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let Some(tx) = txs.get(shard) else {
-        return Response::error(ErrorCode::Internal, "shard index out of range");
-    };
-    if tx.send(make(ReplySink::Channel(reply_tx))).is_err() {
-        return Response::error(ErrorCode::Shutdown, "daemon is shutting down");
-    }
-    match reply_rx.recv() {
-        Ok(resp) => encode_response(resp, shard, txs.len()),
-        Err(_) => Response::error(ErrorCode::Shutdown, "daemon is shutting down"),
-    }
-}
-
 /// Folds one shard's reply into the running broadcast merge: plan tables
 /// concatenate (ids already translated per shard), stats sum their
 /// counters, shutdown acknowledgments AND their snapshot flags. The first
 /// error reply wins — callers must fold in shard order so "first" is
-/// deterministic across frontends.
+/// deterministic.
 pub(crate) fn merge_pair(merged: Option<Response>, resp: Response) -> Response {
     match (merged, resp) {
         (None, r) => r,
@@ -798,153 +685,5 @@ pub(crate) fn merge_pair(merged: Option<Response>, resp: Response) -> Response {
         ) => Response::ShuttingDown { snapshot_written: snapshot_written && w },
         // Mixed reply kinds (a shard racing shutdown): keep the first.
         (Some(first), _) => first,
-    }
-}
-
-/// Broadcasts a cluster-wide request to every shard and merges the
-/// replies in shard order (see [`merge_pair`]).
-fn broadcast(txs: &[Sender<PlannerMsg>], req: &Request) -> Response {
-    let shards = txs.len();
-    let mut merged: Option<Response> = None;
-    for shard in 0..shards {
-        let resp = ask_shard(txs, shard, |reply| PlannerMsg::Immediate { req: req.clone(), reply });
-        merged = Some(merge_pair(merged, resp));
-    }
-    merged.unwrap_or_else(|| Response::error(ErrorCode::Internal, "no planner shards"))
-}
-
-/// Routes one decoded request to its shard(s), blocking until the reply.
-fn route_request(txs: &[Sender<PlannerMsg>], req: Request) -> Response {
-    match route(req, txs.len()) {
-        Routed::Submit { shard, sub } => ask_shard(txs, shard, |reply| PlannerMsg::Submit {
-            sub,
-            enqueued: Instant::now(),
-            reply,
-        }),
-        Routed::Single { shard, req } => {
-            ask_shard(txs, shard, |reply| PlannerMsg::Immediate { req, reply })
-        }
-        Routed::Broadcast { req } => broadcast(txs, &req),
-    }
-}
-
-/// One thread-frontend connection. The first byte picks the codec: `R`
-/// opens the binary `RUSH1` handshake, anything else is newline JSON.
-fn connection_loop(stream: TcpStream, txs: &[Sender<PlannerMsg>]) {
-    let mut reader = BufReader::new(stream);
-    let first = loop {
-        match reader.fill_buf() {
-            Ok([]) => return,
-            // bound: the Ok([]) arm above means buf is non-empty here
-            Ok(buf) => break buf[0],
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    };
-    // bound: MAGIC is a non-empty const (b"RUSH1")
-    if first == binary::MAGIC[0] {
-        binary_connection_loop(reader, txs);
-    } else {
-        json_connection_loop(reader, txs);
-    }
-}
-
-/// Newline-delimited JSON: read request lines, route, write response
-/// lines. Malformed frames get structured error responses and the
-/// connection stays open.
-fn json_connection_loop(reader: BufReader<TcpStream>, txs: &[Sender<PlannerMsg>]) {
-    let Ok(mut writer) = reader.get_ref().try_clone() else { return };
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match Request::decode(&line) {
-            Err(e) => Response::Error(e),
-            Ok(req) => route_request(txs, req),
-        };
-        let done = matches!(response, Response::ShuttingDown { .. });
-        if writer.write_all((response.encode() + "\n").as_bytes()).is_err() {
-            return;
-        }
-        if writer.flush().is_err() || done {
-            return;
-        }
-    }
-}
-
-/// Appends the reader's next chunk to `buf`. Returns `false` on EOF or a
-/// connection error.
-fn fill(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> bool {
-    match reader.fill_buf() {
-        Ok([]) => false,
-        Ok(chunk) => {
-            let n = chunk.len();
-            buf.extend_from_slice(chunk);
-            reader.consume(n);
-            true
-        }
-        Err(e) if e.kind() == ErrorKind::Interrupted => true,
-        Err(_) => false,
-    }
-}
-
-/// Length-prefixed binary: version handshake, then framed requests in and
-/// framed responses out. Payload decode errors get structured error
-/// responses (the connection survives); framing errors are fatal — the
-/// error is reported and the connection closed, because a broken length
-/// prefix leaves no resynchronization point.
-fn binary_connection_loop(mut reader: BufReader<TcpStream>, txs: &[Sender<PlannerMsg>]) {
-    let Ok(mut writer) = reader.get_ref().try_clone() else { return };
-    let mut buf: Vec<u8> = Vec::new();
-    let client_max = loop {
-        match binary::scan_hello(&buf) {
-            Ok(Scan::Done { item, consumed }) => {
-                buf.drain(..consumed);
-                break item;
-            }
-            Ok(Scan::Incomplete) => {
-                if !fill(&mut reader, &mut buf) {
-                    return;
-                }
-            }
-            // A corrupt hello (bad magic) has no framing to reply within.
-            Err(_) => return,
-        }
-    };
-    let agreed = binary::negotiate(client_max);
-    if writer.write_all(&binary::hello(agreed)).is_err() || writer.flush().is_err() {
-        return;
-    }
-    if agreed == 0 {
-        return; // no common protocol version
-    }
-    loop {
-        match binary::scan_frame(&buf) {
-            Ok(Scan::Done { item, consumed }) => {
-                let response = match binary::decode_request(buf.get(item).unwrap_or(&[])) {
-                    Err(e) => Response::Error(e),
-                    Ok(req) => route_request(txs, req),
-                };
-                buf.drain(..consumed);
-                let done = matches!(response, Response::ShuttingDown { .. });
-                if writer.write_all(&binary::frame_response(&response)).is_err()
-                    || writer.flush().is_err()
-                    || done
-                {
-                    return;
-                }
-            }
-            Ok(Scan::Incomplete) => {
-                if !fill(&mut reader, &mut buf) {
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = writer.write_all(&binary::frame_response(&Response::Error(e)));
-                let _ = writer.flush();
-                return;
-            }
-        }
     }
 }

@@ -108,25 +108,8 @@ impl ServeState {
     /// [`ServeError::Config`] for zero capacity, [`ServeError::Planner`]
     /// for an invalid [`RushConfig`].
     pub fn new(config: RushConfig, capacity: u32) -> Result<Self, ServeError> {
-        Self::with_shards(config, capacity, 1)
-    }
-
-    /// Creates an empty state whose planner is partitioned across
-    /// `shards` kernels (see [`rush_planner::ShardedPlanner`]): jobs are
-    /// routed by label hash, each shard plans a capacity slice, and an
-    /// event replans only the shard it dirtied.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeState::new`], plus a config error when
-    /// `capacity < shards`.
-    pub fn with_shards(
-        config: RushConfig,
-        capacity: u32,
-        shards: usize,
-    ) -> Result<Self, ServeError> {
         Ok(ServeState {
-            planner: ShardedPlanner::new(config, capacity, shards)?,
+            planner: ShardedPlanner::new(config, capacity, 1)?,
             subs: BTreeMap::new(),
             counters: Counters::default(),
             model: None,

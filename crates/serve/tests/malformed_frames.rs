@@ -132,7 +132,7 @@ fn binary_bad_magic_is_connection_fatal() {
     let e = binary::scan_hello(b"RUSX1\x01").expect_err("bad magic");
     assert_eq!(e.code, ErrorCode::BadFrame);
     // A JSON frame's first byte is `{`, never `R`: the codec sniff in the
-    // frontends is unambiguous, and feeding JSON to the hello scanner is
+    // reactor is unambiguous, and feeding JSON to the hello scanner is
     // caught immediately.
     assert_eq!(binary::scan_hello(br#"{"v":1,"op":"stats"}"#).expect_err("json").code, ErrorCode::BadFrame);
 }

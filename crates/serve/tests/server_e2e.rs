@@ -1,10 +1,15 @@
-//! End-to-end tests against a live in-process daemon: full request
-//! lifecycle, epoch batching across concurrent clients, and the
+//! End-to-end protocol scenarios against a live in-process daemon: full
+//! request lifecycle (both codecs), epoch batching across concurrent
+//! clients, sharding, capacity changes, admission verdicts, and the
 //! connection-survives-a-bad-frame contract whose pure-codec halves live
-//! in `malformed_frames.rs`.
+//! in `malformed_frames.rs`. What is specific to the transport (pipelining
+//! order, the idle epoch clock, multi-reactor fan-out, snapshot
+//! transport-independence) lives in `reactor_e2e.rs`.
+
+#![cfg(target_os = "linux")]
 
 use rush_serve::protocol::{Decision, ErrorCode, Request, Response};
-use rush_serve::server::{serve, Frontend, ServeConfig};
+use rush_serve::server::{serve, ServeConfig};
 use rush_serve::Client;
 use rush_utility::TimeUtility;
 use std::io::{BufRead, BufReader, Write};
@@ -17,9 +22,6 @@ fn test_config() -> ServeConfig {
         epoch_max_batch: 8,
         epoch_ms: 10,
         ms_per_slot: 3_600_000,
-        // This suite is the thread frontend's; `reactor_e2e.rs` is the
-        // reactor's.
-        frontend: Frontend::Threads,
         ..ServeConfig::default()
     }
 }
@@ -35,10 +37,11 @@ fn submission(label: &str, tasks: u64) -> rush_serve::protocol::JobSubmission {
     }
 }
 
-#[test]
-fn full_session_lifecycle() {
+fn full_session_lifecycle(
+    connect: fn(std::net::SocketAddr) -> Result<Client, rush_serve::ServeError>,
+) {
     let handle = serve(test_config()).expect("serve");
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut client = connect(handle.local_addr()).expect("connect");
 
     // Submit, then exercise every read/write op against the job.
     let (decision, id, epoch, _) = client.submit(submission("session", 10)).expect("submit");
@@ -76,6 +79,16 @@ fn full_session_lifecycle() {
 
     assert!(!client.shutdown(false).expect("shutdown"));
     handle.join().expect("join");
+}
+
+#[test]
+fn full_session_lifecycle_over_json() {
+    full_session_lifecycle(Client::connect);
+}
+
+#[test]
+fn full_session_lifecycle_over_rush1() {
+    full_session_lifecycle(Client::connect_binary);
 }
 
 #[test]

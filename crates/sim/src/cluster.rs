@@ -18,7 +18,6 @@ use crate::{NodeId, SimError, Slot};
 /// *lowest*-indexed revoked ones, so the event stream alone determines the
 /// exact container set deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CapacityChange {
     /// The provider reclaims `n` containers (spot revocation or a
     /// correlated node-failure burst).
@@ -35,7 +34,6 @@ pub enum CapacityChange {
 
 /// A [`CapacityChange`] scheduled at an absolute simulation slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CapacityEvent {
     /// Slot at which the change takes effect.
     pub at: Slot,
@@ -98,7 +96,6 @@ pub fn validate_capacity_events(
 
 /// One machine in the cluster.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     id: NodeId,
     speed_factor: f64,
@@ -125,7 +122,6 @@ impl Node {
 
 /// The cluster topology handed to the simulator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterSpec {
     nodes: Vec<Node>,
 }

@@ -14,7 +14,6 @@ use rush_utility::{Sensitivity, TimeUtility};
 /// once every map task of the job has finished (a barrier), matching
 /// Hadoop's shuffle boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Phase {
     /// First-phase task; runnable on arrival.
     Map,
@@ -26,7 +25,6 @@ pub enum Phase {
 /// speed and interference scaling), its phase, and optionally the node its
 /// input data lives on.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskSpec {
     base_runtime: f64,
     phase: Phase,
@@ -67,7 +65,6 @@ impl TaskSpec {
 
 /// A complete job submission.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobSpec {
     label: String,
     arrival: Slot,

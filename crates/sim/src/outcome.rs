@@ -7,7 +7,6 @@ use std::time::Duration;
 
 /// What happened to one job.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobOutcome {
     /// Job identifier.
     pub id: JobId,

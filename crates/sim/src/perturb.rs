@@ -11,7 +11,6 @@ use rush_prob::dist::{Continuous, LogNormal};
 
 /// How task runtimes are perturbed by the shared infrastructure.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Interference {
     /// No interference: runtime = base × node speed.
     None,
@@ -72,7 +71,6 @@ impl Default for Interference {
 /// (as a crashed Hadoop task would) and the task is re-queued for another
 /// attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FailureModel {
     /// Tasks never fail.
     #[default]

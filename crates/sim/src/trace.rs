@@ -8,7 +8,6 @@ use crate::{JobId, NodeId, Slot, TaskId};
 
 /// One simulator event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceEvent {
     /// A job was submitted.
     JobArrived {
@@ -118,7 +117,6 @@ impl TraceEvent {
 
 /// An ordered event log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }

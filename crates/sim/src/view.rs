@@ -12,7 +12,6 @@ use rush_utility::{Sensitivity, TimeUtility};
 
 /// Scheduler-visible state of one active (arrived, incomplete) job.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobView {
     /// Job identifier.
     pub id: JobId,
@@ -73,7 +72,6 @@ impl JobView {
 
 /// A completed task's observed runtime, reported to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskSample {
     /// Owning job.
     pub job: JobId,

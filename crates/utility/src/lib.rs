@@ -117,7 +117,6 @@ pub trait Utility {
 /// All variants take the client-specified time budget `B` (slots), priority
 /// weight `W > 0` and, where applicable, sensitivity `β > 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimeUtility {
     /// `U(T) = max(β·(B − T) + W, 0)` — utility decays linearly past the
     /// point where the budget margin runs out.
@@ -338,7 +337,6 @@ impl Utility for TimeUtility {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PiecewiseLinear {
     points: Vec<(f64, f64)>,
 }
@@ -430,7 +428,6 @@ impl Utility for PiecewiseLinear {
 /// The completion-time sensitivity classes of the paper's evaluation mix
 /// (20 % critical / 60 % sensitive / 20 % insensitive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sensitivity {
     /// Utility drops rapidly past the budget (steep sigmoid).
     Critical,

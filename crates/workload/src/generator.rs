@@ -16,7 +16,6 @@ use rush_utility::Sensitivity;
 
 /// How job arrival times are generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival times with the config's
     /// mean (the paper's process).
@@ -35,7 +34,6 @@ pub enum ArrivalProcess {
 
 /// Workload-generation parameters (defaults = the paper's setup).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadConfig {
     /// Number of jobs (paper: 100).
     pub jobs: usize,

@@ -18,7 +18,6 @@ use rush_sim::Slot;
 /// A named spot-market scenario: how much of the supply is reserved, and
 /// how violently the remainder churns.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpotScenario {
     /// Scenario name (stable; used in bench tables and JSON artifacts).
     pub name: &'static str,

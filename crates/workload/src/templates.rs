@@ -13,7 +13,6 @@ use rush_prob::dist::{Continuous, Gaussian, LogNormal};
 
 /// The runtime distribution family of one task phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RuntimeDist {
     /// Symmetric Gaussian runtimes (CPU-bound phases).
     Gaussian {
@@ -56,7 +55,6 @@ impl RuntimeDist {
 
 /// One job template.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobTemplate {
     /// Template name (PUMA workload).
     pub name: &'static str,

@@ -1,6 +1,8 @@
 //! RUSH-L009 fixture: panic sites buried behind calls from the declared
-//! `connection_loop` entry point. The deep lint must walk the call graph
-//! and report each with a witness path; `unreached` must stay silent.
+//! entry points — the bare-name `connection_loop` and the `Type::name`
+//! root `Reactor::run`. The deep lint must walk the call graph and report
+//! each with a witness path; `unreached` and `Janitor::run` (same method
+//! name, another type) must stay silent.
 
 pub fn connection_loop(frames: &[u32]) {
     for f in frames {
@@ -23,6 +25,27 @@ fn decode(v: u32) -> Option<u32> {
         Some(v)
     } else {
         None
+    }
+}
+
+pub struct Reactor;
+
+impl Reactor {
+    pub fn run(&self) {
+        reactor_step();
+    }
+}
+
+fn reactor_step() {
+    decode(3).expect("a slip on the event loop");
+}
+
+pub struct Janitor;
+
+impl Janitor {
+    /// `Reactor::run` names a method of `Reactor` only: NOT a root.
+    pub fn run(&self) {
+        unreachable!("offline sweep")
     }
 }
 

@@ -94,106 +94,6 @@ pub fn shard_gate(
     Ok(ShardGateOutcome { single, sharded, speedup, pass: speedup >= min_speedup })
 }
 
-/// One run entry from `BENCH_serve_latency.json` (the fields the serve
-/// gate needs out of the full record).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRun {
-    /// `"threads"` or `"reactor"`.
-    pub frontend: String,
-    /// `"json"` or `"binary"`.
-    pub codec: String,
-    /// Open connections the load generator held.
-    pub connections: u64,
-    /// Client-observed p99 submit latency, microseconds.
-    pub p99_us: f64,
-}
-
-/// Extract every run from a serve-latency report document.
-///
-/// Entries are delimited by their `"frontend":` keys (the first key the
-/// encoder writes per run); the codec, connection count and the
-/// `client_latency` p99 are read from the slice up to the next entry.
-pub fn serve_runs(json: &str) -> Vec<ServeRun> {
-    const FRONTEND_KEY: &str = "\"frontend\":";
-    const CODEC_KEY: &str = "\"codec\":";
-    const CONNS_KEY: &str = "\"connections\":";
-    const LATENCY_KEY: &str = "\"client_latency\":";
-    const P99_KEY: &str = "\"p99_us\":";
-    let mut runs = Vec::new();
-    let mut starts: Vec<usize> = Vec::new();
-    let mut search = 0usize;
-    while let Some(off) = json[search..].find(FRONTEND_KEY) {
-        starts.push(search + off);
-        search += off + FRONTEND_KEY.len();
-    }
-    for (i, &start) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(json.len());
-        let entry = &json[start..end];
-        let frontend = leading_string(&entry[FRONTEND_KEY.len()..]);
-        let codec = entry
-            .find(CODEC_KEY)
-            .map(|at| leading_string(&entry[at + CODEC_KEY.len()..]))
-            .unwrap_or_default();
-        let connections = entry
-            .find(CONNS_KEY)
-            .and_then(|at| leading_number(&entry[at + CONNS_KEY.len()..]))
-            .unwrap_or(0.0) as u64;
-        let p99_us = entry
-            .find(LATENCY_KEY)
-            .map(|at| &entry[at + LATENCY_KEY.len()..])
-            .and_then(|rest| rest.find(P99_KEY).and_then(|at| leading_number(&rest[at + P99_KEY.len()..])));
-        let (Some(p99_us), false) = (p99_us, frontend.is_empty()) else { continue };
-        runs.push(ServeRun { frontend, codec, connections, p99_us });
-    }
-    runs
-}
-
-/// The outcome of one serve-frontend scaling comparison.
-#[derive(Debug)]
-pub struct ServeGateOutcome {
-    /// Best (highest-connection) thread-frontend run.
-    pub threads: ServeRun,
-    /// Best (highest-connection) reactor-frontend run.
-    pub reactor: ServeRun,
-    /// reactor.connections / threads.connections.
-    pub conn_ratio: f64,
-    /// Whether the ratio met the floor AND the reactor's p99 stayed at or
-    /// below the thread baseline's.
-    pub pass: bool,
-}
-
-/// Gate the serve-latency sweep: the highest-connection reactor run must
-/// hold at least `min_conn_ratio`× the connections of the
-/// highest-connection thread-frontend run, at a client p99 no worse than
-/// `p99_slack`× that thread baseline.
-///
-/// `p99_slack` exists because the latency histograms are log2-bucketed
-/// (quantiles interpolate inside power-of-two buckets), so a p99 read at
-/// ~32 ms carries far less than 1% of true resolution; a strict `<=` on
-/// the interpolated microsecond values would gate on noise. The default
-/// slack of 1.10 is well inside the instrument's error and still catches
-/// any real frontend regression.
-pub fn serve_gate(
-    candidate_json: &str,
-    min_conn_ratio: f64,
-    p99_slack: f64,
-) -> Result<ServeGateOutcome, String> {
-    let runs = serve_runs(candidate_json);
-    let best = |frontend: &str| {
-        runs.iter().filter(|r| r.frontend == frontend).max_by_key(|r| r.connections).cloned()
-    };
-    let threads =
-        best("threads").ok_or_else(|| "candidate JSON has no thread-frontend run".to_string())?;
-    let reactor =
-        best("reactor").ok_or_else(|| "candidate JSON has no reactor-frontend run".to_string())?;
-    if threads.connections == 0 {
-        return Err("thread-frontend run reports zero connections".to_string());
-    }
-    let conn_ratio = reactor.connections as f64 / threads.connections as f64;
-    let pass = conn_ratio >= min_conn_ratio && reactor.p99_us <= threads.p99_us * p99_slack;
-    Ok(ServeGateOutcome { threads, reactor, conn_ratio, pass })
-}
-
 /// The outcome of one capacity-ablation comparison.
 #[derive(Debug)]
 pub struct CapacityGateOutcome {
@@ -230,14 +130,6 @@ pub fn capacity_gate(candidate_json: &str) -> Result<CapacityGateOutcome, String
     let rush = field(RUSH_KEY)?;
     let deterministic = field(DET_KEY)?;
     Ok(CapacityGateOutcome { revocation_rate, rush, deterministic, pass: rush >= deterministic })
-}
-
-/// Parse the quoted string at the start of `s` (after optional whitespace).
-/// Empty when `s` does not start with a string.
-fn leading_string(s: &str) -> String {
-    let s = s.trim_start();
-    let Some(rest) = s.strip_prefix('"') else { return String::new() };
-    rest.chars().take_while(|&c| c != '"').collect()
 }
 
 /// Parse the number at the start of `s` (after optional whitespace).
@@ -331,58 +223,6 @@ mod tests {
         assert_eq!(sharded_ns_at(SHARDED, 50_000, 8), None);
         // The flat `points` array must not leak into the sweep lookup.
         assert_eq!(sharded_ns_at(SAMPLE, 200, 1), None);
-    }
-
-    const SERVE: &str = r#"{
-  "bench": "serve_latency",
-  "runs": [
-    {"frontend": "threads", "codec": "json", "connections": 1000, "jobs": 4000,
-     "client_latency": {"p50_us": 4100, "p99_us": 9000, "p999_us": 12000, "count": 4000},
-     "epoch_wait": {"p50_us": 4000, "p99_us": 8000}},
-    {"frontend": "reactor", "codec": "json", "connections": 5000, "jobs": 20000,
-     "client_latency": {"p50_us": 4200, "p99_us": 8500, "p999_us": 11000, "count": 20000},
-     "epoch_wait": {"p50_us": 4100, "p99_us": 8000}},
-    {"frontend": "reactor", "codec": "binary", "connections": 6000, "jobs": 24000,
-     "client_latency": {"p50_us": 4150, "p99_us": 8400, "p999_us": 10500, "count": 24000},
-     "epoch_wait": {"p50_us": 4050, "p99_us": 7900}}
-  ]
-}"#;
-
-    #[test]
-    fn parses_every_serve_run_with_its_own_p99() {
-        let runs = serve_runs(SERVE);
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].frontend, "threads");
-        assert_eq!(runs[0].codec, "json");
-        assert_eq!(runs[0].connections, 1000);
-        // Each run's p99 is read from its own client_latency object, not
-        // the epoch_wait that follows it or a neighbouring run.
-        assert!((runs[0].p99_us - 9000.0).abs() < 1e-9);
-        assert!((runs[1].p99_us - 8500.0).abs() < 1e-9);
-        assert_eq!(runs[2].codec, "binary");
-        assert_eq!(runs[2].connections, 6000);
-    }
-
-    #[test]
-    fn serve_gate_checks_connections_and_p99() {
-        // 6000 / 1000 = 6x at a better p99: passes a 5x floor strictly.
-        let ok = serve_gate(SERVE, 5.0, 1.0).expect("runs present");
-        assert!(ok.pass);
-        assert_eq!(ok.reactor.connections, 6000);
-        assert!((ok.conn_ratio - 6.0).abs() < 1e-9);
-        // A 10x floor fails on the ratio alone.
-        assert!(!serve_gate(SERVE, 10.0, 1.0).expect("runs present").pass);
-        // A reactor p99 above the slacked thread baseline fails even at
-        // 6x; inside the slack band it passes.
-        let slow = SERVE.replace("\"p99_us\": 8400", "\"p99_us\": 9600");
-        assert!(!serve_gate(&slow, 5.0, 1.0).expect("runs present").pass);
-        assert!(serve_gate(&slow, 5.0, 1.10).expect("runs present").pass);
-        let very_slow = SERVE.replace("\"p99_us\": 8400", "\"p99_us\": 12000");
-        assert!(!serve_gate(&very_slow, 5.0, 1.10).expect("runs present").pass);
-        // Missing either frontend is an error, not a silent pass.
-        let only_threads = &SERVE[..SERVE.find("reactor").unwrap_or(SERVE.len())];
-        assert!(serve_gate(only_threads, 5.0, 1.0).is_err());
-        assert!(serve_gate("{}", 5.0, 1.0).is_err());
     }
 
     const CAPACITY: &str = r#"{

@@ -150,7 +150,8 @@ fn check_panic_reachability(model: &WorkspaceModel, out: &mut Vec<Finding>) {
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            !f.is_test && model.files[f.file].entry_points.iter().any(|e| e == &f.name)
+            !f.is_test
+                && model.files[f.file].entry_points.iter().any(|e| matches_loop_entry(f, e))
         })
         .map(|(i, _)| i)
         .collect();
@@ -366,8 +367,9 @@ fn check_lock_discipline(model: &WorkspaceModel, out: &mut Vec<Finding>) {
 
 // ---- RUSH-L013: reactor discipline -------------------------------------
 
-/// Does `f` match a `reactor-loops` entry? `Type::name` requires a method
-/// of `Type`; a bare name matches any function with that name.
+/// Does `f` match an `entry-points` / `reactor-loops` entry? `Type::name`
+/// requires a method of `Type`; a bare name matches any function with that
+/// name.
 fn matches_loop_entry(f: &FnInfo, entry: &str) -> bool {
     match entry.split_once("::") {
         Some((ty, name)) => f.self_type.as_deref() == Some(ty) && f.name == name,

@@ -25,14 +25,6 @@ Commands:
                                 (default 8) at N jobs (default 10000) is
                                 not at least F x (default 3.0) faster
                                 than its own 1-shard point
-  bench-gate --serve --candidate B.json [--min-conn-ratio F]
-             [--p99-slack S]    fail if the best reactor run in the
-                                serve-latency report does not hold at
-                                least F x (default 5.0) the connections
-                                of the best thread-frontend run at a
-                                client p99 within S x (default 1.10,
-                                the log2-histogram's resolution) of
-                                that baseline
   bench-gate --capacity --candidate B.json
                                 fail if, at the capacity ablation's
                                 highest revocation rate, RUSH's
@@ -133,41 +125,17 @@ fn bench_gate_cmd(args: &[String]) -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut candidate: Option<PathBuf> = None;
     let mut sharded = false;
-    let mut serve = false;
     let mut capacity = false;
     let mut jobs: Option<u64> = None;
     let mut shards: u64 = 8;
     let mut factor: f64 = 2.0;
     let mut min_speedup: f64 = 3.0;
-    let mut min_conn_ratio: f64 = 5.0;
-    let mut p99_slack: f64 = 1.10;
     let mut i = 0usize;
     while i < args.len() {
         let take = |j: usize| args.get(j + 1).cloned();
         match args[i].as_str() {
             "--sharded" => sharded = true,
-            "--serve" => serve = true,
             "--capacity" => capacity = true,
-            "--min-conn-ratio" => match take(i).and_then(|v| v.parse().ok()) {
-                Some(f) => {
-                    min_conn_ratio = f;
-                    i += 1;
-                }
-                None => {
-                    eprintln!("--min-conn-ratio needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--p99-slack" => match take(i).and_then(|v| v.parse().ok()) {
-                Some(f) => {
-                    p99_slack = f;
-                    i += 1;
-                }
-                None => {
-                    eprintln!("--p99-slack needs a number");
-                    return ExitCode::from(2);
-                }
-            },
             "--shards" => match take(i).and_then(|v| v.parse().ok()) {
                 Some(s) => {
                     shards = s;
@@ -271,42 +239,6 @@ fn bench_gate_cmd(args: &[String]) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("bench-gate --capacity: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if serve {
-        // Self-contained frontend-scaling check: the report's own
-        // thread-frontend run is the reference, no baseline file involved.
-        let Some(candidate) = candidate else {
-            eprintln!("bench-gate --serve needs --candidate");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        };
-        let Some(cand_json) = read(&candidate) else {
-            return ExitCode::from(2);
-        };
-        return match xtask::bench_gate::serve_gate(&cand_json, min_conn_ratio, p99_slack) {
-            Ok(o) => {
-                println!(
-                    "bench-gate --serve: threads {} conns p99 {:.0}us vs reactor ({}) {} conns p99 {:.0}us ({:.2}x conns, floor {:.2}x; p99 slack {p99_slack:.2}x) -> {}",
-                    o.threads.connections,
-                    o.threads.p99_us,
-                    o.reactor.codec,
-                    o.reactor.connections,
-                    o.reactor.p99_us,
-                    o.conn_ratio,
-                    min_conn_ratio,
-                    if o.pass { "PASS" } else { "FAIL" }
-                );
-                if o.pass {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("bench-gate --serve: {e}");
                 ExitCode::from(2)
             }
         };

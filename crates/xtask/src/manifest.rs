@@ -14,8 +14,9 @@ pub struct Manifest {
     pub deterministic: bool,
     /// `package.metadata.rush-lint.library-hygiene` — L3 applies.
     pub library_hygiene: bool,
-    /// `package.metadata.rush-lint.entry-points` — function names the
-    /// deep lint uses as RUSH-L009 panic-reachability roots.
+    /// `package.metadata.rush-lint.entry-points` — functions (`Type::name`
+    /// or bare names) the deep lint uses as RUSH-L009 panic-reachability
+    /// roots.
     pub entry_points: Vec<String>,
     /// `package.metadata.rush-lint.arith-hygiene` — L10 applies to
     /// slot/capacity arithmetic in this crate.
@@ -104,7 +105,6 @@ name = "rush-core"
 version = "0.1.0"
 
 [features]
-serde = []
 parallel = []
 
 [dependencies]
@@ -115,7 +115,7 @@ maybe = { path = "../maybe", optional = true }
 deterministic = true
 library-hygiene = true
 arith-hygiene = true
-entry-points = ["connection_loop", "planner_loop"]
+entry-points = ["Reactor::run", "planner_loop"]
 reactor-loops = ["Reactor::run", "Engine::drive"]
 panic-free = ["src/binary.rs"]
 "#,
@@ -124,7 +124,7 @@ panic-free = ["src/binary.rs"]
         assert!(m.deterministic);
         assert!(m.library_hygiene);
         assert!(m.arith_hygiene);
-        assert_eq!(m.entry_points, ["connection_loop", "planner_loop"]);
+        assert_eq!(m.entry_points, ["Reactor::run", "planner_loop"]);
         assert_eq!(m.reactor_loops, ["Reactor::run", "Engine::drive"]);
         assert_eq!(m.panic_free, ["src/binary.rs"]);
     }

@@ -121,13 +121,14 @@ impl Rule {
                 "RUSH-L009: panic reachability\n\
                  \n\
                  RUSH's robustness guarantees (Theorems 2/3) only hold if the daemon\n\
-                 survives every request: a panic mid-epoch tears down a connection\n\
-                 worker or the planner thread and silently drops committed work. This\n\
-                 rule parses the whole workspace (the from-scratch recursive-descent\n\
-                 parser over the lint lexer), builds a name-based call graph, and walks\n\
-                 it from the entry points each crate declares in\n\
-                 `[package.metadata.rush-lint] entry-points = [\"connection_loop\", ...]`\n\
-                 (for rush-serve: the per-connection handler and the epoch planner\n\
+                 survives every request: a panic mid-epoch tears down a reactor (and\n\
+                 every connection it owns) or the planner thread and silently drops\n\
+                 committed work. This rule parses the whole workspace (the from-scratch\n\
+                 recursive-descent parser over the lint lexer), builds a name-based call\n\
+                 graph, and walks it from the entry points each crate declares in\n\
+                 `[package.metadata.rush-lint] entry-points = [\"Reactor::run\", ...]`\n\
+                 (`Type::name` is a method of `Type`, a bare name any function so\n\
+                 named; for rush-serve: the reactor event loop and the epoch planner\n\
                  loop). Any `panic!`-family macro, `.unwrap()`, `.expect(..)` or\n\
                  non-range `[]`-index reachable on that graph in non-test library code\n\
                  is reported together with one call path that reaches it.\n\

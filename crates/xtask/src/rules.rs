@@ -392,7 +392,7 @@ mod tests {
 
     fn det_manifest() -> Manifest {
         crate::manifest::parse_str(
-            "[package]\nname = \"rush-core\"\n[features]\nserde = []\n\
+            "[package]\nname = \"rush-core\"\n[features]\nparallel = []\n\
              [package.metadata.rush-lint]\ndeterministic = true\nlibrary-hygiene = true\n",
         )
     }

@@ -30,9 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ms_per_slot: 50,
         snapshot_path: Some(snapshot.clone()),
         shards: 1,
-        // Frontend, reactor count and backpressure knobs keep their
-        // defaults (thread-per-connection; see DESIGN.md §15 for the
-        // reactor alternative).
+        // Reactor count and backpressure knobs keep their defaults (see
+        // DESIGN.md §15).
         ..ServeConfig::default()
     })?;
     println!("daemon on {}", handle.local_addr());

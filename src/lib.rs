@@ -19,7 +19,7 @@
 //! * [`metrics`] — boxplots, ECDFs and table rendering for the harness.
 //! * [`reactor`] — nonblocking event-loop primitives (epoll poller,
 //!   eventfd waker, timer wheel, backpressure-aware buffers) behind the
-//!   daemon's `--frontend reactor` mode.
+//!   daemon's connection frontend.
 //! * [`serve`] — the `rushd` scheduling daemon: versioned JSON and
 //!   length-prefixed binary wire protocols, epoch batching, admission
 //!   control, snapshots and a load generator.
