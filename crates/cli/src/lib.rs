@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use rush_core::RushConfig;
 use rush_metrics::gantt::{utilization, Gantt, GanttSpan};

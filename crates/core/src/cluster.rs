@@ -185,11 +185,10 @@ impl ClusterModel {
         cycles: u32,
     ) -> Self {
         for k in 0..cycles as u64 {
-            // bound: workload horizons are far below u64::MAX
-            let at = start + k * period;
+            let at = start.saturating_add(k.saturating_mul(period));
             self.events.push(CapacityEvent { at, change: CapacityChange::Revoke { class, n } });
             self.events
-                .push(CapacityEvent { at: at + outage, change: CapacityChange::Restock { class, n } });
+                .push(CapacityEvent { at: at.saturating_add(outage), change: CapacityChange::Restock { class, n } });
         }
         self.events.sort_by_key(|e| e.at);
         self
@@ -208,10 +207,10 @@ impl ClusterModel {
             if n == 0 {
                 continue;
             }
-            survivors -= n;
+            survivors = survivors.saturating_sub(n);
             self.events.push(CapacityEvent { at, change: CapacityChange::Revoke { class, n } });
             self.events
-                .push(CapacityEvent { at: at + repair, change: CapacityChange::Restock { class, n } });
+                .push(CapacityEvent { at: at.saturating_add(repair), change: CapacityChange::Restock { class, n } });
         }
         self.events.sort_by_key(|e| e.at);
         self
@@ -237,7 +236,7 @@ impl ClusterModel {
             }
         }
         for (i, a) in self.classes.iter().enumerate() {
-            if self.classes.iter().skip(i + 1).any(|b| b.name == a.name) {
+            if self.classes.iter().take(i).any(|b| b.name == a.name) {
                 return Err(CoreError::InvalidConfig { reason: "container class names must be unique" });
             }
         }
@@ -261,15 +260,15 @@ impl ClusterModel {
                     let Some(c) = self.classes.get(class) else {
                         return Err(CoreError::InvalidConfig { reason: "capacity event names an unknown container class" });
                     };
-                    let avail = c.count - revoked[class];
+                    let avail = c.count.saturating_sub(revoked[class]);
                     if n > avail {
                         return Err(CoreError::InvalidConfig { reason: "revocation exceeds the class's in-service count" });
                     }
                     if n >= in_service {
                         return Err(CoreError::InvalidConfig { reason: "revocation would leave the cluster with no containers" });
                     }
-                    revoked[class] += n;
-                    in_service -= n;
+                    revoked[class] = revoked[class].saturating_add(n);
+                    in_service = in_service.saturating_sub(n);
                 }
                 CapacityChange::Restock { class, n } => {
                     if n == 0 {
@@ -281,8 +280,8 @@ impl ClusterModel {
                     if n > revoked[class] {
                         return Err(CoreError::InvalidConfig { reason: "restock exceeds the class's revoked count" });
                     }
-                    revoked[class] -= n;
-                    in_service += n;
+                    revoked[class] = revoked[class].saturating_sub(n);
+                    in_service = in_service.saturating_add(n);
                 }
             }
         }
@@ -295,8 +294,8 @@ impl ClusterModel {
         let mut cap = self.total_capacity();
         for e in self.events.iter().take_while(|e| e.at <= slot) {
             match e.change {
-                CapacityChange::Revoke { n, .. } => cap -= n,
-                CapacityChange::Restock { n, .. } => cap += n,
+                CapacityChange::Revoke { n, .. } => cap = cap.saturating_sub(n),
+                CapacityChange::Restock { n, .. } => cap = cap.saturating_add(n),
             }
         }
         cap
@@ -345,7 +344,7 @@ impl ClusterModel {
             if absorbed == 0 {
                 continue;
             }
-            deficit -= absorbed;
+            deficit = deficit.saturating_sub(absorbed);
             match tier.predicted_reclaim_slots() {
                 Some(h) => horizon = Some(horizon.map_or(h, |cur| cur.max(h))),
                 None => return None,

@@ -65,6 +65,7 @@ pub struct RushConfig {
 }
 
 impl Default for RushConfig {
+    #[expect(clippy::expect_used, reason = "constant-argument constructor, validated by unit test")]
     fn default() -> Self {
         RushConfig {
             theta: 0.9,

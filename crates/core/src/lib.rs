@@ -54,7 +54,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Bit-identical to the naive twins and panic-free in library code: no
+// hash-order iteration, no exact float compares, no panic family. Excuses
+// are `#[expect(.., reason)]` at the site (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::iter_over_hash_type,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
+// `cluster` owns capacity accounting (class counts, revocations, reclaim
+// estimates): every integer `+ - * / %` there is checked or saturating.
+#[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 pub mod cluster;
 pub mod config;
 pub mod error;

@@ -1104,7 +1104,7 @@ fn verify_probe(
             // true slack, which is conservative (it can only force an
             // extra refresh, never verify a flipped probe).
             let decay = pos + cap.drain(margin, horizon);
-            // rush-lint: allow(RUSH-L002): exact zero means no decaying deltas exist, not a rounded value
+            // Exact zero means no decaying deltas exist, not a rounded value.
             if decay == 0.0 {
                 Some(rec.outcome)
             } else if margin - decay >= REPLAY_GUARD {
@@ -1142,7 +1142,7 @@ fn verify_probe(
                             d
                         }
                     },
-                    // rush-lint: allow(RUSH-L003): deferred jobs are skipped by the `continue` above
+                    #[expect(clippy::unreachable, reason = "deferred jobs are skipped by the `continue` above")]
                     ChangedStatus::Deferred => unreachable!(),
                 };
                 match eff {
@@ -1291,7 +1291,7 @@ fn replay(
                     }
                     pending_removed.clear();
                     live_commits = committed.len();
-                    // rush-lint: allow(RUSH-L003): populated by the refresh branch directly above
+                    #[expect(clippy::expect_used, reason = "populated by the refresh branch directly above")]
                     let (scratch, index) = live.as_mut().expect("just materialized");
                     let fresh = check_level(jobs, scratch, index, capacity, horizon, rec.level);
                     stats.refreshed_probes += 1;
@@ -1376,7 +1376,7 @@ fn replay(
         ctx.trace.truncate_layers(li);
         ctx.active = (0..n).map(|i| if removed[i] { DEAD } else { i }).collect();
         ctx.active_count = n - removed_count;
-        // rush-lint: allow(RUSH-L003): divergence always refreshes `live` before breaking out
+        #[expect(clippy::expect_used, reason = "divergence always refreshes `live` before breaking out")]
         let (scratch, index) = live.take().expect("resume always follows a refresh");
         ctx.scratch = scratch;
         ctx.index = index;

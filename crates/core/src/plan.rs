@@ -39,7 +39,6 @@ use rush_estimator::{
 };
 use rush_utility::TimeUtility;
 use std::borrow::Cow;
-// rush-lint: allow(RUSH-L001): point-lookup-only memo table, never iterated
 use std::collections::HashMap;
 
 /// Scheduler-visible state of one job, fed into the pipeline.
@@ -137,7 +136,7 @@ pub struct JobSolve {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PlanCache {
-    // rush-lint: allow(RUSH-L001): keyed by u128 fingerprint, get/insert only
+    // Keyed by u128 fingerprint; get/insert/clear only, never iterated.
     map: HashMap<u128, JobSolve>,
     /// Per-input-index memo from the previous pass: `(fingerprint,
     /// solve)`. Positionally stable passes hit here in O(1) per job; the
@@ -308,6 +307,7 @@ fn solve_batch<E: PlanEstimator>(
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
         if workers > 1 {
             let chunk = jobs.len().div_ceil(workers);
+            #[expect(clippy::expect_used, reason = "re-raising a worker panic is the intended join semantics")]
             let per_chunk: Vec<Result<Vec<JobSolve>, CoreError>> = std::thread::scope(|s| {
                 let handles: Vec<_> = jobs
                     .chunks(chunk)
@@ -382,9 +382,9 @@ fn solve_jobs<E: PlanEstimator>(
         out[i] = Some(s);
     }
     cache.by_index.clear();
+    #[expect(clippy::expect_used, reason = "every slot is filled by the hit loop or the miss solve above")]
     cache
         .by_index
-        // rush-lint: allow(RUSH-L003): every slot is filled by the hit loop or the miss solve above
         .extend(prints.iter().zip(&out).map(|(&fp, s)| (fp, s.expect("hit or solved"))));
     // The keyed map is intra-pass scratch: draining it here keeps the
     // retention promise (departed jobs do not linger) — the next pass's
@@ -629,7 +629,7 @@ fn run_pass<E: PlanEstimator>(
     let t4 = Instant::now();
 
     #[cfg(feature = "strict-invariants")]
-    if state.passes % SPOT_CHECK_INTERVAL == 0 {
+    if state.passes.is_multiple_of(SPOT_CHECK_INTERVAL) {
         // A cold state's pass count is 1, so this does not recurse.
         let scratch = compute_plan_with(config, capacity, jobs, estimator)?;
         debug_assert_eq!(

@@ -37,6 +37,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Estimates must be deterministic functions of their inputs: no
+// hash-order iteration, no exact float compares, no panic family in library
+// code (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::iter_over_hash_type,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 use rush_prob::dist::{Continuous, Gaussian};
 use rush_prob::rng::{derive_seed, seeded_rng};

@@ -30,6 +30,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Algorithm crate: no exact float compares, no panic family in library code.
+// Excuses are `#[expect(.., reason)]` at the site (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 /// Numerical tolerance for pivoting and feasibility decisions.
 const EPS: f64 = 1e-9;
@@ -291,9 +305,13 @@ impl Tableau {
             }
             self.load_objective(&phase1);
             if !self.iterate(n_total) {
-                // Phase 1 objective is bounded by construction.
-                // rush-lint: allow(RUSH-L003): structurally impossible branch
-                unreachable!("phase-1 cannot be unbounded");
+                #[expect(
+                    clippy::unreachable,
+                    reason = "structurally impossible branch: the phase-1 objective is bounded by construction"
+                )]
+                {
+                    unreachable!("phase-1 cannot be unbounded");
+                }
             }
             let last = self.a.len() - 1;
             // Max of −Σ artificials must be ~0 for feasibility.

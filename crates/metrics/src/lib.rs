@@ -16,6 +16,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// `planner_loop` records into `Histogram` on the daemon's hot path: no exact
+// float compares, no panic family in library code (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 pub mod csv;
 pub mod gantt;

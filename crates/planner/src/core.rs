@@ -432,7 +432,7 @@ impl PlannerCore {
     /// Registers a new job under the next free id and returns that id.
     pub fn admit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.next_id);
-        self.next_id += 1;
+        self.next_id = self.next_id.saturating_add(1);
         self.dirty = true;
         self.jobs.insert(id, JobRecord::from_spec(spec));
         id
@@ -481,16 +481,10 @@ impl PlannerCore {
                 if let Some(label) = label {
                     let pool = self.label_pool.entry(label).or_default();
                     pool.push(runtime);
-                    if pool.len() > POOL_CAP {
-                        let excess = pool.len() - POOL_CAP;
-                        pool.drain(..excess);
-                    }
+                    pool.drain(..pool.len().saturating_sub(POOL_CAP));
                 }
                 self.global_pool.push(runtime);
-                if self.global_pool.len() > POOL_CAP {
-                    let excess = self.global_pool.len() - POOL_CAP;
-                    self.global_pool.drain(..excess);
-                }
+                self.global_pool.drain(..self.global_pool.len().saturating_sub(POOL_CAP));
                 Ok(SampleOutcome { known, completed: false })
             }
         }
@@ -504,7 +498,7 @@ impl PlannerCore {
         self.dirty = true;
         match self.jobs.get_mut(&job) {
             Some(record) => {
-                record.failed_attempts += 1;
+                record.failed_attempts = record.failed_attempts.saturating_add(1);
                 true
             }
             None => false,

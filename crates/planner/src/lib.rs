@@ -38,6 +38,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The planner kernel owns slot accounting: on top of the determinism,
+// float and panic-family lints, every integer `+ - * / %` in library code is
+// checked or saturating (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::iter_over_hash_type,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+    )
+)]
 
 pub mod core;
 pub mod event;

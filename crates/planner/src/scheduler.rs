@@ -281,7 +281,7 @@ impl Scheduler for RushScheduler {
             }
             let (want, target) =
                 desired.get(&u64::from(j.id.0)).map_or((0, f64::MAX), |&(w, t)| (w, t));
-            let gap = want as i64 - j.running_tasks as i64;
+            let gap = (want as i64).saturating_sub(j.running_tasks as i64);
             if gap <= 0 {
                 continue;
             }

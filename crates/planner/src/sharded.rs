@@ -51,7 +51,7 @@ pub fn shard_of_label(label: &str, shards: usize) -> usize {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (h % shards as u64) as usize
+    h.checked_rem(shards as u64).map_or(0, |r| r as usize)
 }
 
 /// An even split of `total` containers into `shards` slices: the first
@@ -59,9 +59,9 @@ pub fn shard_of_label(label: &str, shards: usize) -> usize {
 /// `total >= shards` so every slice stays positive.
 pub fn even_split(total: u32, shards: usize) -> Vec<u32> {
     let n = shards as u32;
-    let base = total / n;
-    let extra = total % n;
-    (0..n).map(|i| base + u32::from(i < extra)).collect()
+    let base = total.checked_div(n).unwrap_or(0);
+    let extra = total.checked_rem(n).unwrap_or(0);
+    (0..n).map(|i| base.saturating_add(u32::from(i < extra))).collect()
 }
 
 /// A job registry partitioned across N planner kernels with one capacity
@@ -313,7 +313,7 @@ impl ShardedPlanner {
     /// Registers a new job under the next free id on its label's shard.
     pub fn admit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.next_id);
-        self.next_id += 1;
+        self.next_id = self.next_id.saturating_add(1);
         self.route_admit(id, spec);
         id
     }
@@ -601,36 +601,37 @@ impl ShardedPlanner {
             .map(|s| u64::from(s.committed_capacity()).clamp(1, total))
             .collect();
         let floor_sum: u64 = floor.iter().sum();
-        if floor_sum > total {
-            return None;
-        }
+        let surplus = total.checked_sub(floor_sum)?;
         // Surplus follows planned demand: weight = total planned η + 1
         // (the +1 keeps idle shards eligible and the split total).
         let weights: Vec<u128> = self
             .shards
             .iter()
-            .map(|s| s.plan().entries.iter().map(|e| u128::from(e.eta)).sum::<u128>() + 1)
+            .map(|s| {
+                let planned: u128 = s.plan().entries.iter().map(|e| u128::from(e.eta)).sum();
+                planned.saturating_add(1)
+            })
             .collect();
         let weight_sum: u128 = weights.iter().sum();
-        let surplus = total - floor_sum;
         let mut slices: Vec<u64> = floor.clone();
         let mut handed = 0u64;
         for (slice, w) in slices.iter_mut().zip(&weights) {
-            let share = (u128::from(surplus) * w / weight_sum) as u64;
-            *slice += share;
-            handed += share;
+            let share =
+                u128::from(surplus).saturating_mul(*w).checked_div(weight_sum).unwrap_or(0) as u64;
+            *slice = slice.saturating_add(share);
+            handed = handed.saturating_add(share);
         }
         // Flooring remainder: one container at a time, heaviest shard
         // first (ties to the lower index) — deterministic.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
-        let mut rest = surplus - handed;
-        for &i in order.iter().cycle().take(n * 2) {
+        let mut rest = surplus.saturating_sub(handed);
+        for &i in order.iter().cycle().take(n.saturating_mul(2)) {
             if rest == 0 {
                 break;
             }
-            slices[i] += 1;
-            rest -= 1;
+            slices[i] = slices[i].saturating_add(1);
+            rest = rest.saturating_sub(1);
         }
         let slices: Vec<u32> = slices.into_iter().map(|s| s as u32).collect();
         #[cfg(feature = "strict-invariants")]

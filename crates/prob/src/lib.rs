@@ -42,6 +42,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// PMF/KL substrate of the deterministic engines: no hash-order iteration,
+// no exact float compares, no panic family in library code. Excuses are
+// `#[expect(.., reason)]` at the site (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::iter_over_hash_type,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 pub mod dist;
 pub mod pmf;

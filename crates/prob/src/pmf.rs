@@ -206,6 +206,7 @@ impl Pmf {
     pub fn head_mass(&self, l: usize) -> f64 {
         match self.cdf.get(l) {
             Some(&c) => c,
+            #[expect(clippy::expect_used, reason = "all Pmf constructors reject empty bin vectors")]
             None => *self.cdf.last().expect("Pmf has at least one bin"),
         }
     }

@@ -40,7 +40,7 @@ impl ReadBuf {
 
     /// The unconsumed bytes.
     pub fn data(&self) -> &[u8] {
-        &self.buf[self.start..]
+        self.buf.get(self.start..).unwrap_or_default()
     }
 
     /// Number of unconsumed bytes.
@@ -81,7 +81,13 @@ impl ReadBuf {
                     return Ok(if total > 0 { ReadOutcome::Read(total) } else { ReadOutcome::Closed })
                 }
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    let Some(got) = chunk.get(..n) else {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "read reported more than the buffer holds",
+                        ));
+                    };
+                    self.buf.extend_from_slice(got);
                     total += n;
                     if total >= MAX_FILL_PER_CALL {
                         return Ok(ReadOutcome::Read(total));
@@ -145,8 +151,8 @@ impl WriteBuf {
     ///
     /// Propagates genuine socket errors (broken pipe, reset, etc.).
     pub fn flush_to(&mut self, dst: &mut impl Write) -> io::Result<WriteOutcome> {
-        while self.start < self.buf.len() {
-            match dst.write(&self.buf[self.start..]) {
+        while let Some(pending) = self.buf.get(self.start..).filter(|p| !p.is_empty()) {
+            match dst.write(pending) {
                 Ok(0) => {
                     return Err(io::Error::new(io::ErrorKind::WriteZero, "socket accepted 0 bytes"))
                 }

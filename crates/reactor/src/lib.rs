@@ -1,7 +1,7 @@
 //! # rush-reactor — nonblocking event-loop primitives
 //!
 //! A from-scratch, dependency-free reactor substrate for the RUSH serving
-//! layer, built the same way the workspace's `rand`/`proptest`/`criterion`
+//! layer, built the same way the workspace's `rand`/`proptest`
 //! stand-ins were: the minimal API subset the repo needs, implemented
 //! against raw syscalls instead of a registry crate.
 //!
@@ -51,6 +51,23 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Every primitive here runs on an event-loop thread against untrusted
+// peers: no panic family, no unchecked indexing/slicing, none of the
+// blocking calls listed in this crate's `clippy.toml` (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods,
+    )
+)]
 
 pub mod buffer;
 pub mod poller;

@@ -2,7 +2,7 @@
 //! `unsafe` code.
 //!
 //! The build container has no cargo-registry access, so — exactly like the
-//! in-workspace `rand`/`proptest`/`criterion` stand-ins — this is a
+//! in-workspace `rand`/`proptest` stand-ins — this is a
 //! libc-crate-free FFI binding covering the five calls the reactor needs:
 //! `epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`, and
 //! `read`/`write`/`close` on the resulting descriptors. Every raw call is

@@ -92,15 +92,13 @@ pub fn hello(version: u8) -> [u8; 6] {
 /// `ErrorCode::BadFrame` when the magic does not match (connection-fatal:
 /// the peer is not speaking this protocol).
 pub fn scan_hello(buf: &[u8]) -> Result<Scan<u8>, WireError> {
-    let prefix = buf.len().min(MAGIC.len());
-    if buf[..prefix] != MAGIC[..prefix] {
+    if buf.iter().zip(MAGIC).any(|(got, want)| got != want) {
         return Err(bad_frame("bad magic: expected RUSH1"));
     }
-    if buf.len() < 6 {
-        return Ok(Scan::Incomplete);
+    match buf.get(5) {
+        Some(&version) => Ok(Scan::Done { item: version, consumed: 6 }),
+        None => Ok(Scan::Incomplete),
     }
-    // bound: the length check above guarantees buf.len() >= 6
-    Ok(Scan::Done { item: buf[5], consumed: 6 })
 }
 
 // ---------------------------------------------------------------------------

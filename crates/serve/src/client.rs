@@ -5,7 +5,7 @@ use crate::protocol::{
     Decision, JobSubmission, PlanRow, Request, Response, StatsReport, WireError,
 };
 use crate::ServeError;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -25,6 +25,10 @@ pub struct Client {
     codec: Codec,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "blocking client by design: runs on the caller's thread, never on an event loop"
+)]
 impl Client {
     /// Connects to a daemon speaking the JSON protocol.
     ///
@@ -239,12 +243,13 @@ impl Client {
 /// Appends the reader's next chunk to `buf`; EOF is an error (we are
 /// always mid-frame when this is called).
 fn fill(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> Result<(), ServeError> {
-    let mut chunk = [0u8; 4096];
-    let n = reader.read(&mut chunk)?;
+    let chunk = reader.fill_buf()?;
+    let n = chunk.len();
     if n == 0 {
         return Err(eof());
     }
-    buf.extend_from_slice(&chunk[..n]);
+    buf.extend_from_slice(chunk);
+    reader.consume(n);
     Ok(())
 }
 

@@ -270,7 +270,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes.get(self.pos..).is_some_and(|rest| rest.starts_with(word.as_bytes())) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -410,9 +410,9 @@ impl Parser<'_> {
                     while s.get(end).is_some_and(|&b| (b & 0xC0) == 0x80) {
                         end += 1;
                     }
-                    match std::str::from_utf8(&s[start..end]) {
-                        Ok(chunk) => out.push_str(chunk),
-                        Err(_) => return Err(self.err("invalid utf-8 in string")),
+                    match s.get(start..end).and_then(|b| std::str::from_utf8(b).ok()) {
+                        Some(chunk) => out.push_str(chunk),
+                        None => return Err(self.err("invalid utf-8 in string")),
                     }
                     self.pos = end;
                 }
@@ -470,8 +470,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .ok_or_else(|| self.err("invalid number bytes"))?;
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(Json::Num(v)),
             _ => Err(JsonError { pos: start, reason: format!("number out of range: {text}") }),

@@ -47,6 +47,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A long-running daemon sheds, never panics: the whole library is denied
+// the panic family and unchecked indexing/slicing, and the blocking calls
+// listed in this crate's `clippy.toml` (`disallowed_methods`) are excused
+// only off the event loop. Excuses are `#[expect(.., reason)]` at the site
+// (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods,
+    )
+)]
 
 pub mod admission;
 pub mod binary;

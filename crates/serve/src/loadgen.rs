@@ -345,8 +345,8 @@ mod open_loop {
             while self.settled < self.plan.len() {
                 // Fire every submission that is due, open-loop.
                 let now = Instant::now();
-                while next_idx < self.plan.len() {
-                    let due = start + Duration::from_millis(self.plan[next_idx].0);
+                while let Some(entry) = self.plan.get(next_idx) {
+                    let due = start + Duration::from_millis(entry.0);
                     if due > now {
                         break;
                     }
@@ -363,8 +363,8 @@ mod open_loop {
                     self.out.protocol_errors += unsettled as u64;
                     break;
                 }
-                let timeout = if next_idx < self.plan.len() {
-                    let due = start + Duration::from_millis(self.plan[next_idx].0);
+                let timeout = if let Some(entry) = self.plan.get(next_idx) {
+                    let due = start + Duration::from_millis(entry.0);
                     due.saturating_duration_since(Instant::now()).min(IDLE_POLL)
                 } else {
                     IDLE_POLL
@@ -506,8 +506,9 @@ mod open_loop {
                 } else {
                     let data = conn.rbuf.data();
                     let Some(pos) = data.iter().position(|&b| b == b'\n') else { return };
-                    let resp = std::str::from_utf8(&data[..pos])
-                        .ok()
+                    let resp = data
+                        .get(..pos)
+                        .and_then(|line| std::str::from_utf8(line).ok())
                         .and_then(|line| Response::decode(line.trim_end()).ok());
                     conn.rbuf.consume(pos + 1);
                     resp

@@ -36,17 +36,18 @@
 use crate::binary::{self, Scan};
 use crate::protocol::{ErrorCode, Request, Response, WireError};
 use crate::server::{
-    encode_response, merge_pair, route, Completion, PlannerMsg, ReplySink, Routed, ServeConfig,
+    encode_response, merge_pair, route, Completion, CompletionQueue, PlannerMsg, ReplySink, Routed,
+    ServeConfig,
 };
 use crate::ServeError;
 use rush_reactor::{Event, Interest, Poller, ReadBuf, ReadOutcome, TimerId, TimerWheel, Waker};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -229,8 +230,9 @@ impl Conn {
                     None if data.len() > binary::MAX_FRAME_LEN => Step::EvictNow,
                     None => Step::Wait,
                     Some(pos) => {
-                        let line =
-                            String::from_utf8_lossy(&data[..pos]).trim().to_string();
+                        let line = String::from_utf8_lossy(data.get(..pos).unwrap_or_default())
+                            .trim()
+                            .to_string();
                         self.rbuf.consume(pos + 1);
                         if line.is_empty() {
                             Step::Again
@@ -260,7 +262,7 @@ pub(crate) struct Reactor {
     txs: Arc<Vec<Sender<PlannerMsg>>>,
     config: ServeConfig,
     waker: Arc<Waker>,
-    completions: Arc<Mutex<VecDeque<Completion>>>,
+    completions: CompletionQueue,
     stop: Arc<AtomicBool>,
     timers: TimerWheel,
     conns: BTreeMap<u64, Conn>,
@@ -284,7 +286,7 @@ impl Reactor {
             txs,
             config,
             waker,
-            completions: Arc::new(Mutex::new(VecDeque::new())),
+            completions: CompletionQueue::default(),
             stop,
             timers: TimerWheel::new(),
             conns: BTreeMap::new(),
@@ -461,7 +463,7 @@ impl Reactor {
     /// A completion sink pointing back at this reactor.
     fn sink(&self, conn: u64, seq: u64, shard: usize) -> ReplySink {
         ReplySink {
-            queue: Arc::clone(&self.completions),
+            queue: self.completions.clone(),
             waker: Arc::clone(&self.waker),
             conn,
             seq,
@@ -543,11 +545,7 @@ impl Reactor {
     /// Moves every completion out of the shared queue and into its
     /// connection.
     fn drain_completions(&mut self) {
-        let batch = match self.completions.lock() {
-            Ok(mut q) => std::mem::take(&mut *q),
-            Err(_) => return,
-        };
-        for c in batch {
+        for c in self.completions.take_all() {
             self.deliver(c);
         }
     }

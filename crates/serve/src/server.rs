@@ -49,13 +49,12 @@ use crate::ServeError;
 use rush_core::cluster::ClusterModel;
 use rush_core::RushConfig;
 use rush_metrics::Histogram;
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -162,11 +161,37 @@ pub(crate) struct Completion {
     pub(crate) resp: Response,
 }
 
+/// The planner → reactor hand-off, in a module of its own so the mutex is
+/// out of reach of both ends: the guard never leaves a method, so it
+/// cannot be held across the eventfd write or a second lock. A poisoned
+/// lock drops the push / yields nothing.
+mod handoff {
+    use super::Completion;
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Clone, Default)]
+    pub(crate) struct CompletionQueue(Arc<Mutex<VecDeque<Completion>>>);
+
+    impl CompletionQueue {
+        pub(crate) fn push(&self, completion: Completion) {
+            if let Ok(mut queue) = self.0.lock() {
+                queue.push_back(completion);
+            }
+        }
+
+        pub(crate) fn take_all(&self) -> VecDeque<Completion> {
+            self.0.lock().map(|mut queue| std::mem::take(&mut *queue)).unwrap_or_default()
+        }
+    }
+}
+pub(crate) use handoff::CompletionQueue;
+
 /// Where a planner reply goes: onto the owning reactor's completion
 /// queue, followed by a wake of its event loop. `send` never blocks the
 /// planner.
 pub(crate) struct ReplySink {
-    pub(crate) queue: Arc<Mutex<VecDeque<Completion>>>,
+    pub(crate) queue: CompletionQueue,
     pub(crate) waker: Arc<rush_reactor::Waker>,
     pub(crate) conn: u64,
     pub(crate) seq: u64,
@@ -177,14 +202,9 @@ impl ReplySink {
     /// Delivers one response. Delivery failures (a vanished peer) are
     /// dropped — the planner does not care whether anyone is listening.
     pub(crate) fn send(self, resp: Response) {
-        let completion = Completion { conn: self.conn, seq: self.seq, shard: self.shard, resp };
-        if let Ok(mut queue) = self.queue.lock() {
-            queue.push_back(completion);
-        }
-        // The guard dropped above, before the eventfd write: never hold a
-        // lock across I/O, even a nonblocking one. A failed wake is
-        // survivable — the reactor also drains its completion queue on
-        // every loop turn.
+        self.queue.push(Completion { conn: self.conn, seq: self.seq, shard: self.shard, resp });
+        // A failed wake is survivable — the reactor also drains its
+        // completion queue on every loop turn.
         let _ = self.waker.wake();
     }
 }
@@ -234,6 +254,7 @@ impl ServerHandle {
     ///
     /// [`ServeError`] when a planner exited on an internal error or a
     /// daemon thread panicked.
+    #[expect(clippy::disallowed_methods, reason = "the caller's thread waits for the daemon; never on an event loop")]
     pub fn join(self) -> Result<Histogram, ServeError> {
         let mut merged = Histogram::new();
         let mut first_err = None;
@@ -398,7 +419,9 @@ fn planner_loop(
             Some(d) => d.saturating_duration_since(Instant::now()),
             None => idle_tick,
         };
-        match rx.recv_timeout(timeout) {
+        #[expect(clippy::disallowed_methods, reason = "the planner thread's idle wait; reactors only ever `send` to it")]
+        let msg = rx.recv_timeout(timeout);
+        match msg {
             Ok(PlannerMsg::Submit { sub, enqueued, reply }) => {
                 if pending.is_empty() {
                     epoch_deadline = Some(enqueued + Duration::from_millis(config.epoch_ms));

@@ -208,6 +208,7 @@ fn temp_path(path: &Path) -> PathBuf {
 /// # Errors
 ///
 /// [`ServeError::Io`] on filesystem failure.
+#[expect(clippy::disallowed_methods, reason = "file I/O on the planner thread, never on an event loop")]
 pub fn write(path: &Path, state: &ServeState, now_slot: u64) -> Result<(), ServeError> {
     let tmp = temp_path(path);
     let mut file = File::create(&tmp)?;

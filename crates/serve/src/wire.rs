@@ -26,8 +26,9 @@
 //! blank in `request_blanks`/`response_blanks`. Nothing else in the crate
 //! enumerates fields.
 //!
-//! This file parses attacker-controlled bytes on the event-loop thread and
-//! is declared `panic-free` (RUSH-L013): checked access only.
+//! This file parses attacker-controlled bytes on the event-loop thread:
+//! checked access only (the crate denies the panic family and
+//! `clippy::indexing_slicing`, see `lib.rs`).
 
 use crate::json::{self, Json, MAX_SAFE_INT};
 use crate::protocol::{

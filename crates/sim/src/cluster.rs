@@ -196,6 +196,7 @@ impl ClusterSpec {
     /// # Panics
     ///
     /// Panics if `container >= capacity()`.
+    #[expect(clippy::panic, reason = "documented caller contract: container < capacity()")]
     pub fn node_of_container(&self, container: u32) -> &Node {
         let mut remaining = container;
         for node in &self.nodes {
@@ -204,7 +205,6 @@ impl ClusterSpec {
             }
             remaining -= node.containers;
         }
-        // rush-lint: allow(RUSH-L003): caller contract — container < capacity()
         panic!("container index {container} out of range (capacity {})", self.capacity());
     }
 

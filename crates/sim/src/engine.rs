@@ -86,6 +86,10 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics if the capacity would be zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented constructor panic: config validation rejects empty clusters"
+    )]
     pub fn homogeneous(nodes: u32, containers_per_node: u32) -> Self {
         Self::new(
             ClusterSpec::homogeneous(nodes, containers_per_node)
@@ -298,6 +302,10 @@ impl EngineState {
             }
             self.queue.pop();
             let attempts = &mut self.job_attempts[a.job as usize];
+            #[expect(
+                clippy::expect_used,
+                reason = "attempt slab and per-job lists are updated together"
+            )]
             let pos = attempts.iter().position(|&x| x == id).expect("attempt tracked");
             attempts.swap_remove(pos);
             self.slab[id as usize].alive = false;
@@ -329,6 +337,10 @@ impl EngineState {
         let job = self.slab[id as usize].job as usize;
         self.slab[id as usize].alive = false;
         let attempts = &mut self.job_attempts[job];
+        #[expect(
+            clippy::expect_used,
+            reason = "attempt slab and per-job lists are updated together"
+        )]
         let pos = attempts.iter().position(|&x| x == id).expect("attempt tracked");
         attempts.swap_remove(pos);
     }
@@ -521,11 +533,19 @@ impl Simulation {
                 match ev.change {
                     CapacityChange::Revoke { n } => {
                         for _ in 0..n {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
+                            )]
                             let c = st.free.highest_in_service().expect("schedule validated");
                             result.revoked_containers += 1;
                             if st.free.revoke(c) {
                                 continue; // was free: nothing to kill
                             }
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "a revoked container that was not free always carries a running attempt"
+                            )]
                             let id = st.attempt_on(c).expect("busy container has an attempt");
                             let a = st.slab[id as usize];
                             st.kill(id);
@@ -558,6 +578,10 @@ impl Simulation {
                     }
                     CapacityChange::Restock { n } => {
                         for _ in 0..n {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
+                            )]
                             let c = st.free.lowest_revoked().expect("schedule validated");
                             st.free.restore(c);
                             result.restocked_containers += 1;
@@ -577,6 +601,10 @@ impl Simulation {
 
             // 2. Arrivals at `now`.
             while arrivals.last().is_some_and(|&i| self.jobs[i].spec.arrival() == now) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pop follows a successful peek of the same heap"
+                )]
                 let i = arrivals.pop().expect("peeked");
                 let v = self.make_view(i);
                 let id = v.id;
@@ -632,6 +660,10 @@ impl Simulation {
                             }
                             continue;
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "acquire follows a non-empty free-pool check"
+                        )]
                         let container = st.free.acquire_lowest().expect("free checked");
                         self.start_task_ix(
                             &mut st,
@@ -680,6 +712,10 @@ impl Simulation {
                         .min_by_key(|a| (a.start(), a.task))
                 });
                 let Some(primary) = target else { break };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "acquire follows a non-empty free-pool check"
+                )]
                 let container = st.free.acquire_lowest().expect("free checked");
                 let task = self.jobs[job_idx].spec.tasks()[primary.task as usize];
                 let base = task.base_runtime();
@@ -772,6 +808,7 @@ impl Simulation {
                 job.pending_reduces.push(a.task as usize);
             }
         }
+        #[expect(clippy::expect_used, reason = "view index is maintained for every active job")]
         let vi = st.view_of[a.job as usize].expect("failing task of an active job") as usize;
         let v = &mut st.views[vi];
         v.running_tasks -= 1;
@@ -855,6 +892,10 @@ impl Simulation {
         let pick_local = |pending: &[usize], spec: &JobSpec| -> Option<usize> {
             pending.iter().rposition(|&t| spec.tasks()[t].preferred_node() == Some(node_id))
         };
+        #[expect(
+            clippy::expect_used, clippy::unreachable,
+            reason = "dispatch only fires while the runnable counter is positive"
+        )]
         let task_idx = if let Some(pos) = pick_local(&job.pending_maps, &job.spec) {
             job.pending_maps.remove(pos)
         } else if let Some(t) = job.pending_maps.pop() {
@@ -930,6 +971,7 @@ impl Simulation {
         if was_map {
             job.maps_remaining -= 1;
         }
+        #[expect(clippy::expect_used, reason = "view index is maintained for every active job")]
         let vi = st.view_of[a.job as usize].expect("completing task of an active job") as usize;
         let v = &mut st.views[vi];
         v.running_tasks -= 1;
@@ -1105,6 +1147,10 @@ pub mod naive {
                     // First successful attempt wins: kill any duplicate of
                     // the same task before recording the completion.
                     if sibling_running {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "speculation tracks both attempt siblings"
+                        )]
                         let idx = running
                             .iter()
                             .position(|o| o.job == rt.job && o.task == rt.task)
@@ -1152,6 +1198,10 @@ pub mod naive {
                 match ev.change {
                     CapacityChange::Revoke { n } => {
                         for _ in 0..n {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
+                            )]
                             let c = (0..capacity)
                                 .rev()
                                 .find(|&c| !revoked[c as usize])
@@ -1163,6 +1213,10 @@ pub mod naive {
                                 free.remove(pos);
                                 continue; // was free: nothing to kill
                             }
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "a revoked container that was not free always carries a running attempt"
+                            )]
                             let idx = running
                                 .iter()
                                 .position(|rt| rt.container == c)
@@ -1196,6 +1250,10 @@ pub mod naive {
                     }
                     CapacityChange::Restock { n } => {
                         for _ in 0..n {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
+                            )]
                             let c = (0..capacity)
                                 .find(|&c| revoked[c as usize])
                                 .expect("schedule validated");
@@ -1220,6 +1278,10 @@ pub mod naive {
 
             // 2. Arrivals at `now`.
             while arrivals.last().is_some_and(|&i| sim.jobs[i].spec.arrival() == now) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pop follows a successful peek of the same heap"
+                )]
                 let i = arrivals.pop().expect("peeked");
                 let v = sim.make_view(i);
                 let id = v.id;
@@ -1272,6 +1334,10 @@ pub mod naive {
                             }
                             continue;
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "acquire follows a non-empty free-pool check"
+                        )]
                         let container = free.pop().expect("free checked");
                         start_task(
                             &mut sim,
@@ -1321,6 +1387,10 @@ pub mod naive {
                     .min_by_key(|rt| (rt.start(), rt.task))
                     .copied();
                 let Some(primary) = target else { break };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "acquire follows a non-empty free-pool check"
+                )]
                 let container = free.pop().expect("free checked");
                 let task = sim.jobs[job_idx].spec.tasks()[primary.task];
                 let base = task.base_runtime();
@@ -1412,6 +1482,7 @@ pub mod naive {
                 job.pending_reduces.push(rt.task);
             }
         }
+        #[expect(clippy::expect_used, reason = "view index is maintained for every active job")]
         let vi = views
             .iter()
             .position(|v| v.id == JobId(rt.job as u32))
@@ -1469,6 +1540,10 @@ pub mod naive {
         let pick_local = |pending: &[usize], spec: &JobSpec| -> Option<usize> {
             pending.iter().rposition(|&t| spec.tasks()[t].preferred_node() == Some(node_id))
         };
+        #[expect(
+            clippy::expect_used, clippy::unreachable,
+            reason = "dispatch only fires while the runnable counter is positive"
+        )]
         let task_idx = if let Some(pos) = pick_local(&job.pending_maps, &job.spec) {
             job.pending_maps.remove(pos)
         } else if let Some(t) = job.pending_maps.pop() {
@@ -1541,6 +1616,7 @@ pub mod naive {
         if was_map {
             job.maps_remaining -= 1;
         }
+        #[expect(clippy::expect_used, reason = "view index is maintained for every active job")]
         let vi = views
             .iter()
             .position(|v| v.id == JobId(rt.job as u32))

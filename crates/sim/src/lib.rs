@@ -47,6 +47,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Bit-identical to the naive engine and panic-free in library code: no
+// hash-order iteration, no exact float compares, no panic family. Excuses
+// are `#[expect(.., reason)]` at the site (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::iter_over_hash_type,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 pub mod cluster;
 pub mod engine;

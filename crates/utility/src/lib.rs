@@ -37,6 +37,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Algorithm crate: no exact float compares, no panic family in library code
+// (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 use std::error::Error;
 use std::fmt;

@@ -1,21 +1,22 @@
-//! CLI entry point: `cargo xtask lint [--json] [--root PATH]`,
-//! `cargo xtask lint --explain RUSH-LNNN` and
-//! `cargo xtask bench-gate --baseline A.json --candidate B.json`.
+//! `xtask` — offline workspace automation for RUSH. One subcommand:
+//! `cargo xtask bench-gate --baseline A.json --candidate B.json`, the fig5
+//! steady-state regression gate CI runs against the checked-in benchmark
+//! numbers, plus its `--sharded` scaling-floor and `--capacity`
+//! robustness modes. (Lint rules live in the crates they govern, as
+//! clippy lint levels: `cargo clippy --workspace --all-targets -- -D warnings`.)
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+mod bench_gate;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-use xtask::report::{Rule, ALL_RULES};
 
 const USAGE: &str = "\
 Usage: cargo xtask <command>
 
 Commands:
-  lint [--json] [--root PATH]   run the RUSH static-analysis pass: the
-                                token rules (RUSH-L001..L003) and the AST
-                                + call-graph rules (RUSH-L009..L013)
-  lint --explain RUSH-LNNN      print the documentation for one rule
-  lint --list                   list rule codes and summaries
   bench-gate --baseline A.json --candidate B.json [--jobs N] [--factor F]
                                 fail if the candidate fig5 cached cost at
                                 N jobs (default 200) exceeds F x baseline
@@ -33,89 +34,15 @@ Commands:
                                 the report's own gate object; the sim
                                 is seeded, so the check is exact)
 
-Exit codes: 0 = clean, 1 = findings/regression, 2 = usage error.
+Exit codes: 0 = pass, 1 = regression, 2 = usage error.
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint_cmd(&args[1..]),
         Some("bench-gate") => bench_gate_cmd(&args[1..]),
         _ => {
             eprint!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Default scan root: two levels above this crate's manifest dir.
-fn default_root() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p
-}
-
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut root = default_root();
-    let mut i = 0usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--list" => {
-                for &r in ALL_RULES {
-                    println!("{}  {}", r.code(), r.summary());
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--explain" => {
-                let Some(code) = args.get(i + 1) else {
-                    eprintln!("--explain needs a rule code (see `lint --list`)");
-                    return ExitCode::from(2);
-                };
-                let Some(rule) = Rule::from_code(code) else {
-                    eprintln!("unknown rule code `{code}`; known codes:");
-                    for &r in ALL_RULES {
-                        eprintln!("  {}  {}", r.code(), r.summary());
-                    }
-                    return ExitCode::from(2);
-                };
-                println!("{}", rule.explain());
-                return ExitCode::SUCCESS;
-            }
-            "--root" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("--root needs a path");
-                    return ExitCode::from(2);
-                };
-                root = PathBuf::from(p);
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprint!("{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-
-    match xtask::lint(&root) {
-        Ok(report) => {
-            if json {
-                print!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            if report.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("lint failed: {e}");
             ExitCode::from(2)
         }
     }
@@ -222,7 +149,7 @@ fn bench_gate_cmd(args: &[String]) -> ExitCode {
         let Some(cand_json) = read(&candidate) else {
             return ExitCode::from(2);
         };
-        return match xtask::bench_gate::capacity_gate(&cand_json) {
+        return match bench_gate::capacity_gate(&cand_json) {
             Ok(o) => {
                 println!(
                     "bench-gate --capacity: at revocation rate {:.2} RUSH hits {:.4}, deterministic delta=0 hits {:.4} -> {}",
@@ -255,7 +182,7 @@ fn bench_gate_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         };
         let jobs = jobs.unwrap_or(10_000);
-        return match xtask::bench_gate::shard_gate(&cand_json, jobs, shards, min_speedup) {
+        return match bench_gate::shard_gate(&cand_json, jobs, shards, min_speedup) {
             Ok(o) => {
                 println!(
                     "bench-gate --sharded: ns/event at {jobs} jobs: 1 shard {:.0}, {shards} shards {:.0} ({:.2}x speedup, floor {:.2}x) -> {}",
@@ -286,7 +213,7 @@ fn bench_gate_cmd(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let jobs = jobs.unwrap_or(200);
-    match xtask::bench_gate::gate(&base_json, &cand_json, jobs, factor) {
+    match bench_gate::gate(&base_json, &cand_json, jobs, factor) {
         Ok(o) => {
             println!(
                 "bench-gate: cached ns/event at {jobs} jobs: baseline {:.0}, candidate {:.0} ({:.2}x, limit {:.2}x) -> {}",
