@@ -12,7 +12,7 @@
 //! pipeline. Three per-event costs are measured:
 //!
 //! * **baseline** — the pre-optimization pipeline: per-job estimate + WCDE
-//!   with no memoization and the straightforward [`rush_core::onion::naive`]
+//!   with no memoization and the straightforward [`rush_oracle::onion`]
 //!   peel (per-probe allocation + sort, full-range bisection per layer).
 //! * **uncached** — `compute_plan` from scratch: optimized peel, no
 //!   memoization.
@@ -43,12 +43,13 @@
 use rand::Rng;
 use rush_bench::{flag, parse_args};
 use rush_core::mapping::{map_continuous, MapJob};
-use rush_core::onion::{naive, OnionJob, Shifted};
+use rush_core::onion::{OnionJob, Shifted};
 use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
 use rush_estimator::{DistributionEstimator, GaussianEstimator};
 use rush_metrics::table::{fmt_f64, Table};
+use rush_oracle::onion as naive;
 use rush_prob::rng::{derive_seed, seeded_rng};
 use rush_utility::TimeUtility;
 use std::time::Instant;

@@ -82,8 +82,13 @@ pub fn usage() -> String {
         .to_owned()
 }
 
-fn flag<T: std::str::FromStr>(cli: &Cli, key: &str, default: T) -> T {
-    cli.flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The value of `--key`, or `default` when the flag is absent. A value
+/// that does not parse is an error naming the flag, never the default.
+fn flag<T: std::str::FromStr>(cli: &Cli, key: &str, default: T) -> Result<T, String> {
+    match cli.flags.get(key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("invalid value for --{key}: {v}")),
+    }
 }
 
 fn experiment(seed: u64) -> Experiment {
@@ -93,7 +98,7 @@ fn experiment(seed: u64) -> Experiment {
 }
 
 fn build_workload(cli: &Cli) -> Result<(Experiment, Vec<JobSpec>), String> {
-    let seed: u64 = flag(cli, "seed", 1);
+    let seed: u64 = flag(cli, "seed", 1)?;
     let exp = experiment(seed);
     if let Some(path) = cli.flags.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -101,9 +106,9 @@ fn build_workload(cli: &Cli) -> Result<(Experiment, Vec<JobSpec>), String> {
         return Ok((exp, jobs));
     }
     let cfg = WorkloadConfig {
-        jobs: flag(cli, "jobs", 40),
-        budget_ratio: flag(cli, "ratio", 1.5),
-        mean_interarrival: flag(cli, "interarrival", 45.0),
+        jobs: flag(cli, "jobs", 40)?,
+        budget_ratio: flag(cli, "ratio", 1.5)?,
+        mean_interarrival: flag(cli, "interarrival", 45.0)?,
         seed,
         ..Default::default()
     };
@@ -186,7 +191,7 @@ pub fn cmd_compare(cli: &Cli) -> Result<String, String> {
 pub fn cmd_gantt(cli: &Cli) -> Result<String, String> {
     let (exp, jobs) = build_workload(cli)?;
     let name = cli.flags.get("scheduler").cloned().unwrap_or_else(|| "rush".into());
-    let width: usize = flag(cli, "width", 100);
+    let width: usize = flag(cli, "width", 100)?;
     let mut sched = scheduler_by_name(&name)?;
     let capacity = exp.cluster().capacity();
     let sim_cfg = SimConfig::new(exp.cluster().clone())
@@ -238,7 +243,7 @@ pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
     use rush_core::plan::render_dashboard;
     use rush_planner::{EventOutcome, PlannerCore, PlannerEvent};
     let (exp, jobs) = build_workload(cli)?;
-    let at: u64 = flag(cli, "at", 120);
+    let at: u64 = flag(cli, "at", 120)?;
     let arrived: Vec<&JobSpec> = jobs.iter().filter(|j| j.arrival() <= at).collect();
     if arrived.is_empty() {
         return Ok(format!("no jobs arrived by slot {at}\n"));
@@ -299,15 +304,15 @@ pub fn serve_config(cli: &Cli) -> Result<rush_serve::ServeConfig, String> {
         addr: cli.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4117".into()),
         ..rush_serve::ServeConfig::default()
     };
-    cfg.capacity = flag(cli, "capacity", cfg.capacity);
-    cfg.epoch_ms = flag(cli, "epoch-ms", cfg.epoch_ms);
-    cfg.epoch_max_batch = flag(cli, "batch", cfg.epoch_max_batch);
-    cfg.ms_per_slot = flag(cli, "ms-per-slot", cfg.ms_per_slot);
-    cfg.shards = flag(cli, "shards", cfg.shards);
-    cfg.reactors = flag(cli, "reactors", cfg.reactors);
+    cfg.capacity = flag(cli, "capacity", cfg.capacity)?;
+    cfg.epoch_ms = flag(cli, "epoch-ms", cfg.epoch_ms)?;
+    cfg.epoch_max_batch = flag(cli, "batch", cfg.epoch_max_batch)?;
+    cfg.ms_per_slot = flag(cli, "ms-per-slot", cfg.ms_per_slot)?;
+    cfg.shards = flag(cli, "shards", cfg.shards)?;
+    cfg.reactors = flag(cli, "reactors", cfg.reactors)?;
     cfg.snapshot_path = cli.flags.get("snapshot").map(std::path::PathBuf::from);
-    cfg.rush.theta = flag(cli, "theta", cfg.rush.theta);
-    cfg.rush.delta = flag(cli, "delta", cfg.rush.delta);
+    cfg.rush.theta = flag(cli, "theta", cfg.rush.theta)?;
+    cfg.rush.delta = flag(cli, "delta", cfg.rush.delta)?;
     Ok(cfg)
 }
 
@@ -338,15 +343,15 @@ pub fn cmd_serve(cli: &Cli) -> Result<String, String> {
 pub fn loadgen_config(cli: &Cli) -> Result<rush_serve::loadgen::LoadgenConfig, String> {
     Ok(rush_serve::loadgen::LoadgenConfig {
         addr: cli.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4117".into()),
-        jobs: flag(cli, "jobs", 100),
-        connections: flag(cli, "connections", 8),
-        binary: flag(cli, "binary", false),
-        mean_interarrival_ms: flag(cli, "mean-ms", 10.0),
-        seed: flag(cli, "seed", 7),
-        epoch_ms: flag(cli, "epoch-ms", 25),
-        report_samples: flag(cli, "report-samples", true),
-        shutdown: flag(cli, "shutdown", false),
-        append: flag(cli, "append", false),
+        jobs: flag(cli, "jobs", 100)?,
+        connections: flag(cli, "connections", 8)?,
+        binary: flag(cli, "binary", false)?,
+        mean_interarrival_ms: flag(cli, "mean-ms", 10.0)?,
+        seed: flag(cli, "seed", 7)?,
+        epoch_ms: flag(cli, "epoch-ms", 25)?,
+        report_samples: flag(cli, "report-samples", true)?,
+        shutdown: flag(cli, "shutdown", false)?,
+        append: flag(cli, "append", false)?,
         out: cli.flags.get("out").map(std::path::PathBuf::from),
     })
 }
@@ -543,6 +548,40 @@ mod tests {
         assert!(cfg.binary);
         assert!(cfg.append);
         assert_eq!(cfg.codec(), "binary");
+    }
+
+    #[test]
+    fn serve_rejects_malformed_flag_values() {
+        let err = serve_config(&cli("serve", &[("capacity", "4O96")])).unwrap_err();
+        assert!(err.contains("--capacity") && err.contains("4O96"), "{err}");
+        let err = serve_config(&cli("serve", &[("epoch-ms", "5ms")])).unwrap_err();
+        assert!(err.contains("--epoch-ms"), "{err}");
+        // Absent flags still take the daemon's defaults.
+        let defaults = rush_serve::ServeConfig::default();
+        let cfg = serve_config(&cli("serve", &[])).unwrap();
+        assert_eq!((cfg.capacity, cfg.epoch_ms), (defaults.capacity, defaults.epoch_ms));
+    }
+
+    #[test]
+    fn loadgen_rejects_malformed_flag_values() {
+        let err = loadgen_config(&cli("loadgen", &[("jobs", "1e3")])).unwrap_err();
+        assert!(err.contains("--jobs") && err.contains("1e3"), "{err}");
+        let err = cmd_loadgen(&cli("loadgen", &[("shutdown", "yes")])).unwrap_err();
+        assert!(err.contains("--shutdown"), "{err}");
+        let cfg = loadgen_config(&cli("loadgen", &[])).unwrap();
+        assert_eq!((cfg.jobs, cfg.epoch_ms, cfg.shutdown), (100, 25, false));
+    }
+
+    #[test]
+    fn compare_rejects_malformed_flag_values() {
+        let err = cmd_compare(&cli("compare", &[("jobs", "3x"), ("schedulers", "fifo")]))
+            .unwrap_err();
+        assert!(err.contains("--jobs") && err.contains("3x"), "{err}");
+        let err = cmd_compare(&cli("compare", &[("ratio", "1,5")])).unwrap_err();
+        assert!(err.contains("--ratio"), "{err}");
+        // Absent flags still generate the default 40-job workload.
+        let (_, jobs) = build_workload(&cli("compare", &[])).unwrap();
+        assert_eq!(jobs.len(), 40);
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! 5. **Assign** ([`plan`]) — only the plan's next-slot column is used:
 //!    the free container goes to the job with the largest gap between
 //!    planned and current occupancy, then the cycle repeats on the next
-//!    event. The production assignment unit lives in `rush-planner`
+//!    event. The assignment unit lives in `rush-planner`
 //!    (`rush_planner::RushScheduler`, a thin adapter over the shared
-//!    planner kernel); [`scheduler::ReferenceScheduler`] here is its
-//!    frozen pre-kernel twin, kept for differential testing.
+//!    planner kernel). Its frozen pre-kernel twin, like every other
+//!    differential oracle of this crate, lives in the dev-only
+//!    `rush-oracle` crate and is compared against under `tests/`.
 //!
 //! # Example: one pass of the robust pipeline
 //!
@@ -54,7 +55,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Bit-identical to the naive twins and panic-free in library code: no
+// Bit-identical to the `rush-oracle` twins and panic-free in library code: no
 // hash-order iteration, no exact float compares, no panic family. Excuses
 // are `#[expect(.., reason)]` at the site (DESIGN.md §9).
 #![cfg_attr(
@@ -80,13 +81,10 @@ pub mod error;
 pub mod mapping;
 pub mod onion;
 pub mod plan;
-pub mod reference;
 pub mod rem;
-pub mod scheduler;
 pub mod wcde;
 
 pub use cluster::{CapacityChange, CapacityEvent, ClusterModel, ContainerClass, ReliabilityTier};
 pub use config::RushConfig;
 pub use error::CoreError;
 pub use plan::{compute_plan, compute_plan_incremental, Plan, PlanCache, PlanInput, PlanState};
-pub use scheduler::ReferenceScheduler;

@@ -9,8 +9,8 @@
 //! A pass chains estimate → WCDE → onion peel → continuous
 //! mapping and reports, per job, the robust demand `η`, the target
 //! completion time, the achieved max-min level, and the number of
-//! containers the plan gives the job in the *next* slot. The
-//! [`RushScheduler`](crate::scheduler::RushScheduler) executes exactly that
+//! containers the plan gives the job in the *next* slot.
+//! `rush_planner::RushScheduler` executes exactly that
 //! next-slot column; everything else is recomputed on the next scheduling
 //! event. Keeping the pipeline pure also lets the Fig. 5 benchmarks
 //! measure scheduling cost at 20–1000 simultaneous jobs without running a

@@ -8,7 +8,7 @@
 //!   share the full path's arithmetic and both pipelines run the same
 //!   mapper (on recycled buffers here), so there is no tolerance to hide
 //!   behind; and
-//! * the peel layering must agree with the frozen `onion::naive::peel`
+//! * the peel layering must agree with the frozen `rush_oracle::onion::peel`
 //!   oracle (Algorithm 3 transcribed) to within bisection wobble, exactly
 //!   as the non-incremental differential suite checks.
 
@@ -220,7 +220,7 @@ proptest! {
     /// The peel layer alone, under the same event kinds, agrees with the
     /// frozen naive oracle at every step of the stream. The incremental
     /// peel is checked bitwise against the optimized full peel (they share
-    /// every probe's arithmetic), and both against `naive::peel` at a
+    /// every probe's arithmetic), and both against the naive peel at a
     /// coarser bound that absorbs bisection wobble — the same two-tier
     /// comparison the non-incremental differential suite uses.
     #[test]
@@ -295,7 +295,7 @@ proptest! {
             let inc =
                 onion::peel_incremental(&jobs, capacity, tolerance, horizon, same_context, &mut state)
                     .unwrap();
-            let naive = onion::naive::peel(&jobs, capacity, tolerance, horizon).unwrap();
+            let naive = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
 
             // Tier 1: incremental ≡ full, bitwise.
             prop_assert_eq!(inc.len(), full.len());

@@ -143,7 +143,7 @@ proptest! {
             .map(|((demand, _, _), u)| OnionJob { demand: *demand, utility: u })
             .collect();
         let fast = onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
-        let reference = onion::naive::peel(&jobs, capacity, tolerance, horizon).unwrap();
+        let reference = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
 
         // Every job peels exactly once in both.
         prop_assert_eq!(fast.len(), jobs.len());

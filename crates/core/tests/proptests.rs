@@ -257,7 +257,7 @@ proptest! {
             .zip(&specs)
             .map(|(u, &(d, ..))| OnionJob { demand: d, utility: u })
             .collect();
-        let lp = rush_core::reference::max_min_level_lp(&jobs, capacity, 1e-3, 1e7).unwrap();
+        let lp = rush_oracle::lp::max_min_level_lp(&jobs, capacity, 1e-3, 1e7).unwrap();
         let targets = peel(&jobs, capacity, 1e-3, 1e7).unwrap();
         let onion_min = targets.iter().map(|t| t.level).fold(f64::INFINITY, f64::min);
         prop_assert!(

@@ -4,7 +4,7 @@
 //! "can be transformed and efficiently solved using linear programming
 //! techniques (e.g., simplex method)" — the approach of the authors' prior
 //! CoRA scheduler — before motivating onion peeling as the faster
-//! alternative. This crate provides that reference path: a dense two-phase
+//! alternative. This module provides that reference path: a dense two-phase
 //! tableau [`simplex`](Problem::solve) with Bland's anti-cycling rule,
 //! adequate for the problem sizes the cross-validation tests need
 //! (tens of variables).
@@ -14,7 +14,7 @@
 //! Maximize `3x + 2y` subject to `x + y ≤ 4`, `x ≤ 2`:
 //!
 //! ```
-//! use rush_lp::{Problem, Relation, Solution};
+//! use rush_oracle::lp::{Problem, Relation, Solution};
 //!
 //! let mut p = Problem::maximize(vec![3.0, 2.0]);
 //! p.constrain(vec![1.0, 1.0], Relation::Le, 4.0);
@@ -28,22 +28,9 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-// Algorithm crate: no exact float compares, no panic family in library code.
-// Excuses are `#[expect(.., reason)]` at the site (DESIGN.md §9).
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::float_cmp,
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented,
-    )
-)]
+mod tas;
+
+pub use tas::{level_feasible_lp, max_min_level_lp};
 
 /// Numerical tolerance for pivoting and feasibility decisions.
 const EPS: f64 = 1e-9;

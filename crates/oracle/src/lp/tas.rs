@@ -10,9 +10,9 @@
 //! utility level that the test suite cross-validates against the onion
 //! peel.
 
-use crate::onion::OnionJob;
-use crate::CoreError;
-use rush_lp::{Problem, Relation, Solution};
+use super::{Problem, Relation, Solution};
+use rush_core::onion::OnionJob;
+use rush_core::CoreError;
 
 /// Decides, via LP feasibility, whether every job can attain utility level
 /// `level` simultaneously.
@@ -130,7 +130,7 @@ pub fn max_min_level_lp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::onion::peel;
+    use rush_core::onion::peel;
     use rush_utility::{TimeUtility, Utility};
 
     fn sigmoid(budget: f64, weight: f64, beta: f64) -> TimeUtility {

@@ -28,8 +28,8 @@
 //! when no runtime evidence exists at all — mirroring how production
 //! clusters benchmark recurring applications.
 
-use crate::plan::{compute_plan_incremental, Plan, PlanInput, PlanState};
-use crate::RushConfig;
+use rush_core::plan::{compute_plan_incremental, Plan, PlanInput, PlanState};
+use rush_core::RushConfig;
 use rush_sim::view::{ClusterView, TaskSample};
 use rush_sim::{JobId, Scheduler, Slot};
 use std::borrow::Cow;
@@ -47,7 +47,8 @@ type DesiredCache = Vec<(JobId, u32, f64)>;
 /// # Example
 ///
 /// ```
-/// use rush_core::{ReferenceScheduler, RushConfig};
+/// use rush_core::RushConfig;
+/// use rush_oracle::scheduler::ReferenceScheduler;
 /// use rush_sim::engine::{SimConfig, Simulation};
 /// use rush_sim::job::{JobSpec, Phase, TaskSpec};
 /// use rush_utility::TimeUtility;
@@ -109,7 +110,7 @@ impl ReferenceScheduler {
     pub fn cora() -> Self {
         let config = RushConfig::default()
             .with_delta(0.0)
-            .with_estimator(crate::config::EstimatorKind::Mean);
+            .with_estimator(rush_core::config::EstimatorKind::Mean);
         let mut s = Self::new(config);
         s.name = "CoRA";
         s
@@ -467,7 +468,7 @@ mod tests {
         let cora = ReferenceScheduler::cora();
         assert_eq!(Scheduler::name(&cora), "CoRA");
         assert_eq!(cora.config().delta, 0.0);
-        assert!(matches!(cora.config().estimator, crate::config::EstimatorKind::Mean));
+        assert!(matches!(cora.config().estimator, rush_core::config::EstimatorKind::Mean));
         // CoRA still schedules a workload to completion.
         let jobs = vec![job("wc", 0, 6, 10.0, TimeUtility::sigmoid(120.0, 5.0, 0.1).unwrap(), 120)];
         let r = Simulation::new(SimConfig::homogeneous(1, 3), jobs)

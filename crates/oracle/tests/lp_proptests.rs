@@ -2,7 +2,7 @@
 //! feasible points, feasibility of reported optima, and monotonicity.
 
 use proptest::prelude::*;
-use rush_lp::{Problem, Relation, Solution};
+use rush_oracle::lp::{Problem, Relation, Solution};
 
 /// A random bounded LP instance: objective, per-variable upper bounds, and
 /// extra `a·x ≤ b` rows.

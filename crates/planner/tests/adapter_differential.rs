@@ -1,6 +1,6 @@
 //! Differential proof of the kernel refactor: the kernel-backed
 //! [`rush_planner::RushScheduler`] must behave **bit-identically** to the
-//! frozen pre-kernel [`rush_core::ReferenceScheduler`].
+//! frozen pre-kernel [`rush_oracle::scheduler::ReferenceScheduler`].
 //!
 //! Both schedulers are driven through the same randomized simulations —
 //! heterogeneous node speeds, data-locality penalties, Bernoulli failures,
@@ -15,7 +15,8 @@
 //! are both exercised.
 
 use proptest::prelude::*;
-use rush_core::{ReferenceScheduler, RushConfig};
+use rush_core::RushConfig;
+use rush_oracle::scheduler::ReferenceScheduler;
 use rush_planner::RushScheduler;
 use rush_sim::cluster::ClusterSpec;
 use rush_sim::engine::{SimConfig, Simulation};

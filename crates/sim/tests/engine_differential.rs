@@ -1,7 +1,7 @@
 //! Differential and determinism properties of the two simulation engines.
 //!
 //! The indexed engine ([`Simulation::run`]) and the scan-based reference
-//! ([`rush_sim::engine::naive::run`]) must produce **bit-identical**
+//! ([`rush_oracle::engine::run`]) must produce **bit-identical**
 //! results: the same job outcomes in the same order, the same makespan and
 //! counters, the same RNG draw order (visible through durations), and the
 //! same trace event sequence. Wall-clock `scheduler_time` is the only field
@@ -9,19 +9,23 @@
 //!
 //! The workload generator below deliberately crosses the hard cases:
 //! heterogeneous node speeds, map/reduce barriers, data-locality
-//! preferences, Bernoulli failures, log-normal interference, and a
+//! preferences, Bernoulli failures, log-normal interference, a
 //! speculation-happy scheduler so duplicate-kill (including two duplicates
-//! due at the same slot) is exercised.
+//! due at the same slot) is exercised, and a seeded spot-churn stream so
+//! revocations land on busy containers.
 
 use proptest::prelude::*;
-use rush_sim::cluster::ClusterSpec;
-use rush_sim::engine::{naive, SimConfig, Simulation};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use rush_oracle::engine as naive;
+use rush_sim::cluster::{CapacityChange, CapacityEvent, ClusterSpec};
+use rush_sim::engine::{SimConfig, Simulation};
 use rush_sim::job::{JobSpec, Phase, TaskSpec};
 use rush_sim::outcome::SimResult;
 use rush_sim::perturb::{FailureModel, Interference};
 use rush_sim::scheduler::{fcfs_task_order, FcfsTaskOrder, Scheduler};
 use rush_sim::view::ClusterView;
-use rush_sim::{JobId, NodeId, Slot};
+use rush_sim::{JobId, NodeId, SimError, Slot};
 use rush_utility::TimeUtility;
 
 /// Deterministically speculates on the active job with the most running
@@ -45,8 +49,36 @@ impl Scheduler for GreedySpeculator {
     }
 }
 
+/// A seeded spot-churn stream for a cluster of `capacity` containers:
+/// eight revokes and restocks a few slots apart, inside the window the
+/// generated workloads run in. Valid by construction — a revoke leaves at
+/// least one container in service, a restock returns no more than is out
+/// — and `Simulation::new` re-checks it with `validate_capacity_events`.
+fn churn_events(seed: u64, capacity: u32) -> Vec<CapacityEvent> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut in_service = capacity;
+    let mut at: Slot = 0;
+    (0..8)
+        .map(|_| {
+            at += rng.gen_range(1u64..8);
+            let out = capacity - in_service;
+            let change = if in_service > 1 && (out == 0 || rng.gen_bool(0.5)) {
+                let n = rng.gen_range(1..in_service);
+                in_service -= n;
+                CapacityChange::Revoke { n }
+            } else {
+                let n = rng.gen_range(1..=out);
+                in_service += n;
+                CapacityChange::Restock { n }
+            };
+            CapacityEvent { at, change }
+        })
+        .collect()
+}
+
 /// One parameterized workload: `n_jobs` jobs with mixed map/reduce shapes
-/// and node preferences on a 3-speed-grade cluster.
+/// and node preferences on a 3-speed-grade cluster, under the churn stream
+/// of seed `churn` if one is given.
 fn build_sim(
     seed: u64,
     n_jobs: usize,
@@ -54,6 +86,7 @@ fn build_sim(
     fail_p: f64,
     cv: f64,
     trace: bool,
+    churn: Option<u64>,
 ) -> Simulation {
     let cluster =
         ClusterSpec::new(vec![(0.8, containers_per_node), (1.0, containers_per_node), (1.3, containers_per_node)])
@@ -67,6 +100,9 @@ fn build_sim(
     }
     if cv > 0.0 {
         cfg = cfg.with_interference(Interference::LogNormal { cv });
+    }
+    if let Some(churn) = churn {
+        cfg = cfg.with_capacity_events(churn_events(churn, 3 * containers_per_node));
     }
     let jobs: Vec<JobSpec> = (0..n_jobs)
         .map(|i| {
@@ -104,14 +140,113 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult) {
     assert_eq!(a.killed_attempts, b.killed_attempts);
     assert_eq!(a.local_starts, b.local_starts);
     assert_eq!(a.remote_starts, b.remote_starts);
+    assert_eq!(a.revoked_containers, b.revoked_containers);
+    assert_eq!(a.restocked_containers, b.restocked_containers);
+    assert_eq!(a.revoked_attempts, b.revoked_attempts);
     assert_eq!(a.trace, b.trace, "trace event sequences must match");
+}
+
+/// Speculates on every opportunity, on the first job with anything running.
+#[derive(Debug)]
+struct AlwaysSpeculate;
+
+impl Scheduler for AlwaysSpeculate {
+    fn name(&self) -> &str {
+        "always-spec"
+    }
+    fn assign(&mut self, view: &ClusterView<'_>) -> Option<JobId> {
+        FcfsTaskOrder.assign(view)
+    }
+    fn speculate(&mut self, view: &ClusterView<'_>) -> Option<JobId> {
+        view.jobs.iter().find(|j| j.running_tasks > 0).map(|j| j.id)
+    }
+}
+
+/// The fixed scenario the engines were first compared on: speculation
+/// kills, failures, interference, heterogeneity, locality and the
+/// map/reduce barrier at once on the paper testbed, under `events`.
+fn paper_testbed_sim(events: Vec<CapacityEvent>) -> Simulation {
+    let cfg = SimConfig::new(ClusterSpec::paper_testbed(2).unwrap())
+        .with_interference(Interference::LogNormal { cv: 0.4 })
+        .with_failures(FailureModel::Bernoulli { p: 0.15 })
+        .with_remote_penalty(1.3)
+        .with_trace(true)
+        .with_seed(42)
+        .with_capacity_events(events);
+    let jobs: Vec<JobSpec> = (0..6)
+        .map(|i| {
+            JobSpec::builder(format!("j{i}"))
+                .arrival(i * 3)
+                .tasks((0..5).map(|t| {
+                    TaskSpec::new(4.0 + t as f64, Phase::Map)
+                        .with_preference(NodeId((t % 6) as u32))
+                }))
+                .task(TaskSpec::new(6.0, Phase::Reduce))
+                .utility(TimeUtility::constant(1.0).unwrap())
+                .build()
+                .unwrap()
+        })
+        .collect();
+    Simulation::new(cfg, jobs).unwrap()
+}
+
+#[test]
+fn engines_agree_on_the_paper_testbed_scenario() {
+    let indexed = paper_testbed_sim(Vec::new()).run(&mut AlwaysSpeculate).unwrap();
+    let scanned = naive::run(paper_testbed_sim(Vec::new()), &mut AlwaysSpeculate).unwrap();
+    assert_bit_identical(&indexed, &scanned);
+}
+
+#[test]
+fn engines_agree_on_the_paper_testbed_scenario_under_capacity_churn() {
+    let events = vec![
+        CapacityEvent { at: 3, change: CapacityChange::Revoke { n: 4 } },
+        CapacityEvent { at: 9, change: CapacityChange::Revoke { n: 3 } },
+        CapacityEvent { at: 15, change: CapacityChange::Restock { n: 5 } },
+        CapacityEvent { at: 22, change: CapacityChange::Revoke { n: 6 } },
+        CapacityEvent { at: 31, change: CapacityChange::Restock { n: 8 } },
+    ];
+    let indexed = paper_testbed_sim(events.clone()).run(&mut AlwaysSpeculate).unwrap();
+    let scanned = naive::run(paper_testbed_sim(events), &mut AlwaysSpeculate).unwrap();
+    assert_bit_identical(&indexed, &scanned);
+    // The churn actually bit: something was revoked while busy.
+    assert!(indexed.revoked_attempts > 0);
+}
+
+#[test]
+fn scan_engine_reports_the_same_errors() {
+    /// A scheduler that always refuses to assign.
+    struct Refusenik;
+    impl Scheduler for Refusenik {
+        fn name(&self) -> &str {
+            "refusenik"
+        }
+        fn assign(&mut self, _view: &ClusterView<'_>) -> Option<JobId> {
+            None
+        }
+    }
+    let sim = |maps: usize, runtime: f64, cfg: SimConfig| {
+        let job = JobSpec::builder("j")
+            .tasks((0..maps).map(|_| TaskSpec::new(runtime, Phase::Map)))
+            .utility(TimeUtility::constant(1.0).unwrap())
+            .build()
+            .unwrap();
+        Simulation::new(cfg, vec![job]).unwrap()
+    };
+    let cfg = SimConfig::homogeneous(1, 1).with_max_slots(5);
+    let err = naive::run(sim(2, 10.0, cfg), &mut fcfs_task_order()).unwrap_err();
+    assert!(matches!(err, SimError::HorizonExceeded { unfinished: 1, .. }));
+
+    let err = naive::run(sim(1, 5.0, SimConfig::homogeneous(1, 1)), &mut Refusenik).unwrap_err();
+    assert!(matches!(err, SimError::SchedulerStalled { at: 0 }));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Tentpole contract: indexed engine ≡ naive engine, bit for bit,
-    /// across randomized seeds, fleet sizes, failures and interference.
+    /// across randomized seeds, fleet sizes, failures, interference and
+    /// capacity churn.
     #[test]
     fn engines_agree_bit_for_bit(
         seed in 0u64..1000,
@@ -119,12 +254,13 @@ proptest! {
         cpn in 1u32..5,
         fail in prop_oneof![Just(0.0), Just(0.15), Just(0.35)],
         cv in prop_oneof![Just(0.0), Just(0.4)],
+        churn in prop_oneof![Just(None), (0u64..1000).prop_map(Some)],
     ) {
-        let indexed = build_sim(seed, n_jobs, cpn, fail, cv, true)
+        let indexed = build_sim(seed, n_jobs, cpn, fail, cv, true, churn)
             .run(&mut GreedySpeculator)
             .unwrap();
         let scanned = naive::run(
-            build_sim(seed, n_jobs, cpn, fail, cv, true),
+            build_sim(seed, n_jobs, cpn, fail, cv, true, churn),
             &mut GreedySpeculator,
         )
         .unwrap();
@@ -138,11 +274,11 @@ proptest! {
         n_jobs in 1usize..10,
         fail in prop_oneof![Just(0.0), Just(0.25)],
     ) {
-        let indexed = build_sim(seed, n_jobs, 2, fail, 0.3, true)
+        let indexed = build_sim(seed, n_jobs, 2, fail, 0.3, true, None)
             .run(&mut fcfs_task_order())
             .unwrap();
         let scanned = naive::run(
-            build_sim(seed, n_jobs, 2, fail, 0.3, true),
+            build_sim(seed, n_jobs, 2, fail, 0.3, true, None),
             &mut fcfs_task_order(),
         )
         .unwrap();
@@ -156,10 +292,10 @@ proptest! {
         seed in 0u64..1000,
         n_jobs in 1usize..10,
     ) {
-        let first = build_sim(seed, n_jobs, 3, 0.2, 0.5, true)
+        let first = build_sim(seed, n_jobs, 3, 0.2, 0.5, true, None)
             .run(&mut GreedySpeculator)
             .unwrap();
-        let second = build_sim(seed, n_jobs, 3, 0.2, 0.5, true)
+        let second = build_sim(seed, n_jobs, 3, 0.2, 0.5, true, None)
             .run(&mut GreedySpeculator)
             .unwrap();
         assert_bit_identical(&first, &second);
@@ -172,10 +308,10 @@ proptest! {
         seed in 0u64..1000,
         n_jobs in 1usize..10,
     ) {
-        let traced = build_sim(seed, n_jobs, 2, 0.2, 0.4, true)
+        let traced = build_sim(seed, n_jobs, 2, 0.2, 0.4, true, None)
             .run(&mut GreedySpeculator)
             .unwrap();
-        let untraced = build_sim(seed, n_jobs, 2, 0.2, 0.4, false)
+        let untraced = build_sim(seed, n_jobs, 2, 0.2, 0.4, false, None)
             .run(&mut GreedySpeculator)
             .unwrap();
         assert!(traced.trace.is_some());
@@ -201,9 +337,9 @@ proptest! {
                 .windows(2)
                 .all(|w| (w[0].finish, w[0].id) < (w[1].finish, w[1].id)));
         };
-        check(&build_sim(seed, n_jobs, 2, 0.1, 0.3, false).run(&mut GreedySpeculator).unwrap());
+        check(&build_sim(seed, n_jobs, 2, 0.1, 0.3, false, None).run(&mut GreedySpeculator).unwrap());
         check(&naive::run(
-            build_sim(seed, n_jobs, 2, 0.1, 0.3, false),
+            build_sim(seed, n_jobs, 2, 0.1, 0.3, false, None),
             &mut GreedySpeculator,
         )
         .unwrap());

@@ -24,6 +24,10 @@
 //!   length-prefixed binary wire protocols, epoch batching, admission
 //!   control, snapshots and a load generator.
 //!
+//! Not re-exported: `rush-oracle`, the frozen reference implementations
+//! (naive peel, scan-based sim engine, pre-kernel scheduler, LP path) the
+//! differential suites compare against. It is a dev-dependency only.
+//!
 //! # Quickstart
 //!
 //! See `examples/quickstart.rs` for an end-to-end run: generate a workload,
@@ -31,7 +35,6 @@
 
 pub use rush_core as core;
 pub use rush_estimator as estimator;
-pub use rush_lp as lp;
 pub use rush_metrics as metrics;
 pub use rush_planner as planner;
 pub use rush_prob as prob;

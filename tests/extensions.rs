@@ -107,7 +107,7 @@ fn cora_mode_runs_and_is_less_conservative() {
 #[test]
 fn lp_reference_validates_a_real_plan_level() {
     use rush::core::onion::{peel, OnionJob, Shifted};
-    use rush::core::reference::max_min_level_lp;
+    use rush_oracle::lp::max_min_level_lp;
     use rush::utility::TimeUtility;
     // A realistic mid-run state: three jobs with different slack.
     let utils = [
