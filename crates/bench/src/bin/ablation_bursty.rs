@@ -5,14 +5,13 @@
 //! arrivals (same long-run rate) and asks whether RUSH's reservation-based
 //! planning degrades more or less gracefully than the baselines.
 
-use rush_bench::{flag, paper_experiment, parse_args, time_aware_latencies, CALIBRATED_INTERARRIVAL};
+use rush_bench::{flag, parse_args, summary_cells, CALIBRATED_INTERARRIVAL};
 use rush_core::RushConfig;
 use rush_planner::RushScheduler;
-use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
+use rush_metrics::table::Table;
 use rush_sched::{Edf, Fifo, Rrh};
 use rush_sim::Scheduler;
-use rush_workload::{generate, ArrivalProcess, WorkloadConfig};
+use rush_workload::{generate, ArrivalProcess, Experiment, WorkloadConfig};
 
 fn main() {
     let args = parse_args();
@@ -28,7 +27,7 @@ fn main() {
         ("burst-5", ArrivalProcess::Bursty { burst: 5 }),
         ("burst-10", ArrivalProcess::Bursty { burst: 10 }),
     ] {
-        let exp = paper_experiment(seed);
+        let exp = Experiment::paper_testbed(seed);
         let cfg = WorkloadConfig {
             jobs,
             budget_ratio: ratio,
@@ -49,19 +48,7 @@ fn main() {
             ("RRH", &mut rrh),
         ];
         for (sched, result) in exp.compare(&workload, &mut set).expect("compare") {
-            let utils = result.utility_vector();
-            let lat = time_aware_latencies(&result);
-            let s = FiveNumber::from_samples(&lat);
-            let met = lat.iter().filter(|&&l| l <= 0.0).count();
-            t.row([
-                name.to_owned(),
-                sched,
-                fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-                fmt_f64(result.zero_utility_fraction(1e-3), 3),
-                fmt_f64(s.median, 1),
-                fmt_f64(s.q3, 1),
-                format!("{}/{}", met, lat.len()),
-            ]);
+            t.row([name.to_owned(), sched].into_iter().chain(summary_cells(&result)));
         }
     }
     println!("{}", t.render());

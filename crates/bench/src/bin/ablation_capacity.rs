@@ -11,20 +11,21 @@
 //!
 //! The headline metric is the deadline-hit rate among completion-time
 //! critical and sensitive jobs (latency ≤ 0). Results are written to
-//! `BENCH_ablation_capacity.json` (override with `--out PATH`); the
-//! `gate` object is what `cargo xtask bench-gate --capacity` checks: at
-//! the sweep's highest revocation rate, RUSH at the default δ must meet
-//! at least as many deadlines as the deterministic δ = 0 planner.
+//! `BENCH_ablation_capacity.json` (override with `--out PATH`). The run
+//! gates itself ([`capacity_gate`], exit 1): at the sweep's highest
+//! revocation rate, RUSH at the default δ must meet at least as many
+//! deadlines as the deterministic δ = 0 planner.
 //!
 //! Flags: `--jobs N`, `--seed N`, `--ratio X`, `--out PATH`, `--quick`.
 
-use rush_bench::{flag, parse_args, paper_experiment, CALIBRATED_INTERARRIVAL};
+use rush_bench::{capacity_gate, flag, parse_args, CALIBRATED_INTERARRIVAL};
 use rush_core::RushConfig;
 use rush_metrics::table::{fmt_f64, Table};
 use rush_planner::RushScheduler;
 use rush_sched::{Edf, Fifo};
-use rush_sim::outcome::SimResult;
+use rush_sim::outcome::{SimResult, Summary};
 use rush_workload::{generate, spot_scenarios, Experiment, WorkloadConfig};
+use std::process::ExitCode;
 
 /// One measured cell of the sweep.
 struct Point {
@@ -33,40 +34,29 @@ struct Point {
     scheduler: String,
     /// RUSH's ambiguity radius; `None` for the non-RUSH baselines.
     delta: Option<f64>,
-    met: usize,
-    total: usize,
-    mean_utility: f64,
-    zero_utility_fraction: f64,
+    row: Summary,
 }
 
 impl Point {
     fn hit_rate(&self) -> f64 {
-        if self.total == 0 { 1.0 } else { self.met as f64 / self.total as f64 }
+        if self.row.time_aware == 0 {
+            1.0
+        } else {
+            self.row.met as f64 / self.row.time_aware as f64
+        }
     }
 }
 
-fn measure(
-    scenario: &'static str,
-    rate: f64,
-    name: String,
-    delta: Option<f64>,
-    result: &SimResult,
-) -> Point {
-    let lat: Vec<f64> = result.time_aware_outcomes().filter_map(|o| o.latency()).collect();
-    let utils = result.utility_vector();
-    Point {
-        scenario,
-        revocation_rate: rate,
-        scheduler: name,
-        delta,
-        met: lat.iter().filter(|&&l| l <= 0.0).count(),
-        total: lat.len(),
-        mean_utility: utils.iter().sum::<f64>() / utils.len().max(1) as f64,
-        zero_utility_fraction: result.zero_utility_fraction(1e-3),
-    }
+/// The cell of `sched` (one of the schedulers every scenario runs) at the
+/// sweep's highest revocation rate.
+fn at_top<'a>(points: &'a [Point], top_rate: f64, sched: &str) -> &'a Point {
+    points
+        .iter()
+        .find(|p| p.revocation_rate == top_rate && p.scheduler == sched)
+        .expect("every scenario runs RUSH, RUSH-d0, FIFO and EDF")
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let quick = args.contains_key("quick");
     let jobs: usize = flag(&args, "jobs", if quick { 24 } else { 60 });
@@ -94,7 +84,7 @@ fn main() {
 
     // One workload, calibrated once on the calm nominal cluster: every
     // scenario and scheduler replays the same jobs.
-    let base = paper_experiment(seed);
+    let base = Experiment::paper_testbed(seed);
     let cfg = WorkloadConfig {
         jobs,
         budget_ratio: ratio,
@@ -113,10 +103,7 @@ fn main() {
     for s in &scenarios {
         let model = s.cluster_model(capacity, horizon);
         model.validate().expect("scenario model");
-        let exp = Experiment::new(base.cluster().clone())
-            .with_interference(base.interference().clone())
-            .with_sim_seed(seed)
-            .with_cluster_model(&model);
+        let exp = base.clone().with_cluster_model(&model);
         let mut runs: Vec<(String, Option<f64>, SimResult)> = Vec::new();
         for &delta in &deltas {
             let mut rush = RushScheduler::new(RushConfig { delta, ..Default::default() });
@@ -133,15 +120,21 @@ fn main() {
         let mut edf = Edf::new();
         runs.push(("EDF".to_owned(), None, exp.run(workload.clone(), &mut edf).expect("edf")));
         for (name, delta, result) in &runs {
-            let p = measure(s.name, s.revocation_rate, name.clone(), *delta, result);
+            let p = Point {
+                scenario: s.name,
+                revocation_rate: s.revocation_rate,
+                scheduler: name.clone(),
+                delta: *delta,
+                row: result.summary(),
+            };
             t.row([
                 p.scenario.to_owned(),
                 fmt_f64(p.revocation_rate, 2),
                 p.scheduler.clone(),
                 fmt_f64(p.hit_rate(), 3),
-                format!("{}/{}", p.met, p.total),
-                fmt_f64(p.mean_utility, 3),
-                fmt_f64(p.zero_utility_fraction, 3),
+                p.row.met_of_n(),
+                fmt_f64(p.row.mean_utility, 3),
+                fmt_f64(p.row.zero_utility_fraction, 3),
             ]);
             points.push(p);
         }
@@ -149,17 +142,13 @@ fn main() {
     println!("{}", t.render());
 
     let top_rate = scenarios.iter().map(|s| s.revocation_rate).fold(0.0f64, f64::max);
-    let at_top = |sched: &str| {
-        points
-            .iter()
-            .find(|p| p.revocation_rate == top_rate && p.scheduler == sched)
-            .map_or(0.0, Point::hit_rate)
-    };
-    let rush_top = at_top("RUSH");
-    let det_top = at_top("RUSH-d0");
+    let rush_top = at_top(&points, top_rate, "RUSH");
+    let det_top = at_top(&points, top_rate, "RUSH-d0");
     println!(
-        "gate: at rate {top_rate} RUSH (delta {default_delta}) hits {rush_top:.3}, \
-         deterministic delta=0 hits {det_top:.3}"
+        "gate: at rate {top_rate} RUSH (delta {default_delta}) hits {:.3}, \
+         deterministic delta=0 hits {:.3}",
+        rush_top.hit_rate(),
+        det_top.hit_rate()
     );
 
     let json = render_json(&points, jobs, seed, ratio, default_delta, top_rate, quick);
@@ -167,6 +156,16 @@ fn main() {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => eprintln!("failed to write {out_path}: {e}"),
     }
+    if !capacity_gate(rush_top.row.met, det_top.row.met) {
+        eprintln!(
+            "gate FAILED: at rate {top_rate} RUSH met {} deadlines, the deterministic delta=0 \
+             planner {}",
+            rush_top.row.met_of_n(),
+            det_top.row.met_of_n()
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Hand-rolled JSON: the workspace builds offline, without serde.
@@ -202,26 +201,21 @@ fn render_json(
             p.scheduler,
             delta,
             p.hit_rate(),
-            p.met,
-            p.total,
-            p.mean_utility,
-            p.zero_utility_fraction,
+            p.row.met,
+            p.row.time_aware,
+            p.row.mean_utility,
+            p.row.zero_utility_fraction,
             comma
         );
     }
     let _ = writeln!(s, "  ],");
-    let at_top = |sched: &str| {
-        points
-            .iter()
-            .find(|p| p.revocation_rate == top_rate && p.scheduler == sched)
-            .map_or(0.0, Point::hit_rate)
-    };
+    let hit_rate = |sched| at_top(points, top_rate, sched).hit_rate();
     let _ = writeln!(s, "  \"gate\": {{");
     let _ = writeln!(s, "    \"revocation_rate\": {top_rate},");
-    let _ = writeln!(s, "    \"rush_hit_rate\": {:.4},", at_top("RUSH"));
-    let _ = writeln!(s, "    \"deterministic_hit_rate\": {:.4},", at_top("RUSH-d0"));
-    let _ = writeln!(s, "    \"fifo_hit_rate\": {:.4},", at_top("FIFO"));
-    let _ = writeln!(s, "    \"edf_hit_rate\": {:.4}", at_top("EDF"));
+    let _ = writeln!(s, "    \"rush_hit_rate\": {:.4},", hit_rate("RUSH"));
+    let _ = writeln!(s, "    \"deterministic_hit_rate\": {:.4},", hit_rate("RUSH-d0"));
+    let _ = writeln!(s, "    \"fifo_hit_rate\": {:.4},", hit_rate("FIFO"));
+    let _ = writeln!(s, "    \"edf_hit_rate\": {:.4}", hit_rate("EDF"));
     let _ = writeln!(s, "  }}");
     let _ = writeln!(s, "}}");
     s

@@ -74,11 +74,11 @@ fn main() {
         let cfg = RushConfig::default().with_estimator(kind);
         let results = run_comparison(jobs, 1.5, seed, cfg);
         let (_, rush) = results.iter().find(|(n, _)| n == "RUSH").expect("RUSH present");
-        let utils = rush.utility_vector();
+        let s = rush.summary();
         t.row([
             name.to_owned(),
-            fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-            fmt_f64(rush.zero_utility_fraction(1e-3), 3),
+            fmt_f64(s.mean_utility, 3),
+            fmt_f64(s.zero_utility_fraction, 3),
         ]);
     }
     println!("{}", t.render());

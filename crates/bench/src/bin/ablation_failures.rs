@@ -4,15 +4,14 @@
 //! demand inflation (`η/(1−p̂)`) against RUSH without it and against FIFO,
 //! at increasing failure rates.
 
-use rush_bench::{flag, parse_args, paper_experiment, CALIBRATED_INTERARRIVAL};
+use rush_bench::{flag, parse_args, CALIBRATED_INTERARRIVAL};
 use rush_core::RushConfig;
 use rush_planner::RushScheduler;
 use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
 use rush_sched::Fifo;
 use rush_sim::perturb::FailureModel;
 use rush_sim::Scheduler;
-use rush_workload::{generate, WorkloadConfig};
+use rush_workload::{generate, Experiment, WorkloadConfig};
 
 fn main() {
     let args = parse_args();
@@ -25,7 +24,7 @@ fn main() {
         "p_fail", "scheduler", "mean_util", "zero_util", "median_lat", "met", "failures",
     ]);
     for p_fail in [0.0f64, 0.05, 0.15, 0.3] {
-        let exp = paper_experiment(seed);
+        let exp = Experiment::paper_testbed(seed);
         let cfg = WorkloadConfig {
             jobs,
             budget_ratio: ratio,
@@ -36,9 +35,6 @@ fn main() {
         let workload = generate(&cfg, &exp).expect("workload");
         // Failures are injected at simulation level, identically for all
         // schedulers (same sim seed).
-        let exp = rush_workload::Experiment::new(exp.cluster().clone())
-            .with_interference(exp.interference().clone())
-            .with_sim_seed(seed);
         let run = |sched: &mut dyn Scheduler| {
             let cfg = rush_sim::engine::SimConfig::new(exp.cluster().clone())
                 .with_interference(exp.interference().clone())
@@ -59,18 +55,14 @@ fn main() {
             ("RUSH-noFA", run(&mut blind)),
             ("FIFO", run(&mut fifo)),
         ] {
-            let utils = result.utility_vector();
-            let lat: Vec<f64> =
-                result.time_aware_outcomes().filter_map(|o| o.latency()).collect();
-            let s = FiveNumber::from_samples(&lat);
-            let met = lat.iter().filter(|&&l| l <= 0.0).count();
+            let s = result.summary();
             t.row([
                 fmt_f64(p_fail, 2),
                 name.to_owned(),
-                fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-                fmt_f64(result.zero_utility_fraction(1e-3), 3),
-                fmt_f64(s.median, 1),
-                format!("{}/{}", met, lat.len()),
+                fmt_f64(s.mean_utility, 3),
+                fmt_f64(s.zero_utility_fraction, 3),
+                fmt_f64(s.latency.as_ref().expect("time-aware jobs").median, 1),
+                s.met_of_n(),
                 result.failed_attempts.to_string(),
             ]);
         }

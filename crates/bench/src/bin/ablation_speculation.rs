@@ -6,11 +6,10 @@
 //! against each other on a straggler-heavy cluster — and also combines
 //! them, since the mechanisms are orthogonal.
 
-use rush_bench::{flag, parse_args, time_aware_latencies, CALIBRATED_INTERARRIVAL};
+use rush_bench::{flag, parse_args, summary_cells, CALIBRATED_INTERARRIVAL};
 use rush_core::RushConfig;
 use rush_planner::RushScheduler;
-use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
+use rush_metrics::table::Table;
 use rush_sched::{Edf, Speculative};
 use rush_sim::cluster::ClusterSpec;
 use rush_sim::engine::{SimConfig, Simulation};
@@ -68,20 +67,8 @@ fn main() {
     ];
     for (name, sched) in runs {
         let result = run(sched);
-        let utils = result.utility_vector();
-        let lat = time_aware_latencies(&result);
-        let s = FiveNumber::from_samples(&lat);
-        let met = lat.iter().filter(|&&l| l <= 0.0).count();
-        t.row([
-            name.to_owned(),
-            fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-            fmt_f64(result.zero_utility_fraction(1e-3), 3),
-            fmt_f64(s.median, 1),
-            fmt_f64(s.q3, 1),
-            format!("{}/{}", met, lat.len()),
-            result.speculative_attempts.to_string(),
-            result.killed_attempts.to_string(),
-        ]);
+        let counters = [result.speculative_attempts.to_string(), result.killed_attempts.to_string()];
+        t.row([name.to_owned()].into_iter().chain(summary_cells(&result)).chain(counters));
     }
     println!("{}", t.render());
     println!("Reading the result: robust provisioning absorbs stragglers better than");

@@ -6,10 +6,9 @@
 //! never materializes). This sweep quantifies the trade-off on the 1.5×
 //! workload.
 
-use rush_bench::{flag, parse_args, run_comparison, time_aware_latencies};
+use rush_bench::{flag, parse_args, run_comparison, summary_cells};
 use rush_core::RushConfig;
 use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
 
 fn main() {
     let args = parse_args();
@@ -23,18 +22,7 @@ fn main() {
         let cfg = RushConfig::default().with_theta(theta);
         let results = run_comparison(jobs, ratio, seed, cfg);
         let (_, rush) = results.iter().find(|(n, _)| n == "RUSH").expect("RUSH present");
-        let utils = rush.utility_vector();
-        let lat = time_aware_latencies(rush);
-        let s = FiveNumber::from_samples(&lat);
-        let met = lat.iter().filter(|&&l| l <= 0.0).count();
-        t.row([
-            fmt_f64(theta, 2),
-            fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-            fmt_f64(rush.zero_utility_fraction(1e-3), 3),
-            fmt_f64(s.median, 1),
-            fmt_f64(s.q3, 1),
-            format!("{}/{}", met, lat.len()),
-        ]);
+        t.row([fmt_f64(theta, 2)].into_iter().chain(summary_cells(rush)));
     }
     println!("{}", t.render());
     println!("Reading the result: higher theta buys per-job completion confidence at");

@@ -14,10 +14,9 @@
 //! Flags: `--jobs N`, `--seed S`, `--interarrival T`, `--quick` (CI mode:
 //! a small fleet and the tightest budget ratio only).
 
-use rush_bench::{flag, parse_args, run_comparison_at, time_aware_latencies, CALIBRATED_INTERARRIVAL};
+use rush_bench::{flag, parse_args, run_comparison_at, CALIBRATED_INTERARRIVAL};
 use rush_core::RushConfig;
 use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
 
 fn main() {
     let args = parse_args();
@@ -39,9 +38,8 @@ fn main() {
     for &ratio in ratios {
         let results = run_comparison_at(jobs, ratio, seed, RushConfig::default(), interarrival);
         for (name, result) in &results {
-            let lat = time_aware_latencies(result);
-            let met = lat.iter().filter(|&&l| l <= 0.0).count();
-            let s = FiveNumber::from_samples(&lat);
+            let row = result.summary();
+            let s = row.latency.as_ref().expect("time-aware jobs");
             t.row([
                 format!("{ratio}x"),
                 name.clone(),
@@ -51,7 +49,7 @@ fn main() {
                 fmt_f64(s.q3, 1),
                 fmt_f64(s.whisker_hi, 1),
                 s.outliers.len().to_string(),
-                format!("{}/{}", met, lat.len()),
+                row.met_of_n(),
             ]);
         }
     }

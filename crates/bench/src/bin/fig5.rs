@@ -33,15 +33,23 @@
 //! resident jobs across shard counts: each steady-state event (one task
 //! sample) dirties exactly one label-hash shard, so only that shard's
 //! `n/N`-job registry replans — the event cost drops near-linearly with
-//! the shard count. Build with `--features parallel` to also fan
-//! multi-shard replans out across scoped threads.
+//! the shard count.
+//!
+//! The run gates its own numbers (exit 1 on a regression, 2 when a gate
+//! cannot be evaluated): the cached cost at 200 jobs against the same
+//! point of the file at `--out`, read before it is overwritten
+//! ([`cached_cost_gate`]; no file, no gate), and the 8-shard point at 10k
+//! jobs against the 1-shard one ([`shard_gate`]).
 //!
 //! Flags: `--reps N`, `--seed S`, `--capacity C`, `--out PATH`, `--quick`
 //! (CI mode: fewer points and repetitions), `--profile` (print the phase
 //! breakdown).
 
 use rand::Rng;
-use rush_bench::{flag, parse_args};
+use rush_bench::{
+    cached_cost_gate, cached_ns_at, fatal, flag, parse_args, shard_gate, shard_speedup,
+    CACHED_GATE_JOBS, MAX_CACHED_REGRESSION, MIN_SHARD_SPEEDUP,
+};
 use rush_core::mapping::{map_continuous, MapJob};
 use rush_core::onion::{OnionJob, Shifted};
 use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
@@ -52,6 +60,7 @@ use rush_metrics::table::{fmt_f64, Table};
 use rush_oracle::onion as naive;
 use rush_prob::rng::{derive_seed, seeded_rng};
 use rush_utility::TimeUtility;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Synthetic WordCount-like jobs with random configurations (paper Sec.
@@ -213,7 +222,7 @@ fn sharded_series(quick: bool, capacity: u32, seed: u64) -> Vec<ShardPoint> {
     points
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let quick = args.contains_key("quick");
     let profile = args.contains_key("profile");
@@ -222,6 +231,18 @@ fn main() {
     let capacity: u32 = flag(&args, "capacity", 48);
     let out_path: String = flag(&args, "out", "BENCH_fig5_scheduler_cost.json".to_owned());
     let cfg = RushConfig::default();
+    // The regression gate's reference is the file this run overwrites.
+    let previous = match std::fs::read_to_string(&out_path) {
+        Ok(text) => Some(
+            cached_ns_at(&text, CACHED_GATE_JOBS)
+                .unwrap_or_else(|e| fatal(&format!("{out_path}: {e}"))),
+        ),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            println!("no file at {out_path}: regression gate skipped\n");
+            None
+        }
+        Err(e) => fatal(&format!("cannot read {out_path}: {e}")),
+    };
 
     println!("Figure 5: CA-pass cost vs number of simultaneous jobs");
     println!("capacity {capacity} containers, {reps} repetitions per point\n");
@@ -327,16 +348,10 @@ fn main() {
     println!("\nSharded sweep: steady-state ns/event at 10k+ resident jobs");
     let sharded = sharded_series(quick, capacity, seed);
     let mut st = Table::new(["jobs", "shards", "event_us", "speedup_vs_1_shard"]);
+    let sweep: Vec<_> = sharded.iter().map(|sp| (sp.jobs, sp.shards, sp.ns_per_event)).collect();
     for sp in &sharded {
-        let base = sharded
-            .iter()
-            .find(|b| b.jobs == sp.jobs && b.shards == 1)
-            .map_or(f64::NAN, |b| b.ns_per_event);
-        let speedup = if base.is_nan() {
-            "-".to_owned()
-        } else {
-            fmt_f64(base / sp.ns_per_event, 2)
-        };
+        let speedup =
+            shard_speedup(&sweep, sp.jobs, sp.shards).map_or("-".to_owned(), |x| fmt_f64(x, 2));
         st.row([
             sp.jobs.to_string(),
             sp.shards.to_string(),
@@ -350,6 +365,31 @@ fn main() {
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("\nwrote {out_path}"),
         Err(e) => eprintln!("\nfailed to write {out_path}: {e}"),
+    }
+
+    let verdict = |pass: bool| if pass { "PASS" } else { "FAIL" };
+    let mut pass = true;
+    if let Some(previous) = previous {
+        let now = points
+            .iter()
+            .find(|p| p.jobs as u64 == CACHED_GATE_JOBS)
+            .expect("both series measure the gated job count")
+            .cached_ns_per_event;
+        let ok = cached_cost_gate(previous, now);
+        println!(
+            "gate: cached ns/event at {CACHED_GATE_JOBS} jobs: previous {previous:.0}, now \
+             {now:.0} ({:.2}x, limit {MAX_CACHED_REGRESSION:.2}x) -> {}",
+            now / previous,
+            verdict(ok)
+        );
+        pass &= ok;
+    }
+    let (speedup, ok) = shard_gate(&sweep).unwrap_or_else(|e| fatal(&e));
+    println!("gate: {speedup:.2}x sharded speedup, floor {MIN_SHARD_SPEEDUP:.2}x -> {}", verdict(ok));
+    if pass && ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

@@ -36,11 +36,11 @@ fn main() {
         for (name, result) in &results {
             let utils = result.utility_vector();
             let curve = CdfCurve::from_samples(name.clone(), &utils, &xs);
-            let mean = utils.iter().sum::<f64>() / utils.len() as f64;
+            let s = result.summary();
             let mut row = vec![
                 name.clone(),
-                fmt_f64(result.zero_utility_fraction(1e-3), 2),
-                fmt_f64(mean, 2),
+                fmt_f64(s.zero_utility_fraction, 2),
+                fmt_f64(s.mean_utility, 2),
             ];
             row.extend(curve.points.iter().map(|&(_, y)| fmt_f64(y, 2)));
             t.row(row);

@@ -1,8 +1,7 @@
 //! Internal tuning sweep: insensitive-reserve fraction vs outcomes.
-use rush_bench::{flag, parse_args, run_comparison, time_aware_latencies};
+use rush_bench::{flag, parse_args, run_comparison};
 use rush_core::RushConfig;
 use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
 
 fn main() {
     let args = parse_args();
@@ -14,17 +13,15 @@ fn main() {
         let cfg = RushConfig { insensitive_reserve: reserve, ..Default::default() };
         let results = run_comparison(jobs, ratio, seed, cfg);
         let (_, rush) = results.iter().find(|(n, _)| n == "RUSH").unwrap();
-        let utils = rush.utility_vector();
-        let lat = time_aware_latencies(rush);
-        let s = FiveNumber::from_samples(&lat);
-        let met = lat.iter().filter(|&&l| l <= 0.0).count();
+        let s = rush.summary();
+        let lat = s.latency.as_ref().expect("time-aware jobs");
         t.row([
             fmt_f64(reserve, 2),
-            fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-            fmt_f64(rush.zero_utility_fraction(1e-3), 2),
-            fmt_f64(s.median, 1),
-            fmt_f64(s.q3, 1),
-            format!("{}/{}", met, lat.len()),
+            fmt_f64(s.mean_utility, 3),
+            fmt_f64(s.zero_utility_fraction, 2),
+            fmt_f64(lat.median, 1),
+            fmt_f64(lat.q3, 1),
+            s.met_of_n(),
             rush.makespan.to_string(),
         ]);
     }

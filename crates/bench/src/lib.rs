@@ -2,9 +2,10 @@
 //!
 //! Each `fig*` binary in `src/bin/` reproduces one figure of the paper's
 //! evaluation (Sec. V); `ablation_*` binaries probe the design choices
-//! DESIGN.md calls out. This library holds the common machinery: the
-//! paper-shaped testbed, the scheduler comparison runner, and the Fig. 3
-//! coverage experiment.
+//! DESIGN.md calls out. This library holds the common machinery: flag
+//! parsing, the scheduler comparison runner, the Fig. 3 coverage
+//! experiment, and the gates `fig5` and `ablation_capacity` apply to their
+//! own numbers before they exit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,12 +14,12 @@
 use rush_core::RushConfig;
 use rush_planner::RushScheduler;
 use rush_estimator::{DistributionEstimator, GaussianEstimator};
+use rush_metrics::table::fmt_f64;
 use rush_prob::dist::{Continuous, Gaussian};
 use rush_sched::{Edf, Fifo, Rrh};
-use rush_sim::cluster::ClusterSpec;
 use rush_sim::outcome::SimResult;
-use rush_sim::perturb::Interference;
 use rush_sim::Scheduler;
+use rush_serve::json::Json;
 use rush_workload::{generate, Experiment, WorkloadConfig};
 use std::collections::HashMap;
 
@@ -47,22 +48,29 @@ fn parse_arg_list(args: impl IntoIterator<Item = String>) -> HashMap<String, Str
     out
 }
 
-/// Reads a typed flag with a default.
+/// Reads a typed flag: `default` when absent. A value that does not parse
+/// is fatal (exit 2), never the default — the run would otherwise be
+/// recorded under parameters it did not use.
 pub fn flag<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    try_flag(args, key, default).unwrap_or_else(|e| fatal(&e))
 }
 
-/// The paper's testbed shape: six heterogeneous nodes, 48 containers.
-pub fn paper_cluster() -> ClusterSpec {
-    ClusterSpec::paper_testbed(8).expect("static cluster is valid")
+/// Ends the run on a harness error (a bad flag, a gate that cannot be
+/// evaluated): prints `msg`, exits 2 — distinct from a failed gate's 1.
+pub fn fatal(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
-/// Builds the experiment environment used by Figs. 4 and 6: the paper
-/// cluster plus mild shared-cloud interference.
-pub fn paper_experiment(seed: u64) -> Experiment {
-    Experiment::new(paper_cluster())
-        .with_interference(Interference::LogNormal { cv: 0.25 })
-        .with_sim_seed(seed)
+fn try_flag<T: std::str::FromStr>(
+    args: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match args.get(key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("invalid value for --{key}: {v}")),
+    }
 }
 
 /// Runs the paper's workload under RUSH and the three baselines.
@@ -101,7 +109,7 @@ pub fn run_comparison_at(
     rush_config: RushConfig,
     mean_interarrival: f64,
 ) -> Vec<(String, SimResult)> {
-    let exp = paper_experiment(seed);
+    let exp = Experiment::paper_testbed(seed);
     let cfg = WorkloadConfig { jobs, budget_ratio, seed, mean_interarrival, ..Default::default() };
     let workload = generate(&cfg, &exp).expect("workload generation");
     let mut rush = RushScheduler::new(rush_config);
@@ -162,13 +170,83 @@ pub fn fig3_coverage(
     covered / repetitions as f64
 }
 
-/// Latencies (runtime − budget) of completion-time sensitive and critical
-/// jobs — the Fig. 4 population.
-pub fn time_aware_latencies(result: &SimResult) -> Vec<f64> {
-    result
-        .time_aware_outcomes()
-        .filter_map(|o| o.latency())
-        .collect()
+/// The `mean_util, zero_util, median_lat, q3_lat, met` cells the ablation
+/// tables end each row with.
+///
+/// # Panics
+///
+/// Panics when no time-aware job declared a budget (no latency to print).
+pub fn summary_cells(result: &SimResult) -> [String; 5] {
+    let s = result.summary();
+    let lat = s.latency.as_ref().expect("time-aware jobs with budgets");
+    [
+        fmt_f64(s.mean_utility, 3),
+        fmt_f64(s.zero_utility_fraction, 3),
+        fmt_f64(lat.median, 1),
+        fmt_f64(lat.q3, 1),
+        s.met_of_n(),
+    ]
+}
+
+/// Fig. 5's steady-state cost at [`CACHED_GATE_JOBS`] jobs may grow to at
+/// most this factor of the same point in the file the run overwrites.
+pub const MAX_CACHED_REGRESSION: f64 = 2.0;
+/// The job count of Fig. 5's regression gate.
+pub const CACHED_GATE_JOBS: u64 = 200;
+/// Fig. 5's [`SHARD_GATE_POINT`] must be at least this much faster than the
+/// 1-shard point at the same job count.
+pub const MIN_SHARD_SPEEDUP: f64 = 3.0;
+/// `(jobs, shards)` of Fig. 5's scaling gate.
+pub const SHARD_GATE_POINT: (usize, usize) = (10_000, 8);
+
+/// `cached_ns_per_event` of the `"jobs": jobs` point of a Fig. 5 report.
+///
+/// # Errors
+///
+/// Malformed JSON, or no such point — a gate with no reference must fail
+/// loudly, not pass.
+pub fn cached_ns_at(fig5_json: &str, jobs: u64) -> Result<f64, String> {
+    let doc = rush_serve::json::parse(fig5_json).map_err(|e| e.to_string())?;
+    doc.get("points")
+        .and_then(Json::as_arr)
+        .and_then(|ps| ps.iter().find(|p| p.get("jobs").and_then(Json::as_u64) == Some(jobs)))
+        .and_then(|p| p.get("cached_ns_per_event"))
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("no cached_ns_per_event at jobs = {jobs}"))
+}
+
+/// Fig. 5 regression gate: the cached cost may grow to at most
+/// [`MAX_CACHED_REGRESSION`] × the previous run's.
+pub fn cached_cost_gate(previous_ns: f64, current_ns: f64) -> bool {
+    current_ns <= MAX_CACHED_REGRESSION * previous_ns
+}
+
+/// The 1-shard / `shards`-shard cost ratio at `jobs` in a sharded sweep of
+/// `(jobs, shards, ns_per_event)` points; `None` when either is missing.
+pub fn shard_speedup(sweep: &[(usize, usize, f64)], jobs: usize, shards: usize) -> Option<f64> {
+    let ns_at = |s| sweep.iter().find(|p| (p.0, p.1) == (jobs, s)).map(|p| p.2);
+    Some(ns_at(1)? / ns_at(shards)?)
+}
+
+/// Fig. 5 scaling gate: the speedup at [`SHARD_GATE_POINT`] and whether it
+/// reaches [`MIN_SHARD_SPEEDUP`].
+///
+/// # Errors
+///
+/// The sweep lacks the 1-shard or the N-shard point.
+pub fn shard_gate(sweep: &[(usize, usize, f64)]) -> Result<(f64, bool), String> {
+    let (jobs, shards) = SHARD_GATE_POINT;
+    let speedup = shard_speedup(sweep, jobs, shards).ok_or_else(|| {
+        format!("sharded sweep lacks the 1- or {shards}-shard point at {jobs} jobs")
+    })?;
+    Ok((speedup, speedup >= MIN_SHARD_SPEEDUP))
+}
+
+/// Capacity-ablation gate: at the top revocation rate RUSH must meet at
+/// least as many deadlines as the deterministic δ = 0 planner. Both counts
+/// are over the same seeded workload, so the comparison is exact.
+pub fn capacity_gate(rush_met: usize, deterministic_met: usize) -> bool {
+    rush_met >= deterministic_met
 }
 
 #[cfg(test)]
@@ -204,7 +282,42 @@ mod tests {
         assert_eq!(flag(&m, "jobs", 7usize), 42);
         assert_eq!(flag(&m, "missing", 7usize), 7);
         m.insert("bad".to_owned(), "xx".to_owned());
-        assert_eq!(flag(&m, "bad", 3.5f64), 3.5);
+        let err = try_flag(&m, "bad", 3.5f64).unwrap_err();
+        assert!(err.contains("--bad") && err.contains("xx"), "{err}");
+    }
+
+    #[test]
+    fn cached_gate_passes_within_factor_and_fails_beyond() {
+        assert!(cached_cost_gate(313_889.0, 200_000.0));
+        assert!(cached_cost_gate(313_889.0, 2.0 * 313_889.0), "the limit itself passes");
+        assert!(!cached_cost_gate(313_889.0, 700_000.0));
+    }
+
+    #[test]
+    fn cached_reference_needs_the_point() {
+        let doc = r#"{"points": [{"jobs": 20, "cached_ns_per_event": 67141},
+            {"jobs": 200, "cached_ns_per_event": 313889}], "sharded_points": []}"#;
+        assert_eq!(cached_ns_at(doc, 200), Ok(313_889.0));
+        assert!(cached_ns_at(doc, 500).is_err(), "missing point");
+        assert!(cached_ns_at(&doc.replace("313889}", "313889"), 200).is_err(), "malformed");
+        assert!(cached_ns_at("{}", 200).is_err());
+    }
+
+    #[test]
+    fn shard_gate_checks_the_scaling_floor() {
+        let sweep = [(10_000, 1, 12e6), (10_000, 8, 1.5e6), (100_000, 8, 20e6)];
+        assert_eq!(shard_gate(&sweep), Ok((8.0, true)));
+        let flat = [(10_000, 1, 12e6), (10_000, 8, 11e6)];
+        assert!(matches!(shard_gate(&flat), Ok((_, false))));
+        assert!(shard_gate(&sweep[1..]).is_err(), "missing 1-shard point");
+        assert!(shard_gate(&sweep[..1]).is_err(), "missing 8-shard point");
+    }
+
+    #[test]
+    fn capacity_gate_passes_a_tie_and_fails_a_regression() {
+        assert!(capacity_gate(43, 41));
+        assert!(capacity_gate(41, 41));
+        assert!(!capacity_gate(40, 41));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!   schedulers and print the comparison table.
 //! * `gantt`    — run one scheduler with tracing and print an ASCII Gantt
 //!   chart of container usage.
-//! * `serve`    — run the `rushd` scheduling daemon in the foreground.
-//! * `loadgen`  — drive a running daemon with an open-loop Poisson load.
+//! * `dashboard` — one CA pass over a workload snapshot, as the paper's
+//!   Fig. 2 monitoring table.
+//!
+//! The daemon and its load generator are their own binaries (`rushd`,
+//! `rush-loadgen` in `rush-serve`).
 //!
 //! All parsing is hand-rolled (`--key value` flags) so the binary carries
 //! no extra dependencies.
@@ -22,12 +25,9 @@ use rush_core::RushConfig;
 use rush_metrics::gantt::{utilization, Gantt, GanttSpan};
 use rush_planner::RushScheduler;
 use rush_metrics::table::{fmt_f64, Table};
-use rush_prob::stats::FiveNumber;
 use rush_sched::{Edf, Fair, Fifo, Rrh, Speculative};
-use rush_sim::cluster::ClusterSpec;
 use rush_sim::engine::{SimConfig, Simulation};
 use rush_sim::job::JobSpec;
-use rush_sim::perturb::Interference;
 use rush_sim::trace::TraceEvent;
 use rush_sim::Scheduler;
 use rush_workload::persist;
@@ -72,13 +72,7 @@ pub fn usage() -> String {
        compare   --jobs N --ratio R --seed S [--interarrival T] [--load FILE]\n\
                  [--schedulers rush,fifo,edf,rrh,fair,spec-edf]\n\
        gantt     --scheduler NAME --jobs N --seed S [--width W]\n\
-       dashboard --jobs N --seed S [--at SLOT]\n\
-       serve     [--addr A] [--capacity N] [--shards N] [--epoch-ms T]\n\
-                 [--reactors N] [--batch N] [--ms-per-slot T]\n\
-                 [--snapshot FILE] [--theta F] [--delta F]\n\
-       loadgen   --addr A [--jobs N] [--connections N] [--binary true]\n\
-                 [--mean-ms F] [--seed S] [--epoch-ms T] [--out FILE]\n\
-                 [--append true] [--shutdown true]\n"
+       dashboard --jobs N --seed S [--at SLOT]\n"
         .to_owned()
 }
 
@@ -91,15 +85,9 @@ fn flag<T: std::str::FromStr>(cli: &Cli, key: &str, default: T) -> Result<T, Str
     }
 }
 
-fn experiment(seed: u64) -> Experiment {
-    Experiment::new(ClusterSpec::paper_testbed(8).expect("static cluster"))
-        .with_interference(Interference::LogNormal { cv: 0.25 })
-        .with_sim_seed(seed)
-}
-
 fn build_workload(cli: &Cli) -> Result<(Experiment, Vec<JobSpec>), String> {
     let seed: u64 = flag(cli, "seed", 1)?;
-    let exp = experiment(seed);
+    let exp = Experiment::paper_testbed(seed);
     if let Some(path) = cli.flags.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let jobs = persist::from_text(&text).map_err(|e| e.to_string())?;
@@ -166,17 +154,15 @@ pub fn cmd_compare(cli: &Cli) -> Result<String, String> {
     for name in names {
         let mut sched = scheduler_by_name(&name)?;
         let r = exp.run(jobs.clone(), sched.as_mut()).map_err(|e| e.to_string())?;
-        let utils = r.utility_vector();
-        let lat: Vec<f64> = r.time_aware_outcomes().filter_map(|o| o.latency()).collect();
-        let met = lat.iter().filter(|&&l| l <= 0.0).count();
-        let s = FiveNumber::from_samples(&lat);
+        let s = r.summary();
+        let lat = s.latency.as_ref().ok_or("no time-aware job declared a budget")?;
         t.row([
             name,
-            fmt_f64(utils.iter().sum::<f64>() / utils.len() as f64, 3),
-            fmt_f64(r.zero_utility_fraction(1e-3), 3),
-            fmt_f64(s.median, 1),
-            fmt_f64(s.q3, 1),
-            format!("{}/{}", met, lat.len()),
+            fmt_f64(s.mean_utility, 3),
+            fmt_f64(s.zero_utility_fraction, 3),
+            fmt_f64(lat.median, 1),
+            fmt_f64(lat.q3, 1),
+            s.met_of_n(),
             r.makespan.to_string(),
         ]);
     }
@@ -294,98 +280,6 @@ pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
     ))
 }
 
-/// Builds a daemon config from `serve` subcommand flags.
-///
-/// # Errors
-///
-/// Returns a message when a numeric flag fails to parse.
-pub fn serve_config(cli: &Cli) -> Result<rush_serve::ServeConfig, String> {
-    let mut cfg = rush_serve::ServeConfig {
-        addr: cli.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4117".into()),
-        ..rush_serve::ServeConfig::default()
-    };
-    cfg.capacity = flag(cli, "capacity", cfg.capacity)?;
-    cfg.epoch_ms = flag(cli, "epoch-ms", cfg.epoch_ms)?;
-    cfg.epoch_max_batch = flag(cli, "batch", cfg.epoch_max_batch)?;
-    cfg.ms_per_slot = flag(cli, "ms-per-slot", cfg.ms_per_slot)?;
-    cfg.shards = flag(cli, "shards", cfg.shards)?;
-    cfg.reactors = flag(cli, "reactors", cfg.reactors)?;
-    cfg.snapshot_path = cli.flags.get("snapshot").map(std::path::PathBuf::from);
-    cfg.rush.theta = flag(cli, "theta", cfg.rush.theta)?;
-    cfg.rush.delta = flag(cli, "delta", cfg.rush.delta)?;
-    Ok(cfg)
-}
-
-/// `serve` subcommand: run the daemon in the foreground until a client
-/// sends the `shutdown` op, then report submit-wait quantiles.
-///
-/// # Errors
-///
-/// Propagates bind/snapshot failures as strings.
-pub fn cmd_serve(cli: &Cli) -> Result<String, String> {
-    let cfg = serve_config(cli)?;
-    let handle = rush_serve::serve(cfg).map_err(|e| e.to_string())?;
-    println!("rushd listening on {}", handle.local_addr());
-    let waits = handle.join().map_err(|e| e.to_string())?;
-    Ok(format!(
-        "served {} submissions (p50 wait {} us, p99 {} us)\n",
-        waits.count(),
-        waits.quantile(0.5),
-        waits.quantile(0.99)
-    ))
-}
-
-/// Builds a load-generator config from `loadgen` subcommand flags.
-///
-/// # Errors
-///
-/// Returns a message when a numeric flag fails to parse.
-pub fn loadgen_config(cli: &Cli) -> Result<rush_serve::loadgen::LoadgenConfig, String> {
-    Ok(rush_serve::loadgen::LoadgenConfig {
-        addr: cli.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4117".into()),
-        jobs: flag(cli, "jobs", 100)?,
-        connections: flag(cli, "connections", 8)?,
-        binary: flag(cli, "binary", false)?,
-        mean_interarrival_ms: flag(cli, "mean-ms", 10.0)?,
-        seed: flag(cli, "seed", 7)?,
-        epoch_ms: flag(cli, "epoch-ms", 25)?,
-        report_samples: flag(cli, "report-samples", true)?,
-        shutdown: flag(cli, "shutdown", false)?,
-        append: flag(cli, "append", false)?,
-        out: cli.flags.get("out").map(std::path::PathBuf::from),
-    })
-}
-
-/// `loadgen` subcommand: drive a running daemon and summarize latency.
-///
-/// # Errors
-///
-/// Propagates connection and protocol failures as strings.
-pub fn cmd_loadgen(cli: &Cli) -> Result<String, String> {
-    let cfg = loadgen_config(cli)?;
-    let report = rush_serve::loadgen::run(&cfg).map_err(|e| e.to_string())?;
-    if report.protocol_errors > 0 {
-        return Err(format!("loadgen hit {} protocol errors", report.protocol_errors));
-    }
-    Ok(format!(
-        "loadgen: {} submitted over {} conns ({}), {} admitted, {} deferred, {} rejected; \
-         p50 {} us, p99 {} us, p999 {} us; {:.0} sub/s; \
-         {:.1}% within epoch deadline; {} epochs\n",
-        report.submitted,
-        cfg.connections,
-        cfg.codec(),
-        report.admitted,
-        report.deferred,
-        report.rejected,
-        report.client_latency_us.quantile(0.5),
-        report.client_latency_us.quantile(0.99),
-        report.client_latency_us.quantile(0.999),
-        report.submissions_per_sec(),
-        100.0 * report.within_deadline_frac(),
-        report.epochs,
-    ))
-}
-
 /// Dispatches a parsed CLI to its subcommand.
 ///
 /// # Errors
@@ -398,8 +292,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
         "compare" => cmd_compare(cli),
         "gantt" => cmd_gantt(cli),
         "dashboard" => cmd_dashboard(cli),
-        "serve" => cmd_serve(cli),
-        "loadgen" => cmd_loadgen(cli),
         _ => Err(usage()),
     }
 }
@@ -506,73 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_config_parses_flags_and_defaults() {
-        let cfg = serve_config(&cli(
-            "serve",
-            &[("capacity", "4"), ("epoch-ms", "7"), ("batch", "3"), ("theta", "0.8")],
-        ))
-        .unwrap();
-        assert_eq!(cfg.addr, "127.0.0.1:4117");
-        assert_eq!(cfg.capacity, 4);
-        assert_eq!(cfg.epoch_ms, 7);
-        assert_eq!(cfg.epoch_max_batch, 3);
-        assert!((cfg.rush.theta - 0.8).abs() < 1e-12);
-        assert!(cfg.snapshot_path.is_none());
-    }
-
-    #[test]
-    fn loadgen_config_parses_flags_and_defaults() {
-        let cfg = loadgen_config(&cli(
-            "loadgen",
-            &[("addr", "127.0.0.1:9"), ("jobs", "5"), ("shutdown", "true")],
-        ))
-        .unwrap();
-        assert_eq!(cfg.addr, "127.0.0.1:9");
-        assert_eq!(cfg.jobs, 5);
-        assert_eq!(cfg.connections, 8);
-        assert!(!cfg.binary);
-        assert!(cfg.shutdown);
-        assert!(!cfg.append);
-        assert!(cfg.out.is_none());
-
-        let cfg = loadgen_config(&cli(
-            "loadgen",
-            &[
-                ("connections", "64"),
-                ("binary", "true"),
-                ("append", "true"),
-            ],
-        ))
-        .unwrap();
-        assert_eq!(cfg.connections, 64);
-        assert!(cfg.binary);
-        assert!(cfg.append);
-        assert_eq!(cfg.codec(), "binary");
-    }
-
-    #[test]
-    fn serve_rejects_malformed_flag_values() {
-        let err = serve_config(&cli("serve", &[("capacity", "4O96")])).unwrap_err();
-        assert!(err.contains("--capacity") && err.contains("4O96"), "{err}");
-        let err = serve_config(&cli("serve", &[("epoch-ms", "5ms")])).unwrap_err();
-        assert!(err.contains("--epoch-ms"), "{err}");
-        // Absent flags still take the daemon's defaults.
-        let defaults = rush_serve::ServeConfig::default();
-        let cfg = serve_config(&cli("serve", &[])).unwrap();
-        assert_eq!((cfg.capacity, cfg.epoch_ms), (defaults.capacity, defaults.epoch_ms));
-    }
-
-    #[test]
-    fn loadgen_rejects_malformed_flag_values() {
-        let err = loadgen_config(&cli("loadgen", &[("jobs", "1e3")])).unwrap_err();
-        assert!(err.contains("--jobs") && err.contains("1e3"), "{err}");
-        let err = cmd_loadgen(&cli("loadgen", &[("shutdown", "yes")])).unwrap_err();
-        assert!(err.contains("--shutdown"), "{err}");
-        let cfg = loadgen_config(&cli("loadgen", &[])).unwrap();
-        assert_eq!((cfg.jobs, cfg.epoch_ms, cfg.shutdown), (100, 25, false));
-    }
-
-    #[test]
     fn compare_rejects_malformed_flag_values() {
         let err = cmd_compare(&cli("compare", &[("jobs", "3x"), ("schedulers", "fifo")]))
             .unwrap_err();
@@ -585,78 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn frontend_is_not_a_flag() {
-        // There is one frontend and nothing selects it: `--frontend` is
-        // ignored like every flag the subcommand does not know.
-        let cfg = serve_config(&cli("serve", &[("frontend", "threads"), ("reactors", "2")])).unwrap();
-        assert_eq!(cfg.frontend, rush_serve::Frontend::Reactor);
-        assert_eq!(cfg.reactors, 2);
-        assert!(!usage().contains("--frontend"));
-        assert!(!usage().contains("--workers"));
-    }
-
-    #[test]
-    fn loadgen_refuses_zero_connections() {
-        let err = cmd_loadgen(&cli("loadgen", &[("connections", "0")])).unwrap_err();
-        assert!(err.contains("connections must be >= 1"), "{err}");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn loadgen_drives_a_live_daemon_over_the_binary_codec() {
-        let handle = rush_serve::serve(rush_serve::ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            ..serve_config(&cli("serve", &[("epoch-ms", "5")])).unwrap()
-        })
-        .unwrap();
-        let addr = handle.local_addr().to_string();
-        let out = cmd_loadgen(&cli(
-            "loadgen",
-            &[
-                ("addr", &addr),
-                ("jobs", "8"),
-                ("connections", "4"),
-                ("binary", "true"),
-                ("mean-ms", "2"),
-                ("epoch-ms", "5"),
-                ("shutdown", "true"),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("8 submitted"), "{out}");
-        assert!(out.contains("4 conns (binary)"), "{out}");
-        let waits = handle.join().unwrap();
-        assert_eq!(waits.count(), 8);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn loadgen_drives_a_live_daemon_to_shutdown() {
-        // serve+loadgen end to end through the CLI layer: bind on an
-        // ephemeral port, point loadgen at it with --shutdown, and check
-        // both summaries.
-        let handle = rush_serve::serve(rush_serve::ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            ..serve_config(&cli("serve", &[("epoch-ms", "5")])).unwrap()
-        })
-        .unwrap();
-        let addr = handle.local_addr().to_string();
-        let out = cmd_loadgen(&cli(
-            "loadgen",
-            &[
-                ("addr", &addr),
-                ("jobs", "6"),
-                ("connections", "2"),
-                ("mean-ms", "2"),
-                ("epoch-ms", "5"),
-                ("shutdown", "true"),
-            ],
-        ))
-        .unwrap();
-        assert!(out.contains("6 submitted"), "{out}");
-        assert!(out.contains("within epoch deadline"), "{out}");
-        let waits = handle.join().unwrap();
-        assert_eq!(waits.count(), 6);
+    fn serve_and_loadgen_are_not_subcommands() {
+        // `rushd` and `rush-loadgen` are the only launchers.
+        for cmd in ["serve", "loadgen"] {
+            let err = run(&cli(cmd, &[("addr", "127.0.0.1:0")])).unwrap_err();
+            assert!(err.contains("usage:") && !err.contains(cmd), "{err}");
+        }
     }
 
     #[test]

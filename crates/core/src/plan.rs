@@ -244,27 +244,9 @@ fn fingerprint(tag: u64, job: &PlanInput<'_>) -> u128 {
     (u128::from(hi.0) << 64) | u128::from(lo.0)
 }
 
-/// The estimator bound the pipeline requires. With the `parallel` feature
-/// the per-job stage fans out across threads, so the estimator must also
-/// be [`Sync`]; without it the alias is exactly [`DistributionEstimator`].
-/// Blanket-implemented — callers never implement it by hand.
-#[cfg(feature = "parallel")]
-pub trait PlanEstimator: DistributionEstimator + Sync {}
-#[cfg(feature = "parallel")]
-impl<T: DistributionEstimator + Sync> PlanEstimator for T {}
-
-/// The estimator bound the pipeline requires. With the `parallel` feature
-/// the per-job stage fans out across threads, so the estimator must also
-/// be [`Sync`]; without it the alias is exactly [`DistributionEstimator`].
-/// Blanket-implemented — callers never implement it by hand.
-#[cfg(not(feature = "parallel"))]
-pub trait PlanEstimator: DistributionEstimator {}
-#[cfg(not(feature = "parallel"))]
-impl<T: DistributionEstimator> PlanEstimator for T {}
-
 /// Estimate + WCDE + failure inflation for one job (steps 1–2 of the CA
 /// pass). Pure in its inputs — the contract the memo table relies on.
-fn solve_one<E: PlanEstimator>(
+fn solve_one<E: DistributionEstimator>(
     config: &RushConfig,
     job: &PlanInput<'_>,
     estimator: &E,
@@ -288,50 +270,18 @@ fn solve_one<E: PlanEstimator>(
     Ok(JobSolve { eta, task_len: est.mean_task_runtime.ceil().max(1.0) as u64 })
 }
 
-/// Don't spin up threads for job counts where the fan-out overhead
-/// rivals the work.
-#[cfg(feature = "parallel")]
-const PARALLEL_THRESHOLD: usize = 32;
-
-/// Solves the per-job stage for every listed job, in input order. With
-/// the `parallel` feature and enough jobs the slice is chunked across a
-/// scoped thread pool; results are identical to the sequential path
-/// because each solve is a pure function of its job.
-fn solve_batch<E: PlanEstimator>(
+/// Solves the per-job stage for every listed job, in input order.
+fn solve_batch<E: DistributionEstimator>(
     config: &RushConfig,
     jobs: &[&PlanInput<'_>],
     estimator: &E,
 ) -> Result<Vec<JobSolve>, CoreError> {
-    #[cfg(feature = "parallel")]
-    if jobs.len() >= PARALLEL_THRESHOLD {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        if workers > 1 {
-            let chunk = jobs.len().div_ceil(workers);
-            #[expect(clippy::expect_used, reason = "re-raising a worker panic is the intended join semantics")]
-            let per_chunk: Vec<Result<Vec<JobSolve>, CoreError>> = std::thread::scope(|s| {
-                let handles: Vec<_> = jobs
-                    .chunks(chunk)
-                    .map(|c| {
-                        s.spawn(move || {
-                            c.iter().map(|j| solve_one(config, j, estimator)).collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("solver thread panicked")).collect()
-            });
-            let mut out = Vec::with_capacity(jobs.len());
-            for r in per_chunk {
-                out.extend(r?);
-            }
-            return Ok(out);
-        }
-    }
     jobs.iter().map(|j| solve_one(config, j, estimator)).collect()
 }
 
 /// Per-job stage, memoized. Rotates the cache map so only fingerprints
 /// touched by *this* pass survive into the next one.
-fn solve_jobs<E: PlanEstimator>(
+fn solve_jobs<E: DistributionEstimator>(
     config: &RushConfig,
     jobs: &[PlanInput<'_>],
     estimator: &E,
@@ -422,7 +372,7 @@ pub fn compute_plan(
 /// * Configuration errors from [`RushConfig::validate`].
 /// * [`CoreError::InvalidConfig`] if `capacity == 0`.
 /// * Estimation or probability errors from the per-job DE pass.
-pub fn compute_plan_with<E: PlanEstimator>(
+pub fn compute_plan_with<E: DistributionEstimator>(
     config: &RushConfig,
     capacity: u32,
     jobs: &[PlanInput<'_>],
@@ -563,7 +513,7 @@ pub fn compute_plan_incremental(
 }
 
 /// The CA pass: every public entry point ends here.
-fn run_pass<E: PlanEstimator>(
+fn run_pass<E: DistributionEstimator>(
     config: &RushConfig,
     capacity: u32,
     jobs: &[PlanInput<'_>],
@@ -1065,8 +1015,8 @@ mod tests {
 
     #[test]
     fn batch_solve_matches_per_job_regardless_of_count() {
-        // Crossing PARALLEL_THRESHOLD must not change results; with the
-        // `parallel` feature off this pins the chunk-free path too.
+        // Each solve is a pure function of its job: the batch it rides in
+        // must not change its result.
         let cfg = RushConfig::default();
         let jobs = mixed_fleet(70);
         let whole = compute_plan(&cfg, 16, &jobs).unwrap();

@@ -1,6 +1,5 @@
 //! Property-based tests for the CA pipeline's memo table: a pass through a
-//! warm `PlanState` (and, when the `parallel` feature is on, the
-//! multi-threaded solve) must be indistinguishable from a cold one, the
+//! warm `PlanState` must be indistinguishable from a cold one, the
 //! cache must hit, miss and prune exactly as promised, and the optimized
 //! onion peel must produce the same layering as the reference
 //! transcription of Algorithm 3.

@@ -8,9 +8,7 @@
 //! the [`crate::ColdStart::PooledByLabel`] pools stay intact), gives each
 //! shard a **capacity slice** summing to the cluster's `C`, and replans
 //! only the shards an event actually dirtied — a steady-state event
-//! touches one shard and costs one `n/N`-job incremental replan. Under
-//! the `parallel` feature, epoch-style batches that dirty several shards
-//! replan them concurrently on scoped threads.
+//! touches one shard and costs one `n/N`-job incremental replan.
 //!
 //! Capacity — not jobs — migrates between shards: a periodic rebalancer
 //! probes each shard's Theorem-2 prefix-capacity headroom
@@ -408,8 +406,7 @@ impl ShardedPlanner {
     /// cannot hold less than one container.
     ///
     /// Crate-private: outside `rush-planner` the total changes only through
-    /// [`ShardedPlanner::apply`] / [`ShardedPlanner::apply_batch`] with
-    /// [`PlannerEvent::CapacityChange`].
+    /// [`ShardedPlanner::apply`] with [`PlannerEvent::CapacityChange`].
     ///
     /// ```
     /// use rush_planner::{PlannerEvent, ShardedPlanner};
@@ -448,8 +445,7 @@ impl ShardedPlanner {
     /// Replans every stale shard from its own registry and returns the
     /// merged delta. Fresh shards are skipped entirely — the scaling
     /// property: a steady-state event dirties one shard, so one event
-    /// costs one `n/N`-job incremental replan. Under the `parallel`
-    /// feature, multiple stale shards replan on scoped threads.
+    /// costs one `n/N`-job incremental replan.
     ///
     /// # Errors
     ///
@@ -730,176 +726,18 @@ impl ShardedPlanner {
             }
         }
     }
-
-    /// Applies a batch of events: mutations are routed and grouped per
-    /// shard (each shard sees its events in stream order), and each
-    /// `Tick` acts as a barrier that plans every stale shard — under the
-    /// `parallel` feature both the grouped mutations and the replans fan
-    /// out across scoped threads. Outcomes come back in stream order.
-    ///
-    /// # Errors
-    ///
-    /// The first failing event's error (by stream position); events
-    /// before it have been applied.
-    pub fn apply_batch(
-        &mut self,
-        events: Vec<PlannerEvent>,
-    ) -> Result<Vec<EventOutcome>, PlannerError> {
-        let mut outcomes: Vec<Option<EventOutcome>> = (0..events.len()).map(|_| None).collect();
-        let mut groups: Vec<Vec<(usize, PlannerEvent)>> = vec![Vec::new(); self.shards.len()];
-        for (pos, event) in events.into_iter().enumerate() {
-            match event {
-                PlannerEvent::Tick { now_slot } => {
-                    self.flush_groups(&mut groups, &mut outcomes)?;
-                    let delta = self.plan_at(now_slot)?.clone();
-                    outcomes[pos] = Some(EventOutcome::Planned(delta));
-                }
-                PlannerEvent::CapacityChange { capacity } => {
-                    // Cross-shard barrier like Tick: the re-split touches
-                    // every slice, so queued shard-local mutations must
-                    // land first to keep stream order observable.
-                    self.flush_groups(&mut groups, &mut outcomes)?;
-                    self.set_capacity(capacity)?;
-                    outcomes[pos] = Some(EventOutcome::CapacityChanged { capacity });
-                }
-                PlannerEvent::JobArrival { id, spec } => {
-                    // Admission bookkeeping (id allocation, assignment,
-                    // cross-shard moves) is serial; the shard-local insert
-                    // rides the group.
-                    let id = id.unwrap_or(JobId(self.next_id));
-                    self.next_id = self.next_id.max(id.0.saturating_add(1));
-                    let shard = shard_of_label(&spec.label, self.shards.len());
-                    if let Some(old) = self.assignment.insert(id.0, shard) {
-                        if old != shard {
-                            groups[old].push((usize::MAX, PlannerEvent::Cancel { job: id }));
-                        }
-                    }
-                    outcomes[pos] = Some(EventOutcome::Arrived { job: id });
-                    groups[shard].push((pos, PlannerEvent::JobArrival { id: Some(id), spec }));
-                }
-                PlannerEvent::Cancel { job } => {
-                    let shard = self.assignment.remove(&job.0).unwrap_or(0);
-                    groups[shard].push((pos, PlannerEvent::Cancel { job }));
-                }
-                event => {
-                    let job = match &event {
-                        PlannerEvent::TaskSample { job, .. }
-                        | PlannerEvent::TaskFailed { job }
-                        | PlannerEvent::SetParked { job, .. } => *job,
-                        // Arrival/cancel/tick are matched above.
-                        _ => JobId(0),
-                    };
-                    let shard = self.assignment.get(&job.0).copied().unwrap_or(0);
-                    groups[shard].push((pos, event));
-                }
-            }
-        }
-        self.flush_groups(&mut groups, &mut outcomes)?;
-        let total = outcomes.len();
-        let out: Vec<EventOutcome> = outcomes.into_iter().flatten().collect();
-        debug_assert_eq!(out.len(), total, "every applied event produces an outcome");
-        Ok(out)
-    }
-
-    /// Runs each shard's queued events (parallel when the feature is on),
-    /// recording outcomes by stream position.
-    fn flush_groups(
-        &mut self,
-        groups: &mut [Vec<(usize, PlannerEvent)>],
-        outcomes: &mut [Option<EventOutcome>],
-    ) -> Result<(), PlannerError> {
-        let busy: Vec<usize> =
-            (0..groups.len()).filter(|&i| !groups[i].is_empty()).collect();
-        if busy.is_empty() {
-            return Ok(());
-        }
-        let taken: Vec<Vec<(usize, PlannerEvent)>> =
-            groups.iter_mut().map(std::mem::take).collect();
-        let results = fan_out_indexed(&mut self.shards, &busy, |i, shard| {
-            let mut out: Vec<(usize, Result<EventOutcome, PlannerError>)> = Vec::new();
-            for (pos, event) in &taken[i] {
-                out.push((*pos, shard.apply(event.clone())));
-            }
-            Ok(out)
-        });
-        // Surface the earliest failure by stream position; apply every
-        // successful outcome either way (they did happen).
-        let mut first_err: Option<(usize, PlannerError)> = None;
-        for (_, r) in results {
-            // The group runner itself never fails; shard-level errors ride
-            // inside the per-event outcomes.
-            let list = r.unwrap_or_default();
-            for (pos, outcome) in list {
-                match outcome {
-                    Ok(o) => {
-                        if pos != usize::MAX {
-                            outcomes[pos] = Some(o);
-                        }
-                    }
-                    Err(e) => {
-                        if first_err.as_ref().is_none_or(|(p, _)| pos < *p) {
-                            first_err = Some((pos, e));
-                        }
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => {
-                self.retire_assignments();
-                Ok(())
-            }
-        }
-    }
-
-    /// Drops assignments of jobs a shard no longer holds (retirement
-    /// inside a batched sample completes a job without going through
-    /// [`ShardedPlanner::cancel`]).
-    fn retire_assignments(&mut self) {
-        let shards = &self.shards;
-        self.assignment.retain(|id, &mut shard| shards[shard].job(JobId(*id)).is_some());
-    }
 }
 
 /// Runs `f` on the selected shards and returns `(index, result)` pairs in
-/// selection order. Sequential without the `parallel` feature; scoped
-/// threads with it (one per selected shard) when more than one shard is
-/// selected.
+/// selection order.
 fn fan_out_indexed<T, F>(
     shards: &mut [PlannerCore],
     selected: &[usize],
     f: F,
 ) -> Vec<(usize, Result<T, PlannerError>)>
 where
-    T: Send,
-    F: Fn(usize, &mut PlannerCore) -> Result<T, PlannerError> + Sync,
+    F: Fn(usize, &mut PlannerCore) -> Result<T, PlannerError>,
 {
-    #[cfg(feature = "parallel")]
-    {
-        if selected.len() > 1 {
-            let mut results: Vec<(usize, Result<T, PlannerError>)> =
-                Vec::with_capacity(selected.len());
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(selected.len());
-                let f = &f;
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    if !selected.contains(&i) {
-                        continue;
-                    }
-                    handles.push((i, scope.spawn(move || f(i, shard))));
-                }
-                for (i, h) in handles {
-                    let r = h.join().unwrap_or_else(|_| {
-                        Err(PlannerError::Config("planner shard thread panicked".into()))
-                    });
-                    results.push((i, r));
-                }
-            });
-            results.sort_by_key(|(i, _)| *i);
-            return results;
-        }
-    }
     selected.iter().map(|&i| (i, f(i, &mut shards[i]))).collect()
 }
 
@@ -1045,32 +883,5 @@ mod tests {
         assert_eq!(p.shard_of(a), None);
         assert!(!p.cancel(a), "second cancel is unknown");
         assert_eq!(p.job_count(), 0);
-    }
-
-    #[test]
-    fn apply_batch_orders_outcomes_by_stream_position() {
-        let mut p = sharded(8, 4);
-        let events = vec![
-            PlannerEvent::JobArrival { id: None, spec: spec("p", 4, 0) },
-            PlannerEvent::JobArrival { id: None, spec: spec("q", 4, 0) },
-            PlannerEvent::TaskSample { job: JobId(0), runtime: 40 },
-            PlannerEvent::Tick { now_slot: 0 },
-            PlannerEvent::Cancel { job: JobId(1) },
-            PlannerEvent::Tick { now_slot: 0 },
-        ];
-        let out = p.apply_batch(events).expect("batch");
-        assert_eq!(out.len(), 6);
-        assert!(matches!(out[0], EventOutcome::Arrived { job: JobId(0) }));
-        assert!(matches!(out[1], EventOutcome::Arrived { job: JobId(1) }));
-        assert!(matches!(out[2], EventOutcome::Sampled(_)));
-        assert!(matches!(out[3], EventOutcome::Planned(_)));
-        assert!(matches!(out[4], EventOutcome::Cancelled { known: true }));
-        match &out[5] {
-            EventOutcome::Planned(delta) => {
-                assert!(delta.removed.contains(&JobId(1)), "cancel reported in tick delta");
-            }
-            other => panic!("expected a plan outcome, got {other:?}"),
-        }
-        assert!(p.is_fresh(0));
     }
 }

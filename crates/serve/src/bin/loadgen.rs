@@ -27,19 +27,7 @@ fn take(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, Str
 }
 
 fn parse_flags(args: &[String]) -> Result<LoadgenConfig, String> {
-    let mut cfg = LoadgenConfig {
-        addr: "127.0.0.1:4117".into(),
-        jobs: 100,
-        connections: 8,
-        binary: false,
-        mean_interarrival_ms: 10.0,
-        seed: 7,
-        epoch_ms: 25,
-        report_samples: true,
-        shutdown: false,
-        append: false,
-        out: None,
-    };
+    let mut cfg = LoadgenConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -90,23 +78,7 @@ fn main() -> ExitCode {
     };
     match run(&cfg) {
         Ok(report) => {
-            println!(
-                "loadgen: {} submitted over {} conns ({}), {} admitted, {} deferred, \
-                 {} rejected; p50 {} us, p99 {} us, p999 {} us; {:.0} sub/s; \
-                 {:.1}% within epoch deadline; {} epochs",
-                report.submitted,
-                cfg.connections,
-                cfg.codec(),
-                report.admitted,
-                report.deferred,
-                report.rejected,
-                report.client_latency_us.quantile(0.5),
-                report.client_latency_us.quantile(0.99),
-                report.client_latency_us.quantile(0.999),
-                report.submissions_per_sec(),
-                100.0 * report.within_deadline_frac(),
-                report.epochs,
-            );
+            println!("{}", report.summary(&cfg));
             if report.protocol_errors > 0 {
                 eprintln!("loadgen: {} protocol errors", report.protocol_errors);
                 return ExitCode::FAILURE;

@@ -66,6 +66,26 @@ pub struct LoadgenConfig {
     pub out: Option<PathBuf>,
 }
 
+/// `rush-loadgen`'s defaults: 100 jobs at a 10 ms mean interarrival over
+/// 8 JSON connections to `127.0.0.1:4117`, against a 25 ms epoch.
+impl Default for LoadgenConfig {
+    fn default() -> Self {
+        LoadgenConfig {
+            addr: "127.0.0.1:4117".into(),
+            jobs: 100,
+            connections: 8,
+            binary: false,
+            mean_interarrival_ms: 10.0,
+            seed: 7,
+            epoch_ms: 25,
+            report_samples: true,
+            shutdown: false,
+            append: false,
+            out: None,
+        }
+    }
+}
+
 impl LoadgenConfig {
     /// The `--quick` preset used by CI's serve-smoke step.
     pub fn quick(addr: String, epoch_ms: u64) -> LoadgenConfig {
@@ -73,14 +93,9 @@ impl LoadgenConfig {
             addr,
             jobs: 24,
             connections: 4,
-            binary: false,
             mean_interarrival_ms: 4.0,
-            seed: 7,
             epoch_ms,
-            report_samples: true,
-            shutdown: false,
-            append: false,
-            out: None,
+            ..Default::default()
         }
     }
 
@@ -141,6 +156,27 @@ impl LoadgenReport {
         } else {
             self.submitted as f64 / (self.elapsed_us as f64 / 1e6)
         }
+    }
+
+    /// The one-line summary `rush-loadgen` prints for a run under `cfg`.
+    pub fn summary(&self, cfg: &LoadgenConfig) -> String {
+        format!(
+            "loadgen: {} submitted over {} conns ({}), {} admitted, {} deferred, \
+             {} rejected; p50 {} us, p99 {} us, p999 {} us; {:.0} sub/s; \
+             {:.1}% within epoch deadline; {} epochs",
+            self.submitted,
+            cfg.connections,
+            cfg.codec(),
+            self.admitted,
+            self.deferred,
+            self.rejected,
+            self.client_latency_us.quantile(0.5),
+            self.client_latency_us.quantile(0.99),
+            self.client_latency_us.quantile(0.999),
+            self.submissions_per_sec(),
+            100.0 * self.within_deadline_frac(),
+            self.epochs,
+        )
     }
 }
 

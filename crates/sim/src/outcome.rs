@@ -2,6 +2,7 @@
 
 use crate::trace::Trace;
 use crate::{JobId, Slot};
+use rush_prob::stats::FiveNumber;
 use rush_utility::Sensitivity;
 use std::time::Duration;
 
@@ -86,7 +87,48 @@ pub struct SimResult {
     pub trace: Option<Trace>,
 }
 
+/// Utility at or below this counts as zero in [`Summary`] (the paper's
+/// Fig. 6 "zero-utility" jobs).
+const ZERO_UTILITY_EPS: f64 = 1e-3;
+
+/// The result row every comparison table prints for one run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Summary {
+    /// Mean achieved utility over all jobs (0 for an empty run).
+    pub mean_utility: f64,
+    /// Fraction of jobs with utility ≤ 1e-3.
+    pub zero_utility_fraction: f64,
+    /// Boxplot of the time-aware jobs' latencies (`runtime − budget`);
+    /// `None` when no time-aware job declared a budget.
+    pub latency: Option<FiveNumber>,
+    /// Time-aware jobs that finished within budget (latency ≤ 0).
+    pub met: usize,
+    /// Time-aware jobs that declared a budget.
+    pub time_aware: usize,
+}
+
+impl Summary {
+    /// `met/time_aware`, as the tables print it.
+    pub fn met_of_n(&self) -> String {
+        format!("{}/{}", self.met, self.time_aware)
+    }
+}
+
 impl SimResult {
+    /// Summarizes the run: utilities over all jobs, latencies over the
+    /// time-aware (critical + sensitive) ones — the Fig. 4 population.
+    pub fn summary(&self) -> Summary {
+        let lat: Vec<f64> = self.time_aware_outcomes().filter_map(JobOutcome::latency).collect();
+        let utils = self.utility_vector();
+        Summary {
+            mean_utility: utils.iter().sum::<f64>() / utils.len().max(1) as f64,
+            zero_utility_fraction: self.zero_utility_fraction(ZERO_UTILITY_EPS),
+            latency: (!lat.is_empty()).then(|| FiveNumber::from_samples(&lat)),
+            met: lat.iter().filter(|&&l| l <= 0.0).count(),
+            time_aware: lat.len(),
+        }
+    }
+
     /// Sorts `outcomes` into the order the engine promises — ascending
     /// `(finish, id)` — and checks the invariant that the order is *strict*
     /// (ids are unique, so ties on `finish` break deterministically by id).
@@ -195,6 +237,24 @@ mod tests {
         assert_eq!(r.time_aware_outcomes().count(), 2); // ids 0 and 2
         assert_eq!(r.outcome(JobId(1)).unwrap().utility, 2.0);
         assert!(r.outcome(JobId(9)).is_none());
+    }
+
+    #[test]
+    fn summary_is_the_table_row() {
+        let r = SimResult {
+            outcomes: vec![
+                outcome(0, 80, Some(100), 0.0),
+                outcome(1, 500, Some(100), 2.0), // insensitive: not in the latency set
+                outcome(2, 130, Some(100), 4.0),
+                outcome(4, 90, None, 2.0), // no budget: no latency
+            ],
+            ..Default::default()
+        };
+        let s = r.summary();
+        assert_eq!((s.mean_utility, s.zero_utility_fraction), (2.0, 0.25));
+        assert_eq!((s.met, s.time_aware, s.met_of_n().as_str()), (1, 2, "1/2"));
+        assert_eq!(s.latency.map(|l| l.median), Some(5.0));
+        assert_eq!(SimResult::default().summary().latency, None);
     }
 
     #[test]

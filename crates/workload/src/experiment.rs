@@ -37,6 +37,19 @@ impl Experiment {
         }
     }
 
+    /// The environment of the paper's Figs. 4 and 6: the six-node,
+    /// 48-container testbed under mild shared-cloud interference
+    /// (log-normal, CV 0.25).
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the testbed shape is static and valid.
+    pub fn paper_testbed(seed: u64) -> Self {
+        Experiment::new(ClusterSpec::paper_testbed(8).expect("static cluster is valid"))
+            .with_interference(Interference::LogNormal { cv: 0.25 })
+            .with_sim_seed(seed)
+    }
+
     /// Sets the interference model.
     pub fn with_interference(mut self, interference: Interference) -> Self {
         self.interference = interference;

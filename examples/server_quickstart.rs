@@ -9,8 +9,8 @@
 //! ```
 //!
 //! The same conversation works against a standalone daemon started with
-//! `cargo run --release --bin rushd` (or `rush-cli serve`); swap the
-//! ephemeral address for `127.0.0.1:4117`.
+//! `cargo run --release --bin rushd`; swap the ephemeral address for
+//! `127.0.0.1:4117`.
 
 use rush::serve::protocol::JobSubmission;
 use rush::serve::{serve, Client, ServeConfig};
