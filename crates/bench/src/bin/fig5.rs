@@ -21,6 +21,10 @@
 //!   WCDE stage re-solves only the mutated job, the onion peel *replays*
 //!   its recorded probe trajectory (delta peeling), and the mapping is
 //!   rerun whole over occupation runs (`mapping::map_profile`).
+//! * **churn** — the same warm state under job churn: each event retires
+//!   one job and admits one, so the peel replays a trace whose job set
+//!   changed (a layer dropped, a layer spliced in, or a resume where the
+//!   loads moved too far). Report-only: no gate reads it.
 //!
 //! Results are written to `BENCH_fig5_scheduler_cost.json` (override with
 //! `--out PATH`) so the speedup is a versioned artifact, not terminal
@@ -157,7 +161,46 @@ struct Point {
     /// Per-phase ns/event of the cached (steady-state) series:
     /// estimate+WCDE, peel, mapping, assembly.
     phase_ns: [f64; 4],
+    churn_ns_per_event: f64,
+    /// Likewise for the churn series.
+    churn_phase_ns: [f64; 4],
     approx_mb: f64,
+}
+
+/// The fastest of three identical rounds of `events` warm replans, each
+/// from a fresh state: `(ms per event, per-phase ns per event)`. Min-of-k
+/// suppresses host scheduling noise, which at sub-millisecond budgets
+/// otherwise dominates the estimate. `event(jobs, e)` applies the e-th
+/// scheduling event to the job list.
+fn warm_series(
+    cfg: &RushConfig,
+    capacity: u32,
+    fleet: &[PlanInput<'static>],
+    events: usize,
+    event: impl Fn(&mut Vec<PlanInput<'static>>, usize),
+) -> (f64, [f64; 4]) {
+    let mut best = (f64::INFINITY, [0f64; 4]);
+    for _ in 0..3 {
+        let mut jobs = fleet.to_vec();
+        let mut state = PlanState::new();
+        let _ = compute_plan_incremental(cfg, capacity, &jobs, &mut state).expect("plan");
+        let mut round_phase = [0u64; 4];
+        let t = Instant::now();
+        for e in 0..events {
+            event(&mut jobs, e);
+            let _ = compute_plan_incremental(cfg, capacity, &jobs, &mut state).expect("plan");
+            let st = state.last_stats();
+            round_phase[0] += st.solve_ns;
+            round_phase[1] += st.peel_ns;
+            round_phase[2] += st.map_ns;
+            round_phase[3] += st.assemble_ns;
+        }
+        let round_ms = t.elapsed().as_secs_f64() * 1e3 / events as f64;
+        if round_ms < best.0 {
+            best = (round_ms, round_phase.map(|v| v as f64 / events as f64));
+        }
+    }
+    best
 }
 
 struct ShardPoint {
@@ -248,7 +291,9 @@ fn main() -> ExitCode {
     println!("capacity {capacity} containers, {reps} repetitions per point\n");
 
     let ns: &[usize] = if quick { &[20, 100, 200, 1000] } else { &[20, 50, 100, 200, 500, 1000] };
-    let mut t = Table::new(["jobs", "baseline_ms", "full_ms", "event_ms", "speedup", "approx_MB"]);
+    let mut t = Table::new([
+        "jobs", "baseline_ms", "full_ms", "event_ms", "churn_ms", "speedup", "approx_MB",
+    ]);
     let mut points: Vec<Point> = Vec::new();
     let mut prev: Option<(usize, f64)> = None;
     let mut ratios = Vec::new();
@@ -274,35 +319,20 @@ fn main() -> ExitCode {
         // Cached: steady-state event cost. Each event mutates one job, so
         // the memoized estimate + WCDE stage re-solves that job, the peel
         // replays its recorded trajectory, and the run-length mapping is
-        // rerun whole on recycled buffers. The identical event
-        // series runs three times from a fresh state and the fastest round
-        // is kept — min-of-k suppresses host scheduling noise, which at
-        // sub-millisecond budgets otherwise dominates the estimate.
+        // rerun whole on recycled buffers. The identical event series
+        // runs three times from a fresh state and the fastest round is kept.
         let events = (reps * 40).max(120);
-        let mut cached_ms = f64::INFINITY;
-        let mut phase_ns = [0f64; 4];
-        for _ in 0..3 {
-            let mut jobs = synth_jobs(n, seed);
-            let mut state = PlanState::new();
-            let _ = compute_plan_incremental(&cfg, capacity, &jobs, &mut state).expect("plan");
-            let mut round_phase = [0u64; 4];
-            let t2 = Instant::now();
-            for e in 0..events {
-                apply_event(&mut jobs, e % n, 40 + (e as u64 * 13) % 50);
-                let _ =
-                    compute_plan_incremental(&cfg, capacity, &jobs, &mut state).expect("plan");
-                let st = state.last_stats();
-                round_phase[0] += st.solve_ns;
-                round_phase[1] += st.peel_ns;
-                round_phase[2] += st.map_ns;
-                round_phase[3] += st.assemble_ns;
-            }
-            let round_ms = t2.elapsed().as_secs_f64() * 1e3 / events as f64;
-            if round_ms < cached_ms {
-                cached_ms = round_ms;
-                phase_ns = round_phase.map(|v| v as f64 / events as f64);
-            }
-        }
+        let (cached_ms, phase_ns) = warm_series(&cfg, capacity, &jobs, events, |jobs, e| {
+            apply_event(jobs, e % n, 40 + (e as u64 * 13) % 50);
+        });
+
+        // Churn: every event retires one resident job and admits a new one
+        // at the tail (the order ids are handed out in).
+        let spares = synth_jobs(events, derive_seed(seed, 0xC4));
+        let (churn_ms, churn_phase_ns) = warm_series(&cfg, capacity, &jobs, events, |jobs, e| {
+            jobs.remove((e * 7919) % jobs.len());
+            jobs.push(spares[e].clone());
+        });
 
         if let Some((pn, pms)) = prev {
             // Growth rate per job ratio: ideally ~ (n/pn) for linear cost.
@@ -315,6 +345,7 @@ fn main() -> ExitCode {
             fmt_f64(baseline_ms, 2),
             fmt_f64(uncached_ms, 2),
             fmt_f64(cached_ms, 2),
+            fmt_f64(churn_ms, 2),
             fmt_f64(baseline_ms / cached_ms, 2),
             fmt_f64(mb, 1),
         ]);
@@ -324,22 +355,23 @@ fn main() -> ExitCode {
             uncached_ns_per_event: uncached_ms * 1e6,
             cached_ns_per_event: cached_ms * 1e6,
             phase_ns,
+            churn_ns_per_event: churn_ms * 1e6,
+            churn_phase_ns,
             approx_mb: mb,
         });
     }
     println!("{}", t.render());
     if profile {
-        let mut pt = Table::new(["jobs", "solve_us", "peel_us", "map_us", "assemble_us"]);
-        for p in &points {
-            pt.row([
-                p.jobs.to_string(),
-                fmt_f64(p.phase_ns[0] / 1e3, 1),
-                fmt_f64(p.phase_ns[1] / 1e3, 1),
-                fmt_f64(p.phase_ns[2] / 1e3, 1),
-                fmt_f64(p.phase_ns[3] / 1e3, 1),
-            ]);
+        for churn in [false, true] {
+            let mut pt = Table::new(["jobs", "solve_us", "peel_us", "map_us", "assemble_us"]);
+            for p in &points {
+                let ns = if churn { p.churn_phase_ns } else { p.phase_ns };
+                let [solve, peel, map, assemble] = ns.map(|v| fmt_f64(v / 1e3, 1));
+                pt.row([p.jobs.to_string(), solve, peel, map, assemble]);
+            }
+            let series = if churn { "churn" } else { "cached" };
+            println!("\n{series}-series phase breakdown (per event):\n{}", pt.render());
         }
-        println!("\ncached-series phase breakdown (per event):\n{}", pt.render());
     }
     let avg_ratio = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
     println!("normalized growth rate (1.0 = perfectly linear): {}", fmt_f64(avg_ratio, 2));
@@ -416,7 +448,7 @@ fn render_json(
         let comma = if i + 1 == points.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "    {{\"jobs\": {}, \"baseline_ns_per_event\": {:.0}, \"uncached_ns_per_event\": {:.0}, \"cached_ns_per_event\": {:.0}, \"speedup\": {:.2}, \"approx_mb\": {:.1}, \"profile_ns\": {{\"solve\": {:.0}, \"peel\": {:.0}, \"map\": {:.0}, \"assemble\": {:.0}}}}}{}",
+            "    {{\"jobs\": {}, \"baseline_ns_per_event\": {:.0}, \"uncached_ns_per_event\": {:.0}, \"cached_ns_per_event\": {:.0}, \"speedup\": {:.2}, \"approx_mb\": {:.1}, \"profile_ns\": {{\"solve\": {:.0}, \"peel\": {:.0}, \"map\": {:.0}, \"assemble\": {:.0}}}, \"churn_ns_per_event\": {:.0}, \"churn_profile_ns\": {{\"solve\": {:.0}, \"peel\": {:.0}, \"map\": {:.0}, \"assemble\": {:.0}}}}}{}",
             p.jobs,
             p.baseline_ns_per_event,
             p.uncached_ns_per_event,
@@ -427,6 +459,11 @@ fn render_json(
             p.phase_ns[1],
             p.phase_ns[2],
             p.phase_ns[3],
+            p.churn_ns_per_event,
+            p.churn_phase_ns[0],
+            p.churn_phase_ns[1],
+            p.churn_phase_ns[2],
+            p.churn_phase_ns[3],
             comma
         );
     }

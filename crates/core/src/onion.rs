@@ -119,6 +119,14 @@ enum Check {
     Infeasible { bottleneck: usize, boundary: f64, prefix_margin: f64, never: bool },
 }
 
+impl Check {
+    /// The pre-sweep verdict: `bottleneck` has demand and cannot reach the
+    /// level at all.
+    fn never(bottleneck: usize) -> Self {
+        Check::Infeasible { bottleneck, boundary: f64::NAN, prefix_margin: 0.0, never: true }
+    }
+}
+
 /// Sorted index over committed `(deadline, demand)` reservations with
 /// prefix sums for cumulative-demand (`G(t)`) queries. Maintained
 /// *incrementally*: peeling a job binary-inserts one reservation instead of
@@ -209,11 +217,34 @@ struct ProbeScratch {
     /// sweeps skip tombstones, preserving the compact scan's order and
     /// values exactly.
     alive: usize,
-    /// Job index → position in `deadlines`; rebuilt with each sort (memo
-    /// refill), valid while `filled` — tombstoning never moves entries.
+    /// Job index → position in `deadlines`; written by every fill, sort
+    /// and compaction — tombstoning never moves entries, so it is always
+    /// current.
     pos_of: Vec<u32>,
     /// Resume point for the merged sweep (see [`SweepCursor`]).
     cursor: SweepCursor,
+    /// The kept `never` scan (see [`NeverList`]).
+    nevers: NeverList,
+}
+
+/// The result of the last `never` scan, kept instead of discarded: every
+/// positive-demand entry that cannot reach the level `level_bits` at all,
+/// in ascending job index — the order the scan reports bottlenecks in. A
+/// supremum-capped peel probes one level for a whole run of layers, each
+/// answered by the *next* job of this list (the previous answer was peeled
+/// and the live set only shrinks), so while the level repeats a probe costs
+/// O(1) instead of re-inverting every deadline.
+///
+/// Invalidated by: `fill`/`fill_active`, a probe at other level bits (its
+/// scan overwrites the list), and the removal of a listed job other than
+/// the next answer.
+#[derive(Default)]
+struct NeverList {
+    kept: bool,
+    level_bits: u64,
+    jobs: Vec<usize>,
+    /// First entry not yet removed from the live set.
+    next: usize,
 }
 
 /// Tombstone marker for a removed `ProbeScratch` entry.
@@ -255,50 +286,64 @@ struct SweepCursor {
 impl ProbeScratch {
     fn fill(&mut self, jobs: &[OnionJob<'_>]) {
         self.deadlines = (0..jobs.len()).map(|i| (0.0, i)).collect();
+        self.pos_of = (0..jobs.len() as u32).collect();
         self.alive = self.deadlines.len();
         self.filled = false;
         self.cursor.valid = false;
+        self.nevers.kept = false;
     }
 
-    /// Fills from an explicit active set (delta-replay materialization).
-    /// Entry order does not matter for probe results — `check_level`
-    /// re-sorts by a total order — but ascending index matches what the
-    /// from-scratch loop's removals would have left.
-    fn fill_active(&mut self, active: &[usize]) {
+    /// Fills from an explicit active set of jobs below `n` (delta-replay
+    /// materialization). Entry order does not matter for probe results —
+    /// `check_level` re-sorts by a total order — but ascending index
+    /// matches what the from-scratch loop's removals would have left.
+    fn fill_active(&mut self, active: &[usize], n: usize) {
         self.deadlines.clear();
-        self.deadlines.extend(active.iter().filter(|&&i| i != DEAD).map(|&i| (0.0, i)));
+        self.deadlines.extend(active.iter().map(|&i| (0.0, i)));
+        self.pos_of.clear();
+        self.pos_of.resize(n, 0);
+        for (pos, &(_, i)) in self.deadlines.iter().enumerate() {
+            self.pos_of[i] = pos as u32;
+        }
         self.alive = self.deadlines.len();
         self.filled = false;
         self.cursor.valid = false;
+        self.nevers.kept = false;
     }
 
     fn remove(&mut self, job: usize) {
-        if self.filled {
-            // Sorted + position-indexed: tombstone in place.
-            let pos = self.pos_of[job] as usize;
-            debug_assert_eq!(self.deadlines[pos].1, job, "stale scratch position index");
-            self.deadlines[pos].1 = DEAD;
-            self.alive -= 1;
-            // A removal at or past the cursor's entry keeps the resumable
-            // prefix intact (the resumed sweep skips tombstones); one
-            // *before* it changes the prefix sums, so drop the cursor.
-            if self.cursor.valid && pos < self.cursor.pos as usize {
-                self.cursor.valid = false;
+        // Position-indexed: tombstone in place.
+        let pos = self.pos_of[job] as usize;
+        debug_assert_eq!(self.deadlines[pos].1, job, "stale scratch position index");
+        self.deadlines[pos].1 = DEAD;
+        self.alive -= 1;
+        // A removal at or past the cursor's entry keeps the resumable
+        // prefix intact (the resumed sweep skips tombstones); one
+        // *before* it changes the prefix sums, so drop the cursor.
+        if self.cursor.valid && pos < self.cursor.pos as usize {
+            self.cursor.valid = false;
+        }
+        if self.nevers.kept {
+            // The layer that a `never` probe closes removes that probe's
+            // answer; anything else leaving the list breaks its order.
+            if self.nevers.jobs.get(self.nevers.next) == Some(&job) {
+                self.nevers.next += 1;
+            } else if self.nevers.jobs[self.nevers.next.min(self.nevers.jobs.len())..]
+                .binary_search(&job)
+                .is_ok()
+            {
+                self.nevers.kept = false;
             }
-            // Amortized compaction: once tombstones outnumber live entries,
-            // drop them — order-preserving, so the sorted memo stays valid —
-            // and rebuild the position index. Keeps probe sweeps O(live)
-            // while removal stays O(1) amortized.
-            if self.deadlines.len() > 2 * self.alive + 16 {
-                self.deadlines.retain(|&(_, i)| i != DEAD);
-                for (pos, &(_, i)) in self.deadlines.iter().enumerate() {
-                    self.pos_of[i] = pos as u32;
-                }
-                self.cursor.valid = false;
+        }
+        // Amortized compaction: once tombstones outnumber live entries,
+        // drop them — order-preserving, so a sorted memo stays valid —
+        // and rebuild the position index. Keeps probe sweeps O(live)
+        // while removal stays O(1) amortized.
+        if self.deadlines.len() > 2 * self.alive + 16 {
+            self.deadlines.retain(|&(_, i)| i != DEAD);
+            for (pos, &(_, i)) in self.deadlines.iter().enumerate() {
+                self.pos_of[i] = pos as u32;
             }
-        } else {
-            self.deadlines.retain(|&(_, i)| i != job);
-            self.alive -= 1;
             self.cursor.valid = false;
         }
     }
@@ -322,10 +367,20 @@ fn check_level(
     // Memo hit: a previous probe at these exact level bits already filled
     // and sorted the deadlines (over a superset of the current entries —
     // removals preserve both), and proved no entry is a never-bottleneck;
-    // the inversion and sort are skipped wholesale.
+    // the inversion and sort are skipped wholesale. A scan that *did* find
+    // never-bottlenecks keeps them too (see [`NeverList`]).
     if !(scratch.filled && scratch.level_bits == level.to_bits()) {
         scratch.cursor.valid = false;
-        let mut never: Option<usize> = None;
+        // Kept list hit: the last scan ran at these exact level bits over a
+        // superset of the current entries, and every removal since was
+        // accounted for — its next job is what a rescan would report.
+        if scratch.nevers.kept && scratch.nevers.level_bits == level.to_bits() {
+            if let Some(&b) = scratch.nevers.jobs.get(scratch.nevers.next) {
+                return Check::never(b);
+            }
+        }
+        scratch.nevers.kept = false;
+        scratch.nevers.jobs.clear();
         for slot in &mut scratch.deadlines {
             let i = slot.1;
             if i == DEAD {
@@ -338,7 +393,7 @@ fn check_level(
                 Some(d) => slot.0 = d,
                 None => {
                     if jobs[i].demand > 0 {
-                        never = Some(never.map_or(i, |b| b.min(i)));
+                        scratch.nevers.jobs.push(i);
                     }
                     // Demand-free jobs never block a layer: park them past
                     // every finite deadline.
@@ -346,14 +401,13 @@ fn check_level(
                 }
             }
         }
-        if let Some(b) = never {
+        if !scratch.nevers.jobs.is_empty() {
+            scratch.nevers.jobs.sort_unstable();
+            scratch.nevers.level_bits = level.to_bits();
+            scratch.nevers.next = 0;
+            scratch.nevers.kept = true;
             scratch.filled = false;
-            return Check::Infeasible {
-                bottleneck: b,
-                boundary: f64::NAN,
-                prefix_margin: 0.0,
-                never: true,
-            };
+            return Check::never(scratch.nevers.jobs[0]);
         }
         scratch.deadlines.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         scratch.pos_of.resize(jobs.len(), 0);
@@ -574,7 +628,7 @@ pub fn peel(
     tolerance: f64,
     horizon: f64,
 ) -> Result<Vec<Target>, CoreError> {
-    peel_incremental(jobs, capacity, tolerance, horizon, false, &mut PeelState::new())
+    peel_incremental(jobs, capacity, tolerance, horizon, JobEdit::COLD, &mut PeelState::new())
 }
 
 fn validate_params(capacity: u32, tolerance: f64, horizon: f64) -> Result<(), CoreError> {
@@ -621,6 +675,11 @@ struct LayerRec {
     /// Whether the floor was (known or proven) feasible this layer — the
     /// `floor_feasible` value layers after this one inherit.
     floor_ok: bool,
+    /// The bisection's upper cap (max live supremum plus one tolerance) —
+    /// the one input of a layer's probe levels that a job-set edit can move
+    /// without touching any probe. `NaN` when the floor was infeasible (no
+    /// bisection ran).
+    hi_cap: f64,
     action: ActionRec,
 }
 
@@ -636,14 +695,6 @@ impl PeelTrace {
     fn clear(&mut self) {
         self.probes.clear();
         self.layers.clear();
-    }
-
-    /// Drops layer `at` and everything after it (delta-replay resume).
-    fn truncate_layers(&mut self, at: usize) {
-        if at < self.layers.len() {
-            self.probes.truncate(self.layers[at].probe_start as usize);
-            self.layers.truncate(at);
-        }
     }
 }
 
@@ -683,15 +734,26 @@ struct PeelCtx<'j, 'u> {
     /// cannot honor every target and Theorem 2's premise no longer holds.
     overloaded: bool,
     trace: PeelTrace,
+    /// `sup()` per job, evaluated once per job *identity* — it costs a
+    /// transcendental for the sigmoid class, and a job that survives into
+    /// the next pass keeps its value (see [`PeelState`]).
+    sups: Vec<f64>,
+}
+
+/// The global floor a peel starts from: the lowest utility any job can end
+/// up with.
+fn initial_floor(jobs: &[OnionJob<'_>]) -> f64 {
+    let lo = jobs.iter().map(|j| j.utility.inf()).fold(f64::INFINITY, f64::min);
+    if lo.is_finite() {
+        lo
+    } else {
+        0.0
+    }
 }
 
 impl<'j, 'u> PeelCtx<'j, 'u> {
     fn fresh(jobs: &'j [OnionJob<'u>], capacity: u32, tolerance: f64, horizon: f64) -> Self {
-        let mut level_lo =
-            jobs.iter().map(|j| j.utility.inf()).fold(f64::INFINITY, f64::min);
-        if !level_lo.is_finite() {
-            level_lo = 0.0;
-        }
+        let level_lo = initial_floor(jobs);
         let mut scratch = ProbeScratch::default();
         scratch.fill(jobs);
         PeelCtx {
@@ -710,8 +772,26 @@ impl<'j, 'u> PeelCtx<'j, 'u> {
             floor_feasible: false,
             overloaded: false,
             trace: PeelTrace::default(),
+            sups: jobs.iter().map(|j| j.utility.sup()).collect(),
         }
     }
+}
+
+/// The live jobs of `active` in descending-supremum order (ties by index):
+/// with a cursor that skips removed jobs, a layer's maximum live supremum
+/// is O(1) amortized instead of an O(n) fold, and the first live entry
+/// under this total order is exactly the fold's maximum.
+fn descending_sups(sups: &[f64], live: impl Iterator<Item = usize>) -> Vec<(f64, usize)> {
+    let mut order: Vec<(f64, usize)> = live.map(|i| (sups[i], i)).collect();
+    order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    order
+}
+
+/// A layer's bisection cap: one tolerance above the highest level any live
+/// job could still reach (never below one tolerance above the floor).
+fn bisection_cap(max_live_sup: Option<f64>, level_lo: f64, tolerance: f64) -> f64 {
+    let level_hi = max_live_sup.unwrap_or(f64::NEG_INFINITY).max(level_lo);
+    (level_hi + tolerance).max(level_lo + tolerance)
 }
 
 /// The peeling loop (Algorithm 3's outer iteration), recording a
@@ -721,24 +801,13 @@ impl<'j, 'u> PeelCtx<'j, 'u> {
 fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
     let jobs = ctx.jobs;
     let (capacity, tolerance, horizon) = (ctx.capacity, ctx.tolerance, ctx.horizon);
-    // Descending-sup order of the live active set. With a cursor that
-    // skips jobs removed by earlier layers, the per-layer supremum is O(1)
-    // amortized instead of an O(n) fold; the first live entry under the
-    // descending total order is exactly the fold's maximum. Suprema are
-    // evaluated once up front — `sup()` costs a transcendental for the
-    // sigmoid class.
-    let mut sups: Vec<(f64, usize)> = ctx
-        .active
-        .iter()
-        .filter(|&&i| i != DEAD)
-        .map(|&i| (jobs[i].utility.sup(), i))
-        .collect();
-    sups.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let sups = descending_sups(&ctx.sups, ctx.active.iter().copied().filter(|&i| i != DEAD));
     let mut sup_cursor = 0usize;
     while ctx.active_count > 0 {
         let probe_start = ctx.trace.probes.len() as u32;
         let mut lo = ctx.level_lo;
         let mut bottleneck: Option<usize> = None;
+        let mut hi_cap = f64::NAN;
         // The floor itself may be infeasible in overload; the bottleneck of
         // the floor check then peels at the floor level.
         let floor_ok = ctx.floor_feasible || {
@@ -756,11 +825,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
             while sup_cursor < sups.len() && ctx.active[sups[sup_cursor].1] == DEAD {
                 sup_cursor += 1;
             }
-            let level_hi = sups
-                .get(sup_cursor)
-                .map_or(f64::NEG_INFINITY, |&(s, _)| s)
-                .max(ctx.level_lo);
-            let hi_cap = (level_hi + tolerance).max(lo + tolerance);
+            hi_cap = bisection_cap(sups.get(sup_cursor).map(|&(s, _)| s), lo, tolerance);
             // Warm-started bisection: consecutive layers converge to
             // nearby levels, so instead of always bracketing against the
             // global sup, gallop upward from the floor with a geometrically
@@ -827,6 +892,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
                         probe_start,
                         probe_len,
                         floor_ok,
+                        hi_cap,
                         action: ActionRec::Defer { job: b, level: level_b },
                     });
                     continue;
@@ -851,6 +917,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
                     probe_start,
                     probe_len,
                     floor_ok,
+                    hi_cap,
                     action: ActionRec::Peel { job: b, level: lo, deadline },
                 });
             }
@@ -877,6 +944,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
                     probe_start,
                     probe_len,
                     floor_ok: true,
+                    hi_cap,
                     action: ActionRec::FinishAll { lo },
                 });
             }
@@ -915,17 +983,50 @@ fn finish_deferred(ctx: &mut PeelCtx<'_, '_>) {
 #[derive(Default, Clone, Copy, Debug, PartialEq)]
 pub struct ReplayStats {
     /// Whether the pass took the delta-replay path at all (false: full
-    /// re-peel, because the context changed or the state was invalid).
+    /// re-peel, because no job of this pass was in the recorded one, a
+    /// surviving demand crossed zero, or the state was invalid).
     pub delta: bool,
-    /// Layers whose recorded trajectory was verified and applied.
+    /// Recorded layers whose trajectory was verified and applied.
     pub replayed_layers: usize,
-    /// Layer index at which replay fell back to the real peeling loop
-    /// (`None`: replay ran to completion).
+    /// Index, among the *recorded* layers, at which replay fell back to
+    /// the real peeling loop (`None`: replay ran to completion; the
+    /// recorded layer count: every recorded layer was replayed and the
+    /// loop only peeled what was still active after the last one).
     pub resumed_at: Option<usize>,
     /// Probes re-verified in O(1) arithmetic, without a sweep.
     pub verified_probes: usize,
     /// Probes re-executed for real against materialized sweep state.
     pub refreshed_probes: usize,
+    /// Recorded layers of departed jobs dropped from the trace unprobed.
+    pub dropped_layers: usize,
+    /// Layers of arrived jobs spliced into the trace.
+    pub spliced_layers: usize,
+}
+
+/// How the job list of a [`peel_incremental`] pass relates to the list of
+/// the pass its [`PeelState`] recorded: the edit that turns one into the
+/// other. Both lists share their order.
+#[derive(Clone, Copy)]
+pub struct JobEdit<'a, 'u> {
+    /// For each job of this pass, its index in the recorded pass (`None`:
+    /// the job is new). The `Some` values ascend strictly, and a mapped job
+    /// carries the utility it was recorded under (age shift included) —
+    /// only its demand may differ. The identity map says "same jobs"; all
+    /// `None` (or a map of the wrong length) says "nothing in common" and
+    /// peels from scratch.
+    pub prev: &'a [Option<usize>],
+    /// The utilities of the recorded jobs no entry of `prev` names — the
+    /// departed jobs — in recorded order. A departed job is replayed as a
+    /// demand that fell to nothing, which needs to know where it sat.
+    pub departed: &'a [&'u dyn Utility],
+}
+
+impl JobEdit<'_, '_> {
+    /// The edit of a pass that shares nothing with the recorded one.
+    pub const COLD: JobEdit<'static, 'static> = JobEdit {
+        prev: &[],
+        departed: &[],
+    };
 }
 
 /// Cross-pass state for [`peel_incremental`]: the previous pass's
@@ -936,7 +1037,14 @@ pub struct ReplayStats {
 #[derive(Default, Debug, Clone)]
 pub struct PeelState {
     trace: PeelTrace,
+    /// The buffers of the trace before `trace`, recycled: a replay writes
+    /// the re-indexed trace here and swaps.
+    spare: PeelTrace,
     demands: Vec<u64>,
+    /// `sup()` per recorded job (see [`PeelCtx::sups`]).
+    sups: Vec<f64>,
+    /// The floor the recorded pass started from.
+    floor: f64,
     capacity: u32,
     tolerance: f64,
     horizon: f64,
@@ -959,6 +1067,41 @@ impl PeelState {
     pub fn last_stats(&self) -> ReplayStats {
         self.stats
     }
+
+    /// Checks `edit` against the recorded pass and inverts it: for each
+    /// recorded job its index in this pass, [`DEAD`] when it departed.
+    /// `None` when the pass cannot be replayed at all.
+    fn align(
+        &self,
+        jobs: &[OnionJob<'_>],
+        tolerance: f64,
+        horizon: f64,
+        edit: &JobEdit<'_, '_>,
+    ) -> Option<Vec<usize>> {
+        let recorded = self.demands.len();
+        if !(self.valid
+            && edit.prev.len() == jobs.len()
+            && self.tolerance.to_bits() == tolerance.to_bits()
+            && self.horizon.to_bits() == horizon.to_bits())
+        {
+            return None;
+        }
+        let mut now_at = vec![DEAD; recorded];
+        let mut unclaimed_from = 0usize;
+        let mut survivors = 0usize;
+        for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
+            let Some(i) = *was else { continue };
+            // A demand crossing zero flips the job's never-blocks/∞-sentinel
+            // classification inside probes; replay does not model that.
+            if i < unclaimed_from || i >= recorded || (job.demand == 0) != (self.demands[i] == 0) {
+                return None;
+            }
+            now_at[i] = j;
+            unclaimed_from = i + 1;
+            survivors += 1;
+        }
+        (survivors > 0 && edit.departed.len() == recorded - survivors).then_some(now_at)
+    }
 }
 
 /// Absolute slack (container·slots) a recorded margin must retain beyond
@@ -966,11 +1109,10 @@ impl PeelState {
 /// accumulated f64 rounding from margin decay across events.
 const REPLAY_GUARD: f64 = 1e-6;
 
-/// [`peel`] with cross-pass memoization: when only demands (η) and/or the
-/// capacity changed since the previous pass — `same_context` asserts the
-/// job count, order, utilities and ages are unchanged; tolerance/horizon
-/// are checked against the state — the recorded probe trajectory is
-/// *replayed* instead of re-peeled.
+/// [`peel`] with cross-pass memoization: the recorded probe trajectory of
+/// the previous pass is *replayed* under `edit` instead of re-peeled.
+/// Demands, the capacity and the job set itself may all have moved;
+/// tolerance and horizon are checked against the state.
 ///
 /// Replay verifies each recorded feasibility probe in O(1) arithmetic
 /// using the monotone structure of the Theorem-2 prefix-capacity test: a
@@ -982,12 +1124,28 @@ const REPLAY_GUARD: f64 = 1e-6;
 /// slack. A capacity *revocation* therefore replays as a divergence-layer
 /// event — probes whose slack absorbs the loss verify arithmetically, and
 /// the first layer genuinely flipped by the shrink resumes the real loop —
-/// rather than forcing a from-scratch re-peel. Probes that cannot be
-/// verified arithmetically are re-executed against materialized sweep
-/// state (under the *new* capacity); the first probe whose *outcome*
-/// actually flips aborts the replay and resumes the real peeling loop from
-/// that layer — on exactly the state a from-scratch run would have
-/// reached, so the result is bitwise identical to [`peel`] in every case.
+/// rather than forcing a from-scratch re-peel.
+///
+/// A changed job set is the same kind of perturbation. A **departure** is
+/// a demand that fell to nothing: feasible probes stay feasible, a
+/// boundary violation stands while the departed job sat strictly after the
+/// boundary, a `never` probe stands unless the departed job was its
+/// answer, and the job's own layer leaves the trace unprobed when it handed
+/// nothing on (same floor, same `floor_feasible`). An **arrival** is a
+/// demand that rose from nothing: a feasible probe's slack must absorb it
+/// and its own new boundary must hold, a violated boundary must lie
+/// strictly before it, a `never` probe keeps a lower-indexed answer, and
+/// the first probe of a layer that the arrival cannot reach — where a
+/// from-scratch run would peel it — is where its one-probe layer is
+/// spliced in. An edit that moves the floor or a layer's bisection cap
+/// diverges where it first matters.
+///
+/// Probes that cannot be verified arithmetically are re-executed against
+/// materialized sweep state (under the *new* capacity and job set); the
+/// first probe whose *outcome* actually flips — or the first layer no rule
+/// above covers — aborts the replay and resumes the real peeling loop from
+/// that layer, on exactly the state a from-scratch run would have reached,
+/// so the result is bitwise identical to [`peel`] in every case.
 ///
 /// # Errors
 ///
@@ -997,26 +1155,20 @@ pub fn peel_incremental(
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    same_context: bool,
+    edit: JobEdit<'_, '_>,
     state: &mut PeelState,
 ) -> Result<Vec<Target>, CoreError> {
     validate_params(capacity, tolerance, horizon)?;
-    let eligible = same_context
-        && state.valid
-        && state.demands.len() == jobs.len()
-        && state.tolerance.to_bits() == tolerance.to_bits()
-        && state.horizon.to_bits() == horizon.to_bits()
-        // A demand crossing zero flips the job's never-blocks/∞-sentinel
-        // classification inside probes; replay does not model that.
-        && jobs.iter().zip(&state.demands).all(|(j, &old)| (j.demand == 0) == (old == 0));
-    if !eligible {
+    let Some(now_at) = state.align(jobs, tolerance, horizon, &edit) else {
         let mut ctx = PeelCtx::fresh(jobs, capacity, tolerance, horizon);
+        state.floor = ctx.level_lo;
         state.trace.clear();
         std::mem::swap(&mut ctx.trace, &mut state.trace);
         run_layers(&mut ctx);
         finish_deferred(&mut ctx);
         debug_check_theorem2(&ctx.committed, capacity, ctx.overloaded);
-        std::mem::swap(&mut ctx.trace, &mut state.trace);
+        state.trace = ctx.trace;
+        state.sups = ctx.sups;
         state.demands.clear();
         state.demands.extend(jobs.iter().map(|j| j.demand));
         state.capacity = capacity;
@@ -1025,8 +1177,8 @@ pub fn peel_incremental(
         state.valid = true;
         state.stats = ReplayStats::default();
         return Ok(ctx.targets);
-    }
-    Ok(replay(jobs, capacity, tolerance, horizon, state))
+    };
+    Ok(Replay::new(jobs, capacity, tolerance, horizon, &edit, &now_at, state).run(&now_at, state))
 }
 
 /// Where a changed job's demand currently sits during replay.
@@ -1041,9 +1193,23 @@ enum ChangedStatus {
     Deferred,
 }
 
+/// What happened to a job between the recorded pass and this one.
+#[derive(Clone, Copy)]
+enum Change<'u> {
+    /// In both passes, with a different demand.
+    Moved,
+    /// Only in the recorded pass: its whole demand is gone. Carries the
+    /// utility it was recorded under (it is not among this pass's jobs).
+    Departed(&'u dyn Utility),
+    /// Only in this pass: its whole demand is new.
+    Arrived,
+}
+
 /// One job whose demand differs from the recorded pass.
-struct ChangedJob {
+struct ChangedJob<'u> {
+    /// Index in this pass — in the recorded pass for a departed job.
     idx: usize,
+    change: Change<'u>,
     /// `new − old`; exact in f64 for demands below 2⁵³.
     delta: f64,
     status: ChangedStatus,
@@ -1051,6 +1217,33 @@ struct ChangedJob {
     /// level's bits: cascade layers probe long runs of one level, and the
     /// utility inversion is the only transcendental in the verify path.
     inv: Option<(u64, Option<f64>)>,
+}
+
+impl ChangedJob<'_> {
+    /// When the job's demand is due at a probe of `level`: its target once
+    /// committed, else its deadline at that level (`None`: it cannot reach
+    /// the level). Not meaningful for a deferred job.
+    fn due(&mut self, jobs: &[OnionJob<'_>], level: f64, horizon: f64) -> Option<f64> {
+        if let ChangedStatus::Committed(t) = self.status {
+            return Some(t);
+        }
+        match self.inv {
+            Some((bits, d)) if bits == level.to_bits() => d,
+            _ => {
+                let utility = match self.change {
+                    Change::Departed(u) => u,
+                    Change::Moved | Change::Arrived => jobs[self.idx].utility,
+                };
+                let d = utility.latest_time(level).deadline_within(horizon);
+                self.inv = Some((level.to_bits(), d));
+                d
+            }
+        }
+    }
+
+    fn is_departed(&self) -> bool {
+        matches!(self.change, Change::Departed(_))
+    }
 }
 
 /// How the capacity drifted since the recorded pass, with the constants
@@ -1082,319 +1275,756 @@ impl CapDrift {
     }
 }
 
-/// Re-verifies one recorded probe arithmetically. `pos` is the total
-/// demand increase currently in play; `cap` the capacity drift since the
-/// recorded pass. Returns the updated record (conservatively decayed
-/// margins) or `None` when a real probe is needed.
-fn verify_probe(
-    jobs: &[OnionJob<'_>],
-    horizon: f64,
-    rec: ProbeRec,
-    changed: &mut [ChangedJob],
-    pos: f64,
-    cap: CapDrift,
-) -> Option<Check> {
-    match rec.outcome {
-        Check::Feasible { margin } => {
-            // Decreases (and a capacity *increase*) only grow every
-            // boundary's slack; demand increases shrink each by at most
-            // `pos`, and a capacity loss drains at most
-            // [`CapDrift::drain`] more. Under a pure capacity increase the
-            // recorded margin is kept unchanged — an understatement of the
-            // true slack, which is conservative (it can only force an
-            // extra refresh, never verify a flipped probe).
-            let decay = pos + cap.drain(margin, horizon);
-            // Exact zero means no decaying deltas exist, not a rounded value.
-            if decay == 0.0 {
-                Some(rec.outcome)
-            } else if margin - decay >= REPLAY_GUARD {
-                Some(Check::Feasible { margin: margin - decay })
-            } else {
-                None
-            }
-        }
-        // The never-scan reads utilities and the demand>0 pattern only —
-        // both unchanged under the delta-eligibility preconditions, and
-        // independent of the capacity.
-        Check::Infeasible { never: true, .. } => Some(rec.outcome),
-        Check::Infeasible { bottleneck, boundary, prefix_margin, never: false } => {
-            // A capacity increase could heal the violated boundary itself;
-            // only a real probe can tell.
-            if cap.inc {
-                return None;
-            }
-            // A decreased demand at or before the violated boundary could
-            // heal it; require every decrease to sit strictly after it.
-            for c in changed.iter_mut() {
-                if c.delta >= 0.0 || c.status == ChangedStatus::Deferred {
-                    continue;
-                }
-                let eff = match c.status {
-                    ChangedStatus::Committed(t) => Some(t),
-                    ChangedStatus::Active => match c.inv {
-                        Some((bits, d)) if bits == rec.level.to_bits() => d,
-                        _ => {
-                            let d = jobs[c.idx]
-                                .utility
-                                .latest_time(rec.level)
-                                .deadline_within(horizon);
-                            c.inv = Some((rec.level.to_bits(), d));
-                            d
-                        }
-                    },
-                    #[expect(clippy::unreachable, reason = "deferred jobs are skipped by the `continue` above")]
-                    ChangedStatus::Deferred => unreachable!(),
-                };
-                match eff {
-                    Some(e) if e > boundary => {}
-                    _ => return None,
-                }
-            }
-            // Increases (demand, or the capacity loss's slack drain at
-            // every boundary `d ≤ boundary`) cannot heal the violation;
-            // they could only move it *earlier*, which the pre-violation
-            // slack rules out.
-            let decay = pos + cap.drain(prefix_margin, boundary);
-            if decay > prefix_margin - REPLAY_GUARD {
-                return None;
-            }
-            Some(Check::Infeasible {
-                bottleneck,
-                boundary,
-                prefix_margin: prefix_margin - decay,
-                never: false,
-            })
-        }
+/// Rewrites a recorded outcome's job index for this pass ([`DEAD`] when the
+/// job departed — no fresh probe can name it, so it never compares equal).
+fn reindexed(outcome: Check, now_at: &[usize]) -> Check {
+    match outcome {
+        Check::Infeasible {
+            bottleneck,
+            boundary,
+            prefix_margin,
+            never,
+        } => Check::Infeasible {
+            bottleneck: now_at[bottleneck],
+            boundary,
+            prefix_margin,
+            never,
+        },
+        feasible @ Check::Feasible { .. } => feasible,
     }
 }
 
-/// Whether a freshly executed probe confirms the recorded trajectory: the
-/// layer's control flow depends on the outcome variant and (for the layer
-/// action) the bottleneck identity.
-fn same_trajectory(fresh: Check, rec: Check) -> bool {
+/// Whether a freshly executed probe confirms the recorded trajectory. A
+/// layer's control flow reads every probe's outcome variant, but a
+/// bottleneck's identity only from its last infeasible probe — the
+/// `decisive` one, whose bottleneck the layer's action removes.
+fn same_trajectory(fresh: Check, rec: Check, decisive: bool) -> bool {
     match (fresh, rec) {
         (Check::Feasible { .. }, Check::Feasible { .. }) => true,
         (Check::Infeasible { bottleneck: a, .. }, Check::Infeasible { bottleneck: b, .. }) => {
-            a == b
+            a == b || !decisive
         }
         _ => false,
     }
 }
 
-/// The delta-replay pass. See [`peel_incremental`] for the contract.
-fn replay(
-    jobs: &[OnionJob<'_>],
+/// What the start of a recorded layer means for the arrivals still active.
+enum Splice {
+    /// No arrival peels here: verify the recorded layer as it stands.
+    NotHere,
+    /// An arrival's one-probe layer went in ahead of the recorded one.
+    Done,
+    /// An arrival peels here, but not in a layer arithmetic can write.
+    Diverged,
+}
+
+/// The delta-replay pass: the state a from-scratch run would hold at the
+/// start of the recorded layer being replayed, rebuilt from the recorded
+/// actions alone. See [`peel_incremental`] for the contract.
+struct Replay<'j, 'u, 'e> {
+    jobs: &'j [OnionJob<'u>],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    state: &mut PeelState,
-) -> Vec<Target> {
-    let n = jobs.len();
-    let mut changed: Vec<ChangedJob> = jobs
-        .iter()
-        .zip(&state.demands)
-        .enumerate()
-        .filter(|(_, (j, &old))| j.demand != old)
-        .map(|(i, (j, &old))| ChangedJob {
-            idx: i,
-            delta: j.demand as f64 - old as f64,
-            status: ChangedStatus::Active,
-            inv: None,
-        })
-        .collect();
-    let mut stats = ReplayStats { delta: true, ..Default::default() };
-    // Capacity divergence: a revocation drains slack at every boundary
-    // (see [`CapDrift::drain`]); a restock can only add slack (but may
-    // heal recorded violations, forcing refreshes).
-    let cap = CapDrift {
-        dec: f64::from(state.capacity.saturating_sub(capacity)),
-        inc: capacity > state.capacity,
-        scale: f64::from(state.capacity.saturating_sub(capacity))
-            / f64::from(state.capacity.max(1)),
-        demand_bound: state.demands.iter().map(|&d| d as f64).sum(),
-    };
-    let cap_changed = capacity != state.capacity;
+    changed: Vec<ChangedJob<'e>>,
+    cap: CapDrift,
+    cap_changed: bool,
+    /// Whether the job set itself changed (a departure or an arrival) —
+    /// the only way a layer's bisection cap can move.
+    edited: bool,
+    sups: Vec<f64>,
+    /// Descending-supremum order of this pass's jobs with its cursor (only
+    /// built when `edited`).
+    by_sup: Vec<(f64, usize)>,
+    sup_cursor: usize,
+    removed: Vec<bool>,
+    removed_count: usize,
+    committed: Vec<(f64, u64)>,
+    deferred: Vec<(usize, f64)>,
+    targets: Vec<Target>,
+    level_lo: f64,
+    floor_feasible: bool,
+    overloaded: bool,
+    /// Sweep state materialized at the first refresh probe, then kept in
+    /// sync lazily: layer actions only bump `removed`/`committed`, and the
+    /// next refresh catches up with the pending tombstones plus the few
+    /// pending reservation inserts — preserving the scratch's deadline
+    /// memo, which makes a dense run of refresh probes at one recorded
+    /// level cost one utility inversion total.
+    live: Option<(ProbeScratch, CommittedIndex)>,
+    /// Committed entries already present in the live index.
+    live_commits: usize,
+    /// Jobs removed by layer actions since the live scratch last caught up.
+    pending_removed: Vec<usize>,
+    /// The trace of *this* pass, written layer by layer.
+    out: PeelTrace,
+    stats: ReplayStats,
+}
 
-    let mut removed = vec![false; n];
-    let mut committed: Vec<(f64, u64)> = Vec::new();
-    let mut deferred: Vec<(usize, f64)> = Vec::new();
-    let mut targets: Vec<Target> = Vec::with_capacity(n);
-    let mut level_lo = jobs.iter().map(|j| j.utility.inf()).fold(f64::INFINITY, f64::min);
-    if !level_lo.is_finite() {
-        level_lo = 0.0;
-    }
-    let mut floor_feasible = false;
-    let mut overloaded = false;
-    let mut removed_count = 0usize;
-    // Sweep state materialized at the first refresh probe, then kept in
-    // sync lazily: layer actions only bump `removed`/`committed`, and the
-    // next refresh catches up in one retain pass plus the few pending
-    // reservation inserts — preserving the scratch's deadline memo, which
-    // makes a dense run of refresh probes at one recorded level cost one
-    // utility inversion total.
-    let mut live: Option<(ProbeScratch, CommittedIndex)> = None;
-    // Committed entries already present in the live index.
-    let mut live_commits = 0usize;
-    // Jobs removed by layer actions since the live scratch last caught up.
-    let mut pending_removed: Vec<usize> = Vec::new();
-    let mut resume_at: Option<usize> = None;
-
-    'layers: for li in 0..state.trace.layers.len() {
-        let layer = state.trace.layers[li];
-        let pos: f64 = changed
-            .iter()
-            .filter(|c| c.status != ChangedStatus::Deferred)
-            .map(|c| c.delta.max(0.0))
-            .sum();
-        let influenced =
-            cap_changed || changed.iter().any(|c| c.status != ChangedStatus::Deferred);
-        let pr = layer.probe_start as usize..(layer.probe_start + layer.probe_len) as usize;
-        for p in pr {
-            let rec = state.trace.probes[p];
-            let verdict = if influenced {
-                verify_probe(jobs, horizon, rec, &mut changed, pos, cap)
-            } else {
-                Some(rec.outcome)
-            };
-            match verdict {
-                Some(updated) => {
-                    stats.verified_probes += 1;
-                    state.trace.probes[p].outcome = updated;
+impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
+    fn new(
+        jobs: &'j [OnionJob<'u>],
+        capacity: u32,
+        tolerance: f64,
+        horizon: f64,
+        edit: &JobEdit<'_, 'e>,
+        now_at: &[usize],
+        state: &mut PeelState,
+    ) -> Self {
+        let n = jobs.len();
+        let mut changed: Vec<ChangedJob<'e>> = Vec::new();
+        let mut change = |idx, change, delta| {
+            changed.push(ChangedJob {
+                idx,
+                change,
+                delta,
+                status: ChangedStatus::Active,
+                inv: None,
+            });
+        };
+        let gone = now_at.iter().enumerate().filter(|&(_, &j)| j == DEAD);
+        for ((i, _), &utility) in gone.zip(edit.departed) {
+            change(i, Change::Departed(utility), -(state.demands[i] as f64));
+        }
+        let mut sups = Vec::with_capacity(n);
+        for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
+            match *was {
+                Some(i) => {
+                    if job.demand != state.demands[i] {
+                        change(
+                            j,
+                            Change::Moved,
+                            job.demand as f64 - state.demands[i] as f64,
+                        );
+                    }
+                    sups.push(state.sups[i]);
                 }
                 None => {
-                    match live.as_mut() {
-                        None => {
-                            let active: Vec<usize> =
-                                (0..n).filter(|&i| !removed[i]).collect();
-                            let mut scratch = ProbeScratch::default();
-                            scratch.fill_active(&active);
-                            let mut index = CommittedIndex::default();
-                            index.rebuild(&committed);
-                            live = Some((scratch, index));
-                        }
-                        Some((scratch, index)) => {
-                            // Catch up on actions applied since the last
-                            // refresh: O(1) per removed job (tombstone via
-                            // the scratch's position index), a few
-                            // reservation inserts.
-                            for &j in &pending_removed {
-                                scratch.remove(j);
-                            }
-                            if committed.len() - live_commits > 32 {
-                                index.rebuild(&committed);
-                            } else {
-                                for &(t, e) in &committed[live_commits..] {
-                                    index.insert(t, e);
-                                }
-                            }
-                        }
-                    }
-                    pending_removed.clear();
-                    live_commits = committed.len();
-                    #[expect(clippy::expect_used, reason = "populated by the refresh branch directly above")]
-                    let (scratch, index) = live.as_mut().expect("just materialized");
-                    let fresh = check_level(jobs, scratch, index, capacity, horizon, rec.level);
-                    stats.refreshed_probes += 1;
-                    if same_trajectory(fresh, rec.outcome) {
-                        state.trace.probes[p].outcome = fresh;
-                    } else {
-                        // The trajectory genuinely diverged: resume the
-                        // real loop from this layer's entry state.
-                        resume_at = Some(li);
-                        break 'layers;
-                    }
+                    change(j, Change::Arrived, job.demand as f64);
+                    sups.push(job.utility.sup());
                 }
             }
         }
-        match layer.action {
-            ActionRec::Defer { job, level } => {
-                removed[job] = true;
-                removed_count += 1;
-                pending_removed.push(job);
-                deferred.push((job, level));
-                floor_feasible = layer.floor_ok;
-                if let Some(c) = changed.iter_mut().find(|c| c.idx == job) {
-                    c.status = ChangedStatus::Deferred;
-                }
-            }
-            ActionRec::Peel { job, level, deadline } => {
-                targets.push(Target { job, level, deadline, lax: false });
-                committed.push((deadline, jobs[job].demand));
-                removed[job] = true;
-                removed_count += 1;
-                pending_removed.push(job);
-                if !layer.floor_ok {
-                    overloaded = true;
-                }
-                level_lo = level;
-                floor_feasible = layer.floor_ok;
-                if let Some(c) = changed.iter_mut().find(|c| c.idx == job) {
-                    c.status = ChangedStatus::Committed(deadline);
-                }
-            }
-            ActionRec::FinishAll { lo } => {
-                for i in 0..n {
-                    if removed[i] {
-                        continue;
-                    }
-                    removed[i] = true;
-                    removed_count += 1;
-                    pending_removed.push(i);
-                    let level_i = lo.min(jobs[i].utility.sup());
-                    if is_deadline_free(&jobs[i], level_i) {
-                        deferred.push((i, level_i));
-                        continue;
-                    }
-                    let deadline = deadline_for(&jobs[i], lo, horizon);
-                    targets.push(Target { job: i, level: level_i, deadline, lax: false });
-                    committed.push((deadline, jobs[i].demand));
-                }
-            }
+        let edited = changed.iter().any(|c| !matches!(c.change, Change::Moved));
+        let by_sup = if edited {
+            descending_sups(&sups, 0..n)
+        } else {
+            Vec::new()
+        };
+        // Capacity divergence: a revocation drains slack at every boundary
+        // (see [`CapDrift::drain`]); a restock can only add slack (but may
+        // heal recorded violations, forcing refreshes).
+        let revoked = f64::from(state.capacity.saturating_sub(capacity));
+        let cap = CapDrift {
+            dec: revoked,
+            inc: capacity > state.capacity,
+            scale: revoked / f64::from(state.capacity.max(1)),
+            demand_bound: state.demands.iter().map(|&d| d as f64).sum(),
+        };
+        let mut out = std::mem::take(&mut state.spare);
+        out.clear();
+        Replay {
+            jobs,
+            capacity,
+            tolerance,
+            horizon,
+            changed,
+            cap,
+            cap_changed: capacity != state.capacity,
+            edited,
+            sups,
+            by_sup,
+            sup_cursor: 0,
+            removed: vec![false; n],
+            removed_count: 0,
+            committed: Vec::new(),
+            deferred: Vec::new(),
+            targets: Vec::with_capacity(n),
+            level_lo: initial_floor(jobs),
+            floor_feasible: false,
+            overloaded: false,
+            live: None,
+            live_commits: 0,
+            pending_removed: Vec::new(),
+            out,
+            stats: ReplayStats {
+                delta: true,
+                ..Default::default()
+            },
         }
-        stats.replayed_layers += 1;
     }
 
-    let mut ctx = PeelCtx {
-        jobs,
-        capacity,
-        tolerance,
-        horizon,
-        active: Vec::new(),
-        active_count: 0,
-        committed,
-        index: CommittedIndex::default(),
-        scratch: ProbeScratch::default(),
-        deferred,
-        targets,
-        level_lo,
-        floor_feasible,
-        overloaded,
-        trace: std::mem::take(&mut state.trace),
-    };
-    if let Some(li) = resume_at {
-        stats.resumed_at = Some(li);
-        ctx.trace.truncate_layers(li);
-        ctx.active = (0..n).map(|i| if removed[i] { DEAD } else { i }).collect();
-        ctx.active_count = n - removed_count;
-        #[expect(clippy::expect_used, reason = "divergence always refreshes `live` before breaking out")]
-        let (scratch, index) = live.take().expect("resume always follows a refresh");
-        ctx.scratch = scratch;
-        ctx.index = index;
-        run_layers(&mut ctx);
-    } else {
-        // Replay covered every layer; only the deferred phase (always
-        // recomputed — its packing order keys on the live demands) needs
-        // the committed index.
-        ctx.index.rebuild(&ctx.committed);
+    /// The bisection cap a from-scratch run computes entering this layer.
+    fn hi_cap(&mut self) -> f64 {
+        while self
+            .by_sup
+            .get(self.sup_cursor)
+            .is_some_and(|&(_, i)| self.removed[i])
+        {
+            self.sup_cursor += 1;
+        }
+        let max_live = self.by_sup.get(self.sup_cursor).map(|&(s, _)| s);
+        bisection_cap(max_live, self.level_lo, self.tolerance)
     }
-    finish_deferred(&mut ctx);
-    debug_check_theorem2(&ctx.committed, capacity, ctx.overloaded);
-    state.trace = ctx.trace;
-    state.demands.clear();
-    state.demands.extend(jobs.iter().map(|j| j.demand));
-    state.capacity = capacity;
-    state.stats = stats;
-    ctx.targets
+
+    fn remove(&mut self, job: usize) {
+        self.removed[job] = true;
+        self.removed_count += 1;
+        self.pending_removed.push(job);
+    }
+
+    /// The layer-closing bookkeeping of `run_layers` for a deferred
+    /// bottleneck, minus the sweep state (caught up lazily).
+    fn defer(&mut self, job: usize, level: f64, floor_ok: bool) {
+        self.remove(job);
+        self.deferred.push((job, level));
+        self.floor_feasible = floor_ok;
+    }
+
+    /// Likewise for a peeled bottleneck.
+    fn commit(&mut self, job: usize, level: f64, deadline: f64, floor_ok: bool) {
+        self.targets.push(Target {
+            job,
+            level,
+            deadline,
+            lax: false,
+        });
+        self.committed.push((deadline, self.jobs[job].demand));
+        self.remove(job);
+        if !floor_ok {
+            self.overloaded = true;
+        }
+        self.level_lo = level;
+        self.floor_feasible = floor_ok;
+    }
+
+    /// Records where a changed job's demand went when its layer closed
+    /// (`departed` jobs are listed under their recorded index).
+    fn settle(&mut self, departed: bool, idx: usize, status: ChangedStatus) {
+        let found = self
+            .changed
+            .iter_mut()
+            .find(|c| c.is_departed() == departed && c.idx == idx);
+        if let Some(ch) = found {
+            ch.status = status;
+        }
+    }
+
+    /// Brings the materialized sweep state up to the replayed layer.
+    fn materialize(&mut self) -> (&mut ProbeScratch, &mut CommittedIndex) {
+        let n = self.jobs.len();
+        let committed = &self.committed;
+        let removed = &self.removed;
+        let pending = &self.pending_removed;
+        let live_commits = self.live_commits;
+        let (scratch, index) = match &mut self.live {
+            Some((scratch, index)) => {
+                // Catch up on actions applied since the last refresh: O(1)
+                // per removed job (tombstone via the scratch's position
+                // index), a few reservation inserts.
+                for &j in pending {
+                    scratch.remove(j);
+                }
+                if committed.len() - live_commits > 32 {
+                    index.rebuild(committed);
+                } else {
+                    for &(t, e) in &committed[live_commits..] {
+                        index.insert(t, e);
+                    }
+                }
+                (scratch, index)
+            }
+            empty => {
+                let active: Vec<usize> = (0..n).filter(|&i| !removed[i]).collect();
+                let mut scratch = ProbeScratch::default();
+                scratch.fill_active(&active, n);
+                let mut index = CommittedIndex::default();
+                index.rebuild(committed);
+                let (scratch, index) = empty.insert((scratch, index));
+                (scratch, index)
+            }
+        };
+        self.pending_removed.clear();
+        self.live_commits = self.committed.len();
+        (scratch, index)
+    }
+
+    /// Re-verifies one recorded probe arithmetically. `moved` is the total
+    /// demand increase of surviving jobs currently in play, `arrived` that
+    /// of new ones. Returns the updated record (conservatively decayed
+    /// margins) or `None` when a real probe is needed.
+    fn verify(&mut self, rec: ProbeRec, moved: f64, arrived: f64) -> Option<Check> {
+        let (jobs, horizon, cap) = (self.jobs, self.horizon, self.cap);
+        let c = f64::from(self.capacity);
+        match rec.outcome {
+            Check::Feasible { margin } => {
+                // Decreases — departures included — and a capacity
+                // *increase* only grow every boundary's slack; demand
+                // increases shrink each by at most their sum, and a
+                // capacity loss drains at most [`CapDrift::drain`] more.
+                // Under a pure capacity increase the recorded margin is
+                // kept unchanged — an understatement of the true slack,
+                // which is conservative (it can only force an extra
+                // refresh, never verify a flipped probe).
+                let decay = moved + arrived + cap.drain(margin, horizon);
+                // Exact zero means no decaying deltas exist, not a rounded value.
+                if decay == 0.0 {
+                    return Some(rec.outcome);
+                }
+                let mut margin = margin - decay;
+                // An arrival also adds a boundary of its own, at its due
+                // time `e`. With a recorded boundary at or before `e` the
+                // load there is that boundary's plus the arrivals', which
+                // the decayed margin covers; with none it is the arrivals'
+                // alone, which must fit under `C·e`.
+                for ch in &mut self.changed {
+                    if !matches!(ch.change, Change::Arrived) || ch.status == ChangedStatus::Deferred
+                    {
+                        continue;
+                    }
+                    match ch.due(jobs, rec.level, horizon) {
+                        Some(e) => margin = margin.min(c * e - arrived),
+                        // It cannot reach the level: a `never` answer,
+                        // unless it is demand-free (parked at ∞).
+                        None if ch.delta > 0.0 => return None,
+                        None => {}
+                    }
+                }
+                (margin >= REPLAY_GUARD).then_some(Check::Feasible { margin })
+            }
+            // The never-scan reads utilities and the demand>0 pattern only
+            // — independent of the capacity and of every surviving demand
+            // (eligibility pins their zero pattern) — and reports the
+            // lowest index: the answer stands unless it departed or a
+            // lower-indexed arrival cannot reach the level either.
+            Check::Infeasible {
+                bottleneck,
+                never: true,
+                ..
+            } => {
+                let answer_stands = bottleneck != DEAD
+                    && self
+                        .unreachable_arrival(rec.level)
+                        .is_none_or(|at| self.changed[at].idx > bottleneck);
+                answer_stands.then_some(rec.outcome)
+            }
+            Check::Infeasible {
+                bottleneck,
+                boundary,
+                prefix_margin,
+                never: false,
+            } => {
+                // A capacity increase could heal the violated boundary
+                // itself, and so could the departure of the job blamed for
+                // it; only a real probe can tell.
+                if cap.inc || bottleneck == DEAD {
+                    return None;
+                }
+                for ch in &mut self.changed {
+                    if ch.status == ChangedStatus::Deferred {
+                        continue;
+                    }
+                    // A decreased demand at or before the violated boundary
+                    // could heal it, and a new one there could move the
+                    // violation earlier or change who is blamed: both must
+                    // sit strictly after it. (A surviving job's increase
+                    // may sit anywhere — the pre-violation slack below.)
+                    let needs_after = match ch.change {
+                        Change::Moved => ch.delta < 0.0,
+                        Change::Departed(_) | Change::Arrived => true,
+                    };
+                    if !needs_after {
+                        continue;
+                    }
+                    match ch.due(jobs, rec.level, horizon) {
+                        Some(e) if e > boundary => {}
+                        // A demand-free arrival that cannot reach the
+                        // level is parked at ∞, after every boundary.
+                        None if matches!(ch.change, Change::Arrived) && ch.delta == 0.0 => {}
+                        _ => return None,
+                    }
+                }
+                // Increases (demand, or the capacity loss's slack drain at
+                // every boundary `d ≤ boundary`) cannot heal the violation;
+                // they could only move it *earlier*, which the pre-violation
+                // slack rules out.
+                let decay = moved + cap.drain(prefix_margin, boundary);
+                if decay > prefix_margin - REPLAY_GUARD {
+                    return None;
+                }
+                Some(Check::Infeasible {
+                    bottleneck,
+                    boundary,
+                    prefix_margin: prefix_margin - decay,
+                    never: false,
+                })
+            }
+        }
+    }
+
+    /// The lowest-indexed active arrival that cannot reach `level` — the
+    /// never-scan's answer among the arrivals — as a position in `changed`.
+    fn unreachable_arrival(&mut self, level: f64) -> Option<usize> {
+        let (jobs, horizon) = (self.jobs, self.horizon);
+        // Arrivals were listed in ascending index: the first hit is the
+        // lowest-indexed one.
+        self.changed.iter_mut().position(|ch| {
+            matches!(ch.change, Change::Arrived)
+                && ch.status == ChangedStatus::Active
+                && ch.delta > 0.0
+                && ch.due(jobs, level, horizon).is_none()
+        })
+    }
+
+    /// At the start of a recorded layer entered with a feasible floor, a
+    /// from-scratch run's first probe sits one tolerance above the floor.
+    /// If an active arrival cannot reach that level — and no lower-indexed
+    /// job is recorded as that probe's `never` answer — the run answers
+    /// with the arrival and bisects down to the floor on `never` answers
+    /// alone (no recorded job is out of reach below a level all of them
+    /// reached), then peels the last one named at the floor: a layer that
+    /// hands nothing on, so the recorded layer follows it unchanged.
+    fn splice_arrival(&mut self, first: Option<ProbeRec>) -> Splice {
+        let Some(first) = first.filter(|_| self.floor_feasible) else {
+            return Splice::NotHere;
+        };
+        let Some(mut at) = self.unreachable_arrival(first.level) else {
+            return Splice::NotHere;
+        };
+        let recorded_never = match first.outcome {
+            Check::Infeasible {
+                bottleneck,
+                never: true,
+                ..
+            } => Some(bottleneck),
+            _ => None,
+        };
+        if recorded_never.is_some_and(|b| b < self.changed[at].idx) {
+            return Splice::NotHere;
+        }
+        let never = |level, at: usize, changed: &[ChangedJob<'_>]| ProbeRec {
+            level,
+            outcome: Check::never(changed[at].idx),
+        };
+        let lo = self.level_lo;
+        let hi_cap = self.hi_cap();
+        let mut hi = (lo + self.tolerance).min(hi_cap);
+        // The probe must happen, at the level the arrival was tested against.
+        if !(hi < hi_cap && hi.to_bits() == first.level.to_bits()) {
+            return Splice::Diverged;
+        }
+        let probe_start = self.out.probes.len();
+        self.out.probes.push(never(hi, at, &self.changed));
+        while hi - lo > self.tolerance {
+            let mid = 0.5 * (lo + hi);
+            // A recorded `never` answer may stay out of reach below its
+            // level, and a probe no arrival answers needs a real sweep.
+            let Some(next) = self
+                .unreachable_arrival(mid)
+                .filter(|_| recorded_never.is_none())
+            else {
+                self.out.probes.truncate(probe_start);
+                return Splice::Diverged;
+            };
+            self.out.probes.push(never(mid, next, &self.changed));
+            (hi, at) = (mid, next);
+        }
+        let (jobs, horizon) = (self.jobs, self.horizon);
+        let job = self.changed[at].idx;
+        let level_b = lo.min(self.sups[job]);
+        let action = if is_deadline_free(&jobs[job], level_b) {
+            self.defer(job, level_b, true);
+            self.changed[at].status = ChangedStatus::Deferred;
+            ActionRec::Defer {
+                job,
+                level: level_b,
+            }
+        } else {
+            let deadline = deadline_for(&jobs[job], lo, horizon);
+            self.commit(job, lo, deadline, true);
+            self.changed[at].status = ChangedStatus::Committed(deadline);
+            ActionRec::Peel {
+                job,
+                level: lo,
+                deadline,
+            }
+        };
+        self.out.layers.push(LayerRec {
+            probe_start: probe_start as u32,
+            probe_len: (self.out.probes.len() - probe_start) as u32,
+            floor_ok: true,
+            hi_cap,
+            action,
+        });
+        self.stats.spliced_layers += 1;
+        Splice::Done
+    }
+
+    /// Whether the recorded layer's probe levels survive this pass's
+    /// bisection cap `hi_cap`: trivially when the cap is the recorded one,
+    /// and also when the gallop broke out on an infeasible probe below it —
+    /// every level up to there is `lo + width` under either cap, and the
+    /// bisection that follows never reads the cap.
+    fn cap_holds(&self, layer: LayerRec, probes: &[ProbeRec], hi_cap: f64) -> bool {
+        if hi_cap.to_bits() == layer.hi_cap.to_bits() {
+            return true;
+        }
+        // Entered with an unproven floor, the layer's first probe is the
+        // floor check, not the gallop.
+        let gallop = probes
+            .get(usize::from(!self.floor_feasible)..)
+            .unwrap_or(&[]);
+        let (mut lo, mut width) = (self.level_lo, self.tolerance);
+        for p in gallop {
+            // A level that is not the unclamped gallop step belongs to a
+            // bisection under the recorded cap: the gallop ran into it.
+            if p.level.to_bits() != (lo + width).to_bits() || p.level >= hi_cap {
+                return false;
+            }
+            match p.outcome {
+                Check::Feasible { .. } => {
+                    lo = p.level;
+                    width *= 4.0;
+                }
+                Check::Infeasible { .. } => return true,
+            }
+        }
+        false
+    }
+
+    /// Replays the recorded layers in order; returns the recorded layer the
+    /// real loop must take over from, if any.
+    fn replay_layers(&mut self, rec: &PeelTrace, now_at: &[usize]) -> Option<usize> {
+        let n = self.jobs.len();
+        for (li, &layer) in rec.layers.iter().enumerate() {
+            let probes = &rec.probes
+                [layer.probe_start as usize..(layer.probe_start + layer.probe_len) as usize];
+            // A departed job's own layer: without the job a from-scratch
+            // run never runs it. If it handed nothing on — same floor, same
+            // `floor_feasible` — the next layer starts from the state this
+            // one started from less the job, which is the departure the
+            // probes from here on are verified under; else the layers after
+            // it were recorded on a floor this pass may not reach.
+            let closed_on = match layer.action {
+                ActionRec::Defer { job, .. } => Some((job, ChangedStatus::Deferred, true)),
+                ActionRec::Peel {
+                    job,
+                    level,
+                    deadline,
+                } => Some((
+                    job,
+                    ChangedStatus::Committed(deadline),
+                    level.to_bits() == self.level_lo.to_bits(),
+                )),
+                ActionRec::FinishAll { .. } => None,
+            };
+            if let Some((was, status, floor_kept)) = closed_on.filter(|c| now_at[c.0] == DEAD) {
+                if !(floor_kept && layer.floor_ok == self.floor_feasible) {
+                    return Some(li);
+                }
+                self.settle(true, was, status);
+                self.stats.dropped_layers += 1;
+                continue;
+            }
+            // The job this layer closed on, as this pass indexes it.
+            let action = match layer.action {
+                ActionRec::Defer { job, level } => ActionRec::Defer {
+                    job: now_at[job],
+                    level,
+                },
+                ActionRec::Peel {
+                    job,
+                    level,
+                    deadline,
+                } => ActionRec::Peel {
+                    job: now_at[job],
+                    level,
+                    deadline,
+                },
+                finish @ ActionRec::FinishAll { .. } => finish,
+            };
+            let first = probes.first().map(|p| ProbeRec {
+                level: p.level,
+                outcome: reindexed(p.outcome, now_at),
+            });
+            loop {
+                match self.splice_arrival(first) {
+                    Splice::NotHere => break,
+                    Splice::Done => {}
+                    Splice::Diverged => return Some(li),
+                }
+            }
+            let hi_cap = if self.edited && layer.floor_ok {
+                let hi_cap = self.hi_cap();
+                if !self.cap_holds(layer, probes, hi_cap) {
+                    return Some(li);
+                }
+                hi_cap
+            } else {
+                layer.hi_cap
+            };
+
+            // What is in play this layer: a deferred job's demand influences
+            // nothing until the deferred phase.
+            let (mut moved, mut arrived, mut influenced) = (0.0, 0.0, self.cap_changed);
+            for ch in self
+                .changed
+                .iter()
+                .filter(|c| c.status != ChangedStatus::Deferred)
+            {
+                influenced = true;
+                match ch.change {
+                    Change::Moved => moved += ch.delta.max(0.0),
+                    Change::Arrived => arrived += ch.delta,
+                    Change::Departed(_) => {}
+                }
+            }
+            let probe_start = self.out.probes.len();
+            let decisive = probes
+                .iter()
+                .rposition(|p| matches!(p.outcome, Check::Infeasible { .. }));
+            for (k, p) in probes.iter().enumerate() {
+                let rec = ProbeRec {
+                    level: p.level,
+                    outcome: reindexed(p.outcome, now_at),
+                };
+                let verdict = if influenced {
+                    self.verify(rec, moved, arrived)
+                } else {
+                    Some(rec.outcome)
+                };
+                let outcome = match verdict {
+                    Some(updated) => {
+                        self.stats.verified_probes += 1;
+                        updated
+                    }
+                    None => {
+                        let (jobs, capacity, horizon) = (self.jobs, self.capacity, self.horizon);
+                        let (scratch, index) = self.materialize();
+                        let fresh = check_level(jobs, scratch, index, capacity, horizon, rec.level);
+                        self.stats.refreshed_probes += 1;
+                        if !same_trajectory(fresh, rec.outcome, decisive == Some(k)) {
+                            // The trajectory genuinely diverged: resume the
+                            // real loop from this layer's entry state.
+                            self.out.probes.truncate(probe_start);
+                            return Some(li);
+                        }
+                        fresh
+                    }
+                };
+                self.out.probes.push(ProbeRec {
+                    level: rec.level,
+                    outcome,
+                });
+            }
+            match action {
+                ActionRec::Defer { job, level } => {
+                    self.defer(job, level, layer.floor_ok);
+                    self.settle(false, job, ChangedStatus::Deferred);
+                }
+                ActionRec::Peel {
+                    job,
+                    level,
+                    deadline,
+                } => {
+                    self.commit(job, level, deadline, layer.floor_ok);
+                    self.settle(false, job, ChangedStatus::Committed(deadline));
+                }
+                ActionRec::FinishAll { lo } => {
+                    for i in 0..n {
+                        if self.removed[i] {
+                            continue;
+                        }
+                        self.remove(i);
+                        let level_i = lo.min(self.sups[i]);
+                        if is_deadline_free(&self.jobs[i], level_i) {
+                            self.deferred.push((i, level_i));
+                            continue;
+                        }
+                        let deadline = deadline_for(&self.jobs[i], lo, self.horizon);
+                        self.targets.push(Target {
+                            job: i,
+                            level: level_i,
+                            deadline,
+                            lax: false,
+                        });
+                        self.committed.push((deadline, self.jobs[i].demand));
+                    }
+                }
+            }
+            self.out.layers.push(LayerRec {
+                probe_start: probe_start as u32,
+                probe_len: layer.probe_len,
+                floor_ok: layer.floor_ok,
+                hi_cap,
+                action,
+            });
+            self.stats.replayed_layers += 1;
+        }
+        // Arrivals no recorded probe rose above are still active: the real
+        // loop peels them from the state the last layer left.
+        (self.removed_count < n).then_some(rec.layers.len())
+    }
+
+    fn run(mut self, now_at: &[usize], state: &mut PeelState) -> Vec<Target> {
+        let n = self.jobs.len();
+        let rec = std::mem::take(&mut state.trace);
+        let floor = self.level_lo;
+        // An edit that moved the floor itself shares no probe level with
+        // the recorded pass.
+        let resume_at = if floor.to_bits() == state.floor.to_bits() {
+            self.replay_layers(&rec, now_at)
+        } else {
+            Some(0)
+        };
+        self.stats.resumed_at = resume_at;
+        let live = resume_at.map(|_| {
+            self.materialize();
+            self.live.take().unwrap_or_default()
+        });
+        let mut ctx = PeelCtx {
+            jobs: self.jobs,
+            capacity: self.capacity,
+            tolerance: self.tolerance,
+            horizon: self.horizon,
+            active: Vec::new(),
+            active_count: 0,
+            committed: self.committed,
+            index: CommittedIndex::default(),
+            scratch: ProbeScratch::default(),
+            deferred: self.deferred,
+            targets: self.targets,
+            level_lo: self.level_lo,
+            floor_feasible: self.floor_feasible,
+            overloaded: self.overloaded,
+            trace: self.out,
+            sups: self.sups,
+        };
+        if let Some((scratch, index)) = live {
+            let removed = &self.removed;
+            ctx.active = (0..n).map(|i| if removed[i] { DEAD } else { i }).collect();
+            ctx.active_count = n - self.removed_count;
+            ctx.scratch = scratch;
+            ctx.index = index;
+            run_layers(&mut ctx);
+        } else {
+            // Replay covered every layer; only the deferred phase (always
+            // recomputed — its packing order keys on the live demands) needs
+            // the committed index.
+            ctx.index.rebuild(&ctx.committed);
+        }
+        finish_deferred(&mut ctx);
+        debug_check_theorem2(&ctx.committed, self.capacity, ctx.overloaded);
+        state.trace = ctx.trace;
+        state.spare = rec;
+        state.sups = ctx.sups;
+        state.floor = floor;
+        state.demands.clear();
+        state.demands.extend(self.jobs.iter().map(|j| j.demand));
+        state.capacity = self.capacity;
+        state.stats = self.stats;
+        ctx.targets
+    }
 }
 
 /// Contract (Theorem 2): in a non-overloaded instance, the committed
@@ -1825,6 +2455,19 @@ mod tests {
         assert!(!prefix_capacity_feasible(&reservations, 1));
     }
 
+    /// One pass over the same jobs, in the same order, as the recorded one.
+    fn replayed(
+        jobs: &[OnionJob<'_>],
+        capacity: u32,
+        tolerance: f64,
+        horizon: f64,
+        state: &mut PeelState,
+    ) -> Vec<Target> {
+        let prev: Vec<Option<usize>> = (0..jobs.len()).map(Some).collect();
+        let edit = JobEdit { prev: &prev, departed: &[] };
+        peel_incremental(jobs, capacity, tolerance, horizon, edit, state).unwrap()
+    }
+
     fn assert_targets_bitwise(a: &[Target], b: &[Target], ctx: &str) {
         assert_eq!(a.len(), b.len(), "{ctx}: length");
         for (x, y) in a.iter().zip(b) {
@@ -1856,7 +2499,7 @@ mod tests {
             .map(|(&d, u)| OnionJob { demand: d, utility: u })
             .collect();
         let full = peel(&jobs, cap, tol, hor).unwrap();
-        let inc = peel_incremental(&jobs, cap, tol, hor, true, &mut state).unwrap();
+        let inc = replayed(&jobs, cap, tol, hor, &mut state);
         assert_targets_bitwise(&full, &inc, "cold");
         assert!(!state.last_stats().delta, "first pass records, not replays");
 
@@ -1884,7 +2527,7 @@ mod tests {
                 .map(|(&d, u)| OnionJob { demand: d, utility: u })
                 .collect();
             let full = peel(&jobs, cap, tol, hor).unwrap();
-            let inc = peel_incremental(&jobs, cap, tol, hor, true, &mut state).unwrap();
+            let inc = replayed(&jobs, cap, tol, hor, &mut state);
             assert_targets_bitwise(&full, &inc, &format!("step {step}"));
             let stats = state.last_stats();
             assert!(stats.delta, "step {step}: eligible pass must take delta path");
@@ -1919,7 +2562,7 @@ mod tests {
                 .zip(&utilities)
                 .map(|(&d, u)| OnionJob { demand: d, utility: u })
                 .collect();
-            peel_incremental(&jobs, capacities[0], tol, hor, true, &mut state).unwrap();
+            replayed(&jobs, capacities[0], tol, hor, &mut state);
         }
         let mut saw_resume = false;
         let mut max_verified = 0usize;
@@ -1936,7 +2579,7 @@ mod tests {
                 .map(|(&d, u)| OnionJob { demand: d, utility: u })
                 .collect();
             let full = peel(&jobs, cap, tol, hor).unwrap();
-            let inc = peel_incremental(&jobs, cap, tol, hor, true, &mut state).unwrap();
+            let inc = replayed(&jobs, cap, tol, hor, &mut state);
             assert_targets_bitwise(&full, &inc, &format!("capacity step {step} (C={cap})"));
             let stats = state.last_stats();
             assert!(stats.delta, "capacity step {step}: must take the delta path");
@@ -1957,16 +2600,16 @@ mod tests {
             .collect();
         let cap = *capacities.last().unwrap();
         let full = peel(&jobs, cap, tol, hor).unwrap();
-        let inc = peel_incremental(&jobs, cap, tol, hor, true, &mut state).unwrap();
+        let inc = replayed(&jobs, cap, tol, hor, &mut state);
         assert_targets_bitwise(&full, &inc, "quiescent replay");
         assert!(state.last_stats().resumed_at.is_none(), "quiescent pass must fully replay");
     }
 
-    /// Context changes (job count, zero-crossings, caller flag) must force
-    /// the safe full-record path; a capacity change alone does *not* — it
-    /// replays as a divergence layer.
+    /// What still forces the full-record path: an edit with nothing in
+    /// common, and a surviving demand crossing zero. A capacity change or a
+    /// departure alone does *not* — they replay.
     #[test]
-    fn incremental_peel_rejects_context_changes() {
+    fn incremental_peel_cold_triggers() {
         let u = sigmoid(300.0, 2.0, 0.03);
         let utilities = vec![u, u, u];
         fn jobs<'a>(d: &[u64], us: &'a [TimeUtility]) -> Vec<OnionJob<'a>> {
@@ -1974,28 +2617,41 @@ mod tests {
         }
         let mut state = PeelState::new();
         let j = jobs(&[100, 200, 300], &utilities);
-        peel_incremental(&j, 8, 1e-4, 1e6, true, &mut state).unwrap();
+        replayed(&j, 8, 1e-4, 1e6, &mut state);
 
-        // Caller says context changed.
-        peel_incremental(&j, 8, 1e-4, 1e6, false, &mut state).unwrap();
+        // Caller says nothing carried over.
+        peel_incremental(&j, 8, 1e-4, 1e6, JobEdit::COLD, &mut state).unwrap();
+        assert!(!state.last_stats().delta);
+        let all_new = [None, None, None];
+        let gone: Vec<&dyn Utility> = utilities.iter().map(|u| u as &dyn Utility).collect();
+        let edit = JobEdit { prev: &all_new, departed: &gone };
+        peel_incremental(&j, 8, 1e-4, 1e6, edit, &mut state).unwrap();
         assert!(!state.last_stats().delta);
         // Capacity change stays on the delta path, bit-identically.
         let full = peel(&j, 9, 1e-4, 1e6).unwrap();
-        let inc = peel_incremental(&j, 9, 1e-4, 1e6, true, &mut state).unwrap();
+        let inc = replayed(&j, 9, 1e-4, 1e6, &mut state);
         assert_targets_bitwise(&full, &inc, "capacity delta");
         assert!(state.last_stats().delta);
-        // Job count changed.
+        // So does the last job leaving.
         let j2 = jobs(&[100, 200], &utilities[..2]);
-        peel_incremental(&j2, 9, 1e-4, 1e6, true, &mut state).unwrap();
+        let full = peel(&j2, 9, 1e-4, 1e6).unwrap();
+        let edit = JobEdit { prev: &[Some(0), Some(1)], departed: &gone[2..] };
+        let inc = peel_incremental(&j2, 9, 1e-4, 1e6, edit, &mut state).unwrap();
+        assert_targets_bitwise(&full, &inc, "departure delta");
+        assert!(state.last_stats().delta);
+        // An edit that does not account for every recorded job is refused.
+        let edit = JobEdit { prev: &[Some(1)], departed: &[] };
+        peel_incremental(&j2[1..], 9, 1e-4, 1e6, edit, &mut state).unwrap();
         assert!(!state.last_stats().delta);
+        replayed(&j2, 9, 1e-4, 1e6, &mut state);
         // Demand zero-crossing.
         let j3 = jobs(&[100, 0], &utilities[..2]);
-        peel_incremental(&j3, 9, 1e-4, 1e6, true, &mut state).unwrap();
+        replayed(&j3, 9, 1e-4, 1e6, &mut state);
         assert!(!state.last_stats().delta);
-        // And back on the happy path: same context replays.
+        // And back on the happy path: same jobs replay.
         let j4 = jobs(&[101, 0], &utilities[..2]);
         let full = peel(&j4, 9, 1e-4, 1e6).unwrap();
-        let inc = peel_incremental(&j4, 9, 1e-4, 1e6, true, &mut state).unwrap();
+        let inc = replayed(&j4, 9, 1e-4, 1e6, &mut state);
         assert_targets_bitwise(&full, &inc, "post-reset delta");
         assert!(state.last_stats().delta);
     }

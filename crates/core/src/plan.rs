@@ -30,14 +30,14 @@
 
 use crate::config::EstimatorKind;
 use crate::mapping::{map_profile, MapJob, MapStats, MapSummary, OccupationProfile};
-use crate::onion::{peel_incremental, OnionJob, PeelState, ReplayStats, Shifted};
+use crate::onion::{peel_incremental, JobEdit, OnionJob, PeelState, ReplayStats, Shifted};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
 use rush_estimator::{
     DistributionEstimator, EmpiricalEstimator, GaussianEstimator, MeanEstimator,
     WindowedEstimator,
 };
-use rush_utility::TimeUtility;
+use rush_utility::{TimeUtility, Utility};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -415,9 +415,9 @@ pub struct PlanState {
     cache: PlanCache,
     peel: PeelState,
     map: OccupationProfile,
-    /// Utility/age context of the previous pass: the peel replay is only
-    /// sound when demands are the sole change, so these are compared
-    /// (bitwise for ages) before taking the delta path.
+    /// Utility/age context of the previous pass: what [`align_jobs`]
+    /// matches this pass's jobs against (bitwise for ages) to tell the peel
+    /// replay which jobs stayed, left and arrived.
     last_utilities: Vec<TimeUtility>,
     last_ages: Vec<u64>,
     passes: u64,
@@ -476,9 +476,10 @@ impl PlanState {
 ///
 /// This is the planner-facing steady-state entry: feeding consecutive
 /// scheduling events through one [`PlanState`] turns the O(n² log n) peel
-/// into an O(n) arithmetic replay whenever only demands changed, while
-/// producing plans bit-identical to a cold pass ([`compute_plan`]) in every
-/// case. Under the `strict-invariants` feature the equivalence is re-proved
+/// into an O(n) arithmetic replay whenever demands, the capacity or the job
+/// set changed but some job kept its utility and age (a slot tick, which
+/// moves every age, still peels from scratch), while producing plans
+/// bit-identical to a cold pass ([`compute_plan`]) in every case. Under the `strict-invariants` feature the equivalence is re-proved
 /// on a cold state every [`SPOT_CHECK_INTERVAL`] passes.
 ///
 /// # Errors
@@ -538,14 +539,15 @@ fn run_pass<E: DistributionEstimator>(
     let etas: Vec<u64> = solves.iter().map(|s| s.eta).collect();
     let task_lens: Vec<u64> = solves.iter().map(|s| s.task_len).collect();
 
-    // The peel replay is only sound when demands are the sole thing that
-    // moved since the recorded pass: utilities and ages shape every probe.
-    let same_context = state.last_utilities.len() == jobs.len()
-        && jobs
-            .iter()
-            .zip(&state.last_utilities)
-            .zip(&state.last_ages)
-            .all(|((j, u), &a)| j.age.to_bits() == a && j.utility == *u);
+    // What the peel replay may assume is exactly what this walk found: a
+    // job mapped to a recorded one has its utility and age, so only its
+    // demand can differ; everything else arrived or departed.
+    let (prev, gone) = align_jobs(&state.last_utilities, &state.last_ages, jobs);
+    let gone: Vec<Shifted<'_>> = gone
+        .iter()
+        .map(|&i| Shifted::new(&state.last_utilities[i], f64::from_bits(state.last_ages[i])))
+        .collect();
+    let departed: Vec<&dyn Utility> = gone.iter().map(|u| u as &dyn Utility).collect();
 
     let shifted: Vec<Shifted<'_>> =
         jobs.iter().map(|j| Shifted::new(&j.utility, j.age)).collect();
@@ -559,7 +561,7 @@ fn run_pass<E: DistributionEstimator>(
         capacity,
         config.tolerance,
         config.horizon,
-        same_context,
+        JobEdit { prev: &prev, departed: &departed },
         &mut state.peel,
     )?;
     let t2 = Instant::now();
@@ -569,7 +571,7 @@ fn run_pass<E: DistributionEstimator>(
     let t3 = Instant::now();
 
     let plan = assemble(&etas, &task_lens, &target_of, &level_of, summaries);
-    if !same_context {
+    if !is_identity(&prev, state.last_utilities.len()) {
         state.last_utilities.clear();
         state.last_utilities.extend(jobs.iter().map(|j| j.utility));
         state.last_ages.clear();
@@ -606,6 +608,51 @@ fn run_pass<E: DistributionEstimator>(
         map_delta: MapStats { delta: false, reused_prefix: 0, repacked: jobs.len() },
     };
     Ok(plan)
+}
+
+/// Aligns this pass's jobs with the recorded pass's `(utility, age bits)`
+/// list in one order-preserving walk: returns, per job, the recorded index
+/// it continues (`None`: it arrived), and the recorded indices no job
+/// continues (they departed), ascending.
+///
+/// The walk never looks back: a job that does not match the recorded job
+/// under the cursor skips recorded jobs until one matches, so departures
+/// anywhere and arrivals at the tail — the order ids are handed out in —
+/// align exactly, while a job inserted mid-list (or a reorder) costs the
+/// recorded jobs behind it their match. Any outcome is sound — a mapped pair
+/// is equal by construction — and the cost is one pass over each list, also
+/// when a slot tick moved every age and nothing matches.
+fn align_jobs(
+    utilities: &[TimeUtility],
+    ages: &[u64],
+    jobs: &[PlanInput<'_>],
+) -> (Vec<Option<usize>>, Vec<usize>) {
+    let mut departed = Vec::new();
+    let mut cursor = 0usize;
+    let prev = jobs
+        .iter()
+        .map(|job| {
+            let from = cursor;
+            while cursor < utilities.len() {
+                let i = cursor;
+                cursor += 1;
+                if job.age.to_bits() == ages[i] && job.utility == utilities[i] {
+                    departed.extend(from..i);
+                    return Some(i);
+                }
+            }
+            departed.extend(from..cursor);
+            None
+        })
+        .collect();
+    departed.extend(cursor..utilities.len());
+    (prev, departed)
+}
+
+/// Whether `prev` maps a pass onto a recorded pass of `recorded` jobs
+/// one-to-one in place (nothing arrived, nothing departed).
+fn is_identity(prev: &[Option<usize>], recorded: usize) -> bool {
+    prev.len() == recorded && prev.iter().enumerate().all(|(j, &was)| was == Some(j))
 }
 
 /// Builds the mapping inputs from peel targets (step 4 preamble). Returns
@@ -1011,6 +1058,105 @@ mod tests {
         // A drained cluster resets the state.
         compute_plan_incremental(&cfg, 12, &[], &mut state).unwrap();
         assert!(state.cache().is_empty());
+    }
+
+    /// `align_jobs` against a recorded `(utility, age)` list.
+    fn aligned(
+        recorded: &[PlanInput<'_>],
+        jobs: &[PlanInput<'_>],
+    ) -> (Vec<Option<usize>>, Vec<usize>) {
+        let utilities: Vec<TimeUtility> = recorded.iter().map(|j| j.utility).collect();
+        let ages: Vec<u64> = recorded.iter().map(|j| j.age.to_bits()).collect();
+        let (prev, departed) = align_jobs(&utilities, &ages, jobs);
+        // Whatever the walk decides, it must be sound: mapped pairs are
+        // equal, the map ascends, and every recorded job is accounted for.
+        let mapped: Vec<usize> = prev.iter().flatten().copied().collect();
+        assert!(mapped.windows(2).all(|w| w[0] < w[1]), "{prev:?}");
+        for (job, was) in jobs.iter().zip(&prev) {
+            if let Some(i) = *was {
+                assert!(job.utility == recorded[i].utility && job.age.to_bits() == ages[i]);
+            }
+        }
+        let mut all: Vec<usize> = mapped.iter().chain(&departed).copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..recorded.len()).collect::<Vec<_>>(), "{prev:?} / {departed:?}");
+        (prev, departed)
+    }
+
+    #[test]
+    fn alignment_follows_departures_and_tail_arrivals() {
+        let job = |budget: f64| input(vec![50; 4], 5, 0.0, sigmoid(budget, 3.0, 0.02));
+        let (a, b, c, d) = (job(100.0), job(200.0), job(300.0), job(400.0));
+        let abc = [a.clone(), b.clone(), c.clone()];
+        // Same list: the identity.
+        let (prev, gone) = aligned(&abc, &abc);
+        assert!(is_identity(&prev, 3) && gone.is_empty());
+        // First, middle, last removed.
+        assert_eq!(aligned(&abc, &[b.clone(), c.clone()]), (vec![Some(1), Some(2)], vec![0]));
+        assert_eq!(aligned(&abc, &[a.clone(), c.clone()]), (vec![Some(0), Some(2)], vec![1]));
+        assert_eq!(aligned(&abc, &[a.clone(), b.clone()]), (vec![Some(0), Some(1)], vec![2]));
+        // Adjacent identical jobs are interchangeable: losing either one
+        // reads as losing the second.
+        let aab = [a.clone(), a.clone(), b.clone()];
+        assert_eq!(aligned(&aab, &[a.clone(), b.clone()]), (vec![Some(0), Some(2)], vec![1]));
+        // A removal and an arrival in one pass.
+        assert_eq!(
+            aligned(&abc, &[a.clone(), c.clone(), d.clone()]),
+            (vec![Some(0), Some(2), None], vec![1])
+        );
+        // Arrivals only, a batch at the tail.
+        assert_eq!(
+            aligned(&abc, &[a.clone(), b.clone(), c.clone(), d.clone(), d.clone()]),
+            (vec![Some(0), Some(1), Some(2), None, None], vec![])
+        );
+        // A reorder is not followed: the walk never looks back, so the job
+        // that moved up keeps its match and everything behind it is new.
+        assert_eq!(
+            aligned(&abc, &[b.clone(), a.clone(), c.clone()]),
+            (vec![Some(1), None, None], vec![0, 2])
+        );
+        // Nothing recorded: all new.
+        assert_eq!(aligned(&[], &[a, b]), (vec![None, None], vec![]));
+    }
+
+    #[test]
+    fn alignment_of_a_slot_tick_is_all_new_in_one_pass() {
+        // Every age moved: no pair matches. The walk spends the whole
+        // recorded list on the first job and has nothing left to scan for
+        // the rest — linear, which 200 000 jobs would not survive otherwise.
+        let recorded: Vec<PlanInput<'static>> = (0..200_000)
+            .map(|i| input(Vec::new(), 1, 3.0, sigmoid(100.0 + i as f64, 2.0, 0.05)))
+            .collect();
+        let ticked: Vec<PlanInput<'static>> =
+            recorded.iter().map(|j| PlanInput { age: j.age + 1.0, ..j.clone() }).collect();
+        let (prev, departed) = aligned(&recorded, &ticked);
+        assert!(prev.iter().all(Option::is_none));
+        assert_eq!(departed.len(), recorded.len());
+    }
+
+    #[test]
+    fn job_churn_replays_the_peel() {
+        let cfg = RushConfig::default();
+        let mut jobs = mixed_fleet(60);
+        let mut state = PlanState::new();
+        compute_plan_incremental(&cfg, 64, &jobs, &mut state).unwrap();
+        let newcomer = |k: usize| {
+            input(vec![45; 6], 7 + k, 0.0, sigmoid(900.0 + 50.0 * k as f64, 2.0, 0.05))
+        };
+        for step in 0..12 {
+            match step % 3 {
+                0 => drop(jobs.remove((step * 17) % jobs.len())),
+                1 => jobs.push(newcomer(step)),
+                _ => {
+                    jobs.remove((step * 5) % jobs.len());
+                    jobs.push(newcomer(step));
+                    jobs[3].samples.to_mut().push(61);
+                }
+            }
+            let inc = compute_plan_incremental(&cfg, 64, &jobs, &mut state).unwrap();
+            assert_eq!(inc, compute_plan(&cfg, 64, &jobs).unwrap(), "step {step}");
+            assert!(state.last_stats().peel_replay.delta, "step {step}: churn must replay");
+        }
     }
 
     #[test]

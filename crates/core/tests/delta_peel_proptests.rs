@@ -11,12 +11,20 @@
 //! * the peel layering must agree with the frozen `rush_oracle::onion::peel`
 //!   oracle (Algorithm 3 transcribed) to within bisection wobble, exactly
 //!   as the non-incremental differential suite checks.
+//!
+//! Job churn (arrival, cancel) is replayed, not re-peeled: the peel-level
+//! stream hands `peel_incremental` the real edit between consecutive passes
+//! and asserts the delta path on every pass after the first, and three
+//! deterministic fleet-scale streams (`*_fleet_replays_job_churn`: 300+
+//! jobs, 88+ events each, one per regime — supremum-capped, overloaded,
+//! contended) additionally pin the *path*: layers dropped and spliced, how
+//! far the trace carried, and where a pass may not give it up.
 
 use proptest::prelude::*;
-use rush_core::onion::{self, OnionJob, PeelState};
+use rush_core::onion::{self, JobEdit, OnionJob, PeelState};
 use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
 use rush_core::RushConfig;
-use rush_utility::TimeUtility;
+use rush_utility::{TimeUtility, Utility};
 
 /// (samples, remaining, failed, budget, weight, age)
 type RawJob = (Vec<u64>, usize, usize, f64, f64, f64);
@@ -74,6 +82,20 @@ fn event_strategy() -> impl Strategy<Value = Ev> {
     ]
 }
 
+/// The edit between two passes whose jobs carry unique ascending ids: per
+/// job of this pass its index in the previous one, and the previous
+/// indices that are gone.
+fn edit_between(prev_ids: &[usize], ids: &[usize]) -> (Vec<Option<usize>>, Vec<usize>) {
+    let prev = ids
+        .iter()
+        .map(|id| prev_ids.binary_search(id).ok())
+        .collect();
+    let departed = (0..prev_ids.len())
+        .filter(|&i| ids.binary_search(&prev_ids[i]).is_err())
+        .collect();
+    (prev, departed)
+}
+
 /// Bit-exact plan comparison: every entry field, including float bits.
 fn assert_plans_identical(
     a: &rush_core::plan::Plan,
@@ -121,6 +143,367 @@ fn long_stream_crosses_spot_check_interval() {
         let inc = compute_plan_incremental(&cfg, 16, &jobs, &mut state).unwrap();
         assert_eq!(full, inc, "event {e}: incremental plan diverged");
     }
+}
+
+/// A fleet driven through `peel_incremental` by hand-picked churn, every
+/// pass checked against a from-scratch peel (bitwise), the frozen oracle
+/// (bisection wobble) and — the point of these streams — for the *path* it
+/// took: a pass that silently re-peels, or gives the trace up before the
+/// edit can matter, fails here.
+struct Fleet {
+    capacity: u32,
+    tolerance: f64,
+    /// How far a level may sit from the frozen oracle's (bisection wobble);
+    /// `None` skips the oracle.
+    oracle_bound: Option<f64>,
+    ids: Vec<usize>,
+    utilities: Vec<TimeUtility>,
+    demands: Vec<u64>,
+    next_id: usize,
+    state: PeelState,
+    /// The previous pass: ids, utilities and peel order.
+    prev_ids: Vec<usize>,
+    prev_utilities: Vec<TimeUtility>,
+    prev_order: Vec<onion::Target>,
+    passes: usize,
+    /// Passes that replayed to the end / whose resume bound was checked.
+    full_replays: usize,
+    bounded: usize,
+    /// Recorded layers replayed, of the layers peeled.
+    replayed: usize,
+    peeled: usize,
+    dropped: usize,
+    spliced: usize,
+}
+
+const FLEET_HORIZON: f64 = 1e6;
+
+impl Fleet {
+    fn new(capacity: u32, tolerance: f64, oracle_bound: Option<f64>) -> Self {
+        Fleet {
+            capacity,
+            tolerance,
+            oracle_bound,
+            ids: Vec::new(),
+            utilities: Vec::new(),
+            demands: Vec::new(),
+            next_id: 0,
+            state: PeelState::new(),
+            prev_ids: Vec::new(),
+            prev_utilities: Vec::new(),
+            prev_order: Vec::new(),
+            passes: 0,
+            full_replays: 0,
+            bounded: 0,
+            replayed: 0,
+            peeled: 0,
+            dropped: 0,
+            spliced: 0,
+        }
+    }
+
+    fn arrive(&mut self, utility: TimeUtility, demand: u64) {
+        self.ids.push(self.next_id);
+        self.next_id += 1;
+        self.utilities.push(utility);
+        self.demands.push(demand);
+    }
+
+    fn depart(&mut self, at: usize) {
+        self.ids.remove(at);
+        self.utilities.remove(at);
+        self.demands.remove(at);
+    }
+
+    /// Index of the `nth` job (wrapping) whose weight is `weight`.
+    fn nth_of_weight(&self, weight: f64, nth: usize) -> usize {
+        let run: Vec<usize> = (0..self.ids.len())
+            .filter(|&i| (self.utilities[i].weight() - weight).abs() < 1e-9)
+            .collect();
+        run[nth % run.len()]
+    }
+
+    /// One pass. `edits_only_jobs`: the step changed the job set and nothing
+    /// else, so no probe before the first edited job's layer can have moved
+    /// unless a load did — which `bounded_resume` says this regime rules out.
+    fn pass(&mut self, what: &str, bounded_resume: bool) {
+        let jobs: Vec<OnionJob<'_>> = self
+            .demands
+            .iter()
+            .zip(&self.utilities)
+            .map(|(&d, u)| OnionJob {
+                demand: d,
+                utility: u,
+            })
+            .collect();
+        let (prev, gone) = edit_between(&self.prev_ids, &self.ids);
+        let departed: Vec<&dyn Utility> = gone
+            .iter()
+            .map(|&i| &self.prev_utilities[i] as &dyn Utility)
+            .collect();
+        let edit = JobEdit {
+            prev: &prev,
+            departed: &departed,
+        };
+        let (cap, tol) = (self.capacity, self.tolerance);
+        let full = onion::peel(&jobs, cap, tol, FLEET_HORIZON).unwrap();
+        let inc =
+            onion::peel_incremental(&jobs, cap, tol, FLEET_HORIZON, edit, &mut self.state).unwrap();
+        assert_eq!(inc.len(), full.len(), "{what}");
+        for (a, b) in inc.iter().zip(&full) {
+            assert!(
+                a.job == b.job
+                    && a.level.to_bits() == b.level.to_bits()
+                    && a.deadline.to_bits() == b.deadline.to_bits()
+                    && a.lax == b.lax,
+                "{what}: replay {a:?} vs from scratch {b:?}"
+            );
+        }
+        if let Some(bound) = self.oracle_bound {
+            let naive = rush_oracle::onion::peel(&jobs, cap, tol, FLEET_HORIZON).unwrap();
+            let by_job = |ts: &[onion::Target]| {
+                let mut v: Vec<(usize, f64, bool)> =
+                    ts.iter().map(|t| (t.job, t.level, t.lax)).collect();
+                v.sort_by_key(|t| t.0);
+                v
+            };
+            for (f, r) in by_job(&inc).iter().zip(&by_job(&naive)) {
+                // Under deep overload levels collapse towards zero, where the
+                // deadline-free cut (1e-9) is finer than the bisection itself.
+                assert!(
+                    f.0 == r.0 && (f.2 == r.2 || r.1 <= bound),
+                    "{what}: oracle classification"
+                );
+                assert!(
+                    (f.1 - r.1).abs() <= bound,
+                    "{what}: job {} level {} vs oracle {}",
+                    f.0,
+                    f.1,
+                    r.1
+                );
+            }
+        }
+
+        let stats = self.state.last_stats();
+        assert_eq!(
+            stats.delta,
+            self.passes > 0,
+            "{what}: must replay, not re-peel ({stats:?})"
+        );
+        if self.passes > 0 {
+            self.full_replays += usize::from(stats.resumed_at.is_none());
+            self.replayed += stats.replayed_layers;
+            self.peeled += self.ids.len();
+            self.dropped += stats.dropped_layers;
+            self.spliced += stats.spliced_layers;
+            // Every job here peels in a layer of its own, so a job's place
+            // in the peel order is its layer. A departed job's is read off
+            // the recorded order; an arrival lands at most one layer per
+            // spliced sibling after the recorded layer it precedes. Deferred
+            // jobs have no place in the order: no bound.
+            let place = |order: &[onion::Target], job: usize| {
+                order.iter().filter(|t| !t.lax).position(|t| t.job == job)
+            };
+            let arrivals = prev.iter().filter(|p| p.is_none()).count();
+            let bounds: Option<Vec<usize>> = gone
+                .iter()
+                .map(|&i| place(&self.prev_order, i))
+                .chain(
+                    prev.iter()
+                        .enumerate()
+                        .filter(|(_, p)| p.is_none())
+                        .map(|(j, _)| place(&inc, j).map(|q| q.saturating_sub(arrivals))),
+                )
+                .collect();
+            if let (true, Some(bounds), Some(at)) = (bounded_resume, bounds, stats.resumed_at) {
+                let first_edit = bounds.iter().copied().min().unwrap_or(usize::MAX);
+                assert!(
+                    at >= first_edit,
+                    "{what}: resumed at recorded layer {at}, before the edit at {first_edit} ({stats:?})"
+                );
+                self.bounded += 1;
+            }
+        }
+        self.passes += 1;
+        self.prev_ids.clone_from(&self.ids);
+        self.prev_utilities.clone_from(&self.utilities);
+        self.prev_order = inc;
+    }
+}
+
+/// The churn both fleet streams run: departures from the front, the middle
+/// and the back of a weight class's run, arrival batches of 1–6, and passes
+/// where a departure, an arrival, a fresh sample and a capacity change land
+/// together. `job(k)` is the stream's k-th `(utility, demand)`.
+fn churn(
+    fleet: &mut Fleet,
+    weights: usize,
+    events: usize,
+    loads_bind: bool,
+    job: impl Fn(usize) -> (TimeUtility, u64),
+) {
+    let mut made = fleet.ids.len();
+    let base_capacity = fleet.capacity;
+    for e in 0..events {
+        let weight = 1.0 + (e % weights) as f64;
+        let run = fleet.ids.len() / weights;
+        match e % 8 {
+            0 => fleet.depart(fleet.nth_of_weight(weight, 0)),
+            1 => fleet.depart(fleet.nth_of_weight(weight, run / 2)),
+            2 => fleet.depart(fleet.nth_of_weight(weight, run.saturating_sub(1))),
+            3 | 6 => {
+                for _ in 0..1 + e % 6 {
+                    let (u, d) = job(made);
+                    made += 1;
+                    fleet.arrive(u, d);
+                }
+            }
+            4 => {
+                // Two departures and a batch in one pass.
+                fleet.depart(fleet.nth_of_weight(weight, run / 3));
+                fleet.depart(fleet.nth_of_weight(1.0 + ((e + 1) % weights) as f64, run / 2));
+                for _ in 0..2 {
+                    let (u, d) = job(made);
+                    made += 1;
+                    fleet.arrive(u, d);
+                }
+            }
+            5 => {
+                let k = (e * 7) % fleet.demands.len();
+                fleet.demands[k] = fleet.demands[k] / 2 + 40 + (e as u64 * 13) % 300;
+            }
+            _ => {
+                // Everything at once.
+                fleet.depart(fleet.nth_of_weight(weight, run / 4));
+                let (u, d) = job(made);
+                made += 1;
+                fleet.arrive(u, d);
+                let k = (e * 11) % fleet.demands.len();
+                fleet.demands[k] += 25;
+                fleet.capacity = base_capacity - (e as u32 % 3);
+            }
+        }
+        // Demand and capacity moves shift loads, and may rightly flip a
+        // probe above the edited jobs; pure job-set edits are bounded.
+        fleet.pass(
+            &format!("event {e}"),
+            !loads_bind && !matches!(e % 8, 5 | 7),
+        );
+    }
+}
+
+/// The benchmark's shape: ample capacity and five utility weights, so every
+/// level is capped by a class supremum — long runs of single `never` probes
+/// under each, a handful of feasible probes between them, and no boundary
+/// in sight. A departure drops one layer, an arrival splices one in.
+#[test]
+fn supremum_capped_fleet_replays_job_churn() {
+    let job = |k: usize| {
+        let budget = 400.0 + 37.0 * (k % 11) as f64;
+        let utility = TimeUtility::sigmoid(budget, 1.0 + (k % 5) as f64, 5.0 / budget).unwrap();
+        (utility, 50 + (k as u64 * 97) % 400)
+    };
+    let mut fleet = Fleet::new(1 << 16, 0.01, Some(0.05));
+    for k in 0..320 {
+        let (u, d) = job(k);
+        fleet.arrive(u, d);
+    }
+    fleet.pass("first pass", false);
+    churn(&mut fleet, 5, 96, false, job);
+    assert!(fleet.passes >= 81 && fleet.ids.len() >= 300);
+    // The path, not just the answer: most passes never reach the real loop,
+    // and the bound above was actually put to the test.
+    assert!(
+        fleet.full_replays * 2 > fleet.passes,
+        "{} of {}",
+        fleet.full_replays,
+        fleet.passes
+    );
+    assert!(
+        fleet.dropped >= 30 && fleet.spliced >= 30,
+        "{} / {}",
+        fleet.dropped,
+        fleet.spliced
+    );
+    assert!(
+        fleet.bounded >= 10,
+        "resume bound checked {} times",
+        fleet.bounded
+    );
+}
+
+/// Fig. 5's shape: 48 containers under 300+ jobs, so the floor itself is
+/// infeasible and the peel is one long cascade of boundary violations —
+/// the regime where a departure or an arrival really does move loads under
+/// recorded probes, and the rules must tell which.
+#[test]
+fn overloaded_fleet_replays_job_churn() {
+    let job = |k: usize| {
+        let budget = 150.0 + 61.0 * (k % 23) as f64;
+        let utility = TimeUtility::sigmoid(budget, 1.0 + (k % 4) as f64, 10.0 / budget).unwrap();
+        (utility, 300 + (k as u64 * 131) % 2500)
+    };
+    let mut fleet = Fleet::new(48, 1e-6, Some(1e-3));
+    for k in 0..310 {
+        let (u, d) = job(k);
+        fleet.arrive(u, d);
+    }
+    fleet.pass("first pass", false);
+    churn(&mut fleet, 4, 88, true, job);
+    assert!(fleet.passes >= 81 && fleet.ids.len() >= 300);
+    // Here an edit may rightly flip a probe far above its own layer, so
+    // there is no bound to hold a pass to — but the rules must still carry
+    // a good part of the trace, and departures must still drop layers.
+    assert!(
+        fleet.full_replays >= 15,
+        "{} full replays",
+        fleet.full_replays
+    );
+    assert!(fleet.dropped >= 15, "{} dropped layers", fleet.dropped);
+    assert!(
+        fleet.replayed * 4 >= fleet.peeled,
+        "{} of {} layers",
+        fleet.replayed,
+        fleet.peeled
+    );
+}
+
+/// Between the two: 300 jobs that 512 containers can *almost* carry, so
+/// nearly every layer bisects against a real capacity boundary and
+/// converges on feasible probes with next to no slack — the probes an
+/// arrival's demand has to be charged to. No oracle tier here: at this
+/// size the frozen peel costs seconds per pass, and in contested layers
+/// its bisection wobble compounds past any bound worth asserting.
+#[test]
+fn contended_fleet_replays_job_churn() {
+    let job = |k: usize| {
+        let budget = 400.0 + 53.0 * (k % 21) as f64;
+        let utility = TimeUtility::sigmoid(budget, 1.0 + (k % 4) as f64, 10.0 / budget).unwrap();
+        (utility, 300 + (k as u64 * 131) % 2500)
+    };
+    let mut fleet = Fleet::new(512, 1e-3, None);
+    for k in 0..300 {
+        let (u, d) = job(k);
+        fleet.arrive(u, d);
+    }
+    fleet.pass("first pass", false);
+    churn(&mut fleet, 4, 88, true, job);
+    assert!(fleet.passes >= 81 && fleet.ids.len() >= 290);
+    // Loads move under most edits here, so few passes replay to the end —
+    // but none may start over, and the rules still carry a good part of
+    // every trace.
+    assert!(
+        fleet.dropped + fleet.spliced >= 30,
+        "{} / {}",
+        fleet.dropped,
+        fleet.spliced
+    );
+    assert!(
+        fleet.replayed * 4 >= fleet.peeled,
+        "{} of {} layers",
+        fleet.replayed,
+        fleet.peeled
+    );
 }
 
 proptest! {
@@ -239,12 +622,13 @@ proptest! {
             })
             .collect();
         let mut demands: Vec<u64> = raw.iter().map(|(d, _, _)| *d).collect();
-        // Job identity per index: `same_context` may only be passed when
-        // the utility at every index is unchanged since the previous pass
-        // (the contract `compute_plan` upholds by comparing utilities).
+        // Job identity per index: the edit handed to the peel may only map
+        // a job to a recorded one with the same utility (the contract
+        // `compute_plan` upholds by comparing utilities).
         let mut ids: Vec<usize> = (0..demands.len()).collect();
         let mut next_id = demands.len();
         let mut prev_ids = ids.clone();
+        let mut prev_utilities = utilities.clone();
         let mut capacity = capacity0;
         let mut state = PeelState::new();
 
@@ -288,13 +672,19 @@ proptest! {
                 .zip(&utilities)
                 .map(|(&d, u)| OnionJob { demand: d, utility: u })
                 .collect();
-            let same_context = ids == prev_ids;
-            prev_ids.clone_from(&ids);
+            let (prev, gone) = edit_between(&prev_ids, &ids);
+            let departed: Vec<&dyn Utility> =
+                gone.iter().map(|&i| &prev_utilities[i] as &dyn Utility).collect();
+            let edit = JobEdit { prev: &prev, departed: &departed };
 
             let full = onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
             let inc =
-                onion::peel_incremental(&jobs, capacity, tolerance, horizon, same_context, &mut state)
+                onion::peel_incremental(&jobs, capacity, tolerance, horizon, edit, &mut state)
                     .unwrap();
+            // Demands here never reach zero and one job always survives, so
+            // nothing but the very first pass may peel from scratch: an
+            // arrival or a cancel that silently went cold fails here.
+            prop_assert_eq!(state.last_stats().delta, step > 0, "step {}: path", step);
             let naive = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
 
             // Tier 1: incremental ≡ full, bitwise.
@@ -339,6 +729,8 @@ proptest! {
                     step, f.job, f.level, r.level
                 );
             }
+            prev_ids.clone_from(&ids);
+            prev_utilities.clone_from(&utilities);
             let mut inc_levels: Vec<f64> = inc.iter().map(|t| t.level).collect();
             let mut ref_levels: Vec<f64> = naive.iter().map(|t| t.level).collect();
             inc_levels.sort_by(|a, b| a.partial_cmp(b).unwrap());

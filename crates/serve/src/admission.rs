@@ -64,12 +64,16 @@ pub fn admission_deadline(config: &RushConfig, budget: Option<u64>) -> f64 {
     }
 }
 
-/// Probes one candidate against the resident reservations and returns the
-/// verdict.
-///
-/// `reservations` are the `(remaining deadline, η)` pairs of currently
-/// admitted jobs (deadlines in slots from now); the candidate is appended
-/// with its own estimated `η` and [`admission_deadline`].
+/// What is left of a job's [`admission_deadline`] once it has been resident
+/// (admitted or parked) for `age` slots: waiting consumes deadline, not
+/// demand. Never below one slot.
+pub fn remaining_deadline(config: &RushConfig, budget: Option<u64>, age: f64) -> f64 {
+    (admission_deadline(config, budget) - age).clamp(1.0, config.horizon)
+}
+
+/// Probes one new candidate against the resident reservations and returns
+/// the verdict: [`probe_due`] with the candidate's whole
+/// [`admission_deadline`] ahead of it.
 pub fn probe(
     config: &RushConfig,
     capacity: u32,
@@ -77,8 +81,24 @@ pub fn probe(
     candidate: &JobSubmission,
     candidate_eta: u64,
 ) -> Decision {
+    let deadline = admission_deadline(config, candidate.budget);
+    probe_due(capacity, reservations, candidate, candidate_eta, deadline)
+}
+
+/// Probes one candidate that must finish `deadline` slots from now.
+///
+/// `reservations` are the `(remaining deadline, η)` pairs of currently
+/// admitted jobs (deadlines in slots from now); the candidate is appended
+/// with its own estimated `η` and `deadline`.
+pub fn probe_due(
+    capacity: u32,
+    reservations: &[(f64, u64)],
+    candidate: &JobSubmission,
+    candidate_eta: u64,
+    deadline: f64,
+) -> Decision {
     let mut all = reservations.to_vec();
-    all.push((admission_deadline(config, candidate.budget), candidate_eta));
+    all.push((deadline, candidate_eta));
     if prefix_capacity_feasible(&all, capacity) {
         Decision::Admit
     } else if candidate.is_insensitive() {

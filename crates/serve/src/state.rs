@@ -25,7 +25,9 @@
 //! Parked (deferred) jobs are re-probed at the start of every epoch, in
 //! submission order.
 
-use crate::admission::{admission_deadline, estimate_eta, probe, reclaim_defer};
+use crate::admission::{
+    admission_deadline, estimate_eta, probe, probe_due, reclaim_defer, remaining_deadline,
+};
 use crate::protocol::{
     Decision, DeferReason, ErrorCode, JobSubmission, PlanRow, StatsReport, WireError,
 };
@@ -260,9 +262,7 @@ impl ServeState {
                 let record = self.planner.job(id)?;
                 let sub = self.subs.get(&id.0)?;
                 let age = now_slot.saturating_sub(record.arrived_slot) as f64;
-                let d = (admission_deadline(config, sub.budget) - age)
-                    .clamp(1.0, config.horizon);
-                Some((d, entry.eta))
+                Some((remaining_deadline(config, sub.budget, age), entry.eta))
             })
             .collect()
     }
@@ -303,7 +303,7 @@ impl ServeState {
             .map(|(id, _)| id)
             .collect();
         for id in parked {
-            let (eta, sub) = {
+            let (eta, sub, due) = {
                 let Some(record) = self.planner.job(id) else { continue };
                 let Some(sub) = self.subs.get(&id.0) else { continue };
                 let eta = match estimate_eta(
@@ -315,14 +315,16 @@ impl ServeState {
                     Ok((eta, _)) => eta,
                     Err(_) => continue,
                 };
-                (eta, sub.clone())
+                // The planner ages a job from the slot it was parked at:
+                // the slots it waited are gone from its deadline, for its
+                // own probe and for every candidate probed behind it.
+                let waited = now_slot.saturating_sub(record.arrived_slot) as f64;
+                (eta, sub.clone(), remaining_deadline(self.planner.config(), sub.budget, waited))
             };
-            let verdict =
-                probe(self.planner.config(), self.capacity(), &reservations, &sub, eta);
-            if verdict == Decision::Admit {
+            if probe_due(self.capacity(), &reservations, &sub, eta, due) == Decision::Admit {
                 let _ = self.planner.set_parked(id, false);
                 self.counters.admitted += 1;
-                reservations.push((admission_deadline(self.planner.config(), sub.budget), eta));
+                reservations.push((due, eta));
             }
         }
 
@@ -676,6 +678,61 @@ mod tests {
         assert_eq!(rows_a, rows_b, "restored plan must be bit-identical");
     }
 
+    /// The daemon's read path under job churn: a departure (last sample,
+    /// cancel) and an epoch's arrivals must each *replay* the recorded peel
+    /// — `predict` answers at request time, behind that pass — and still
+    /// produce the rows a cold state computes from the same jobs.
+    #[test]
+    fn job_churn_replays_the_peel_and_matches_a_restored_state() {
+        let fleet = |range: std::ops::Range<u64>| -> Vec<JobSubmission> {
+            range
+                .map(|k| {
+                    let budget = 3000 + 170 * (k % 13);
+                    JobSubmission {
+                        label: format!("j{k}"),
+                        // Every seventh job is one sample from retiring.
+                        tasks: if k % 7 == 0 { 1 } else { 4 + k % 9 },
+                        runtime_hint: Some(40.0 + (k % 5) as f64),
+                        utility: TimeUtility::sigmoid(
+                            budget as f64,
+                            1.0 + (k % 5) as f64,
+                            5.0 / budget as f64,
+                        )
+                        .expect("valid"),
+                        budget: Some(budget),
+                        priority: 1,
+                    }
+                })
+                .collect()
+        };
+        let mut s = ServeState::new(RushConfig::default(), 4096).expect("state");
+        let verdicts = s.submit_epoch(fleet(0..300), 2).expect("epoch");
+        assert!(verdicts.iter().all(|v| v.decision == Decision::Admit));
+        let id = |k: usize| verdicts[k].job.expect("admitted");
+
+        let check = |s: &mut ServeState, what: &str| {
+            let probe = s.planner().planned().nth(17).expect("planned job").0 .0;
+            s.predict(probe, 2).expect("predict");
+            let replay = s.planner().shard_core(0).plan_stats().peel_replay;
+            assert!(replay.delta, "{what}: the pass behind predict re-peeled ({replay:?})");
+            let jobs: Vec<(u64, JobState)> = s.jobs().collect();
+            let mut cold =
+                ServeState::from_parts(*s.config(), s.capacity(), jobs, s.next_id(), s.counters())
+                    .expect("restore");
+            assert_eq!(s.rows(2, None).expect("rows"), cold.rows(2, None).expect("rows"), "{what}");
+            assert!(!cold.planner().shard_core(0).plan_stats().peel_replay.delta);
+        };
+
+        assert!(s.report_sample(id(140), 44).expect("sample"), "last task: the job retires");
+        check(&mut s, "retired job");
+        s.cancel(id(201)).expect("cancel");
+        check(&mut s, "cancelled job");
+        let verdicts = s.submit_epoch(fleet(300..303), 2).expect("epoch");
+        assert!(verdicts.iter().all(|v| v.decision == Decision::Admit));
+        check(&mut s, "three arrivals");
+        assert_eq!(s.planner().planned().count(), 301);
+    }
+
     #[test]
     fn from_parts_rejects_inconsistent_ids() {
         let jobs = vec![(
@@ -747,6 +804,34 @@ mod tests {
         assert!(verdicts.is_empty());
         assert_eq!(s.stats(1).deferred_jobs, 0);
         assert_eq!(s.rows(1, Some(job)).expect("rows").len(), 1);
+    }
+
+    /// A parked job's wait comes out of its deadline: restocked only after
+    /// `w` slots with `16·(b − w) < η ≤ 16·b`, the job no longer fits and
+    /// must stay parked — the re-probe may not grant it the budget again.
+    #[test]
+    fn restock_after_the_slack_is_spent_does_not_admit() {
+        use rush_core::cluster::ClusterModel;
+        let mut s = ServeState::new(RushConfig::default(), 16)
+            .expect("state")
+            .with_cluster_model(ClusterModel::tiered(8, 0, 8))
+            .expect("valid model");
+        s.set_capacity(8).expect("revoke");
+        let budget = outage_budget(&s, 400);
+        let (eta, _) =
+            crate::admission::estimate_eta(s.config(), &[], Some(50.0), 400).expect("estimate");
+        let verdicts = s.submit_epoch(vec![sub("spiky", 400, budget)], 0).expect("epoch");
+        assert_eq!(verdicts[0].defer_reason, Some(DeferReason::AwaitingRestock));
+        let job = verdicts[0].job.expect("parked job keeps its id");
+        // b = η/8 − 1, so 16·b ≥ η still holds, but after w = η/16 + 1
+        // slots only b − w < η/16 remain.
+        let waited = eta / 16 + 1;
+        assert!(16 * (budget - waited) < eta && eta <= 16 * budget, "test premise");
+        s.set_capacity(16).expect("restock");
+        s.submit_epoch(vec![], waited).expect("epoch");
+        assert_eq!(s.stats(waited).deferred_jobs, 1, "the wait consumed the deadline");
+        assert!(s.rows(waited, Some(job)).is_err(), "still parked: no plan row");
+        assert_eq!(s.counters().admitted, 0);
     }
 
     #[test]
