@@ -59,7 +59,7 @@ use rush_core::onion::{OnionJob, Shifted};
 use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
-use rush_estimator::{DistributionEstimator, GaussianEstimator};
+use rush_estimator::DistributionEstimator;
 use rush_metrics::table::{fmt_f64, Table};
 use rush_oracle::onion as naive;
 use rush_prob::rng::{derive_seed, seeded_rng};
@@ -107,7 +107,7 @@ fn approx_bytes(cfg: &RushConfig, n_jobs: usize, capacity: u32) -> usize {
 /// scratch, reference (`naive`) onion peel, continuous mapping. This is
 /// what every scheduling event cost before the incremental pipeline.
 fn baseline_pass(cfg: &RushConfig, capacity: u32, jobs: &[PlanInput<'_>]) {
-    let de = GaussianEstimator::new(cfg.max_bins).with_prior(cfg.cold_prior);
+    let de = cfg.estimator();
     let n = jobs.len();
     let mut etas = Vec::with_capacity(n);
     let mut task_lens = Vec::with_capacity(n);

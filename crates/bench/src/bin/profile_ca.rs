@@ -13,7 +13,7 @@ use rush_core::onion::{peel, OnionJob, Shifted};
 use rush_core::plan::PlanInput;
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
-use rush_estimator::{DistributionEstimator, GaussianEstimator};
+use rush_estimator::DistributionEstimator;
 use rush_prob::rng::{derive_seed, seeded_rng};
 use rush_utility::TimeUtility;
 use std::time::Instant;
@@ -53,7 +53,7 @@ fn main() {
 
 fn profile(reps: usize, capacity: u32) {
     let cfg = RushConfig::default();
-    let de = GaussianEstimator::new(cfg.max_bins).with_prior(cfg.cold_prior);
+    let de = cfg.estimator();
     let mut occupation = OccupationProfile::default();
 
     println!("capacity {capacity}");

@@ -1,7 +1,10 @@
 //! RUSH scheduler configuration.
 
 use crate::CoreError;
-use rush_estimator::RuntimePrior;
+use rush_estimator::{
+    DistributionEstimator, EmpiricalEstimator, Estimate, EstimatorError, GaussianEstimator,
+    MeanEstimator, RuntimePrior,
+};
 
 /// Which distribution-estimator class the DE units use (paper Sec. IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,12 +18,40 @@ pub enum EstimatorKind {
         /// Number of bootstrap resamples.
         resamples: usize,
     },
-    /// CLT Gaussian fitted to only the most recent samples — tracks
-    /// time-varying task runtimes at the cost of higher variance.
-    Windowed {
-        /// Number of most-recent samples in the fit (≥ 2).
-        window: usize,
-    },
+}
+
+/// The DE unit a [`RushConfig`] names (see [`RushConfig::estimator`]): its
+/// [`EstimatorKind`] built with the config's bins and cold prior.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Estimator {
+    /// [`EstimatorKind::Mean`].
+    Mean(MeanEstimator),
+    /// [`EstimatorKind::Gaussian`].
+    Gaussian(GaussianEstimator),
+    /// [`EstimatorKind::Empirical`].
+    Empirical(EmpiricalEstimator),
+}
+
+impl DistributionEstimator for Estimator {
+    fn name(&self) -> &str {
+        match self {
+            Estimator::Mean(de) => de.name(),
+            Estimator::Gaussian(de) => de.name(),
+            Estimator::Empirical(de) => de.name(),
+        }
+    }
+
+    fn estimate(
+        &self,
+        samples: &[u64],
+        remaining_tasks: usize,
+    ) -> Result<Estimate, EstimatorError> {
+        match self {
+            Estimator::Mean(de) => de.estimate(samples, remaining_tasks),
+            Estimator::Gaussian(de) => de.estimate(samples, remaining_tasks),
+            Estimator::Empirical(de) => de.estimate(samples, remaining_tasks),
+        }
+    }
 }
 
 /// Tunable parameters of the RUSH pipeline.
@@ -47,9 +78,6 @@ pub struct RushConfig {
     pub estimator: EstimatorKind,
     /// Prior used before any runtime sample exists (cold start).
     pub cold_prior: RuntimePrior,
-    /// Subtract `R_i` from each deadline before mapping, compensating the
-    /// Theorem 3 `T_i + R_i` slack (paper Sec. III-C).
-    pub shave_mapping_slack: bool,
     /// Fraction of cluster capacity kept free of completion-time
     /// *insensitive* tasks: such a task only starts while at least this
     /// share of containers would remain free afterwards. Because container
@@ -75,7 +103,6 @@ impl Default for RushConfig {
             horizon: 1e6,
             estimator: EstimatorKind::Gaussian,
             cold_prior: RuntimePrior::new(60.0, 20.0).expect("static prior is valid"),
-            shave_mapping_slack: true,
             insensitive_reserve: 0.75,
             failure_aware: true,
         }
@@ -110,16 +137,30 @@ impl RushConfig {
                 reason: "insensitive_reserve must be in [0, 1]",
             });
         }
-        match self.estimator {
-            EstimatorKind::Empirical { resamples } if resamples < 16 => {
+        if let EstimatorKind::Empirical { resamples } = self.estimator {
+            if resamples < 16 {
                 return Err(CoreError::InvalidConfig { reason: "resamples must be >= 16" });
             }
-            EstimatorKind::Windowed { window } if window < 2 => {
-                return Err(CoreError::InvalidConfig { reason: "window must be >= 2" });
-            }
-            _ => {}
         }
         Ok(())
+    }
+
+    /// The DE unit this config runs: the one place an [`EstimatorKind`]
+    /// becomes an estimator, shared by planning
+    /// ([`crate::plan::compute_plan_incremental`]) and admission
+    /// (`rush_planner::estimate_eta`).
+    pub fn estimator(&self) -> Estimator {
+        match self.estimator {
+            EstimatorKind::Mean => {
+                Estimator::Mean(MeanEstimator::new(self.max_bins).with_prior(self.cold_prior))
+            }
+            EstimatorKind::Gaussian => Estimator::Gaussian(
+                GaussianEstimator::new(self.max_bins).with_prior(self.cold_prior),
+            ),
+            EstimatorKind::Empirical { resamples } => Estimator::Empirical(
+                EmpiricalEstimator::new(self.max_bins, resamples).with_prior(self.cold_prior),
+            ),
+        }
     }
 
     /// Returns a copy with the percentile set.
@@ -163,6 +204,17 @@ mod tests {
     }
 
     #[test]
+    fn estimator_follows_the_kind() {
+        for (kind, name) in [
+            (EstimatorKind::Mean, "mean"),
+            (EstimatorKind::Gaussian, "gaussian"),
+            (EstimatorKind::Empirical { resamples: 64 }, "empirical"),
+        ] {
+            assert_eq!(RushConfig::default().with_estimator(kind).estimator().name(), name);
+        }
+    }
+
+    #[test]
     fn validation_catches_bad_fields() {
         assert!(RushConfig::default().with_theta(0.0).validate().is_err());
         assert!(RushConfig::default().with_theta(1.0).validate().is_err());
@@ -177,13 +229,5 @@ mod tests {
             .with_estimator(EstimatorKind::Empirical { resamples: 2 })
             .validate()
             .is_err());
-        assert!(RushConfig::default()
-            .with_estimator(EstimatorKind::Windowed { window: 1 })
-            .validate()
-            .is_err());
-        assert!(RushConfig::default()
-            .with_estimator(EstimatorKind::Windowed { window: 16 })
-            .validate()
-            .is_ok());
     }
 }

@@ -132,7 +132,6 @@ pub fn map_continuous(jobs: &[MapJob], capacity: u32) -> Result<Vec<Placement>, 
             water_fill(&mut occupation, job.task_len, remaining, p);
         }
     }
-    #[cfg(feature = "strict-invariants")]
     check_mapping_contract(jobs, &placements, capacity);
     Ok(placements)
 }
@@ -293,9 +292,11 @@ fn water_fill(occupation: &mut [u64], task_len: u64, tasks: u64, placement: &mut
 }
 
 /// Conservation (every task of every job lands in exactly one segment —
-/// the spill path guarantees totality) and Theorem 3.
-#[cfg(feature = "strict-invariants")]
+/// the spill path guarantees totality) and Theorem 3. Debug builds only.
 fn check_mapping_contract(jobs: &[MapJob], placements: &[Placement], capacity: u32) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     for (i, p) in placements.iter().enumerate() {
         let placed: u64 = p.segments.iter().map(|s| s.tasks).sum();
         debug_assert_eq!(
@@ -311,7 +312,6 @@ fn check_mapping_contract(jobs: &[MapJob], placements: &[Placement], capacity: u
 /// prefix-capacity condition, every strict job completes within one task
 /// runtime of its target. (Lax jobs are packed after every strict job and
 /// cannot affect strict completions.) `completions` parallels `jobs`.
-#[cfg(feature = "strict-invariants")]
 fn check_theorem3(jobs: &[MapJob], completions: impl Iterator<Item = u64>, capacity: u32) {
     let strict: Vec<MapJob> = jobs.iter().copied().filter(|j| !j.lax).collect();
     if !capacity_condition_holds(&strict, capacity) {
@@ -403,14 +403,14 @@ pub fn map_profile<'a>(
     summaries.resize(jobs.len(), MapSummary::default());
     for &i in order.iter() {
         let job = &jobs[i];
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         let before = volume(runs);
         let spill = if job.lax { job.tasks } else { strict_fill(runs, job, &mut summaries[i]) };
         if spill > 0 {
             level_fill(runs, capacity, job.task_len, spill, &mut summaries[i]);
         }
         // Conservation: every task adds exactly `task_len` to one queue.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         debug_assert_eq!(
             volume(runs) - before,
             job.tasks as u128 * job.task_len as u128,
@@ -418,8 +418,7 @@ pub fn map_profile<'a>(
             job.tasks
         );
     }
-    #[cfg(feature = "strict-invariants")]
-    {
+    if cfg!(debug_assertions) {
         let queues: u64 = runs.iter().map(|r| r.len as u64).sum();
         debug_assert_eq!(queues, capacity as u64, "profile contract: runs must cover the fleet");
         debug_assert!(runs.len() <= 1 + 2 * jobs.len(), "profile contract: {} runs", runs.len());
@@ -431,7 +430,7 @@ pub fn map_profile<'a>(
 }
 
 /// Container·slots reserved across the profile.
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 fn volume(runs: &[Run]) -> u128 {
     runs.iter().map(|r| r.occupation as u128 * r.len as u128).sum()
 }

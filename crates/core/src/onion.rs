@@ -2031,9 +2031,9 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
 /// reservations satisfy the prefix-capacity condition
 /// `Σ_{T_k ≤ d} η_k ≤ C · d` at every reservation deadline `d` — the
 /// feasibility certificate the peeling loop maintained layer by layer.
-#[cfg(feature = "strict-invariants")]
+/// Debug builds only.
 fn debug_check_theorem2(committed: &[(f64, u64)], capacity: u32, overloaded: bool) {
-    if overloaded {
+    if !cfg!(debug_assertions) || overloaded {
         return;
     }
     let mut sorted: Vec<(f64, u64)> = committed.to_vec();
@@ -2055,10 +2055,6 @@ fn debug_check_theorem2(committed: &[(f64, u64)], capacity: u32, overloaded: boo
         );
     }
 }
-
-#[cfg(not(feature = "strict-invariants"))]
-#[inline(always)]
-fn debug_check_theorem2(_committed: &[(f64, u64)], _capacity: u32, _overloaded: bool) {}
 
 /// The Theorem-2 prefix-capacity feasibility test, exposed as a standalone
 /// probe: given `(deadline, demand)` reservations (in any order), returns
@@ -2185,6 +2181,15 @@ mod tests {
 
     fn sigmoid(budget: f64, weight: f64, beta: f64) -> TimeUtility {
         TimeUtility::sigmoid(budget, weight, beta).unwrap()
+    }
+
+    /// The contract layer is armed in every debug build: 100 container·slots
+    /// due by slot 10 on 2 containers over-commits the prefix (100 > 2·10).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Theorem 2 contract")]
+    fn contract_layer_catches_an_overcommitted_prefix() {
+        debug_check_theorem2(&[(40.0, 20), (10.0, 100)], 2, false);
     }
 
     #[test]

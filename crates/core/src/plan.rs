@@ -22,21 +22,18 @@
 //! estimator-visible state of *one* job; the other jobs' robust demands
 //! `(η, R)` are unchanged. A [`PlanState`]'s [`PlanCache`] memoizes the
 //! estimate + WCDE stage per job, keyed by a fingerprint of everything that
-//! stage reads: the sample multiset (order-sensitive — estimators may
-//! window), the remaining-task count, the failure count and the config
-//! knobs. Ages and utilities are deliberately **not** part of the key: they
-//! only enter the peel and mapping stages. A warm pass therefore produces
-//! plans bit-identical to a cold one.
+//! stage reads: the sample sequence (order-sensitive — the empirical
+//! estimator seeds its resampling from it), the remaining-task count, the
+//! failure count and the config knobs. Ages and utilities are deliberately
+//! **not** part of the key: they only enter the peel and mapping stages. A
+//! warm pass therefore produces plans bit-identical to a cold one.
 
-use crate::config::EstimatorKind;
+use crate::config::{Estimator, EstimatorKind};
 use crate::mapping::{map_profile, MapJob, MapStats, MapSummary, OccupationProfile};
 use crate::onion::{peel_incremental, JobEdit, OnionJob, PeelState, ReplayStats, Shifted};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
-use rush_estimator::{
-    DistributionEstimator, EmpiricalEstimator, GaussianEstimator, MeanEstimator,
-    WindowedEstimator,
-};
+use rush_estimator::DistributionEstimator;
 use rush_utility::{TimeUtility, Utility};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -219,7 +216,6 @@ fn config_tag(config: &RushConfig) -> u64 {
         EstimatorKind::Mean => h.u64(1),
         EstimatorKind::Gaussian => h.u64(2),
         EstimatorKind::Empirical { resamples } => h.u64(3).u64(resamples as u64),
-        EstimatorKind::Windowed { window } => h.u64(4).u64(window as u64),
     }
     .0
 }
@@ -246,10 +242,10 @@ fn fingerprint(tag: u64, job: &PlanInput<'_>) -> u128 {
 
 /// Estimate + WCDE + failure inflation for one job (steps 1–2 of the CA
 /// pass). Pure in its inputs — the contract the memo table relies on.
-fn solve_one<E: DistributionEstimator>(
+fn solve_one(
     config: &RushConfig,
     job: &PlanInput<'_>,
-    estimator: &E,
+    estimator: &Estimator,
 ) -> Result<JobSolve, CoreError> {
     let est = estimator.estimate(&job.samples, job.remaining_tasks)?;
     let eta = if job.remaining_tasks == 0 {
@@ -271,20 +267,20 @@ fn solve_one<E: DistributionEstimator>(
 }
 
 /// Solves the per-job stage for every listed job, in input order.
-fn solve_batch<E: DistributionEstimator>(
+fn solve_batch(
     config: &RushConfig,
     jobs: &[&PlanInput<'_>],
-    estimator: &E,
+    estimator: &Estimator,
 ) -> Result<Vec<JobSolve>, CoreError> {
     jobs.iter().map(|j| solve_one(config, j, estimator)).collect()
 }
 
 /// Per-job stage, memoized. Rotates the cache map so only fingerprints
 /// touched by *this* pass survive into the next one.
-fn solve_jobs<E: DistributionEstimator>(
+fn solve_jobs(
     config: &RushConfig,
     jobs: &[PlanInput<'_>],
-    estimator: &E,
+    estimator: &Estimator,
     cache: &mut PlanCache,
 ) -> Result<Vec<JobSolve>, CoreError> {
     let n = jobs.len();
@@ -354,31 +350,15 @@ const INDEX_SHIFT_SPILL: usize = 2;
 ///
 /// # Errors
 ///
-/// Propagates configuration validation and estimation failures; see
-/// [`compute_plan_with`].
+/// * Configuration errors from [`RushConfig::validate`].
+/// * [`CoreError::InvalidConfig`] if `capacity == 0`.
+/// * Estimation or probability errors from the per-job DE pass.
 pub fn compute_plan(
     config: &RushConfig,
     capacity: u32,
     jobs: &[PlanInput<'_>],
 ) -> Result<Plan, CoreError> {
     compute_plan_incremental(config, capacity, jobs, &mut PlanState::new())
-}
-
-/// Runs one from-scratch CA pass with a caller-supplied estimator (for
-/// custom DE classes, as the paper invites).
-///
-/// # Errors
-///
-/// * Configuration errors from [`RushConfig::validate`].
-/// * [`CoreError::InvalidConfig`] if `capacity == 0`.
-/// * Estimation or probability errors from the per-job DE pass.
-pub fn compute_plan_with<E: DistributionEstimator>(
-    config: &RushConfig,
-    capacity: u32,
-    jobs: &[PlanInput<'_>],
-    estimator: &E,
-) -> Result<Plan, CoreError> {
-    run_pass(config, capacity, jobs, estimator, &mut PlanState::new())
 }
 
 /// Wall-clock phase breakdown and delta telemetry for the most recent
@@ -399,10 +379,9 @@ pub struct PlanPhaseStats {
     pub map_delta: MapStats,
 }
 
-/// Under `strict-invariants`, every this-many passes through one state the
-/// plan is recomputed on a cold state and compared — the delta structures
-/// must never drift from a from-scratch pass.
-#[cfg(feature = "strict-invariants")]
+/// In debug builds, every this-many passes through one state the plan is
+/// recomputed on a cold state and compared — the delta structures must
+/// never drift from a from-scratch pass.
 const SPOT_CHECK_INTERVAL: u64 = 64;
 
 /// Cross-pass state for [`compute_plan_incremental`]: the per-job memo
@@ -479,8 +458,9 @@ impl PlanState {
 /// into an O(n) arithmetic replay whenever demands, the capacity or the job
 /// set changed but some job kept its utility and age (a slot tick, which
 /// moves every age, still peels from scratch), while producing plans
-/// bit-identical to a cold pass ([`compute_plan`]) in every case. Under the `strict-invariants` feature the equivalence is re-proved
-/// on a cold state every [`SPOT_CHECK_INTERVAL`] passes.
+/// bit-identical to a cold pass ([`compute_plan`]) in every case. Debug
+/// builds re-prove the equivalence on a cold state every
+/// [`SPOT_CHECK_INTERVAL`] passes.
 ///
 /// # Errors
 ///
@@ -489,36 +469,6 @@ pub fn compute_plan_incremental(
     config: &RushConfig,
     capacity: u32,
     jobs: &[PlanInput<'_>],
-    state: &mut PlanState,
-) -> Result<Plan, CoreError> {
-    match config.estimator {
-        EstimatorKind::Mean => {
-            let de = MeanEstimator::new(config.max_bins).with_prior(config.cold_prior);
-            run_pass(config, capacity, jobs, &de, state)
-        }
-        EstimatorKind::Gaussian => {
-            let de = GaussianEstimator::new(config.max_bins).with_prior(config.cold_prior);
-            run_pass(config, capacity, jobs, &de, state)
-        }
-        EstimatorKind::Empirical { resamples } => {
-            let de =
-                EmpiricalEstimator::new(config.max_bins, resamples).with_prior(config.cold_prior);
-            run_pass(config, capacity, jobs, &de, state)
-        }
-        EstimatorKind::Windowed { window } => {
-            let de =
-                WindowedEstimator::new(config.max_bins, window).with_prior(config.cold_prior);
-            run_pass(config, capacity, jobs, &de, state)
-        }
-    }
-}
-
-/// The CA pass: every public entry point ends here.
-fn run_pass<E: DistributionEstimator>(
-    config: &RushConfig,
-    capacity: u32,
-    jobs: &[PlanInput<'_>],
-    estimator: &E,
     state: &mut PlanState,
 ) -> Result<Plan, CoreError> {
     use std::time::Instant;
@@ -534,7 +484,7 @@ fn run_pass<E: DistributionEstimator>(
     }
 
     let t0 = Instant::now();
-    let solves = solve_jobs(config, jobs, estimator, &mut state.cache)?;
+    let solves = solve_jobs(config, jobs, &config.estimator(), &mut state.cache)?;
     let t1 = Instant::now();
     let etas: Vec<u64> = solves.iter().map(|s| s.eta).collect();
     let task_lens: Vec<u64> = solves.iter().map(|s| s.task_len).collect();
@@ -566,7 +516,7 @@ fn run_pass<E: DistributionEstimator>(
     )?;
     let t2 = Instant::now();
 
-    let (map_jobs, target_of, level_of) = build_map_jobs(config, jobs, &etas, &task_lens, &targets);
+    let (map_jobs, target_of, level_of) = build_map_jobs(jobs, &etas, &task_lens, &targets);
     let summaries = map_profile(&map_jobs, capacity, &mut state.map)?;
     let t3 = Instant::now();
 
@@ -580,10 +530,9 @@ fn run_pass<E: DistributionEstimator>(
     state.passes += 1;
     let t4 = Instant::now();
 
-    #[cfg(feature = "strict-invariants")]
-    if state.passes.is_multiple_of(SPOT_CHECK_INTERVAL) {
+    if cfg!(debug_assertions) && state.passes.is_multiple_of(SPOT_CHECK_INTERVAL) {
         // A cold state's pass count is 1, so this does not recurse.
-        let scratch = compute_plan_with(config, capacity, jobs, estimator)?;
+        let scratch = compute_plan(config, capacity, jobs)?;
         debug_assert_eq!(
             plan, scratch,
             "delta-plan contract: warm pass {} diverged from a cold CA pass",
@@ -658,7 +607,6 @@ fn is_identity(prev: &[Option<usize>], recorded: usize) -> bool {
 /// Builds the mapping inputs from peel targets (step 4 preamble). Returns
 /// `(map_jobs, target_of, level_of)` in input order.
 fn build_map_jobs(
-    config: &RushConfig,
     jobs: &[PlanInput<'_>],
     etas: &[u64],
     task_lens: &[u64],
@@ -682,11 +630,9 @@ fn build_map_jobs(
             // true task count.
             let n = job.remaining_tasks as u64;
             let r = if n > 0 { etas[i].div_ceil(n).max(task_lens[i]) } else { task_lens[i] };
-            let shaved = if config.shave_mapping_slack {
-                (target_of[i] - r as f64).max(1.0)
-            } else {
-                target_of[i].max(1.0)
-            };
+            // Subtract `R` from the deadline, compensating the Theorem 3
+            // `T + R` slack (paper Sec. III-C).
+            let shaved = (target_of[i] - r as f64).max(1.0);
             if lax_of[i] {
                 // A lax job's packing ignores its target — the field is
                 // only the pack-order hint among lax jobs. Key on the
@@ -868,7 +814,6 @@ mod tests {
             EstimatorKind::Mean,
             EstimatorKind::Gaussian,
             EstimatorKind::Empirical { resamples: 64 },
-            EstimatorKind::Windowed { window: 8 },
         ] {
             let cfg = RushConfig::default().with_estimator(kind);
             let p = compute_plan(&cfg, 8, &jobs).unwrap();

@@ -80,8 +80,7 @@ pub fn solve(phi: &Pmf, l_bin: usize, theta: f64) -> Result<RemSolution, CoreErr
         .collect();
     let pmf = Pmf::from_weights(weights, phi.bin_width())?;
     let kl = closed_form_kl(head, tail, theta);
-    #[cfg(feature = "strict-invariants")]
-    {
+    if cfg!(debug_assertions) {
         // Contract (Theorem 1 / eq. 11): the reweighted head carries mass
         // exactly θ, and the closed-form divergence agrees with a direct
         // D(p*‖φ) evaluation.

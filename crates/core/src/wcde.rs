@@ -106,9 +106,11 @@ pub fn worst_case_quantile(phi: &Pmf, theta: f64, delta: f64) -> Result<WcdeResu
 /// upper edge of `eta_bin`, never undershoots the nominal quantile, and the
 /// in-ball guarantee holds — no distribution within KL radius `δ` can push
 /// its θ-quantile past `eta_bin` (the REM minimum one bin further already
-/// exceeds `δ`).
-#[cfg(feature = "strict-invariants")]
+/// exceeds `δ`). Debug builds only.
 fn debug_check_wcde(phi: &Pmf, theta: f64, delta: f64, r: &WcdeResult) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     debug_assert_eq!(
         r.eta,
         (r.eta_bin as u64 + 1) * phi.bin_width(),
@@ -130,10 +132,6 @@ fn debug_check_wcde(phi: &Pmf, theta: f64, delta: f64, r: &WcdeResult) {
         }
     }
 }
-
-#[cfg(not(feature = "strict-invariants"))]
-#[inline(always)]
-fn debug_check_wcde(_phi: &Pmf, _theta: f64, _delta: f64, _r: &WcdeResult) {}
 
 #[cfg(test)]
 mod tests {

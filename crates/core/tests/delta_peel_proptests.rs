@@ -114,10 +114,9 @@ fn assert_plans_identical(
     Ok(())
 }
 
-/// Long steady-state stream: enough events to cross the strict-invariants
-/// spot-check interval (64 passes) more than twice, so a build with
-/// `--features strict-invariants` and debug assertions actually executes
-/// the every-N-events from-scratch comparison inside
+/// Long steady-state stream: enough events to cross the debug-build
+/// spot-check interval (64 passes) more than twice, so `cargo test`
+/// actually executes the every-N-events from-scratch comparison inside
 /// `compute_plan_incremental` — not just the per-step checks made here.
 #[test]
 fn long_stream_crosses_spot_check_interval() {

@@ -115,13 +115,6 @@ pub struct Estimate {
     pub mean_task_runtime: f64,
 }
 
-impl Estimate {
-    /// Mean remaining demand in container·slots.
-    pub fn mean_demand(&self) -> f64 {
-        self.pmf.mean()
-    }
-}
-
 /// A distribution estimator: turns completed-task runtime samples into a
 /// reference distribution of the job's remaining demand.
 ///
@@ -529,103 +522,5 @@ mod tests {
         assert!(e.to_string().contains("probability"));
         assert!(Error::source(&e).is_some());
         assert!(Error::source(&EstimatorError::NoSamples).is_none());
-    }
-}
-
-/// A **windowed Gaussian estimator**: like [`GaussianEstimator`] but fitted
-/// only to the most recent `window` samples, tracking *time-varying* task
-/// runtimes (e.g. co-tenant interference ramping up mid-job) at the cost of
-/// higher variance.
-///
-/// The paper's system model acknowledges "time-varying dynamics" as a
-/// reason the reference distribution is only approximate; a windowed fit is
-/// the standard mitigation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowedEstimator {
-    inner: GaussianEstimator,
-    window: usize,
-}
-
-impl WindowedEstimator {
-    /// Creates a windowed estimator over the last `window ≥ 2` samples
-    /// with at most `max_bins` quantization bins.
-    pub fn new(max_bins: usize, window: usize) -> Self {
-        WindowedEstimator { inner: GaussianEstimator::new(max_bins), window: window.max(2) }
-    }
-
-    /// Adds a prior for the no-sample cold start.
-    pub fn with_prior(mut self, prior: RuntimePrior) -> Self {
-        self.inner = self.inner.with_prior(prior);
-        self
-    }
-
-    /// The window length.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-}
-
-impl DistributionEstimator for WindowedEstimator {
-    fn name(&self) -> &str {
-        "windowed"
-    }
-
-    fn estimate(
-        &self,
-        samples: &[u64],
-        remaining_tasks: usize,
-    ) -> Result<Estimate, EstimatorError> {
-        let tail = if samples.len() > self.window {
-            &samples[samples.len() - self.window..]
-        } else {
-            samples
-        };
-        self.inner.estimate(tail, remaining_tasks)
-    }
-}
-
-#[cfg(test)]
-mod windowed_tests {
-    use super::*;
-
-    #[test]
-    fn window_tracks_recent_shift() {
-        // Runtimes double halfway through: the windowed fit follows the new
-        // regime, the full-history Gaussian averages the two.
-        let samples: Vec<u64> = (0..40).map(|i| if i < 20 { 30 } else { 60 }).collect();
-        let windowed = WindowedEstimator::new(1024, 10).estimate(&samples, 10).expect("estimate succeeds");
-        let full = GaussianEstimator::new(1024).estimate(&samples, 10).expect("estimate succeeds");
-        assert!(
-            (windowed.mean_task_runtime - 60.0).abs() < 1.0,
-            "windowed R = {}",
-            windowed.mean_task_runtime
-        );
-        assert!((full.mean_task_runtime - 45.0).abs() < 1.0);
-        assert!(windowed.pmf.mean() > full.pmf.mean());
-    }
-
-    #[test]
-    fn short_history_uses_everything() {
-        let samples = [50u64, 52, 48];
-        let windowed = WindowedEstimator::new(512, 10).estimate(&samples, 5).expect("estimate succeeds");
-        let full = GaussianEstimator::new(512).estimate(&samples, 5).expect("estimate succeeds");
-        assert_eq!(windowed, full);
-    }
-
-    #[test]
-    fn cold_start_uses_prior() {
-        let de = WindowedEstimator::new(512, 8).with_prior(RuntimePrior::new(40.0, 10.0).expect("valid prior"));
-        let est = de.estimate(&[], 10).expect("estimate succeeds");
-        assert!((est.pmf.mean() - 400.0).abs() < 20.0);
-        assert_eq!(
-            WindowedEstimator::new(512, 8).estimate(&[], 10),
-            Err(EstimatorError::NoSamples)
-        );
-    }
-
-    #[test]
-    fn window_floor_is_two() {
-        assert_eq!(WindowedEstimator::new(512, 0).window(), 2);
-        assert_eq!(WindowedEstimator::new(512, 7).window(), 7);
     }
 }

@@ -1,9 +1,7 @@
 //! Property tests for the demand estimators.
 
 use proptest::prelude::*;
-use rush_estimator::{
-    DistributionEstimator, EmpiricalEstimator, GaussianEstimator, MeanEstimator, WindowedEstimator,
-};
+use rush_estimator::{DistributionEstimator, EmpiricalEstimator, GaussianEstimator, MeanEstimator};
 
 fn samples_strategy() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(1u64..200, 1..64)
@@ -17,8 +15,7 @@ proptest! {
         let mean_est = MeanEstimator::new(256).estimate(&samples, remaining).unwrap();
         let gauss = GaussianEstimator::new(256).estimate(&samples, remaining).unwrap();
         let emp = EmpiricalEstimator::new(256, 64).estimate(&samples, remaining).unwrap();
-        let win = WindowedEstimator::new(256, 8).estimate(&samples, remaining).unwrap();
-        for est in [&mean_est, &gauss, &emp, &win] {
+        for est in [&mean_est, &gauss, &emp] {
             prop_assert!(est.pmf.is_normalized());
             prop_assert!(est.mean_task_runtime >= 1.0);
             prop_assert!(est.pmf.bins() >= 2);
@@ -47,13 +44,5 @@ proptest! {
         let est = GaussianEstimator::new(1024).estimate(&samples, n).unwrap();
         prop_assert!(est.pmf.quantile(0.95) as f64 + est.pmf.bin_width() as f64
             >= est.pmf.mean());
-    }
-
-    /// Windowing never changes the answer when the history fits the window.
-    #[test]
-    fn window_noop_when_history_short(samples in prop::collection::vec(1u64..200, 1..8)) {
-        let win = WindowedEstimator::new(512, 16).estimate(&samples, 10).unwrap();
-        let full = GaussianEstimator::new(512).estimate(&samples, 10).unwrap();
-        prop_assert_eq!(win, full);
     }
 }

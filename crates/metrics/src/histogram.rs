@@ -163,19 +163,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Exports the non-empty buckets as CSV with a header:
-    /// `bucket_lo,bucket_hi,count`.
-    pub fn to_csv(&self) -> String {
-        let mut csv = crate::csv::Csv::new();
-        csv.row(["bucket_lo", "bucket_hi", "count"]);
-        for (k, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                csv.row([bucket_lo(k).to_string(), bucket_hi(k).to_string(), c.to_string()]);
-            }
-        }
-        csv.finish()
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +178,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert!((h.mean() - 0.0).abs() < 1e-12);
-        assert_eq!(h.to_csv().lines().count(), 1); // header only
     }
 
     #[test]
@@ -289,20 +275,6 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&whole);
         assert_eq!(empty, whole);
-    }
-
-    #[test]
-    fn csv_lists_nonempty_buckets() {
-        let mut h = Histogram::new();
-        h.record(3); // bucket [2,4)
-        h.record(3);
-        h.record(100); // bucket [64,128)
-        let csv = h.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "bucket_lo,bucket_hi,count");
-        assert_eq!(lines.len(), 3);
-        assert!(lines.contains(&"2,4,2"));
-        assert!(lines.contains(&"64,128,1"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Experiment reporting for the RUSH reproduction: fixed-width tables,
-//! boxplot and ECDF series (the shapes behind the paper's Figs. 3–6), and
-//! CSV export for external plotting.
+//! boxplot and ECDF series (the shapes behind the paper's Figs. 3–6),
+//! Gantt views and log-bucketed histograms.
 //!
 //! # Example
 //!
@@ -31,7 +31,6 @@
     )
 )]
 
-pub mod csv;
 pub mod gantt;
 pub mod histogram;
 pub mod series;

@@ -20,14 +20,10 @@
 //! it was computed *and* the logical clock still reads the same slot.
 
 use crate::PlannerError;
-use rush_core::config::EstimatorKind;
 use rush_core::plan::{compute_plan_incremental, Plan, PlanCache, PlanEntry, PlanInput, PlanPhaseStats, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
-use rush_estimator::{
-    DistributionEstimator, EmpiricalEstimator, GaussianEstimator, MeanEstimator,
-    WindowedEstimator,
-};
+use rush_estimator::DistributionEstimator;
 use rush_utility::TimeUtility;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -70,8 +66,8 @@ pub struct JobSpec {
     pub tasks: u64,
     /// Logical slot of arrival (ages the job in plan inputs).
     pub arrived_slot: u64,
-    /// Optional caller-declared mean task runtime, used by admission
-    /// probes before the first sample lands.
+    /// Optional caller-declared mean task runtime: sizes the job, at
+    /// admission and in the plan, until its first sample lands.
     pub runtime_hint: Option<f64>,
     /// Whether the job starts parked (excluded from registry planning).
     pub parked: bool,
@@ -583,20 +579,28 @@ impl PlannerCore {
         if self.is_fresh(now_slot) {
             return Ok(&self.delta);
         }
-        let ids: Vec<JobId> =
-            self.jobs.iter().filter(|(_, j)| !j.parked).map(|(id, _)| *id).collect();
+        let (ids, hints): (Vec<JobId>, Vec<Option<u64>>) = self
+            .jobs
+            .iter()
+            .filter(|(_, j)| !j.parked)
+            .map(|(id, j)| (*id, hint_sample(j.runtime_hint)))
+            .unzip();
         // Destructure for disjoint borrows: the inputs borrow the records
         // and pools while the pipeline takes the plan cache mutably.
         let Self { config, capacity, cold_start, jobs, label_pool, global_pool, state, .. } =
             &mut *self;
-        let inputs: Vec<PlanInput<'_>> = ids
-            .iter()
-            .filter_map(|id| jobs.get(id))
-            .map(|j| {
+        let inputs: Vec<PlanInput<'_>> = jobs
+            .values()
+            .filter(|j| !j.parked)
+            .zip(&hints)
+            .map(|(j, hint)| {
+                // Sized exactly as admission sized it: own samples, else the
+                // runtime hint.
+                let own = sizing_samples(&j.samples, hint);
                 let samples: &[u64] = match cold_start {
-                    ColdStart::OwnSamplesOnly => &j.samples,
+                    ColdStart::OwnSamplesOnly => own,
                     ColdStart::PooledByLabel => {
-                        cold_start_samples(label_pool, global_pool, &j.label, &j.samples)
+                        cold_start_samples(label_pool, global_pool, &j.label, own)
                     }
                 };
                 PlanInput {
@@ -688,13 +692,15 @@ impl PlannerCore {
         self.plan_ids = ids;
         self.plan_slot = Some(now_slot);
         self.dirty = false;
-        #[cfg(feature = "strict-invariants")]
         self.check_plan_invariants();
     }
 
     /// Contract layer: structural invariants every installed plan obeys.
-    #[cfg(feature = "strict-invariants")]
+    /// Debug builds only.
     fn check_plan_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         debug_assert_eq!(
             self.plan_ids.len(),
             self.plan.entries.len(),
@@ -742,14 +748,32 @@ pub(crate) fn cold_start_samples<'v>(
     }
 }
 
+/// The pseudo-sample a runtime hint stands for: the hint rounded to whole
+/// slots, at least one.
+fn hint_sample(runtime_hint: Option<f64>) -> Option<u64> {
+    runtime_hint.map(|h| (h.round() as u64).max(1))
+}
+
+/// The samples that size a job, for admission ([`estimate_eta`]) and
+/// planning ([`PlannerCore::plan_at`]) alike: its own, else its
+/// [`hint_sample`] (if any). An empty result leaves the estimate to the
+/// configured cold prior.
+fn sizing_samples<'a>(own: &'a [u64], hint: &'a Option<u64>) -> &'a [u64] {
+    if own.is_empty() {
+        hint.as_slice()
+    } else {
+        own
+    }
+}
+
 /// Estimates a job's robust remaining demand `η` (container·slots) and
 /// mean task runtime `R` (slots) from its runtime samples, using exactly
 /// the estimator + WCDE path the planner runs — so admission control and
 /// planning never disagree about a job's size.
 ///
 /// With no samples yet, the runtime hint (if any) seeds a single
-/// pseudo-sample; otherwise the configured cold prior carries the
-/// estimate.
+/// pseudo-sample, as it does in [`PlannerCore::plan_at`]; otherwise the
+/// configured cold prior carries the estimate.
 ///
 /// # Errors
 ///
@@ -761,34 +785,9 @@ pub fn estimate_eta(
     runtime_hint: Option<f64>,
     remaining_tasks: usize,
 ) -> Result<(u64, f64), PlannerError> {
-    let hint_sample;
-    let samples: &[u64] = if samples.is_empty() {
-        match runtime_hint {
-            Some(h) => {
-                hint_sample = [(h.round() as u64).max(1)];
-                &hint_sample
-            }
-            None => samples,
-        }
-    } else {
-        samples
-    };
-    let estimate = match config.estimator {
-        EstimatorKind::Mean => MeanEstimator::new(config.max_bins)
-            .with_prior(config.cold_prior)
-            .estimate(samples, remaining_tasks)?,
-        EstimatorKind::Gaussian => GaussianEstimator::new(config.max_bins)
-            .with_prior(config.cold_prior)
-            .estimate(samples, remaining_tasks)?,
-        EstimatorKind::Empirical { resamples } => {
-            EmpiricalEstimator::new(config.max_bins, resamples)
-                .with_prior(config.cold_prior)
-                .estimate(samples, remaining_tasks)?
-        }
-        EstimatorKind::Windowed { window } => WindowedEstimator::new(config.max_bins, window)
-            .with_prior(config.cold_prior)
-            .estimate(samples, remaining_tasks)?,
-    };
+    let hint = hint_sample(runtime_hint);
+    let estimate =
+        config.estimator().estimate(sizing_samples(samples, &hint), remaining_tasks)?;
     let wcde = worst_case_quantile(&estimate.pmf, config.theta, config.delta)?;
     Ok((wcde.eta, estimate.mean_task_runtime))
 }
@@ -806,6 +805,19 @@ mod tests {
             runtime_hint: Some(50.0),
             parked: false,
         }
+    }
+
+    /// The contract layer is armed in every debug build: plan ids out of
+    /// step with the plan's entries must trip it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "plan ids and entries must stay parallel")]
+    fn contract_layer_catches_ids_out_of_step_with_entries() {
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
+        k.admit(spec("a", 4, 0));
+        k.plan_at(0).expect("plan");
+        k.plan_ids.push(JobId(99));
+        k.check_plan_invariants();
     }
 
     #[test]

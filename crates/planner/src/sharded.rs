@@ -630,8 +630,7 @@ impl ShardedPlanner {
             rest = rest.saturating_sub(1);
         }
         let slices: Vec<u32> = slices.into_iter().map(|s| s as u32).collect();
-        #[cfg(feature = "strict-invariants")]
-        {
+        if cfg!(debug_assertions) {
             debug_assert_eq!(
                 slices.iter().map(|&s| u64::from(s)).sum::<u64>(),
                 total,
@@ -658,9 +657,11 @@ impl ShardedPlanner {
         self.check_shard_invariants();
     }
 
-    /// Contract layer: the partition invariants.
-    #[cfg(feature = "strict-invariants")]
+    /// Contract layer: the partition invariants. Debug builds only.
     fn check_shard_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         let sum: u64 = self.shards.iter().map(|s| u64::from(s.capacity())).sum();
         debug_assert_eq!(sum, u64::from(self.total), "slices must sum to the total capacity");
         debug_assert!(
@@ -680,9 +681,6 @@ impl ShardedPlanner {
             );
         }
     }
-
-    #[cfg(not(feature = "strict-invariants"))]
-    fn check_shard_invariants(&self) {}
 
     // ------------------------------------------------------------------
     // Event surface

@@ -11,9 +11,9 @@
 //!    an overcommitted cluster keeps its slices), never starves a shard
 //!    to zero, and conserves the total exactly.
 //!
-//! The same checks run as `debug_assert!`s inside the planner under the
-//! `strict-invariants` feature; this suite proves them from the outside
-//! on the default build too.
+//! The same checks run as `debug_assert!`s inside the planner in every
+//! debug build; this suite proves them from the outside, in release
+//! builds too.
 
 use proptest::prelude::*;
 use rush_core::RushConfig;

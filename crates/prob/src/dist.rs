@@ -344,148 +344,6 @@ impl Continuous for Exponential {
     }
 }
 
-/// The Weibull distribution with shape `k` and scale `λ`.
-///
-/// With `k < 1` it models heavy-tailed straggler runtimes; with `k > 1`,
-/// wear-out-style distributions. Included for users modelling task
-/// runtimes beyond the paper's Gaussian/log-normal templates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull with shape `k > 0` and scale `λ > 0`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProbError::InvalidParameter`] for non-positive or non-finite
-    /// parameters.
-    pub fn new(shape: f64, scale: f64) -> Result<Self, ProbError> {
-        if !shape.is_finite() || shape <= 0.0 {
-            return Err(ProbError::InvalidParameter { name: "shape", value: shape });
-        }
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(ProbError::InvalidParameter { name: "scale", value: scale });
-        }
-        Ok(Weibull { shape, scale })
-    }
-
-    /// Γ(1 + x) via the Lanczos approximation (sufficient accuracy for
-    /// moment computation).
-    #[allow(clippy::inconsistent_digit_grouping, clippy::excessive_precision)] // literal table
-    fn gamma_1p(x: f64) -> f64 {
-        // Lanczos g=7, n=9 coefficients.
-        const G: f64 = 7.0;
-        const C: [f64; 9] = [
-            0.999_999_999_999_809_93,
-            676.520_368_121_885_1,
-            -1259.139_216_722_402_8,
-            771.323_428_777_653_1,
-            -176.615_029_162_140_6,
-            12.507_343_278_686_905,
-            -0.138_571_095_265_720_12,
-            9.984_369_578_019_572e-6,
-            1.505_632_735_149_311_6e-7,
-        ];
-        // gamma(z) for z = 1 + x, x >= 0.
-        let z = x; // gamma(1+x) = x! ; use gamma(z+1) with z = x
-        // bound: C is a fixed-size coefficient table
-        let mut acc = C[0];
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            acc += c / (z + i as f64);
-        }
-        let t = z + G + 0.5;
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(z + 0.5) * (-t).exp() * acc
-    }
-}
-
-impl Continuous for Weibull {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        let z = x / self.scale;
-        (self.shape / self.scale) * z.powf(self.shape - 1.0) * (-z.powf(self.shape)).exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        1.0 - (-(x / self.scale).powf(self.shape)).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * Self::gamma_1p(1.0 / self.shape)
-    }
-
-    fn variance(&self) -> f64 {
-        let g2 = Self::gamma_1p(2.0 / self.shape);
-        let g1 = Self::gamma_1p(1.0 / self.shape);
-        self.scale * self.scale * (g2 - g1 * g1)
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Inverse-CDF sampling: λ·(−ln U)^{1/k}.
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-}
-
-/// A degenerate distribution placing all mass at one point.
-///
-/// The mean-time estimator of the paper reports exactly this shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Impulse {
-    at: f64,
-}
-
-impl Impulse {
-    /// Creates an impulse at `at ≥ 0`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProbError::InvalidParameter`] if `at` is negative or non-finite.
-    pub fn new(at: f64) -> Result<Self, ProbError> {
-        if !at.is_finite() || at < 0.0 {
-            return Err(ProbError::InvalidParameter { name: "at", value: at });
-        }
-        Ok(Impulse { at })
-    }
-}
-
-impl Continuous for Impulse {
-    fn pdf(&self, x: f64) -> f64 {
-        if (x - self.at).abs() < f64::EPSILON {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x >= self.at {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        self.at
-    }
-
-    fn variance(&self) -> f64 {
-        0.0
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, _rng: &mut R) -> f64 {
-        self.at
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,69 +492,6 @@ mod tests {
     fn exponential_rejects_bad_rate() {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::from_mean(-1.0).is_err());
-    }
-
-    #[test]
-    fn impulse_behaves_degenerately() {
-        let i = Impulse::new(42.0).unwrap();
-        assert_eq!(i.mean(), 42.0);
-        assert_eq!(i.variance(), 0.0);
-        assert_eq!(i.cdf(41.9), 0.0);
-        assert_eq!(i.cdf(42.0), 1.0);
-        let mut rng = seeded_rng(1);
-        assert_eq!(i.sample(&mut rng), 42.0);
-        assert!(Impulse::new(-1.0).is_err());
-    }
-
-    #[test]
-    fn impulse_quantizes_to_pmf_impulse() {
-        let i = Impulse::new(10.0).unwrap();
-        let pmf = i.quantize(20, 1).unwrap();
-        // mass of P(10 ≤ X < 11) lands in bin 10
-        assert_eq!(pmf.prob(10), 1.0);
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let w = Weibull::new(1.0, 50.0).unwrap();
-        let e = Exponential::from_mean(50.0).unwrap();
-        for x in [0.0, 10.0, 50.0, 200.0] {
-            assert!((w.cdf(x) - e.cdf(x)).abs() < 1e-9, "x={x}");
-        }
-        assert!((w.mean() - 50.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weibull_moments_and_sampling() {
-        let w = Weibull::new(2.0, 100.0).unwrap();
-        // mean = 100·Γ(1.5) = 100·(√π/2) ≈ 88.62
-        assert!((w.mean() - 88.6227).abs() < 0.01, "mean {}", w.mean());
-        let mut rng = seeded_rng(8);
-        let n = 20_000;
-        let mean = (0..n).map(|_| w.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - w.mean()).abs() < 1.5, "sampled {mean}");
-        assert_eq!(w.cdf(-1.0), 0.0);
-        assert_eq!(w.pdf(-1.0), 0.0);
-        assert!(w.variance() > 0.0);
-    }
-
-    #[test]
-    fn weibull_heavy_tail_shape_below_one() {
-        let w = Weibull::new(0.5, 10.0).unwrap();
-        let mut rng = seeded_rng(9);
-        let samples: Vec<f64> = (0..10_000).map(|_| w.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[5000];
-        assert!(median < mean / 2.0, "heavy tail: median {median} << mean {mean}");
-    }
-
-    #[test]
-    fn weibull_rejects_bad_params() {
-        assert!(Weibull::new(0.0, 1.0).is_err());
-        assert!(Weibull::new(1.0, 0.0).is_err());
-        assert!(Weibull::new(f64::NAN, 1.0).is_err());
     }
 
     #[test]

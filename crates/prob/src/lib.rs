@@ -14,7 +14,7 @@
 //! * [`Pmf`] — a quantized PMF over demand bins with CDF/quantile queries,
 //!   moments, and [KL divergence](Pmf::kl_divergence).
 //! * [`dist`] — continuous reference distributions (Gaussian, log-normal,
-//!   uniform, exponential, impulse) with deterministic sampling (Box–Muller,
+//!   uniform, exponential) with deterministic sampling (Box–Muller,
 //!   no `rand_distr` dependency) and quantization into [`Pmf`]s.
 //! * [`stats`] — descriptive statistics (quartiles, five-number summaries,
 //!   empirical CDFs) used by the evaluation harness.

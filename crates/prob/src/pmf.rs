@@ -167,11 +167,6 @@ impl Pmf {
         self.bin_width
     }
 
-    /// Largest representable demand value, `bins() · bin_width()`.
-    pub fn max_value(&self) -> u64 {
-        self.probs.len() as u64 * self.bin_width
-    }
-
     /// Probability mass at bin `l` (0 if out of range).
     pub fn prob(&self, l: usize) -> f64 {
         self.probs.get(l).copied().unwrap_or(0.0)
@@ -326,22 +321,15 @@ impl Pmf {
         Self::from_weights(weights, bin_width)
     }
 
-    /// Total mass in bins `0..=l` is at most `theta` (used as the REM
-    /// feasibility predicate, constraint (10) of the paper).
-    pub fn head_mass_at_most(&self, l: usize, theta: f64) -> bool {
-        self.cdf(l) <= theta + NORMALIZATION_EPS
-    }
-
     /// Verifies the normalization invariant; `true` for every valid [`Pmf`].
     pub fn is_normalized(&self) -> bool {
         (self.probs.iter().sum::<f64>() - 1.0).abs() < 1e-6
     }
 
-    /// Contract checks behind the `strict-invariants` feature: mass ≈ 1 and
-    /// the cached CDF is a monotone non-decreasing prefix sum reaching the
-    /// total mass. `debug_assert!`-backed, so even with the feature enabled
-    /// release builds compile this to nothing.
-    #[cfg(feature = "strict-invariants")]
+    /// Contract checks: mass ≈ 1 and the cached CDF is a monotone
+    /// non-decreasing prefix sum reaching the total mass. Every check is a
+    /// `debug_assert!`, so they run in every debug build and `cargo test`,
+    /// and release builds compile this to nothing.
     fn debug_check_invariants(&self) {
         debug_assert!(!self.probs.is_empty(), "Pmf must have at least one bin");
         debug_assert!(self.bin_width >= 1, "Pmf bin width must be positive");
@@ -361,10 +349,6 @@ impl Pmf {
             "Pmf CDF must reach total mass ~1"
         );
     }
-
-    #[cfg(not(feature = "strict-invariants"))]
-    #[inline(always)]
-    fn debug_check_invariants(&self) {}
 }
 
 impl AsRef<[f64]> for Pmf {
@@ -571,12 +555,15 @@ mod tests {
         assert_eq!(q.prob(1), 1.0);
     }
 
+    /// The contract layer is armed in every debug build: a Pmf whose mass
+    /// drifted off 1 must trip it.
     #[test]
-    fn head_mass_predicate() {
-        let p = pmf(&[0.2, 0.2, 0.6]);
-        assert!(p.head_mass_at_most(0, 0.2));
-        assert!(p.head_mass_at_most(1, 0.4));
-        assert!(!p.head_mass_at_most(1, 0.3));
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Pmf mass must be ~1")]
+    fn contract_layer_catches_unnormalized_mass() {
+        let probs = vec![0.5, 0.25];
+        let cdf = prefix_sums(&probs);
+        Pmf { probs, cdf, bin_width: 1 }.debug_check_invariants();
     }
 
     #[test]

@@ -733,6 +733,19 @@ mod tests {
         assert_eq!(s.planner().planned().count(), 301);
     }
 
+    /// Admission and planning size a hinted job from the same pseudo-sample,
+    /// so the plan reserves the η the Theorem-2 gate admitted.
+    #[test]
+    fn plan_reserves_the_eta_admission_probed() {
+        for hint in [10.0, 35.0, 90.0] {
+            let mut s = ServeState::new(RushConfig::default(), 4096).expect("state");
+            let job = JobSubmission { runtime_hint: Some(hint), ..sub("h", 40, 5000) };
+            let id = s.submit_epoch(vec![job], 0).expect("epoch")[0].job.expect("admitted");
+            let (eta, _) = estimate_eta(s.config(), &[], Some(hint), 40).expect("estimate");
+            assert_eq!(s.planner().entry(JobId(id)).expect("planned").eta, eta, "hint {hint}");
+        }
+    }
+
     #[test]
     fn from_parts_rejects_inconsistent_ids() {
         let jobs = vec![(

@@ -20,8 +20,6 @@ pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival times with the config's
     /// mean (the paper's process).
     Poisson,
-    /// Deterministic arrivals exactly `mean_interarrival` apart.
-    Uniform,
     /// On/off bursts: `burst` jobs arrive back-to-back (1 slot apart), then
     /// the cluster idles so that the *long-run* mean inter-arrival time
     /// still matches the config — a stress pattern for reservation-based
@@ -194,7 +192,6 @@ pub fn generate(cfg: &WorkloadConfig, exp: &Experiment) -> Result<Vec<JobSpec>, 
         let priority = rng.gen_range(cfg.priority.0..=cfg.priority.1);
         arrival += match cfg.arrivals {
             ArrivalProcess::Poisson => interarrival.sample(&mut rng),
-            ArrivalProcess::Uniform => cfg.mean_interarrival,
             ArrivalProcess::Bursty { burst } => {
                 // Last job of each burst waits out the idle period that
                 // restores the long-run mean.
@@ -333,23 +330,6 @@ mod tests {
             WorkloadConfig { max_map_tasks: 0, ..Default::default() },
         ] {
             assert!(generate(&cfg, &exp).is_err(), "{cfg:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn uniform_arrivals_are_evenly_spaced() {
-        let cfg = WorkloadConfig {
-            jobs: 10,
-            arrivals: ArrivalProcess::Uniform,
-            mean_interarrival: 50.0,
-            max_map_tasks: 8,
-            seed: 2,
-            ..Default::default()
-        };
-        let jobs = generate(&cfg, &exp()).unwrap();
-        let arrivals: Vec<u64> = jobs.iter().map(|j| j.arrival()).collect();
-        for w in arrivals.windows(2) {
-            assert_eq!(w[1] - w[0], 50);
         }
     }
 

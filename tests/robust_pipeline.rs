@@ -1,10 +1,10 @@
 //! Integration tests of the estimate → WCDE → peel → map pipeline across
 //! crate boundaries, including the Fig. 3 coverage property at small scale.
 
-use rush::core::plan::{compute_plan, compute_plan_with, PlanInput};
+use rush::core::plan::{compute_plan, PlanInput};
 use rush::core::wcde::worst_case_quantile;
 use rush::core::{CoreError, RushConfig};
-use rush::estimator::{DistributionEstimator, GaussianEstimator, MeanEstimator};
+use rush::estimator::{DistributionEstimator, GaussianEstimator};
 use rush::prob::dist::{Continuous, Gaussian};
 use rush::prob::rng::{derive_seed, seeded_rng};
 use rush::utility::TimeUtility;
@@ -46,44 +46,6 @@ fn fig3_shape_more_samples_help() {
     let many = coverage(55, 101, 0.35, 30);
     assert!(many >= few, "coverage should improve with samples: {few} -> {many}");
     assert!(many > 0.9);
-}
-
-#[test]
-fn plan_pipeline_runs_with_custom_estimator() {
-    /// An estimator that always doubles the mean-based demand (very
-    /// conservative user-supplied DE class).
-    #[derive(Debug)]
-    struct Doubler;
-    impl DistributionEstimator for Doubler {
-        fn name(&self) -> &str {
-            "doubler"
-        }
-        fn estimate(
-            &self,
-            samples: &[u64],
-            remaining_tasks: usize,
-        ) -> Result<rush::estimator::Estimate, rush::estimator::EstimatorError> {
-            let base = MeanEstimator::new(512).estimate(samples, remaining_tasks * 2)?;
-            Ok(base)
-        }
-    }
-    let cfg = RushConfig::default();
-    let jobs = vec![PlanInput {
-        samples: vec![30; 10].into(),
-        remaining_tasks: 10,
-        running: 0,
-        failed_attempts: 0,
-        age: 0.0,
-        utility: TimeUtility::sigmoid(500.0, 5.0, 0.02).unwrap(),
-    }];
-    let normal = compute_plan(&cfg, 8, &jobs).unwrap();
-    let doubled = compute_plan_with(&cfg, 8, &jobs, &Doubler).unwrap();
-    assert!(
-        doubled.entries[0].eta > normal.entries[0].eta,
-        "conservative estimator must provision more: {} vs {}",
-        doubled.entries[0].eta,
-        normal.entries[0].eta
-    );
 }
 
 #[test]
