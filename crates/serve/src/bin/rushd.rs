@@ -9,6 +9,10 @@
 //! Connections are served on `--reactors N` nonblocking epoll event loops
 //! (Linux only), each speaking JSON and the negotiated binary codec.
 //!
+//! An epoch closes as soon as the planner is free; `--epoch-ms` is the
+//! longest a submission waits for its epoch (it only fires when requests
+//! never stop arriving), `--batch` the most submissions one epoch takes.
+//!
 //! Prints `rushd listening on ADDR` once the socket is bound (CI's
 //! serve-smoke step greps for it), then serves until a client sends the
 //! `shutdown` op. When `--snapshot` is given, an existing snapshot is
@@ -70,7 +74,9 @@ fn parse_flags(args: &[String]) -> Result<ServeConfig, String> {
 
 const USAGE: &str = "usage: rushd [--addr A] [--capacity N] [--shards N] [--reactors N] \
                      [--epoch-ms T] [--batch N] [--ms-per-slot T] [--snapshot PATH] \
-                     [--theta F] [--delta F]";
+                     [--theta F] [--delta F]\n\
+                     --epoch-ms T: the longest (ms) a submission waits for its epoch, \
+                     which closes sooner, as soon as the planner is free";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

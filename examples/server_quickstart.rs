@@ -18,8 +18,8 @@ use rush::utility::TimeUtility;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Start a daemon on an ephemeral loopback port. One logical slot
-    //    per 50 ms of wall clock; epochs close after 8 submissions or
-    //    10 ms, whichever comes first.
+    //    per 50 ms of wall clock; an epoch closes as soon as the planner
+    //    is free, and at the latest after 8 submissions or 10 ms.
     let snapshot = std::env::temp_dir().join("rushd_quickstart_snapshot.json");
     std::fs::remove_file(&snapshot).ok();
     let handle = serve(ServeConfig {
