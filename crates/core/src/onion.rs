@@ -19,7 +19,7 @@
 //! continues on the remaining jobs, one onion layer at a time.
 
 use crate::CoreError;
-use rush_utility::{LatestTime, Utility};
+use rush_utility::{LatestTime, SigmoidInverse, Utility};
 
 /// One job as seen by the peeling algorithm.
 #[derive(Clone, Copy)]
@@ -92,11 +92,79 @@ impl Utility for Shifted<'_> {
     }
 
     fn latest_time(&self, level: f64) -> LatestTime {
-        match self.base.latest_time(level) {
-            LatestTime::At(t) if t >= self.shift => LatestTime::At(t - self.shift),
-            // The level was only achievable before now.
-            LatestTime::At(_) => LatestTime::Never,
-            other => other,
+        // A level only achievable before now is `Never`.
+        self.base.latest_time(level).after(self.shift)
+    }
+
+    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
+        // A base already shifted by +0.0 composes (its `after(0.0)` is the
+        // identity on the sigmoid's non-negative, non-NaN times); any other
+        // base shift would round differently, so it keeps the slow path.
+        let base = self.base.sigmoid_inverse().filter(|s| s.shift.to_bits() == 0)?;
+        Some(SigmoidInverse { shift: self.shift, ..base })
+    }
+}
+
+/// `job.utility.latest_time(level).deadline_within(horizon)`, bit for bit:
+/// through the job's sigmoid record when it has one (`sigmoid`, from
+/// [`Utility::sigmoid_inverse`]), whose `ln` term comes from `memo`.
+fn inverse_deadline(
+    job: &OnionJob<'_>,
+    sigmoid: Option<&SigmoidInverse>,
+    level: f64,
+    horizon: f64,
+    memo: &mut LnMemo,
+) -> Option<f64> {
+    match sigmoid {
+        Some(s) => s.latest_time(level, || memo.ln_term(s.weight, level)),
+        None => job.utility.latest_time(level),
+    }
+    .deadline_within(horizon)
+}
+
+/// Direct-mapped memo of [`SigmoidInverse::ln_term`] at one level: a probe
+/// inverts every active job at the same level, and jobs share a handful of
+/// weights, so most inversions reuse an earlier job's `ln`. Direct mapping
+/// (rather than a scan) keeps continuous weights — every job distinct —
+/// at O(1) per lookup.
+#[derive(Default)]
+struct LnMemo {
+    level_bits: u64,
+    /// `(weight bits, ln term)`; valid while `level_bits` is the level.
+    slots: [Option<(u64, f64)>; LN_MEMO_SLOTS],
+}
+
+const LN_MEMO_SLOTS: usize = 16;
+
+impl LnMemo {
+    /// Forgets every term unless `level` is the level they were computed at.
+    fn at_level(&mut self, level: f64) {
+        if self.level_bits != level.to_bits() {
+            self.level_bits = level.to_bits();
+            self.slots = [None; LN_MEMO_SLOTS];
+        }
+    }
+
+    /// The slot `weight` lives in. Fibonacci hashing: the top bits of the
+    /// product mix the exponent and the high mantissa bits, where small
+    /// integral weights differ.
+    fn slot(weight: f64) -> usize {
+        let hash = weight.to_bits().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> (64 - LN_MEMO_SLOTS.ilog2())) as usize
+    }
+
+    /// `ln_term(weight, level)` for the level set by [`Self::at_level`].
+    fn ln_term(&mut self, weight: f64, level: f64) -> f64 {
+        debug_assert_eq!(level.to_bits(), self.level_bits, "ln memo used off its level");
+        let bits = weight.to_bits();
+        let slot = &mut self.slots[Self::slot(weight)];
+        match *slot {
+            Some((w, ln)) if w == bits => ln,
+            _ => {
+                let ln = SigmoidInverse::ln_term(weight, level);
+                *slot = Some((bits, ln));
+                ln
+            }
         }
     }
 }
@@ -225,6 +293,8 @@ struct ProbeScratch {
     cursor: SweepCursor,
     /// The kept `never` scan (see [`NeverList`]).
     nevers: NeverList,
+    /// The `ln` terms of the level last inverted at.
+    ln: LnMemo,
 }
 
 /// The result of the last `never` scan, kept instead of discarded: every
@@ -302,13 +372,32 @@ impl ProbeScratch {
         self.deadlines.extend(active.iter().map(|&i| (0.0, i)));
         self.pos_of.clear();
         self.pos_of.resize(n, 0);
-        for (pos, &(_, i)) in self.deadlines.iter().enumerate() {
-            self.pos_of[i] = pos as u32;
-        }
+        self.reindex();
         self.alive = self.deadlines.len();
         self.filled = false;
         self.cursor.valid = false;
         self.nevers.kept = false;
+    }
+
+    /// Rebuilds `pos_of` from the entries' current positions.
+    fn reindex(&mut self) {
+        for (pos, &(_, i)) in self.deadlines.iter().enumerate() {
+            if i != DEAD {
+                self.pos_of[i] = pos as u32;
+            }
+        }
+    }
+
+    /// Drops tombstones, keeping the order of the live entries; positions
+    /// shift, so `pos_of` and the sweep cursor go stale (the caller
+    /// reindexes). Returns whether anything was dropped.
+    fn drop_tombstones(&mut self) -> bool {
+        if self.deadlines.len() == self.alive {
+            return false;
+        }
+        self.deadlines.retain(|&(_, i)| i != DEAD);
+        self.cursor.valid = false;
+        true
     }
 
     fn remove(&mut self, job: usize) {
@@ -340,19 +429,43 @@ impl ProbeScratch {
         // and rebuild the position index. Keeps probe sweeps O(live)
         // while removal stays O(1) amortized.
         if self.deadlines.len() > 2 * self.alive + 16 {
-            self.deadlines.retain(|&(_, i)| i != DEAD);
-            for (pos, &(_, i)) in self.deadlines.iter().enumerate() {
-                self.pos_of[i] = pos as u32;
-            }
-            self.cursor.valid = false;
+            self.drop_tombstones();
+            self.reindex();
         }
+    }
+}
+
+/// Sorts probe entries by `(deadline, job)`. Neighbouring probe levels
+/// barely reorder the deadlines, so an insertion pass usually finishes in
+/// O(n) moves; past a budget of `2n` moves it hands the rest to the library
+/// sort. The keys are unique (one entry per job), so either way the order is
+/// the one total order.
+fn sort_deadlines(entries: &mut [(f64, usize)]) {
+    let before = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let mut budget = 2 * entries.len();
+    for k in 1..entries.len() {
+        let x = entries[k];
+        let mut j = k;
+        while j > 0 && before(&x, &entries[j - 1]).is_lt() {
+            if budget == 0 {
+                entries[j] = x;
+                entries.sort_by(before);
+                return;
+            }
+            budget -= 1;
+            entries[j] = entries[j - 1];
+            j -= 1;
+        }
+        entries[j] = x;
     }
 }
 
 /// Tests whether level `L` is feasible for the active jobs (the entries of
 /// `scratch`) given the committed reservations of already-peeled jobs.
+/// `sigmoids` holds each job's [`Utility::sigmoid_inverse`].
 fn check_level(
     jobs: &[OnionJob<'_>],
+    sigmoids: &[Option<SigmoidInverse>],
     scratch: &mut ProbeScratch,
     committed: &CommittedIndex,
     capacity: u32,
@@ -381,15 +494,13 @@ fn check_level(
         }
         scratch.nevers.kept = false;
         scratch.nevers.jobs.clear();
+        // Only live entries are inverted and sorted.
+        let compacted = scratch.drop_tombstones();
+        scratch.ln.at_level(level);
         for slot in &mut scratch.deadlines {
             let i = slot.1;
-            if i == DEAD {
-                // Tombstone: park past every finite deadline so the sort
-                // keeps all live entries in front.
-                slot.0 = f64::INFINITY;
-                continue;
-            }
-            match jobs[i].utility.latest_time(level).deadline_within(horizon) {
+            let sigmoid = sigmoids[i].as_ref();
+            match inverse_deadline(&jobs[i], sigmoid, level, horizon, &mut scratch.ln) {
                 Some(d) => slot.0 = d,
                 None => {
                     if jobs[i].demand > 0 {
@@ -402,6 +513,9 @@ fn check_level(
             }
         }
         if !scratch.nevers.jobs.is_empty() {
+            if compacted {
+                scratch.reindex();
+            }
             scratch.nevers.jobs.sort_unstable();
             scratch.nevers.level_bits = level.to_bits();
             scratch.nevers.next = 0;
@@ -409,13 +523,8 @@ fn check_level(
             scratch.filled = false;
             return Check::never(scratch.nevers.jobs[0]);
         }
-        scratch.deadlines.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scratch.pos_of.resize(jobs.len(), 0);
-        for (pos, &(_, i)) in scratch.deadlines.iter().enumerate() {
-            if i != DEAD {
-                scratch.pos_of[i] = pos as u32;
-            }
-        }
+        sort_deadlines(&mut scratch.deadlines);
+        scratch.reindex();
         scratch.level_bits = level.to_bits();
         scratch.filled = true;
     }
@@ -579,10 +688,11 @@ fn asap_deadline(demand: u64, index: &CommittedIndex, capacity: u32) -> f64 {
     }
 }
 
-/// The deadline a job should be given when peeling at `level`.
-fn deadline_for(job: &OnionJob<'_>, level: f64, horizon: f64) -> f64 {
+/// The deadline a job should be given when peeling at `level` (`sup` is
+/// the job's `utility.sup()`).
+fn deadline_for(job: &OnionJob<'_>, sup: f64, level: f64, horizon: f64) -> f64 {
     // A job can never be asked to exceed its own supremum.
-    let lvl = level.min(job.utility.sup());
+    let lvl = level.min(sup);
     match job.utility.latest_time(lvl).deadline_within(horizon) {
         Some(d) => d.max(0.0),
         // Level above sup by floating-point noise: complete ASAP.
@@ -738,6 +848,9 @@ struct PeelCtx<'j, 'u> {
     /// transcendental for the sigmoid class, and a job that survives into
     /// the next pass keeps its value (see [`PeelState`]).
     sups: Vec<f64>,
+    /// [`Utility::sigmoid_inverse`] per job, kept the same way: it carries
+    /// the unshifted `sup()`, so a probe inverts a sigmoid with one `ln`.
+    sigmoids: Vec<Option<SigmoidInverse>>,
 }
 
 /// The global floor a peel starts from: the lowest utility any job can end
@@ -773,7 +886,14 @@ impl<'j, 'u> PeelCtx<'j, 'u> {
             overloaded: false,
             trace: PeelTrace::default(),
             sups: jobs.iter().map(|j| j.utility.sup()).collect(),
+            sigmoids: jobs.iter().map(|j| j.utility.sigmoid_inverse()).collect(),
         }
+    }
+
+    /// One feasibility probe at `level` against the current state.
+    fn probe(&mut self, level: f64) -> Check {
+        let (jobs, sigmoids, scratch) = (self.jobs, &self.sigmoids, &mut self.scratch);
+        check_level(jobs, sigmoids, scratch, &self.index, self.capacity, self.horizon, level)
     }
 }
 
@@ -800,7 +920,7 @@ fn bisection_cap(max_live_sup: Option<f64>, level_lo: f64, tolerance: f64) -> f6
 /// had reached that state.
 fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
     let jobs = ctx.jobs;
-    let (capacity, tolerance, horizon) = (ctx.capacity, ctx.tolerance, ctx.horizon);
+    let (tolerance, horizon) = (ctx.tolerance, ctx.horizon);
     let sups = descending_sups(&ctx.sups, ctx.active.iter().copied().filter(|&i| i != DEAD));
     let mut sup_cursor = 0usize;
     while ctx.active_count > 0 {
@@ -811,7 +931,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
         // The floor itself may be infeasible in overload; the bottleneck of
         // the floor check then peels at the floor level.
         let floor_ok = ctx.floor_feasible || {
-            let chk = check_level(jobs, &mut ctx.scratch, &ctx.index, capacity, horizon, lo);
+            let chk = ctx.probe(lo);
             ctx.trace.probes.push(ProbeRec { level: lo, outcome: chk });
             match chk {
                 Check::Feasible { .. } => true,
@@ -837,8 +957,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
             let mut width = tolerance;
             let mut hi = (lo + width).min(hi_cap);
             while hi < hi_cap {
-                let chk =
-                    check_level(jobs, &mut ctx.scratch, &ctx.index, capacity, horizon, hi);
+                let chk = ctx.probe(hi);
                 ctx.trace.probes.push(ProbeRec { level: hi, outcome: chk });
                 match chk {
                     Check::Feasible { .. } => {
@@ -857,8 +976,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
             }
             while hi - lo > tolerance {
                 let mid = 0.5 * (lo + hi);
-                let chk =
-                    check_level(jobs, &mut ctx.scratch, &ctx.index, capacity, horizon, mid);
+                let chk = ctx.probe(mid);
                 ctx.trace.probes.push(ProbeRec { level: mid, outcome: chk });
                 match chk {
                     Check::Feasible { .. } => lo = mid,
@@ -873,8 +991,9 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
         let probe_len = ctx.trace.probes.len() as u32 - probe_start;
         match bottleneck {
             Some(b) => {
-                let level_b = lo.min(jobs[b].utility.sup());
-                if is_deadline_free(&jobs[b], level_b) {
+                let sup_b = ctx.sups[b];
+                let level_b = lo.min(sup_b);
+                if is_deadline_free(&jobs[b], sup_b, level_b) {
                     // The job's utility no longer depends on when it runs —
                     // either it can gain nothing (level ~0) or its utility
                     // is flat at this level (time-insensitive). Defer it:
@@ -900,7 +1019,7 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
                 if !floor_ok {
                     ctx.overloaded = true;
                 }
-                let deadline = deadline_for(&jobs[b], lo, horizon);
+                let deadline = deadline_for(&jobs[b], sup_b, lo, horizon);
                 ctx.targets.push(Target { job: b, level: lo, deadline, lax: false });
                 ctx.committed.push((deadline, jobs[b].demand));
                 ctx.index.insert(deadline, jobs[b].demand);
@@ -928,12 +1047,13 @@ fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
                     if i == DEAD {
                         continue;
                     }
-                    let level_i = lo.min(jobs[i].utility.sup());
-                    if is_deadline_free(&jobs[i], level_i) {
+                    let sup_i = ctx.sups[i];
+                    let level_i = lo.min(sup_i);
+                    if is_deadline_free(&jobs[i], sup_i, level_i) {
                         ctx.deferred.push((i, level_i));
                         continue;
                     }
-                    let deadline = deadline_for(&jobs[i], lo, horizon);
+                    let deadline = deadline_for(&jobs[i], sup_i, lo, horizon);
                     ctx.targets.push(Target { job: i, level: level_i, deadline, lax: false });
                     ctx.committed.push((deadline, jobs[i].demand));
                     ctx.index.insert(deadline, jobs[i].demand);
@@ -1043,6 +1163,8 @@ pub struct PeelState {
     demands: Vec<u64>,
     /// `sup()` per recorded job (see [`PeelCtx::sups`]).
     sups: Vec<f64>,
+    /// Sigmoid record per recorded job (see [`PeelCtx::sigmoids`]).
+    sigmoids: Vec<Option<SigmoidInverse>>,
     /// The floor the recorded pass started from.
     floor: f64,
     capacity: u32,
@@ -1169,6 +1291,7 @@ pub fn peel_incremental(
         debug_check_theorem2(&ctx.committed, capacity, ctx.overloaded);
         state.trace = ctx.trace;
         state.sups = ctx.sups;
+        state.sigmoids = ctx.sigmoids;
         state.demands.clear();
         state.demands.extend(jobs.iter().map(|j| j.demand));
         state.capacity = capacity;
@@ -1275,6 +1398,25 @@ impl CapDrift {
     }
 }
 
+/// A per-job value of this pass (`sup()`, the sigmoid record) carried over
+/// from the recorded pass's `recorded`: moved out whole when the job list is
+/// unchanged (`!edited`), else gathered through `prev`, with `fresh(j)` for
+/// an arrival.
+fn carried<T: Copy>(
+    recorded: &mut Vec<T>,
+    edited: bool,
+    prev: &[Option<usize>],
+    fresh: impl Fn(usize) -> T,
+) -> Vec<T> {
+    if !edited {
+        return std::mem::take(recorded);
+    }
+    prev.iter()
+        .enumerate()
+        .map(|(j, was)| was.map_or_else(|| fresh(j), |i| recorded[i]))
+        .collect()
+}
+
 /// Rewrites a recorded outcome's job index for this pass ([`DEAD`] when the
 /// job departed — no fresh probe can name it, so it never compares equal).
 fn reindexed(outcome: Check, now_at: &[usize]) -> Check {
@@ -1333,6 +1475,7 @@ struct Replay<'j, 'u, 'e> {
     /// the only way a layer's bisection cap can move.
     edited: bool,
     sups: Vec<f64>,
+    sigmoids: Vec<Option<SigmoidInverse>>,
     /// Descending-supremum order of this pass's jobs with its cursor (only
     /// built when `edited`).
     by_sup: Vec<(f64, usize)>,
@@ -1386,7 +1529,6 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         for ((i, _), &utility) in gone.zip(edit.departed) {
             change(i, Change::Departed(utility), -(state.demands[i] as f64));
         }
-        let mut sups = Vec::with_capacity(n);
         for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
             match *was {
                 Some(i) => {
@@ -1397,15 +1539,16 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                             job.demand as f64 - state.demands[i] as f64,
                         );
                     }
-                    sups.push(state.sups[i]);
                 }
-                None => {
-                    change(j, Change::Arrived, job.demand as f64);
-                    sups.push(job.utility.sup());
-                }
+                None => change(j, Change::Arrived, job.demand as f64),
             }
         }
         let edited = changed.iter().any(|c| !matches!(c.change, Change::Moved));
+        // Without arrivals or departures `prev` is the identity.
+        let sups = carried(&mut state.sups, edited, edit.prev, |j| jobs[j].utility.sup());
+        let sigmoids = carried(&mut state.sigmoids, edited, edit.prev, |j| {
+            jobs[j].utility.sigmoid_inverse()
+        });
         let by_sup = if edited {
             descending_sups(&sups, 0..n)
         } else {
@@ -1433,6 +1576,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
             cap_changed: capacity != state.capacity,
             edited,
             sups,
+            sigmoids,
             by_sup,
             sup_cursor: 0,
             removed: vec![false; n],
@@ -1510,8 +1654,11 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         }
     }
 
-    /// Brings the materialized sweep state up to the replayed layer.
-    fn materialize(&mut self) -> (&mut ProbeScratch, &mut CommittedIndex) {
+    /// Brings the materialized sweep state up to the replayed layer; hands
+    /// it out with the per-job sigmoid records a probe reads.
+    fn materialize(
+        &mut self,
+    ) -> (&mut ProbeScratch, &mut CommittedIndex, &[Option<SigmoidInverse>]) {
         let n = self.jobs.len();
         let committed = &self.committed;
         let removed = &self.removed;
@@ -1546,7 +1693,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         };
         self.pending_removed.clear();
         self.live_commits = self.committed.len();
-        (scratch, index)
+        (scratch, index, &self.sigmoids)
     }
 
     /// Re-verifies one recorded probe arithmetically. `moved` is the total
@@ -1731,8 +1878,9 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         }
         let (jobs, horizon) = (self.jobs, self.horizon);
         let job = self.changed[at].idx;
-        let level_b = lo.min(self.sups[job]);
-        let action = if is_deadline_free(&jobs[job], level_b) {
+        let sup = self.sups[job];
+        let level_b = lo.min(sup);
+        let action = if is_deadline_free(&jobs[job], sup, level_b) {
             self.defer(job, level_b, true);
             self.changed[at].status = ChangedStatus::Deferred;
             ActionRec::Defer {
@@ -1740,7 +1888,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                 level: level_b,
             }
         } else {
-            let deadline = deadline_for(&jobs[job], lo, horizon);
+            let deadline = deadline_for(&jobs[job], sup, lo, horizon);
             self.commit(job, lo, deadline, true);
             self.changed[at].status = ChangedStatus::Committed(deadline);
             ActionRec::Peel {
@@ -1900,8 +2048,10 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                     }
                     None => {
                         let (jobs, capacity, horizon) = (self.jobs, self.capacity, self.horizon);
-                        let (scratch, index) = self.materialize();
-                        let fresh = check_level(jobs, scratch, index, capacity, horizon, rec.level);
+                        let (scratch, index, sigmoids) = self.materialize();
+                        let level = rec.level;
+                        let fresh =
+                            check_level(jobs, sigmoids, scratch, index, capacity, horizon, level);
                         self.stats.refreshed_probes += 1;
                         if !same_trajectory(fresh, rec.outcome, decisive == Some(k)) {
                             // The trajectory genuinely diverged: resume the
@@ -1936,12 +2086,13 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                             continue;
                         }
                         self.remove(i);
-                        let level_i = lo.min(self.sups[i]);
-                        if is_deadline_free(&self.jobs[i], level_i) {
+                        let sup_i = self.sups[i];
+                        let level_i = lo.min(sup_i);
+                        if is_deadline_free(&self.jobs[i], sup_i, level_i) {
                             self.deferred.push((i, level_i));
                             continue;
                         }
-                        let deadline = deadline_for(&self.jobs[i], lo, self.horizon);
+                        let deadline = deadline_for(&self.jobs[i], sup_i, lo, self.horizon);
                         self.targets.push(Target {
                             job: i,
                             level: level_i,
@@ -1999,6 +2150,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
             overloaded: self.overloaded,
             trace: self.out,
             sups: self.sups,
+            sigmoids: self.sigmoids,
         };
         if let Some((scratch, index)) = live {
             let removed = &self.removed;
@@ -2018,6 +2170,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         state.trace = ctx.trace;
         state.spare = rec;
         state.sups = ctx.sups;
+        state.sigmoids = ctx.sigmoids;
         state.floor = floor;
         state.demands.clear();
         state.demands.extend(self.jobs.iter().map(|j| j.demand));
@@ -2167,8 +2320,9 @@ pub fn prefix_capacity_required(reservations: &[(f64, u64)]) -> u32 {
 /// Whether a job's utility is indifferent to *when* it completes at the
 /// given level: either the level has collapsed to ~0 (nothing left to
 /// gain) or the utility is flat at/above the level (time-insensitive).
-fn is_deadline_free(job: &OnionJob<'_>, level: f64) -> bool {
-    if level <= ZERO_LEVEL && job.utility.sup() > ZERO_LEVEL {
+/// `sup` is the job's `utility.sup()`.
+fn is_deadline_free(job: &OnionJob<'_>, sup: f64, level: f64) -> bool {
+    if level <= ZERO_LEVEL && sup > ZERO_LEVEL {
         return true;
     }
     matches!(job.utility.latest_time(level), LatestTime::Always)
@@ -2659,5 +2813,217 @@ mod tests {
         let inc = replayed(&j4, 9, 1e-4, 1e6, &mut state);
         assert_targets_bitwise(&full, &inc, "post-reset delta");
         assert!(state.last_stats().delta);
+    }
+
+    /// `check_level`'s inversion of `u` at `level`: the sigmoid record with
+    /// its `ln` from `memo`.
+    fn kernel_deadline(
+        u: &Shifted<'_>,
+        level: f64,
+        horizon: f64,
+        memo: &mut LnMemo,
+    ) -> Option<f64> {
+        let record = u.sigmoid_inverse();
+        assert!(record.is_some(), "a shifted sigmoid has a record");
+        memo.at_level(level);
+        inverse_deadline(&OnionJob { demand: 1, utility: u }, record.as_ref(), level, horizon, memo)
+    }
+
+    /// What the kernel must reproduce bit for bit.
+    fn reference_deadline(u: &Shifted<'_>, level: f64, horizon: f64) -> Option<f64> {
+        u.latest_time(level).deadline_within(horizon)
+    }
+
+    fn bits(d: Option<f64>) -> Option<u64> {
+        d.map(f64::to_bits)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4000))]
+
+        /// The inversion kernel is `Shifted::latest_time(..).deadline_within(..)`
+        /// bit for bit: over budgets, weights and steepness; shifts of 0,
+        /// inside and far beyond the base deadline (and negative, which
+        /// clamps); levels at and around every branch point — non-positive,
+        /// tiny, interior, one ulp around the sigmoid's `sup`, `sup + 1e-12`
+        /// and past it, and one ulp around the shifted `sup`, where the base
+        /// deadline lands on the shift; small and large horizons.
+        #[test]
+        fn sigmoid_kernel_is_latest_time_bit_for_bit(
+            (budget, weight, beta) in (0.0f64..5000.0, 0.1f64..10.0, 1e-4f64..2.0),
+            (shift_kind, shift_frac) in (0usize..4, 0.0f64..1.0),
+            (level_kind, level_frac) in (0usize..13, 0.0f64..1.0),
+            small_horizon in 1.0f64..50.0,
+            large in 0usize..2,
+        ) {
+            let u = sigmoid(budget, weight, beta);
+            let shift = match shift_kind {
+                0 => 0.0,
+                1 => shift_frac * budget,
+                2 => budget * (2.0 + 10.0 * shift_frac) + 100.0 / beta,
+                _ => -shift_frac * 10.0,
+            };
+            let s = Shifted::new(&u, shift);
+            let sup = u.sup();
+            let level = match level_kind {
+                0 => 0.0,
+                1 => -level_frac * 5.0 - f64::MIN_POSITIVE,
+                2 => level_frac * 1e-12,
+                3 => f64::MIN_POSITIVE * (1.0 + level_frac),
+                4 => level_frac * sup,
+                5 => sup.next_down(),
+                6 => sup,
+                7 => sup.next_up(),
+                8 => sup + 1e-12,
+                9 => (sup + 1e-12).next_up() + level_frac,
+                10 => s.sup().next_down(),
+                11 => s.sup(),
+                _ => s.sup().next_up(),
+            };
+            let horizon = if large == 1 { 1e6 } else { small_horizon };
+            let mut memo = LnMemo::default();
+            proptest::prop_assert_eq!(
+                bits(kernel_deadline(&s, level, horizon, &mut memo)),
+                bits(reference_deadline(&s, level, horizon)),
+                "B {} W {} beta {} shift {} level {} horizon {}",
+                budget, weight, beta, shift, level, horizon
+            );
+        }
+    }
+
+    /// Two weights sharing a memo slot, alternating job after job at one
+    /// level, each evict the other's `ln` instead of reusing it.
+    #[test]
+    fn ln_memo_slot_collisions_evict() {
+        let first = 1.0;
+        let second = (1..10_000)
+            .map(|k| 1.0 + f64::from(k) * 1e-3)
+            .find(|&w| LnMemo::slot(w) == LnMemo::slot(first))
+            .unwrap();
+        let utilities: Vec<TimeUtility> = (0..40)
+            .map(|i| {
+                let w = if i % 2 == 0 { first } else { second };
+                sigmoid(300.0 + 7.0 * f64::from(i), w, 0.03)
+            })
+            .collect();
+        let shifted: Vec<Shifted<'_>> = utilities.iter().map(|u| Shifted::new(u, 20.0)).collect();
+        let mut memo = LnMemo::default();
+        for level in [0.3, 0.5, 0.7, 0.3] {
+            for s in &shifted {
+                assert_eq!(
+                    bits(kernel_deadline(s, level, 1e6, &mut memo)),
+                    bits(reference_deadline(s, level, 1e6)),
+                    "level {level}"
+                );
+            }
+        }
+    }
+
+    /// Hundreds of distinct (continuous) weights: every inversion still
+    /// matches, whichever slot it lands in.
+    #[test]
+    fn ln_memo_many_distinct_weights() {
+        let utilities: Vec<TimeUtility> = (0..400)
+            .map(|i| sigmoid(200.0 + 9.0 * f64::from(i), 1.0 + f64::from(i) * 0.01, 0.02))
+            .collect();
+        let shifted: Vec<Shifted<'_>> = utilities
+            .iter()
+            .enumerate()
+            .map(|(i, u)| Shifted::new(u, (i % 50) as f64))
+            .collect();
+        let mut memo = LnMemo::default();
+        for level in [1e-9, 0.05, 0.9, 2.5, 4.99] {
+            for s in &shifted {
+                assert_eq!(
+                    bits(kernel_deadline(s, level, 5000.0, &mut memo)),
+                    bits(reference_deadline(s, level, 5000.0)),
+                    "level {level}"
+                );
+            }
+        }
+    }
+
+    fn entry_bits(entries: &[(f64, usize)]) -> Vec<(u64, usize)> {
+        entries.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
+    }
+
+    /// The refill sort puts entries in exactly `sort_by`'s order on every
+    /// input shape, with and without the library fallback.
+    #[test]
+    fn refill_sort_matches_sort_by() {
+        let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let n = 300usize;
+        let sorted: Vec<(f64, usize)> = (0..n).map(|i| (i as f64 * 0.5, i)).collect();
+        let reversed: Vec<(f64, usize)> = sorted.iter().rev().copied().collect();
+        let random: Vec<(f64, usize)> = (0..n).map(|i| ((next() % 1000) as f64, i)).collect();
+        let mut nearly = sorted.clone();
+        for k in (0..n - 1).step_by(17) {
+            nearly.swap(k, k + 1);
+        }
+        // One entry travelling the whole list costs n − 1 moves (inside the
+        // budget), two cost about 2n (at its edge).
+        let mut one_far = sorted.clone();
+        one_far.rotate_left(1);
+        let mut two_far = sorted.clone();
+        two_far.rotate_left(2);
+        // Ties on the deadline broken by job index, and the ∞ sentinels of
+        // demand-free jobs.
+        let tie = |i: usize| if i.is_multiple_of(3) { f64::INFINITY } else { (i % 4) as f64 };
+        let ties: Vec<(f64, usize)> = (0..n).map(|i| (tie(i), n - i)).collect();
+        for (name, case) in [
+            ("sorted", sorted),
+            ("reversed", reversed),
+            ("random", random),
+            ("nearly sorted", nearly),
+            ("one far", one_far),
+            ("two far", two_far),
+            ("ties", ties),
+        ] {
+            let mut want = case.clone();
+            want.sort_by(by_key);
+            let mut got = case;
+            sort_deadlines(&mut got);
+            assert_eq!(entry_bits(&got), entry_bits(&want), "{name}");
+        }
+    }
+
+    /// A refill after removals inverts and sorts only the live entries:
+    /// no tombstone survives it, the order is the total order over the live
+    /// jobs' deadlines at the new level, and every live job's position
+    /// index points at its entry (so later removals tombstone the right one).
+    #[test]
+    fn refill_drops_tombstones() {
+        let utilities: Vec<TimeUtility> = (0..60)
+            .map(|i| sigmoid(100.0 + 37.0 * f64::from(i % 23), 1.0 + f64::from(i % 5), 0.05))
+            .collect();
+        let jobs: Vec<OnionJob<'_>> =
+            utilities.iter().map(|u| OnionJob { demand: 1, utility: u }).collect();
+        let sigmoids: Vec<_> = jobs.iter().map(|j| j.utility.sigmoid_inverse()).collect();
+        let (committed, horizon) = (CommittedIndex::default(), 1e6);
+        let mut scratch = ProbeScratch::default();
+        scratch.fill(&jobs);
+        check_level(&jobs, &sigmoids, &mut scratch, &committed, 10_000, horizon, 0.4);
+        let removed: Vec<usize> = (0..60).filter(|i| i % 4 == 1).collect();
+        for &j in &removed {
+            scratch.remove(j);
+        }
+        assert!(scratch.deadlines.iter().any(|&(_, i)| i == DEAD), "removals tombstone");
+        check_level(&jobs, &sigmoids, &mut scratch, &committed, 10_000, horizon, 0.6);
+        let mut want: Vec<(f64, usize)> = (0..60)
+            .filter(|i| !removed.contains(i))
+            .map(|i| (utilities[i].latest_time(0.6).deadline_within(horizon).unwrap(), i))
+            .collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        assert_eq!(entry_bits(&scratch.deadlines), entry_bits(&want));
+        for (pos, &(_, i)) in scratch.deadlines.iter().enumerate() {
+            assert_eq!(scratch.pos_of[i] as usize, pos, "job {i}");
+        }
     }
 }

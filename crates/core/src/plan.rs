@@ -220,24 +220,74 @@ fn config_tag(config: &RushConfig) -> u64 {
     .0
 }
 
-/// 128-bit fingerprint of one job's estimator-visible state: two
-/// independently seeded 64-bit FNV streams over the sample sequence,
-/// remaining-task count and failure count. Age and utility are excluded
-/// on purpose — they do not enter this stage.
-fn fingerprint(tag: u64, job: &PlanInput<'_>) -> u128 {
-    let mut lo = Fnv::new(tag)
-        .u64(job.remaining_tasks as u64)
-        .u64(job.failed_attempts as u64)
-        .u64(job.samples.len() as u64);
-    let mut hi = Fnv::new(tag ^ 0x9e37_79b9_7f4a_7c15)
-        .u64(job.remaining_tasks as u64)
-        .u64(job.failed_attempts as u64)
-        .u64(job.samples.len() as u64);
-    for &s in job.samples.iter() {
+/// Seed of the second FNV stream of every 128-bit hash here.
+const HI_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A sample sequence's 128-bit hash, as two 64-bit halves.
+type SampleHash = (u64, u64);
+
+/// Two independently seeded 64-bit FNV streams over a sample sequence,
+/// its length included.
+fn sample_hash(samples: &[u64]) -> SampleHash {
+    let mut lo = Fnv::new(0).u64(samples.len() as u64);
+    let mut hi = Fnv::new(HI_SEED).u64(samples.len() as u64);
+    for &s in samples {
         lo = lo.u64(s);
         hi = hi.u64(s.rotate_left(17));
     }
-    (u128::from(hi.0) << 64) | u128::from(lo.0)
+    (lo.0, hi.0)
+}
+
+/// 128-bit fingerprint of one job's estimator-visible state: each half of
+/// the [`sample_hash`] of its samples, mixed with the config tag, continues
+/// over the remaining-task and failure counts. Age and utility are excluded
+/// on purpose — they do not enter this stage.
+fn fingerprint(tag: u64, job: &PlanInput<'_>, (s_lo, s_hi): SampleHash) -> u128 {
+    let fold = |state: u64| {
+        Fnv(state ^ tag)
+            .u64(job.remaining_tasks as u64)
+            .u64(job.failed_attempts as u64)
+            .0
+    };
+    (u128::from(fold(s_hi)) << 64) | u128::from(fold(s_lo))
+}
+
+/// Direct-mapped memo of [`sample_hash`] for one pass, keyed by a slice's
+/// address and length. Cold-start jobs borrow their label's pooled samples,
+/// so many jobs of a pass share one slice; each is hashed once. Sound because
+/// every slice stays borrowed, hence unchanged, for the whole pass.
+#[derive(Default)]
+struct SliceHashes {
+    /// `((address, length), hash)`.
+    slots: [Option<((usize, usize), SampleHash)>; SLICE_HASH_SLOTS],
+}
+
+const SLICE_HASH_SLOTS: usize = 16;
+
+/// Slices shorter than this are hashed directly: a memo lookup costs about
+/// as much as hashing them.
+const SLICE_HASH_MIN_LEN: usize = 8;
+
+impl SliceHashes {
+    fn get(&mut self, samples: &[u64]) -> SampleHash {
+        if samples.len() < SLICE_HASH_MIN_LEN {
+            return sample_hash(samples);
+        }
+        let key = (samples.as_ptr() as usize, samples.len());
+        // Fibonacci hashing over the address: the low bits of an aligned
+        // pointer carry nothing.
+        let hash = (key.0 ^ key.1.rotate_left(32)) as u64;
+        let slot = hash.wrapping_mul(HI_SEED) >> (64 - SLICE_HASH_SLOTS.ilog2());
+        let entry = &mut self.slots[slot as usize];
+        match *entry {
+            Some((at, h)) if at == key => h,
+            _ => {
+                let h = sample_hash(samples);
+                *entry = Some((key, h));
+                h
+            }
+        }
+    }
 }
 
 /// Estimate + WCDE + failure inflation for one job (steps 1–2 of the CA
@@ -285,7 +335,9 @@ fn solve_jobs(
 ) -> Result<Vec<JobSolve>, CoreError> {
     let n = jobs.len();
     let tag = config_tag(config);
-    let prints: Vec<u128> = jobs.iter().map(|j| fingerprint(tag, j)).collect();
+    let mut slices = SliceHashes::default();
+    let prints: Vec<u128> =
+        jobs.iter().map(|j| fingerprint(tag, j, slices.get(&j.samples))).collect();
     let mut out: Vec<Option<JobSolve>> = vec![None; n];
     // Index-aligned fast path: between consecutive passes the job list is
     // usually positionally stable with at most a few changed entries, so
@@ -934,6 +986,35 @@ mod tests {
         assert_eq!(state.cache().misses(), baseline_misses + 1, "exactly one job recomputed");
         let fresh = compute_plan(&cfg, 16, &jobs).unwrap();
         assert_eq!(incremental, fresh);
+    }
+
+    /// The memo key is the content of a job's samples, not where they live:
+    /// a job borrowing a pooled slice and one owning a copy share a key, in
+    /// one pass's slice memo or across passes.
+    #[test]
+    fn fingerprint_keys_on_content_not_address() {
+        let pool: Vec<u64> = (0..300).map(|i| 40 + i % 37).collect();
+        let u = sigmoid(900.0, 3.0, 0.02);
+        let borrowed = PlanInput { samples: Cow::Borrowed(&pool), ..input(Vec::new(), 12, 0.0, u) };
+        let owned = input(pool.clone(), 12, 0.0, u);
+        let tag = config_tag(&RushConfig::default());
+        let mut slices = SliceHashes::default();
+        let key = fingerprint(tag, &borrowed, slices.get(&borrowed.samples));
+        assert_eq!(key, fingerprint(tag, &owned, slices.get(&owned.samples)));
+        assert_eq!(key, fingerprint(tag, &borrowed, slices.get(&pool)), "memo hit");
+        // Anything the stage reads still moves the key.
+        let mut grown = pool.clone();
+        grown.push(41);
+        assert_ne!(key, fingerprint(tag, &owned, slices.get(&grown)));
+        assert_ne!(key, fingerprint(tag, &input(pool.clone(), 13, 0.0, u), sample_hash(&pool)));
+        // A pass that swaps the borrowed slice for the owned copy recomputes
+        // nothing.
+        let cfg = RushConfig::default();
+        let mut state = PlanState::new();
+        compute_plan_incremental(&cfg, 16, &[borrowed.clone(), borrowed], &mut state).unwrap();
+        let misses = state.cache().misses();
+        compute_plan_incremental(&cfg, 16, &[owned.clone(), owned], &mut state).unwrap();
+        assert_eq!(state.cache().misses(), misses);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rush_core::mapping::{
     capacity_condition_holds, map_continuous, map_profile, MapJob, OccupationProfile,
 };
-use rush_core::onion::{peel, OnionJob};
+use rush_core::onion::{peel, peel_incremental, JobEdit, OnionJob, PeelState, Shifted, Target};
 use rush_core::rem;
 use rush_core::wcde::worst_case_quantile;
 use rush_prob::Pmf;
@@ -264,6 +264,100 @@ proptest! {
             (lp - onion_min).abs() < 0.05,
             "LP reference {lp} vs onion minimum level {onion_min}"
         );
+    }
+}
+
+/// A utility with its sigmoid record hidden: the peel must invert it through
+/// `latest_time`, the path every other utility class takes.
+struct Opaque<'a>(&'a dyn Utility);
+
+impl Utility for Opaque<'_> {
+    fn utility(&self, t: f64) -> f64 {
+        self.0.utility(t)
+    }
+
+    fn sup(&self) -> f64 {
+        self.0.sup()
+    }
+
+    fn inf(&self) -> f64 {
+        self.0.inf()
+    }
+
+    fn latest_time(&self, level: f64) -> LatestTime {
+        self.0.latest_time(level)
+    }
+}
+
+/// A cold 1000-job peel of aged sigmoids with continuous weights — every job
+/// its own `ln` memo key, the shape that made a scanning memo quadratic — is
+/// bit for bit the peel of the same jobs inverted through `latest_time`
+/// alone; is what a state that recorded another pass computes when told
+/// nothing carried over; and agrees level for level with the frozen oracle
+/// within bisection wobble (tolerance 1e-6, bound 1e-3, as in
+/// `optimized_peel_matches_reference_algorithm`).
+#[test]
+fn cold_peel_of_continuous_weights() {
+    let (capacity, tolerance, bound, horizon) = (512u32, 1e-6, 1e-3, 1e6);
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut unit = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let specs: Vec<(u64, TimeUtility, f64)> = (0..1000)
+        .map(|_| {
+            let demand = (150.0 + 7000.0 * unit()) as u64;
+            let budget = 200.0 + 3800.0 * unit();
+            let weight = 1.0 + 4.0 * unit();
+            let age = 200.0 * unit();
+            (demand, TimeUtility::sigmoid(budget, weight, 10.0 / budget).unwrap(), age)
+        })
+        .collect();
+    let shifted: Vec<Shifted<'_>> = specs.iter().map(|(_, u, age)| Shifted::new(u, *age)).collect();
+    let opaque: Vec<Opaque<'_>> = shifted.iter().map(|s| Opaque(s)).collect();
+    let jobs: Vec<OnionJob<'_>> = specs
+        .iter()
+        .zip(&shifted)
+        .map(|((d, ..), u)| OnionJob { demand: *d, utility: u })
+        .collect();
+    let hidden: Vec<OnionJob<'_>> = specs
+        .iter()
+        .zip(&opaque)
+        .map(|((d, ..), u)| OnionJob { demand: *d, utility: u })
+        .collect();
+
+    let fast = peel(&jobs, capacity, tolerance, horizon).unwrap();
+    // Contended, not hopeless: many layers at distinct positive levels.
+    let mut levels: Vec<u64> =
+        fast.iter().filter(|t| !t.lax && t.level > 0.1).map(|t| t.level.to_bits()).collect();
+    levels.dedup();
+    assert!(levels.len() >= 50, "{} layers above 0.1", levels.len());
+    let bits = |ts: &[Target]| -> Vec<(usize, u64, u64, bool)> {
+        ts.iter().map(|t| (t.job, t.level.to_bits(), t.deadline.to_bits(), t.lax)).collect()
+    };
+    assert_eq!(bits(&fast), bits(&peel(&hidden, capacity, tolerance, horizon).unwrap()));
+
+    let mut state = PeelState::new();
+    let first_half = &jobs[..500];
+    peel_incremental(first_half, capacity, tolerance, horizon, JobEdit::COLD, &mut state).unwrap();
+    let cold = peel_incremental(&jobs, capacity, tolerance, horizon, JobEdit::COLD, &mut state);
+    assert_eq!(bits(&fast), bits(&cold.unwrap()));
+    assert!(!state.last_stats().delta);
+
+    let reference = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
+    let by_job = |ts: &[Target]| {
+        let mut v: Vec<(usize, f64, bool)> = ts.iter().map(|t| (t.job, t.level, t.lax)).collect();
+        v.sort_by_key(|t| t.0);
+        v
+    };
+    assert_eq!(reference.len(), fast.len());
+    for (f, r) in by_job(&fast).iter().zip(&by_job(&reference)) {
+        // Deep in overload levels collapse towards zero, where the
+        // deadline-free cut (1e-9) is finer than the bisection itself.
+        assert!(f.0 == r.0 && (f.2 == r.2 || r.1 <= bound), "job {}: classification", f.0);
+        assert!((f.1 - r.1).abs() <= bound, "job {}: level {} vs oracle {}", f.0, f.1, r.1);
     }
 }
 

@@ -299,7 +299,7 @@ impl DistributionEstimator for GaussianEstimator {
         let hi = total_mean + 8.0 * total_std;
         let (bins, bin_width) = binning(hi, self.max_bins);
         let g = Gaussian::new(total_mean, total_std).map_err(EstimatorError::Prob)?;
-        let pmf = g.quantize(bins, bin_width)?.with_support_floor(1e-12)?;
+        let pmf = g.quantize(bins, bin_width)?.into_support_floor(1e-12)?;
         Ok(Estimate { pmf, mean_task_runtime: mean_rt.max(1.0) })
     }
 }
@@ -375,7 +375,7 @@ impl DistributionEstimator for EmpiricalEstimator {
         let (bins, bin_width) = binning(hi, self.max_bins);
         let pmf = Pmf::from_samples(&sums, bins, bin_width)?
             .rebin(bins, bin_width)?
-            .with_support_floor(1e-12)?;
+            .into_support_floor(1e-12)?;
         Ok(Estimate { pmf, mean_task_runtime: mean_rt.max(1.0) })
     }
 }
@@ -435,6 +435,43 @@ mod tests {
         let de = GaussianEstimator::new(1024);
         let est = de.estimate(SAMPLES, 20).expect("estimate succeeds");
         assert!(est.pmf.quantile(0.95) > est.pmf.quantile(0.5));
+    }
+
+    /// The PMF the Gaussian estimator floors in place is, bit for bit, the
+    /// quantized normal floored the allocating way: each bin raised to the
+    /// floor and the weights re-normalized through `Pmf::from_weights`.
+    #[test]
+    fn gaussian_in_place_floor_is_exact() {
+        let prior = RuntimePrior::new(60.0, 20.0).expect("valid prior");
+        let de = GaussianEstimator::new(512).with_prior(prior);
+        let skewed: &[u64] = &[5, 500, 7, 300, 2, 2, 2];
+        for samples in [SAMPLES, &[60][..], &[][..], skewed] {
+            let (mean_rt, var_rt) = match samples.len() {
+                0 => (prior.mean, prior.std * prior.std),
+                1 => (sample_moments(samples).0, prior.std * prior.std),
+                _ => sample_moments(samples),
+            };
+            for remaining in 1..=500 {
+                let got = de.estimate(samples, remaining).expect("estimate succeeds").pmf;
+                let n = remaining as f64;
+                let std = (n * var_rt).sqrt().max(1e-6);
+                let (bins, bin_width) = binning(n * mean_rt + 8.0 * std, 512);
+                let quantized = Gaussian::new(n * mean_rt, std)
+                    .and_then(|g| g.quantize(bins, bin_width))
+                    .expect("quantize");
+                let floored = quantized.probs().iter().map(|&p| p.max(1e-12)).collect();
+                let want = Pmf::from_weights(floored, bin_width).expect("floor");
+                assert_eq!(got.bins(), want.bins());
+                for l in 0..want.bins() {
+                    assert_eq!(
+                        (got.prob(l).to_bits(), got.head_mass(l).to_bits()),
+                        (want.prob(l).to_bits(), want.head_mass(l).to_bits()),
+                        "{} samples, {remaining} remaining, bin {l}",
+                        samples.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,10 +102,18 @@ impl Gaussian {
     }
 }
 
+/// Past this |x| the A&S expression below is exactly ±1: its correction
+/// term `poly(t)·t·e^{−x²}` is under 5·10⁻²⁰ there, far below the 2⁻⁵⁴ that
+/// `1 − ε` needs to round away from 1, so the `exp` is skipped.
+const ERF_EXACT_TAIL: f64 = 6.5;
+
 /// Error function approximation (Abramowitz & Stegun 7.1.26).
 fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
+    if x >= ERF_EXACT_TAIL {
+        return sign;
+    }
     let t = 1.0 / (1.0 + 0.3275911 * x);
     let y = 1.0
         - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
@@ -492,6 +500,36 @@ mod tests {
     fn exponential_rejects_bad_rate() {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::from_mean(-1.0).is_err());
+    }
+
+    /// A&S 7.1.26 in full, with no shortcut.
+    fn erf_full(x: f64) -> f64 {
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        let x = x.abs();
+        let t = 1.0 / (1.0 + 0.3275911 * x);
+        let y = 1.0
+            - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
+                + 0.254829592)
+                * t
+                * (-x * x).exp();
+        sign * y
+    }
+
+    /// Past the exact tail the shortcut returns what the full expression
+    /// rounds to: a dense grid of ±[6.5, 40], the extremes and ±∞.
+    #[test]
+    fn erf_exact_tail_is_the_full_expression() {
+        let mut xs = vec![f64::MAX, f64::INFINITY, ERF_EXACT_TAIL.next_down()];
+        let mut x = ERF_EXACT_TAIL;
+        while x <= 40.0 {
+            xs.push(x);
+            x += 1e-3;
+        }
+        for x in xs {
+            for v in [x, -x] {
+                assert_eq!(erf(v).to_bits(), erf_full(v).to_bits(), "erf({v})");
+            }
+        }
     }
 
     #[test]

@@ -47,15 +47,11 @@ pub struct Pmf {
 /// Left-to-right running prefix sums of `probs` — the same summation order
 /// as `probs[..=l].iter().sum()`, so cached values are bit-identical to
 /// naive on-demand sums.
-fn prefix_sums(probs: &[f64]) -> Vec<f64> {
-    let mut acc = 0.0;
-    probs
-        .iter()
-        .map(|&p| {
-            acc += p;
-            acc
-        })
-        .collect()
+fn prefix_sums(probs: &[f64]) -> impl Iterator<Item = f64> + '_ {
+    probs.iter().scan(0.0, |acc, &p| {
+        *acc += p;
+        Some(*acc)
+    })
 }
 
 impl Pmf {
@@ -77,6 +73,17 @@ impl Pmf {
         if bin_width == 0 {
             return Err(ProbError::InvalidParameter { name: "bin_width", value: 0.0 });
         }
+        Self::normalized(weights, Vec::new(), bin_width)
+    }
+
+    /// The body of [`Pmf::from_weights`] past its shape checks: normalizes
+    /// `weights` in place into the probabilities and rebuilds `cdf` in its
+    /// buffer.
+    fn normalized(
+        mut weights: Vec<f64>,
+        mut cdf: Vec<f64>,
+        bin_width: u64,
+    ) -> Result<Self, ProbError> {
         for (bin, &w) in weights.iter().enumerate() {
             if !w.is_finite() || w < 0.0 {
                 return Err(ProbError::InvalidWeight { bin, value: w });
@@ -86,9 +93,12 @@ impl Pmf {
         if total <= 0.0 {
             return Err(ProbError::ZeroMass);
         }
-        let probs: Vec<f64> = weights.into_iter().map(|w| w / total).collect();
-        let cdf = prefix_sums(&probs);
-        let out = Pmf { probs, cdf, bin_width };
+        for w in &mut weights {
+            *w /= total;
+        }
+        cdf.clear();
+        cdf.extend(prefix_sums(&weights));
+        let out = Pmf { probs: weights, cdf, bin_width };
         out.debug_check_invariants();
         Ok(out)
     }
@@ -114,7 +124,7 @@ impl Pmf {
         }
         let mut probs = vec![0.0; bins];
         probs[bin] = 1.0;
-        let cdf = prefix_sums(&probs);
+        let cdf = prefix_sums(&probs).collect();
         let out = Pmf { probs, cdf, bin_width };
         out.debug_check_invariants();
         Ok(out)
@@ -290,11 +300,23 @@ impl Pmf {
     /// [`ProbError::InvalidParameter`] if `floor` is not a positive finite
     /// number.
     pub fn with_support_floor(&self, floor: f64) -> Result<Self, ProbError> {
+        self.clone().into_support_floor(floor)
+    }
+
+    /// [`Pmf::with_support_floor`] on this PMF's own buffers: the same
+    /// operations in the same order, without allocating.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Pmf::with_support_floor`].
+    pub fn into_support_floor(mut self, floor: f64) -> Result<Self, ProbError> {
         if !floor.is_finite() || floor <= 0.0 {
             return Err(ProbError::InvalidParameter { name: "floor", value: floor });
         }
-        let weights = self.probs.iter().map(|&p| p.max(floor)).collect();
-        Self::from_weights(weights, self.bin_width)
+        for p in &mut self.probs {
+            *p = p.max(floor);
+        }
+        Self::normalized(self.probs, self.cdf, self.bin_width)
     }
 
     /// Re-bins this PMF onto `bins` bins of width `bin_width`, aggregating or
@@ -562,7 +584,7 @@ mod tests {
     #[should_panic(expected = "Pmf mass must be ~1")]
     fn contract_layer_catches_unnormalized_mass() {
         let probs = vec![0.5, 0.25];
-        let cdf = prefix_sums(&probs);
+        let cdf = prefix_sums(&probs).collect();
         Pmf { probs, cdf, bin_width: 1 }.debug_check_invariants();
     }
 

@@ -102,6 +102,79 @@ impl LatestTime {
             LatestTime::Never => None,
         }
     }
+
+    /// The same inverse measured from `elapsed` slots later: a deadline
+    /// that already passed becomes [`Never`](LatestTime::Never).
+    pub fn after(self, elapsed: f64) -> LatestTime {
+        match self {
+            LatestTime::At(t) if t >= elapsed => LatestTime::At(t - elapsed),
+            LatestTime::At(_) => LatestTime::Never,
+            other => other,
+        }
+    }
+}
+
+/// Everything inverting a sigmoid reads, with its supremum evaluated once:
+/// what [`Utility::sigmoid_inverse`] hands a caller that inverts one job at
+/// many levels.
+///
+/// An inversion then costs one `ln(W/L − 1)` ([`SigmoidInverse::ln_term`]),
+/// and that term depends on the weight and the level only, so jobs sharing a
+/// weight can share it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SigmoidInverse {
+    /// Time budget `B`.
+    pub budget: f64,
+    /// Priority weight `W`.
+    pub weight: f64,
+    /// Steepness `β`.
+    pub beta: f64,
+    /// `U(0)` of the sigmoid itself (before any shift).
+    pub sup: f64,
+    /// Slots between the sigmoid's time origin and the caller's "now"
+    /// (`0` for a bare [`TimeUtility`]).
+    pub shift: f64,
+}
+
+impl SigmoidInverse {
+    /// `ln(W/L − 1)`: the one transcendental of a sigmoid inversion.
+    pub fn ln_term(weight: f64, level: f64) -> f64 {
+        (weight / level - 1.0).ln()
+    }
+
+    /// `latest_time(level)` of the utility this record describes, bit for
+    /// bit; `ln` is called at most once, for [`Self::ln_term`]`(self.weight,
+    /// level)`.
+    pub fn latest_time(&self, level: f64, ln: impl FnOnce() -> f64) -> LatestTime {
+        sigmoid_latest_time(self.budget, self.beta, level, || self.sup, ln).after(self.shift)
+    }
+}
+
+/// The sigmoid arm of [`TimeUtility::latest_time`], shared with
+/// [`SigmoidInverse::latest_time`]: `sup` and `ln` are evaluated only on the
+/// branches that read them.
+fn sigmoid_latest_time(
+    budget: f64,
+    beta: f64,
+    level: f64,
+    sup: impl FnOnce() -> f64,
+    ln: impl FnOnce() -> f64,
+) -> LatestTime {
+    if level <= 0.0 {
+        return LatestTime::Always;
+    }
+    let sup = sup();
+    if level >= sup {
+        // The sigmoid's sup is only approached as T→0; treat
+        // level == U(0) as "complete immediately".
+        return if level > sup + 1e-12 {
+            LatestTime::Never
+        } else {
+            LatestTime::At(0.0)
+        };
+    }
+    // W/(1+e^{β(T−B)}) = L  ⇒  T = B + ln(W/L − 1)/β
+    LatestTime::At((budget + ln() / beta).max(0.0))
 }
 
 /// A non-increasing utility of completion time.
@@ -123,6 +196,13 @@ pub trait Utility {
     /// The latest completion time attaining utility at least `level`
     /// (`U⁻¹(L)` in the paper's onion-peeling algorithm).
     fn latest_time(&self, level: f64) -> LatestTime;
+
+    /// For a sigmoid, the record whose [`SigmoidInverse::latest_time`]
+    /// equals [`Utility::latest_time`] bit for bit; `None` (the default)
+    /// for every other class.
+    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
+        None
+    }
 }
 
 /// The closed set of utility classes shipped with RUSH's job-configuration
@@ -293,22 +373,13 @@ impl Utility for TimeUtility {
                 // β(B−T)+W = L  ⇒  T = B + (W − L)/β
                 LatestTime::At((budget + (weight - level) / beta).max(0.0))
             }
-            TimeUtility::Sigmoid { budget, weight, beta } => {
-                if level <= 0.0 {
-                    return LatestTime::Always;
-                }
-                if level >= self.sup() {
-                    // The sigmoid's sup is only approached as T→0; treat
-                    // level == U(0) as "complete immediately".
-                    return if level > self.sup() + 1e-12 {
-                        LatestTime::Never
-                    } else {
-                        LatestTime::At(0.0)
-                    };
-                }
-                // W/(1+e^{β(T−B)}) = L  ⇒  T = B + ln(W/L − 1)/β
-                LatestTime::At((budget + (weight / level - 1.0).ln() / beta).max(0.0))
-            }
+            TimeUtility::Sigmoid { budget, weight, beta } => sigmoid_latest_time(
+                budget,
+                beta,
+                level,
+                || self.sup(),
+                || SigmoidInverse::ln_term(weight, level),
+            ),
             TimeUtility::Constant { weight } => {
                 if level <= weight {
                     LatestTime::Always
@@ -325,6 +396,15 @@ impl Utility for TimeUtility {
                     LatestTime::Never
                 }
             }
+        }
+    }
+
+    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
+        match *self {
+            TimeUtility::Sigmoid { budget, weight, beta } => {
+                Some(SigmoidInverse { budget, weight, beta, sup: self.sup(), shift: 0.0 })
+            }
+            _ => None,
         }
     }
 }
