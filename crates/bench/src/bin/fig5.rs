@@ -14,8 +14,9 @@
 //! * **baseline** — the pre-optimization pipeline: per-job estimate + WCDE
 //!   with no memoization and the straightforward [`rush_oracle::onion`]
 //!   peel (per-probe allocation + sort, full-range bisection per layer).
-//! * **uncached** — `compute_plan` from scratch: optimized peel, no
-//!   memoization.
+//! * **uncached** — one pass from scratch on a cold
+//!   [`rush_core::plan::PlanState`] (what `compute_plan` does): optimized
+//!   peel, no memoization.
 //! * **cached** — steady state: each scheduling event mutates one job and
 //!   re-plans through a warm [`rush_core::plan::PlanState`]: the estimate +
 //!   WCDE stage re-solves only the mutated job, the onion peel *replays*
@@ -30,7 +31,8 @@
 //! `--out PATH`) so the speedup is a versioned artifact, not terminal
 //! scroll-back. Each cached point carries a per-phase breakdown
 //! (estimate+WCDE / peel / mapping / assembly ns per event) so the
-//! peel-dominance claim stays measured; `--profile` prints it as a table.
+//! peel-dominance claim stays measured; `--profile` prints it as a table,
+//! with the same split for the from-scratch and churn series.
 //!
 //! Beyond the single-kernel series, a **sharded sweep** drives the
 //! [`rush_planner::ShardedPlanner`] at 10k (and, in full mode, 100k)
@@ -47,7 +49,7 @@
 //!
 //! Flags: `--reps N`, `--seed S`, `--capacity C`, `--out PATH`, `--quick`
 //! (CI mode: fewer points and repetitions), `--profile` (print the phase
-//! breakdown).
+//! breakdowns). Any other flag exits 2.
 
 use rand::Rng;
 use rush_bench::{
@@ -56,7 +58,7 @@ use rush_bench::{
 };
 use rush_core::mapping::{map_continuous, MapJob};
 use rush_core::onion::{OnionJob, Shifted};
-use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
+use rush_core::plan::{compute_plan_incremental, PlanInput, PlanPhaseStats, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
 use rush_estimator::DistributionEstimator;
@@ -164,6 +166,8 @@ struct Point {
     churn_ns_per_event: f64,
     /// Likewise for the churn series.
     churn_phase_ns: [f64; 4],
+    /// Likewise for the from-scratch (uncached) series, per pass.
+    full_phase_ns: [f64; 4],
     approx_mb: f64,
 }
 
@@ -189,11 +193,7 @@ fn warm_series(
         for e in 0..events {
             event(&mut jobs, e);
             let _ = compute_plan_incremental(cfg, capacity, &jobs, &mut state).expect("plan");
-            let st = state.last_stats();
-            round_phase[0] += st.solve_ns;
-            round_phase[1] += st.peel_ns;
-            round_phase[2] += st.map_ns;
-            round_phase[3] += st.assemble_ns;
+            add_phases(&mut round_phase, state.last_stats());
         }
         let round_ms = t.elapsed().as_secs_f64() * 1e3 / events as f64;
         if round_ms < best.0 {
@@ -203,18 +203,29 @@ fn warm_series(
     best
 }
 
-struct ShardPoint {
-    jobs: usize,
-    shards: usize,
-    ns_per_event: f64,
+/// Mean wall-clock ms of `reps` calls of `pass`.
+fn mean_ms(reps: usize, mut pass: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..reps {
+        pass();
+    }
+    t.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
+/// Adds one pass's solve / peel / map / assemble ns to `acc`.
+fn add_phases(acc: &mut [u64; 4], st: PlanPhaseStats) {
+    for (a, ns) in acc.iter_mut().zip([st.solve_ns, st.peel_ns, st.map_ns, st.assemble_ns]) {
+        *a += ns;
+    }
 }
 
 /// The sharded steady-state sweep: a [`ShardedPlanner`] holding `n`
 /// resident jobs, driven by single-sample events at a fixed slot. Every
 /// event dirties one shard and `plan_at` replans only that shard, so
 /// ns/event falls with the shard count; the 1-shard row is the registry
-/// baseline the speedup is measured against.
-fn sharded_series(quick: bool, capacity: u32, seed: u64) -> Vec<ShardPoint> {
+/// baseline the speedup is measured against. One `(jobs, shards,
+/// ns_per_event)` point per combination.
+fn sharded_series(quick: bool, capacity: u32, seed: u64) -> Vec<(usize, usize, f64)> {
     use rush_planner::{JobId, JobSpec, ShardedPlanner};
 
     let combos: &[(usize, usize)] = if quick {
@@ -260,13 +271,13 @@ fn sharded_series(quick: bool, capacity: u32, seed: u64) -> Vec<ShardPoint> {
             planner.plan_at(0).expect("replan");
         }
         let ns_per_event = t.elapsed().as_nanos() as f64 / events as f64;
-        points.push(ShardPoint { jobs: n, shards, ns_per_event });
+        points.push((n, shards, ns_per_event));
     }
     points
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = parse_args(&["reps", "seed", "capacity", "out", "quick", "profile"]);
     let quick = args.contains_key("quick");
     let profile = args.contains_key("profile");
     let reps: usize = flag(&args, "reps", if quick { 2 } else { 5 });
@@ -302,19 +313,18 @@ fn main() -> ExitCode {
         // with the reference peel (the paper's Fig. 5 measurement).
         let jobs = synth_jobs(n, seed);
         baseline_pass(&cfg, capacity, &jobs); // warm-up
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            baseline_pass(&cfg, capacity, &jobs);
-        }
-        let baseline_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
+        let baseline_ms = mean_ms(reps, || baseline_pass(&cfg, capacity, &jobs));
 
-        // Uncached: `compute_plan` from scratch with the optimized peel.
-        let _ = compute_plan(&cfg, capacity, &jobs).expect("plan"); // warm-up
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            let _ = compute_plan(&cfg, capacity, &jobs).expect("plan");
-        }
-        let uncached_ms = t1.elapsed().as_secs_f64() * 1e3 / reps as f64;
+        // Uncached: every pass from scratch on a cold state (what
+        // `compute_plan` does), with the optimized peel.
+        let cold_pass = |phases: &mut [u64; 4]| {
+            let mut state = PlanState::new();
+            let _ = compute_plan_incremental(&cfg, capacity, &jobs, &mut state).expect("plan");
+            add_phases(phases, state.last_stats());
+        };
+        cold_pass(&mut [0; 4]); // warm-up
+        let mut full_phase = [0u64; 4];
+        let uncached_ms = mean_ms(reps, || cold_pass(&mut full_phase));
 
         // Cached: steady-state event cost. Each event mutates one job, so
         // the memoized estimate + WCDE stage re-solves that job, the peel
@@ -357,19 +367,19 @@ fn main() -> ExitCode {
             phase_ns,
             churn_ns_per_event: churn_ms * 1e6,
             churn_phase_ns,
+            full_phase_ns: full_phase.map(|v| v as f64 / reps as f64),
             approx_mb: mb,
         });
     }
     println!("{}", t.render());
     if profile {
-        for churn in [false, true] {
+        for (i, series) in ["full", "cached", "churn"].into_iter().enumerate() {
             let mut pt = Table::new(["jobs", "solve_us", "peel_us", "map_us", "assemble_us"]);
             for p in &points {
-                let ns = if churn { p.churn_phase_ns } else { p.phase_ns };
+                let ns = [p.full_phase_ns, p.phase_ns, p.churn_phase_ns][i];
                 let [solve, peel, map, assemble] = ns.map(|v| fmt_f64(v / 1e3, 1));
                 pt.row([p.jobs.to_string(), solve, peel, map, assemble]);
             }
-            let series = if churn { "churn" } else { "cached" };
             println!("\n{series}-series phase breakdown (per event):\n{}", pt.render());
         }
     }
@@ -380,16 +390,10 @@ fn main() -> ExitCode {
     println!("\nSharded sweep: steady-state ns/event at 10k+ resident jobs");
     let sharded = sharded_series(quick, capacity, seed);
     let mut st = Table::new(["jobs", "shards", "event_us", "speedup_vs_1_shard"]);
-    let sweep: Vec<_> = sharded.iter().map(|sp| (sp.jobs, sp.shards, sp.ns_per_event)).collect();
-    for sp in &sharded {
+    for &(jobs, shards, ns) in &sharded {
         let speedup =
-            shard_speedup(&sweep, sp.jobs, sp.shards).map_or("-".to_owned(), |x| fmt_f64(x, 2));
-        st.row([
-            sp.jobs.to_string(),
-            sp.shards.to_string(),
-            fmt_f64(sp.ns_per_event / 1e3, 1),
-            speedup,
-        ]);
+            shard_speedup(&sharded, jobs, shards).map_or("-".to_owned(), |x| fmt_f64(x, 2));
+        st.row([jobs.to_string(), shards.to_string(), fmt_f64(ns / 1e3, 1), speedup]);
     }
     println!("{}", st.render());
 
@@ -416,7 +420,7 @@ fn main() -> ExitCode {
         );
         pass &= ok;
     }
-    let (speedup, ok) = shard_gate(&sweep).unwrap_or_else(|e| fatal(&e));
+    let (speedup, ok) = shard_gate(&sharded).unwrap_or_else(|e| fatal(&e));
     println!("gate: {speedup:.2}x sharded speedup, floor {MIN_SHARD_SPEEDUP:.2}x -> {}", verdict(ok));
     if pass && ok {
         ExitCode::SUCCESS
@@ -428,7 +432,7 @@ fn main() -> ExitCode {
 /// Hand-rolled JSON: the workspace builds offline, without serde.
 fn render_json(
     points: &[Point],
-    sharded: &[ShardPoint],
+    sharded: &[(usize, usize, f64)],
     capacity: u32,
     reps: usize,
     seed: u64,
@@ -448,33 +452,26 @@ fn render_json(
         let comma = if i + 1 == points.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "    {{\"jobs\": {}, \"baseline_ns_per_event\": {:.0}, \"uncached_ns_per_event\": {:.0}, \"cached_ns_per_event\": {:.0}, \"speedup\": {:.2}, \"approx_mb\": {:.1}, \"profile_ns\": {{\"solve\": {:.0}, \"peel\": {:.0}, \"map\": {:.0}, \"assemble\": {:.0}}}, \"churn_ns_per_event\": {:.0}, \"churn_profile_ns\": {{\"solve\": {:.0}, \"peel\": {:.0}, \"map\": {:.0}, \"assemble\": {:.0}}}}}{}",
+            "    {{\"jobs\": {}, \"baseline_ns_per_event\": {:.0}, \"uncached_ns_per_event\": {:.0}, \"cached_ns_per_event\": {:.0}, \"speedup\": {:.2}, \"approx_mb\": {:.1}, \"profile_ns\": {}, \"churn_ns_per_event\": {:.0}, \"churn_profile_ns\": {}}}{}",
             p.jobs,
             p.baseline_ns_per_event,
             p.uncached_ns_per_event,
             p.cached_ns_per_event,
             p.baseline_ns_per_event / p.cached_ns_per_event,
             p.approx_mb,
-            p.phase_ns[0],
-            p.phase_ns[1],
-            p.phase_ns[2],
-            p.phase_ns[3],
+            phases_json(p.phase_ns),
             p.churn_ns_per_event,
-            p.churn_phase_ns[0],
-            p.churn_phase_ns[1],
-            p.churn_phase_ns[2],
-            p.churn_phase_ns[3],
+            phases_json(p.churn_phase_ns),
             comma
         );
     }
     let _ = writeln!(s, "  ],");
     let _ = writeln!(s, "  \"sharded_points\": [");
-    for (i, sp) in sharded.iter().enumerate() {
+    for (i, (jobs, shards, ns)) in sharded.iter().enumerate() {
         let comma = if i + 1 == sharded.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "    {{\"jobs\": {}, \"shards\": {}, \"ns_per_event\": {:.0}}}{}",
-            sp.jobs, sp.shards, sp.ns_per_event, comma
+            "    {{\"jobs\": {jobs}, \"shards\": {shards}, \"ns_per_event\": {ns:.0}}}{comma}"
         );
     }
     let _ = writeln!(s, "  ],");
@@ -487,4 +484,11 @@ fn render_json(
     );
     let _ = writeln!(s, "}}");
     s
+}
+
+/// A `{"solve": …, "peel": …, "map": …, "assemble": …}` object of ns.
+fn phases_json([solve, peel, map, assemble]: [f64; 4]) -> String {
+    format!(
+        "{{\"solve\": {solve:.0}, \"peel\": {peel:.0}, \"map\": {map:.0}, \"assemble\": {assemble:.0}}}"
+    )
 }

@@ -1,51 +1,53 @@
 //! Shared harness for regenerating every figure of the RUSH paper.
 //!
-//! Each `fig*` binary in `src/bin/` reproduces one figure of the paper's
-//! evaluation (Sec. V); `ablation_*` binaries probe the design choices
-//! DESIGN.md calls out. This library holds the common machinery: flag
-//! parsing, the scheduler comparison runner, the Fig. 3 coverage
-//! experiment, and the gates `fig5` and `ablation_capacity` apply to their
-//! own numbers before they exit.
+//! [`figures::FIGURES`] holds every figure of the paper's evaluation
+//! (Sec. V) and every ablation as data; the `figures` binary runs them and
+//! checks their reports in under `results/`. The `fig5` binary measures
+//! the scheduler's own cost. This library also holds `fig5`'s flag parsing
+//! and the gates `fig5` and `ablation_capacity` apply to their own numbers
+//! before they exit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use rush_core::RushConfig;
-use rush_planner::RushScheduler;
-use rush_estimator::{DistributionEstimator, GaussianEstimator};
-use rush_metrics::table::fmt_f64;
-use rush_prob::dist::{Continuous, Gaussian};
-use rush_sched::{Edf, Fifo, Rrh};
-use rush_sim::outcome::SimResult;
-use rush_sim::Scheduler;
+pub mod figures;
+
 use rush_serve::json::Json;
-use rush_workload::{generate, Experiment, WorkloadConfig};
 use std::collections::HashMap;
 
-/// Parses `--key value` pairs from `std::env::args`.
+/// Parses `--key value` pairs from `std::env::args`, accepting only the
+/// flags named in `accepted`. An unknown flag or a stray argument is fatal
+/// (exit 2): a typo must not silently run, and record, the defaults.
 ///
 /// A `--flag` immediately followed by another `--…` token (or by nothing)
 /// is a bare switch: it is stored with an empty value rather than
 /// swallowing the next flag as its value, so `--quick --out f.json` parses
 /// as `{quick: "", out: "f.json"}`.
-pub fn parse_args() -> HashMap<String, String> {
-    parse_arg_list(std::env::args().skip(1))
+pub fn parse_args(accepted: &[&str]) -> HashMap<String, String> {
+    try_parse_args(std::env::args().skip(1), accepted).unwrap_or_else(|e| fatal(&e))
 }
 
-fn parse_arg_list(args: impl IntoIterator<Item = String>) -> HashMap<String, String> {
+fn try_parse_args(
+    args: impl IntoIterator<Item = String>,
+    accepted: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut args = args.into_iter().peekable();
     while let Some(a) = args.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            let v = match args.peek() {
-                Some(next) if !next.starts_with("--") => args.next().unwrap_or_default(),
-                _ => String::new(),
-            };
-            out.insert(key.to_owned(), v);
+        let Some(key) = a.strip_prefix("--") else {
+            return Err(format!("unexpected argument {a}"));
+        };
+        if !accepted.contains(&key) {
+            return Err(format!("unknown flag --{key} (accepted: --{})", accepted.join(", --")));
         }
+        let v = match args.peek() {
+            Some(next) if !next.starts_with("--") => args.next().unwrap_or_default(),
+            _ => String::new(),
+        };
+        out.insert(key.to_owned(), v);
     }
-    out
+    Ok(out)
 }
 
 /// Reads a typed flag: `default` when absent. A value that does not parse
@@ -73,22 +75,6 @@ fn try_flag<T: std::str::FromStr>(
     }
 }
 
-/// Runs the paper's workload under RUSH and the three baselines.
-///
-/// Every scheduler sees the same jobs and the same interference stream.
-///
-/// # Panics
-///
-/// Panics on simulator errors — the harness treats these as fatal.
-pub fn run_comparison(
-    jobs: usize,
-    budget_ratio: f64,
-    seed: u64,
-    rush_config: RushConfig,
-) -> Vec<(String, SimResult)> {
-    run_comparison_at(jobs, budget_ratio, seed, rush_config, CALIBRATED_INTERARRIVAL)
-}
-
 /// Mean inter-arrival (slots) that loads the 48-container testbed to the
 /// ~80 % utilization the paper's PUMA-on-Hadoop workload produced. The
 /// paper quotes 130 s between arrivals of *real* 1–10 GB Hadoop jobs; our
@@ -96,97 +82,6 @@ pub fn run_comparison(
 /// match the *contention level* rather than the literal constant (see
 /// DESIGN.md, substitutions).
 pub const CALIBRATED_INTERARRIVAL: f64 = 45.0;
-
-/// [`run_comparison`] with an explicit mean inter-arrival time.
-///
-/// # Panics
-///
-/// Panics on simulator errors — the harness treats these as fatal.
-pub fn run_comparison_at(
-    jobs: usize,
-    budget_ratio: f64,
-    seed: u64,
-    rush_config: RushConfig,
-    mean_interarrival: f64,
-) -> Vec<(String, SimResult)> {
-    let exp = Experiment::paper_testbed(seed);
-    let cfg = WorkloadConfig { jobs, budget_ratio, seed, mean_interarrival, ..Default::default() };
-    let workload = generate(&cfg, &exp).expect("workload generation");
-    let mut rush = RushScheduler::new(rush_config);
-    let mut fifo = Fifo::new();
-    let mut edf = Edf::new();
-    let mut rrh = Rrh::new();
-    let mut set: [(&str, &mut dyn Scheduler); 4] = [
-        ("RUSH", &mut rush),
-        ("FIFO", &mut fifo),
-        ("EDF", &mut edf),
-        ("RRH", &mut rrh),
-    ];
-    exp.compare(&workload, &mut set).expect("comparison run")
-}
-
-/// One cell of the Fig. 3 sweep: the probability that the DE + WCDE
-/// provision `η` covers the true remaining demand, estimated over
-/// `repetitions` independent sample draws.
-///
-/// Ground truth: task runtimes are N(60, 20); with `n_samples` tasks
-/// observed out of `total_tasks`, the remaining demand is
-/// `N((total−n)·60, √(total−n)·20)`, so coverage is evaluated in closed
-/// form instead of re-simulating.
-///
-/// # Panics
-///
-/// Panics if estimation fails (cannot happen for `n_samples ≥ 1`).
-pub fn fig3_coverage(
-    n_samples: usize,
-    total_tasks: usize,
-    delta: f64,
-    theta: f64,
-    repetitions: usize,
-    seed: u64,
-) -> f64 {
-    let truth = Gaussian::new(60.0, 20.0).expect("static");
-    let remaining = total_tasks.saturating_sub(n_samples);
-    if remaining == 0 {
-        return 1.0;
-    }
-    let rem_mean = remaining as f64 * 60.0;
-    let rem_std = (remaining as f64).sqrt() * 20.0;
-    let rem_total = Gaussian::new(rem_mean, rem_std).expect("static");
-    let de = GaussianEstimator::new(1024);
-    let mut covered = 0.0;
-    for rep in 0..repetitions {
-        let mut rng =
-            rush_prob::rng::seeded_rng(rush_prob::rng::derive_seed(seed, rep as u64));
-        let samples: Vec<u64> =
-            (0..n_samples).map(|_| truth.sample(&mut rng).round().max(1.0) as u64).collect();
-        let est = de.estimate(&samples, remaining).expect("estimate");
-        let eta = rush_core::wcde::worst_case_quantile(&est.pmf, theta, delta)
-            .expect("wcde")
-            .eta;
-        // P(v ≤ η) under the true remaining-demand distribution.
-        covered += rem_total.cdf(eta as f64);
-    }
-    covered / repetitions as f64
-}
-
-/// The `mean_util, zero_util, median_lat, q3_lat, met` cells the ablation
-/// tables end each row with.
-///
-/// # Panics
-///
-/// Panics when no time-aware job declared a budget (no latency to print).
-pub fn summary_cells(result: &SimResult) -> [String; 5] {
-    let s = result.summary();
-    let lat = s.latency.as_ref().expect("time-aware jobs with budgets");
-    [
-        fmt_f64(s.mean_utility, 3),
-        fmt_f64(s.zero_utility_fraction, 3),
-        fmt_f64(lat.median, 1),
-        fmt_f64(lat.q3, 1),
-        s.met_of_n(),
-    ]
-}
 
 /// Fig. 5's steady-state cost at [`CACHED_GATE_JOBS`] jobs may grow to at
 /// most this factor of the same point in the file the run overwrites.
@@ -253,26 +148,8 @@ pub fn capacity_gate(rush_met: usize, deterministic_met: usize) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fig3_coverage_improves_with_samples_and_delta() {
-        let lo = fig3_coverage(15, 101, 0.0, 0.9, 10, 1);
-        let hi = fig3_coverage(55, 101, 0.7, 0.9, 10, 1);
-        assert!(hi > lo, "coverage {hi} should beat {lo}");
-        assert!(hi > 0.9);
-    }
-
-    #[test]
-    fn fig3_coverage_complete_job_is_one() {
-        assert_eq!(fig3_coverage(101, 101, 0.7, 0.9, 5, 1), 1.0);
-    }
-
-    #[test]
-    fn comparison_smoke() {
-        let results = run_comparison(6, 2.0, 3, RushConfig::default());
-        assert_eq!(results.len(), 4);
-        for (name, r) in &results {
-            assert_eq!(r.outcomes.len(), 6, "{name}");
-        }
+    fn parse(argv: &[&str], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
+        try_parse_args(argv.iter().map(|s| s.to_string()), accepted)
     }
 
     #[test]
@@ -322,11 +199,21 @@ mod tests {
 
     #[test]
     fn bare_switch_does_not_swallow_next_flag() {
-        let argv = ["--quick", "--out", "f.json", "--reps", "3", "--verbose"];
-        let m = parse_arg_list(argv.iter().map(|s| s.to_string()));
+        let argv = ["--quick", "--out", "f.json", "--reps", "3", "--profile"];
+        let m = parse(&argv, &["quick", "out", "reps", "profile"]).unwrap();
         assert_eq!(m.get("quick").map(String::as_str), Some(""));
         assert_eq!(m.get("out").map(String::as_str), Some("f.json"));
         assert_eq!(flag(&m, "reps", 0usize), 3);
-        assert_eq!(m.get("verbose").map(String::as_str), Some(""));
+        // A switch that ends the argument list is bare too.
+        assert_eq!(m.get("profile").map(String::as_str), Some(""));
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_rejected() {
+        let accepted = ["quick", "out"];
+        let err = parse(&["--quik"], &accepted).unwrap_err();
+        assert!(err.contains("--quik") && err.contains("--quick"), "{err}");
+        let err = parse(&["--quick", "--out", "f.json", "extra"], &accepted).unwrap_err();
+        assert!(err.contains("extra"), "{err}");
     }
 }
