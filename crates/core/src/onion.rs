@@ -1102,9 +1102,18 @@ fn finish_deferred(ctx: &mut PeelCtx<'_, '_>) {
 /// silently re-peeling.
 #[derive(Default, Clone, Copy, Debug, PartialEq)]
 pub struct ReplayStats {
-    /// Whether the pass took the delta-replay path at all (false: full
-    /// re-peel, because no job of this pass was in the recorded one, a
-    /// surviving demand crossed zero, or the state was invalid).
+    /// Whether the pass took the delta-replay path at all. False means a
+    /// full re-peel, because:
+    /// - the state holds no valid recording (a first pass, or
+    ///   [`PeelState::invalidate`]);
+    /// - the tolerance or the horizon changed;
+    /// - [`JobEdit::prev`] does not have one entry per job;
+    /// - its indices do not ascend strictly, or one is past the recorded
+    ///   job count;
+    /// - a surviving job's demand crossed zero;
+    /// - no job of this pass was in the recorded one;
+    /// - [`JobEdit::departed`] does not list exactly the recorded jobs
+    ///   nobody continues.
     pub delta: bool,
     /// Recorded layers whose trajectory was verified and applied.
     pub replayed_layers: usize,
@@ -1137,7 +1146,8 @@ pub struct JobEdit<'a, 'u> {
     pub prev: &'a [Option<usize>],
     /// The utilities of the recorded jobs no entry of `prev` names — the
     /// departed jobs — in recorded order. A departed job is replayed as a
-    /// demand that fell to nothing, which needs to know where it sat.
+    /// job that left the boundary set, which needs to know where its
+    /// demand was due.
     pub departed: &'a [&'u dyn Utility],
 }
 
@@ -1236,31 +1246,31 @@ const REPLAY_GUARD: f64 = 1e-6;
 /// Demands, the capacity and the job set itself may all have moved;
 /// tolerance and horizon are checked against the state.
 ///
-/// Replay verifies each recorded feasibility probe in O(1) arithmetic
-/// using the monotone structure of the Theorem-2 prefix-capacity test: a
-/// feasible probe whose minimum slack exceeds the total demand increase
-/// plus the capacity-loss term `ΔC·horizon` stays feasible; an infeasible
-/// probe stays infeasible at the same boundary when the capacity did not
-/// grow, every decreased demand lies strictly after the boundary, and the
-/// increases (demand and `ΔC·boundary`) fit inside the pre-violation
-/// slack. A capacity *revocation* therefore replays as a divergence-layer
-/// event — probes whose slack absorbs the loss verify arithmetically, and
-/// the first layer genuinely flipped by the shrink resumes the real loop —
-/// rather than forcing a from-scratch re-peel.
+/// Every event is one **drift** of the condition each probe tests at a
+/// boundary `e`, the budget `C·e` against the load `Σ_{T_k ≤ e} η_k`: the
+/// budget moves by `ΔC·e`, and each changed job moves the load by its demand
+/// delta at its due time. A job in both passes stays a member of the
+/// boundary set; an arrival joined it, a departure left it. One rule,
+/// re-checked in O(changed jobs) arithmetic, decides whether a recorded
+/// probe stands:
 ///
-/// A changed job set is the same kind of perturbation. A **departure** is
-/// a demand that fell to nothing: feasible probes stay feasible, a
-/// boundary violation stands while the departed job sat strictly after the
-/// boundary, a `never` probe stands unless the departed job was its
-/// answer, and the job's own layer leaves the trace unprobed when it handed
-/// nothing on (same floor, same `floor_feasible`). An **arrival** is a
-/// demand that rose from nothing: a feasible probe's slack must absorb it
-/// and its own new boundary must hold, a violated boundary must lie
-/// strictly before it, a `never` probe keeps a lower-indexed answer, and
-/// the first probe of a layer that the arrival cannot reach — where a
-/// from-scratch run would peel it — is where its one-probe layer is
-/// spliced in. An edit that moves the floor or a layer's bisection cap
-/// diverges where it first matters.
+/// - a **feasible** probe stays feasible while its minimum slack absorbs all
+///   growth — members' demand increases, joiners' demand, a revocation's
+///   drain — and each joiner's own new boundary holds;
+/// - a **boundary violation** stands while the budget did not grow, every
+///   shrinking or joining job (a departure of the job blamed included) is
+///   due strictly after the boundary, and the pre-violation slack absorbs
+///   the growth;
+/// - a **`never`** answer stands unless the answer left or a lower-indexed
+///   joiner with demand cannot reach the level either.
+///
+/// Around that rule sit the rules for the layer structure itself. A
+/// departed job's own layer leaves the trace unprobed when it handed nothing
+/// on (same floor, same `floor_feasible`). An arrival that cannot reach the
+/// first probe of a layer entered on a feasible floor — where a
+/// from-scratch run would peel it — has its layer spliced in ahead. A layer
+/// whose bisection cap moved stands only if its gallop broke out below the
+/// new cap, and an edit that moves the floor shares no probe at all.
 ///
 /// Probes that cannot be verified arithmetically are re-executed against
 /// materialized sweep state (under the *new* capacity and job set); the
@@ -1316,25 +1326,22 @@ enum ChangedStatus {
     Deferred,
 }
 
-/// What happened to a job between the recorded pass and this one.
-#[derive(Clone, Copy)]
-enum Change<'u> {
-    /// In both passes, with a different demand.
-    Moved,
-    /// Only in the recorded pass: its whole demand is gone. Carries the
-    /// utility it was recorded under (it is not among this pass's jobs).
-    Departed(&'u dyn Utility),
-    /// Only in this pass: its whole demand is new.
-    Arrived,
-}
-
-/// One job whose demand differs from the recorded pass.
-struct ChangedJob<'u> {
-    /// Index in this pass — in the recorded pass for a departed job.
+/// One job whose demand differs from the recorded pass: its share of the
+/// [`Drift`]. A job in both passes stays a member of the boundary set; an
+/// arrival joined it with its whole demand, a departure left it with its
+/// whole demand.
+struct JobDrift<'u> {
+    /// Index in this pass — in the recorded pass for a job that left.
     idx: usize,
-    change: Change<'u>,
+    /// The utility its due time is read from (the recorded one for a job
+    /// that left: it is not among this pass's jobs).
+    utility: &'u dyn Utility,
     /// `new − old`; exact in f64 for demands below 2⁵³.
     delta: f64,
+    /// Only in this pass.
+    joined: bool,
+    /// Only in the recorded pass.
+    left: bool,
     status: ChangedStatus,
     /// Memoized `latest_time(level).deadline_within(horizon)` keyed by the
     /// level's bits: cascade layers probe long runs of one level, and the
@@ -1342,59 +1349,228 @@ struct ChangedJob<'u> {
     inv: Option<(u64, Option<f64>)>,
 }
 
-impl ChangedJob<'_> {
+impl JobDrift<'_> {
+    /// Whether the job's demand bears on the current layer's probes: a
+    /// deferred job's does not.
+    fn in_play(&self) -> bool {
+        self.status != ChangedStatus::Deferred
+    }
+
     /// When the job's demand is due at a probe of `level`: its target once
     /// committed, else its deadline at that level (`None`: it cannot reach
     /// the level). Not meaningful for a deferred job.
-    fn due(&mut self, jobs: &[OnionJob<'_>], level: f64, horizon: f64) -> Option<f64> {
+    fn due(&mut self, level: f64, horizon: f64) -> Option<f64> {
         if let ChangedStatus::Committed(t) = self.status {
             return Some(t);
         }
         match self.inv {
             Some((bits, d)) if bits == level.to_bits() => d,
             _ => {
-                let utility = match self.change {
-                    Change::Departed(u) => u,
-                    Change::Moved | Change::Arrived => jobs[self.idx].utility,
-                };
-                let d = utility.latest_time(level).deadline_within(horizon);
+                let d = self.utility.latest_time(level).deadline_within(horizon);
                 self.inv = Some((level.to_bits(), d));
                 d
             }
         }
     }
-
-    fn is_departed(&self) -> bool {
-        matches!(self.change, Change::Departed(_))
-    }
 }
 
-/// How the capacity drifted since the recorded pass, with the constants
-/// needed to bound the resulting slack drain per boundary.
-#[derive(Clone, Copy)]
-struct CapDrift {
-    /// Containers revoked since the recorded pass (0 when capacity grew
-    /// or held).
-    dec: f64,
-    /// Whether the capacity grew.
-    inc: bool,
-    /// `dec / C_old` — the relative shrink.
-    scale: f64,
+/// Everything that moved between the recorded pass and this one, in the
+/// terms of the condition every probe tests at each boundary `e`: the
+/// budget `C·e` against the load `Σ_{T_k ≤ e} η_k`. The budget moves by
+/// `ΔC·e`; each changed job moves the load by its demand delta at its due
+/// time, and may have joined or left the boundary set. [`Drift::stands`]
+/// re-verifies every recorded probe against it, whatever the event.
+struct Drift<'u> {
+    /// This pass's capacity `C` and horizon; [`Replay`] reads them here.
+    capacity: u32,
+    horizon: f64,
+    /// Containers revoked since the recorded pass (0 when the capacity
+    /// grew or held).
+    revoked: f64,
+    grew: bool,
+    /// `revoked / C_old` — the relative shrink.
+    shrink: f64,
     /// Total demand of the recorded pass, an upper bound on the load at
     /// any swept boundary.
     demand_bound: f64,
+    /// The changed jobs: departures in recorded order, then this pass's
+    /// moved and arrived jobs in ascending index.
+    jobs: Vec<JobDrift<'u>>,
+    /// Under the layer being replayed (see [`Drift::enter_layer`]): the
+    /// in-play members' demand increases, the in-play joiners' demand, and
+    /// whether nothing at all moved under it.
+    grown: f64,
+    joined: f64,
+    still: bool,
 }
 
-impl CapDrift {
-    /// Upper-bounds the slack a `dec`-container revocation drains at any
-    /// boundary whose recorded slack was at least `margin`: the drain at
-    /// boundary `d` is `dec·d`, and `d ≤ horizon` while
-    /// `C_old·d = slack + load − ε ≤ slack + demand_bound` gives the
-    /// usually far tighter `dec·d ≤ scale·(slack + demand_bound)`. The
-    /// bound is increasing in slack, so evaluating it at the recorded
-    /// minimum bounds the post-drift minimum from below.
+impl<'u> Drift<'u> {
+    fn new(
+        jobs: &[OnionJob<'u>],
+        capacity: u32,
+        horizon: f64,
+        edit: &JobEdit<'_, 'u>,
+        now_at: &[usize],
+        state: &PeelState,
+    ) -> Self {
+        let mut changed = Vec::new();
+        let mut change = |idx, utility, delta, joined, left| {
+            let status = ChangedStatus::Active;
+            changed.push(JobDrift { idx, utility, delta, joined, left, status, inv: None });
+        };
+        let gone = now_at.iter().enumerate().filter(|&(_, &j)| j == DEAD);
+        for ((i, _), &utility) in gone.zip(edit.departed) {
+            change(i, utility, -(state.demands[i] as f64), false, true);
+        }
+        for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
+            match *was {
+                Some(i) if job.demand != state.demands[i] => {
+                    let delta = job.demand as f64 - state.demands[i] as f64;
+                    change(j, job.utility, delta, false, false);
+                }
+                Some(_) => {}
+                None => change(j, job.utility, job.demand as f64, true, false),
+            }
+        }
+        let revoked = f64::from(state.capacity.saturating_sub(capacity));
+        Drift {
+            capacity,
+            horizon,
+            revoked,
+            grew: capacity > state.capacity,
+            shrink: revoked / f64::from(state.capacity.max(1)),
+            demand_bound: state.demands.iter().map(|&d| d as f64).sum(),
+            jobs: changed,
+            grown: 0.0,
+            joined: 0.0,
+            still: false,
+        }
+    }
+
+    /// Sums what moved under the next recorded layer: a job deferred by an
+    /// earlier layer no longer counts.
+    fn enter_layer(&mut self) {
+        (self.grown, self.joined) = (0.0, 0.0);
+        self.still = self.revoked == 0.0 && !self.grew;
+        for j in self.jobs.iter().filter(|j| j.in_play()) {
+            self.still = false;
+            if j.joined {
+                self.joined += j.delta;
+            } else {
+                self.grown += j.delta.max(0.0);
+            }
+        }
+    }
+
+    /// Upper-bounds the budget a revocation drains at any boundary up to
+    /// `boundary_cap` whose recorded slack was at least `margin`: the drain
+    /// at boundary `e` is `revoked·e`, and `C_old·e = slack + load − ε ≤
+    /// slack + demand_bound` gives the usually far tighter
+    /// `revoked·e ≤ shrink·(slack + demand_bound)`. The bound is increasing
+    /// in slack, so evaluating it at the recorded minimum bounds the
+    /// post-drift minimum from below.
     fn drain(&self, margin: f64, boundary_cap: f64) -> f64 {
-        (self.dec * boundary_cap).min(self.scale * (margin + self.demand_bound))
+        (self.revoked * boundary_cap).min(self.shrink * (margin + self.demand_bound))
+    }
+
+    /// The lowest-indexed in-play joiner with demand that cannot reach
+    /// `level` — the `never` scan's answer among the joiners — as a
+    /// position in `jobs` (joiners are listed in ascending index).
+    fn unreachable_joiner(&mut self, level: f64) -> Option<usize> {
+        let horizon = self.horizon;
+        self.jobs.iter_mut().position(|j| {
+            j.joined && j.in_play() && j.delta > 0.0 && j.due(level, horizon).is_none()
+        })
+    }
+
+    /// The one replay rule: whether a recorded probe's outcome — the sign
+    /// of `C·e − load(e)` at its boundaries, and the job that answers it —
+    /// stands under the drift. Returns the updated record (margins
+    /// conservatively decayed) or `None` when only a real probe can tell.
+    ///
+    /// Growth is what can only eat slack: a member's demand increase, a
+    /// joiner's whole demand, a revocation's drain. Shrinks — a member's
+    /// decrease, a leaver's whole demand, a capacity increase — only add
+    /// slack, and could heal a violation. A joiner that cannot reach the
+    /// level answers `never` when it has demand, and is parked past every
+    /// boundary when it has none.
+    fn stands(&mut self, probe: ProbeRec) -> Option<Check> {
+        if self.still {
+            return Some(probe.outcome);
+        }
+        let (level, horizon) = (probe.level, self.horizon);
+        match probe.outcome {
+            // Every boundary keeps at least its slack less the growth; the
+            // recorded margin understates what shrinks added (conservative:
+            // it can only force an extra refresh).
+            Check::Feasible { margin } => {
+                let decay = self.grown + self.joined + self.drain(margin, horizon);
+                // Exact zero means no decaying deltas exist, not a rounded value.
+                if decay == 0.0 {
+                    return Some(probe.outcome);
+                }
+                // A joiner also adds a boundary of its own, at its due time
+                // `e`. With a recorded boundary at or before `e` the load
+                // there is that boundary's plus the joiners', which the
+                // decayed margin covers; with none it is the joiners' alone,
+                // which must fit under `C·e`.
+                let mut margin = margin - decay;
+                let (c, joined) = (f64::from(self.capacity), self.joined);
+                for j in self.jobs.iter_mut().filter(|j| j.joined && j.in_play()) {
+                    match j.due(level, horizon) {
+                        Some(e) => margin = margin.min(c * e - joined),
+                        None if j.delta > 0.0 => return None,
+                        None => {}
+                    }
+                }
+                (margin >= REPLAY_GUARD).then_some(Check::Feasible { margin })
+            }
+            // The `never` scan reads utilities and the demand>0 pattern only
+            // — independent of the budget and of every member's demand
+            // (eligibility pins their zero pattern) — and reports the lowest
+            // index: the answer stands unless it left or a lower-indexed
+            // joiner cannot reach the level either.
+            Check::Infeasible { bottleneck, never: true, .. } => {
+                if bottleneck == DEAD {
+                    return None;
+                }
+                let joiner = self.unreachable_joiner(level).map(|at| self.jobs[at].idx);
+                joiner.is_none_or(|idx| idx > bottleneck).then_some(probe.outcome)
+            }
+            Check::Infeasible { bottleneck, boundary, prefix_margin, never: false } => {
+                // A grown budget could heal the violated boundary.
+                if self.grew {
+                    return None;
+                }
+                // A shrink at or before the boundary could heal it, and a
+                // joiner there could move the violation earlier or change
+                // who is blamed: both must be due strictly after it. (A
+                // member's increase may sit anywhere — the slack below.)
+                // The job blamed is due at or before the boundary, so its
+                // departure is such a shrink; the one exception, a boundary
+                // the committed set breaks alone, needs an infeasible floor
+                // and so only occurs as the blamed job's own one-probe
+                // layer, which is dropped or resumed before it is verified.
+                for j in self.jobs.iter_mut().filter(|j| j.in_play()) {
+                    if j.joined || j.left || j.delta < 0.0 {
+                        match j.due(level, horizon) {
+                            Some(e) if e > boundary => {}
+                            None if j.joined && j.delta == 0.0 => {}
+                            _ => return None,
+                        }
+                    }
+                }
+                // Growth before the boundary cannot heal the violation; it
+                // could only move it *earlier*, which the pre-violation slack
+                // rules out.
+                let decay = self.grown + self.drain(prefix_margin, boundary);
+                if decay > prefix_margin - REPLAY_GUARD {
+                    return None;
+                }
+                let prefix_margin = prefix_margin - decay;
+                Some(Check::Infeasible { bottleneck, boundary, prefix_margin, never: false })
+            }
+        }
     }
 }
 
@@ -1417,22 +1593,26 @@ fn carried<T: Copy>(
         .collect()
 }
 
-/// Rewrites a recorded outcome's job index for this pass ([`DEAD`] when the
-/// job departed — no fresh probe can name it, so it never compares equal).
-fn reindexed(outcome: Check, now_at: &[usize]) -> Check {
-    match outcome {
-        Check::Infeasible {
-            bottleneck,
-            boundary,
-            prefix_margin,
-            never,
-        } => Check::Infeasible {
-            bottleneck: now_at[bottleneck],
-            boundary,
-            prefix_margin,
-            never,
-        },
-        feasible @ Check::Feasible { .. } => feasible,
+impl ProbeRec {
+    /// The recorded probe with its job index rewritten for this pass
+    /// ([`DEAD`] when the job departed — no fresh probe can name it, so it
+    /// never compares equal).
+    fn reindexed(mut self, now_at: &[usize]) -> Self {
+        if let Check::Infeasible { bottleneck, .. } = &mut self.outcome {
+            *bottleneck = now_at[*bottleneck];
+        }
+        self
+    }
+}
+
+impl ActionRec {
+    /// The recorded action with the job it closed on as this pass indexes
+    /// it.
+    fn reindexed(mut self, now_at: &[usize]) -> Self {
+        if let ActionRec::Defer { job, .. } | ActionRec::Peel { job, .. } = &mut self {
+            *job = now_at[*job];
+        }
+        self
     }
 }
 
@@ -1463,14 +1643,11 @@ enum Splice {
 /// The delta-replay pass: the state a from-scratch run would hold at the
 /// start of the recorded layer being replayed, rebuilt from the recorded
 /// actions alone. See [`peel_incremental`] for the contract.
-struct Replay<'j, 'u, 'e> {
+struct Replay<'j, 'u> {
     jobs: &'j [OnionJob<'u>],
-    capacity: u32,
     tolerance: f64,
-    horizon: f64,
-    changed: Vec<ChangedJob<'e>>,
-    cap: CapDrift,
-    cap_changed: bool,
+    /// Also holds the pass's capacity and horizon.
+    drift: Drift<'u>,
     /// Whether the job set itself changed (a departure or an arrival) —
     /// the only way a layer's bisection cap can move.
     edited: bool,
@@ -1504,46 +1681,19 @@ struct Replay<'j, 'u, 'e> {
     stats: ReplayStats,
 }
 
-impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
+impl<'j, 'u> Replay<'j, 'u> {
     fn new(
         jobs: &'j [OnionJob<'u>],
         capacity: u32,
         tolerance: f64,
         horizon: f64,
-        edit: &JobEdit<'_, 'e>,
+        edit: &JobEdit<'_, 'u>,
         now_at: &[usize],
         state: &mut PeelState,
     ) -> Self {
         let n = jobs.len();
-        let mut changed: Vec<ChangedJob<'e>> = Vec::new();
-        let mut change = |idx, change, delta| {
-            changed.push(ChangedJob {
-                idx,
-                change,
-                delta,
-                status: ChangedStatus::Active,
-                inv: None,
-            });
-        };
-        let gone = now_at.iter().enumerate().filter(|&(_, &j)| j == DEAD);
-        for ((i, _), &utility) in gone.zip(edit.departed) {
-            change(i, Change::Departed(utility), -(state.demands[i] as f64));
-        }
-        for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
-            match *was {
-                Some(i) => {
-                    if job.demand != state.demands[i] {
-                        change(
-                            j,
-                            Change::Moved,
-                            job.demand as f64 - state.demands[i] as f64,
-                        );
-                    }
-                }
-                None => change(j, Change::Arrived, job.demand as f64),
-            }
-        }
-        let edited = changed.iter().any(|c| !matches!(c.change, Change::Moved));
+        let drift = Drift::new(jobs, capacity, horizon, edit, now_at, state);
+        let edited = drift.jobs.iter().any(|j| j.joined || j.left);
         // Without arrivals or departures `prev` is the identity.
         let sups = carried(&mut state.sups, edited, edit.prev, |j| jobs[j].utility.sup());
         let sigmoids = carried(&mut state.sigmoids, edited, edit.prev, |j| {
@@ -1554,26 +1704,12 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         } else {
             Vec::new()
         };
-        // Capacity divergence: a revocation drains slack at every boundary
-        // (see [`CapDrift::drain`]); a restock can only add slack (but may
-        // heal recorded violations, forcing refreshes).
-        let revoked = f64::from(state.capacity.saturating_sub(capacity));
-        let cap = CapDrift {
-            dec: revoked,
-            inc: capacity > state.capacity,
-            scale: revoked / f64::from(state.capacity.max(1)),
-            demand_bound: state.demands.iter().map(|&d| d as f64).sum(),
-        };
         let mut out = std::mem::take(&mut state.spare);
         out.clear();
         Replay {
             jobs,
-            capacity,
             tolerance,
-            horizon,
-            changed,
-            cap,
-            cap_changed: capacity != state.capacity,
+            drift,
             edited,
             sups,
             sigmoids,
@@ -1618,11 +1754,13 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
     }
 
     /// The layer-closing bookkeeping of `run_layers` for a deferred
-    /// bottleneck, minus the sweep state (caught up lazily).
+    /// bottleneck, minus the sweep state (caught up lazily), plus where the
+    /// job's drift now sits.
     fn defer(&mut self, job: usize, level: f64, floor_ok: bool) {
         self.remove(job);
         self.deferred.push((job, level));
         self.floor_feasible = floor_ok;
+        self.settle(false, job, ChangedStatus::Deferred);
     }
 
     /// Likewise for a peeled bottleneck.
@@ -1640,17 +1778,14 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         }
         self.level_lo = level;
         self.floor_feasible = floor_ok;
+        self.settle(false, job, ChangedStatus::Committed(deadline));
     }
 
     /// Records where a changed job's demand went when its layer closed
-    /// (`departed` jobs are listed under their recorded index).
-    fn settle(&mut self, departed: bool, idx: usize, status: ChangedStatus) {
-        let found = self
-            .changed
-            .iter_mut()
-            .find(|c| c.is_departed() == departed && c.idx == idx);
-        if let Some(ch) = found {
-            ch.status = status;
+    /// (jobs that `left` are listed under their recorded index).
+    fn settle(&mut self, left: bool, idx: usize, status: ChangedStatus) {
+        if let Some(j) = self.drift.jobs.iter_mut().find(|j| j.left == left && j.idx == idx) {
+            j.status = status;
         }
     }
 
@@ -1696,133 +1831,6 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         (scratch, index, &self.sigmoids)
     }
 
-    /// Re-verifies one recorded probe arithmetically. `moved` is the total
-    /// demand increase of surviving jobs currently in play, `arrived` that
-    /// of new ones. Returns the updated record (conservatively decayed
-    /// margins) or `None` when a real probe is needed.
-    fn verify(&mut self, rec: ProbeRec, moved: f64, arrived: f64) -> Option<Check> {
-        let (jobs, horizon, cap) = (self.jobs, self.horizon, self.cap);
-        let c = f64::from(self.capacity);
-        match rec.outcome {
-            Check::Feasible { margin } => {
-                // Decreases — departures included — and a capacity
-                // *increase* only grow every boundary's slack; demand
-                // increases shrink each by at most their sum, and a
-                // capacity loss drains at most [`CapDrift::drain`] more.
-                // Under a pure capacity increase the recorded margin is
-                // kept unchanged — an understatement of the true slack,
-                // which is conservative (it can only force an extra
-                // refresh, never verify a flipped probe).
-                let decay = moved + arrived + cap.drain(margin, horizon);
-                // Exact zero means no decaying deltas exist, not a rounded value.
-                if decay == 0.0 {
-                    return Some(rec.outcome);
-                }
-                let mut margin = margin - decay;
-                // An arrival also adds a boundary of its own, at its due
-                // time `e`. With a recorded boundary at or before `e` the
-                // load there is that boundary's plus the arrivals', which
-                // the decayed margin covers; with none it is the arrivals'
-                // alone, which must fit under `C·e`.
-                for ch in &mut self.changed {
-                    if !matches!(ch.change, Change::Arrived) || ch.status == ChangedStatus::Deferred
-                    {
-                        continue;
-                    }
-                    match ch.due(jobs, rec.level, horizon) {
-                        Some(e) => margin = margin.min(c * e - arrived),
-                        // It cannot reach the level: a `never` answer,
-                        // unless it is demand-free (parked at ∞).
-                        None if ch.delta > 0.0 => return None,
-                        None => {}
-                    }
-                }
-                (margin >= REPLAY_GUARD).then_some(Check::Feasible { margin })
-            }
-            // The never-scan reads utilities and the demand>0 pattern only
-            // — independent of the capacity and of every surviving demand
-            // (eligibility pins their zero pattern) — and reports the
-            // lowest index: the answer stands unless it departed or a
-            // lower-indexed arrival cannot reach the level either.
-            Check::Infeasible {
-                bottleneck,
-                never: true,
-                ..
-            } => {
-                let answer_stands = bottleneck != DEAD
-                    && self
-                        .unreachable_arrival(rec.level)
-                        .is_none_or(|at| self.changed[at].idx > bottleneck);
-                answer_stands.then_some(rec.outcome)
-            }
-            Check::Infeasible {
-                bottleneck,
-                boundary,
-                prefix_margin,
-                never: false,
-            } => {
-                // A capacity increase could heal the violated boundary
-                // itself, and so could the departure of the job blamed for
-                // it; only a real probe can tell.
-                if cap.inc || bottleneck == DEAD {
-                    return None;
-                }
-                for ch in &mut self.changed {
-                    if ch.status == ChangedStatus::Deferred {
-                        continue;
-                    }
-                    // A decreased demand at or before the violated boundary
-                    // could heal it, and a new one there could move the
-                    // violation earlier or change who is blamed: both must
-                    // sit strictly after it. (A surviving job's increase
-                    // may sit anywhere — the pre-violation slack below.)
-                    let needs_after = match ch.change {
-                        Change::Moved => ch.delta < 0.0,
-                        Change::Departed(_) | Change::Arrived => true,
-                    };
-                    if !needs_after {
-                        continue;
-                    }
-                    match ch.due(jobs, rec.level, horizon) {
-                        Some(e) if e > boundary => {}
-                        // A demand-free arrival that cannot reach the
-                        // level is parked at ∞, after every boundary.
-                        None if matches!(ch.change, Change::Arrived) && ch.delta == 0.0 => {}
-                        _ => return None,
-                    }
-                }
-                // Increases (demand, or the capacity loss's slack drain at
-                // every boundary `d ≤ boundary`) cannot heal the violation;
-                // they could only move it *earlier*, which the pre-violation
-                // slack rules out.
-                let decay = moved + cap.drain(prefix_margin, boundary);
-                if decay > prefix_margin - REPLAY_GUARD {
-                    return None;
-                }
-                Some(Check::Infeasible {
-                    bottleneck,
-                    boundary,
-                    prefix_margin: prefix_margin - decay,
-                    never: false,
-                })
-            }
-        }
-    }
-
-    /// The lowest-indexed active arrival that cannot reach `level` — the
-    /// never-scan's answer among the arrivals — as a position in `changed`.
-    fn unreachable_arrival(&mut self, level: f64) -> Option<usize> {
-        let (jobs, horizon) = (self.jobs, self.horizon);
-        // Arrivals were listed in ascending index: the first hit is the
-        // lowest-indexed one.
-        self.changed.iter_mut().position(|ch| {
-            matches!(ch.change, Change::Arrived)
-                && ch.status == ChangedStatus::Active
-                && ch.delta > 0.0
-                && ch.due(jobs, level, horizon).is_none()
-        })
-    }
-
     /// At the start of a recorded layer entered with a feasible floor, a
     /// from-scratch run's first probe sits one tolerance above the floor.
     /// If an active arrival cannot reach that level — and no lower-indexed
@@ -1835,7 +1843,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         let Some(first) = first.filter(|_| self.floor_feasible) else {
             return Splice::NotHere;
         };
-        let Some(mut at) = self.unreachable_arrival(first.level) else {
+        let Some(mut at) = self.drift.unreachable_joiner(first.level) else {
             return Splice::NotHere;
         };
         let recorded_never = match first.outcome {
@@ -1846,12 +1854,12 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
             } => Some(bottleneck),
             _ => None,
         };
-        if recorded_never.is_some_and(|b| b < self.changed[at].idx) {
+        if recorded_never.is_some_and(|b| b < self.drift.jobs[at].idx) {
             return Splice::NotHere;
         }
-        let never = |level, at: usize, changed: &[ChangedJob<'_>]| ProbeRec {
+        let never = |level, at: usize, drift: &Drift<'_>| ProbeRec {
             level,
-            outcome: Check::never(changed[at].idx),
+            outcome: Check::never(drift.jobs[at].idx),
         };
         let lo = self.level_lo;
         let hi_cap = self.hi_cap();
@@ -1861,28 +1869,28 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
             return Splice::Diverged;
         }
         let probe_start = self.out.probes.len();
-        self.out.probes.push(never(hi, at, &self.changed));
+        self.out.probes.push(never(hi, at, &self.drift));
         while hi - lo > self.tolerance {
             let mid = 0.5 * (lo + hi);
             // A recorded `never` answer may stay out of reach below its
             // level, and a probe no arrival answers needs a real sweep.
             let Some(next) = self
-                .unreachable_arrival(mid)
+                .drift
+                .unreachable_joiner(mid)
                 .filter(|_| recorded_never.is_none())
             else {
                 self.out.probes.truncate(probe_start);
                 return Splice::Diverged;
             };
-            self.out.probes.push(never(mid, next, &self.changed));
+            self.out.probes.push(never(mid, next, &self.drift));
             (hi, at) = (mid, next);
         }
-        let (jobs, horizon) = (self.jobs, self.horizon);
-        let job = self.changed[at].idx;
+        let (jobs, horizon) = (self.jobs, self.drift.horizon);
+        let job = self.drift.jobs[at].idx;
         let sup = self.sups[job];
         let level_b = lo.min(sup);
         let action = if is_deadline_free(&jobs[job], sup, level_b) {
             self.defer(job, level_b, true);
-            self.changed[at].status = ChangedStatus::Deferred;
             ActionRec::Defer {
                 job,
                 level: level_b,
@@ -1890,7 +1898,6 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         } else {
             let deadline = deadline_for(&jobs[job], sup, lo, horizon);
             self.commit(job, lo, deadline, true);
-            self.changed[at].status = ChangedStatus::Committed(deadline);
             ActionRec::Peel {
                 job,
                 level: lo,
@@ -1974,27 +1981,8 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                 self.stats.dropped_layers += 1;
                 continue;
             }
-            // The job this layer closed on, as this pass indexes it.
-            let action = match layer.action {
-                ActionRec::Defer { job, level } => ActionRec::Defer {
-                    job: now_at[job],
-                    level,
-                },
-                ActionRec::Peel {
-                    job,
-                    level,
-                    deadline,
-                } => ActionRec::Peel {
-                    job: now_at[job],
-                    level,
-                    deadline,
-                },
-                finish @ ActionRec::FinishAll { .. } => finish,
-            };
-            let first = probes.first().map(|p| ProbeRec {
-                level: p.level,
-                outcome: reindexed(p.outcome, now_at),
-            });
+            let action = layer.action.reindexed(now_at);
+            let first = probes.first().map(|p| p.reindexed(now_at));
             loop {
                 match self.splice_arrival(first) {
                     Splice::NotHere => break,
@@ -2012,42 +2000,21 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                 layer.hi_cap
             };
 
-            // What is in play this layer: a deferred job's demand influences
-            // nothing until the deferred phase.
-            let (mut moved, mut arrived, mut influenced) = (0.0, 0.0, self.cap_changed);
-            for ch in self
-                .changed
-                .iter()
-                .filter(|c| c.status != ChangedStatus::Deferred)
-            {
-                influenced = true;
-                match ch.change {
-                    Change::Moved => moved += ch.delta.max(0.0),
-                    Change::Arrived => arrived += ch.delta,
-                    Change::Departed(_) => {}
-                }
-            }
+            self.drift.enter_layer();
             let probe_start = self.out.probes.len();
             let decisive = probes
                 .iter()
                 .rposition(|p| matches!(p.outcome, Check::Infeasible { .. }));
             for (k, p) in probes.iter().enumerate() {
-                let rec = ProbeRec {
-                    level: p.level,
-                    outcome: reindexed(p.outcome, now_at),
-                };
-                let verdict = if influenced {
-                    self.verify(rec, moved, arrived)
-                } else {
-                    Some(rec.outcome)
-                };
-                let outcome = match verdict {
+                let rec = p.reindexed(now_at);
+                let outcome = match self.drift.stands(rec) {
                     Some(updated) => {
                         self.stats.verified_probes += 1;
                         updated
                     }
                     None => {
-                        let (jobs, capacity, horizon) = (self.jobs, self.capacity, self.horizon);
+                        let (jobs, capacity, horizon) =
+                            (self.jobs, self.drift.capacity, self.drift.horizon);
                         let (scratch, index, sigmoids) = self.materialize();
                         let level = rec.level;
                         let fresh =
@@ -2068,17 +2035,9 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                 });
             }
             match action {
-                ActionRec::Defer { job, level } => {
-                    self.defer(job, level, layer.floor_ok);
-                    self.settle(false, job, ChangedStatus::Deferred);
-                }
-                ActionRec::Peel {
-                    job,
-                    level,
-                    deadline,
-                } => {
+                ActionRec::Defer { job, level } => self.defer(job, level, layer.floor_ok),
+                ActionRec::Peel { job, level, deadline } => {
                     self.commit(job, level, deadline, layer.floor_ok);
-                    self.settle(false, job, ChangedStatus::Committed(deadline));
                 }
                 ActionRec::FinishAll { lo } => {
                     for i in 0..n {
@@ -2092,7 +2051,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
                             self.deferred.push((i, level_i));
                             continue;
                         }
-                        let deadline = deadline_for(&self.jobs[i], sup_i, lo, self.horizon);
+                        let deadline = deadline_for(&self.jobs[i], sup_i, lo, self.drift.horizon);
                         self.targets.push(Target {
                             job: i,
                             level: level_i,
@@ -2135,9 +2094,9 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         });
         let mut ctx = PeelCtx {
             jobs: self.jobs,
-            capacity: self.capacity,
+            capacity: self.drift.capacity,
             tolerance: self.tolerance,
-            horizon: self.horizon,
+            horizon: self.drift.horizon,
             active: Vec::new(),
             active_count: 0,
             committed: self.committed,
@@ -2166,7 +2125,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
             ctx.index.rebuild(&ctx.committed);
         }
         finish_deferred(&mut ctx);
-        debug_check_theorem2(&ctx.committed, self.capacity, ctx.overloaded);
+        debug_check_theorem2(&ctx.committed, self.drift.capacity, ctx.overloaded);
         state.trace = ctx.trace;
         state.spare = rec;
         state.sups = ctx.sups;
@@ -2174,7 +2133,7 @@ impl<'j, 'u, 'e> Replay<'j, 'u, 'e> {
         state.floor = floor;
         state.demands.clear();
         state.demands.extend(self.jobs.iter().map(|j| j.demand));
-        state.capacity = self.capacity;
+        state.capacity = self.drift.capacity;
         state.stats = self.stats;
         ctx.targets
     }
@@ -2813,6 +2772,55 @@ mod tests {
         let inc = replayed(&j4, 9, 1e-4, 1e6, &mut state);
         assert_targets_bitwise(&full, &inc, "post-reset delta");
         assert!(state.last_stats().delta);
+    }
+
+    /// Records a pass over `before`, replays `after` (the jobs of `before`
+    /// plus arrivals, placed by `prev`) and checks it bitwise against a
+    /// from-scratch peel.
+    fn replay_arrivals(
+        before: &[OnionJob<'_>],
+        after: &[OnionJob<'_>],
+        prev: &[Option<usize>],
+        capacity: u32,
+    ) -> ReplayStats {
+        let (tol, hor) = (1e-3, 1e6);
+        let mut state = PeelState::new();
+        replayed(before, capacity, tol, hor, &mut state);
+        let edit = JobEdit { prev, departed: &[] };
+        let inc = peel_incremental(after, capacity, tol, hor, edit, &mut state).unwrap();
+        assert_targets_bitwise(&peel(after, capacity, tol, hor).unwrap(), &inc, "arrivals");
+        state.last_stats()
+    }
+
+    fn step(budget: f64, weight: f64) -> TimeUtility {
+        TimeUtility::step(budget, weight).unwrap()
+    }
+
+    /// The drift rule's joiner terms, each the only one to catch its case
+    /// (the fleet streams never need them). Recorded: two jobs whose
+    /// boundaries are late, the layers ending at their weights 0.5 and 2.
+    #[test]
+    fn replay_charges_arrivals_their_own_boundaries_and_answers() {
+        let (late, low, top) = (step(5000.0, 2.0), step(3000.0, 0.5), step(500.0, 2.0));
+        let before =
+            [OnionJob { demand: 100, utility: &late }, OnionJob { demand: 100, utility: &low }];
+        // Due at 20, before every recorded boundary: the feasible probes'
+        // slack absorbs its 500, but 10 containers · 20 slots do not.
+        let early = step(20.0, 1.0);
+        let after = [before[0], before[1], OnionJob { demand: 500, utility: &early }];
+        assert!(replay_arrivals(&before, &after, &[Some(0), Some(1), None], 10).delta);
+        // Out of reach above 1.5, where the second recorded layer probed
+        // feasible levels: from scratch it answers `never` there.
+        let mid = step(5000.0, 1.5);
+        let after = [before[0], before[1], OnionJob { demand: 100, utility: &mid }];
+        assert!(replay_arrivals(&before, &after, &[Some(0), Some(1), None], 10).delta);
+        // A twin of the recorded job `top`, inserted ahead of it: the same
+        // levels are out of reach for both, and the `never` scan answers
+        // with the lower index.
+        let before =
+            [OnionJob { demand: 10, utility: &low }, OnionJob { demand: 10, utility: &top }];
+        let after = [before[0], before[1], before[1]];
+        assert!(replay_arrivals(&before, &after, &[Some(0), None, Some(1)], 1000).delta);
     }
 
     /// `check_level`'s inversion of `u` at `level`: the sigmoid record with

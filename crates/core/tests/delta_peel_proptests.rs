@@ -18,7 +18,8 @@
 //! deterministic fleet-scale streams (`*_fleet_replays_job_churn`: 300+
 //! jobs, 88+ events each, one per regime — supremum-capped, overloaded,
 //! contended) additionally pin the *path*: layers dropped and spliced, how
-//! far the trace carried, and where a pass may not give it up.
+//! far the trace carried, and where a pass may not give it up — each with
+//! its `ReplayStats` totals pinned exactly.
 
 use proptest::prelude::*;
 use rush_core::onion::{self, JobEdit, OnionJob, PeelState};
@@ -165,14 +166,28 @@ struct Fleet {
     prev_utilities: Vec<TimeUtility>,
     prev_order: Vec<onion::Target>,
     passes: usize,
-    /// Passes that replayed to the end / whose resume bound was checked.
-    full_replays: usize,
+    /// Passes whose resume bound was checked.
     bounded: usize,
-    /// Recorded layers replayed, of the layers peeled.
-    replayed: usize,
+    /// Layers peeled by the passes after the first.
     peeled: usize,
-    dropped: usize,
-    spliced: usize,
+    path: Path,
+}
+
+/// `ReplayStats` summed over a stream's passes: the path it took. Each
+/// stream pins its totals exactly, so a rule that turns more conservative
+/// fails even while every answer stays bit-identical. A change that moves
+/// the path on purpose updates the constants and says why.
+#[derive(Debug, Default, PartialEq)]
+struct Path {
+    replayed_layers: usize,
+    verified_probes: usize,
+    refreshed_probes: usize,
+    dropped_layers: usize,
+    spliced_layers: usize,
+    /// Passes that replayed to the end (`resumed_at` is `None`).
+    full_replays: usize,
+    /// `resumed_at` summed over the passes that resumed.
+    resumed_at: usize,
 }
 
 const FLEET_HORIZON: f64 = 1e6;
@@ -192,12 +207,9 @@ impl Fleet {
             prev_utilities: Vec::new(),
             prev_order: Vec::new(),
             passes: 0,
-            full_replays: 0,
             bounded: 0,
-            replayed: 0,
             peeled: 0,
-            dropped: 0,
-            spliced: 0,
+            path: Path::default(),
         }
     }
 
@@ -290,11 +302,15 @@ impl Fleet {
             "{what}: must replay, not re-peel ({stats:?})"
         );
         if self.passes > 0 {
-            self.full_replays += usize::from(stats.resumed_at.is_none());
-            self.replayed += stats.replayed_layers;
+            let path = &mut self.path;
+            path.replayed_layers += stats.replayed_layers;
+            path.verified_probes += stats.verified_probes;
+            path.refreshed_probes += stats.refreshed_probes;
+            path.dropped_layers += stats.dropped_layers;
+            path.spliced_layers += stats.spliced_layers;
+            path.full_replays += usize::from(stats.resumed_at.is_none());
+            path.resumed_at += stats.resumed_at.unwrap_or(0);
             self.peeled += self.ids.len();
-            self.dropped += stats.dropped_layers;
-            self.spliced += stats.spliced_layers;
             // Every job here peels in a layer of its own, so a job's place
             // in the peel order is its layer. A departed job's is read off
             // the recorded order; an arrival lands at most one layer per
@@ -409,20 +425,32 @@ fn supremum_capped_fleet_replays_job_churn() {
     }
     fleet.pass("first pass", false);
     churn(&mut fleet, 5, 96, false, job);
+    assert_eq!(
+        fleet.path,
+        Path {
+            replayed_layers: 30189,
+            verified_probes: 47436,
+            refreshed_probes: 10,
+            dropped_layers: 60,
+            spliced_layers: 96,
+            full_replays: 60,
+            resumed_at: 9805,
+        }
+    );
     assert!(fleet.passes >= 81 && fleet.ids.len() >= 300);
     // The path, not just the answer: most passes never reach the real loop,
     // and the bound above was actually put to the test.
     assert!(
-        fleet.full_replays * 2 > fleet.passes,
+        fleet.path.full_replays * 2 > fleet.passes,
         "{} of {}",
-        fleet.full_replays,
+        fleet.path.full_replays,
         fleet.passes
     );
     assert!(
-        fleet.dropped >= 30 && fleet.spliced >= 30,
+        fleet.path.dropped_layers >= 30 && fleet.path.spliced_layers >= 30,
         "{} / {}",
-        fleet.dropped,
-        fleet.spliced
+        fleet.path.dropped_layers,
+        fleet.path.spliced_layers
     );
     assert!(
         fleet.bounded >= 10,
@@ -449,20 +477,36 @@ fn overloaded_fleet_replays_job_churn() {
     }
     fleet.pass("first pass", false);
     churn(&mut fleet, 4, 88, true, job);
+    assert_eq!(
+        fleet.path,
+        Path {
+            replayed_layers: 10476,
+            verified_probes: 16478,
+            refreshed_probes: 238,
+            dropped_layers: 17,
+            spliced_layers: 0,
+            full_replays: 20,
+            resumed_at: 3931,
+        }
+    );
     assert!(fleet.passes >= 81 && fleet.ids.len() >= 300);
     // Here an edit may rightly flip a probe far above its own layer, so
     // there is no bound to hold a pass to — but the rules must still carry
     // a good part of the trace, and departures must still drop layers.
     assert!(
-        fleet.full_replays >= 15,
+        fleet.path.full_replays >= 15,
         "{} full replays",
-        fleet.full_replays
+        fleet.path.full_replays
     );
-    assert!(fleet.dropped >= 15, "{} dropped layers", fleet.dropped);
     assert!(
-        fleet.replayed * 4 >= fleet.peeled,
+        fleet.path.dropped_layers >= 15,
+        "{} dropped layers",
+        fleet.path.dropped_layers
+    );
+    assert!(
+        fleet.path.replayed_layers * 4 >= fleet.peeled,
         "{} of {} layers",
-        fleet.replayed,
+        fleet.path.replayed_layers,
         fleet.peeled
     );
 }
@@ -487,20 +531,32 @@ fn contended_fleet_replays_job_churn() {
     }
     fleet.pass("first pass", false);
     churn(&mut fleet, 4, 88, true, job);
+    assert_eq!(
+        fleet.path,
+        Path {
+            replayed_layers: 9371,
+            verified_probes: 18061,
+            refreshed_probes: 1209,
+            dropped_layers: 12,
+            spliced_layers: 28,
+            full_replays: 0,
+            resumed_at: 9383,
+        }
+    );
     assert!(fleet.passes >= 81 && fleet.ids.len() >= 290);
     // Loads move under most edits here, so few passes replay to the end —
     // but none may start over, and the rules still carry a good part of
     // every trace.
     assert!(
-        fleet.dropped + fleet.spliced >= 30,
+        fleet.path.dropped_layers + fleet.path.spliced_layers >= 30,
         "{} / {}",
-        fleet.dropped,
-        fleet.spliced
+        fleet.path.dropped_layers,
+        fleet.path.spliced_layers
     );
     assert!(
-        fleet.replayed * 4 >= fleet.peeled,
+        fleet.path.replayed_layers * 4 >= fleet.peeled,
         "{} of {} layers",
-        fleet.replayed,
+        fleet.path.replayed_layers,
         fleet.peeled
     );
 }

@@ -73,6 +73,13 @@ pub enum EstimatorError {
     },
     /// An internal probability operation failed.
     Prob(ProbError),
+    /// The demand range to quantize reaches 2⁵³ container·slots, past
+    /// which demands stop being exact in the `f64` arithmetic that plans
+    /// them.
+    RangeTooLarge {
+        /// The top of the range.
+        hi: f64,
+    },
 }
 
 impl fmt::Display for EstimatorError {
@@ -85,6 +92,9 @@ impl fmt::Display for EstimatorError {
                 write!(f, "invalid estimator config: {reason}")
             }
             EstimatorError::Prob(e) => write!(f, "probability error: {e}"),
+            EstimatorError::RangeTooLarge { hi } => {
+                write!(f, "demand range up to {hi} container·slots does not fit")
+            }
         }
     }
 }
@@ -162,13 +172,55 @@ impl RuntimePrior {
     }
 }
 
+/// Ranges at or past this many container·slots are refused: demands
+/// stay exact integers in `f64` below it.
+const MAX_RANGE: f64 = 9_007_199_254_740_992.0; // 2⁵³
+
+/// Checks that `remaining_tasks` tasks whose runtimes are at most
+/// `max_runtime` slots can be estimated from those runtimes: every
+/// estimator accepts such samples, for that many tasks or fewer (a lone
+/// sample borrows the cold prior's spread, which `binning` still checks).
+/// A sample refused here would fail every later estimate of its job, so
+/// callers that take runtimes from outside refuse it on arrival.
+///
+/// The widest range any estimator here spans for such tasks is
+/// `max_runtime × (1.5·n + 8·√n)`: the mean estimator's 50 % headroom
+/// over `n·max`, the Gaussian's `n·x̄ + 8·√n·s` (a sample spread `s` is at
+/// most `max/√2`), the bootstrap's `1.25·n·max`.
+///
+/// # Errors
+///
+/// [`EstimatorError::RangeTooLarge`] when that range reaches 2⁵³.
+pub fn check_runtime(max_runtime: u64, remaining_tasks: usize) -> Result<(), EstimatorError> {
+    let n = remaining_tasks as f64;
+    match max_runtime as f64 * (1.5 * n + 8.0 * n.sqrt()) {
+        hi if hi < MAX_RANGE => Ok(()),
+        hi => Err(EstimatorError::RangeTooLarge { hi }),
+    }
+}
+
+/// [`check_runtime`] on the largest of `samples`, before an estimator
+/// spends any work on them.
+fn check_samples(samples: &[u64], remaining_tasks: usize) -> Result<(), EstimatorError> {
+    check_runtime(samples.iter().copied().max().unwrap_or(0), remaining_tasks)
+}
+
 /// Picks `(bins, bin_width)` so that the range `[0, hi]` fits in at most
 /// `max_bins` bins.
-fn binning(hi: f64, max_bins: usize) -> (usize, u64) {
-    let hi = hi.max(1.0).ceil() as u64 + 1;
+///
+/// # Errors
+///
+/// [`EstimatorError::RangeTooLarge`] when `hi` is at or past 2⁵³: a
+/// submission's task count times its runtime can get there.
+fn binning(hi: f64, max_bins: usize) -> Result<(usize, u64), EstimatorError> {
+    let top = hi.max(1.0).ceil();
+    if top >= MAX_RANGE {
+        return Err(EstimatorError::RangeTooLarge { hi });
+    }
+    let hi = top as u64 + 1;
     let bin_width = hi.div_ceil(max_bins as u64).max(1);
     let bins = (hi.div_ceil(bin_width) as usize).max(2);
-    (bins, bin_width)
+    Ok((bins, bin_width))
 }
 
 /// Sample mean and (unbiased) variance of integer runtimes. An empty slice
@@ -221,6 +273,7 @@ impl DistributionEstimator for MeanEstimator {
         samples: &[u64],
         remaining_tasks: usize,
     ) -> Result<Estimate, EstimatorError> {
+        check_samples(samples, remaining_tasks)?;
         let mean_rt = if samples.is_empty() {
             self.prior.ok_or(EstimatorError::NoSamples)?.mean
         } else {
@@ -235,7 +288,7 @@ impl DistributionEstimator for MeanEstimator {
         let total = mean_rt * remaining_tasks as f64;
         // Leave 50% headroom above the impulse so WCDE's worst case has
         // somewhere to move mass.
-        let (bins, bin_width) = binning(total * 1.5, self.max_bins);
+        let (bins, bin_width) = binning(total * 1.5, self.max_bins)?;
         let bin = ((total / bin_width as f64).round() as usize).min(bins - 1);
         let pmf = Pmf::impulse(bins, bin, bin_width)?;
         Ok(Estimate { pmf, mean_task_runtime: mean_rt.max(1.0) })
@@ -274,6 +327,7 @@ impl DistributionEstimator for GaussianEstimator {
         samples: &[u64],
         remaining_tasks: usize,
     ) -> Result<Estimate, EstimatorError> {
+        check_samples(samples, remaining_tasks)?;
         let (mean_rt, var_rt) = if samples.is_empty() {
             let p = self.prior.ok_or(EstimatorError::NoSamples)?;
             (p.mean, p.std * p.std)
@@ -297,7 +351,7 @@ impl DistributionEstimator for GaussianEstimator {
         let total_mean = n * mean_rt;
         let total_std = (n * var_rt).sqrt().max(1e-6);
         let hi = total_mean + 8.0 * total_std;
-        let (bins, bin_width) = binning(hi, self.max_bins);
+        let (bins, bin_width) = binning(hi, self.max_bins)?;
         let g = Gaussian::new(total_mean, total_std).map_err(EstimatorError::Prob)?;
         let pmf = g.quantize(bins, bin_width)?.into_support_floor(1e-12)?;
         Ok(Estimate { pmf, mean_task_runtime: mean_rt.max(1.0) })
@@ -348,6 +402,9 @@ impl DistributionEstimator for EmpiricalEstimator {
                 .with_prior(prior)
                 .estimate(samples, remaining_tasks);
         }
+        // Before the bootstrap: it adds `remaining_tasks` samples per
+        // resample, and this bounds those sums below 2⁵³.
+        check_samples(samples, remaining_tasks)?;
         let (mean_rt, _) = sample_moments(samples);
         if remaining_tasks == 0 {
             return Ok(Estimate {
@@ -372,7 +429,7 @@ impl DistributionEstimator for EmpiricalEstimator {
             sums.push(total);
         }
         let hi = sums.iter().copied().max().unwrap_or(1) as f64 * 1.25;
-        let (bins, bin_width) = binning(hi, self.max_bins);
+        let (bins, bin_width) = binning(hi, self.max_bins)?;
         let pmf = Pmf::from_samples(&sums, bins, bin_width)?
             .rebin(bins, bin_width)?
             .into_support_floor(1e-12)?;
@@ -455,7 +512,7 @@ mod tests {
                 let got = de.estimate(samples, remaining).expect("estimate succeeds").pmf;
                 let n = remaining as f64;
                 let std = (n * var_rt).sqrt().max(1e-6);
-                let (bins, bin_width) = binning(n * mean_rt + 8.0 * std, 512);
+                let (bins, bin_width) = binning(n * mean_rt + 8.0 * std, 512).expect("fits");
                 let quantized = Gaussian::new(n * mean_rt, std)
                     .and_then(|g| g.quantize(bins, bin_width))
                     .expect("quantize");
@@ -541,9 +598,61 @@ mod tests {
     #[test]
     fn binning_respects_max_bins() {
         for hi in [1.0, 10.0, 1000.0, 123456.0] {
-            let (bins, width) = binning(hi, 256);
+            let (bins, width) = binning(hi, 256).expect("fits");
             assert!(bins <= 257, "bins={bins}");
             assert!(bins as u64 * width >= hi as u64, "range covered");
+        }
+    }
+
+    /// `tasks × runtime` can reach 2⁶⁴ on the wire (10¹⁰ tasks of 10¹⁰
+    /// slots); every estimator refuses a range past 2⁵³ instead of wrapping
+    /// it.
+    #[test]
+    fn ranges_past_exact_f64_integers_are_refused() {
+        assert!(binning(MAX_RANGE - 1.0, 256).is_ok());
+        for hi in [MAX_RANGE, 1.5e20, f64::INFINITY] {
+            assert!(matches!(binning(hi, 256), Err(EstimatorError::RangeTooLarge { .. })), "{hi}");
+        }
+        // 1000 tasks of 10¹³ slots: 10¹⁶ container·slots, past 2⁵³.
+        let huge = [10_000_000_000_000u64];
+        assert!(MeanEstimator::new(512).estimate(&huge, 1000).is_err());
+        assert!(GaussianEstimator::new(512).estimate(&huge, 1000).is_err());
+        assert!(EmpiricalEstimator::new(512, 16).estimate(&huge, 1000).is_err());
+        // 10¹⁰ tasks of 10¹⁰ slots: the bootstrap would add 10¹⁰ samples
+        // per resample, overflowing `u64` long before it finished; the
+        // range is refused before it starts.
+        let refused = EmpiricalEstimator::new(512, 16).estimate(&[10_000_000_000], 10_000_000_000);
+        assert!(matches!(refused, Err(EstimatorError::RangeTooLarge { .. })));
+    }
+
+    /// A runtime [`check_runtime`] accepts is one every estimator sizes, for
+    /// as many tasks or fewer, alone or among smaller samples; one it
+    /// refuses, every estimator refuses.
+    #[test]
+    fn check_runtime_is_the_bound_every_estimator_keeps() {
+        let de = [
+            &MeanEstimator::new(512) as &dyn DistributionEstimator,
+            &GaussianEstimator::new(512),
+            &EmpiricalEstimator::new(512, 16),
+        ];
+        let n = 1000usize;
+        // The largest runtime that fits, and the next one.
+        let (mut ok, mut over) = (1u64, 1u64 << 53);
+        while over - ok > 1 {
+            let mid = ok + (over - ok) / 2;
+            if check_runtime(mid, n).is_ok() {
+                ok = mid;
+            } else {
+                over = mid;
+            }
+        }
+        for de in de {
+            for samples in [vec![ok], vec![0, ok], vec![ok, 1, ok]] {
+                for remaining in [n, n / 2, 1] {
+                    assert!(de.estimate(&samples, remaining).is_ok(), "{} {samples:?}", de.name());
+                }
+            }
+            assert!(de.estimate(&[over], n).is_err(), "{}", de.name());
         }
     }
 

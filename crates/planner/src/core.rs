@@ -447,11 +447,16 @@ impl PlannerCore {
     /// In [`ColdStart::PooledByLabel`] mode the sample also feeds the
     /// same-label and cluster-wide pools (a sample for an unknown job
     /// still feeds the cluster pool — evidence is evidence). In
-    /// [`ColdStart::OwnSamplesOnly`] mode an unknown job is an error.
+    /// [`ColdStart::OwnSamplesOnly`] mode an unknown job is an error, and
+    /// so is a runtime too large to estimate the job's remaining tasks
+    /// from ([`rush_estimator::check_runtime`]): kept, it would fail every
+    /// later plan. Roster mode (pooled) trusts its caller's runtimes.
     ///
     /// # Errors
     ///
-    /// [`PlannerError::UnknownJob`] in `OwnSamplesOnly` mode only.
+    /// [`PlannerError::UnknownJob`] and [`PlannerError::Estimator`]
+    /// ([`rush_estimator::EstimatorError::RangeTooLarge`]), in
+    /// `OwnSamplesOnly` mode only; the job is left untouched.
     pub fn ingest_sample(
         &mut self,
         job: JobId,
@@ -461,6 +466,7 @@ impl PlannerCore {
             ColdStart::OwnSamplesOnly => {
                 let record =
                     self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
+                rush_estimator::check_runtime(runtime, record.remaining_tasks as usize)?;
                 record.samples.push(runtime);
                 record.remaining_tasks = record.remaining_tasks.saturating_sub(1);
                 let completed = record.remaining_tasks == 0;
@@ -895,6 +901,24 @@ mod tests {
             k.ingest_sample(a, 1),
             Err(PlannerError::UnknownJob(0))
         ));
+    }
+
+    /// A runtime too large to estimate the job's remaining tasks from never
+    /// reaches its samples: kept, it would fail every plan until the job
+    /// left.
+    #[test]
+    fn own_samples_mode_refuses_a_runtime_it_cannot_estimate() {
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
+        let a = k.admit(spec("a", 100, 0));
+        assert!(matches!(
+            k.ingest_sample(a, 100_000_000_000_000),
+            Err(PlannerError::Estimator(rush_estimator::EstimatorError::RangeTooLarge { .. }))
+        ));
+        let record = k.job(a).expect("still resident");
+        assert!(record.samples.is_empty() && record.remaining_tasks == 100);
+        k.plan_at(0).expect("plan");
+        k.ingest_sample(a, 60).expect("an ordinary runtime");
+        k.plan_at(1).expect("plan");
     }
 
     #[test]

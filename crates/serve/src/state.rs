@@ -410,10 +410,16 @@ impl ServeState {
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::UnknownJob`] for a non-resident id.
+    /// [`ErrorCode::UnknownJob`] for a non-resident id;
+    /// [`ErrorCode::BadField`] for a runtime too large to estimate the
+    /// job's remaining tasks from (the sample is dropped, the job stays).
     pub fn report_sample(&mut self, job: u64, runtime: u64) -> Result<bool, WireError> {
         let outcome = self.planner.ingest_sample(JobId(job), runtime).map_err(|e| match e {
             PlannerError::UnknownJob(id) => unknown_job(id),
+            PlannerError::Estimator(e) => WireError {
+                code: ErrorCode::BadField,
+                message: format!("runtime {runtime} of job {job}: {e}"),
+            },
             other => internal(ServeError::from(other)),
         })?;
         self.counters.samples += 1;
@@ -755,6 +761,40 @@ mod tests {
             let (eta, _) = estimate_eta(s.config(), &[], Some(hint), 40).expect("estimate");
             assert_eq!(s.rows(0, Some(id)).expect("rows")[0].eta, eta, "hint {hint}");
         }
+    }
+
+    /// 10¹⁰ tasks of a 10¹⁰-slot hint pass the wire's checks (tasks below
+    /// 2⁵³, a finite positive hint), but their demand range does not fit an
+    /// estimate: the job is rejected, not admitted as tiny or a planner
+    /// panic.
+    #[test]
+    fn a_submission_too_large_to_estimate_is_rejected() {
+        let mut s = ServeState::new(RushConfig::default(), 4096).expect("state");
+        let job = JobSubmission {
+            runtime_hint: Some(1e10),
+            ..sub("huge", 10_000_000_000, 5000)
+        };
+        let verdicts = s.submit_epoch(vec![job], 0).expect("epoch");
+        assert_eq!(verdicts[0].decision, Decision::Reject);
+        assert_eq!(verdicts[0].job, None);
+        assert_eq!(s.counters().rejected, 1);
+    }
+
+    /// A reported runtime is wire input too: 10¹⁴ slots for a job with 100
+    /// tasks left is refused where it enters, so it never fails a later
+    /// plan — the reads and epochs after it go on as before.
+    #[test]
+    fn a_runtime_too_large_to_estimate_is_refused() {
+        let mut s = ServeState::new(RushConfig::default(), 32).expect("state");
+        let verdicts = s.submit_epoch(vec![sub("a", 100, 50_000)], 0).expect("epoch");
+        let job = verdicts[0].job.expect("admitted");
+        let err = s.report_sample(job, 100_000_000_000_000).expect_err("refused");
+        assert_eq!(err.code, ErrorCode::BadField);
+        assert_eq!(s.counters().samples, 0);
+        assert_eq!(s.rows(1, None).expect("rows").len(), 1);
+        s.submit_epoch(vec![sub("b", 10, 50_000)], 2).expect("epoch");
+        assert!(!s.report_sample(job, 60).expect("an ordinary runtime"));
+        assert_eq!(s.rows(3, None).expect("rows").len(), 2);
     }
 
     #[test]
