@@ -11,8 +11,7 @@
 //! * `dashboard` — one CA pass over a workload snapshot, as the paper's
 //!   Fig. 2 monitoring table.
 //!
-//! The daemon and its load generator are their own binaries (`rushd`,
-//! `rush-loadgen` in `rush-serve`).
+//! The daemon is its own binary (`rushd`, in `rush-serve`).
 //!
 //! All parsing is hand-rolled (`--key value` flags) so the binary carries
 //! no extra dependencies.
@@ -411,7 +410,7 @@ mod tests {
 
     #[test]
     fn serve_and_loadgen_are_not_subcommands() {
-        // `rushd` and `rush-loadgen` are the only launchers.
+        // `rushd` is the daemon's only launcher; there is no load subcommand.
         for cmd in ["serve", "loadgen"] {
             let err = run(&cli(cmd, &[("addr", "127.0.0.1:0")])).unwrap_err();
             assert!(err.contains("usage:") && !err.contains(cmd), "{err}");

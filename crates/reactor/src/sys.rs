@@ -12,7 +12,7 @@
 //!
 //! On non-Linux targets every entry point compiles but returns
 //! [`std::io::ErrorKind::Unsupported`], so the workspace still builds
-//! there; `rushd` and `rush-loadgen` surface that error at startup.
+//! there; `rushd` surfaces that error at startup.
 
 #![allow(unsafe_code)]
 

@@ -13,10 +13,12 @@
 //! longest a submission waits for its epoch (it only fires when requests
 //! never stop arriving), `--batch` the most submissions one epoch takes.
 //!
-//! Prints `rushd listening on ADDR` once the socket is bound (CI's
-//! serve-smoke step greps for it), then serves until a client sends the
-//! `shutdown` op. When `--snapshot` is given, an existing snapshot is
-//! restored on startup and a new one is written on graceful shutdown.
+//! Prints `rushd listening on ADDR` once the socket is bound, then serves
+//! until a client sends the `shutdown` op, prints `rushd: served N
+//! submissions …` and exits 0. When `--snapshot` is given, an existing
+//! snapshot is restored on startup and a new one is written on graceful
+//! shutdown. An unknown flag or a value that does not parse exits 2 with
+//! the usage line; a configuration the daemon refuses exits 1.
 
 use rush_serve::server::{serve, ServeConfig};
 use std::path::PathBuf;

@@ -32,9 +32,7 @@
 //! * [`reactor_frontend`] — the daemon's one connection frontend: N
 //!   nonblocking event-loop threads multiplexing thousands of connections
 //!   with bounded in-flight frames, write-buffer caps and slow-reader
-//!   eviction;
-//! * [`loadgen`] — an open-loop Poisson load generator that measures
-//!   submit→planned latency.
+//!   eviction.
 //!
 //! Time is a **logical slot clock**: `now_slot = base + elapsed_ms /
 //! ms_per_slot`, integer-quantized, so plans depend only on (state,
@@ -71,7 +69,6 @@ pub mod admission;
 pub mod binary;
 pub mod client;
 pub mod json;
-pub mod loadgen;
 pub mod protocol;
 pub mod reactor_frontend;
 pub mod server;

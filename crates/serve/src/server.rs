@@ -23,7 +23,8 @@
 //! layering and mapping, so the unchanged residents are nearly free).
 //! Every waiting client then receives its verdict, stamped with the
 //! microseconds it waited; the planner records that wait in a
-//! [`rush_metrics::Histogram`] surfaced through the load generator.
+//! [`rush_metrics::Histogram`] that [`ServerHandle::join`] returns (`rushd`
+//! prints its count and quantiles on exit).
 //! Non-submit requests never wait for an epoch. The planner thread is the
 //! only epoch clock: with submissions pending it never sleeps, and it
 //! re-checks the deadline after **every** channel turn, so a steady
@@ -334,6 +335,9 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     }
     if config.max_inflight == 0 {
         return Err(ServeError::Config("max_inflight must be >= 1".into()));
+    }
+    if config.capacity == 0 {
+        return Err(ServeError::Config("capacity must be >= 1".into()));
     }
     if config.capacity < config.shards as u32 {
         return Err(ServeError::Config(format!(

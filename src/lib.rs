@@ -22,7 +22,7 @@
 //!   daemon's connection frontend.
 //! * [`serve`] — the `rushd` scheduling daemon: versioned JSON and
 //!   length-prefixed binary wire protocols, epoch batching, admission
-//!   control, snapshots and a load generator.
+//!   control, snapshots and a blocking client.
 //!
 //! Not re-exported: `rush-oracle`, the frozen reference implementations
 //! (naive peel, scan-based sim engine, pre-kernel scheduler, LP path) the
