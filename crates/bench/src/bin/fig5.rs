@@ -34,18 +34,10 @@
 //! peel-dominance claim stays measured; `--profile` prints it as a table,
 //! with the same split for the from-scratch and churn series.
 //!
-//! Beyond the single-kernel series, a **sharded sweep** drives the
-//! [`rush_planner::ShardedPlanner`] at 10k (and, in full mode, 100k)
-//! resident jobs across shard counts: each steady-state event (one task
-//! sample) dirties exactly one label-hash shard, so only that shard's
-//! `n/N`-job registry replans — the event cost drops near-linearly with
-//! the shard count.
-//!
-//! The run gates its own numbers (exit 1 on a regression, 2 when a gate
+//! The run gates its own number (exit 1 on a regression, 2 when the gate
 //! cannot be evaluated): the cached cost at 200 jobs against the same
 //! point of the file at `--out`, read before it is overwritten
-//! ([`cached_cost_gate`]; no file, no gate), and the 8-shard point at 10k
-//! jobs against the 1-shard one ([`shard_gate`]).
+//! ([`cached_cost_gate`]; no file, no gate).
 //!
 //! Flags: `--reps N`, `--seed S`, `--capacity C`, `--out PATH`, `--quick`
 //! (CI mode: fewer points and repetitions), `--profile` (print the phase
@@ -53,8 +45,8 @@
 
 use rand::Rng;
 use rush_bench::{
-    cached_cost_gate, cached_ns_at, fatal, flag, parse_args, shard_gate, shard_speedup,
-    CACHED_GATE_JOBS, MAX_CACHED_REGRESSION, MIN_SHARD_SPEEDUP,
+    cached_cost_gate, cached_ns_at, fatal, flag, parse_args, CACHED_GATE_JOBS,
+    MAX_CACHED_REGRESSION,
 };
 use rush_core::mapping::{map_continuous, MapJob};
 use rush_core::onion::{OnionJob, Shifted};
@@ -219,63 +211,6 @@ fn add_phases(acc: &mut [u64; 4], st: PlanPhaseStats) {
     }
 }
 
-/// The sharded steady-state sweep: a [`ShardedPlanner`] holding `n`
-/// resident jobs, driven by single-sample events at a fixed slot. Every
-/// event dirties one shard and `plan_at` replans only that shard, so
-/// ns/event falls with the shard count; the 1-shard row is the registry
-/// baseline the speedup is measured against. One `(jobs, shards,
-/// ns_per_event)` point per combination.
-fn sharded_series(quick: bool, capacity: u32, seed: u64) -> Vec<(usize, usize, f64)> {
-    use rush_planner::{JobId, JobSpec, ShardedPlanner};
-
-    let combos: &[(usize, usize)] = if quick {
-        &[(10_000, 1), (10_000, 2), (10_000, 8)]
-    } else {
-        &[(10_000, 1), (10_000, 2), (10_000, 4), (10_000, 8), (100_000, 8)]
-    };
-    let events = if quick { 64 } else { 256 };
-    let cfg = RushConfig::default();
-    let mut points = Vec::with_capacity(combos.len());
-    for &(n, shards) in combos {
-        let total = capacity.max(shards as u32);
-        let mut planner = ShardedPlanner::new(cfg, total, shards)
-            .expect("planner")
-            .with_retirement(false);
-        let mut rng = seeded_rng(derive_seed(seed, (n as u64) << 8 | shards as u64));
-        for i in 0..n {
-            let mean: f64 = rng.gen_range(30.0..90.0);
-            let budget: f64 = rng.gen_range(2_000.0..40_000.0);
-            planner.admit(JobSpec {
-                // ~500 templates: labels spread across shards by hash,
-                // many jobs per label (shared-cloud tenancy shape).
-                label: format!("tpl-{}", i % 509),
-                utility: TimeUtility::sigmoid(budget, 3.0, 10.0 / budget)
-                    .expect("valid utility"),
-                tasks: 1_000,
-                arrived_slot: 0,
-                runtime_hint: Some(mean),
-                parked: false,
-            });
-        }
-        planner.plan_at(0).expect("initial plan");
-        // Warm-up: a few events so every shard's caches are hot.
-        for e in 0..8u64 {
-            let _ = planner.ingest_sample(JobId(e * 7919 % n as u64), 40 + e % 50);
-            planner.plan_at(0).expect("warm-up replan");
-        }
-        let t = Instant::now();
-        for e in 0..events as u64 {
-            // 7919 is prime: the sampled job (and thus the dirtied shard)
-            // rotates through the registry.
-            let _ = planner.ingest_sample(JobId(e * 7919 % n as u64), 40 + (e * 13) % 50);
-            planner.plan_at(0).expect("replan");
-        }
-        let ns_per_event = t.elapsed().as_nanos() as f64 / events as f64;
-        points.push((n, shards, ns_per_event));
-    }
-    points
-}
-
 fn main() -> ExitCode {
     let args = parse_args(&["reps", "seed", "capacity", "out", "quick", "profile"]);
     let quick = args.contains_key("quick");
@@ -387,42 +322,28 @@ fn main() -> ExitCode {
     println!("normalized growth rate (1.0 = perfectly linear): {}", fmt_f64(avg_ratio, 2));
     println!("Paper shape: near-linear runtime growth; memory well under 130 MB.");
 
-    println!("\nSharded sweep: steady-state ns/event at 10k+ resident jobs");
-    let sharded = sharded_series(quick, capacity, seed);
-    let mut st = Table::new(["jobs", "shards", "event_us", "speedup_vs_1_shard"]);
-    for &(jobs, shards, ns) in &sharded {
-        let speedup =
-            shard_speedup(&sharded, jobs, shards).map_or("-".to_owned(), |x| fmt_f64(x, 2));
-        st.row([jobs.to_string(), shards.to_string(), fmt_f64(ns / 1e3, 1), speedup]);
-    }
-    println!("{}", st.render());
-
-    let json = render_json(&points, &sharded, capacity, reps, seed, quick);
+    let json = render_json(&points, capacity, reps, seed, quick);
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("\nwrote {out_path}"),
         Err(e) => eprintln!("\nfailed to write {out_path}: {e}"),
     }
 
-    let verdict = |pass: bool| if pass { "PASS" } else { "FAIL" };
-    let mut pass = true;
-    if let Some(previous) = previous {
-        let now = points
-            .iter()
-            .find(|p| p.jobs as u64 == CACHED_GATE_JOBS)
-            .expect("both series measure the gated job count")
-            .cached_ns_per_event;
-        let ok = cached_cost_gate(previous, now);
-        println!(
-            "gate: cached ns/event at {CACHED_GATE_JOBS} jobs: previous {previous:.0}, now \
-             {now:.0} ({:.2}x, limit {MAX_CACHED_REGRESSION:.2}x) -> {}",
-            now / previous,
-            verdict(ok)
-        );
-        pass &= ok;
-    }
-    let (speedup, ok) = shard_gate(&sharded).unwrap_or_else(|e| fatal(&e));
-    println!("gate: {speedup:.2}x sharded speedup, floor {MIN_SHARD_SPEEDUP:.2}x -> {}", verdict(ok));
-    if pass && ok {
+    let Some(previous) = previous else {
+        return ExitCode::SUCCESS;
+    };
+    let now = points
+        .iter()
+        .find(|p| p.jobs as u64 == CACHED_GATE_JOBS)
+        .expect("both series measure the gated job count")
+        .cached_ns_per_event;
+    let ok = cached_cost_gate(previous, now);
+    println!(
+        "gate: cached ns/event at {CACHED_GATE_JOBS} jobs: previous {previous:.0}, now \
+         {now:.0} ({:.2}x, limit {MAX_CACHED_REGRESSION:.2}x) -> {}",
+        now / previous,
+        if ok { "PASS" } else { "FAIL" }
+    );
+    if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -430,14 +351,7 @@ fn main() -> ExitCode {
 }
 
 /// Hand-rolled JSON: the workspace builds offline, without serde.
-fn render_json(
-    points: &[Point],
-    sharded: &[(usize, usize, f64)],
-    capacity: u32,
-    reps: usize,
-    seed: u64,
-    quick: bool,
-) -> String {
+fn render_json(points: &[Point], capacity: u32, reps: usize, seed: u64, quick: bool) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -463,15 +377,6 @@ fn render_json(
             p.churn_ns_per_event,
             phases_json(p.churn_phase_ns),
             comma
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"sharded_points\": [");
-    for (i, (jobs, shards, ns)) in sharded.iter().enumerate() {
-        let comma = if i + 1 == sharded.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"jobs\": {jobs}, \"shards\": {shards}, \"ns_per_event\": {ns:.0}}}{comma}"
         );
     }
     let _ = writeln!(s, "  ],");

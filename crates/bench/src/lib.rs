@@ -88,11 +88,6 @@ pub const CALIBRATED_INTERARRIVAL: f64 = 45.0;
 pub const MAX_CACHED_REGRESSION: f64 = 2.0;
 /// The job count of Fig. 5's regression gate.
 pub const CACHED_GATE_JOBS: u64 = 200;
-/// Fig. 5's [`SHARD_GATE_POINT`] must be at least this much faster than the
-/// 1-shard point at the same job count.
-pub const MIN_SHARD_SPEEDUP: f64 = 3.0;
-/// `(jobs, shards)` of Fig. 5's scaling gate.
-pub const SHARD_GATE_POINT: (usize, usize) = (10_000, 8);
 
 /// `cached_ns_per_event` of the `"jobs": jobs` point of a Fig. 5 report.
 ///
@@ -114,27 +109,6 @@ pub fn cached_ns_at(fig5_json: &str, jobs: u64) -> Result<f64, String> {
 /// [`MAX_CACHED_REGRESSION`] × the previous run's.
 pub fn cached_cost_gate(previous_ns: f64, current_ns: f64) -> bool {
     current_ns <= MAX_CACHED_REGRESSION * previous_ns
-}
-
-/// The 1-shard / `shards`-shard cost ratio at `jobs` in a sharded sweep of
-/// `(jobs, shards, ns_per_event)` points; `None` when either is missing.
-pub fn shard_speedup(sweep: &[(usize, usize, f64)], jobs: usize, shards: usize) -> Option<f64> {
-    let ns_at = |s| sweep.iter().find(|p| (p.0, p.1) == (jobs, s)).map(|p| p.2);
-    Some(ns_at(1)? / ns_at(shards)?)
-}
-
-/// Fig. 5 scaling gate: the speedup at [`SHARD_GATE_POINT`] and whether it
-/// reaches [`MIN_SHARD_SPEEDUP`].
-///
-/// # Errors
-///
-/// The sweep lacks the 1-shard or the N-shard point.
-pub fn shard_gate(sweep: &[(usize, usize, f64)]) -> Result<(f64, bool), String> {
-    let (jobs, shards) = SHARD_GATE_POINT;
-    let speedup = shard_speedup(sweep, jobs, shards).ok_or_else(|| {
-        format!("sharded sweep lacks the 1- or {shards}-shard point at {jobs} jobs")
-    })?;
-    Ok((speedup, speedup >= MIN_SHARD_SPEEDUP))
 }
 
 /// Capacity-ablation gate: at the top revocation rate RUSH must meet at
@@ -173,21 +147,11 @@ mod tests {
     #[test]
     fn cached_reference_needs_the_point() {
         let doc = r#"{"points": [{"jobs": 20, "cached_ns_per_event": 67141},
-            {"jobs": 200, "cached_ns_per_event": 313889}], "sharded_points": []}"#;
+            {"jobs": 200, "cached_ns_per_event": 313889}]}"#;
         assert_eq!(cached_ns_at(doc, 200), Ok(313_889.0));
         assert!(cached_ns_at(doc, 500).is_err(), "missing point");
         assert!(cached_ns_at(&doc.replace("313889}", "313889"), 200).is_err(), "malformed");
         assert!(cached_ns_at("{}", 200).is_err());
-    }
-
-    #[test]
-    fn shard_gate_checks_the_scaling_floor() {
-        let sweep = [(10_000, 1, 12e6), (10_000, 8, 1.5e6), (100_000, 8, 20e6)];
-        assert_eq!(shard_gate(&sweep), Ok((8.0, true)));
-        let flat = [(10_000, 1, 12e6), (10_000, 8, 11e6)];
-        assert!(matches!(shard_gate(&flat), Ok((_, false))));
-        assert!(shard_gate(&sweep[1..]).is_err(), "missing 1-shard point");
-        assert!(shard_gate(&sweep[..1]).is_err(), "missing 8-shard point");
     }
 
     #[test]

@@ -2326,61 +2326,6 @@ pub fn prefix_capacity_feasible(reservations: &[(f64, u64)], capacity: u32) -> b
     true
 }
 
-/// The smallest integer capacity under which `reservations` still satisfy
-/// the Theorem 2 prefix condition: `max_k ⌈(Σ_{T_i ≤ T_k} η_i) / T_k⌉`
-/// over the deadline-sorted prefixes.
-///
-/// This is the *committed prefix demand* of a planner partition — the
-/// floor below which its capacity slice cannot be cut without breaking a
-/// deadline it has already promised. Together with the slice it yields the
-/// shard's headroom (`slice − required`), the quantity the cross-shard
-/// rebalancer migrates. Returns `0` when nothing is reserved, and
-/// `u32::MAX` when some positive demand carries a non-positive deadline
-/// (no finite capacity helps).
-///
-/// Consistent with [`prefix_capacity_feasible`] by construction:
-/// `prefix_capacity_feasible(r, c)` holds iff
-/// `c >= prefix_capacity_required(r)` (up to the probe's `1e-9` slack).
-///
-/// # Example
-///
-/// ```
-/// use rush_core::onion::{prefix_capacity_feasible, prefix_capacity_required};
-///
-/// let r = [(60.0, 100), (120.0, 140), (60.0, 80)];
-/// let need = prefix_capacity_required(&r);
-/// assert_eq!(need, 3); // 180 container·slots by t=60
-/// assert!(prefix_capacity_feasible(&r, need));
-/// assert!(!prefix_capacity_feasible(&r, need - 1));
-/// ```
-pub fn prefix_capacity_required(reservations: &[(f64, u64)]) -> u32 {
-    let mut sorted: Vec<(f64, u64)> = reservations
-        .iter()
-        .copied()
-        .filter(|&(d, e)| e > 0 && d.is_finite())
-        .collect();
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut cum = 0u64;
-    let mut need = 0u32;
-    for &(d, e) in &sorted {
-        if d <= 0.0 {
-            return u32::MAX;
-        }
-        cum += e;
-        // Smallest integer c with cum ≤ c·d + 1e-9, i.e. ⌈(cum − ε)/d⌉.
-        let exact = (cum as f64 - 1e-9) / d;
-        let c = exact.ceil();
-        if c >= u32::MAX as f64 {
-            return u32::MAX;
-        }
-        need = need.max(c as u32);
-    }
-    need
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2619,32 +2564,6 @@ mod tests {
         assert!(prefix_capacity_feasible(&[(f64::INFINITY, 10_000)], 1));
         assert!(!prefix_capacity_feasible(&[(0.0, 5)], 8));
         assert!(!prefix_capacity_feasible(&[(-3.0, 5)], 8));
-    }
-
-    #[test]
-    fn prefix_capacity_required_is_the_probe_threshold() {
-        // required == the exact threshold at which the probe flips.
-        for r in [
-            vec![(60.0, 120)],
-            vec![(60.0, 121)],
-            vec![(120.0, 140), (60.0, 100)],
-            vec![(60.0, 50), (61.0, 200)],
-            vec![(1.0, 1), (2.0, 1), (3.0, 1)],
-            vec![(0.5, 3)],
-        ] {
-            let need = prefix_capacity_required(&r);
-            assert!(prefix_capacity_feasible(&r, need), "{r:?} at {need}");
-            if need > 0 {
-                assert!(!prefix_capacity_feasible(&r, need - 1), "{r:?} at {}", need - 1);
-            }
-        }
-        // Nothing reserved → nothing required.
-        assert_eq!(prefix_capacity_required(&[]), 0);
-        assert_eq!(prefix_capacity_required(&[(10.0, 0)]), 0);
-        // Unconstrained deadlines are skipped, hopeless ones saturate.
-        assert_eq!(prefix_capacity_required(&[(f64::INFINITY, 10_000)]), 0);
-        assert_eq!(prefix_capacity_required(&[(0.0, 5)]), u32::MAX);
-        assert_eq!(prefix_capacity_required(&[(-3.0, 5)]), u32::MAX);
     }
 
     #[test]

@@ -362,6 +362,12 @@ impl PlannerCore {
         &self.delta
     }
 
+    /// Iterates the current plan as `(job, entry)` pairs, in planning
+    /// order: [`PlannerCore::plan_ids`] zipped with the plan's entries.
+    pub fn planned(&self) -> impl Iterator<Item = (JobId, &PlanEntry)> {
+        self.plan_ids.iter().copied().zip(&self.plan.entries)
+    }
+
     /// The plan entry of one job, if it is in the current plan.
     pub fn entry(&self, id: JobId) -> Option<&PlanEntry> {
         let idx = self.plan_ids.iter().position(|p| *p == id)?;
@@ -394,31 +400,12 @@ impl PlannerCore {
         !self.dirty && self.plan_slot == Some(now_slot)
     }
 
-    /// The smallest capacity under which the current plan's committed
-    /// `(target, η)` reservations still satisfy Theorem 2's prefix
-    /// condition — the probe a cross-shard rebalancer uses to decide how
-    /// far a partition's slice can be cut. Entries the onion marked
-    /// impossible are already beyond the theorem and do not pin capacity
-    /// (they miss their targets at *any* slice); an empty or stale plan
-    /// pins nothing.
-    pub fn committed_capacity(&self) -> u32 {
-        let reservations: Vec<(f64, u64)> = self
-            .plan
-            .entries
-            .iter()
-            .filter(|e| !e.impossible)
-            .map(|e| (e.target, e.eta))
-            .collect();
-        rush_core::onion::prefix_capacity_required(&reservations)
-    }
-
-    /// Theorem-2 prefix-capacity headroom of this kernel: how many of its
-    /// containers are *not* pinned by the current plan's committed prefix
-    /// demand ([`PlannerCore::committed_capacity`]). This is the capacity
-    /// a rebalancer may migrate away without breaking any promised
-    /// deadline.
-    pub fn headroom(&self) -> u32 {
-        self.capacity.saturating_sub(self.committed_capacity())
+    /// This kernel, under the name `benchmark/` still calls it by. Kept
+    /// only for `benchmark/`, which is frozen between benchmark changes;
+    /// new code reads the kernel directly.
+    #[doc(hidden)]
+    pub fn shard_core(&self, _shard: usize) -> &PlannerCore {
+        self
     }
 
     // ------------------------------------------------------------------

@@ -32,7 +32,10 @@
 //!
 //! [`RushScheduler`] is the thin `rush_sim::Scheduler` adapter over the
 //! kernel; `rush-serve` and `rush-cli` drive the same kernel for the
-//! online and offline surfaces.
+//! online and offline surfaces. Each adapter holds one bare
+//! [`PlannerCore`]: the daemon's sharding is one kernel per planner thread
+//! (`rushd --shards N`, see `rush_serve::server`), not a partition inside
+//! the kernel.
 //!
 //! [`ClusterView`]: rush_sim::view::ClusterView
 
@@ -59,7 +62,6 @@
 pub mod core;
 pub mod event;
 pub mod scheduler;
-pub mod sharded;
 
 pub use crate::core::{
     estimate_eta, ColdStart, JobId, JobRecord, JobSpec, PlanDelta, PlannerCore, RosterJob,
@@ -67,7 +69,12 @@ pub use crate::core::{
 };
 pub use event::{EventOutcome, PlannerEvent};
 pub use scheduler::RushScheduler;
-pub use sharded::{even_split, shard_of_label, ShardedPlanner, DEFAULT_REBALANCE_INTERVAL};
+
+/// The planner kernel under the name `benchmark/` still uses. Kept only
+/// for `benchmark/`, which is frozen between benchmark changes (as
+/// `rush_serve::Frontend` is); new code names [`PlannerCore`].
+#[doc(hidden)]
+pub type ShardedPlanner = PlannerCore;
 
 use std::fmt;
 

@@ -14,8 +14,8 @@
 //! current slot, so a burst of free containers in one slot costs one
 //! pipeline pass.
 
-use crate::core::{ColdStart, JobId, JobSpec, RosterJob};
-use crate::sharded::ShardedPlanner;
+use crate::core::{ColdStart, JobId, JobSpec, PlannerCore, RosterJob};
+use crate::event::PlannerEvent;
 use crate::PlannerError;
 use rush_core::plan::Plan;
 use rush_core::RushConfig;
@@ -48,14 +48,11 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RushScheduler {
-    kernel: ShardedPlanner,
+    kernel: PlannerCore,
     name: &'static str,
     /// Desired next-slot allocations `(desired_now, target)` by raw job
     /// id, maintained incrementally from plan deltas.
     desired: BTreeMap<u64, (u32, f64)>,
-    /// The merged cross-shard plan of the last completed pass, rebuilt
-    /// after each refresh (with one shard: exactly the kernel's plan).
-    plan: Plan,
     /// The typed error from the most recent failed capacity update, if
     /// any (see [`RushScheduler::last_capacity_error`]). Cleared by the
     /// next successful update.
@@ -70,24 +67,12 @@ impl RushScheduler {
     /// config surfaces as a failed plan pass, which the assign fallbacks
     /// absorb — same as the pre-kernel scheduler.
     pub fn new(config: RushConfig) -> Self {
-        Self::with_shards(config, 1)
-    }
-
-    /// Creates a RUSH scheduler whose planner is partitioned across
-    /// `shards` kernels (see [`ShardedPlanner`]). With `shards == 1`
-    /// (the [`RushScheduler::new`] default) behavior is bit-identical to
-    /// the single-kernel adapter; more shards trade a deterministic
-    /// label-hash partition of the capacity for near-linear event-cost
-    /// scaling on large registries.
-    pub fn with_shards(config: RushConfig, shards: usize) -> Self {
-        let shards = shards.max(1);
         RushScheduler {
-            kernel: ShardedPlanner::new_unchecked(config, shards as u32, shards)
+            kernel: PlannerCore::new_unchecked(config, 1)
                 .with_cold_start(ColdStart::PooledByLabel)
                 .with_retirement(false),
             name: "RUSH",
             desired: BTreeMap::new(),
-            plan: Plan::default(),
             capacity_error: None,
         }
     }
@@ -112,16 +97,15 @@ impl RushScheduler {
 
     /// The planner kernel behind the adapter (plan, deltas, cache
     /// counters — the data behind the paper's enhanced HTTP interface).
-    pub fn kernel(&self) -> &ShardedPlanner {
+    pub fn kernel(&self) -> &PlannerCore {
         &self.kernel
     }
 
     /// The most recently computed plan (projected completion times, robust
     /// demands, impossible-job flags) — the data behind the paper's
-    /// enhanced HTTP interface (Fig. 2). Entries are merged shard by
-    /// shard; with one shard this is exactly the kernel's plan.
+    /// enhanced HTTP interface (Fig. 2).
     pub fn last_plan(&self) -> &Plan {
-        &self.plan
+        self.kernel.plan()
     }
 
     /// Forgets a completed or cancelled job: drops its registry record and
@@ -145,8 +129,8 @@ impl RushScheduler {
     }
 
     /// The typed error from the most recent *failed* capacity update
-    /// (the view's capacity could not hold one container per shard), or
-    /// `None` when the last update succeeded. The scheduler SPI has no
+    /// (the view reported zero containers), or `None` when the last
+    /// update succeeded. The scheduler SPI has no
     /// error channel, so the adapter degrades to an empty plan when this
     /// is `Some` — but it no longer swallows the cause: daemons and tests
     /// read it here.
@@ -157,14 +141,14 @@ impl RushScheduler {
     /// Ensures the kernel's plan is fresh for `view.now` and the desired
     /// map reflects it.
     fn refresh(&mut self, view: &ClusterView<'_>) {
-        if let Err(e) = self.kernel.set_capacity(view.capacity) {
-            // The view's capacity cannot hold one container per shard;
-            // treat it like a failed pass (empty plan, fallbacks engage)
-            // but keep the typed cause observable.
+        if let Err(e) = self.kernel.apply(PlannerEvent::CapacityChange { capacity: view.capacity })
+        {
+            // The kernel cannot plan for an empty cluster; treat it like a
+            // failed pass (empty plan, fallbacks engage) but keep the typed
+            // cause observable.
             self.capacity_error = Some(e);
             self.desired.clear();
             self.kernel.install_empty_plan(view.now);
-            self.plan = Plan::default();
             return;
         }
         self.capacity_error = None;
@@ -193,9 +177,6 @@ impl RushScheduler {
                 for (id, e) in &delta.changed {
                     self.desired.insert(id.0, (e.desired_now, e.target));
                 }
-                self.plan = Plan {
-                    entries: self.kernel.planned().map(|(_, e)| *e).collect(),
-                };
             }
             Err(_) => {
                 // On estimation failure (pathological inputs) fall back to
@@ -203,7 +184,6 @@ impl RushScheduler {
                 // the cluster from stalling.
                 self.desired.clear();
                 self.kernel.install_empty_plan(view.now);
-                self.plan = Plan::default();
             }
         }
     }
@@ -243,8 +223,7 @@ impl Scheduler for RushScheduler {
         // Replan immediately against the new effective capacity: the
         // revocation's killed attempts have already been recorded (as
         // failures), and refresh pushes the new total into the kernel —
-        // the peel replay absorbs it as a divergence layer, and the shard
-        // re-split keeps every committed prefix funded.
+        // the peel replay absorbs it as a divergence layer.
         self.refresh(view);
     }
 
@@ -598,10 +577,10 @@ mod tests {
     #[test]
     fn capacity_error_is_surfaced_not_swallowed() {
         use rush_sim::view::ClusterView;
-        // Two shards cannot split one container: refresh degrades to an
+        // The kernel refuses a zero-container view: refresh degrades to an
         // empty plan AND records the typed cause.
-        let mut rush = RushScheduler::with_shards(RushConfig::default(), 2);
-        let view = ClusterView { now: 0, capacity: 1, free_containers: 1, jobs: &[] };
+        let mut rush = RushScheduler::new(RushConfig::default());
+        let view = ClusterView { now: 0, capacity: 0, free_containers: 0, jobs: &[] };
         assert_eq!(rush.assign(&view), None);
         assert!(
             matches!(rush.last_capacity_error(), Some(crate::PlannerError::Config(_))),

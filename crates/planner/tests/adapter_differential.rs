@@ -190,7 +190,7 @@ impl Replays {
         if !stale {
             return;
         }
-        let replay = self.inner.kernel().shard_core(0).plan_stats().peel_replay;
+        let replay = self.inner.kernel().plan_stats().peel_replay;
         self.warm += usize::from(self.passes > 0 && replay.delta && replay.resumed_at != Some(0));
         self.passes += 1;
     }

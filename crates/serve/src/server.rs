@@ -38,14 +38,15 @@
 //!
 //! **Shards.** With [`ServeConfig::shards`] `> 1` the daemon runs one
 //! planner thread per shard, each owning an independent [`ServeState`]
-//! over a slice of the capacity. The reactors route submissions by label
-//! hash ([`rush_planner::shard_of_label`] — same-label jobs share a shard, so
-//! cold-start pools and epoch batching stay effective) and per-job
-//! requests by wire id. Wire ids encode the owner:
-//! `wire = local * shards + shard`, which is the identity when
-//! `shards == 1`, so the single-shard daemon is bit-identical to the
-//! pre-sharding one. Cluster-wide requests (full plan table, stats,
-//! shutdown) are broadcast and merged in shard order.
+//! over a static [`even_split`] slice of the capacity. The reactors route
+//! submissions by label hash ([`shard_of_label`] — same-label jobs share a
+//! shard, so epoch batching stays effective) and per-job requests by wire
+//! id. Wire ids encode the owner: `wire = local * shards + shard`, the
+//! identity when `shards == 1`. Cluster-wide requests (full plan table,
+//! stats, set-capacity, shutdown) are broadcast and merged in shard order.
+//! Nothing moves capacity between shards: a shard rejects a job its
+//! neighbour has room for. Each shard snapshots to a file of its own, and
+//! a restart under another shard count is refused (see [`serve`]).
 
 use crate::protocol::{ErrorCode, JobSubmission, Request, Response, WireError};
 use crate::snapshot;
@@ -56,7 +57,7 @@ use rush_core::RushConfig;
 use rush_metrics::Histogram;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
@@ -101,9 +102,9 @@ pub struct ServeConfig {
     /// when present. With more than one shard, shard `i` uses the path
     /// suffixed `.shard<i>`.
     pub snapshot_path: Option<PathBuf>,
-    /// Planner shards (threads). `1` (the default) is bit-identical to
-    /// the pre-sharding daemon; more shards split the capacity and plan
-    /// label-hash partitions of the jobs independently.
+    /// Planner shards (threads), `1` by default. More shards split the
+    /// capacity evenly and plan label-hash partitions of the jobs
+    /// independently.
     pub shards: usize,
     /// Always [`Frontend::Reactor`]; see [`Frontend`] for why the field
     /// exists.
@@ -296,18 +297,54 @@ impl ServerHandle {
     }
 }
 
-/// Shard `i`'s snapshot file: the configured path itself for a
-/// single-shard daemon, the path suffixed `.shard<i>` otherwise.
-fn shard_snapshot_path(base: Option<&PathBuf>, shard: usize, shards: usize) -> Option<PathBuf> {
-    base.map(|p| {
-        if shards == 1 {
-            p.clone()
-        } else {
-            let mut os = p.clone().into_os_string();
-            os.push(format!(".shard{shard}"));
-            PathBuf::from(os)
+/// `base` with `.shard<shard>` appended to the whole file name.
+fn shard_suffixed(base: &Path, shard: usize) -> PathBuf {
+    let mut os = base.as_os_str().to_os_string();
+    os.push(format!(".shard{shard}"));
+    PathBuf::from(os)
+}
+
+/// The snapshot file of every shard, in shard order: `base` itself for a
+/// single-shard daemon, `base` suffixed `.shard<i>` otherwise.
+///
+/// A restart must find the layout its own shard count writes, or none of
+/// it. Restoring shard 0 of a two-shard layout under four shards would
+/// renumber every job (the wire-id stride changes), and a one-shard
+/// daemon would not see `.shard<i>` files at all and silently start empty.
+///
+/// # Errors
+///
+/// [`ServeError::Snapshot`], naming the file, when only some of the
+/// expected files exist, or when a file another shard count writes exists
+/// (`base.shard0` under one shard; `base` or `base.shard<shards>` under
+/// several).
+fn snapshot_paths(base: &Path, shards: usize) -> Result<Vec<PathBuf>, ServeError> {
+    let paths: Vec<PathBuf> = if shards == 1 {
+        vec![base.to_path_buf()]
+    } else {
+        (0..shards).map(|i| shard_suffixed(base, i)).collect()
+    };
+    let foreign = if shards == 1 {
+        vec![shard_suffixed(base, 0)]
+    } else {
+        vec![base.to_path_buf(), shard_suffixed(base, shards)]
+    };
+    if let Some(p) = foreign.iter().find(|p| p.exists()) {
+        return Err(ServeError::Snapshot(format!(
+            "{} was written under another shard count than {shards}",
+            p.display()
+        )));
+    }
+    if paths.iter().any(|p| p.exists()) {
+        if let Some(p) = paths.iter().find(|p| !p.exists()) {
+            return Err(ServeError::Snapshot(format!(
+                "{} is missing: the other shards' snapshots were written under another \
+                 shard count than {shards}",
+                p.display()
+            )));
         }
-    })
+    }
+    Ok(paths)
 }
 
 /// Starts the daemon: binds `config.addr`, restores the snapshot(s) if
@@ -318,7 +355,8 @@ fn shard_snapshot_path(base: Option<&PathBuf>, shard: usize, shards: usize) -> O
 ///
 /// [`ServeError::Io`] when the bind fails or the platform has no epoll
 /// (`Unsupported`, off Linux), [`ServeError::Snapshot`] when a
-/// present snapshot is malformed or mismatched, [`ServeError::Planner`] /
+/// present snapshot is malformed or mismatched, or the snapshot files were
+/// written under another shard count, [`ServeError::Planner`] /
 /// [`ServeError::Config`] for invalid configuration.
 pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     if config.epoch_max_batch == 0 {
@@ -359,10 +397,13 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         // is legitimate — a daemon restarted mid-outage.
     }
 
-    let slices = rush_planner::even_split(config.capacity, config.shards);
+    let paths = match &config.snapshot_path {
+        Some(base) => snapshot_paths(base, config.shards)?.into_iter().map(Some).collect(),
+        None => vec![None; config.shards],
+    };
+    let slices = even_split(config.capacity, config.shards);
     let mut shard_states = Vec::with_capacity(config.shards);
-    for (i, &slice) in slices.iter().enumerate() {
-        let path = shard_snapshot_path(config.snapshot_path.as_ref(), i, config.shards);
+    for (path, slice) in paths.into_iter().zip(slices) {
         let (state, base_slot) = match &path {
             Some(p) if p.exists() => snapshot::read(p, config.rush, slice)?,
             _ => (ServeState::new(config.rush, slice)?, 0),
@@ -563,7 +604,7 @@ fn answer_immediate(
             }
             // `even_split` returns exactly `shards` slices; a missing
             // one would be an internal routing bug, not a client error.
-            let Some(&slice) = rush_planner::even_split(capacity, shards).get(shard) else {
+            let Some(&slice) = even_split(capacity, shards).get(shard) else {
                 return Response::error(ErrorCode::Internal, "shard index out of range");
             };
             match state.set_capacity(slice) {
@@ -581,9 +622,37 @@ fn answer_immediate(
 }
 
 // ----------------------------------------------------------------------
-// Wire-id codec: `wire = local * shards + shard` (identity with one
-// shard), so every wire id names its owner without a shared table.
+// Routing: a submission's shard is a pure hash of its label, and the
+// wire-id codec `wire = local * shards + shard` (identity with one shard)
+// makes every wire id name its owner without a shared table.
 // ----------------------------------------------------------------------
+
+/// Deterministic shard assignment: FNV-1a over the label bytes, reduced
+/// modulo the shard count. Pure — the same label always lands on the same
+/// shard, across processes and runs — so same-label jobs share a planner.
+#[must_use]
+pub fn shard_of_label(label: &str, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in label.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h.checked_rem(shards as u64).map_or(0, |r| r as usize)
+}
+
+/// An even split of `total` containers into `shards` slices: the first
+/// `total % shards` slices get one extra container. Requires
+/// `total >= shards` so every slice stays positive.
+#[must_use]
+pub fn even_split(total: u32, shards: usize) -> Vec<u32> {
+    let n = shards as u32;
+    let base = total.checked_div(n).unwrap_or(0);
+    let extra = total.checked_rem(n).unwrap_or(0);
+    (0..n).map(|i| base.saturating_add(u32::from(i < extra))).collect()
+}
 
 fn wire_shard(job: u64, shards: usize) -> usize {
     (job % shards as u64) as usize
@@ -651,7 +720,7 @@ pub(crate) enum Routed {
 pub(crate) fn route(req: Request, shards: usize) -> Routed {
     match req {
         Request::Submit(sub) => {
-            Routed::Submit { shard: rush_planner::shard_of_label(&sub.label, shards), sub }
+            Routed::Submit { shard: shard_of_label(&sub.label, shards), sub }
         }
         Request::ReportSample { job, runtime } => Routed::Single {
             shard: wire_shard(job, shards),
@@ -800,6 +869,18 @@ mod tests {
             let state = ServeState::new(config.rush, config.capacity).expect("state");
             planner_loop(config, 0, state, 0, &self.rx, &AtomicBool::new(false)).expect("planner");
         }
+    }
+
+    #[test]
+    fn shard_of_label_is_deterministic_and_in_range() {
+        for shards in 1..=8usize {
+            for label in ["etl", "train-7", "", "a very long label with spaces"] {
+                let s = shard_of_label(label, shards);
+                assert!(s < shards);
+                assert_eq!(s, shard_of_label(label, shards), "pure function");
+            }
+        }
+        assert_eq!(shard_of_label("anything", 1), 0);
     }
 
     /// `(epoch, waited_us)` of every verdict among `replies`, in order.

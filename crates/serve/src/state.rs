@@ -37,7 +37,7 @@ use crate::protocol::{
 use crate::ServeError;
 use rush_core::cluster::ClusterModel;
 use rush_core::RushConfig;
-use rush_planner::{JobId, JobRecord, JobSpec, PlannerError, PlannerEvent, ShardedPlanner};
+use rush_planner::{JobId, JobRecord, JobSpec, PlannerCore, PlannerError, PlannerEvent};
 use std::collections::BTreeMap;
 
 /// One resident job, as exchanged with the snapshot layer. Internally the
@@ -93,7 +93,7 @@ pub struct EpochVerdict {
 /// planner kernel plus the wire submissions and counters.
 #[derive(Debug, Clone)]
 pub struct ServeState {
-    planner: ShardedPlanner,
+    planner: PlannerCore,
     /// The original wire submission of every resident job (the kernel's
     /// registry carries the planning projection of it).
     subs: BTreeMap<u64, JobSubmission>,
@@ -105,8 +105,7 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Creates an empty state with a single planner shard (bit-identical
-    /// to the pre-sharding daemon).
+    /// Creates an empty state.
     ///
     /// # Errors
     ///
@@ -114,7 +113,7 @@ impl ServeState {
     /// for an invalid [`RushConfig`].
     pub fn new(config: RushConfig, capacity: u32) -> Result<Self, ServeError> {
         Ok(ServeState {
-            planner: ShardedPlanner::new(config, capacity, 1)?,
+            planner: PlannerCore::new(config, capacity)?,
             subs: BTreeMap::new(),
             counters: Counters::default(),
             model: None,
@@ -182,9 +181,7 @@ impl ServeState {
                 (JobId(id), record)
             })
             .collect();
-        // Snapshots restore into a single shard: the format is
-        // shard-agnostic and a multi-shard daemon snapshots per shard.
-        let planner = ShardedPlanner::from_parts(config, capacity, 1, records, next_id)?;
+        let planner = PlannerCore::from_parts(config, capacity, records, next_id)?;
         Ok(ServeState { planner, subs, counters, model: None })
     }
 
@@ -211,7 +208,7 @@ impl ServeState {
     /// # Errors
     ///
     /// [`ErrorCode::BadField`] when the kernel refuses the capacity
-    /// (e.g. zero, or fewer containers than planner shards); other kernel
+    /// (zero containers); other kernel
     /// failures surface as [`ErrorCode::Internal`].
     pub fn set_capacity(&mut self, capacity: u32) -> Result<(), WireError> {
         self.planner.apply(PlannerEvent::CapacityChange { capacity }).map_err(|e| match e {
@@ -230,7 +227,7 @@ impl ServeState {
     }
 
     /// The planner (plan, deltas, cache counters) — read-only.
-    pub fn planner(&self) -> &ShardedPlanner {
+    pub fn planner(&self) -> &PlannerCore {
         &self.planner
     }
 
@@ -730,14 +727,14 @@ mod tests {
 
         let check = |s: &mut ServeState, what: &str| {
             s.predict(id(17), 2).expect("predict");
-            let replay = s.planner().shard_core(0).plan_stats().peel_replay;
+            let replay = s.planner().plan_stats().peel_replay;
             assert!(replay.delta, "{what}: the pass behind predict re-peeled ({replay:?})");
             let jobs: Vec<(u64, JobState)> = s.jobs().collect();
             let mut cold =
                 ServeState::from_parts(*s.config(), s.capacity(), jobs, s.next_id(), s.counters())
                     .expect("restore");
             assert_eq!(s.rows(2, None).expect("rows"), cold.rows(2, None).expect("rows"), "{what}");
-            assert!(!cold.planner().shard_core(0).plan_stats().peel_replay.delta);
+            assert!(!cold.planner().plan_stats().peel_replay.delta);
         };
 
         assert!(s.report_sample(id(140), 44).expect("sample"), "last task: the job retires");
@@ -779,7 +776,7 @@ mod tests {
         assert_eq!(s.rows(2, None).expect("rows").len(), 120);
         for now in [3, 8] {
             let rows = s.rows(now, None).expect("rows");
-            let replay = s.planner().shard_core(0).plan_stats().peel_replay;
+            let replay = s.planner().plan_stats().peel_replay;
             assert!(
                 replay.delta && replay.resumed_at != Some(0),
                 "slot {now}: the tick re-peeled ({replay:?})"
@@ -789,7 +786,7 @@ mod tests {
                 ServeState::from_parts(*s.config(), s.capacity(), jobs, s.next_id(), s.counters())
                     .expect("restore");
             assert_eq!(rows, cold.rows(now, None).expect("rows"), "slot {now}");
-            assert!(!cold.planner().shard_core(0).plan_stats().peel_replay.delta);
+            assert!(!cold.planner().plan_stats().peel_replay.delta);
         }
     }
 

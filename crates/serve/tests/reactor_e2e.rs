@@ -10,13 +10,14 @@
 //! * transport independence — a fixed request stream must leave the
 //!   snapshot the retired thread-per-connection frontend left, byte for
 //!   byte, over both codecs (`fixtures/differential_snapshot.json`);
-//! * concurrent shard snapshots at shutdown.
+//! * concurrent shard snapshots at shutdown, and a restart that finds
+//!   another shard count's snapshot files.
 
 #![cfg(target_os = "linux")]
 
 use rush_serve::protocol::{Decision, Request, Response};
-use rush_serve::server::{serve, ServeConfig};
-use rush_serve::Client;
+use rush_serve::server::{even_split, serve, shard_of_label, ServeConfig};
+use rush_serve::{Client, ServeError};
 use rush_utility::TimeUtility;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -251,13 +252,13 @@ fn concurrent_shard_snapshots_each_restore_their_own_jobs() {
         next += 1;
         let (decision, _, _, _) = client.submit(submission(&label, 2)).expect("submit");
         assert_eq!(decision, Decision::Admit);
-        owned[rush_planner::shard_of_label(&label, SHARDS)].push(label);
+        owned[shard_of_label(&label, SHARDS)].push(label);
     }
 
     assert!(client.shutdown(true).expect("shutdown"), "snapshot_written must be true");
     handle.join().expect("join");
 
-    let slices = rush_planner::even_split(capacity, SHARDS);
+    let slices = even_split(capacity, SHARDS);
     for (i, want) in owned.iter_mut().enumerate() {
         let path = shard_path(i);
         let (state, _) = rush_serve::snapshot::read(&path, rush, slices[i])
@@ -268,4 +269,58 @@ fn concurrent_shard_snapshots_each_restore_their_own_jobs() {
         want.sort();
         assert_eq!(&have, want, "shard {i} restored another shard's jobs");
     }
+}
+
+/// A restart finds the snapshot files its own shard count writes, or
+/// none: a two-shard daemon restarted with two shards answers every wire
+/// id it handed out with the same plan row, and the same files are refused
+/// — naming the file — under one shard (which would silently start empty)
+/// and under four shards with the capacity doubled (which would restore
+/// shards 0 and 1 under a new wire-id stride).
+#[test]
+fn restart_needs_the_snapshot_layout_of_its_shard_count() {
+    let snap: PathBuf =
+        std::env::temp_dir().join(format!("rushd-restart-{}.json", std::process::id()));
+    let shard_path = |i: usize| PathBuf::from(format!("{}.shard{i}", snap.display()));
+    let cleanup = || {
+        for i in 0..4 {
+            std::fs::remove_file(shard_path(i)).ok();
+        }
+        std::fs::remove_file(&snap).ok();
+    };
+    cleanup();
+    let cfg = ServeConfig { shards: 2, snapshot_path: Some(snap.clone()), ..reactor_config() };
+
+    let handle = serve(cfg.clone()).expect("serve");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut ids = Vec::new();
+    for i in 0..6 {
+        let (decision, id, _, _) =
+            client.submit(submission(&format!("tpl-{i}"), 4 + i)).expect("submit");
+        assert_eq!(decision, Decision::Admit);
+        ids.push(id.expect("admitted"));
+    }
+    let before: Vec<_> = ids.iter().map(|&id| client.query_plan(Some(id)).expect("plan")).collect();
+    assert!(client.shutdown(true).expect("shutdown"), "snapshot_written must be true");
+    handle.join().expect("join");
+
+    let handle = serve(cfg.clone()).expect("restart under the same shard count");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    for (&id, rows) in ids.iter().zip(&before) {
+        assert_eq!(&client.query_plan(Some(id)).expect("plan"), rows, "wire id {id}");
+    }
+    assert!(client.shutdown(true).expect("shutdown"), "snapshot_written must be true");
+    handle.join().expect("join");
+
+    let refusals = [(1, cfg.capacity, shard_path(0)), (4, 2 * cfg.capacity, shard_path(2))];
+    for (shards, capacity, names) in refusals {
+        match serve(ServeConfig { shards, capacity, ..cfg.clone() }) {
+            Err(ServeError::Snapshot(msg)) => {
+                assert!(msg.contains(&names.display().to_string()), "{shards} shards: {msg}")
+            }
+            Err(e) => panic!("{shards} shards: expected a snapshot refusal, got {e}"),
+            Ok(_) => panic!("{shards} shards: started from another shard count's snapshots"),
+        }
+    }
+    cleanup();
 }
