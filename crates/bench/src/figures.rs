@@ -3,7 +3,7 @@
 //! function that builds its report.
 //!
 //! A report is title lines, tables and closing text. A simulated table is
-//! one [`sweep`]: an axis, a scheduler set, a builder that turns an axis
+//! one `sweep`: an axis, a scheduler set, a builder that turns an axis
 //! point into jobs, a simulator and a RUSH configuration, and a row
 //! formatter. Every parameter is a constant: the `figures` bin writes each
 //! report to `results/<name>.txt`, and CI fails when a change moves one of

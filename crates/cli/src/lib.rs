@@ -214,19 +214,20 @@ pub fn cmd_gantt(cli: &Cli) -> Result<String, String> {
 /// slot `--at` (jobs arrived by then, progress approximated from elapsed
 /// time), rendered as the paper's Fig. 2 monitoring table.
 ///
-/// The snapshot is replayed into the shared planner kernel
-/// ([`rush_planner::PlannerCore`]) as a typed event stream — one arrival
-/// per job (kernel ids ascend in arrival order, which is the planning
-/// order), one sample per approximated completed task, then a `Tick` at
-/// the snapshot slot — so the CLI exercises exactly the state machine the
-/// daemon and simulator adapter run.
+/// The snapshot is loaded into the shared planner kernel
+/// ([`rush_planner::PlannerCore`]) through the calls the daemon makes —
+/// one `admit` per job (kernel ids ascend in arrival order, which is the
+/// planning order), one `ingest_sample` per approximated completed task,
+/// then `plan_at` the snapshot slot — so the CLI plans exactly as
+/// `rushd` does. At most `tasks - 1` tasks count as done, so no job
+/// retires before the plan.
 ///
 /// # Errors
 ///
 /// Propagates workload and planning failures as strings.
 pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
     use rush_core::plan::render_dashboard;
-    use rush_planner::{EventOutcome, PlannerCore, PlannerEvent};
+    use rush_planner::PlannerCore;
     let (exp, jobs) = build_workload(cli)?;
     let at: u64 = flag(cli, "at", 120)?;
     let arrived: Vec<&JobSpec> = jobs.iter().filter(|j| j.arrival() <= at).collect();
@@ -234,9 +235,8 @@ pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
         return Ok(format!("no jobs arrived by slot {at}\n"));
     }
     let capacity = exp.cluster().capacity();
-    let mut kernel = PlannerCore::new(RushConfig::default(), capacity)
-        .map_err(|e| e.to_string())?
-        .with_retirement(false);
+    let mut kernel =
+        PlannerCore::new(RushConfig::default(), capacity).map_err(|e| e.to_string())?;
     // Approximate progress: assume tasks completed in arrival order at the
     // template's mean rate on a fair share of the cluster.
     let share = (capacity as usize / arrived.len()).max(1);
@@ -245,32 +245,21 @@ pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
         let age = at.saturating_sub(j.arrival());
         let done = ((age as f64 / mean_rt) * share as f64) as usize;
         let done = done.min(j.tasks().len().saturating_sub(1));
-        let outcome = kernel
-            .apply(PlannerEvent::JobArrival {
-                id: None,
-                spec: rush_planner::JobSpec {
-                    label: j.label().to_owned(),
-                    utility: *j.utility(),
-                    tasks: j.tasks().len() as u64,
-                    arrived_slot: j.arrival(),
-                    runtime_hint: None,
-                    parked: false,
-                },
-            })
-            .map_err(|e| e.to_string())?;
-        let EventOutcome::Arrived { job } = outcome else {
-            return Err(format!("unexpected arrival outcome {outcome:?}"));
-        };
+        let job = kernel.admit(rush_planner::JobSpec {
+            label: j.label().to_owned(),
+            utility: *j.utility(),
+            tasks: j.tasks().len() as u64,
+            arrived_slot: j.arrival(),
+            runtime_hint: None,
+            parked: false,
+        });
         for t in &j.tasks()[..done] {
             kernel
-                .apply(PlannerEvent::TaskSample {
-                    job,
-                    runtime: t.base_runtime().round() as u64,
-                })
+                .ingest_sample(job, t.base_runtime().round() as u64)
                 .map_err(|e| e.to_string())?;
         }
     }
-    kernel.apply(PlannerEvent::Tick { now_slot: at }).map_err(|e| e.to_string())?;
+    kernel.plan_at(at).map_err(|e| e.to_string())?;
     let labels: Vec<&str> = arrived.iter().map(|j| j.label()).collect();
     Ok(format!(
         "RUSH plan at slot {at} ({} active jobs)\n{}",
@@ -394,6 +383,25 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("no jobs arrived"));
+    }
+
+    /// The table is pinned byte for byte on three seeded snapshots: at slot
+    /// 100 a job has no sample yet and is sized from the prior, at slot 600
+    /// some jobs are impossible. Any change to how the CLI loads the
+    /// kernel, or to planning itself, shows up here; a deliberate one
+    /// re-records the fixtures.
+    #[test]
+    fn dashboard_output_is_pinned() {
+        for (jobs, seed, at, want) in [
+            ("12", "7", "100", include_str!("../tests/fixtures/dashboard_jobs12_seed7_at100.txt")),
+            ("12", "7", "300", include_str!("../tests/fixtures/dashboard_jobs12_seed7_at300.txt")),
+            ("30", "3", "600", include_str!("../tests/fixtures/dashboard_jobs30_seed3_at600.txt")),
+        ] {
+            let out =
+                cmd_dashboard(&cli("dashboard", &[("jobs", jobs), ("seed", seed), ("at", at)]))
+                    .unwrap();
+            assert_eq!(out, want, "--jobs {jobs} --seed {seed} --at {at}");
+        }
     }
 
     #[test]

@@ -512,7 +512,7 @@ impl PlanState {
 /// whole slots as the rest (a slot tick is one more drift of the replay),
 /// while producing plans bit-identical to a cold pass ([`compute_plan`]) in
 /// every case. Debug builds re-prove the equivalence on a cold state every
-/// [`SPOT_CHECK_INTERVAL`] passes.
+/// 64th pass (`SPOT_CHECK_INTERVAL`).
 ///
 /// # Errors
 ///

@@ -1,29 +1,30 @@
-//! [`PlannerCore`] — the event-driven planner state machine.
+//! [`PlannerCore`] — the planner state machine.
 //!
 //! The kernel owns the four pieces of state the RUSH driving loop needs
 //! and that every adapter previously duplicated:
 //!
 //! 1. the **job registry** ([`JobRecord`] per [`JobId`], in a `BTreeMap`
 //!    so iteration — and therefore planning — is deterministic);
-//! 2. the **sample history**: per-job completed-task runtimes plus the
-//!    cross-job cold-start pools (same-label first, cluster-wide second);
+//! 2. the **sample history**: per-job completed-task runtimes
+//!    ([`PlannerCore::ingest_sample`]) and the cross-job cold-start pools,
+//!    same-label first, cluster-wide second ([`PlannerCore::pool_sample`]);
 //! 3. the incremental **[`PlanCache`]** memo for the per-job
 //!    estimate+WCDE stage;
-//! 4. the current **[`Plan`]**, the slot it was computed at, and the
-//!    [`PlanDelta`] describing what the last replan changed.
+//! 4. the current **[`Plan`]**, its job ids and the slot it was computed
+//!    at.
 //!
-//! All mutation goes through the event methods (or [`PlannerCore::apply`]
-//! with a [`crate::PlannerEvent`]); all planning goes through
-//! [`PlannerCore::plan_at`] (registry mode) or
-//! [`PlannerCore::plan_roster`] (roster mode). Both modes share the
-//! invalidation rule: a plan is fresh exactly when no event arrived since
-//! it was computed *and* the logical clock still reads the same slot.
+//! All mutation goes through the named methods; all planning goes through
+//! [`PlannerCore::plan_at`] (registry mode) or [`PlannerCore::plan_roster`]
+//! (roster mode). Both modes share the invalidation rule: a plan is fresh
+//! exactly when nothing changed since it was computed *and* the logical
+//! clock still reads the same slot.
 
 use crate::PlannerError;
 use rush_core::plan::{compute_plan_incremental, Plan, PlanCache, PlanEntry, PlanInput, PlanPhaseStats, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
 use rush_estimator::DistributionEstimator;
+use rush_sim::view::ClusterView;
 use rush_utility::TimeUtility;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -88,12 +89,10 @@ pub struct JobRecord {
     pub runtime_hint: Option<f64>,
     /// Whether the job is parked (excluded from registry planning).
     pub parked: bool,
-    /// Completed-task runtime samples (slots), in arrival order.
-    /// Maintained in [`ColdStart::OwnSamplesOnly`] mode; roster-mode
-    /// callers carry authoritative samples in the roster instead.
+    /// Completed-task runtime samples (slots), in arrival order, as
+    /// [`PlannerCore::ingest_sample`] recorded them. Roster mode reads
+    /// samples from the caller's view instead.
     pub samples: Vec<u64>,
-    /// Failed task attempts charged to the job (raises its η).
-    pub failed_attempts: usize,
 }
 
 impl JobRecord {
@@ -106,75 +105,8 @@ impl JobRecord {
             runtime_hint: spec.runtime_hint,
             parked: spec.parked,
             samples: Vec::new(),
-            failed_attempts: 0,
         }
     }
-}
-
-/// How a job with no samples of its own is estimated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColdStart {
-    /// Only the job's own samples feed its estimate; with none, the
-    /// configured prior (or runtime hint, for admission probes) carries
-    /// it. The daemon and CLI use this: plans must depend only on
-    /// explicitly ingested state so snapshot/restore is bit-exact.
-    OwnSamplesOnly,
-    /// Borrow same-label pool samples, then any cluster-local samples,
-    /// before falling back to the prior — mirroring how production
-    /// clusters benchmark recurring applications. The simulator adapter
-    /// uses this.
-    PooledByLabel,
-}
-
-/// One job of a caller-supplied planning roster (roster mode): the caller
-/// owns the authoritative per-event job state (the simulator's view) and
-/// lends it to the kernel for one plan pass, zero-copy.
-#[derive(Debug, Clone, Copy)]
-pub struct RosterJob<'a> {
-    /// Kernel job id.
-    pub id: JobId,
-    /// Template label (cold-start pool key).
-    pub label: &'a str,
-    /// The job's own completed-task runtime samples.
-    pub samples: &'a [u64],
-    /// Tasks not yet completed.
-    pub remaining_tasks: usize,
-    /// Tasks currently running.
-    pub running: u32,
-    /// Failed attempts so far.
-    pub failed_attempts: usize,
-    /// Slots since arrival.
-    pub age: f64,
-    /// Completion-time utility.
-    pub utility: TimeUtility,
-}
-
-/// What one replan changed, keyed by job id — the incremental contract
-/// between the kernel and its adapters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PlanDelta {
-    /// Jobs that are new in the plan or whose entry (η, target, mapping
-    /// column, …) differs from the previous plan, with their new entries.
-    pub changed: Vec<(JobId, PlanEntry)>,
-    /// Jobs that were in the previous plan but are not in this one.
-    pub removed: Vec<JobId>,
-}
-
-impl PlanDelta {
-    /// Whether the replan changed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.changed.is_empty() && self.removed.is_empty()
-    }
-}
-
-/// Result of ingesting one runtime sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleOutcome {
-    /// Whether the sample's job was resident in the registry.
-    pub known: bool,
-    /// Whether this was the job's last outstanding task (and, with
-    /// retirement enabled, the job was dropped from the registry).
-    pub completed: bool,
 }
 
 /// The planner kernel. See the [crate docs](crate) for the layering.
@@ -182,11 +114,6 @@ pub struct SampleOutcome {
 pub struct PlannerCore {
     config: RushConfig,
     capacity: u32,
-    cold_start: ColdStart,
-    /// Drop a job from the registry when its last task reports (daemon
-    /// semantics). Roster-mode callers keep records alive until an
-    /// explicit `Cancel` because late samples may still arrive.
-    retire_completed: bool,
     jobs: BTreeMap<JobId, JobRecord>,
     next_id: u64,
     /// Cross-job sample pools keyed by job label (template name).
@@ -204,15 +131,12 @@ pub struct PlannerCore {
     plan_ids: Vec<JobId>,
     /// Slot the current plan was computed at.
     plan_slot: Option<u64>,
-    /// Set by every state-changing event; cleared by a successful replan.
+    /// Set by every state-changing call; cleared by a successful replan.
     dirty: bool,
-    /// What the last replan changed.
-    delta: PlanDelta,
 }
 
 impl PlannerCore {
-    /// Creates an empty kernel in [`ColdStart::OwnSamplesOnly`] mode with
-    /// retirement enabled (daemon semantics).
+    /// Creates an empty kernel.
     ///
     /// # Errors
     ///
@@ -220,25 +144,8 @@ impl PlannerCore {
     /// for an invalid [`RushConfig`].
     pub fn new(config: RushConfig, capacity: u32) -> Result<Self, PlannerError> {
         config.validate()?;
-        if capacity == 0 {
-            return Err(PlannerError::Config("capacity must be >= 1".into()));
-        }
-        Ok(PlannerCore {
-            config,
-            capacity,
-            cold_start: ColdStart::OwnSamplesOnly,
-            retire_completed: true,
-            jobs: BTreeMap::new(),
-            next_id: 0,
-            label_pool: BTreeMap::new(),
-            global_pool: Vec::new(),
-            state: PlanState::new(),
-            plan: Plan::default(),
-            plan_ids: Vec::new(),
-            plan_slot: None,
-            dirty: false,
-            delta: PlanDelta::default(),
-        })
+        check_capacity(capacity)?;
+        Ok(PlannerCore::new_unchecked(config, capacity))
     }
 
     /// Creates a kernel without validating the config — adapter use only:
@@ -249,8 +156,6 @@ impl PlannerCore {
         PlannerCore {
             config,
             capacity,
-            cold_start: ColdStart::OwnSamplesOnly,
-            retire_completed: true,
             jobs: BTreeMap::new(),
             next_id: 0,
             label_pool: BTreeMap::new(),
@@ -260,28 +165,21 @@ impl PlannerCore {
             plan_ids: Vec::new(),
             plan_slot: None,
             dirty: false,
-            delta: PlanDelta::default(),
         }
     }
 
-    /// Selects the cold-start policy.
-    pub fn with_cold_start(mut self, cold_start: ColdStart) -> Self {
-        self.cold_start = cold_start;
-        self
-    }
-
-    /// Enables or disables dropping a job when its last task reports.
-    pub fn with_retirement(mut self, retire: bool) -> Self {
-        self.retire_completed = retire;
-        self
-    }
-
-    /// Rebuilds a kernel from snapshot parts.
+    /// Rebuilds a kernel from snapshot parts. Every record must be one a
+    /// live kernel could hold: [`PlannerCore::ingest_sample`] retires a job
+    /// at its last sample and refuses a runtime it cannot estimate the
+    /// job's remaining tasks from, so a restore refuses both too — kept,
+    /// the second would fail every later plan.
     ///
     /// # Errors
     ///
     /// Same as [`PlannerCore::new`], plus [`PlannerError::Snapshot`] when
-    /// a job id is duplicated or not below `next_id`.
+    /// a job id is duplicated or not below `next_id`, a record has no
+    /// remaining tasks, or its largest sample fails
+    /// [`rush_estimator::check_runtime`].
     pub fn from_parts(
         config: RushConfig,
         capacity: u32,
@@ -295,6 +193,15 @@ impl PlannerCore {
                     "job id {id} is not below next_id {next_id}"
                 )));
             }
+            if record.remaining_tasks == 0 {
+                return Err(PlannerError::Snapshot(format!(
+                    "job {id}: \"remaining_tasks\" is 0, but a job retires at its last sample"
+                )));
+            }
+            let largest = record.samples.iter().copied().max().unwrap_or(0);
+            rush_estimator::check_runtime(largest, record.remaining_tasks as usize).map_err(
+                |e| PlannerError::Snapshot(format!("job {id}: \"samples\" hold {largest}: {e}")),
+            )?;
             if kernel.jobs.insert(id, record).is_some() {
                 return Err(PlannerError::Snapshot(format!("duplicate job id {id}")));
             }
@@ -357,11 +264,6 @@ impl PlannerCore {
         self.plan_slot
     }
 
-    /// What the last replan changed.
-    pub fn delta(&self) -> &PlanDelta {
-        &self.delta
-    }
-
     /// Iterates the current plan as `(job, entry)` pairs, in planning
     /// order: [`PlannerCore::plan_ids`] zipped with the plan's entries.
     pub fn planned(&self) -> impl Iterator<Item = (JobId, &PlanEntry)> {
@@ -394,7 +296,7 @@ impl PlannerCore {
         self.state.last_stats()
     }
 
-    /// Whether the current plan is fresh for `now_slot`: no event arrived
+    /// Whether the current plan is fresh for `now_slot`: nothing changed
     /// since it was computed and the clock still reads the same slot.
     pub fn is_fresh(&self, now_slot: u64) -> bool {
         !self.dirty && self.plan_slot == Some(now_slot)
@@ -409,15 +311,13 @@ impl PlannerCore {
     }
 
     // ------------------------------------------------------------------
-    // Events
+    // Mutations
     // ------------------------------------------------------------------
 
     /// Registers a new job under the next free id and returns that id.
     pub fn admit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.next_id);
-        self.next_id = self.next_id.saturating_add(1);
-        self.dirty = true;
-        self.jobs.insert(id, JobRecord::from_spec(spec));
+        self.admit_as(id, spec);
         id
     }
 
@@ -429,69 +329,44 @@ impl PlannerCore {
         self.jobs.insert(id, JobRecord::from_spec(spec));
     }
 
-    /// Ingests one completed-task runtime sample.
-    ///
-    /// In [`ColdStart::PooledByLabel`] mode the sample also feeds the
-    /// same-label and cluster-wide pools (a sample for an unknown job
-    /// still feeds the cluster pool — evidence is evidence). In
-    /// [`ColdStart::OwnSamplesOnly`] mode an unknown job is an error, and
-    /// so is a runtime too large to estimate the job's remaining tasks
-    /// from ([`rush_estimator::check_runtime`]): kept, it would fail every
-    /// later plan. Roster mode (pooled) trusts its caller's runtimes.
+    /// Records one completed-task runtime among the job's own samples,
+    /// which size it in [`PlannerCore::plan_at`]. The job retires when its
+    /// last task reports. Returns whether it did.
     ///
     /// # Errors
     ///
-    /// [`PlannerError::UnknownJob`] and [`PlannerError::Estimator`]
-    /// ([`rush_estimator::EstimatorError::RangeTooLarge`]), in
-    /// `OwnSamplesOnly` mode only; the job is left untouched.
-    pub fn ingest_sample(
-        &mut self,
-        job: JobId,
-        runtime: u64,
-    ) -> Result<SampleOutcome, PlannerError> {
-        match self.cold_start {
-            ColdStart::OwnSamplesOnly => {
-                let record =
-                    self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
-                rush_estimator::check_runtime(runtime, record.remaining_tasks as usize)?;
-                record.samples.push(runtime);
-                record.remaining_tasks = record.remaining_tasks.saturating_sub(1);
-                let completed = record.remaining_tasks == 0;
-                self.dirty = true;
-                if completed && self.retire_completed {
-                    self.jobs.remove(&job);
-                }
-                Ok(SampleOutcome { known: true, completed })
-            }
-            ColdStart::PooledByLabel => {
-                self.dirty = true;
-                let label = self.jobs.get(&job).map(|r| r.label.clone());
-                let known = label.is_some();
-                if let Some(label) = label {
-                    let pool = self.label_pool.entry(label).or_default();
-                    pool.push(runtime);
-                    pool.drain(..pool.len().saturating_sub(POOL_CAP));
-                }
-                self.global_pool.push(runtime);
-                self.global_pool.drain(..self.global_pool.len().saturating_sub(POOL_CAP));
-                Ok(SampleOutcome { known, completed: false })
-            }
+    /// [`PlannerError::UnknownJob`] for a non-resident id, and
+    /// [`PlannerError::Estimator`]
+    /// ([`rush_estimator::EstimatorError::RangeTooLarge`]) for a runtime
+    /// too large to estimate the job's remaining tasks from
+    /// ([`rush_estimator::check_runtime`]): kept, it would fail every later
+    /// plan. Either way the job is left untouched.
+    pub fn ingest_sample(&mut self, job: JobId, runtime: u64) -> Result<bool, PlannerError> {
+        let record = self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
+        rush_estimator::check_runtime(runtime, record.remaining_tasks as usize)?;
+        record.samples.push(runtime);
+        record.remaining_tasks = record.remaining_tasks.saturating_sub(1);
+        let completed = record.remaining_tasks == 0;
+        self.dirty = true;
+        if completed {
+            self.jobs.remove(&job);
         }
+        Ok(completed)
     }
 
-    /// Charges one failed task attempt to the job (the next plan inflates
-    /// its η). Returns whether the job was known; the plan is invalidated
-    /// either way, since roster-mode callers track attempt counts in the
-    /// roster, not the registry.
-    pub fn record_failure(&mut self, job: JobId) -> bool {
+    /// Adds one completed-task runtime to the cold-start pools that
+    /// [`PlannerCore::plan_roster`] borrows from: the job's label pool, if
+    /// the job is resident, and the cluster-wide pool either way (evidence
+    /// is evidence). The job's own record is not touched.
+    pub fn pool_sample(&mut self, job: JobId, runtime: u64) {
         self.dirty = true;
-        match self.jobs.get_mut(&job) {
-            Some(record) => {
-                record.failed_attempts = record.failed_attempts.saturating_add(1);
-                true
-            }
-            None => false,
+        if let Some(record) = self.jobs.get(&job) {
+            let pool = self.label_pool.entry(record.label.clone()).or_default();
+            pool.push(runtime);
+            pool.drain(..pool.len().saturating_sub(POOL_CAP));
         }
+        self.global_pool.push(runtime);
+        self.global_pool.drain(..self.global_pool.len().saturating_sub(POOL_CAP));
     }
 
     /// Removes a job from the registry. Pooled samples the job
@@ -522,38 +397,28 @@ impl PlannerCore {
     }
 
     /// Forces the next plan request to recompute even if nothing visible
-    /// changed (epoch close, external state change).
+    /// changed (a failed task attempt, an epoch close, an external state
+    /// change).
     pub fn invalidate(&mut self) {
         self.dirty = true;
     }
 
-    /// Updates the planning capacity; a change invalidates the plan.
-    /// Roster-mode adapters call this with the view's capacity before
-    /// planning (the simulator owns the cluster size, not the kernel).
+    /// Sets the cluster's effective capacity (spot revocation, restock,
+    /// node failure, operator resize); a change invalidates the plan. The
+    /// next pass replans against the new total, and the peel replay treats
+    /// the move as one more drift term rather than peeling from scratch.
     ///
-    /// Crate-private: outside `rush-planner` capacity changes only through
-    /// [`PlannerCore::apply`] with [`PlannerEvent::CapacityChange`], so
-    /// every change is a typed, validated, replayable event.
+    /// # Errors
     ///
-    /// ```
-    /// use rush_planner::{PlannerCore, PlannerEvent};
-    /// let mut core = PlannerCore::new(rush_core::RushConfig::default(), 8).unwrap();
-    /// core.apply(PlannerEvent::CapacityChange { capacity: 4 }).unwrap();
-    /// assert_eq!(core.capacity(), 4);
-    /// ```
-    ///
-    /// ```compile_fail
-    /// use rush_planner::PlannerCore;
-    /// let mut core = PlannerCore::new(rush_core::RushConfig::default(), 8).unwrap();
-    /// core.set_capacity(4); // private: E0624
-    /// ```
-    ///
-    /// [`PlannerEvent::CapacityChange`]: crate::PlannerEvent::CapacityChange
-    pub(crate) fn set_capacity(&mut self, capacity: u32) {
+    /// [`PlannerError::Config`] for zero capacity; the capacity and the
+    /// plan's freshness are left untouched.
+    pub fn set_capacity(&mut self, capacity: u32) -> Result<(), PlannerError> {
+        check_capacity(capacity)?;
         if self.capacity != capacity {
             self.capacity = capacity;
             self.dirty = true;
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -561,16 +426,19 @@ impl PlannerCore {
     // ------------------------------------------------------------------
 
     /// Replans from the kernel's own registry (non-parked jobs, ascending
-    /// id order) unless the current plan [is fresh](Self::is_fresh).
-    /// Returns the delta of the last replan.
+    /// id order) unless the current plan [is fresh](Self::is_fresh). A job
+    /// is sized from its own samples, else its runtime hint, else the
+    /// configured prior — exactly as admission sized it ([`estimate_eta`]),
+    /// and never from the pools, so a plan depends only on the records and
+    /// a snapshot restore reproduces it bit for bit.
     ///
     /// # Errors
     ///
     /// [`PlannerError::Core`] when the pipeline fails; the previous plan
     /// and staleness are left untouched so the next call retries.
-    pub fn plan_at(&mut self, now_slot: u64) -> Result<&PlanDelta, PlannerError> {
+    pub fn plan_at(&mut self, now_slot: u64) -> Result<(), PlannerError> {
         if self.is_fresh(now_slot) {
-            return Ok(&self.delta);
+            return Ok(());
         }
         let (ids, hints): (Vec<JobId>, Vec<Option<u64>>) = self
             .jobs
@@ -579,42 +447,33 @@ impl PlannerCore {
             .map(|(id, j)| (*id, hint_sample(j.runtime_hint)))
             .unzip();
         // Destructure for disjoint borrows: the inputs borrow the records
-        // and pools while the pipeline takes the plan cache mutably.
-        let Self { config, capacity, cold_start, jobs, label_pool, global_pool, state, .. } =
-            &mut *self;
+        // while the pipeline takes the planning state mutably.
+        let Self { config, capacity, jobs, state, .. } = &mut *self;
         let inputs: Vec<PlanInput<'_>> = jobs
             .values()
             .filter(|j| !j.parked)
             .zip(&hints)
-            .map(|(j, hint)| {
-                // Sized exactly as admission sized it: own samples, else the
-                // runtime hint.
-                let own = sizing_samples(&j.samples, hint);
-                let samples: &[u64] = match cold_start {
-                    ColdStart::OwnSamplesOnly => own,
-                    ColdStart::PooledByLabel => {
-                        cold_start_samples(label_pool, global_pool, &j.label, own)
-                    }
-                };
-                PlanInput {
-                    samples: Cow::Borrowed(samples),
-                    remaining_tasks: j.remaining_tasks as usize,
-                    running: 0,
-                    failed_attempts: j.failed_attempts,
-                    age: now_slot.saturating_sub(j.arrived_slot) as f64,
-                    utility: j.utility,
-                }
+            .map(|(j, hint)| PlanInput {
+                samples: Cow::Borrowed(sizing_samples(&j.samples, hint)),
+                remaining_tasks: j.remaining_tasks as usize,
+                running: 0,
+                failed_attempts: 0,
+                age: now_slot.saturating_sub(j.arrived_slot) as f64,
+                utility: j.utility,
             })
             .collect();
         let plan = compute_plan_incremental(config, *capacity, &inputs, state)?;
         self.install_plan(now_slot, ids, plan);
-        Ok(&self.delta)
+        Ok(())
     }
 
-    /// Replans from a caller-supplied roster (roster mode) unless the
-    /// current plan [is fresh](Self::is_fresh). The roster's order is the
-    /// planning order; the kernel contributes cold-start pools and the
-    /// plan cache. Returns the delta of the last replan.
+    /// Replans from the simulator's view at `view.now` unless the current
+    /// plan [is fresh](Self::is_fresh). The view's jobs, in its order, are
+    /// the planning roster, and their samples, counts and ages are
+    /// authoritative. A job with no samples of its own borrows its label's
+    /// pool, else the cluster-wide pool ([`PlannerCore::pool_sample`]),
+    /// before the configured prior — as production clusters benchmark
+    /// recurring applications.
     ///
     /// # Errors
     ///
@@ -622,65 +481,42 @@ impl PlannerCore {
     /// and staleness are left untouched. Callers that must make progress
     /// anyway can install an empty plan via
     /// [`PlannerCore::install_empty_plan`].
-    pub fn plan_roster(
-        &mut self,
-        now_slot: u64,
-        roster: &[RosterJob<'_>],
-    ) -> Result<&PlanDelta, PlannerError> {
-        if self.is_fresh(now_slot) {
-            return Ok(&self.delta);
+    pub fn plan_roster(&mut self, view: &ClusterView<'_>) -> Result<(), PlannerError> {
+        if self.is_fresh(view.now) {
+            return Ok(());
         }
-        let Self { config, capacity, cold_start, label_pool, global_pool, state, .. } =
-            &mut *self;
-        let inputs: Vec<PlanInput<'_>> = roster
+        let Self { config, capacity, label_pool, global_pool, state, .. } = &mut *self;
+        let inputs: Vec<PlanInput<'_>> = view
+            .jobs
             .iter()
-            .map(|r| {
-                let samples: &[u64] = match cold_start {
-                    ColdStart::OwnSamplesOnly => r.samples,
-                    ColdStart::PooledByLabel => {
-                        cold_start_samples(label_pool, global_pool, r.label, r.samples)
-                    }
-                };
-                PlanInput {
-                    samples: Cow::Borrowed(samples),
-                    remaining_tasks: r.remaining_tasks,
-                    running: r.running,
-                    failed_attempts: r.failed_attempts,
-                    age: r.age,
-                    utility: r.utility,
-                }
+            .map(|j| PlanInput {
+                samples: Cow::Borrowed(cold_start_samples(
+                    label_pool,
+                    global_pool,
+                    &j.label,
+                    &j.samples,
+                )),
+                remaining_tasks: j.pending_tasks,
+                running: j.running_tasks as u32,
+                failed_attempts: j.failed_attempts,
+                age: j.age(view.now) as f64,
+                utility: j.utility,
             })
             .collect();
         let plan = compute_plan_incremental(config, *capacity, &inputs, state)?;
-        let ids: Vec<JobId> = roster.iter().map(|r| r.id).collect();
-        self.install_plan(now_slot, ids, plan);
-        Ok(&self.delta)
+        let ids: Vec<JobId> = view.jobs.iter().map(|j| JobId::from(j.id)).collect();
+        self.install_plan(view.now, ids, plan);
+        Ok(())
     }
 
     /// Installs an *empty* plan for `now_slot` — the fallback when a plan
     /// pass fails on pathological inputs and the caller must stay live
     /// (the simulator adapter's stall guards keep the cluster moving).
-    /// The delta reports every previously planned job as removed.
     pub fn install_empty_plan(&mut self, now_slot: u64) {
         self.install_plan(now_slot, Vec::new(), Plan::default());
     }
 
     fn install_plan(&mut self, now_slot: u64, ids: Vec<JobId>, plan: Plan) {
-        let mut previous: BTreeMap<JobId, PlanEntry> = self
-            .plan_ids
-            .iter()
-            .copied()
-            .zip(self.plan.entries.iter().copied())
-            .collect();
-        let mut changed = Vec::new();
-        for (id, entry) in ids.iter().zip(plan.entries.iter()) {
-            match previous.remove(id) {
-                Some(old) if old == *entry => {}
-                _ => changed.push((*id, *entry)),
-            }
-        }
-        let removed: Vec<JobId> = previous.into_keys().collect();
-        self.delta = PlanDelta { changed, removed };
         self.plan = plan;
         self.plan_ids = ids;
         self.plan_slot = Some(now_slot);
@@ -703,19 +539,15 @@ impl PlannerCore {
         for id in &self.plan_ids {
             debug_assert!(seen.insert(*id), "plan ids must be unique, {id} repeats");
         }
-        for (id, _) in &self.delta.changed {
-            debug_assert!(
-                self.plan_ids.contains(id),
-                "changed job {id} must be in the installed plan"
-            );
-        }
-        for id in &self.delta.removed {
-            debug_assert!(
-                !self.plan_ids.contains(id),
-                "removed job {id} must not be in the installed plan"
-            );
-        }
     }
+}
+
+/// Refuses a cluster without containers: no plan fits it.
+fn check_capacity(capacity: u32) -> Result<(), PlannerError> {
+    if capacity == 0 {
+        return Err(PlannerError::Config("capacity must be >= 1".into()));
+    }
+    Ok(())
 }
 
 /// Picks the sample set backing a job's estimate: its own completed-task
@@ -724,7 +556,7 @@ impl PlannerCore {
 /// shadow the global pool (a label entry can outlive its drained samples).
 /// The returned slice may be empty, in which case the estimator falls back
 /// to the configured prior.
-pub(crate) fn cold_start_samples<'v>(
+fn cold_start_samples<'v>(
     label_pool: &'v BTreeMap<String, Vec<u64>>,
     global_pool: &'v [u64],
     label: &str,
@@ -824,37 +656,53 @@ mod tests {
     }
 
     #[test]
+    fn admit_as_replaces_and_bumps_next_id() {
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
+        k.admit_as(JobId(7), spec("x", 3, 0));
+        assert_eq!(k.next_id(), 8);
+        assert_eq!(k.job(JobId(7)).map(|j| j.remaining_tasks), Some(3));
+        // Re-registration replaces the record.
+        k.admit_as(JobId(7), spec("x", 9, 0));
+        assert_eq!(k.job(JobId(7)).map(|j| j.remaining_tasks), Some(9));
+        assert_eq!(k.job_count(), 1);
+        // A lower id leaves next_id where it is.
+        k.admit_as(JobId(2), spec("y", 1, 0));
+        assert_eq!(k.next_id(), 8);
+        assert_eq!(k.admit(spec("z", 1, 0)), JobId(8));
+    }
+
+    #[test]
     fn plan_is_fresh_within_slot_and_stale_across() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        k.admit(spec("a", 4, 0));
-        let delta = k.plan_at(0).expect("plan").clone();
-        assert_eq!(delta.changed.len(), 1);
+        let a = k.admit(spec("a", 4, 0));
+        k.plan_at(0).expect("plan");
+        assert_eq!(k.plan_ids(), &[a]);
         assert!(k.is_fresh(0));
         assert!(!k.is_fresh(1), "a new slot is a new plan");
-        // Same slot, no events: the cached delta comes back, no recompute.
+        // Same slot, no change: the plan stands, no recompute.
+        let plan = k.plan().clone();
         let misses = k.cache_misses();
-        let again = k.plan_at(0).expect("plan").clone();
-        assert_eq!(again, delta);
+        k.plan_at(0).expect("plan");
+        assert_eq!(k.plan(), &plan);
         assert_eq!(k.cache_misses(), misses);
     }
 
     #[test]
-    fn delta_reports_changes_and_removals() {
+    fn set_capacity_refuses_zero_and_leaves_the_plan_fresh() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
-        let b = k.admit(spec("b", 8, 0));
+        k.admit(spec("a", 5, 0));
         k.plan_at(0).expect("plan");
-        // Nothing changed: replanning at the same inputs yields an empty
-        // delta (forced via invalidate).
-        k.invalidate();
-        let delta = k.plan_at(0).expect("plan");
-        assert!(delta.is_empty(), "unchanged inputs produce an empty delta");
-        // Cancel one job: it must show up as removed, and the survivor's
-        // entry typically changes (more capacity for it).
-        assert!(k.cancel(a));
-        let delta = k.plan_at(0).expect("plan").clone();
-        assert_eq!(delta.removed, vec![a]);
-        assert!(delta.changed.iter().all(|(id, _)| *id == b));
+        assert!(matches!(k.set_capacity(0), Err(PlannerError::Config(_))));
+        assert_eq!(k.capacity(), 8);
+        assert!(k.is_fresh(0), "a refused resize must not invalidate");
+        // The same capacity changes nothing; another one invalidates.
+        k.set_capacity(8).expect("same capacity");
+        assert!(k.is_fresh(0));
+        k.set_capacity(5).expect("revocation");
+        assert_eq!(k.capacity(), 5);
+        assert!(!k.is_fresh(0));
+        k.plan_at(0).expect("plan at the new capacity");
+        assert!(k.is_fresh(0));
     }
 
     #[test]
@@ -876,13 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn own_samples_mode_retires_on_last_sample() {
+    fn ingest_sample_retires_on_last_sample() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
         let a = k.admit(spec("a", 2, 0));
-        let first = k.ingest_sample(a, 40).expect("known");
-        assert_eq!(first, SampleOutcome { known: true, completed: false });
-        let last = k.ingest_sample(a, 44).expect("known");
-        assert_eq!(last, SampleOutcome { known: true, completed: true });
+        assert!(!k.ingest_sample(a, 40).expect("known"));
+        assert!(k.ingest_sample(a, 44).expect("known"), "the last task completes the job");
         assert!(k.job(a).is_none(), "retired on last sample");
         assert!(matches!(
             k.ingest_sample(a, 1),
@@ -894,7 +740,7 @@ mod tests {
     /// reaches its samples: kept, it would fail every plan until the job
     /// left.
     #[test]
-    fn own_samples_mode_refuses_a_runtime_it_cannot_estimate() {
+    fn ingest_sample_refuses_a_runtime_it_cannot_estimate() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
         let a = k.admit(spec("a", 100, 0));
         assert!(matches!(
@@ -908,17 +754,33 @@ mod tests {
         k.plan_at(1).expect("plan");
     }
 
+    /// The two sample paths stay apart: a job's own samples never reach
+    /// the pools a roster borrows from, and a pooled sample never becomes
+    /// one of a record's own or retires it.
     #[test]
-    fn pooled_mode_feeds_pools_even_for_unknown_jobs() {
-        let mut k = PlannerCore::new(RushConfig::default(), 8)
-            .expect("kernel")
-            .with_cold_start(ColdStart::PooledByLabel)
-            .with_retirement(false);
+    fn own_and_pooled_samples_stay_apart() {
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
+        let a = k.admit(spec("tpl", 2, 0));
+        k.ingest_sample(a, 30).expect("known");
+        assert!(k.label_pool.is_empty() && k.global_pool.is_empty());
+
+        let b = k.admit(spec("tpl", 1, 0));
+        k.plan_at(0).expect("plan");
+        k.pool_sample(b, 31);
+        k.pool_sample(b, 32);
+        let record = k.job(b).expect("pooling never retires");
+        assert!(record.samples.is_empty());
+        assert_eq!(record.remaining_tasks, 1);
+        assert!(!k.is_fresh(0), "new evidence invalidates the plan");
+        assert_eq!(k.job(a).map(|r| r.samples.as_slice()), Some(&[30][..]));
+    }
+
+    #[test]
+    fn pool_sample_feeds_pools_even_for_unknown_jobs() {
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
         let a = k.admit(spec("tpl", 4, 0));
-        let known = k.ingest_sample(a, 30).expect("pooled never errors");
-        assert!(known.known);
-        let unknown = k.ingest_sample(JobId(77), 31).expect("pooled never errors");
-        assert!(!unknown.known);
+        k.pool_sample(a, 30);
+        k.pool_sample(JobId(77), 31);
         // Both samples landed in the global pool; only the known one in
         // the label pool. A fresh same-label job borrows the label pool.
         assert_eq!(
@@ -933,12 +795,10 @@ mod tests {
 
     #[test]
     fn pool_caps_drain_oldest() {
-        let mut k = PlannerCore::new(RushConfig::default(), 8)
-            .expect("kernel")
-            .with_cold_start(ColdStart::PooledByLabel);
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
         let a = k.admit(spec("tpl", 4, 0));
         for i in 0..(POOL_CAP as u64 + 10) {
-            k.ingest_sample(a, i).expect("pooled");
+            k.pool_sample(a, i);
         }
         assert_eq!(k.global_pool.len(), POOL_CAP);
         assert_eq!(k.global_pool.first().copied(), Some(10));
@@ -957,27 +817,44 @@ mod tests {
         assert!(!k.is_fresh(0));
     }
 
+    /// A restored record faces the rules a live kernel's records obey:
+    /// unique ids below `next_id`, no finished job, no sample
+    /// `ingest_sample` would have refused.
     #[test]
-    fn from_parts_validates_ids() {
-        let record = JobRecord::from_spec(spec("a", 4, 0));
-        let err = PlannerCore::from_parts(
-            RushConfig::default(),
-            4,
-            vec![(JobId(7), record.clone())],
-            5,
-        );
-        assert!(matches!(err, Err(PlannerError::Snapshot(_))));
-        let err = PlannerCore::from_parts(
-            RushConfig::default(),
-            4,
-            vec![(JobId(1), record.clone()), (JobId(1), record.clone())],
-            5,
-        );
-        assert!(matches!(err, Err(PlannerError::Snapshot(_))));
-        let ok = PlannerCore::from_parts(RushConfig::default(), 4, vec![(JobId(1), record)], 5)
-            .expect("consistent parts");
+    fn from_parts_validates_records() {
+        let record = JobRecord::from_spec(spec("a", 12, 0));
+        let restore = |jobs: Vec<(JobId, JobRecord)>| {
+            PlannerCore::from_parts(RushConfig::default(), 4, jobs, 5)
+        };
+        for (jobs, why) in [
+            (vec![(JobId(7), record.clone())], "not below next_id"),
+            (vec![(JobId(1), record.clone()), (JobId(1), record.clone())], "duplicate"),
+            (
+                vec![(JobId(1), JobRecord { remaining_tasks: 0, ..record.clone() })],
+                "\"remaining_tasks\"",
+            ),
+            (
+                vec![(
+                    JobId(1),
+                    JobRecord {
+                        remaining_tasks: 10,
+                        samples: vec![38, 4_000_000_000_000_000],
+                        ..record.clone()
+                    },
+                )],
+                "\"samples\"",
+            ),
+        ] {
+            match restore(jobs) {
+                Err(PlannerError::Snapshot(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{why} must be refused, got {:?}", other.map(|_| ())),
+            }
+        }
+        let sampled = JobRecord { remaining_tasks: 10, samples: vec![38, 44], ..record };
+        let mut ok = restore(vec![(JobId(1), sampled)]).expect("consistent parts");
         assert_eq!(ok.next_id(), 5);
         assert_eq!(ok.job_count(), 1);
+        ok.plan_at(0).expect("plan");
     }
 
     #[test]
@@ -1001,25 +878,25 @@ mod tests {
     }
 
     #[test]
-    fn empty_registry_plans_to_empty_and_clears_cache() {
+    fn empty_registry_plans_to_empty() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
         let a = k.admit(spec("a", 4, 0));
         k.plan_at(0).expect("plan");
         assert!(!k.plan().entries.is_empty());
         k.cancel(a);
-        let delta = k.plan_at(1).expect("plan").clone();
+        k.plan_at(1).expect("plan");
         assert!(k.plan().entries.is_empty());
-        assert_eq!(delta.removed, vec![a]);
+        assert!(k.plan_ids().is_empty());
     }
 
     #[test]
-    fn install_empty_plan_reports_removals() {
+    fn install_empty_plan_is_fresh_and_empty() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
+        k.admit(spec("a", 4, 0));
         k.plan_at(0).expect("plan");
         k.install_empty_plan(3);
         assert!(k.plan().entries.is_empty());
-        assert_eq!(k.delta().removed, vec![a]);
+        assert!(k.plan_ids().is_empty());
         assert!(k.is_fresh(3));
     }
 }

@@ -1,34 +1,32 @@
-//! The RUSH **planner kernel**: one event-driven owner of all planning
-//! state, shared by the simulator adapter, the `rushd` daemon and the CLI.
+//! The RUSH **planner kernel**: one owner of all planning state, shared
+//! by the simulator adapter, the `rushd` daemon and the CLI.
 //!
 //! Before this crate existed the stateful driving logic around the paper's
 //! DE→WCDE→TAS→mapping pipeline — sample ingestion, label-pool
 //! bookkeeping, plan invalidation, recompute triggering, and acting on the
 //! resulting [`rush_core::Plan`] — was implemented three times: in the
 //! simulator-facing scheduler, in the daemon's job table, and in ad-hoc
-//! CLI glue. [`PlannerCore`] centralizes it:
+//! CLI glue. [`PlannerCore`] centralizes it as the **single owner** of the
+//! job registry, per-job sample history, the cross-job cold-start pools,
+//! the incremental [`rush_core::PlanCache`] and the current
+//! [`rush_core::Plan`]. It is driven by named methods only (`admit`,
+//! `ingest_sample`, `pool_sample`, `cancel`, `set_parked`,
+//! `set_capacity`, `invalidate`), and read through `planned()` and
+//! `entry()`.
 //!
-//! * **Single owner** of the job registry, per-job sample history, the
-//!   cross-job cold-start pools, the incremental [`rush_core::PlanCache`]
-//!   and the current [`rush_core::Plan`].
-//! * **Event-sourced**: state changes arrive as typed [`PlannerEvent`]s
-//!   (`JobArrival`, `TaskSample`, `TaskFailed`, `Cancel`, `Tick`) via
-//!   [`PlannerCore::apply`], or through the equivalent named methods.
-//! * **Plan deltas**: every replan emits a [`PlanDelta`] — exactly the
-//!   jobs whose `η`/target/mapping changed plus the jobs that left the
-//!   plan — so adapters react incrementally instead of rereading whole
-//!   plans.
-//!
-//! Two planning modes cover the three call sites:
+//! Two planning entry points cover the three call sites, and each fixes
+//! how a job with no samples of its own is sized:
 //!
 //! * **Registry mode** ([`PlannerCore::plan_at`]) — the kernel's own job
 //!   records are the source of truth (daemon, CLI). Jobs are planned in
-//!   ascending id order; parked jobs are excluded.
-//! * **Roster mode** ([`PlannerCore::plan_roster`]) — the caller supplies
-//!   a borrowed per-event roster (the simulator's [`ClusterView`]) and the
-//!   kernel contributes config, cold-start pools and the plan cache. This
-//!   keeps the hot path allocation-light and bit-identical to the
-//!   pre-kernel scheduler.
+//!   ascending id order; parked jobs are excluded. A job is sized from
+//!   its own samples, else its runtime hint, else the prior, so a plan
+//!   depends only on the records and a snapshot restore is bit-exact.
+//! * **Roster mode** ([`PlannerCore::plan_roster`]) — the simulator's
+//!   [`ClusterView`] is the roster, read in place; the kernel contributes
+//!   config, the label and cluster-wide cold-start pools and the plan
+//!   cache. This keeps the hot path allocation-light and bit-identical to
+//!   the pre-kernel scheduler.
 //!
 //! [`RushScheduler`] is the thin `rush_sim::Scheduler` adapter over the
 //! kernel; `rush-serve` and `rush-cli` drive the same kernel for the
@@ -60,14 +58,9 @@
 )]
 
 pub mod core;
-pub mod event;
 pub mod scheduler;
 
-pub use crate::core::{
-    estimate_eta, ColdStart, JobId, JobRecord, JobSpec, PlanDelta, PlannerCore, RosterJob,
-    SampleOutcome,
-};
-pub use event::{EventOutcome, PlannerEvent};
+pub use crate::core::{estimate_eta, JobId, JobRecord, JobSpec, PlannerCore};
 pub use scheduler::RushScheduler;
 
 /// The planner kernel under the name `benchmark/` still uses. Kept only
@@ -89,9 +82,10 @@ pub enum PlannerError {
     Estimator(rush_estimator::EstimatorError),
     /// A kernel configuration parameter is invalid.
     Config(String),
-    /// An event referenced a job id the kernel does not know.
+    /// A call referenced a job id the kernel does not know.
     UnknownJob(u64),
-    /// Restored kernel parts were internally inconsistent.
+    /// Restored kernel parts were inconsistent, or held a record a live
+    /// kernel never holds.
     Snapshot(String),
 }
 

@@ -1,21 +1,19 @@
 //! [`RushScheduler`] — the thin `rush_sim::Scheduler` adapter over the
 //! planner kernel.
 //!
-//! The adapter owns nothing but a [`PlannerCore`] (in
-//! [`ColdStart::PooledByLabel`] mode) and a desired-allocation map it
-//! maintains incrementally from the kernel's [plan
-//! deltas](crate::PlanDelta). Simulator events become kernel events; on
-//! every `assign` the adapter lends the kernel the cluster view as a
-//! planning roster (so plan inputs are authoritative and zero-copy) and
-//! then applies the paper's dispatch rule (Sec. IV, "Container
-//! Assignment"): the free container goes to the job with the **largest gap
-//! between planned and current occupancy**, with the work-conserving and
-//! stall-guard fallbacks layered below it. The plan is cached for the
-//! current slot, so a burst of free containers in one slot costs one
-//! pipeline pass.
+//! The adapter owns nothing but a [`PlannerCore`] and a desired-allocation
+//! map it refills from the kernel's plan after every replan. Simulator
+//! events become kernel calls (arrivals register a record, completed tasks
+//! feed the cold-start pools); on every `assign` the adapter hands the
+//! kernel the cluster view as its planning roster (so plan inputs are
+//! authoritative and zero-copy) and then applies the paper's dispatch rule
+//! (Sec. IV, "Container Assignment"): the free container goes to the job
+//! with the **largest gap between planned and current occupancy**, with
+//! the work-conserving and stall-guard fallbacks layered below it. The plan
+//! is cached for the current slot, so a burst of free containers in one
+//! slot costs one pipeline pass.
 
-use crate::core::{ColdStart, JobId, JobSpec, PlannerCore, RosterJob};
-use crate::event::PlannerEvent;
+use crate::core::{JobId, JobSpec, PlannerCore};
 use crate::PlannerError;
 use rush_core::plan::Plan;
 use rush_core::RushConfig;
@@ -51,7 +49,7 @@ pub struct RushScheduler {
     kernel: PlannerCore,
     name: &'static str,
     /// Desired next-slot allocations `(desired_now, target)` by raw job
-    /// id, maintained incrementally from plan deltas.
+    /// id: the kernel's current plan, keyed for `assign`'s lookups.
     desired: BTreeMap<u64, (u32, f64)>,
     /// The typed error from the most recent failed capacity update, if
     /// any (see [`RushScheduler::last_capacity_error`]). Cleared by the
@@ -68,9 +66,7 @@ impl RushScheduler {
     /// absorb — same as the pre-kernel scheduler.
     pub fn new(config: RushConfig) -> Self {
         RushScheduler {
-            kernel: PlannerCore::new_unchecked(config, 1)
-                .with_cold_start(ColdStart::PooledByLabel)
-                .with_retirement(false),
+            kernel: PlannerCore::new_unchecked(config, 1),
             name: "RUSH",
             desired: BTreeMap::new(),
             capacity_error: None,
@@ -95,7 +91,7 @@ impl RushScheduler {
         self.kernel.config()
     }
 
-    /// The planner kernel behind the adapter (plan, deltas, cache
+    /// The planner kernel behind the adapter (plan, cache
     /// counters — the data behind the paper's enhanced HTTP interface).
     pub fn kernel(&self) -> &PlannerCore {
         &self.kernel
@@ -141,51 +137,21 @@ impl RushScheduler {
     /// Ensures the kernel's plan is fresh for `view.now` and the desired
     /// map reflects it.
     fn refresh(&mut self, view: &ClusterView<'_>) {
-        if let Err(e) = self.kernel.apply(PlannerEvent::CapacityChange { capacity: view.capacity })
-        {
-            // The kernel cannot plan for an empty cluster; treat it like a
-            // failed pass (empty plan, fallbacks engage) but keep the typed
-            // cause observable.
-            self.capacity_error = Some(e);
-            self.desired.clear();
+        self.capacity_error = self.kernel.set_capacity(view.capacity).err();
+        if self.capacity_error.is_none() && self.kernel.is_fresh(view.now) {
+            return;
+        }
+        self.desired.clear();
+        // The kernel cannot plan for an empty cluster, and a pass can fail
+        // on pathological inputs: either way fall back to an empty plan for
+        // this slot (the assign() fallbacks keep the cluster from stalling),
+        // with a refused capacity's typed cause kept observable.
+        if self.capacity_error.is_some() || self.kernel.plan_roster(view).is_err() {
             self.kernel.install_empty_plan(view.now);
             return;
         }
-        self.capacity_error = None;
-        if self.kernel.is_fresh(view.now) {
-            return;
-        }
-        let roster: Vec<RosterJob<'_>> = view
-            .jobs
-            .iter()
-            .map(|j| RosterJob {
-                id: JobId::from(j.id),
-                label: &j.label,
-                samples: &j.samples,
-                remaining_tasks: j.pending_tasks,
-                running: j.running_tasks as u32,
-                failed_attempts: j.failed_attempts,
-                age: j.age(view.now) as f64,
-                utility: j.utility,
-            })
-            .collect();
-        match self.kernel.plan_roster(view.now, &roster) {
-            Ok(delta) => {
-                for id in &delta.removed {
-                    self.desired.remove(&id.0);
-                }
-                for (id, e) in &delta.changed {
-                    self.desired.insert(id.0, (e.desired_now, e.target));
-                }
-            }
-            Err(_) => {
-                // On estimation failure (pathological inputs) fall back to
-                // an empty plan for this slot; the assign() fallbacks keep
-                // the cluster from stalling.
-                self.desired.clear();
-                self.kernel.install_empty_plan(view.now);
-            }
-        }
+        self.desired
+            .extend(self.kernel.planned().map(|(id, e)| (id.0, (e.desired_now, e.target))));
     }
 }
 
@@ -194,10 +160,10 @@ impl Scheduler for RushScheduler {
         self.name
     }
 
-    fn on_job_arrival(&mut self, _view: &ClusterView<'_>, job: rush_sim::JobId) {
+    fn on_job_arrival(&mut self, view: &ClusterView<'_>, job: rush_sim::JobId) {
         // Record the label while the job is certainly visible; the
         // arrival event dirties the kernel either way.
-        match _view.job(job) {
+        match view.job(job) {
             Some(j) => self.kernel.admit_as(
                 JobId::from(job),
                 JobSpec {
@@ -213,10 +179,10 @@ impl Scheduler for RushScheduler {
         }
     }
 
-    fn on_task_failed(&mut self, _view: &ClusterView<'_>, sample: TaskSample) {
+    fn on_task_failed(&mut self, _view: &ClusterView<'_>, _sample: TaskSample) {
         // Failed-attempt durations are not runtime samples, but the plan
-        // must be recomputed with the updated failure count.
-        self.kernel.record_failure(JobId::from(sample.job));
+        // must be recomputed with the view's updated failure count.
+        self.kernel.invalidate();
     }
 
     fn on_capacity_change(&mut self, view: &ClusterView<'_>) {
@@ -227,10 +193,11 @@ impl Scheduler for RushScheduler {
         self.refresh(view);
     }
 
-    fn on_task_complete(&mut self, _view: &ClusterView<'_>, sample: TaskSample) {
-        // Pooled ingestion never errors; the binding documents intent.
-        let _known = self.kernel.ingest_sample(JobId::from(sample.job), sample.runtime);
-        if _view.job(sample.job).is_none() {
+    fn on_task_complete(&mut self, view: &ClusterView<'_>, sample: TaskSample) {
+        // The view carries the job's own samples; the kernel keeps only the
+        // pools its cold-start jobs borrow.
+        self.kernel.pool_sample(JobId::from(sample.job), sample.runtime);
+        if view.job(sample.job).is_none() {
             // Job finished: forget its registry record.
             self.kernel.cancel(JobId::from(sample.job));
         }

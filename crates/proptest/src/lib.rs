@@ -331,7 +331,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use core::ops::Range;
 
-    /// Element-count specification for [`vec`]: an exact count or a
+    /// Element-count specification for [`vec()`]: an exact count or a
     /// half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
@@ -358,7 +358,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

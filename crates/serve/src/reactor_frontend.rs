@@ -18,7 +18,7 @@
 //!
 //! **Broadcasts.** Cluster-wide requests fan out to every planner shard;
 //! the parts accumulate in a per-request slot and are merged in shard
-//! order with [`merge_pair`], so "first error wins" is deterministic.
+//! order with `server::merge_pair`, so "first error wins" is deterministic.
 //!
 //! **Backpressure.** Three bounds protect the daemon from slow or
 //! hostile peers: a per-connection cap on in-flight requests (reads pause
@@ -30,7 +30,7 @@
 //! [`crate::server`]); the timer wheel here serves slow-reader eviction
 //! only.
 //!
-//! Off Linux there is no epoll: [`spawn`] returns the
+//! Off Linux there is no epoll: `spawn` returns the
 //! [`std::io::ErrorKind::Unsupported`] error `rush_reactor` reports.
 
 use crate::binary::{self, Scan};

@@ -378,6 +378,11 @@ mod tests {
             ("\"priority\":4", "\"priority\":0", "priority"),
             ("\"hint\":40", "\"hint\":-3", "hint"),
             ("\"remaining_tasks\":10", "\"remaining_tasks\":13", "remaining_tasks"),
+            // A live daemon retires a job at its last sample, and refuses a
+            // runtime it cannot estimate the job's remaining tasks from:
+            // kept, it would fail every later plan and admit nothing.
+            ("\"remaining_tasks\":10", "\"remaining_tasks\":0", "remaining_tasks"),
+            ("\"samples\":[38,44]", "\"samples\":[38,4000000000000000]", "samples"),
         ] {
             let bad = text.replace(from, to);
             assert_ne!(bad, text, "replacement {from:?} must apply");

@@ -3,11 +3,13 @@
 //!
 //! [`ServeState`] owns no planning state of its own anymore: the job
 //! registry, sample history, plan cache and current plan live in one
-//! [`rush_planner::PlannerCore`] (in own-samples cold-start mode, so plans
-//! depend only on explicitly ingested state and snapshot/restore stays
-//! bit-exact). What remains here is the daemon-specific rind: wire
-//! submissions, admission verdicts, monotonic counters, and the
-//! translation from kernel errors to wire errors.
+//! [`rush_planner::PlannerCore`], planned in registry mode
+//! ([`PlannerCore::plan_at`]: a job is sized from its own samples or its
+//! hint, never from other jobs' pools, so plans depend only on explicitly
+//! ingested state and snapshot/restore stays bit-exact). What remains
+//! here is the daemon-specific rind: wire submissions, admission
+//! verdicts, monotonic counters, and the translation from kernel errors
+//! to wire errors.
 //!
 //! [`ServeState`] is deliberately *pure with respect to time*: every method
 //! that can replan takes an explicit logical `now_slot`, and the plan is a
@@ -37,7 +39,7 @@ use crate::protocol::{
 use crate::ServeError;
 use rush_core::cluster::ClusterModel;
 use rush_core::RushConfig;
-use rush_planner::{JobId, JobRecord, JobSpec, PlannerCore, PlannerError, PlannerEvent};
+use rush_planner::{JobId, JobRecord, JobSpec, PlannerCore, PlannerError};
 use std::collections::BTreeMap;
 
 /// One resident job, as exchanged with the snapshot layer. Internally the
@@ -155,7 +157,8 @@ impl ServeState {
     /// # Errors
     ///
     /// Same as [`ServeState::new`], plus [`ServeError::Snapshot`] when a
-    /// job id is duplicated or not below `next_id`.
+    /// job id is duplicated or not below `next_id`, or a record is one a
+    /// live daemon never writes (see [`PlannerCore::from_parts`]).
     pub fn from_parts(
         config: RushConfig,
         capacity: u32,
@@ -175,7 +178,6 @@ impl ServeState {
                     runtime_hint: j.submission.runtime_hint,
                     parked: j.parked,
                     samples: j.samples,
-                    failed_attempts: 0,
                 };
                 subs.insert(id, j.submission);
                 (JobId(id), record)
@@ -200,25 +202,23 @@ impl ServeState {
         self.planner.next_id()
     }
 
-    /// Re-sizes the cluster through the planner's capacity-event path
-    /// (the same [`PlannerEvent::CapacityChange`] the simulator injects),
-    /// so the delta-peel divergence machinery — not an out-of-band reset —
-    /// absorbs the change.
+    /// Re-sizes the cluster through the kernel's validating
+    /// [`PlannerCore::set_capacity`] (the same call the simulator adapter
+    /// makes), so the peel replay's capacity drift — not an out-of-band
+    /// reset — absorbs the change.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::BadField`] when the kernel refuses the capacity
-    /// (zero containers); other kernel
-    /// failures surface as [`ErrorCode::Internal`].
+    /// [`ErrorCode::BadField`] when the kernel refuses the capacity (zero
+    /// containers); the capacity is left as it was.
     pub fn set_capacity(&mut self, capacity: u32) -> Result<(), WireError> {
-        self.planner.apply(PlannerEvent::CapacityChange { capacity }).map_err(|e| match e {
-            PlannerError::Config(msg) => WireError {
-                code: ErrorCode::BadField,
-                message: format!("capacity: {msg}"),
-            },
-            other => internal(ServeError::from(other)),
-        })?;
-        Ok(())
+        self.planner.set_capacity(capacity).map_err(|e| {
+            let reason = match e {
+                PlannerError::Config(msg) => msg,
+                other => other.to_string(),
+            };
+            WireError { code: ErrorCode::BadField, message: format!("capacity: {reason}") }
+        })
     }
 
     /// The counters.
@@ -226,7 +226,7 @@ impl ServeState {
         self.counters
     }
 
-    /// The planner (plan, deltas, cache counters) — read-only.
+    /// The planner (plan, cache counters) — read-only.
     pub fn planner(&self) -> &PlannerCore {
         &self.planner
     }
@@ -411,7 +411,7 @@ impl ServeState {
     /// [`ErrorCode::BadField`] for a runtime too large to estimate the
     /// job's remaining tasks from (the sample is dropped, the job stays).
     pub fn report_sample(&mut self, job: u64, runtime: u64) -> Result<bool, WireError> {
-        let outcome = self.planner.ingest_sample(JobId(job), runtime).map_err(|e| match e {
+        let completed = self.planner.ingest_sample(JobId(job), runtime).map_err(|e| match e {
             PlannerError::UnknownJob(id) => unknown_job(id),
             PlannerError::Estimator(e) => WireError {
                 code: ErrorCode::BadField,
@@ -420,11 +420,11 @@ impl ServeState {
             other => internal(ServeError::from(other)),
         })?;
         self.counters.samples += 1;
-        if outcome.completed {
+        if completed {
             self.subs.remove(&job);
             self.counters.completed += 1;
         }
-        Ok(outcome.completed)
+        Ok(completed)
     }
 
     /// Removes a job (planned or parked).
@@ -854,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_flows_through_the_event_path() {
+    fn set_capacity_resizes_and_refuses_zero_as_bad_field() {
         let mut s = ServeState::new(RushConfig::default(), 8).expect("state");
         let id = s.submit_epoch(vec![sub("j", 10, 5000)], 0).expect("epoch")[0]
             .job
@@ -869,6 +869,7 @@ mod tests {
         // The kernel refuses a zero-container cluster, as a BadField.
         let err = s.set_capacity(0).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadField);
+        assert_eq!(err.message, "capacity: capacity must be >= 1");
         assert_eq!(s.capacity(), 12, "failed resize must not change capacity");
     }
 

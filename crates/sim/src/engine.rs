@@ -21,7 +21,7 @@
 //! The default engine is **indexed**: completions live in a lazy-deletion
 //! binary heap keyed by `(end, job, task, container)` (O(log n) next
 //! event), free containers in a two-level bitset
-//! [`FreePool`](crate::cluster::FreePool) (O(1) word-op acquire/release),
+//! [`FreePool`] (O(1) word-op acquire/release),
 //! the dispatch condition is a maintained `total_runnable` counter, and
 //! per-event scratch (attempt slab, per-job attempt lists, the job → view
 //! index) is allocated once up front, so the steady state allocates only

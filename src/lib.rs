@@ -11,7 +11,7 @@
 //! * [`estimator`] — online job-demand distribution estimators.
 //! * [`core`] — the RUSH algorithms (REM closed form, WCDE bisection, onion
 //!   peeling, continuous time-slot mapping) and the CA feedback pipeline.
-//! * [`planner`] — the shared event-driven planner kernel
+//! * [`planner`] — the shared planner kernel
 //!   ([`planner::PlannerCore`]) and the [`planner::RushScheduler`] simulator
 //!   adapter built on it.
 //! * [`sched`] — baseline schedulers (FIFO, EDF, RRH, Fair).
