@@ -227,7 +227,7 @@ pub fn cmd_gantt(cli: &Cli) -> Result<String, String> {
 /// Propagates workload and planning failures as strings.
 pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
     use rush_core::plan::render_dashboard;
-    use rush_planner::PlannerCore;
+    use rush_planner::{JobRecord, JobSubmission, PlannerCore};
     let (exp, jobs) = build_workload(cli)?;
     let at: u64 = flag(cli, "at", 120)?;
     let arrived: Vec<&JobSpec> = jobs.iter().filter(|j| j.arrival() <= at).collect();
@@ -245,14 +245,15 @@ pub fn cmd_dashboard(cli: &Cli) -> Result<String, String> {
         let age = at.saturating_sub(j.arrival());
         let done = ((age as f64 / mean_rt) * share as f64) as usize;
         let done = done.min(j.tasks().len().saturating_sub(1));
-        let job = kernel.admit(rush_planner::JobSpec {
+        let submission = JobSubmission {
             label: j.label().to_owned(),
-            utility: *j.utility(),
             tasks: j.tasks().len() as u64,
-            arrived_slot: j.arrival(),
             runtime_hint: None,
-            parked: false,
-        });
+            utility: *j.utility(),
+            budget: j.budget(),
+            priority: j.priority(),
+        };
+        let job = kernel.admit(JobRecord::new(submission, j.arrival()));
         for t in &j.tasks()[..done] {
             kernel
                 .ingest_sample(job, t.base_runtime().round() as u64)

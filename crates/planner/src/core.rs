@@ -4,7 +4,10 @@
 //! and that every adapter previously duplicated:
 //!
 //! 1. the **job registry** ([`JobRecord`] per [`JobId`], in a `BTreeMap`
-//!    so iteration — and therefore planning — is deterministic);
+//!    so iteration — and therefore planning — is deterministic). A record
+//!    is the client's [`JobSubmission`] plus the kernel's bookkeeping, and
+//!    it is the only record of the job: the daemon, its snapshots and the
+//!    CLI read it as it is;
 //! 2. the **sample history**: per-job completed-task runtimes
 //!    ([`PlannerCore::ingest_sample`]) and the cross-job cold-start pools,
 //!    same-label first, cluster-wide second ([`PlannerCore::pool_sample`]);
@@ -56,37 +59,62 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Everything the kernel needs to register a new job.
+/// A job submission: everything the paper's job-configuration interface
+/// collects from the client (Sec. IV). The daemon receives it over the
+/// wire; the simulator adapter and the CLI build it from a job's spec.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// Template / application label (keys the cold-start pools).
+pub struct JobSubmission {
+    /// Human-readable label (e.g. the workload template name); keys the
+    /// cold-start pools.
     pub label: String,
+    /// Number of tasks the job will run.
+    pub tasks: u64,
+    /// Client's per-task runtime hint in slots (used only before the first
+    /// real sample arrives; the cold prior covers its absence).
+    pub runtime_hint: Option<f64>,
     /// Completion-time utility.
     pub utility: TimeUtility,
-    /// Tasks that have not completed yet at registration time.
-    pub tasks: u64,
-    /// Logical slot of arrival (ages the job in plan inputs).
-    pub arrived_slot: u64,
-    /// Optional caller-declared mean task runtime: sizes the job, at
-    /// admission and in the plan, until its first sample lands.
-    pub runtime_hint: Option<f64>,
-    /// Whether the job starts parked (excluded from registry planning).
-    pub parked: bool,
+    /// Declared time budget in slots, if any (drives the daemon's
+    /// admission deadline; the planner itself reads only the utility).
+    pub budget: Option<u64>,
+    /// Priority weight.
+    pub priority: u32,
 }
 
-/// One resident job as the kernel tracks it.
-#[derive(Debug, Clone, PartialEq)]
+/// The blank a wire reader starts from; it fails the wire's own
+/// validation (`tasks`, `priority` ≥ 1), so it can never pass for a
+/// decoded submission.
+impl Default for JobSubmission {
+    fn default() -> Self {
+        JobSubmission {
+            label: String::new(),
+            tasks: 0,
+            runtime_hint: None,
+            utility: TimeUtility::Constant { weight: 1.0 },
+            budget: None,
+            priority: 0,
+        }
+    }
+}
+
+impl JobSubmission {
+    /// Whether the job is completion-time insensitive (constant utility) —
+    /// the class admission control may defer instead of reject.
+    pub fn is_insensitive(&self) -> bool {
+        matches!(self.utility, TimeUtility::Constant { .. })
+    }
+}
+
+/// One resident job: the client's submission plus the kernel's
+/// bookkeeping for it. The only record of a job in every adapter.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobRecord {
-    /// Template / application label.
-    pub label: String,
-    /// Completion-time utility.
-    pub utility: TimeUtility,
+    /// The submission as received.
+    pub submission: JobSubmission,
     /// Tasks that have not reported a sample yet.
     pub remaining_tasks: u64,
     /// Logical slot at which the job was registered.
     pub arrived_slot: u64,
-    /// Caller-declared mean task runtime, if any.
-    pub runtime_hint: Option<f64>,
     /// Whether the job is parked (excluded from registry planning).
     pub parked: bool,
     /// Completed-task runtime samples (slots), in arrival order, as
@@ -96,14 +124,14 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    fn from_spec(spec: JobSpec) -> Self {
+    /// A planned, sample-less record of `submission` arrived at
+    /// `arrived_slot`, with all its tasks remaining.
+    pub fn new(submission: JobSubmission, arrived_slot: u64) -> Self {
         JobRecord {
-            label: spec.label,
-            utility: spec.utility,
-            remaining_tasks: spec.tasks,
-            arrived_slot: spec.arrived_slot,
-            runtime_hint: spec.runtime_hint,
-            parked: spec.parked,
+            remaining_tasks: submission.tasks,
+            submission,
+            arrived_slot,
+            parked: false,
             samples: Vec::new(),
         }
     }
@@ -315,18 +343,18 @@ impl PlannerCore {
     // ------------------------------------------------------------------
 
     /// Registers a new job under the next free id and returns that id.
-    pub fn admit(&mut self, spec: JobSpec) -> JobId {
+    pub fn admit(&mut self, record: JobRecord) -> JobId {
         let id = JobId(self.next_id);
-        self.admit_as(id, spec);
+        self.admit_as(id, record);
         id
     }
 
     /// Registers (or re-registers) a job under a caller-chosen id — the
     /// simulator owns its own id space. Bumps `next_id` past `id`.
-    pub fn admit_as(&mut self, id: JobId, spec: JobSpec) {
+    pub fn admit_as(&mut self, id: JobId, record: JobRecord) {
         self.next_id = self.next_id.max(id.0.saturating_add(1));
         self.dirty = true;
-        self.jobs.insert(id, JobRecord::from_spec(spec));
+        self.jobs.insert(id, record);
     }
 
     /// Records one completed-task runtime among the job's own samples,
@@ -361,7 +389,7 @@ impl PlannerCore {
     pub fn pool_sample(&mut self, job: JobId, runtime: u64) {
         self.dirty = true;
         if let Some(record) = self.jobs.get(&job) {
-            let pool = self.label_pool.entry(record.label.clone()).or_default();
+            let pool = self.label_pool.entry(record.submission.label.clone()).or_default();
             pool.push(runtime);
             pool.drain(..pool.len().saturating_sub(POOL_CAP));
         }
@@ -444,7 +472,7 @@ impl PlannerCore {
             .jobs
             .iter()
             .filter(|(_, j)| !j.parked)
-            .map(|(id, j)| (*id, hint_sample(j.runtime_hint)))
+            .map(|(id, j)| (*id, hint_sample(j.submission.runtime_hint)))
             .unzip();
         // Destructure for disjoint borrows: the inputs borrow the records
         // while the pipeline takes the planning state mutably.
@@ -459,7 +487,7 @@ impl PlannerCore {
                 running: 0,
                 failed_attempts: 0,
                 age: now_slot.saturating_sub(j.arrived_slot) as f64,
-                utility: j.utility,
+                utility: j.submission.utility,
             })
             .collect();
         let plan = compute_plan_incremental(config, *capacity, &inputs, state)?;
@@ -621,15 +649,16 @@ pub fn estimate_eta(
 mod tests {
     use super::*;
 
-    fn spec(label: &str, tasks: u64, arrived: u64) -> JobSpec {
-        JobSpec {
+    fn job(label: &str, tasks: u64, arrived: u64) -> JobRecord {
+        let submission = JobSubmission {
             label: label.into(),
-            utility: TimeUtility::sigmoid(500.0, 3.0, 0.02).expect("valid utility"),
             tasks,
-            arrived_slot: arrived,
             runtime_hint: Some(50.0),
-            parked: false,
-        }
+            utility: TimeUtility::sigmoid(500.0, 3.0, 0.02).expect("valid utility"),
+            budget: None,
+            priority: 1,
+        };
+        JobRecord::new(submission, arrived)
     }
 
     /// The contract layer is armed in every debug build: plan ids out of
@@ -639,7 +668,7 @@ mod tests {
     #[should_panic(expected = "plan ids and entries must stay parallel")]
     fn contract_layer_catches_ids_out_of_step_with_entries() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        k.admit(spec("a", 4, 0));
+        k.admit(job("a", 4, 0));
         k.plan_at(0).expect("plan");
         k.plan_ids.push(JobId(99));
         k.check_plan_invariants();
@@ -648,8 +677,8 @@ mod tests {
     #[test]
     fn admit_assigns_ascending_ids_and_dirties() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
-        let b = k.admit(spec("b", 4, 0));
+        let a = k.admit(job("a", 4, 0));
+        let b = k.admit(job("b", 4, 0));
         assert_eq!((a, b), (JobId(0), JobId(1)));
         assert_eq!(k.next_id(), 2);
         assert!(!k.is_fresh(0), "admission invalidates the plan");
@@ -658,23 +687,23 @@ mod tests {
     #[test]
     fn admit_as_replaces_and_bumps_next_id() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        k.admit_as(JobId(7), spec("x", 3, 0));
+        k.admit_as(JobId(7), job("x", 3, 0));
         assert_eq!(k.next_id(), 8);
         assert_eq!(k.job(JobId(7)).map(|j| j.remaining_tasks), Some(3));
         // Re-registration replaces the record.
-        k.admit_as(JobId(7), spec("x", 9, 0));
+        k.admit_as(JobId(7), job("x", 9, 0));
         assert_eq!(k.job(JobId(7)).map(|j| j.remaining_tasks), Some(9));
         assert_eq!(k.job_count(), 1);
         // A lower id leaves next_id where it is.
-        k.admit_as(JobId(2), spec("y", 1, 0));
+        k.admit_as(JobId(2), job("y", 1, 0));
         assert_eq!(k.next_id(), 8);
-        assert_eq!(k.admit(spec("z", 1, 0)), JobId(8));
+        assert_eq!(k.admit(job("z", 1, 0)), JobId(8));
     }
 
     #[test]
     fn plan_is_fresh_within_slot_and_stale_across() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
+        let a = k.admit(job("a", 4, 0));
         k.plan_at(0).expect("plan");
         assert_eq!(k.plan_ids(), &[a]);
         assert!(k.is_fresh(0));
@@ -690,7 +719,7 @@ mod tests {
     #[test]
     fn set_capacity_refuses_zero_and_leaves_the_plan_fresh() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        k.admit(spec("a", 5, 0));
+        k.admit(job("a", 5, 0));
         k.plan_at(0).expect("plan");
         assert!(matches!(k.set_capacity(0), Err(PlannerError::Config(_))));
         assert_eq!(k.capacity(), 8);
@@ -708,8 +737,8 @@ mod tests {
     #[test]
     fn registry_planning_skips_parked_jobs() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
-        let b = k.admit(JobSpec { parked: true, ..spec("b", 4, 0) });
+        let a = k.admit(job("a", 4, 0));
+        let b = k.admit(JobRecord { parked: true, ..job("b", 4, 0) });
         k.plan_at(0).expect("plan");
         assert_eq!(k.plan_ids(), &[a]);
         assert_eq!(k.parked_count(), 1);
@@ -726,7 +755,7 @@ mod tests {
     #[test]
     fn ingest_sample_retires_on_last_sample() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 2, 0));
+        let a = k.admit(job("a", 2, 0));
         assert!(!k.ingest_sample(a, 40).expect("known"));
         assert!(k.ingest_sample(a, 44).expect("known"), "the last task completes the job");
         assert!(k.job(a).is_none(), "retired on last sample");
@@ -742,7 +771,7 @@ mod tests {
     #[test]
     fn ingest_sample_refuses_a_runtime_it_cannot_estimate() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 100, 0));
+        let a = k.admit(job("a", 100, 0));
         assert!(matches!(
             k.ingest_sample(a, 100_000_000_000_000),
             Err(PlannerError::Estimator(rush_estimator::EstimatorError::RangeTooLarge { .. }))
@@ -760,11 +789,11 @@ mod tests {
     #[test]
     fn own_and_pooled_samples_stay_apart() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("tpl", 2, 0));
+        let a = k.admit(job("tpl", 2, 0));
         k.ingest_sample(a, 30).expect("known");
         assert!(k.label_pool.is_empty() && k.global_pool.is_empty());
 
-        let b = k.admit(spec("tpl", 1, 0));
+        let b = k.admit(job("tpl", 1, 0));
         k.plan_at(0).expect("plan");
         k.pool_sample(b, 31);
         k.pool_sample(b, 32);
@@ -778,7 +807,7 @@ mod tests {
     #[test]
     fn pool_sample_feeds_pools_even_for_unknown_jobs() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("tpl", 4, 0));
+        let a = k.admit(job("tpl", 4, 0));
         k.pool_sample(a, 30);
         k.pool_sample(JobId(77), 31);
         // Both samples landed in the global pool; only the known one in
@@ -796,7 +825,7 @@ mod tests {
     #[test]
     fn pool_caps_drain_oldest() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("tpl", 4, 0));
+        let a = k.admit(job("tpl", 4, 0));
         for i in 0..(POOL_CAP as u64 + 10) {
             k.pool_sample(a, i);
         }
@@ -809,7 +838,7 @@ mod tests {
     #[test]
     fn cancel_dirties_only_known_jobs() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
+        let a = k.admit(job("a", 4, 0));
         k.plan_at(0).expect("plan");
         assert!(!k.cancel(JobId(9)), "unknown cancel is a no-op");
         assert!(k.is_fresh(0), "no-op cancel must not invalidate");
@@ -822,7 +851,7 @@ mod tests {
     /// `ingest_sample` would have refused.
     #[test]
     fn from_parts_validates_records() {
-        let record = JobRecord::from_spec(spec("a", 12, 0));
+        let record = job("a", 12, 0);
         let restore = |jobs: Vec<(JobId, JobRecord)>| {
             PlannerCore::from_parts(RushConfig::default(), 4, jobs, 5)
         };
@@ -858,6 +887,14 @@ mod tests {
     }
 
     #[test]
+    fn insensitivity_is_derived_from_the_utility() {
+        let sensitive = job("a", 1, 0).submission;
+        assert!(!sensitive.is_insensitive());
+        let flat = TimeUtility::constant(1.0).expect("valid");
+        assert!(JobSubmission { utility: flat, ..sensitive }.is_insensitive());
+    }
+
+    #[test]
     fn zero_capacity_is_a_config_error() {
         assert!(matches!(
             PlannerCore::new(RushConfig::default(), 0),
@@ -880,7 +917,7 @@ mod tests {
     #[test]
     fn empty_registry_plans_to_empty() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        let a = k.admit(spec("a", 4, 0));
+        let a = k.admit(job("a", 4, 0));
         k.plan_at(0).expect("plan");
         assert!(!k.plan().entries.is_empty());
         k.cancel(a);
@@ -892,7 +929,7 @@ mod tests {
     #[test]
     fn install_empty_plan_is_fresh_and_empty() {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
-        k.admit(spec("a", 4, 0));
+        k.admit(job("a", 4, 0));
         k.plan_at(0).expect("plan");
         k.install_empty_plan(3);
         assert!(k.plan().entries.is_empty());

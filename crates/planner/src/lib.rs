@@ -9,7 +9,9 @@
 //! CLI glue. [`PlannerCore`] centralizes it as the **single owner** of the
 //! job registry, per-job sample history, the cross-job cold-start pools,
 //! the incremental [`rush_core::PlanCache`] and the current
-//! [`rush_core::Plan`]. It is driven by named methods only (`admit`,
+//! [`rush_core::Plan`]. Its [`JobRecord`] — the client's
+//! [`JobSubmission`] plus remaining tasks, arrival slot, parked flag and
+//! own samples — is the one record of a job: no adapter keeps a twin. It is driven by named methods only (`admit`,
 //! `ingest_sample`, `pool_sample`, `cancel`, `set_parked`,
 //! `set_capacity`, `invalidate`), and read through `planned()` and
 //! `entry()`.
@@ -60,7 +62,7 @@
 pub mod core;
 pub mod scheduler;
 
-pub use crate::core::{estimate_eta, JobId, JobRecord, JobSpec, PlannerCore};
+pub use crate::core::{estimate_eta, JobId, JobRecord, JobSubmission, PlannerCore};
 pub use scheduler::RushScheduler;
 
 /// The planner kernel under the name `benchmark/` still uses. Kept only

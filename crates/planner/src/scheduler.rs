@@ -13,7 +13,7 @@
 //! is cached for the current slot, so a burst of free containers in one
 //! slot costs one pipeline pass.
 
-use crate::core::{JobId, JobSpec, PlannerCore};
+use crate::core::{JobId, JobRecord, JobSubmission, PlannerCore};
 use crate::PlannerError;
 use rush_core::plan::Plan;
 use rush_core::RushConfig;
@@ -164,17 +164,17 @@ impl Scheduler for RushScheduler {
         // Record the label while the job is certainly visible; the
         // arrival event dirties the kernel either way.
         match view.job(job) {
-            Some(j) => self.kernel.admit_as(
-                JobId::from(job),
-                JobSpec {
+            Some(j) => {
+                let submission = JobSubmission {
                     label: j.label.clone(),
-                    utility: j.utility,
                     tasks: j.pending_tasks as u64,
-                    arrived_slot: j.arrival,
                     runtime_hint: None,
-                    parked: false,
-                },
-            ),
+                    utility: j.utility,
+                    budget: j.budget,
+                    priority: j.priority,
+                };
+                self.kernel.admit_as(JobId::from(job), JobRecord::new(submission, j.arrival));
+            }
             None => self.kernel.invalidate(),
         }
     }

@@ -31,7 +31,7 @@
 //! * `String` — varint byte length + UTF-8 bytes.
 //! * `bool` — one byte, `0` or `1` (anything else is malformed).
 //! * `Option<T>` — one presence byte (`0`/`1`) then `T` when present.
-//! * Utilities travel in the same persist text form as JSON
+//! * Utilities travel in the same text form as JSON
 //!   (`sigmoid:700,5,0.02`), so all wire formats share one grammar.
 //!
 //! Every payload starts with a one-byte variant tag. The tags, the field

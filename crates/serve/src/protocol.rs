@@ -7,16 +7,20 @@
 //! mistyped fields are *structured* errors ([`WireError`]), never panics —
 //! the daemon keeps serving after any malformed frame.
 //!
-//! Utilities travel in the workload persist text form (`sigmoid:700,5,0.02`,
-//! see [`rush_workload::persist::utility_from_text`]) so the wire format,
-//! the workload files and the snapshot format all share one grammar.
+//! Utilities travel in the compact text form (`sigmoid:700,5,0.02`, see
+//! [`rush_utility::utility_from_text`]) so the wire format, the workload
+//! files and the snapshot format all share one grammar.
+//!
+//! A submission is the planner kernel's [`JobSubmission`], re-exported
+//! here: the record the daemon keeps for a resident job
+//! ([`rush_planner::JobRecord`]) holds it as received.
 //!
 //! This file holds the message *types*; their field names, order, tags and
 //! validation are stated once, for every encoding, in `wire.rs`. The
 //! full grammar is documented in `DESIGN.md` §10.
 
 use crate::wire;
-use rush_utility::TimeUtility;
+pub use rush_planner::JobSubmission;
 use std::fmt;
 
 /// Wire protocol version carried in every request's `"v"` field.
@@ -104,50 +108,6 @@ pub enum DeferReason {
     /// provisioned capacity — so it waits for the restock instead of
     /// being rejected.
     AwaitingRestock,
-}
-
-/// A job submission: everything the paper's job-configuration interface
-/// collects from the client (Sec. IV).
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSubmission {
-    /// Human-readable label (e.g. the workload template name).
-    pub label: String,
-    /// Number of tasks the job will run.
-    pub tasks: u64,
-    /// Client's per-task runtime hint in slots (used only before the first
-    /// real sample arrives; the cold prior covers its absence).
-    pub runtime_hint: Option<f64>,
-    /// Completion-time utility, in persist text form on the wire.
-    pub utility: TimeUtility,
-    /// Declared time budget in slots, if any (drives the admission
-    /// deadline; the planner itself reads only the utility).
-    pub budget: Option<u64>,
-    /// Priority weight.
-    pub priority: u32,
-}
-
-/// The blank a reader starts from (see `wire.rs`); it fails the
-/// wire's own validation (`tasks`, `priority` ≥ 1), so it can never pass
-/// for a decoded submission.
-impl Default for JobSubmission {
-    fn default() -> Self {
-        JobSubmission {
-            label: String::new(),
-            tasks: 0,
-            runtime_hint: None,
-            utility: TimeUtility::Constant { weight: 1.0 },
-            budget: None,
-            priority: 0,
-        }
-    }
-}
-
-impl JobSubmission {
-    /// Whether the job is completion-time insensitive (constant utility) —
-    /// the class admission control may defer instead of reject.
-    pub fn is_insensitive(&self) -> bool {
-        matches!(self.utility, TimeUtility::Constant { .. })
-    }
 }
 
 /// A client request frame.
@@ -352,6 +312,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rush_utility::TimeUtility;
 
     fn sub() -> JobSubmission {
         JobSubmission {
@@ -546,12 +507,5 @@ mod tests {
         let e = Response::decode(line).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadField);
         assert!(e.message.contains("defer_reason"));
-    }
-
-    #[test]
-    fn insensitivity_is_derived_from_the_utility() {
-        assert!(!sub().is_insensitive());
-        let s = JobSubmission { utility: TimeUtility::constant(1.0).expect("valid"), ..sub() };
-        assert!(s.is_insensitive());
     }
 }

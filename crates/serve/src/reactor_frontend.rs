@@ -230,15 +230,19 @@ impl Conn {
                     None if data.len() > binary::MAX_FRAME_LEN => Step::EvictNow,
                     None => Step::Wait,
                     Some(pos) => {
-                        let line = String::from_utf8_lossy(data.get(..pos).unwrap_or_default())
-                            .trim()
-                            .to_string();
+                        // A JSON frame is UTF-8 text: invalid bytes are
+                        // refused, as RUSH1 refuses them, never replaced.
+                        let decoded = match std::str::from_utf8(data.get(..pos).unwrap_or_default())
+                        {
+                            Ok(line) if line.trim().is_empty() => None,
+                            Ok(line) => Some(Request::decode(line.trim())),
+                            Err(e) => Some(Err(WireError::new(
+                                ErrorCode::BadJson,
+                                format!("invalid UTF-8 in frame: {e}"),
+                            ))),
+                        };
                         self.rbuf.consume(pos + 1);
-                        if line.is_empty() {
-                            Step::Again
-                        } else {
-                            Step::Request(Request::decode(&line))
-                        }
+                        decoded.map_or(Step::Again, Step::Request)
                     }
                 }
             }

@@ -2,8 +2,10 @@
 //!
 //! The snapshot is one JSON document (same strict codec as the wire
 //! protocol, and the same `wire.rs` field list for the submission
-//! inside each job record) holding the job table, the id counter, the daemon counters
-//! and the logical slot at which the snapshot was taken. It deliberately
+//! inside each job record) holding the kernel's job records
+//! ([`rush_planner::JobRecord`], written and read as they are), the id
+//! counter, the daemon counters and the logical slot at which the
+//! snapshot was taken. It deliberately
 //! does **not** store the [`rush_core::RushConfig`] or the capacity as the
 //! source of truth — those come from the daemon's startup flags — but it
 //! records both and the restore path *verifies* them, because a plan is
@@ -15,11 +17,12 @@
 //! daemon would have produced at that slot (`tests/snapshot_restore.rs`
 //! proves this).
 
-use crate::state::{Counters, JobState, ServeState};
+use crate::state::{Counters, ServeState};
 use crate::wire::{self, DocFormat, Wire};
 use crate::ServeError;
 use rush_core::cluster::{ClusterModel, ContainerClass, ReliabilityTier};
 use rush_core::RushConfig;
+use rush_planner::JobRecord;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -48,7 +51,7 @@ struct Document {
     theta: f64,
     delta: f64,
     counters: Counters,
-    jobs: Vec<(u64, JobState)>,
+    jobs: Vec<(u64, JobRecord)>,
 }
 
 fn document<F: DocFormat>(f: &mut F, d: &Document) -> Wire<Document> {
@@ -118,20 +121,20 @@ fn counters<F: DocFormat>(f: &mut F, c: &Counters) -> Wire<Counters> {
 }
 
 /// A job record is the wire's submission — same fields, same validation —
-/// plus the daemon's bookkeeping for it.
-fn job<F: DocFormat>(f: &mut F, (id, j): &(u64, JobState)) -> Wire<(u64, JobState)> {
+/// plus the kernel's bookkeeping for it.
+fn job<F: DocFormat>(f: &mut F, (id, j): &(u64, JobRecord)) -> Wire<(u64, JobRecord)> {
     let id = f.u64("id", *id)?;
     let submission = wire::submission(f, &j.submission)?;
     let remaining_tasks = f.u64("remaining_tasks", j.remaining_tasks)?;
     f.reject(remaining_tasks > submission.tasks, "remaining_tasks", "must be <= tasks")?;
-    let state = JobState {
+    let record = JobRecord {
         submission,
         remaining_tasks,
         arrived_slot: f.u64("arrived_slot", j.arrived_slot)?,
         parked: f.boolean("parked", j.parked)?,
         samples: f.u64s("samples", &j.samples)?,
     };
-    Ok((id, state))
+    Ok((id, record))
 }
 
 /// Serializes the daemon state (plus the slot it was taken at) to a JSON
@@ -145,7 +148,7 @@ pub fn encode(state: &ServeState, now_slot: u64) -> String {
         theta: state.config().theta,
         delta: state.config().delta,
         counters: state.counters(),
-        jobs: state.jobs().collect(),
+        jobs: state.jobs().map(|(id, j)| (id, j.clone())).collect(),
     };
     wire::to_json(|w| document(w, &doc).map(drop))
 }

@@ -1,15 +1,17 @@
 //! The daemon's protocol/epoch/admission layer over the shared planner
 //! kernel.
 //!
-//! [`ServeState`] owns no planning state of its own anymore: the job
-//! registry, sample history, plan cache and current plan live in one
+//! [`ServeState`] owns no planning state and no job table of its own: the
+//! job registry, sample history, plan cache and current plan live in one
 //! [`rush_planner::PlannerCore`], planned in registry mode
 //! ([`PlannerCore::plan_at`]: a job is sized from its own samples or its
 //! hint, never from other jobs' pools, so plans depend only on explicitly
-//! ingested state and snapshot/restore stays bit-exact). What remains
-//! here is the daemon-specific rind: wire submissions, admission
-//! verdicts, monotonic counters, and the translation from kernel errors
-//! to wire errors.
+//! ingested state and snapshot/restore stays bit-exact). Each kernel
+//! [`JobRecord`] carries the job's wire submission as received, so the
+//! budget admission reads and the label a plan row shows come from the
+//! same record the planner sizes. What remains here is the
+//! daemon-specific rind: admission verdicts, monotonic counters, and the
+//! translation from kernel errors to wire errors.
 //!
 //! [`ServeState`] is deliberately *pure with respect to time*: every method
 //! that can replan takes an explicit logical `now_slot`, and the plan is a
@@ -39,25 +41,7 @@ use crate::protocol::{
 use crate::ServeError;
 use rush_core::cluster::ClusterModel;
 use rush_core::RushConfig;
-use rush_planner::{JobId, JobRecord, JobSpec, PlannerCore, PlannerError};
-use std::collections::BTreeMap;
-
-/// One resident job, as exchanged with the snapshot layer. Internally the
-/// kernel's [`JobRecord`] is the source of truth; this type reassembles the
-/// record with its wire submission.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct JobState {
-    /// The submission as received.
-    pub submission: JobSubmission,
-    /// Completed-task runtime samples (slots), in arrival order.
-    pub samples: Vec<u64>,
-    /// Tasks that have not reported a sample yet.
-    pub remaining_tasks: u64,
-    /// Logical slot at which the job was admitted (or first parked).
-    pub arrived_slot: u64,
-    /// Whether the job is parked by admission control (not planned).
-    pub parked: bool,
-}
+use rush_planner::{JobId, JobRecord, PlannerCore, PlannerError};
 
 /// Monotonic daemon counters (all start at zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,13 +76,11 @@ pub struct EpochVerdict {
 }
 
 /// The daemon's entire mutable state (minus sockets and clocks): the
-/// planner kernel plus the wire submissions and counters.
+/// planner kernel, whose records hold each job's wire submission, plus
+/// the counters.
 #[derive(Debug, Clone)]
 pub struct ServeState {
     planner: PlannerCore,
-    /// The original wire submission of every resident job (the kernel's
-    /// registry carries the planning projection of it).
-    subs: BTreeMap<u64, JobSubmission>,
     counters: Counters,
     /// The typed container supply, when the operator described one.
     /// Admission consults it to upgrade supply-side rejections into
@@ -116,7 +98,6 @@ impl ServeState {
     pub fn new(config: RushConfig, capacity: u32) -> Result<Self, ServeError> {
         Ok(ServeState {
             planner: PlannerCore::new(config, capacity)?,
-            subs: BTreeMap::new(),
             counters: Counters::default(),
             model: None,
         })
@@ -162,29 +143,13 @@ impl ServeState {
     pub fn from_parts(
         config: RushConfig,
         capacity: u32,
-        jobs: Vec<(u64, JobState)>,
+        jobs: Vec<(u64, JobRecord)>,
         next_id: u64,
         counters: Counters,
     ) -> Result<Self, ServeError> {
-        let mut subs = BTreeMap::new();
-        let records: Vec<(JobId, JobRecord)> = jobs
-            .into_iter()
-            .map(|(id, j)| {
-                let record = JobRecord {
-                    label: j.submission.label.clone(),
-                    utility: j.submission.utility,
-                    remaining_tasks: j.remaining_tasks,
-                    arrived_slot: j.arrived_slot,
-                    runtime_hint: j.submission.runtime_hint,
-                    parked: j.parked,
-                    samples: j.samples,
-                };
-                subs.insert(id, j.submission);
-                (JobId(id), record)
-            })
-            .collect();
+        let records = jobs.into_iter().map(|(id, j)| (JobId(id), j)).collect();
         let planner = PlannerCore::from_parts(config, capacity, records, next_id)?;
-        Ok(ServeState { planner, subs, counters, model: None })
+        Ok(ServeState { planner, counters, model: None })
     }
 
     /// The scheduler configuration.
@@ -231,25 +196,10 @@ impl ServeState {
         &self.planner
     }
 
-    /// Iterates all resident jobs (planned and parked) in id order,
-    /// reassembling each kernel record with its wire submission.
-    pub fn jobs(&self) -> impl Iterator<Item = (u64, JobState)> + '_ {
-        self.planner.jobs().filter_map(|(id, record)| {
-            // Every resident job has a submission; a missing one would be
-            // an internal bookkeeping bug, so skip it rather than panic
-            // the daemon mid-snapshot.
-            let submission = self.subs.get(&id.0)?.clone();
-            Some((
-                id.0,
-                JobState {
-                    submission,
-                    samples: record.samples.clone(),
-                    remaining_tasks: record.remaining_tasks,
-                    arrived_slot: record.arrived_slot,
-                    parked: record.parked,
-                },
-            ))
-        })
+    /// Iterates all resident jobs (planned and parked) in id order, as
+    /// the kernel records them.
+    pub fn jobs(&self) -> impl Iterator<Item = (u64, &JobRecord)> {
+        self.planner.jobs().map(|(id, record)| (id.0, record))
     }
 
     /// The `(remaining deadline, η)` reservations of the planned jobs, read
@@ -260,9 +210,8 @@ impl ServeState {
             .planned()
             .filter_map(|(id, entry)| {
                 let record = self.planner.job(id)?;
-                let sub = self.subs.get(&id.0)?;
                 let age = now_slot.saturating_sub(record.arrived_slot) as f64;
-                Some((remaining_deadline(config, sub.budget, age), entry.eta))
+                Some((remaining_deadline(config, record.submission.budget, age), entry.eta))
             })
             .collect()
     }
@@ -309,25 +258,22 @@ impl ServeState {
             .map(|(id, _)| id)
             .collect();
         for id in parked {
-            let (eta, sub, due) = {
-                let Some(record) = self.planner.job(id) else { continue };
-                let Some(sub) = self.subs.get(&id.0) else { continue };
-                let eta = match estimate_eta(
-                    self.planner.config(),
-                    &record.samples,
-                    sub.runtime_hint,
-                    record.remaining_tasks as usize,
-                ) {
-                    Ok((eta, _)) => eta,
-                    Err(_) => continue,
-                };
-                // The planner ages a job from the slot it was parked at:
-                // the slots it waited are gone from its deadline, for its
-                // own probe and for every candidate probed behind it.
-                let waited = now_slot.saturating_sub(record.arrived_slot) as f64;
-                (eta, sub.clone(), remaining_deadline(self.planner.config(), sub.budget, waited))
+            let Some(record) = self.planner.job(id) else { continue };
+            let sub = &record.submission;
+            let Ok((eta, _)) = estimate_eta(
+                self.planner.config(),
+                &record.samples,
+                sub.runtime_hint,
+                record.remaining_tasks as usize,
+            ) else {
+                continue;
             };
-            if probe_due(self.capacity(), &reservations, &sub, eta, due) == Decision::Admit {
+            // The planner ages a job from the slot it was parked at: the
+            // slots it waited are gone from its deadline, for its own probe
+            // and for every candidate probed behind it.
+            let waited = now_slot.saturating_sub(record.arrived_slot) as f64;
+            let due = remaining_deadline(self.planner.config(), sub.budget, waited);
+            if probe_due(self.capacity(), &reservations, sub, eta, due) == Decision::Admit {
                 let _ = self.planner.set_parked(id, false);
                 self.counters.admitted += 1;
                 reservations.push((due, eta));
@@ -379,15 +325,8 @@ impl ServeState {
                     } else {
                         self.counters.deferred += 1;
                     }
-                    let id = self.planner.admit(JobSpec {
-                        label: sub.label.clone(),
-                        utility: sub.utility,
-                        tasks: sub.tasks,
-                        arrived_slot: now_slot,
-                        runtime_hint: sub.runtime_hint,
-                        parked: decision == Decision::Defer,
-                    });
-                    self.subs.insert(id.0, sub);
+                    let parked = decision == Decision::Defer;
+                    let id = self.planner.admit(JobRecord { parked, ..JobRecord::new(sub, now_slot) });
                     Some(id.0)
                 }
                 Decision::Reject => {
@@ -421,7 +360,6 @@ impl ServeState {
         })?;
         self.counters.samples += 1;
         if completed {
-            self.subs.remove(&job);
             self.counters.completed += 1;
         }
         Ok(completed)
@@ -436,7 +374,6 @@ impl ServeState {
         if !self.planner.cancel(JobId(job)) {
             return Err(unknown_job(job));
         }
-        self.subs.remove(&job);
         self.counters.cancelled += 1;
         Ok(())
     }
@@ -464,10 +401,9 @@ impl ServeState {
             .filter(|(id, _)| filter.is_none() || filter == Some(id.0))
             .filter_map(|(id, e)| {
                 let record = self.planner.job(id)?;
-                let sub = self.subs.get(&id.0)?;
                 Some(PlanRow {
                     job: id.0,
-                    label: sub.label.clone(),
+                    label: record.submission.label.clone(),
                     eta: e.eta,
                     task_len: e.task_len,
                     target: e.target,
@@ -677,7 +613,7 @@ mod tests {
         let rows_a = a.rows(9, None).expect("rows");
 
         // Clone through from_parts, as snapshot restore does.
-        let jobs: Vec<(u64, JobState)> = a.jobs().collect();
+        let jobs = a.jobs().map(|(id, j)| (id, j.clone())).collect();
         let mut b = ServeState::from_parts(
             *a.config(),
             a.capacity(),
@@ -729,7 +665,7 @@ mod tests {
             s.predict(id(17), 2).expect("predict");
             let replay = s.planner().plan_stats().peel_replay;
             assert!(replay.delta, "{what}: the pass behind predict re-peeled ({replay:?})");
-            let jobs: Vec<(u64, JobState)> = s.jobs().collect();
+            let jobs = s.jobs().map(|(id, j)| (id, j.clone())).collect();
             let mut cold =
                 ServeState::from_parts(*s.config(), s.capacity(), jobs, s.next_id(), s.counters())
                     .expect("restore");
@@ -781,7 +717,7 @@ mod tests {
                 replay.delta && replay.resumed_at != Some(0),
                 "slot {now}: the tick re-peeled ({replay:?})"
             );
-            let jobs: Vec<(u64, JobState)> = s.jobs().collect();
+            let jobs = s.jobs().map(|(id, j)| (id, j.clone())).collect();
             let mut cold =
                 ServeState::from_parts(*s.config(), s.capacity(), jobs, s.next_id(), s.counters())
                     .expect("restore");
@@ -839,16 +775,7 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_inconsistent_ids() {
-        let jobs = vec![(
-            7u64,
-            JobState {
-                submission: sub("j", 1, 100),
-                samples: vec![],
-                remaining_tasks: 1,
-                arrived_slot: 0,
-                parked: false,
-            },
-        )];
+        let jobs = vec![(7u64, JobRecord::new(sub("j", 1, 100), 0))];
         let err = ServeState::from_parts(RushConfig::default(), 4, jobs, 5, Counters::default());
         assert!(matches!(err, Err(ServeError::Snapshot(_))));
     }
@@ -1027,7 +954,7 @@ mod tests {
         let rows = one_by_one.rows(7, None).expect("rows");
         assert_eq!(rows.len(), 5);
         assert_eq!(together.rows(7, None).expect("rows"), rows);
-        let jobs: Vec<(u64, JobState)> = one_by_one.jobs().collect();
+        let jobs = one_by_one.jobs().map(|(id, j)| (id, j.clone())).collect();
         let mut cold = ServeState::from_parts(
             *one_by_one.config(),
             one_by_one.capacity(),

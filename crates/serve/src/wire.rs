@@ -35,7 +35,7 @@ use crate::protocol::{
     Decision, DeferReason, ErrorCode, JobSubmission, PlanRow, Request, Response, StatsReport,
     WireError, PROTOCOL_VERSION,
 };
-use rush_workload::persist::{utility_from_text, utility_to_text};
+use rush_utility::{utility_from_text, utility_to_text};
 use std::fmt::Write as _;
 
 /// Result of walking a description.

@@ -308,3 +308,24 @@ fn the_first_faulty_field_in_declaration_order_wins_in_both_codecs() {
         assert!(e.message.contains(&format!("\"{want}\"")), "{line}: {e}");
     }
 }
+
+/// A label that is not UTF-8 is refused by RUSH1 as a malformed frame,
+/// never decoded with a replacement character. (The JSON half, whose
+/// frame is a line of bytes, is the live case in `reactor_e2e.rs`.)
+#[test]
+fn binary_invalid_utf8_label_is_a_bad_frame() {
+    let mut payload = vec![0u8, 4, b'g', b'r', 0xFF, b'p']; // submit tag, label
+    payload.push(8); // tasks
+    payload.push(0); // no hint
+    let utility = b"sigmoid:700,5,0.02";
+    payload.push(utility.len() as u8);
+    payload.extend_from_slice(utility);
+    payload.push(0); // no budget
+    payload.push(2); // priority
+    let mut valid = payload.clone();
+    valid[4] = b'e';
+    assert!(binary::decode_request(&valid).is_ok(), "fixture itself must be valid");
+    let e = binary::decode_request(&payload).expect_err("invalid UTF-8");
+    assert_eq!(e.code, ErrorCode::BadFrame, "{e}");
+    assert!(e.message.contains("UTF-8"), "{e}");
+}

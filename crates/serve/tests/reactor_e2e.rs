@@ -122,6 +122,48 @@ fn pipelined_requests_answer_in_order() {
     handle.join().expect("join");
 }
 
+/// A JSON frame whose bytes are not UTF-8 is refused as `bad-json`, as
+/// RUSH1 refuses the same bytes: never decoded with a replacement
+/// character and admitted. The connection survives the refusal.
+#[test]
+fn invalid_utf8_json_frame_is_refused_and_the_connection_survives() {
+    let handle = serve(reactor_config()).expect("serve");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        Response::decode(line.trim()).expect("decode")
+    };
+
+    let mut frame = br#"{"v":1,"op":"submit","label":"gr"#.to_vec();
+    frame.push(0xFF);
+    frame.extend_from_slice(br#"p","tasks":8,"utility":"sigmoid:700,5,0.02","priority":2}"#);
+    frame.push(b'\n');
+    stream.write_all(&frame).expect("write");
+    match reply() {
+        Response::Error(e) => {
+            assert_eq!(e.code.as_str(), "bad-json", "{e}");
+            assert!(e.message.contains("UTF-8"), "{e}");
+        }
+        other => panic!("a non-UTF-8 frame must be refused, got {other:?}"),
+    }
+
+    stream.write_all((Request::Stats.encode() + "\n").as_bytes()).expect("write");
+    match reply() {
+        Response::Stats(stats) => {
+            assert_eq!((stats.admitted, stats.deferred, stats.rejected), (0, 0, 0));
+            assert_eq!(stats.active_jobs, 0);
+        }
+        other => panic!("the connection must survive a refused frame, got {other:?}"),
+    }
+
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.shutdown(false).expect("shutdown");
+    handle.join().expect("join");
+}
+
 /// Satellite regression: a lone submission must be planned within one
 /// epoch deadline with no further traffic — the planner closes the epoch
 /// itself once it finds its queue empty, not some later request happening
@@ -264,7 +306,7 @@ fn concurrent_shard_snapshots_each_restore_their_own_jobs() {
         let (state, _) = rush_serve::snapshot::read(&path, rush, slices[i])
             .unwrap_or_else(|e| panic!("shard {i} snapshot: {e}"));
         std::fs::remove_file(&path).ok();
-        let mut have: Vec<String> = state.jobs().map(|(_, j)| j.submission.label).collect();
+        let mut have: Vec<String> = state.jobs().map(|(_, j)| j.submission.label.clone()).collect();
         have.sort();
         want.sort();
         assert_eq!(&have, want, "shard {i} restored another shard's jobs");

@@ -12,6 +12,7 @@
 
 use rush_core::cluster::ClusterModel;
 use rush_core::RushConfig;
+use rush_planner::JobRecord;
 use rush_serve::binary;
 use rush_serve::json::{parse, Json};
 use rush_serve::protocol::{
@@ -19,7 +20,7 @@ use rush_serve::protocol::{
     WireError,
 };
 use rush_serve::snapshot;
-use rush_serve::state::{Counters, JobState, ServeState};
+use rush_serve::state::{Counters, ServeState};
 use rush_utility::TimeUtility;
 use std::path::PathBuf;
 
@@ -206,7 +207,7 @@ fn fixture(name: &str) -> PathBuf {
 /// The state behind `parent_snapshot.json`: hinted and unhinted, budgeted
 /// and unbudgeted, sampled, parked, under a tiered cluster model.
 fn snapshot_state() -> (ServeState, u64) {
-    let job = |label: &str, hint, budget, utility, parked| JobState {
+    let job = |label: &str, hint, budget, utility, parked| JobRecord {
         submission: JobSubmission {
             label: label.into(),
             tasks: 12,

@@ -55,6 +55,9 @@
 use std::error::Error;
 use std::fmt;
 
+mod text;
+pub use text::{utility_from_text, utility_to_text};
+
 /// Errors from constructing utility functions.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]

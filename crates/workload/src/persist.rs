@@ -11,10 +11,13 @@
 //! task map 58.3
 //! task reduce 41.0
 //! ```
+//!
+//! The `utility=` value is [`rush_utility::utility_to_text`]'s form, the
+//! one the `rushd` wire protocol speaks too.
 
 use rush_sim::job::{JobSpec, Phase, TaskSpec};
 use rush_sim::Slot;
-use rush_utility::{Sensitivity, TimeUtility};
+use rush_utility::{utility_from_text, utility_to_text, Sensitivity, TimeUtility};
 use std::error::Error;
 use std::fmt;
 
@@ -64,65 +67,6 @@ impl fmt::Display for PersistError {
 }
 
 impl Error for PersistError {}
-
-/// Renders a utility in the compact `kind:args` text form used by the v1
-/// workload format *and* the `rush-serve` wire protocol (e.g.
-/// `sigmoid:412,3,0.024`). Round-trips exactly through
-/// [`utility_from_text`]: parameters print in Rust's shortest-round-trip
-/// `f64` notation.
-pub fn utility_to_text(u: &TimeUtility) -> String {
-    match *u {
-        TimeUtility::Linear { budget, weight, beta } => format!("linear:{budget},{weight},{beta}"),
-        TimeUtility::Sigmoid { budget, weight, beta } => {
-            format!("sigmoid:{budget},{weight},{beta}")
-        }
-        TimeUtility::Constant { weight } => format!("constant:{weight}"),
-        TimeUtility::Step { budget, weight } => format!("step:{budget},{weight}"),
-    }
-}
-
-/// Parses the compact `kind:args` utility form (see [`utility_to_text`]).
-///
-/// # Errors
-///
-/// A human-readable message naming the offending class or parameter
-/// count; constructor validation errors pass through.
-pub fn utility_from_text(s: &str) -> Result<TimeUtility, String> {
-    let (kind, args) = s.split_once(':').unwrap_or((s, ""));
-    let nums: Result<Vec<f64>, _> = if args.is_empty() {
-        Ok(Vec::new())
-    } else {
-        args.split(',').map(|a| a.trim().parse::<f64>()).collect()
-    };
-    let nums = nums.map_err(|e| format!("bad utility number: {e}"))?;
-    let got = nums.len();
-    let need = |n: usize| -> Result<(), String> {
-        if got == n {
-            Ok(())
-        } else {
-            Err(format!("{kind} needs {n} parameters, got {got}"))
-        }
-    };
-    match kind {
-        "linear" => {
-            need(3)?;
-            TimeUtility::linear(nums[0], nums[1], nums[2]).map_err(|e| e.to_string())
-        }
-        "sigmoid" => {
-            need(3)?;
-            TimeUtility::sigmoid(nums[0], nums[1], nums[2]).map_err(|e| e.to_string())
-        }
-        "constant" => {
-            need(1)?;
-            TimeUtility::constant(nums[0]).map_err(|e| e.to_string())
-        }
-        "step" => {
-            need(2)?;
-            TimeUtility::step(nums[0], nums[1]).map_err(|e| e.to_string())
-        }
-        other => Err(format!("unknown utility class {other}")),
-    }
-}
 
 /// Serializes a workload to the v1 text format.
 pub fn to_text(jobs: &[JobSpec]) -> String {
@@ -330,20 +274,6 @@ mod tests {
         // Malformed extra token is rejected.
         let bad = format!("{HEADER}\njob x utility=constant:1\ntask map 5 rack=3\n");
         assert!(matches!(from_text(&bad), Err(PersistError::BadLine { .. })));
-    }
-
-    #[test]
-    fn all_utility_classes_round_trip() {
-        for u in [
-            TimeUtility::linear(100.0, 5.0, 0.5).unwrap(),
-            TimeUtility::sigmoid(100.0, 5.0, 0.5).unwrap(),
-            TimeUtility::constant(3.0).unwrap(),
-            TimeUtility::step(50.0, 2.0).unwrap(),
-        ] {
-            let text = utility_to_text(&u);
-            let back = utility_from_text(&text).unwrap();
-            assert_eq!(u, back, "{text}");
-        }
     }
 
     #[test]
