@@ -316,80 +316,64 @@ fn solve_one(
     Ok(JobSolve { eta, task_len: est.mean_task_runtime.ceil().max(1.0) as u64 })
 }
 
-/// Solves the per-job stage for every listed job, in input order.
-fn solve_batch(
-    config: &RushConfig,
-    jobs: &[&PlanInput<'_>],
-    estimator: &Estimator,
-) -> Result<Vec<JobSolve>, CoreError> {
-    jobs.iter().map(|j| solve_one(config, j, estimator)).collect()
-}
-
-/// Per-job stage, memoized. Rotates the cache map so only fingerprints
-/// touched by *this* pass survive into the next one.
+/// Per-job stage, memoized. Only fingerprints touched by *this* pass
+/// survive into the next one: `by_index` is rebuilt from this pass's jobs,
+/// and the keyed map is emptied before returning.
 fn solve_jobs(
     config: &RushConfig,
     jobs: &[PlanInput<'_>],
     estimator: &Estimator,
     cache: &mut PlanCache,
 ) -> Result<Vec<JobSolve>, CoreError> {
-    let n = jobs.len();
     let tag = config_tag(config);
     let mut slices = SliceHashes::default();
     let prints: Vec<u128> =
         jobs.iter().map(|j| fingerprint(tag, j, slices.get(&j.samples))).collect();
-    let mut out: Vec<Option<JobSolve>> = vec![None; n];
     // Index-aligned fast path: between consecutive passes the job list is
     // usually positionally stable with at most a few changed entries, so
     // the per-index memo serves almost every job without touching (or
     // rebuilding) a hash table.
-    let index_ok = cache.by_index.len() == n;
-    let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, fp) in prints.iter().enumerate() {
-        if index_ok && cache.by_index[i].0 == *fp {
-            out[i] = Some(cache.by_index[i].1);
-            cache.hits += 1;
-        } else {
-            miss_idx.push(i);
-        }
-    }
-    if miss_idx.len() > INDEX_SHIFT_SPILL {
+    let aligned = cache.by_index.len() == prints.len();
+    let shifted = if aligned {
+        prints.iter().zip(&cache.by_index).filter(|&(fp, (prev, _))| fp != prev).count()
+    } else {
+        prints.len()
+    };
+    if shifted > INDEX_SHIFT_SPILL {
         // Index alignment broke (an arrival or cancel reshuffled the
         // list): spill the previous pass into the keyed map so shifted
         // jobs still hit by content.
-        for &(fp, s) in &cache.by_index {
-            cache.map.insert(fp, s);
-        }
+        cache.map.extend(cache.by_index.iter().copied());
     }
-    let mut solve_idx: Vec<usize> = Vec::new();
-    for &i in &miss_idx {
-        if let Some(&s) = cache.map.get(&prints[i]) {
-            out[i] = Some(s);
-            cache.hits += 1;
-        } else {
-            solve_idx.push(i);
-            cache.misses += 1;
-        }
+    let mut solved = Vec::with_capacity(prints.len());
+    for (i, (job, &fp)) in jobs.iter().zip(&prints).enumerate() {
+        let memo = match cache.by_index.get(i) {
+            Some(&(prev, s)) if aligned && prev == fp => Some(s),
+            _ => cache.map.get(&fp).copied(),
+        };
+        let s = match memo {
+            Some(s) => {
+                cache.hits += 1;
+                s
+            }
+            None => {
+                cache.misses += 1;
+                // On error `by_index` is untouched and still content-correct
+                // (it is keyed by fingerprint); only this pass's scratch goes.
+                let s = solve_one(config, job, estimator).inspect_err(|_| cache.map.clear())?;
+                // Keyed at once, so a later job of this pass with the same
+                // fingerprint hits instead of solving again.
+                cache.map.insert(fp, s);
+                s
+            }
+        };
+        solved.push((fp, s));
     }
-    let miss_jobs: Vec<&PlanInput<'_>> = solve_idx.iter().map(|&i| &jobs[i]).collect();
-    // On error the per-index memo is untouched and still content-correct
-    // (it is keyed by fingerprint); the failed pass must not wipe it.
-    let solved = solve_batch(config, &miss_jobs, estimator)?;
-    for (&i, s) in solve_idx.iter().zip(solved) {
-        cache.map.insert(prints[i], s);
-        out[i] = Some(s);
-    }
-    cache.by_index.clear();
-    #[expect(clippy::expect_used, reason = "every slot is filled by the hit loop or the miss solve above")]
-    cache
-        .by_index
-        .extend(prints.iter().zip(&out).map(|(&fp, s)| (fp, s.expect("hit or solved"))));
+    cache.by_index = solved;
     // The keyed map is intra-pass scratch: draining it here keeps the
     // retention promise (departed jobs do not linger) — the next pass's
     // reshuffle spill repopulates it from `by_index` when needed.
     cache.map.clear();
-    // `by_index` was rebuilt just above in job order (one entry per
-    // print), so the plan vector is a straight copy of its solved column.
     Ok(cache.by_index.iter().map(|&(_, s)| s).collect())
 }
 
@@ -1241,20 +1225,61 @@ mod tests {
         }
     }
 
+    /// Two jobs with the same estimator inputs in one pass cost one miss:
+    /// the second hits the entry the first just keyed. Every job still gets
+    /// the solve it would get alone.
     #[test]
-    fn batch_solve_matches_per_job_regardless_of_count() {
-        // Each solve is a pure function of its job: the batch it rides in
-        // must not change its result.
+    fn twin_jobs_in_one_pass_cost_one_miss() {
         let cfg = RushConfig::default();
-        let jobs = mixed_fleet(70);
-        let whole = compute_plan(&cfg, 16, &jobs).unwrap();
+        let est = cfg.estimator();
+        let mut jobs = mixed_fleet(12);
+        // Same samples, remaining tasks and failures as job 1; the age and
+        // utility the key leaves out differ.
+        jobs.push(PlanInput { age: 999.0, utility: sigmoid(50.0, 2.0, 0.3), ..jobs[1].clone() });
+        let mut cache = PlanCache::new();
+        let solved = solve_jobs(&cfg, &jobs, &est, &mut cache).unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (12, 1));
+        assert_eq!(solved[12], solved[1]);
         for (i, job) in jobs.iter().enumerate() {
-            let single = compute_plan(&cfg, 16, std::slice::from_ref(job)).unwrap();
-            assert_eq!(
-                (whole.entries[i].eta, whole.entries[i].task_len),
-                (single.entries[0].eta, single.entries[0].task_len),
-                "job {i} solve differs between batch and solo"
-            );
+            assert_eq!(solved[i], solve_one(&cfg, job, &est).unwrap(), "job {i}");
         }
+        assert!(cache.map.is_empty(), "the keyed map is one pass's scratch");
+    }
+
+    /// A pass that fails mid-solve leaves the previous pass's per-index memo
+    /// as it was, still keyed to the right solves, and nothing of its own in
+    /// the keyed map: neither the spilled memo nor the solves it finished.
+    #[test]
+    fn failed_pass_keeps_the_memo_and_leaves_no_scratch() {
+        use rush_estimator::EstimatorError;
+        let cfg = RushConfig::default();
+        let est = cfg.estimator();
+        let tag = config_tag(&cfg);
+        let jobs = mixed_fleet(8);
+        let mut cache = PlanCache::new();
+        let first = solve_jobs(&cfg, &jobs, &est, &mut cache).unwrap();
+        let recorded = cache.by_index.clone();
+        // Reversed, so the memo spills into the keyed map; then a job this
+        // pass solves and keys; then one no estimator can size.
+        let mut failing: Vec<PlanInput<'_>> = jobs.iter().rev().cloned().collect();
+        failing.push(input(vec![61, 62, 63], 7, 0.0, sigmoid(400.0, 1.0, 0.05)));
+        failing.push(input(vec![1 << 53], 1, 0.0, sigmoid(400.0, 1.0, 0.05)));
+        let misses = cache.misses();
+        let err = solve_jobs(&cfg, &failing, &est, &mut cache).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Estimator(EstimatorError::RangeTooLarge { .. })),
+            "{err:?}"
+        );
+        assert_eq!(cache.misses(), misses + 2, "the new job solved, the oversized one tried");
+        assert_eq!(cache.by_index, recorded);
+        assert!(cache.map.is_empty(), "stale keyed entries: {:?}", cache.map);
+        for (job, &(fp, s)) in jobs.iter().zip(&cache.by_index) {
+            assert_eq!(fp, fingerprint(tag, job, sample_hash(&job.samples)));
+            assert_eq!(s, solve_one(&cfg, job, &est).unwrap());
+        }
+        // The next pass serves the unchanged fleet from the memo alone.
+        let misses = cache.misses();
+        assert_eq!(solve_jobs(&cfg, &jobs, &est, &mut cache).unwrap(), first);
+        assert_eq!(cache.misses(), misses);
     }
 }

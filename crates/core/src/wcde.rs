@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn eta_grows_with_delta() {
         let g = Gaussian::new(500.0, 50.0).unwrap();
-        let phi = g.quantize(1000, 1).unwrap().with_support_floor(1e-12).unwrap();
+        let phi = g.quantize(1000, 1, 1e-12).unwrap();
         let mut prev = 0;
         for delta in [0.0, 0.1, 0.3, 0.7, 1.4] {
             let r = worst_case_quantile(&phi, 0.9, delta).unwrap();
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn eta_grows_with_theta() {
         let g = Gaussian::new(500.0, 50.0).unwrap();
-        let phi = g.quantize(1000, 1).unwrap().with_support_floor(1e-12).unwrap();
+        let phi = g.quantize(1000, 1, 1e-12).unwrap();
         let mut prev = 0;
         for theta in [0.5, 0.7, 0.9, 0.99] {
             let r = worst_case_quantile(&phi, theta, 0.5).unwrap();
@@ -184,7 +184,7 @@ mod tests {
         // For the returned eta, the REM minimum at eta_bin+1 must exceed
         // delta: no in-ball distribution can push its quantile past eta.
         let g = Gaussian::new(200.0, 30.0).unwrap();
-        let phi = g.quantize(400, 1).unwrap().with_support_floor(1e-12).unwrap();
+        let phi = g.quantize(400, 1, 1e-12).unwrap();
         let (theta, delta) = (0.9, 0.4);
         let r = worst_case_quantile(&phi, theta, delta).unwrap();
         if r.eta_bin + 1 < phi.bins() {

@@ -353,7 +353,7 @@ impl DistributionEstimator for GaussianEstimator {
         let hi = total_mean + 8.0 * total_std;
         let (bins, bin_width) = binning(hi, self.max_bins)?;
         let g = Gaussian::new(total_mean, total_std).map_err(EstimatorError::Prob)?;
-        let pmf = g.quantize(bins, bin_width)?.into_support_floor(1e-12)?;
+        let pmf = g.quantize(bins, bin_width, 1e-12)?;
         Ok(Estimate { pmf, mean_task_runtime: mean_rt.max(1.0) })
     }
 }
@@ -494,9 +494,10 @@ mod tests {
         assert!(est.pmf.quantile(0.95) > est.pmf.quantile(0.5));
     }
 
-    /// The PMF the Gaussian estimator floors in place is, bit for bit, the
-    /// quantized normal floored the allocating way: each bin raised to the
-    /// floor and the weights re-normalized through `Pmf::from_weights`.
+    /// The Gaussian estimator's fused quantizer builds, bit for bit, the
+    /// PMF of the unfused chain: the normal's CDF differences (tail folded
+    /// into the last bin) through `Pmf::from_weights`, then
+    /// `with_support_floor`.
     #[test]
     fn gaussian_in_place_floor_is_exact() {
         let prior = RuntimePrior::new(60.0, 20.0).expect("valid prior");
@@ -513,11 +514,21 @@ mod tests {
                 let n = remaining as f64;
                 let std = (n * var_rt).sqrt().max(1e-6);
                 let (bins, bin_width) = binning(n * mean_rt + 8.0 * std, 512).expect("fits");
-                let quantized = Gaussian::new(n * mean_rt, std)
-                    .and_then(|g| g.quantize(bins, bin_width))
-                    .expect("quantize");
-                let floored = quantized.probs().iter().map(|&p| p.max(1e-12)).collect();
-                let want = Pmf::from_weights(floored, bin_width).expect("floor");
+                let g = Gaussian::new(n * mean_rt, std).expect("valid normal");
+                let w = bin_width as f64;
+                let mut prev = 0.0;
+                let masses = (0..bins)
+                    .map(|l| {
+                        let hi =
+                            if l + 1 == bins { 1.0 } else { g.cdf((l + 1) as f64 * w - w * 1e-9) };
+                        let mass = (hi - prev).max(0.0);
+                        prev = hi;
+                        mass
+                    })
+                    .collect();
+                let want = Pmf::from_weights(masses, bin_width)
+                    .and_then(|p| p.with_support_floor(1e-12))
+                    .expect("floor");
                 assert_eq!(got.bins(), want.bins());
                 for l in 0..want.bins() {
                     assert_eq!(

@@ -28,22 +28,34 @@ pub trait Continuous {
     /// runtimes are non-negative.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
 
-    /// Quantizes this distribution into a [`Pmf`] of `bins` bins of width
-    /// `bin_width`, assigning bin `l` the mass
+    /// Quantizes this distribution into a full-support [`Pmf`] of `bins`
+    /// bins of width `bin_width`: bin `l` gets the mass
     /// `P(l·w ≤ X < (l+1)·w)`, with all upper-tail mass folded into the last
-    /// bin.
+    /// bin; then every bin is raised to at least `floor` and the whole
+    /// re-normalized, as [`Pmf::with_support_floor`] does.
+    ///
+    /// The result is bit for bit `Pmf::from_weights` of those masses
+    /// followed by `with_support_floor(floor)`, built in three passes over
+    /// the bins instead of ten: the CDF differences and their sum, then the
+    /// normalized and floored masses and their sum, then the final division
+    /// fused with the prefix sums.
     ///
     /// # Errors
     ///
-    /// Propagates [`Pmf::from_weights`] errors (e.g. `bins == 0`), and
-    /// [`ProbError::ZeroMass`] if the distribution has no mass below
-    /// `bins · bin_width`.
-    fn quantize(&self, bins: usize, bin_width: u64) -> Result<Pmf, ProbError> {
+    /// [`ProbError::EmptyPmf`] if `bins == 0`;
+    /// [`ProbError::InvalidParameter`] if `bin_width == 0` or `floor` is not
+    /// a positive finite number; [`ProbError::InvalidWeight`] if the CDF
+    /// yields a non-finite mass, and [`ProbError::ZeroMass`] if it yields
+    /// none below `bins · bin_width`.
+    fn quantize(&self, bins: usize, bin_width: u64, floor: f64) -> Result<Pmf, ProbError> {
         if bins == 0 {
             return Err(ProbError::EmptyPmf);
         }
         if bin_width == 0 {
             return Err(ProbError::InvalidParameter { name: "bin_width", value: 0.0 });
+        }
+        if !floor.is_finite() || floor <= 0.0 {
+            return Err(ProbError::InvalidParameter { name: "floor", value: floor });
         }
         let w = bin_width as f64;
         // Evaluate the CDF just below each upper bin boundary so that a point
@@ -51,14 +63,28 @@ pub trait Continuous {
         // there, matching `Pmf::from_samples`'s `value / bin_width` rule.
         let boundary_eps = w * 1e-9;
         let mut weights = Vec::with_capacity(bins);
+        let mut total = 0.0;
         let mut prev = 0.0; // CDF at 0 for non-negative support
         for l in 0..bins {
             let hi =
                 if l + 1 == bins { 1.0 } else { self.cdf((l + 1) as f64 * w - boundary_eps) };
-            weights.push((hi - prev).max(0.0));
+            let mass = (hi - prev).max(0.0);
+            if !mass.is_finite() {
+                return Err(ProbError::InvalidWeight { bin: l, value: mass });
+            }
+            total += mass;
+            weights.push(mass);
             prev = hi;
         }
-        Pmf::from_weights(weights, bin_width)
+        if total <= 0.0 {
+            return Err(ProbError::ZeroMass);
+        }
+        let mut floored = 0.0;
+        for p in &mut weights {
+            *p = (*p / total).max(floor);
+            floored += *p;
+        }
+        Ok(Pmf::divided(weights, floored, Vec::with_capacity(bins), bin_width))
     }
 }
 
@@ -404,7 +430,7 @@ mod tests {
     #[test]
     fn quantize_preserves_mean_roughly() {
         let g = Gaussian::new(100.0, 10.0).unwrap();
-        let pmf = g.quantize(200, 1).unwrap();
+        let pmf = g.quantize(200, 1, 1e-12).unwrap();
         assert!(pmf.is_normalized());
         assert!((pmf.mean() - 100.0).abs() < 1.5);
     }
@@ -412,15 +438,21 @@ mod tests {
     #[test]
     fn quantize_folds_tail_into_last_bin() {
         let g = Gaussian::new(100.0, 10.0).unwrap();
-        let pmf = g.quantize(50, 1).unwrap(); // support cut at 50 << mean
+        let pmf = g.quantize(50, 1, 1e-12).unwrap(); // support cut at 50 << mean
         assert!(pmf.prob(49) > 0.99);
     }
 
     #[test]
     fn quantize_rejects_degenerate_args() {
         let g = Gaussian::new(10.0, 1.0).unwrap();
-        assert!(g.quantize(0, 1).is_err());
-        assert!(g.quantize(10, 0).is_err());
+        assert_eq!(g.quantize(0, 1, 1e-12), Err(ProbError::EmptyPmf));
+        let bad = [(0, 1e-12), (1, 0.0), (1, -1e-12), (1, f64::NAN), (1, f64::INFINITY)];
+        for (width, floor) in bad {
+            assert!(
+                matches!(g.quantize(10, width, floor), Err(ProbError::InvalidParameter { .. })),
+                "width {width}, floor {floor}"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! # fn main() -> Result<(), rush_prob::ProbError> {
 //! // Total demand of 100 tasks, each ~N(60 s, 20 s): N(6000, 200) by CLT.
 //! let total = Gaussian::new(6000.0, 200.0)?;
-//! let phi: Pmf = total.quantize(8000, 1)?;
+//! let phi: Pmf = total.quantize(8000, 1, 1e-12)?;
 //! let eta = phi.quantile(0.9);
 //! assert!(eta >= 6000 && eta <= 6700);
 //! # Ok(())

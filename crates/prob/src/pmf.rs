@@ -76,14 +76,9 @@ impl Pmf {
         Self::normalized(weights, Vec::new(), bin_width)
     }
 
-    /// The body of [`Pmf::from_weights`] past its shape checks: normalizes
-    /// `weights` in place into the probabilities and rebuilds `cdf` in its
-    /// buffer.
-    fn normalized(
-        mut weights: Vec<f64>,
-        mut cdf: Vec<f64>,
-        bin_width: u64,
-    ) -> Result<Self, ProbError> {
+    /// The body of [`Pmf::from_weights`] past its shape checks: validates
+    /// and sums `weights`, then hands them to `Pmf::divided`.
+    fn normalized(weights: Vec<f64>, cdf: Vec<f64>, bin_width: u64) -> Result<Self, ProbError> {
         for (bin, &w) in weights.iter().enumerate() {
             if !w.is_finite() || w < 0.0 {
                 return Err(ProbError::InvalidWeight { bin, value: w });
@@ -93,14 +88,32 @@ impl Pmf {
         if total <= 0.0 {
             return Err(ProbError::ZeroMass);
         }
-        for w in &mut weights {
-            *w /= total;
-        }
+        Ok(Self::divided(weights, total, cdf, bin_width))
+    }
+
+    /// The crate's one normaliser: divides each weight by `total` and
+    /// rebuilds `cdf` in its buffer as the running sum of the quotients, in
+    /// one left-to-right pass. The floats are those of dividing every
+    /// weight first and taking `prefix_sums` after.
+    ///
+    /// `weights` must be finite and non-negative, and `total` their
+    /// left-to-right sum, positive.
+    pub(crate) fn divided(
+        mut weights: Vec<f64>,
+        total: f64,
+        mut cdf: Vec<f64>,
+        bin_width: u64,
+    ) -> Self {
         cdf.clear();
-        cdf.extend(prefix_sums(&weights));
+        let mut acc = 0.0;
+        cdf.extend(weights.iter_mut().map(|w| {
+            *w /= total;
+            acc += *w;
+            acc
+        }));
         let out = Pmf { probs: weights, cdf, bin_width };
         out.debug_check_invariants();
-        Ok(out)
+        out
     }
 
     /// Builds an impulse (degenerate) PMF placing all mass on one bin.
@@ -137,8 +150,7 @@ impl Pmf {
     /// [`ProbError::EmptyPmf`] if `bins == 0`, [`ProbError::InvalidParameter`]
     /// if `bin_width == 0`.
     pub fn uniform(bins: usize, bin_width: u64) -> Result<Self, ProbError> {
-        Self::from_weights(vec![1.0; bins.max(if bins == 0 { 0 } else { bins })], bin_width)
-            .map_err(|e| if bins == 0 { ProbError::EmptyPmf } else { e })
+        Self::from_weights(vec![1.0; bins], bin_width)
     }
 
     /// Builds a PMF by histogramming integer demand samples into unit bins,

@@ -79,7 +79,7 @@ proptest! {
         std in 0.5f64..100.0,
     ) {
         let g = Gaussian::new(mean, std).unwrap();
-        let pmf = g.quantize(1024, 1).unwrap();
+        let pmf = g.quantize(1024, 1, 1e-12).unwrap();
         prop_assert!(pmf.is_normalized());
     }
 
@@ -199,5 +199,80 @@ proptest! {
         if bin < bins {
             check_cdf_cache(&Pmf::impulse(bins, bin, 1).unwrap())?;
         }
+    }
+}
+
+/// The quantizer's oracle: the unfused chain it replaced. CDF differences
+/// taken just below each upper boundary (the tail folded into the last
+/// bin), normalized by `Pmf::from_weights`, then floored and re-normalized
+/// by `with_support_floor`.
+fn quantize_unfused(
+    d: &impl Continuous,
+    bins: usize,
+    bin_width: u64,
+    floor: f64,
+) -> Result<Pmf, rush_prob::ProbError> {
+    let w = bin_width as f64;
+    let mut prev = 0.0;
+    let masses = (0..bins)
+        .map(|l| {
+            let hi = if l + 1 == bins { 1.0 } else { d.cdf((l + 1) as f64 * w - w * 1e-9) };
+            let mass = (hi - prev).max(0.0);
+            prev = hi;
+            mass
+        })
+        .collect();
+    Pmf::from_weights(masses, bin_width)?.with_support_floor(floor)
+}
+
+/// `quantize` against `quantize_unfused`, bit for bit in every bin's
+/// probability and head mass.
+fn check_fused_quantize(
+    d: &impl Continuous,
+    bins: usize,
+    bin_width: u64,
+    floor: f64,
+) -> Result<(), TestCaseError> {
+    let want = quantize_unfused(d, bins, bin_width, floor).unwrap();
+    let got = d.quantize(bins, bin_width, floor).unwrap();
+    prop_assert_eq!(got.bins(), bins);
+    for l in 0..bins {
+        prop_assert_eq!(
+            (got.prob(l).to_bits(), got.head_mass(l).to_bits()),
+            (want.prob(l).to_bits(), want.head_mass(l).to_bits()),
+            "bin {} of {}",
+            l,
+            bins
+        );
+    }
+    check_cdf_cache(&got)
+}
+
+/// The two support floors the estimators and tests use.
+const FLOORS: [f64; 2] = [1e-12, 1e-4];
+
+proptest! {
+    #[test]
+    fn gaussian_quantize_is_the_unfused_chain(
+        mean in -100.0f64..20_000.0,
+        std in prop_oneof![Just(1e-6), 1e-6f64..10.0, 10.0f64..5_000.0],
+        bins in 1usize..=1024,
+        bin_width in 2u64..64,
+        floor in 0usize..2,
+    ) {
+        let g = Gaussian::new(mean, std).unwrap();
+        check_fused_quantize(&g, bins, bin_width, FLOORS[floor])?;
+    }
+
+    #[test]
+    fn lognormal_quantize_is_the_unfused_chain(
+        mu in -2.0f64..9.0,
+        sigma in prop_oneof![Just(1e-6), 1e-6f64..0.1, 0.1f64..2.0],
+        bins in 1usize..=1024,
+        bin_width in 2u64..64,
+        floor in 0usize..2,
+    ) {
+        let ln = LogNormal::new(mu, sigma).unwrap();
+        check_fused_quantize(&ln, bins, bin_width, FLOORS[floor])?;
     }
 }
