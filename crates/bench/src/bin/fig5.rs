@@ -34,10 +34,11 @@
 //! peel-dominance claim stays measured; `--profile` prints it as a table,
 //! with the same split for the from-scratch and churn series.
 //!
-//! The run gates its own number (exit 1 on a regression, 2 when the gate
-//! cannot be evaluated): the cached cost at 200 jobs against the same
-//! point of the file at `--out`, read before it is overwritten
-//! ([`cached_cost_gate`]; no file, no gate).
+//! The run gates its own numbers (exit 1 on a regression, 2 when the gate
+//! cannot be evaluated) against the file at `--out`, read before it is
+//! overwritten ([`fig5_gate`]; no file, no gate): the cached total at 200
+//! jobs, and every solve / peel / map phase of every cached and churn point
+//! that reads at least 100 µs there, each at 2×.
 //!
 //! Flags: `--reps N`, `--seed S`, `--capacity C`, `--out PATH`, `--quick`
 //! (CI mode: fewer points and repetitions), `--profile` (print the phase
@@ -45,8 +46,7 @@
 
 use rand::Rng;
 use rush_bench::{
-    cached_cost_gate, cached_ns_at, fatal, flag, parse_args, CACHED_GATE_JOBS,
-    MAX_CACHED_REGRESSION,
+    fatal, fig5_gate, fig5_numbers, flag, parse_args, MAX_CACHED_REGRESSION, MIN_GATED_PHASE_NS,
 };
 use rush_core::mapping::{map_continuous, MapJob};
 use rush_core::onion::{OnionJob, Shifted};
@@ -222,10 +222,9 @@ fn main() -> ExitCode {
     let cfg = RushConfig::default();
     // The regression gate's reference is the file this run overwrites.
     let previous = match std::fs::read_to_string(&out_path) {
-        Ok(text) => Some(
-            cached_ns_at(&text, CACHED_GATE_JOBS)
-                .unwrap_or_else(|e| fatal(&format!("{out_path}: {e}"))),
-        ),
+        Ok(text) => {
+            Some(fig5_numbers(&text).unwrap_or_else(|e| fatal(&format!("{out_path}: {e}"))))
+        }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             println!("no file at {out_path}: regression gate skipped\n");
             None
@@ -331,19 +330,24 @@ fn main() -> ExitCode {
     let Some(previous) = previous else {
         return ExitCode::SUCCESS;
     };
-    let now = points
-        .iter()
-        .find(|p| p.jobs as u64 == CACHED_GATE_JOBS)
-        .expect("both series measure the gated job count")
-        .cached_ns_per_event;
-    let ok = cached_cost_gate(previous, now);
+    let now = fig5_numbers(&json).unwrap_or_else(|e| fatal(&format!("this run's report: {e}")));
+    let checks = fig5_gate(&previous, &now);
     println!(
-        "gate: cached ns/event at {CACHED_GATE_JOBS} jobs: previous {previous:.0}, now \
-         {now:.0} ({:.2}x, limit {MAX_CACHED_REGRESSION:.2}x) -> {}",
-        now / previous,
-        if ok { "PASS" } else { "FAIL" }
+        "gate: the cached total and every phase of at least {:.0} µs, each within \
+         {MAX_CACHED_REGRESSION:.2}x of {out_path} as it was:",
+        MIN_GATED_PHASE_NS / 1e3
     );
-    if ok {
+    for c in &checks {
+        println!(
+            "  {:<26} previous {:>9.0} now {:>9.0} ({:.2}x) -> {}",
+            c.name,
+            c.previous,
+            c.now,
+            c.now / c.previous,
+            if c.ok { "PASS" } else { "FAIL" }
+        );
+    }
+    if checks.iter().all(|c| c.ok) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

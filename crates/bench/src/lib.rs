@@ -83,29 +83,83 @@ fn try_flag<T: std::str::FromStr>(
 /// DESIGN.md, substitutions).
 pub const CALIBRATED_INTERARRIVAL: f64 = 45.0;
 
-/// Fig. 5's steady-state cost at [`CACHED_GATE_JOBS`] jobs may grow to at
-/// most this factor of the same point in the file the run overwrites.
+/// A number Fig. 5's regression gate reads may grow to at most this factor
+/// of the same number in the file the run overwrites.
 pub const MAX_CACHED_REGRESSION: f64 = 2.0;
-/// The job count of Fig. 5's regression gate.
+/// The job count of the gated cached total.
 pub const CACHED_GATE_JOBS: u64 = 200;
+/// The per-event phases the gate reads, of every cached and churn point.
+pub const GATED_PHASES: [&str; 3] = ["solve", "peel", "map"];
+/// A phase is gated once its reference value reaches this many ns: below
+/// it, host noise outgrows the factor.
+pub const MIN_GATED_PHASE_NS: f64 = 100_000.0;
 
-/// `cached_ns_per_event` of the `"jobs": jobs` point of a Fig. 5 report.
+/// The numbers of a Fig. 5 report the regression gate reads, by name: the
+/// cached total at [`CACHED_GATE_JOBS`] (`"cached total at 200 jobs"`), and
+/// every [`GATED_PHASES`] entry of every point's cached and churn profile
+/// (`"churn map at 1000 jobs"`).
 ///
 /// # Errors
 ///
-/// Malformed JSON, or no such point — a gate with no reference must fail
-/// loudly, not pass.
-pub fn cached_ns_at(fig5_json: &str, jobs: u64) -> Result<f64, String> {
+/// Malformed JSON, a point without its profiles, or no cached total at
+/// [`CACHED_GATE_JOBS`] — a gate with no reference must fail loudly, not
+/// pass.
+pub fn fig5_numbers(fig5_json: &str) -> Result<Vec<(String, f64)>, String> {
     let doc = rush_serve::json::parse(fig5_json).map_err(|e| e.to_string())?;
-    doc.get("points")
-        .and_then(Json::as_arr)
-        .and_then(|ps| ps.iter().find(|p| p.get("jobs").and_then(Json::as_u64) == Some(jobs)))
-        .and_then(|p| p.get("cached_ns_per_event"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("no cached_ns_per_event at jobs = {jobs}"))
+    let points = doc.get("points").and_then(Json::as_arr).ok_or("no points")?;
+    let mut numbers = Vec::new();
+    for p in points {
+        let jobs = p.get("jobs").and_then(Json::as_u64).ok_or("a point without jobs")?;
+        let number = |v: Option<&Json>, name: String| {
+            v.and_then(Json::as_f64).map(|ns| (name.clone(), ns)).ok_or(format!("no {name}"))
+        };
+        if jobs == CACHED_GATE_JOBS {
+            let total = p.get("cached_ns_per_event");
+            numbers.push(number(total, format!("cached total at {jobs} jobs"))?);
+        }
+        for (series, key) in [("cached", "profile_ns"), ("churn", "churn_profile_ns")] {
+            for phase in GATED_PHASES {
+                let ns = p.get(key).and_then(|ph| ph.get(phase));
+                numbers.push(number(ns, format!("{series} {phase} at {jobs} jobs"))?);
+            }
+        }
+    }
+    if !numbers.iter().any(|(name, _)| name.starts_with("cached total")) {
+        return Err(format!("no cached_ns_per_event at jobs = {CACHED_GATE_JOBS}"));
+    }
+    Ok(numbers)
 }
 
-/// Fig. 5 regression gate: the cached cost may grow to at most
+/// One comparison of Fig. 5's regression gate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateCheck {
+    /// The number's name (see [`fig5_numbers`]).
+    pub name: String,
+    /// Its value in the reference report.
+    pub previous: f64,
+    /// Its value in this run.
+    pub now: f64,
+    /// Whether it stayed within [`MAX_CACHED_REGRESSION`] × `previous`.
+    pub ok: bool,
+}
+
+/// Fig. 5's regression gate: each number of `reference` that is gated —
+/// the cached total, and every phase of at least [`MIN_GATED_PHASE_NS`] —
+/// against the same number of `current`. A number the run did not measure
+/// (`--quick` skips points) is not compared.
+pub fn fig5_gate(reference: &[(String, f64)], current: &[(String, f64)]) -> Vec<GateCheck> {
+    reference
+        .iter()
+        .filter(|(name, ns)| name.starts_with("cached total") || *ns >= MIN_GATED_PHASE_NS)
+        .filter_map(|(name, previous)| {
+            let (_, now) = current.iter().find(|(n, _)| n == name)?;
+            let ok = cached_cost_gate(*previous, *now);
+            Some(GateCheck { name: name.clone(), previous: *previous, now: *now, ok })
+        })
+        .collect()
+}
+
+/// The gate's rule for one number: it may grow to at most
 /// [`MAX_CACHED_REGRESSION`] × the previous run's.
 pub fn cached_cost_gate(previous_ns: f64, current_ns: f64) -> bool {
     current_ns <= MAX_CACHED_REGRESSION * previous_ns
@@ -144,14 +198,55 @@ mod tests {
         assert!(!cached_cost_gate(313_889.0, 700_000.0));
     }
 
+    /// A two-point report: `(jobs, cached total, cached map, churn map)`;
+    /// every other phase 1 µs.
+    fn report(points: &[(u64, u64, u64, u64)]) -> String {
+        let point = |&(jobs, total, map, churn_map): &(u64, u64, u64, u64)| {
+            format!(
+                r#"{{"jobs": {jobs}, "cached_ns_per_event": {total}, "profile_ns": {{"solve": 1000, "peel": 1000, "map": {map}, "assemble": 5}}, "churn_profile_ns": {{"solve": 1000, "peel": 1000, "map": {churn_map}, "assemble": 5}}}}"#
+            )
+        };
+        let points: Vec<String> = points.iter().map(point).collect();
+        format!(r#"{{"points": [{}]}}"#, points.join(", "))
+    }
+
     #[test]
-    fn cached_reference_needs_the_point() {
-        let doc = r#"{"points": [{"jobs": 20, "cached_ns_per_event": 67141},
-            {"jobs": 200, "cached_ns_per_event": 313889}]}"#;
-        assert_eq!(cached_ns_at(doc, 200), Ok(313_889.0));
-        assert!(cached_ns_at(doc, 500).is_err(), "missing point");
-        assert!(cached_ns_at(&doc.replace("313889}", "313889"), 200).is_err(), "malformed");
-        assert!(cached_ns_at("{}", 200).is_err());
+    fn gate_reads_the_total_and_every_phase() {
+        let doc = report(&[(200, 313_889, 165_850, 178_911), (1000, 1_328_041, 1_058_581, 1_080_629)]);
+        let numbers = fig5_numbers(&doc).unwrap();
+        assert_eq!(numbers.len(), 1 + 2 * 2 * GATED_PHASES.len());
+        assert!(numbers.contains(&("cached total at 200 jobs".to_owned(), 313_889.0)));
+        assert!(numbers.contains(&("churn map at 1000 jobs".to_owned(), 1_080_629.0)));
+        let no_total = report(&[(1000, 1_328_041, 1_058_581, 1_080_629)]);
+        assert!(fig5_numbers(&no_total).is_err(), "missing point");
+        assert!(fig5_numbers(&doc.replace("}]}", "}]")).is_err(), "malformed");
+        assert!(fig5_numbers(&doc.replace(r#""map": 165850, "#, "")).is_err(), "missing phase");
+        assert!(fig5_numbers("{}").is_err());
+    }
+
+    #[test]
+    fn gate_checks_each_phase_past_the_floor_at_the_factor() {
+        let reference = fig5_numbers(&report(&[(200, 313_889, 165_850, 90_000)])).unwrap();
+        let verdicts = |now: &str| -> Vec<(String, bool)> {
+            let current = fig5_numbers(now).unwrap();
+            fig5_gate(&reference, &current).into_iter().map(|c| (c.name, c.ok)).collect()
+        };
+        // The total and the cached map are gated; the churn map (90 µs) and
+        // the 1 µs phases are below the floor.
+        let steady = verdicts(&report(&[(200, 313_889, 165_850, 90_000)]));
+        let names: Vec<&str> = steady.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["cached total at 200 jobs", "cached map at 200 jobs"]);
+        assert!(steady.iter().all(|(_, ok)| *ok));
+        // A 5× map blow-up fails its phase although the total stays in bound.
+        let blown = verdicts(&report(&[(200, 600_000, 829_250, 90_000)]));
+        assert_eq!(blown, [("cached total at 200 jobs".to_owned(), true), ("cached map at 200 jobs".to_owned(), false)]);
+        // Ungated numbers may move freely; the limit itself passes.
+        let edge = verdicts(&report(&[(200, 2 * 313_889, 2 * 165_850, 900_000)]));
+        assert!(edge.iter().all(|(_, ok)| *ok), "{edge:?}");
+        // A point the run did not measure is not compared.
+        let full = fig5_numbers(&report(&[(200, 1, 1, 1), (500, 1, 200_000, 1)])).unwrap();
+        let quick = fig5_numbers(&report(&[(200, 1, 1, 1)])).unwrap();
+        assert_eq!(fig5_gate(&full, &quick).len(), 1);
     }
 
     #[test]

@@ -351,11 +351,28 @@ pub struct MapSummary {
     pub completion: u64,
 }
 
-/// `len` adjacent queues that all sit at `occupation`.
+/// `len` adjacent queues, `first..first + len`, that all sit at `occupation`.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     occupation: u64,
+    first: u32,
     len: u32,
+}
+
+impl Run {
+    /// The order a water-fill takes queues in: least occupied first, ties
+    /// to the lowest queue.
+    fn key(&self) -> (u64, u32) {
+        (self.occupation, self.first)
+    }
+}
+
+/// A run a water-fill raised: its position in the list the fill read, and
+/// the run it became.
+#[derive(Debug, Clone, Copy)]
+struct Lift {
+    at: u32,
+    run: Run,
 }
 
 /// Queue state and scratch of [`map_profile`], recycled across passes so a
@@ -363,28 +380,45 @@ struct Run {
 ///
 /// Algorithm 4 only ever reads a queue's occupation, and both of its moves
 /// treat equally-occupied neighbours alike, so the `C` queues are kept as
-/// runs of equal occupation in container order, starting from `(0, C)`. A
-/// job's strict pass splits at most one run in three, or else its
-/// water-fill one in two: at most `1 + 2n` runs after `n` jobs, however
-/// large the fleet.
+/// runs of equal occupation, starting from `(0, C)`. A job's strict pass
+/// splits at most one run in three, or else its water-fill one in two: at
+/// most `1 + 2n` runs after `n` jobs, however large the fleet.
+///
+/// Strict jobs walk the runs in container order (`runs`), and so do their
+/// spills; the walk skips every block of `BLOCK` runs whose lowest queue
+/// already sits at the job's target (`lows`). The lax jobs, which all come
+/// after the last strict one, only ever water-fill: they share one sort of
+/// the runs into `levels` (least occupied last, ties to the lower queue
+/// last), where the runs a fill raises are the tail.
 #[derive(Default, Debug, Clone)]
 pub struct OccupationProfile {
     order: Vec<usize>,
     runs: Vec<Run>,
+    lows: BlockLows,
+    levels: Vec<Run>,
+    lifted: Vec<Lift>,
+    spare: Vec<Lift>,
+    tied: Vec<(usize, u64)>,
+    cuts: Vec<usize>,
     summaries: Vec<MapSummary>,
 }
 
 impl OccupationProfile {
     /// Runs the most recent pass ended with.
     pub fn runs(&self) -> usize {
-        self.runs.len()
+        if self.levels.is_empty() {
+            self.runs.len()
+        } else {
+            self.levels.len()
+        }
     }
 }
 
 /// Algorithm 4 evaluated per run of equally-occupied queues, emitting only
 /// each job's [`MapSummary`] (borrowed from `profile`, in input order):
 /// equal to `(active_at(0), completion)` of [`map_continuous`]'s placements
-/// in every case, at O(runs) instead of O(C) per job.
+/// in every case. A strict job costs O(runs); a lax job costs the runs its
+/// water-fill raises, plus those it moves past.
 ///
 /// # Errors
 ///
@@ -395,33 +429,84 @@ pub fn map_profile<'a>(
     profile: &'a mut OccupationProfile,
 ) -> Result<&'a [MapSummary], CoreError> {
     validate(jobs, capacity)?;
-    let OccupationProfile { order, runs, summaries } = profile;
+    let OccupationProfile { order, runs, lows, levels, lifted, spare, tied, cuts, summaries } = profile;
     pack_order(jobs, order);
     runs.clear();
-    runs.push(Run { occupation: 0, len: capacity });
+    runs.push(Run { occupation: 0, first: 0, len: capacity });
+    lows.known = 0;
+    levels.clear();
     summaries.clear();
     summaries.resize(jobs.len(), MapSummary::default());
-    for &i in order.iter() {
+    // `Σ occupation·len` over the runs.
+    let mut volume = 0u128;
+    let strict = order.partition_point(|&i| !jobs[i].lax);
+    for &i in &order[..strict] {
+        let job = &jobs[i];
+        let l = job.task_len;
+        #[cfg(debug_assertions)]
+        let before = footprint(runs);
+        let spill = strict_fill(runs, lows, job, &mut summaries[i]);
+        volume += (job.tasks - spill) as u128 * l as u128;
+        if spill > 0 {
+            let bracket = spill_bracket(runs, capacity, volume, l, spill);
+            let upto = |w| {
+                let at_or_below = move |&(_, r): &(usize, &Run)| r.occupation <= w;
+                runs.iter().enumerate().filter(at_or_below).map(|(k, &r)| (k, r))
+            };
+            let split = water_fill_runs(upto, bracket, l, spill, lifted, tied, &mut summaries[i]);
+            for x in lifted.iter() {
+                runs[x.at as usize] = x.run;
+                lows.known = lows.known.min(x.at as usize / BLOCK);
+            }
+            // The split's winners are the run's lowest queues: they go first.
+            if let Some(x) = split {
+                runs.insert(x.at as usize, x.run);
+            }
+            volume += spill as u128 * l as u128;
+        }
+        #[cfg(debug_assertions)]
+        check_placed(i, job, footprint(runs) - before);
+    }
+    if strict < order.len() {
+        levels.extend_from_slice(runs);
+        levels.sort_unstable_by_key(|r| std::cmp::Reverse(r.key()));
+    }
+    for &i in &order[strict..] {
         let job = &jobs[i];
         #[cfg(debug_assertions)]
-        let before = volume(runs);
-        let spill = if job.lax { job.tasks } else { strict_fill(runs, job, &mut summaries[i]) };
-        if spill > 0 {
-            level_fill(runs, capacity, job.task_len, spill, &mut summaries[i]);
+        let before = footprint(levels);
+        if job.tasks > 0 {
+            let bracket = lax_bracket(levels, job.task_len, job.tasks);
+            let upto = |w| {
+                let at_or_below = move |&(_, r): &(usize, &Run)| r.occupation <= w;
+                levels.iter().enumerate().rev().take_while(at_or_below).map(|(k, &r)| (k, r))
+            };
+            let split = water_fill_runs(upto, bracket, job.task_len, job.tasks, lifted, tied, &mut summaries[i]);
+            // The runs raised are the tail of `levels`: take it off, and
+            // merge them back in where they now belong.
+            levels.truncate(lifted.iter().map(|x| x.at as usize).min().unwrap_or(levels.len()));
+            lifted.reverse();
+            if let Some(x) = split {
+                // The split's winners: the tie winner with the highest
+                // queue, so the highest key raised.
+                lifted.insert(0, x);
+            }
+            sort_descending(lifted, spare, cuts);
+            merge_back(levels, lifted);
         }
-        // Conservation: every task adds exactly `task_len` to one queue.
         #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            volume(runs) - before,
-            job.tasks as u128 * job.task_len as u128,
-            "mapping contract: job {i} did not place exactly {} tasks",
-            job.tasks
-        );
+        check_placed(i, job, footprint(levels) - before);
     }
     if cfg!(debug_assertions) {
-        let queues: u64 = runs.iter().map(|r| r.len as u64).sum();
+        let profile = if levels.is_empty() { &runs[..] } else { &levels[..] };
+        let queues: u64 = profile.iter().map(|r| r.len as u64).sum();
         debug_assert_eq!(queues, capacity as u64, "profile contract: runs must cover the fleet");
-        debug_assert!(runs.len() <= 1 + 2 * jobs.len(), "profile contract: {} runs", runs.len());
+        debug_assert!(profile.len() <= 1 + 2 * jobs.len(), "profile contract: {} runs", profile.len());
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].first + w[0].len == w[1].first)
+                && levels.windows(2).all(|w| w[0].key() > w[1].key()),
+            "profile contract: runs out of order"
+        );
         let desired: u64 = summaries.iter().map(|s| s.desired_now as u64).sum();
         debug_assert!(desired <= capacity as u64, "profile contract: Σ desired_now = {desired}");
         check_theorem3(jobs, summaries.iter().map(|s| s.completion), capacity);
@@ -431,8 +516,216 @@ pub fn map_profile<'a>(
 
 /// Container·slots reserved across the profile.
 #[cfg(debug_assertions)]
-fn volume(runs: &[Run]) -> u128 {
+fn footprint(runs: &[Run]) -> u128 {
     runs.iter().map(|r| r.occupation as u128 * r.len as u128).sum()
+}
+
+/// Conservation: every task adds exactly `task_len` to one queue.
+#[cfg(debug_assertions)]
+fn check_placed(i: usize, job: &MapJob, added: u128) {
+    debug_assert_eq!(
+        added,
+        job.tasks as u128 * job.task_len as u128,
+        "mapping contract: job {i} did not place exactly {} tasks",
+        job.tasks
+    );
+}
+
+/// A water-fill's level lies in `lo..=hi`.
+#[derive(Clone, Copy)]
+struct Bracket {
+    lo: u64,
+    hi: u64,
+}
+
+/// The bracket of a strict job's spill, from one pass over `runs`. Enough
+/// queues at the lowest occupation `min_o` settle it outright. Otherwise the
+/// least-occupied queue alone exposes `tasks + 1` keys by `min_o + tasks·R`,
+/// and summing over every queue (those above `w` count negatively),
+/// `count(w) > (C·w − Σo)/R`, so `C·w ≥ tasks·R + Σo` is enough too.
+fn spill_bracket(runs: &[Run], capacity: u32, volume: u128, l: u64, tasks: u64) -> Bracket {
+    let (mut min_o, mut at_min) = (u64::MAX, 0u64);
+    for r in runs {
+        if r.occupation < min_o {
+            (min_o, at_min) = (r.occupation, 0);
+        }
+        if r.occupation == min_o {
+            at_min += r.len as u64;
+        }
+    }
+    let mut hi = min_o;
+    if at_min < tasks {
+        let by_volume = (tasks as u128 * l as u128 + volume) / capacity as u128 + 1;
+        hi = min_o.saturating_add(tasks.saturating_mul(l));
+        hi = hi.min(u64::try_from(by_volume).unwrap_or(u64::MAX));
+    }
+    Bracket { lo: min_o, hi }
+}
+
+/// The bracket of a lax job's water-fill, from the least occupied runs of
+/// `levels` up. With `Q` queues and `S = Σ o` over those at or below `w`,
+/// and `X = tasks·R + S`, `(Q·(w + 1) − S)/R ≤ count(w) ≤ (Q·(w + R) − S)/R`,
+/// so `w ≤ ⌈X/Q⌉ − 1 < w + R`; and once `Q ≥ tasks`, `w` is at most the
+/// highest of their occupations. Each run taken only lowers both bounds,
+/// and a run above them cannot be at or below `w`: the walk reads about the
+/// runs the fill raises.
+fn lax_bracket(levels: &[Run], l: u64, tasks: u64) -> Bracket {
+    let min_o = levels.last().map_or(0, |r| r.occupation);
+    let (mut q, mut x, mut hi) = (0u64, tasks as u128 * l as u128, u64::MAX);
+    for r in levels.iter().rev() {
+        // `o ≥ ⌈X/Q⌉` ⇔ `o·Q ≥ X`.
+        if r.occupation > hi || (q > 0 && r.occupation as u128 * q as u128 >= x) {
+            break;
+        }
+        q += r.len as u64;
+        x += r.len as u128 * r.occupation as u128;
+        if q >= tasks {
+            hi = r.occupation;
+        }
+    }
+    let mean = u64::try_from(x.div_ceil(q as u128)).unwrap_or(u64::MAX);
+    hi = hi.min(mean - 1);
+    Bracket { lo: mean.saturating_sub(l).max(min_o).min(hi), hi }
+}
+
+/// Least-occupied-queue selection over runs, in [`water_fill`]'s closed
+/// form: the level `w` is the `tasks`-th smallest key of the progressions
+/// `o + j·R`, each counted `len` times — `count(w) = Σ len·(⌊(w − o)/R⌋ + 1)`
+/// over the runs with `o ≤ w`. Every key below `w` is taken; the ties at
+/// `w` itself go to the lowest-indexed queues, splitting at most one run.
+///
+/// `upto(v)` yields every run at or below `v` (with its position in the
+/// caller's list), in any order: the fill reads nothing else. Each raised
+/// run comes back in `lifted`, at the position it was read from; the one
+/// run a tie splits keeps its losers there, and its winners — its lowest
+/// queues — come back apart, as the return value.
+fn water_fill_runs<I: Iterator<Item = (usize, Run)>>(
+    upto: impl Fn(u64) -> I,
+    Bracket { mut lo, mut hi }: Bracket,
+    l: u64,
+    tasks: u64,
+    lifted: &mut Vec<Lift>,
+    tied: &mut Vec<(usize, u64)>,
+    summary: &mut MapSummary,
+) -> Option<Lift> {
+    // Dividends are `w − o ≤ hi − min_o ≤ tasks·R`.
+    let div = Recip::new(l, tasks.saturating_mul(l));
+    // Keys ≤ w, exact below `tasks` (all a probe needs to know beyond that
+    // is that the level was reached).
+    let count = |w: u64| {
+        let mut n = 0u64;
+        for (_, r) in upto(w) {
+            n = n.saturating_add((div.div(w - r.occupation) + 1).saturating_mul(r.len as u64));
+            if n >= tasks {
+                break;
+            }
+        }
+        n
+    };
+    // Bisect with `count(lo − 1) < tasks ≤ count(hi)`.
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if count(mid) >= tasks {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let w = lo;
+    // Taking every key below `w` leaves a queue at its first key ≥ w —
+    // exactly `w` when its progression hits `w`, which makes it a
+    // candidate for one tie.
+    lifted.clear();
+    tied.clear();
+    let mut below = 0u64;
+    for (at, run) in upto(w) {
+        let o = run.occupation;
+        let q = div.div(w - o);
+        let level = if q * l == w - o { w } else { o + (q + 1) * l };
+        // Its keys below `w`: all but the one at `w` itself, if it has one.
+        below += (q + u64::from(level > w)) * run.len as u64;
+        if level > w {
+            note(summary, o, level, run.len);
+        } else {
+            tied.push((lifted.len(), o));
+        }
+        lifted.push(Lift { at: at as u32, run: Run { occupation: level, ..run } });
+    }
+    // The ties go to the lowest queues, and their winners end a task higher.
+    tied.sort_unstable_by_key(|&(k, _)| lifted[k].run.first);
+    let (mut ties, mut split) = (tasks - below, None);
+    for &(k, from) in tied.iter() {
+        let x = &mut lifted[k];
+        let take = ties.min(x.run.len as u64) as u32;
+        ties -= take as u64;
+        note(summary, from, w + l, take);
+        if w > from {
+            note(summary, from, w, x.run.len - take);
+        }
+        if take == x.run.len {
+            x.run.occupation = w + l;
+        } else if take > 0 {
+            let Run { first, len, .. } = x.run;
+            x.run = Run { occupation: w, first: first + take, len: len - take };
+            split = Some(Lift { run: Run { occupation: w + l, first, len: take }, ..*x });
+        }
+    }
+    debug_assert_eq!(ties, 0, "water_fill_runs under-placed");
+    split
+}
+
+/// Sorts lifted runs by descending key. They come off `levels` in that
+/// order, and a water-fill only cuts them into a few descending stretches
+/// (one per number of tasks a queue takes, and one per tie), so merging
+/// neighbouring stretches pairwise sorts them in O(n log stretches).
+/// `spare` and `cuts` are scratch.
+fn sort_descending(lifted: &mut Vec<Lift>, spare: &mut Vec<Lift>, cuts: &mut Vec<usize>) {
+    cuts.clear();
+    cuts.push(0);
+    for k in 1..lifted.len() {
+        if lifted[k].run.key() > lifted[k - 1].run.key() {
+            cuts.push(k);
+        }
+    }
+    cuts.push(lifted.len());
+    while cuts.len() > 2 {
+        spare.clear();
+        let mut kept = 1;
+        let mut k = 0;
+        while k + 1 < cuts.len() {
+            let (lo, mid) = (cuts[k], cuts[k + 1]);
+            let hi = cuts.get(k + 2).copied().unwrap_or(mid);
+            let (mut a, mut b) = (lo, mid);
+            while a < mid || b < hi {
+                let from_a = b == hi || (a < mid && lifted[a].run.key() > lifted[b].run.key());
+                spare.push(if from_a { lifted[a] } else { lifted[b] });
+                (a, b) = if from_a { (a + 1, b) } else { (a, b + 1) };
+            }
+            cuts[kept] = hi;
+            kept += 1;
+            k += 2;
+        }
+        cuts.truncate(kept);
+        std::mem::swap(lifted, spare);
+    }
+}
+
+/// Merges the raised runs (descending key) back into `levels` (descending
+/// key) from the end, moving only the runs below the highest raised one.
+fn merge_back(levels: &mut Vec<Run>, lifted: &[Lift]) {
+    let (mut a, mut b) = (levels.len(), lifted.len());
+    levels.resize(a + b, Run { occupation: 0, first: 0, len: 0 });
+    let mut out = levels.len();
+    while b > 0 {
+        out -= 1;
+        if a > 0 && levels[a - 1].key() < lifted[b - 1].run.key() {
+            levels[out] = levels[a - 1];
+            a -= 1;
+        } else {
+            levels[out] = lifted[b - 1].run;
+            b -= 1;
+        }
+    }
 }
 
 /// Replaces run `k` by the non-empty `pieces` (whose lengths sum to its).
@@ -454,123 +747,77 @@ fn note(summary: &mut MapSummary, from: u64, to: u64, queues: u32) {
     }
 }
 
+/// Runs per block of [`BlockLows`].
+const BLOCK: usize = 16;
+
+/// The lowest occupation of each block of [`BLOCK`] consecutive runs, for
+/// the first `known` blocks; a split shifts every run after it, so it
+/// forgets its block and those after it.
+#[derive(Default, Debug, Clone)]
+struct BlockLows {
+    lows: Vec<u64>,
+    known: usize,
+}
+
 /// The strict pass: in container order, a queue below the target takes the
 /// `⌈(T − o)/R⌉` tasks that can still start before it. Every queue of a run
 /// takes the same `fit`, so the first `remaining / fit` of them take `fit`,
 /// the next takes the remainder and the rest of the run is untouched.
 /// Returns the tasks no queue could start in time (Theorem 2 violated).
-fn strict_fill(runs: &mut Vec<Run>, job: &MapJob, summary: &mut MapSummary) -> u64 {
+///
+/// A block whose lowest queue has reached the target holds nothing the job
+/// can take: the walk steps over it whole.
+fn strict_fill(runs: &mut Vec<Run>, lows: &mut BlockLows, job: &MapJob, summary: &mut MapSummary) -> u64 {
     let l = job.task_len;
     // Dividends are at most `target + R − 1`.
     let div = Recip::new(l, job.target.saturating_add(l));
     let mut remaining = job.tasks;
-    for k in 0..runs.len() {
+    for b in 0..runs.len().div_ceil(BLOCK) {
         if remaining == 0 {
             break;
         }
-        let Run { occupation: o, len } = runs[k];
-        if o >= job.target {
+        if b < lows.known && lows.lows[b] >= job.target {
             continue;
         }
-        let fit = div.div(job.target - o + (l - 1));
-        let full = (remaining / fit).min(len as u64) as u32;
-        remaining -= full as u64 * fit;
-        note(summary, o, o + fit * l, full);
-        if full == len {
-            runs[k].occupation = o + fit * l;
-            continue;
+        let end = runs.len().min((b + 1) * BLOCK);
+        let mut low = u64::MAX;
+        for k in b * BLOCK..end {
+            let Run { occupation: o, first, len } = runs[k];
+            if remaining == 0 || o >= job.target {
+                low = low.min(o);
+                continue;
+            }
+            let fit = div.div(job.target - o + (l - 1));
+            let full = (remaining / fit).min(len as u64) as u32;
+            remaining -= full as u64 * fit;
+            note(summary, o, o + fit * l, full);
+            if full == len {
+                runs[k].occupation = o + fit * l;
+                low = low.min(o + fit * l);
+                continue;
+            }
+            // The job runs out inside this run: `remaining < fit`.
+            let last = u32::from(remaining > 0);
+            note(summary, o, o + remaining * l, last);
+            let pieces = [
+                Run { occupation: o + fit * l, first, len: full },
+                Run { occupation: o + remaining * l, first: first + full, len: last },
+                Run { occupation: o, first: first + full + last, len: len - full - last },
+            ];
+            split_run(runs, k, &pieces);
+            lows.known = lows.known.min(b);
+            return 0;
         }
-        // The job runs out inside this run: `remaining < fit`.
-        let last = u32::from(remaining > 0);
-        note(summary, o, o + remaining * l, last);
-        let pieces = [
-            Run { occupation: o + fit * l, len: full },
-            Run { occupation: o + remaining * l, len: last },
-            Run { occupation: o, len: len - full - last },
-        ];
-        split_run(runs, k, &pieces);
-        return 0;
+        // Every run of the block was read: its lowest is known again.
+        if b < lows.known {
+            lows.lows[b] = low;
+        } else if b == lows.known {
+            lows.lows.truncate(b);
+            lows.lows.push(low);
+            lows.known = b + 1;
+        }
     }
     remaining
-}
-
-/// Least-occupied-queue selection over runs, in [`water_fill`]'s closed
-/// form: the level `w` is the `tasks`-th smallest key of the progressions
-/// `o + j·R`, each counted `len` times — `count(w) = Σ len·(⌊(w − o)/R⌋ + 1)`
-/// over the runs with `o ≤ w`. Every key below `w` is taken; the ties at
-/// `w` itself go to the lowest-indexed queues, splitting at most one run.
-fn level_fill(runs: &mut Vec<Run>, queues: u32, l: u64, tasks: u64, summary: &mut MapSummary) {
-    let (mut min_o, mut at_min, mut sum_o) = (u64::MAX, 0u64, 0u128);
-    for r in runs.iter() {
-        if r.occupation < min_o {
-            (min_o, at_min) = (r.occupation, 0);
-        }
-        if r.occupation == min_o {
-            at_min += r.len as u64;
-        }
-        sum_o += r.occupation as u128 * r.len as u128;
-    }
-    // Dividends are `w − o ≤ tasks·R`: no probe passes `min_o + tasks·R`,
-    // by which the least-occupied queue alone exposes `tasks + 1` keys.
-    let div = Recip::new(l, tasks.saturating_mul(l));
-    // Keys ≤ w, exact below `tasks` (all a probe needs to know beyond that
-    // is that the level was reached).
-    let count = |runs: &[Run], w: u64| {
-        let mut n = 0u64;
-        for r in runs.iter().filter(|r| r.occupation <= w) {
-            n = n.saturating_add((div.div(w - r.occupation) + 1).saturating_mul(r.len as u64));
-            if n >= tasks {
-                break;
-            }
-        }
-        n
-    };
-    // Bisect with `count(lo − 1) = below < tasks ≤ count(hi)`. Enough empty
-    // (or equally low) queues settle it outright; otherwise the volume
-    // bound `count(w) > (C·w − Σo)/R` caps `hi` a task length above the mean.
-    let (mut lo, mut hi, mut below) = (min_o, min_o, 0u64);
-    if at_min < tasks {
-        let by_volume = (tasks as u128 * l as u128 + sum_o) / queues as u128 + 1;
-        hi = min_o.saturating_add(tasks.saturating_mul(l));
-        hi = hi.min(u64::try_from(by_volume).unwrap_or(u64::MAX));
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let n = count(runs, mid);
-        if n >= tasks {
-            hi = mid;
-        } else {
-            (lo, below) = (mid + 1, n);
-        }
-    }
-    let (w, mut ties_left) = (lo, tasks - below);
-    let mut k = 0usize;
-    while k < runs.len() {
-        let Run { occupation: o, len } = runs[k];
-        k += 1;
-        if o > w {
-            continue;
-        }
-        // Taking every key below `w` leaves a queue at its first key ≥ w;
-        // one that also wins a tie at `w` ends a task higher.
-        let q = div.div(w - o);
-        let tied = q * l == w - o;
-        let level = if tied { w } else { o + (q + 1) * l };
-        let ties = if tied { ties_left.min(len as u64) as u32 } else { 0 };
-        ties_left -= ties as u64;
-        if level > o {
-            note(summary, o, level, len - ties);
-        }
-        note(summary, o, level + l, ties);
-        if ties == 0 || ties == len {
-            runs[k - 1].occupation = if ties == 0 { level } else { level + l };
-        } else {
-            let raised = Run { occupation: level + l, len: ties };
-            split_run(runs, k - 1, &[raised, Run { occupation: level, len: len - ties }]);
-            k += 1;
-        }
-    }
-    debug_assert_eq!(ties_left, 0, "level_fill under-placed");
 }
 
 /// Checks the Theorem 2 prefix-capacity condition for (target, demand)

@@ -198,52 +198,47 @@ impl Check {
 /// Sorted index over committed `(deadline, demand)` reservations with
 /// prefix sums for cumulative-demand (`G(t)`) queries. Maintained
 /// *incrementally*: peeling a job binary-inserts one reservation instead of
-/// re-sorting the whole committed set every layer.
-#[derive(Default)]
+/// re-sorting the whole committed set every layer. Its buffers live in
+/// [`PeelState`] from pass to pass.
+#[derive(Default, Debug, Clone)]
 struct CommittedIndex {
     times: Vec<f64>,
     cums: Vec<u64>,
     /// Bumped on every mutation; lets a [`SweepCursor`] detect that the
     /// committed prefix it was captured against is unchanged.
     epoch: u64,
+    /// `rebuild`'s sort scratch: `(time, commit order)`.
+    order: Vec<(f64, usize)>,
 }
 
 impl CommittedIndex {
     /// Adds a reservation, keeping `times` sorted (ties in commit order)
-    /// and `cums` the running prefix demand.
+    /// and `cums` the running prefix demand: a binary search, then an
+    /// O(len) shift of the later entries, each bumped by `demand`.
     fn insert(&mut self, t: f64, demand: u64) {
         self.epoch += 1;
-        // Tail append: reservations created by the deferred phase land at
-        // or past the current maximum deadline (each packs after the load
-        // that precedes it), so the O(len) shift-and-bump is skipped.
-        if self.times.last().is_none_or(|&last| t >= last) {
-            let before = self.cums.last().copied().unwrap_or(0);
-            self.times.push(t);
-            self.cums.push(before + demand);
-            return;
-        }
         let pos = self.times.partition_point(|&x| x <= t);
         self.times.insert(pos, t);
-        let before = if pos == 0 { 0 } else { self.cums[pos - 1] };
-        self.cums.insert(pos, before + demand);
+        self.cums.insert(pos, self.first(pos) + demand);
         for c in &mut self.cums[pos + 1..] {
             *c += demand;
         }
     }
 
-    /// Rebuilds the index from an unsorted committed list. A stable sort
-    /// by time keeps ties in commit order — bitwise the same index an
-    /// incremental insert sequence would have produced (inserts land
-    /// *after* existing ties).
+    /// Rebuilds the index from an unsorted committed list, sorted by time
+    /// with ties in commit order — bitwise the same index an incremental
+    /// insert sequence would have produced (inserts land *after* existing
+    /// ties).
     fn rebuild(&mut self, committed: &[(f64, u64)]) {
         self.epoch += 1;
-        let mut sorted: Vec<(f64, u64)> = committed.to_vec();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        self.order.clear();
+        self.order.extend(committed.iter().enumerate().map(|(i, &(t, _))| (t, i)));
+        self.order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         self.times.clear();
         self.cums.clear();
         let mut cum = 0u64;
-        for (t, e) in sorted {
-            cum += e;
+        for &(t, i) in &self.order {
+            cum += committed[i].1;
             self.times.push(t);
             self.cums.push(cum);
         }
@@ -251,12 +246,125 @@ impl CommittedIndex {
 
     /// `G(t)`: total committed demand with deadline ≤ `t`.
     fn g(&self, t: f64) -> u64 {
-        let idx = self.times.partition_point(|&x| x <= t);
-        if idx == 0 {
+        self.first(self.times.partition_point(|&x| x <= t))
+    }
+
+    /// The demand of the first `k` reservations.
+    fn first(&self, k: usize) -> u64 {
+        if k == 0 {
             0
         } else {
-            self.cums[idx - 1]
+            self.cums[k - 1]
         }
+    }
+
+    /// Total committed demand.
+    fn total(&self) -> u64 {
+        self.first(self.cums.len())
+    }
+}
+
+/// The least load `X` with `(X as f64) > c·t + 1e-9`: the first load that
+/// breaks a reservation due at `t` on `c` containers. Integers convert to
+/// `f64` monotonically, so for every load `X ≥ 0`,
+/// `X ≥ breaking_load(c, t)` ⇔ `(X as f64) > c·t + 1e-9` — the test
+/// [`asap_deadline`] applies, evaluated once per reservation instead of
+/// once per reservation and job. No `u64` load breaks a bound at or past
+/// 2⁶⁴, nor a NaN one: those get 2⁶⁴.
+fn breaking_load(c: f64, t: f64) -> i128 {
+    const NEVER: i128 = 1 << 64;
+    let v = c * t + 1e-9;
+    if v.is_nan() || v >= 18_446_744_073_709_551_616.0 {
+        return NEVER;
+    }
+    if v < 0.0 {
+        return 0;
+    }
+    if v < 9_007_199_254_740_992.0 {
+        // Below 2⁵³ every integer is exact: the first one past `v`.
+        return v as i128 + 1;
+    }
+    // `v` is an integer; a load between it and the next double rounds to
+    // the nearer one, ties to the even mantissa.
+    let mid = (v as u128 + v.next_up() as u128) / 2;
+    if mid as f64 > v {
+        mid as i128
+    } else {
+        mid as i128 + 1
+    }
+}
+
+/// The deferred phase's reservations. While the phase runs, the index the
+/// layers built (`base`) does not change; the reservations it adds go to
+/// this small sorted overlay with its own prefix sums, and `G(d)` is the
+/// sum of the two. Recycled through [`PeelState`].
+#[derive(Default, Debug, Clone)]
+struct Overlay {
+    placed: CommittedIndex,
+    /// Suffix minima of the base's integer slack `breaking_load − cum`,
+    /// built at the first deferred job that needs them.
+    slack_min: Vec<i128>,
+    slack_built: bool,
+}
+
+impl Overlay {
+    fn clear(&mut self) {
+        self.placed.rebuild(&[]);
+        self.slack_built = false;
+    }
+
+    /// The latest reservation, of `base` and the overlay together, that
+    /// `demand` more load before it would break — 0 if none. The combined
+    /// index lists a base reservation before an overlay one at the same
+    /// time (the overlay's were inserted later), so a base entry carries
+    /// the overlay demand due strictly before it, an overlay entry the base
+    /// demand due at or before it. Three steps, each only where the
+    /// previous one found nothing:
+    /// 1. the last reservation, which carries every demand;
+    /// 2. the base reservations past the overlay's last: each carries the
+    ///    whole overlay, so the latest one broken is where the suffix
+    ///    minimum of the base slack first exceeds `demand + overlay`;
+    /// 3. the rest, newest first.
+    fn barrier(&mut self, base: &CommittedIndex, demand: u64, c: f64) -> f64 {
+        let placed = &self.placed;
+        let t_last = match (base.times.last(), placed.times.last()) {
+            (Some(&a), Some(&b)) => a.max(b),
+            (Some(&t), None) | (None, Some(&t)) => t,
+            (None, None) => return 0.0,
+        };
+        if (demand + base.total() + placed.total()) as f64 > c * t_last + 1e-9 {
+            return t_last;
+        }
+        let past = placed.times.last().map_or(0, |&s| base.times.partition_point(|&t| t <= s));
+        if !self.slack_built {
+            self.slack_min.clear();
+            self.slack_min.resize(base.times.len(), 0);
+            let mut min = i128::MAX;
+            for k in (0..base.times.len()).rev() {
+                min = min.min(breaking_load(c, base.times[k]) - base.cums[k] as i128);
+                self.slack_min[k] = min;
+            }
+            self.slack_built = true;
+        }
+        let load = demand as i128 + placed.total() as i128;
+        let broken = self.slack_min.partition_point(|&m| m <= load);
+        if broken > past {
+            return base.times[broken - 1];
+        }
+        let (mut a, mut b) = (past, placed.times.len());
+        while a > 0 || b > 0 {
+            let (t, cum) = if b > 0 && (a == 0 || placed.times[b - 1] >= base.times[a - 1]) {
+                b -= 1;
+                (placed.times[b], placed.cums[b] + base.first(a))
+            } else {
+                a -= 1;
+                (base.times[a], base.cums[a] + placed.first(b))
+            };
+            if (demand + cum) as f64 > c * t + 1e-9 {
+                return t;
+            }
+        }
+        0.0
     }
 }
 
@@ -650,7 +758,8 @@ fn check_level(
 const ZERO_LEVEL: f64 = 1e-9;
 
 /// Earliest completion time for `demand` that leaves every committed
-/// `(deadline, demand)` reservation intact: the smallest `d` such that
+/// `(deadline, demand)` reservation intact — those of `base` and of the
+/// overlay together: the smallest `d` such that
 ///
 /// * `demand + G(d) ≤ C·d` (the job itself fits by `d`), and
 /// * for every committed deadline `T_k ≥ d`,
@@ -662,39 +771,52 @@ const ZERO_LEVEL: f64 = 1e-9;
 /// lexicographic tie-break the paper describes ("allocate resources to
 /// other jobs because doing so can improve their utility without lowering
 /// the utility of this job").
-fn asap_deadline(demand: u64, index: &CommittedIndex, capacity: u32) -> f64 {
+fn asap_deadline(demand: u64, base: &CommittedIndex, overlay: &mut Overlay, capacity: u32) -> f64 {
     let c = capacity as f64;
     // Barrier: the job must complete after any reservation it would break.
-    // The index's `(times, cums)` pair is exactly the sorted prefix the
-    // reference implementation rebuilds per call. When the *last*
-    // reservation is already broken it is the maximal violated deadline —
-    // the overloaded-steady-state common case — and the scan is skipped.
-    let mut barrier = 0.0f64;
-    match (index.times.last(), index.cums.last()) {
-        (Some(&t_last), Some(&cum_last))
-            if (demand + cum_last) as f64 > c * t_last + 1e-9 =>
-        {
-            barrier = t_last;
-        }
-        _ => {
-            for (&t, &cum_t) in index.times.iter().zip(&index.cums) {
-                if (demand + cum_t) as f64 > c * t + 1e-9 {
-                    barrier = barrier.max(t);
-                }
-            }
-        }
-    }
+    let barrier = overlay.barrier(base, demand, c);
+    debug_check_barrier(demand, base, &overlay.placed, c, barrier);
     let mut d = ((demand as f64 / c).max(1.0)).max(barrier + 1e-9);
     // Fixed point over the step function G; terminates in ≤ |committed|+1
     // rounds because each bump crosses at least one reservation deadline.
     loop {
-        let g = index.g(d);
+        let g = base.g(d) + overlay.placed.g(d);
         let next = (((demand + g) as f64 / c).max(1.0)).max(barrier + 1e-9);
         if next <= d + 1e-9 {
             return d;
         }
         d = next;
     }
+}
+
+/// Contract: the barrier is the latest broken reservation of a scan over
+/// the merged index, as the reference implementation computes it. Debug
+/// builds only.
+fn debug_check_barrier(demand: u64, base: &CommittedIndex, placed: &CommittedIndex, c: f64, barrier: f64) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let mut merged: Vec<(f64, u64)> = Vec::with_capacity(base.times.len() + placed.times.len());
+    let (mut prev_base, mut prev_placed) = (0u64, 0u64);
+    for (&t, &cum) in base.times.iter().zip(&base.cums) {
+        merged.push((t, cum - prev_base));
+        prev_base = cum;
+    }
+    for (&t, &cum) in placed.times.iter().zip(&placed.cums) {
+        merged.push((t, cum - prev_placed));
+        prev_placed = cum;
+    }
+    // Stable: base entries stay ahead of overlay ones at the same time.
+    merged.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut cum = 0u64;
+    let mut scan = 0.0f64;
+    for (t, e) in merged {
+        cum += e;
+        if (demand + cum) as f64 > c * t + 1e-9 {
+            scan = scan.max(t);
+        }
+    }
+    debug_assert_eq!(barrier.to_bits(), scan.to_bits(), "deferred contract: barrier {barrier} vs scan {scan}");
 }
 
 /// How a layer that converged to `lo` closes on job `b`: deferred at
@@ -863,6 +985,8 @@ struct PeelCtx<'j, 'u> {
     active_count: usize,
     committed: Vec<(f64, u64)>,
     index: CommittedIndex,
+    /// The deferred phase's reservations, over `index`.
+    overlay: Overlay,
     scratch: ProbeScratch,
     deferred: Vec<(usize, f64)>,
     targets: Vec<Target>,
@@ -901,7 +1025,13 @@ fn initial_floor(jobs: &[OnionJob<'_>]) -> f64 {
 }
 
 impl<'j, 'u> PeelCtx<'j, 'u> {
-    fn fresh(jobs: &'j [OnionJob<'u>], capacity: u32, tolerance: f64, horizon: f64) -> Self {
+    fn fresh(
+        jobs: &'j [OnionJob<'u>],
+        capacity: u32,
+        tolerance: f64,
+        horizon: f64,
+        state: &mut PeelState,
+    ) -> Self {
         let level_lo = initial_floor(jobs);
         let mut scratch = ProbeScratch::default();
         scratch.fill(jobs);
@@ -913,7 +1043,8 @@ impl<'j, 'u> PeelCtx<'j, 'u> {
             active: (0..jobs.len()).collect(),
             active_count: jobs.len(),
             committed: Vec::new(),
-            index: CommittedIndex::default(),
+            index: state.take_index(&[]),
+            overlay: std::mem::take(&mut state.overlay),
             scratch,
             deferred: Vec::new(),
             targets: Vec::with_capacity(jobs.len()),
@@ -1102,15 +1233,16 @@ fn finish_deferred(ctx: &mut PeelCtx<'_, '_>) {
         let flat_b = b.1 > ZERO_LEVEL;
         (flat_a, jobs[a.0].demand, a.0).cmp(&(flat_b, jobs[b.0].demand, b.0))
     });
+    ctx.overlay.clear();
     for &(i, level) in &ctx.deferred {
-        let asap = asap_deadline(jobs[i].demand, &ctx.index, ctx.capacity);
+        let asap = asap_deadline(jobs[i].demand, &ctx.index, &mut ctx.overlay, ctx.capacity);
         if asap > ctx.horizon {
             ctx.overloaded = true;
         }
         let deadline = asap.min(ctx.horizon);
         ctx.targets.push(Target { job: i, level, deadline, lax: true });
         ctx.committed.push((deadline, jobs[i].demand));
-        ctx.index.insert(deadline, jobs[i].demand);
+        ctx.overlay.placed.insert(deadline, jobs[i].demand);
     }
 }
 
@@ -1206,6 +1338,10 @@ pub struct PeelState {
     horizon: f64,
     valid: bool,
     stats: ReplayStats,
+    /// The committed index's buffers, between passes.
+    index: CommittedIndex,
+    /// The deferred phase's buffers, between passes.
+    overlay: Overlay,
 }
 
 impl PeelState {
@@ -1227,6 +1363,13 @@ impl PeelState {
     /// The demand of each job of the recorded pass.
     pub(crate) fn demands(&self) -> &[u64] {
         &self.demands
+    }
+
+    /// The recycled committed index, rebuilt over `committed`.
+    fn take_index(&mut self, committed: &[(f64, u64)]) -> CommittedIndex {
+        let mut index = std::mem::take(&mut self.index);
+        index.rebuild(committed);
+        index
     }
 
     /// Checks `edit` against the recorded pass and inverts it: for each
@@ -1325,13 +1468,15 @@ pub fn peel_incremental(
 ) -> Result<Vec<Target>, CoreError> {
     validate_params(capacity, tolerance, horizon)?;
     let Some(now_at) = state.align(jobs, tolerance, horizon, &edit) else {
-        let mut ctx = PeelCtx::fresh(jobs, capacity, tolerance, horizon);
+        let mut ctx = PeelCtx::fresh(jobs, capacity, tolerance, horizon, state);
         state.floor = ctx.level_lo;
         state.trace.clear();
         std::mem::swap(&mut ctx.trace, &mut state.trace);
         run_layers(&mut ctx);
         finish_deferred(&mut ctx);
         debug_check_theorem2(&ctx.committed, capacity, ctx.overloaded);
+        state.index = ctx.index;
+        state.overlay = ctx.overlay;
         state.trace = ctx.trace;
         state.sups = ctx.sups;
         state.sigmoids = ctx.sigmoids;
@@ -1755,6 +1900,10 @@ struct Replay<'j, 'u> {
     /// memo, which makes a dense run of refresh probes at one recorded
     /// level cost one utility inversion total.
     live: Option<(ProbeScratch, CommittedIndex)>,
+    /// The state's committed-index and deferred-phase buffers, until the
+    /// pass needs them.
+    index: CommittedIndex,
+    overlay: Overlay,
     /// Committed entries already present in the live index.
     live_commits: usize,
     /// Jobs removed by layer actions since the live scratch last caught up.
@@ -1808,6 +1957,8 @@ impl<'j, 'u> Replay<'j, 'u> {
             floor_feasible: false,
             overloaded: false,
             live: None,
+            index: std::mem::take(&mut state.index),
+            overlay: std::mem::take(&mut state.overlay),
             live_commits: 0,
             pending_removed: Vec::new(),
             out,
@@ -1909,6 +2060,7 @@ impl<'j, 'u> Replay<'j, 'u> {
         let removed = &self.removed;
         let pending = &self.pending_removed;
         let live_commits = self.live_commits;
+        let spare = &mut self.index;
         let (scratch, index) = match &mut self.live {
             Some((scratch, index)) => {
                 // Catch up on actions applied since the last refresh: O(1)
@@ -1930,7 +2082,7 @@ impl<'j, 'u> Replay<'j, 'u> {
                 let active: Vec<usize> = (0..n).filter(|&i| !removed[i]).collect();
                 let mut scratch = ProbeScratch::default();
                 scratch.fill_active(&active, n);
-                let mut index = CommittedIndex::default();
+                let mut index = std::mem::take(spare);
                 index.rebuild(committed);
                 let (scratch, index) = empty.insert((scratch, index));
                 (scratch, index)
@@ -2206,6 +2358,7 @@ impl<'j, 'u> Replay<'j, 'u> {
             active_count: 0,
             committed: self.committed,
             index: CommittedIndex::default(),
+            overlay: self.overlay,
             scratch: ProbeScratch::default(),
             deferred: self.deferred,
             targets: self.targets,
@@ -2227,10 +2380,13 @@ impl<'j, 'u> Replay<'j, 'u> {
             // Replay covered every layer; only the deferred phase (always
             // recomputed — its packing order keys on the live demands) needs
             // the committed index.
+            ctx.index = self.index;
             ctx.index.rebuild(&ctx.committed);
         }
         finish_deferred(&mut ctx);
         debug_check_theorem2(&ctx.committed, self.drift.capacity, ctx.overloaded);
+        state.index = ctx.index;
+        state.overlay = ctx.overlay;
         state.trace = ctx.trace;
         state.spare = rec;
         state.sups = ctx.sups;
@@ -3167,6 +3323,36 @@ mod tests {
         assert_eq!(entry_bits(&scratch.deadlines), entry_bits(&want));
         for (pos, &(_, i)) in scratch.deadlines.iter().enumerate() {
             assert_eq!(scratch.pos_of[i] as usize, pos, "job {i}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4000))]
+
+        /// `breaking_load` is the barrier test in integers:
+        /// `X ≥ breaking_load(c, t)` ⇔ `(X as f64) > c·t + 1e-9`, for bounds
+        /// `c·t` from 1 to past 2⁶⁴ — on both sides of 2⁵³, where doubles
+        /// stop being exact — and loads at the threshold, one to three
+        /// either side of it, around 2⁵³, at `u64::MAX` and anywhere.
+        #[test]
+        fn breaking_load_is_the_f64_test_exactly(
+            c in 1u32..=u32::MAX,
+            (exp, frac) in (0i32..66, 0.0f64..1.0),
+            offset in -3i64..=3,
+            anywhere in 0u64..=u64::MAX,
+        ) {
+            let c = c as f64;
+            let t = 2f64.powi(exp) * (1.0 + frac) / c;
+            let thr = breaking_load(c, t);
+            let near = (thr + offset as i128).clamp(0, u64::MAX as i128) as u64;
+            let loads = [near, anywhere, 0, u64::MAX, (1 << 53) - 1, 1 << 53, (1 << 53) + 1];
+            for x in loads {
+                proptest::prop_assert_eq!(
+                    x as i128 >= thr,
+                    (x as f64) > c * t + 1e-9,
+                    "load {} against c {} t {} (threshold {})", x, c, t, thr
+                );
+            }
         }
     }
 }

@@ -530,3 +530,165 @@ fn profile_at_serve_scale_matches_oracle_within_run_bound() {
     assert!(profile.runs() <= 1 + 3 * jobs.len(), "{} runs", profile.runs());
     assert!(profile.runs() < capacity as usize / 4, "{} runs: profile tracks the fleet", profile.runs());
 }
+
+/// A deterministic stream of draws below `n` (an LCG, so the shapes below
+/// are fixed without a seed parameter).
+fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut x = seed;
+    move |n| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    }
+}
+
+/// Job for job, the run-length mapper against the per-container oracle.
+fn assert_profile_matches_oracle(jobs: &[MapJob], capacity: u32) -> Vec<rush_core::mapping::Placement> {
+    let oracle = map_continuous(jobs, capacity).unwrap();
+    let mut profile = OccupationProfile::default();
+    let got = map_profile(jobs, capacity, &mut profile).unwrap();
+    for (i, (s, p)) in got.iter().zip(&oracle).enumerate() {
+        assert_eq!((s.desired_now, s.completion), (p.active_at(0), p.completion), "job {i}");
+    }
+    assert!(profile.runs() <= 1 + 2 * jobs.len(), "{} runs", profile.runs());
+    oracle
+}
+
+/// The shape `sim_rush` maps: the 48-container testbed, about 80 jobs, a
+/// third of them lax, and strict targets tight enough that some strict jobs
+/// spill into the water-fill before the lax ones run. Runs ≈ containers
+/// here, so almost every fill raises a large share of the profile.
+#[test]
+fn profile_at_sim_scale_matches_oracle_with_strict_spills() {
+    let mut draw = lcg(0x5151_7a7a_0303_c0c0);
+    let jobs: Vec<MapJob> = (0..80)
+        .map(|i| MapJob {
+            tasks: 1 + draw(40),
+            task_len: 20 + draw(100),
+            target: draw(900),
+            lax: i % 8 < 3,
+        })
+        .collect();
+    let oracle = assert_profile_matches_oracle(&jobs, 48);
+    let spilled = jobs
+        .iter()
+        .zip(&oracle)
+        .filter(|(j, p)| !j.lax && p.completion > j.target + j.task_len)
+        .count();
+    assert!(spilled >= 5, "only {spilled} strict jobs spilled");
+    assert_eq!(jobs.iter().filter(|j| j.lax).count(), 30);
+}
+
+/// The shape of Fig. 5's overloaded end: 48 containers, 1 000 jobs of
+/// 5–80 tasks, most strict targets far out of reach (so nearly every strict
+/// job spills), and the deferred third packed behind them.
+#[test]
+fn profile_at_fig5_overload_matches_oracle() {
+    let mut draw = lcg(0x0f15_0f15_0f15_0f15);
+    let jobs: Vec<MapJob> = (0..1000)
+        .map(|i| MapJob {
+            tasks: 5 + draw(76),
+            task_len: 30 + draw(60),
+            target: 1 + draw(4000),
+            lax: i % 3 == 0,
+        })
+        .collect();
+    let oracle = assert_profile_matches_oracle(&jobs, 48);
+    let spilled = jobs
+        .iter()
+        .zip(&oracle)
+        .filter(|(j, p)| !j.lax && p.completion > j.target + j.task_len)
+        .count();
+    assert!(spilled > 500, "only {spilled} strict jobs spilled");
+}
+
+/// `(job, deadline, lax)` of each target, by job, the deadline as bits.
+fn placement_bits(targets: &[Target]) -> Vec<(usize, u64, bool)> {
+    let mut v: Vec<_> = targets.iter().map(|t| (t.job, t.deadline.to_bits(), t.lax)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Deferred-heavy instances against the frozen oracle, whose deferred phase
+/// sorts the committed list and scans all of it for every job. Step
+/// utilities make a peeled target its budget whatever path the bisection
+/// took, so every target — the deferred placements above all — must agree
+/// bit for bit; the levels differ by bisection wobble only.
+fn assert_peel_matches_oracle_bitwise(specs: &[(u64, TimeUtility)], capacity: u32, horizon: f64) {
+    let jobs: Vec<OnionJob<'_>> =
+        specs.iter().map(|(d, u)| OnionJob { demand: *d, utility: u }).collect();
+    let tolerance = 1e-3;
+    let fast = peel(&jobs, capacity, tolerance, horizon).unwrap();
+    let reference = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
+    assert_eq!(placement_bits(&fast), placement_bits(&reference));
+    let level = |ts: &[Target], job| ts.iter().find(|t| t.job == job).map(|t| t.level);
+    for t in &fast {
+        let wobble = (t.level - level(&reference, t.job).unwrap()).abs();
+        assert!(wobble <= tolerance, "job {}: level {} off by {wobble}", t.job, t.level);
+    }
+    let mut state = PeelState::new();
+    let cold = peel_incremental(&jobs, capacity, tolerance, horizon, JobEdit::COLD, &mut state);
+    let bits = |ts: &[Target]| -> Vec<(usize, u64, u64, bool)> {
+        ts.iter().map(|t| (t.job, t.level.to_bits(), t.deadline.to_bits(), t.lax)).collect()
+    };
+    assert_eq!(bits(&cold.unwrap()), bits(&fast));
+}
+
+/// Fleet scale, shaped like `serve_closed_large`: 4 096 containers, 500
+/// jobs, a fifth of them flat (constant utility) or hopeless (a budget no
+/// capacity meets), the rest step deadlines that leave the fleet far from
+/// full — so the last reservation is never the one broken, and each
+/// deferred job's barrier is a base reservation or one the phase placed.
+#[test]
+fn deferred_heavy_fleet_peel_matches_oracle_bit_for_bit() {
+    let mut draw = lcg(0xdefe_4096_0500_0020);
+    let specs: Vec<(u64, TimeUtility)> = (0..500)
+        .map(|i| {
+            let weight = 1.0 + draw(4) as f64;
+            let (demand, utility) = match i % 10 {
+                0 => (200 + draw(4_000), TimeUtility::constant(weight)),
+                1 => (20_000 + draw(40_000), TimeUtility::step(1.0 + draw(3) as f64, weight)),
+                _ => (200 + draw(4_000), TimeUtility::step(40.0 + draw(1500) as f64, weight)),
+            };
+            (demand, utility.unwrap())
+        })
+        .collect();
+    let lax = assert_deferred(&specs, 4096, 1e6);
+    assert!(lax >= 100, "{lax} deferred jobs");
+}
+
+/// Overload on the testbed: 48 containers, 1 000 jobs, so the deferred
+/// jobs' ASAP slots run past the horizon and clamp to it.
+#[test]
+fn overloaded_testbed_peel_matches_oracle_bit_for_bit() {
+    let mut draw = lcg(0x0048_1000_c1a3_9000);
+    let specs: Vec<(u64, TimeUtility)> = (0..1000)
+        .map(|i| {
+            let demand = 100 + draw(3_000);
+            let weight = 1.0 + draw(4) as f64;
+            let utility = match i % 5 {
+                0 => TimeUtility::constant(weight),
+                _ => TimeUtility::step(20.0 + draw(3000) as f64, weight),
+            };
+            (demand, utility.unwrap())
+        })
+        .collect();
+    let horizon = 20_000.0;
+    let jobs: Vec<OnionJob<'_>> =
+        specs.iter().map(|(d, u)| OnionJob { demand: *d, utility: u }).collect();
+    let clamped = peel(&jobs, 48, 1e-3, horizon)
+        .unwrap()
+        .iter()
+        .filter(|t| t.lax && t.deadline.to_bits() == horizon.to_bits())
+        .count();
+    assert!(clamped >= 50, "{clamped} deferred jobs clamped at the horizon");
+    assert_deferred(&specs, 48, horizon);
+}
+
+/// Checks `specs` bit for bit against the oracle; returns how many jobs
+/// were deferred.
+fn assert_deferred(specs: &[(u64, TimeUtility)], capacity: u32, horizon: f64) -> usize {
+    assert_peel_matches_oracle_bitwise(specs, capacity, horizon);
+    let jobs: Vec<OnionJob<'_>> =
+        specs.iter().map(|(d, u)| OnionJob { demand: *d, utility: u }).collect();
+    peel(&jobs, capacity, 1e-3, horizon).unwrap().iter().filter(|t| t.lax).count()
+}
