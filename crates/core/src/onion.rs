@@ -127,7 +127,7 @@ fn inverse_deadline(
 /// weights, so most inversions reuse an earlier job's `ln`. Direct mapping
 /// (rather than a scan) keeps continuous weights — every job distinct —
 /// at O(1) per lookup.
-#[derive(Default)]
+#[derive(Default, Debug, Clone)]
 struct LnMemo {
     level_bits: u64,
     /// `(weight bits, ln term)`; valid while `level_bits` is the level.
@@ -369,14 +369,15 @@ impl Overlay {
 }
 
 /// Reusable probe state: the `(deadline, job)` buffer persists across
-/// probes and layers, so a feasibility check allocates nothing, and because
-/// neighboring levels barely change the deadline order, the stable sort's
-/// run detection makes the per-probe re-sort nearly linear.
+/// probes, layers and passes (through [`PeelState`]), so a feasibility check
+/// allocates nothing, and because neighboring levels barely change the
+/// deadline order, the stable sort's run detection makes the per-probe
+/// re-sort nearly linear.
 ///
-/// Entries mirror the active set exactly; jobs whose deadline is `Never`
+/// Once caught up, entries mirror the live set exactly; jobs whose deadline is `Never`
 /// at the probed level keep a sentinel (`∞` for demand-free jobs — they
 /// never block) so they are not lost for later, lower-level probes.
-#[derive(Default)]
+#[derive(Default, Debug, Clone)]
 struct ProbeScratch {
     deadlines: Vec<(f64, usize)>,
     /// Deadline memo: when `filled`, the entries hold the *sorted* deadlines
@@ -416,10 +417,10 @@ struct ProbeScratch {
 /// and the live set only shrinks), so while the level repeats a probe costs
 /// O(1) instead of re-inverting every deadline.
 ///
-/// Invalidated by: `fill`/`fill_active`, a probe at other level bits (its
+/// Invalidated by: `fill_active`, a probe at other level bits (its
 /// scan overwrites the list), and the removal of a listed job other than
 /// the next answer.
-#[derive(Default)]
+#[derive(Default, Debug, Clone)]
 struct NeverList {
     kept: bool,
     level_bits: u64,
@@ -445,7 +446,7 @@ const DEAD: usize = usize::MAX;
 /// Invalidated by: a memo refill (re-sort moves entries), a removal at any
 /// position other than `pos`, tombstone compaction (positions shift), and
 /// any committed-index mutation (tracked via its epoch).
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, Debug)]
 struct SweepCursor {
     valid: bool,
     /// Entry position the sweep resumes at.
@@ -465,24 +466,14 @@ struct SweepCursor {
 }
 
 impl ProbeScratch {
-    fn fill(&mut self, jobs: &[OnionJob<'_>]) {
-        self.deadlines = (0..jobs.len()).map(|i| (0.0, i)).collect();
-        self.pos_of = (0..jobs.len() as u32).collect();
-        self.alive = self.deadlines.len();
-        self.filled = false;
-        self.cursor.valid = false;
-        self.nevers.kept = false;
-    }
-
-    /// Fills from an explicit active set of jobs below `n` (delta-replay
-    /// materialization). Entry order does not matter for probe results —
-    /// `check_level` re-sorts by a total order — but ascending index
-    /// matches what the from-scratch loop's removals would have left.
-    fn fill_active(&mut self, active: &[usize], n: usize) {
+    /// Fills with every job not `removed`, in ascending index. Entry order
+    /// does not matter for probe results — `check_level` re-sorts by a total
+    /// order — but ascending index is what removals from a full fill leave.
+    fn fill_active(&mut self, removed: &[bool]) {
         self.deadlines.clear();
-        self.deadlines.extend(active.iter().map(|&i| (0.0, i)));
+        self.deadlines.extend((0..removed.len()).filter(|&i| !removed[i]).map(|i| (0.0, i)));
         self.pos_of.clear();
-        self.pos_of.resize(n, 0);
+        self.pos_of.resize(removed.len(), 0);
         self.reindex();
         self.alive = self.deadlines.len();
         self.filled = false;
@@ -966,53 +957,6 @@ impl PeelTrace {
     }
 }
 
-/// Mutable state of one peeling run — everything layer `ℓ+1` inherits from
-/// layer `ℓ`. The delta-replay engine reconstructs exactly this state at
-/// its resume point, which is what makes a resumed run bit-identical to a
-/// from-scratch one.
-struct PeelCtx<'j, 'u> {
-    jobs: &'j [OnionJob<'u>],
-    capacity: u32,
-    tolerance: f64,
-    horizon: f64,
-    /// Active (unpeeled, undeferred) jobs in ascending index order. The
-    /// vector is the full `0..n` fill and is never compacted: removing job
-    /// `b` writes the [`DEAD`] sentinel at position `b` (the invariant
-    /// `active[b] == b` holds for every live job), so a peel/defer cascade
-    /// removes in O(1) per layer. Iteration skips sentinels.
-    active: Vec<usize>,
-    /// Live (non-sentinel) entries in `active`.
-    active_count: usize,
-    committed: Vec<(f64, u64)>,
-    index: CommittedIndex,
-    /// The deferred phase's reservations, over `index`.
-    overlay: Overlay,
-    scratch: ProbeScratch,
-    deferred: Vec<(usize, f64)>,
-    targets: Vec<Target>,
-    /// Global floor: the lowest utility any job can end up with.
-    level_lo: f64,
-    /// Whether `level_lo` is known feasible for the current
-    /// active/committed state. Peeling a bottleneck at a proven-feasible
-    /// level preserves feasibility of that level exactly (the job's demand
-    /// moves from the active sweep to a reservation at the same deadline),
-    /// so the floor only needs an explicit probe on the first layer and
-    /// after an infeasible-floor peel.
-    floor_feasible: bool,
-    /// Overload marker: once a job peels off an infeasible floor (or a
-    /// deferred job's ASAP slot is clamped by the horizon), the cluster
-    /// cannot honor every target and Theorem 2's premise no longer holds.
-    overloaded: bool,
-    trace: PeelTrace,
-    /// `sup()` per job, evaluated once per job *identity* — it costs a
-    /// transcendental for the sigmoid class, and a job that survives into
-    /// the next pass keeps its value (see [`PeelState`]).
-    sups: Vec<f64>,
-    /// [`Utility::sigmoid_inverse`] per job, kept the same way: it carries
-    /// the unshifted `sup()`, so a probe inverts a sigmoid with one `ln`.
-    sigmoids: Vec<Option<SigmoidInverse>>,
-}
-
 /// The global floor a peel starts from: the lowest utility any job can end
 /// up with.
 fn initial_floor(jobs: &[OnionJob<'_>]) -> f64 {
@@ -1021,228 +965,6 @@ fn initial_floor(jobs: &[OnionJob<'_>]) -> f64 {
         lo
     } else {
         0.0
-    }
-}
-
-impl<'j, 'u> PeelCtx<'j, 'u> {
-    fn fresh(
-        jobs: &'j [OnionJob<'u>],
-        capacity: u32,
-        tolerance: f64,
-        horizon: f64,
-        state: &mut PeelState,
-    ) -> Self {
-        let level_lo = initial_floor(jobs);
-        let mut scratch = ProbeScratch::default();
-        scratch.fill(jobs);
-        PeelCtx {
-            jobs,
-            capacity,
-            tolerance,
-            horizon,
-            active: (0..jobs.len()).collect(),
-            active_count: jobs.len(),
-            committed: Vec::new(),
-            index: state.take_index(&[]),
-            overlay: std::mem::take(&mut state.overlay),
-            scratch,
-            deferred: Vec::new(),
-            targets: Vec::with_capacity(jobs.len()),
-            level_lo,
-            floor_feasible: false,
-            overloaded: false,
-            trace: PeelTrace::default(),
-            sups: jobs.iter().map(|j| j.utility.sup()).collect(),
-            sigmoids: jobs.iter().map(|j| j.utility.sigmoid_inverse()).collect(),
-        }
-    }
-
-    /// One feasibility probe at `level` against the current state, recorded
-    /// in the trace.
-    fn probe(&mut self, level: f64) -> Check {
-        let (jobs, sigmoids, scratch) = (self.jobs, &self.sigmoids, &mut self.scratch);
-        let outcome =
-            check_level(jobs, sigmoids, scratch, &self.index, self.capacity, self.horizon, level);
-        self.trace.probes.push(ProbeRec { level, reach: scratch.reach, outcome });
-        outcome
-    }
-}
-
-/// The live jobs of `active` in descending-supremum order (ties by index):
-/// with a cursor that skips removed jobs, a layer's maximum live supremum
-/// is O(1) amortized instead of an O(n) fold, and the first live entry
-/// under this total order is exactly the fold's maximum.
-fn descending_sups(sups: &[f64], live: impl Iterator<Item = usize>) -> Vec<(f64, usize)> {
-    let mut order: Vec<(f64, usize)> = live.map(|i| (sups[i], i)).collect();
-    order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    order
-}
-
-/// A layer's bisection cap: one tolerance above the highest level any live
-/// job could still reach (never below one tolerance above the floor).
-fn bisection_cap(max_live_sup: Option<f64>, level_lo: f64, tolerance: f64) -> f64 {
-    let level_hi = max_live_sup.unwrap_or(f64::NEG_INFINITY).max(level_lo);
-    (level_hi + tolerance).max(level_lo + tolerance)
-}
-
-/// The peeling loop (Algorithm 3's outer iteration), recording a
-/// [`PeelTrace`] as it goes. May start from a mid-run context — the
-/// delta-replay resume path — and behaves exactly as if a from-scratch run
-/// had reached that state.
-fn run_layers(ctx: &mut PeelCtx<'_, '_>) {
-    let jobs = ctx.jobs;
-    let (tolerance, horizon) = (ctx.tolerance, ctx.horizon);
-    let sups = descending_sups(&ctx.sups, ctx.active.iter().copied().filter(|&i| i != DEAD));
-    let mut sup_cursor = 0usize;
-    while ctx.active_count > 0 {
-        let probe_start = ctx.trace.probes.len() as u32;
-        let mut lo = ctx.level_lo;
-        let mut bottleneck: Option<usize> = None;
-        let mut hi_cap = f64::NAN;
-        // The floor itself may be infeasible in overload; the bottleneck of
-        // the floor check then peels at the floor level.
-        let floor_ok = ctx.floor_feasible || {
-            match ctx.probe(lo) {
-                Check::Feasible { .. } => true,
-                Check::Infeasible { bottleneck: b, .. } => {
-                    bottleneck = Some(b);
-                    false
-                }
-            }
-        };
-        if floor_ok {
-            while sup_cursor < sups.len() && ctx.active[sups[sup_cursor].1] == DEAD {
-                sup_cursor += 1;
-            }
-            hi_cap = bisection_cap(sups.get(sup_cursor).map(|&(s, _)| s), lo, tolerance);
-            // Warm-started bisection: consecutive layers converge to
-            // nearby levels, so instead of always bracketing against the
-            // global sup, gallop upward from the floor with a geometrically
-            // growing window until a probe turns infeasible (or the cap is
-            // reached), then bisect the bracket down to `tolerance`. The
-            // first probe sits one tolerance above the floor: with many
-            // jobs the level gap between layers is usually smaller, and an
-            // infeasible first probe converges the layer immediately.
-            let mut width = tolerance;
-            let mut hi = (lo + width).min(hi_cap);
-            while hi < hi_cap {
-                match ctx.probe(hi) {
-                    Check::Feasible { .. } => {
-                        lo = hi;
-                        width *= 4.0;
-                        hi = (lo + width).min(hi_cap);
-                    }
-                    Check::Infeasible { bottleneck: b, .. } => {
-                        bottleneck = Some(b);
-                        break;
-                    }
-                }
-            }
-            if bottleneck.is_none() {
-                hi = hi_cap;
-            }
-            while hi - lo > tolerance {
-                let mid = 0.5 * (lo + hi);
-                match ctx.probe(mid) {
-                    Check::Feasible { .. } => lo = mid,
-                    Check::Infeasible { bottleneck: b, .. } => {
-                        hi = mid;
-                        bottleneck = Some(b);
-                    }
-                }
-            }
-        }
-
-        let probe_len = ctx.trace.probes.len() as u32 - probe_start;
-        match bottleneck {
-            Some(b) => {
-                let action = close_on(jobs, &ctx.sigmoids, &ctx.sups, b, lo, horizon);
-                debug_assert_eq!(ctx.active[b], b, "active-slot invariant");
-                ctx.active[b] = DEAD;
-                ctx.active_count -= 1;
-                ctx.scratch.remove(b);
-                // Removing demand can only help: a floor proven feasible this
-                // layer stays feasible. Peeling keeps it exactly (the demand
-                // moves from the sweep to a reservation at the same
-                // deadline), and later layers can only improve on this level;
-                // a floor this layer did not prove must be re-probed.
-                ctx.floor_feasible = floor_ok;
-                match action {
-                    // The job's utility no longer depends on when it runs —
-                    // either it can gain nothing (level ~0) or its utility is
-                    // flat at this level (time-insensitive). Defer it: it will
-                    // be slotted into leftover capacity once every job that
-                    // *does* care has been peeled.
-                    ActionRec::Defer { level, .. } => ctx.deferred.push((b, level)),
-                    ActionRec::Peel { deadline, .. } => {
-                        if !floor_ok {
-                            ctx.overloaded = true;
-                        }
-                        ctx.targets.push(Target { job: b, level: lo, deadline, lax: false });
-                        ctx.committed.push((deadline, jobs[b].demand));
-                        ctx.index.insert(deadline, jobs[b].demand);
-                        ctx.level_lo = lo;
-                    }
-                    ActionRec::FinishAll { .. } => {}
-                }
-                let layer = LayerRec { probe_start, probe_len, floor_ok, hi_cap, action };
-                ctx.trace.layers.push(layer);
-            }
-            None => {
-                // Everything feasible up to every job's supremum: peel all
-                // remaining jobs at the converged level.
-                for &i in &ctx.active {
-                    if i == DEAD {
-                        continue;
-                    }
-                    match close_on(jobs, &ctx.sigmoids, &ctx.sups, i, lo, horizon) {
-                        ActionRec::Peel { deadline, .. } => {
-                            let level = lo.min(ctx.sups[i]);
-                            ctx.targets.push(Target { job: i, level, deadline, lax: false });
-                            ctx.committed.push((deadline, jobs[i].demand));
-                            ctx.index.insert(deadline, jobs[i].demand);
-                        }
-                        ActionRec::Defer { level, .. } => ctx.deferred.push((i, level)),
-                        ActionRec::FinishAll { .. } => {}
-                    }
-                }
-                ctx.active.clear();
-                ctx.active_count = 0;
-                ctx.trace.layers.push(LayerRec {
-                    probe_start,
-                    probe_len,
-                    floor_ok: true,
-                    hi_cap,
-                    action: ActionRec::FinishAll { lo },
-                });
-            }
-        }
-    }
-}
-
-/// Places the deferred (zero-gain or time-insensitive) jobs: earliest
-/// completion that leaves every committed reservation intact — they run in
-/// the leftover capacity at full parallelism instead of being parked at
-/// the horizon. Hopeless-but-time-sensitive jobs (level ~0) go before
-/// genuinely flat ones — any residual utility tail still prefers earlier
-/// completion — and smaller demands go first within each group.
-fn finish_deferred(ctx: &mut PeelCtx<'_, '_>) {
-    let jobs = ctx.jobs;
-    ctx.deferred.sort_by(|a, b| {
-        let flat_a = a.1 > ZERO_LEVEL;
-        let flat_b = b.1 > ZERO_LEVEL;
-        (flat_a, jobs[a.0].demand, a.0).cmp(&(flat_b, jobs[b.0].demand, b.0))
-    });
-    ctx.overlay.clear();
-    for &(i, level) in &ctx.deferred {
-        let asap = asap_deadline(jobs[i].demand, &ctx.index, &mut ctx.overlay, ctx.capacity);
-        if asap > ctx.horizon {
-            ctx.overloaded = true;
-        }
-        let deadline = asap.min(ctx.horizon);
-        ctx.targets.push(Target { job: i, level, deadline, lax: true });
-        ctx.committed.push((deadline, jobs[i].demand));
-        ctx.overlay.placed.insert(deadline, jobs[i].demand);
     }
 }
 
@@ -1327,9 +1049,9 @@ pub struct PeelState {
     /// the re-indexed trace here and swaps.
     spare: PeelTrace,
     demands: Vec<u64>,
-    /// `sup()` per recorded job (see [`PeelCtx::sups`]).
+    /// `sup()` per recorded job (see [`PeelPass::sups`]).
     sups: Vec<f64>,
-    /// Sigmoid record per recorded job (see [`PeelCtx::sigmoids`]).
+    /// Sigmoid record per recorded job (see [`PeelPass::sigmoids`]).
     sigmoids: Vec<Option<SigmoidInverse>>,
     /// The floor the recorded pass started from.
     floor: f64,
@@ -1338,7 +1060,8 @@ pub struct PeelState {
     horizon: f64,
     valid: bool,
     stats: ReplayStats,
-    /// The committed index's buffers, between passes.
+    /// The sweep state's buffers, between passes.
+    scratch: ProbeScratch,
     index: CommittedIndex,
     /// The deferred phase's buffers, between passes.
     overlay: Overlay,
@@ -1363,13 +1086,6 @@ impl PeelState {
     /// The demand of each job of the recorded pass.
     pub(crate) fn demands(&self) -> &[u64] {
         &self.demands
-    }
-
-    /// The recycled committed index, rebuilt over `committed`.
-    fn take_index(&mut self, committed: &[(f64, u64)]) -> CommittedIndex {
-        let mut index = std::mem::take(&mut self.index);
-        index.rebuild(committed);
-        index
     }
 
     /// Checks `edit` against the recorded pass and inverts it: for each
@@ -1453,7 +1169,9 @@ const REPLAY_GUARD: f64 = 1e-6;
 /// first probe whose *outcome* actually flips — or the first layer no rule
 /// above covers — aborts the replay and resumes the real peeling loop from
 /// that layer, on exactly the state a from-scratch run would have reached,
-/// so the result is bitwise identical to [`peel`] in every case.
+/// so the result is bitwise identical to [`peel`] in every case. A pass
+/// with nothing to replay (see [`ReplayStats::delta`]) is that loop resumed
+/// at layer 0.
 ///
 /// # Errors
 ///
@@ -1467,29 +1185,9 @@ pub fn peel_incremental(
     state: &mut PeelState,
 ) -> Result<Vec<Target>, CoreError> {
     validate_params(capacity, tolerance, horizon)?;
-    let Some(now_at) = state.align(jobs, tolerance, horizon, &edit) else {
-        let mut ctx = PeelCtx::fresh(jobs, capacity, tolerance, horizon, state);
-        state.floor = ctx.level_lo;
-        state.trace.clear();
-        std::mem::swap(&mut ctx.trace, &mut state.trace);
-        run_layers(&mut ctx);
-        finish_deferred(&mut ctx);
-        debug_check_theorem2(&ctx.committed, capacity, ctx.overloaded);
-        state.index = ctx.index;
-        state.overlay = ctx.overlay;
-        state.trace = ctx.trace;
-        state.sups = ctx.sups;
-        state.sigmoids = ctx.sigmoids;
-        state.demands.clear();
-        state.demands.extend(jobs.iter().map(|j| j.demand));
-        state.capacity = capacity;
-        state.tolerance = tolerance;
-        state.horizon = horizon;
-        state.valid = true;
-        state.stats = ReplayStats::default();
-        return Ok(ctx.targets);
-    };
-    Ok(Replay::new(jobs, capacity, tolerance, horizon, &edit, &now_at, state).run(&now_at, state))
+    let now_at = state.align(jobs, tolerance, horizon, &edit);
+    let pass = PeelPass::new(jobs, capacity, tolerance, horizon, &edit, now_at.as_deref(), state);
+    Ok(pass.run(now_at.as_deref(), state))
 }
 
 /// Where a changed job's demand currently sits during replay.
@@ -1557,9 +1255,11 @@ impl JobDrift<'_> {
 /// budget `C·e` against the load `Σ_{T_k ≤ e} η_k`. The budget moves by
 /// `ΔC·e`; each changed job moves the load by its demand delta at its due
 /// time, and may have joined or left the boundary set. [`Drift::stands`]
-/// re-verifies every recorded probe against it, whatever the event.
+/// re-verifies every recorded probe against it, whatever the event. A cold
+/// pass has nothing recorded, so nothing drifted.
+#[derive(Default)]
 struct Drift<'u> {
-    /// This pass's capacity `C` and horizon; [`Replay`] reads them here.
+    /// This pass's capacity `C` and horizon; [`PeelPass`] reads them here.
     capacity: u32,
     horizon: f64,
     /// Containers revoked since the recorded pass (0 when the capacity
@@ -1797,28 +1497,27 @@ fn tick_slop(horizon: f64) -> f64 {
     8.0 * f64::EPSILON * horizon
 }
 
-/// A per-job value of this pass (`sup()`, the sigmoid record) carried over
-/// from the recorded pass's `recorded`: moved out whole when the job list is
-/// unchanged (`!edited`), else gathered through `prev`, with `fresh(j)` for
-/// an arrival — and for every job after a tick, which moved each job's
-/// shift.
+/// A per-job value of this pass (`sup()`, the sigmoid record) for its `n`
+/// jobs, carried over from the recorded pass's `recorded` through `prev`:
+/// moved out whole when the job list is unchanged (`!edited`), else gathered
+/// with `fresh(j)` for an arrival. Without `prev` — a cold pass, or a tick,
+/// which moved every job's shift — every value is fresh.
 fn carried<T: Copy>(
     recorded: &mut Vec<T>,
+    prev: Option<&[Option<usize>]>,
     edited: bool,
-    edit: &JobEdit<'_, '_>,
+    n: usize,
     fresh: impl Fn(usize) -> T,
 ) -> Vec<T> {
-    if edit.tick > 0.0 {
-        return (0..edit.prev.len()).map(fresh).collect();
+    match prev {
+        None => (0..n).map(fresh).collect(),
+        Some(_) if !edited => std::mem::take(recorded),
+        Some(prev) => prev
+            .iter()
+            .enumerate()
+            .map(|(j, was)| was.map_or_else(|| fresh(j), |i| recorded[i]))
+            .collect(),
     }
-    if !edited {
-        return std::mem::take(recorded);
-    }
-    edit.prev
-        .iter()
-        .enumerate()
-        .map(|(j, was)| was.map_or_else(|| fresh(j), |i| recorded[i]))
-        .collect()
 }
 
 impl ProbeRec {
@@ -1868,109 +1567,137 @@ enum Splice {
     Diverged,
 }
 
-/// The delta-replay pass: the state a from-scratch run would hold at the
-/// start of the recorded layer being replayed, rebuilt from the recorded
-/// actions alone. See [`peel_incremental`] for the contract.
-struct Replay<'j, 'u> {
+/// One pass of [`peel_incremental`]: the state a from-scratch run holds at
+/// the start of the layer being closed — everything layer `ℓ+1` inherits
+/// from layer `ℓ`. The replay rebuilds it from the recorded actions alone,
+/// the real peeling loop from its own probes, and both close a layer through
+/// [`PeelPass::close`]; a cold pass is a replay with nothing recorded,
+/// resumed at layer 0. This is what makes a resumed run bit-identical to a
+/// from-scratch one. See [`peel_incremental`] for the contract.
+struct PeelPass<'j, 'u> {
     jobs: &'j [OnionJob<'u>],
     tolerance: f64,
-    /// Also holds the pass's capacity and horizon.
+    /// What moved since the recorded pass; also holds the pass's capacity
+    /// and horizon.
     drift: Drift<'u>,
-    /// Whether a layer's bisection cap can move: the job set changed (a
-    /// departure or an arrival), or a tick moved every supremum.
+    /// Whether a recorded layer's bisection cap can move: the job set
+    /// changed (a departure or an arrival), or a tick moved every supremum.
     recap: bool,
+    /// `sup()` per job, evaluated once per job *identity* — it costs a
+    /// transcendental for the sigmoid class, and a job that survives into
+    /// the next pass keeps its value (see [`PeelState`]).
     sups: Vec<f64>,
+    /// [`Utility::sigmoid_inverse`] per job, kept the same way: it carries
+    /// the unshifted `sup()`, so a probe inverts a sigmoid with one `ln`.
     sigmoids: Vec<Option<SigmoidInverse>>,
-    /// Descending-supremum order of this pass's jobs with its cursor (only
-    /// built when `recap`).
+    /// The live jobs in descending-supremum order (ties by index), built at
+    /// the first bisection cap the pass needs, and a cursor past the removed
+    /// ones: a layer's maximum live supremum is O(1) amortized, and the first
+    /// live entry under this total order is exactly the maximum.
     by_sup: Vec<(f64, usize)>,
     sup_cursor: usize,
+    /// Jobs peeled or deferred by a closed layer, and how many are not.
     removed: Vec<bool>,
-    removed_count: usize,
+    live: usize,
     committed: Vec<(f64, u64)>,
     deferred: Vec<(usize, f64)>,
     targets: Vec<Target>,
+    /// Global floor: the lowest utility any job can end up with.
     level_lo: f64,
+    /// Whether `level_lo` is known feasible for the current live/committed
+    /// state. Peeling a bottleneck at a proven-feasible level preserves
+    /// feasibility of that level exactly (the job's demand moves from the
+    /// active sweep to a reservation at the same deadline), so the floor
+    /// only needs an explicit probe on the first layer and after an
+    /// infeasible-floor peel.
     floor_feasible: bool,
+    /// Overload marker: once a job peels off an infeasible floor (or a
+    /// deferred job's ASAP slot is clamped by the horizon), the cluster
+    /// cannot honor every target and Theorem 2's premise no longer holds.
     overloaded: bool,
-    /// Sweep state materialized at the first refresh probe, then kept in
-    /// sync lazily: layer actions only bump `removed`/`committed`, and the
-    /// next refresh catches up with the pending tombstones plus the few
-    /// pending reservation inserts — preserving the scratch's deadline
-    /// memo, which makes a dense run of refresh probes at one recorded
-    /// level cost one utility inversion total.
-    live: Option<(ProbeScratch, CommittedIndex)>,
-    /// The state's committed-index and deferred-phase buffers, until the
-    /// pass needs them.
-    index: CommittedIndex,
-    overlay: Overlay,
-    /// Committed entries already present in the live index.
-    live_commits: usize,
-    /// Jobs removed by layer actions since the live scratch last caught up.
+    /// The sweep state, behind the closed layers until
+    /// [`PeelPass::catch_up`]: whether the scratch was filled this pass, the
+    /// jobs removed since it caught up, and how many of `committed` the
+    /// index holds.
+    scratch: ProbeScratch,
+    scratch_live: bool,
     pending_removed: Vec<usize>,
+    index: CommittedIndex,
+    indexed: usize,
+    /// The deferred phase's reservations, over `index`.
+    overlay: Overlay,
     /// The trace of *this* pass, written layer by layer.
     out: PeelTrace,
     stats: ReplayStats,
 }
 
-impl<'j, 'u> Replay<'j, 'u> {
+impl<'j, 'u> PeelPass<'j, 'u> {
+    /// A pass over `state`'s buffers; `now_at` (from [`PeelState::align`])
+    /// is `None` when nothing recorded can be replayed.
     fn new(
         jobs: &'j [OnionJob<'u>],
         capacity: u32,
         tolerance: f64,
         horizon: f64,
         edit: &JobEdit<'_, 'u>,
-        now_at: &[usize],
+        now_at: Option<&[usize]>,
         state: &mut PeelState,
     ) -> Self {
         let n = jobs.len();
-        let drift = Drift::new(jobs, capacity, horizon, edit, now_at, state);
+        let drift = match now_at {
+            Some(now_at) => Drift::new(jobs, capacity, horizon, edit, now_at, state),
+            None => Drift { capacity, horizon, ..Drift::default() },
+        };
         let edited = drift.jobs.iter().any(|j| j.joined || j.left);
-        // Without arrivals or departures `prev` is the identity.
-        let sups = carried(&mut state.sups, edited, edit, |j| jobs[j].utility.sup());
-        let sigmoids = carried(&mut state.sigmoids, edited, edit, |j| {
+        let prev = (now_at.is_some() && edit.tick == 0.0).then_some(edit.prev);
+        let sups = carried(&mut state.sups, prev, edited, n, |j| jobs[j].utility.sup());
+        let sigmoids = carried(&mut state.sigmoids, prev, edited, n, |j| {
             jobs[j].utility.sigmoid_inverse()
         });
-        let recap = edited || drift.lag > 0.0;
-        let by_sup = if recap {
-            descending_sups(&sups, 0..n)
-        } else {
-            Vec::new()
-        };
+        let mut index = std::mem::take(&mut state.index);
+        index.rebuild(&[]);
         let mut out = std::mem::take(&mut state.spare);
         out.clear();
-        Replay {
+        PeelPass {
             jobs,
             tolerance,
+            recap: edited || drift.lag > 0.0,
             drift,
-            recap,
             sups,
             sigmoids,
-            by_sup,
+            by_sup: Vec::new(),
             sup_cursor: 0,
             removed: vec![false; n],
-            removed_count: 0,
+            live: n,
             committed: Vec::new(),
             deferred: Vec::new(),
             targets: Vec::with_capacity(n),
             level_lo: initial_floor(jobs),
             floor_feasible: false,
             overloaded: false,
-            live: None,
-            index: std::mem::take(&mut state.index),
-            overlay: std::mem::take(&mut state.overlay),
-            live_commits: 0,
+            scratch: std::mem::take(&mut state.scratch),
+            scratch_live: false,
             pending_removed: Vec::new(),
+            index,
+            indexed: 0,
+            overlay: std::mem::take(&mut state.overlay),
             out,
             stats: ReplayStats {
-                delta: true,
+                delta: now_at.is_some(),
                 ..Default::default()
             },
         }
     }
 
-    /// The bisection cap a from-scratch run computes entering this layer.
+    /// The bisection cap a from-scratch run computes entering this layer:
+    /// one tolerance above the highest level any live job could still reach
+    /// (never below one tolerance above the floor).
     fn hi_cap(&mut self) -> f64 {
+        if self.by_sup.is_empty() {
+            let (sups, removed) = (&self.sups, &self.removed);
+            self.by_sup.extend((0..sups.len()).filter(|&i| !removed[i]).map(|i| (sups[i], i)));
+            self.by_sup.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        }
         while self
             .by_sup
             .get(self.sup_cursor)
@@ -1979,67 +1706,122 @@ impl<'j, 'u> Replay<'j, 'u> {
             self.sup_cursor += 1;
         }
         let max_live = self.by_sup.get(self.sup_cursor).map(|&(s, _)| s);
-        bisection_cap(max_live, self.level_lo, self.tolerance)
+        let level_hi = max_live.unwrap_or(f64::NEG_INFINITY).max(self.level_lo);
+        (level_hi + self.tolerance).max(self.level_lo + self.tolerance)
     }
 
-    fn remove(&mut self, job: usize) {
-        self.removed[job] = true;
-        self.removed_count += 1;
-        self.pending_removed.push(job);
-    }
-
-    /// The layer-closing bookkeeping of `run_layers` for a deferred
-    /// bottleneck, minus the sweep state (caught up lazily), plus where the
-    /// job's drift now sits.
-    fn defer(&mut self, job: usize, level: f64, floor_ok: bool) {
-        self.remove(job);
-        self.deferred.push((job, level));
-        self.floor_feasible = floor_ok;
-        self.settle(false, job, ChangedStatus::Deferred);
-    }
-
-    /// Likewise for a peeled bottleneck.
-    fn commit(&mut self, job: usize, level: f64, deadline: f64, floor_ok: bool) {
-        self.targets.push(Target {
-            job,
-            level,
-            deadline,
-            lax: false,
-        });
-        self.committed.push((deadline, self.jobs[job].demand));
-        self.remove(job);
-        if !floor_ok {
-            self.overloaded = true;
+    /// Brings the sweep state up to the closed layers, before a probe or the
+    /// deferred phase reads it. The pass's first catch-up fills the scratch
+    /// with the live jobs; later ones tombstone the jobs removed since, O(1)
+    /// each, which keeps the scratch's deadline memo — a dense run of probes
+    /// at one level costs one utility inversion in total. The new
+    /// reservations go into the index one by one, or past 32 in one rebuild:
+    /// either way ties stay in commit order.
+    fn catch_up(&mut self) {
+        if self.scratch_live {
+            for &j in &self.pending_removed {
+                self.scratch.remove(j);
+            }
+        } else {
+            self.scratch.fill_active(&self.removed);
+            self.scratch_live = true;
         }
-        self.level_lo = level;
-        self.floor_feasible = floor_ok;
-        self.settle(false, job, ChangedStatus::Committed(deadline));
+        self.pending_removed.clear();
+        if self.committed.len() - self.indexed > 32 {
+            self.index.rebuild(&self.committed);
+        } else {
+            for &(t, e) in &self.committed[self.indexed..] {
+                self.index.insert(t, e);
+            }
+        }
+        self.indexed = self.committed.len();
     }
 
-    /// Closes the replayed layer with `action`, as `run_layers` does.
-    fn apply(&mut self, action: ActionRec, floor_ok: bool) {
+    /// One feasibility probe at `level` against the state the closed layers
+    /// left.
+    fn check(&mut self, level: f64) -> ProbeRec {
+        self.catch_up();
+        let (capacity, horizon) = (self.drift.capacity, self.drift.horizon);
+        let scratch = &mut self.scratch;
+        let outcome =
+            check_level(self.jobs, &self.sigmoids, scratch, &self.index, capacity, horizon, level);
+        ProbeRec { level, reach: scratch.reach, outcome }
+    }
+
+    /// [`PeelPass::check`], recorded in this pass's trace.
+    fn probe(&mut self, level: f64) -> Check {
+        let rec = self.check(level);
+        self.out.probes.push(rec);
+        rec.outcome
+    }
+
+    /// Closes the layer whose probes start at `probe_start` with `action`
+    /// and records it: the one closing routine of the replay, the splice and
+    /// the real loop.
+    fn close(&mut self, probe_start: usize, floor_ok: bool, hi_cap: f64, action: ActionRec) {
         match action {
-            ActionRec::Defer { job, level } => self.defer(job, level, floor_ok),
-            ActionRec::Peel { job, level, deadline } => self.commit(job, level, deadline, floor_ok),
+            // The job's utility no longer depends on when it runs — either
+            // it can gain nothing (level ~0) or its utility is flat at this
+            // level (time-insensitive). Defer it: it will be slotted into
+            // leftover capacity once every job that *does* care has peeled.
+            ActionRec::Defer { job, level } => {
+                self.defer(job, level);
+                self.settle(false, job, ChangedStatus::Deferred);
+            }
+            ActionRec::Peel { job, level, deadline } => {
+                self.commit(job, level, deadline);
+                self.settle(false, job, ChangedStatus::Committed(deadline));
+                self.overloaded |= !floor_ok;
+                self.level_lo = level;
+            }
+            // Everything feasible up to every job's supremum: all remaining
+            // jobs close at the converged level.
             ActionRec::FinishAll { lo } => {
                 for i in 0..self.jobs.len() {
                     if self.removed[i] {
                         continue;
                     }
-                    self.remove(i);
                     match close_on(self.jobs, &self.sigmoids, &self.sups, i, lo, self.drift.horizon)
                     {
                         ActionRec::Peel { deadline, .. } => {
-                            let level = lo.min(self.sups[i]);
-                            self.targets.push(Target { job: i, level, deadline, lax: false });
-                            self.committed.push((deadline, self.jobs[i].demand));
+                            self.commit(i, lo.min(self.sups[i]), deadline);
                         }
-                        ActionRec::Defer { level, .. } => self.deferred.push((i, level)),
+                        ActionRec::Defer { level, .. } => self.defer(i, level),
                         ActionRec::FinishAll { .. } => {}
                     }
                 }
             }
         }
+        // Removing demand can only help: a floor proven feasible this layer
+        // stays feasible. Peeling keeps it exactly (the demand moves from
+        // the sweep to a reservation at the same deadline), and later layers
+        // can only improve on this level; a floor this layer did not prove
+        // must be re-probed.
+        self.floor_feasible = floor_ok;
+        let probe_len = (self.out.probes.len() - probe_start) as u32;
+        let probe_start = probe_start as u32;
+        let layer = LayerRec { probe_start, probe_len, floor_ok, hi_cap, action };
+        self.out.layers.push(layer);
+    }
+
+    fn remove(&mut self, job: usize) {
+        debug_assert!(!self.removed[job], "job {job} closed twice");
+        self.removed[job] = true;
+        self.live -= 1;
+        self.pending_removed.push(job);
+    }
+
+    /// Moves a deadline-free job to the deferred list.
+    fn defer(&mut self, job: usize, level: f64) {
+        self.remove(job);
+        self.deferred.push((job, level));
+    }
+
+    /// Peels a job: its target fixed, its demand committed.
+    fn commit(&mut self, job: usize, level: f64, deadline: f64) {
+        self.remove(job);
+        self.targets.push(Target { job, level, deadline, lax: false });
+        self.committed.push((deadline, self.jobs[job].demand));
     }
 
     /// Records where a changed job's demand went when its layer closed
@@ -2049,50 +1831,6 @@ impl<'j, 'u> Replay<'j, 'u> {
             j.status = status;
         }
     }
-
-    /// Brings the materialized sweep state up to the replayed layer; hands
-    /// it out with the per-job sigmoid records a probe reads.
-    fn materialize(
-        &mut self,
-    ) -> (&mut ProbeScratch, &mut CommittedIndex, &[Option<SigmoidInverse>]) {
-        let n = self.jobs.len();
-        let committed = &self.committed;
-        let removed = &self.removed;
-        let pending = &self.pending_removed;
-        let live_commits = self.live_commits;
-        let spare = &mut self.index;
-        let (scratch, index) = match &mut self.live {
-            Some((scratch, index)) => {
-                // Catch up on actions applied since the last refresh: O(1)
-                // per removed job (tombstone via the scratch's position
-                // index), a few reservation inserts.
-                for &j in pending {
-                    scratch.remove(j);
-                }
-                if committed.len() - live_commits > 32 {
-                    index.rebuild(committed);
-                } else {
-                    for &(t, e) in &committed[live_commits..] {
-                        index.insert(t, e);
-                    }
-                }
-                (scratch, index)
-            }
-            empty => {
-                let active: Vec<usize> = (0..n).filter(|&i| !removed[i]).collect();
-                let mut scratch = ProbeScratch::default();
-                scratch.fill_active(&active, n);
-                let mut index = std::mem::take(spare);
-                index.rebuild(committed);
-                let (scratch, index) = empty.insert((scratch, index));
-                (scratch, index)
-            }
-        };
-        self.pending_removed.clear();
-        self.live_commits = self.committed.len();
-        (scratch, index, &self.sigmoids)
-    }
-
     /// At the start of a recorded layer entered with a feasible floor, a
     /// from-scratch run's first probe sits one tolerance above the floor.
     /// If an active arrival cannot reach that level — and no lower-indexed
@@ -2156,14 +1894,7 @@ impl<'j, 'u> Replay<'j, 'u> {
         }
         let job = self.drift.jobs[at].idx;
         let action = close_on(self.jobs, &self.sigmoids, &self.sups, job, lo, self.drift.horizon);
-        self.apply(action, true);
-        self.out.layers.push(LayerRec {
-            probe_start: probe_start as u32,
-            probe_len: (self.out.probes.len() - probe_start) as u32,
-            floor_ok: true,
-            hi_cap,
-            action,
-        });
+        self.close(probe_start, true, hi_cap, action);
         self.stats.spliced_layers += 1;
         Splice::Done
     }
@@ -2232,7 +1963,6 @@ impl<'j, 'u> Replay<'j, 'u> {
     /// Replays the recorded layers in order; returns the recorded layer the
     /// real loop must take over from, if any.
     fn replay_layers(&mut self, rec: &PeelTrace, now_at: &[usize]) -> Option<usize> {
-        let n = self.jobs.len();
         for (li, &layer) in rec.layers.iter().enumerate() {
             let probes = &rec.probes
                 [layer.probe_start as usize..(layer.probe_start + layer.probe_len) as usize];
@@ -2295,21 +2025,15 @@ impl<'j, 'u> Replay<'j, 'u> {
                         updated
                     }
                     None => {
-                        let (jobs, capacity, horizon) =
-                            (self.jobs, self.drift.capacity, self.drift.horizon);
-                        let (scratch, index, sigmoids) = self.materialize();
-                        let level = rec.level;
-                        let fresh =
-                            check_level(jobs, sigmoids, scratch, index, capacity, horizon, level);
-                        let reach = scratch.reach;
+                        let fresh = self.check(rec.level);
                         self.stats.refreshed_probes += 1;
-                        if !same_trajectory(fresh, rec.outcome, decisive == Some(k)) {
+                        if !same_trajectory(fresh.outcome, rec.outcome, decisive == Some(k)) {
                             // The trajectory genuinely diverged: resume the
                             // real loop from this layer's entry state.
                             self.out.probes.truncate(probe_start);
                             return Some(li);
                         }
-                        ProbeRec { level, reach, outcome: fresh }
+                        fresh
                     }
                 };
                 self.out.probes.push(verified);
@@ -2318,85 +2042,150 @@ impl<'j, 'u> Replay<'j, 'u> {
                 self.out.probes.truncate(probe_start);
                 return Some(li);
             };
-            self.apply(action, layer.floor_ok);
-            self.out.layers.push(LayerRec {
-                probe_start: probe_start as u32,
-                probe_len: layer.probe_len,
-                floor_ok: layer.floor_ok,
-                hi_cap,
-                action,
-            });
+            self.close(probe_start, layer.floor_ok, hi_cap, action);
             self.stats.replayed_layers += 1;
         }
         // Arrivals no recorded probe rose above are still active: the real
         // loop peels them from the state the last layer left.
-        (self.removed_count < n).then_some(rec.layers.len())
+        (self.live > 0).then_some(rec.layers.len())
     }
 
-    fn run(mut self, now_at: &[usize], state: &mut PeelState) -> Vec<Target> {
-        let n = self.jobs.len();
+    /// The peeling loop (Algorithm 3's outer iteration) from the state the
+    /// replayed layers left — the start, on a cold pass — recording each
+    /// probe and layer as it goes.
+    fn run_layers(&mut self) {
+        let tolerance = self.tolerance;
+        while self.live > 0 {
+            let probe_start = self.out.probes.len();
+            let mut lo = self.level_lo;
+            let mut bottleneck: Option<usize> = None;
+            let mut hi_cap = f64::NAN;
+            // The floor itself may be infeasible in overload; the bottleneck
+            // of the floor check then peels at the floor level.
+            let floor_ok = self.floor_feasible || {
+                match self.probe(lo) {
+                    Check::Feasible { .. } => true,
+                    Check::Infeasible { bottleneck: b, .. } => {
+                        bottleneck = Some(b);
+                        false
+                    }
+                }
+            };
+            if floor_ok {
+                hi_cap = self.hi_cap();
+                // Warm-started bisection: consecutive layers converge to
+                // nearby levels, so instead of always bracketing against the
+                // global sup, gallop upward from the floor with a
+                // geometrically growing window until a probe turns
+                // infeasible (or the cap is reached), then bisect the
+                // bracket down to `tolerance`. The first probe sits one
+                // tolerance above the floor: with many jobs the level gap
+                // between layers is usually smaller, and an infeasible first
+                // probe converges the layer immediately.
+                let mut width = tolerance;
+                let mut hi = (lo + width).min(hi_cap);
+                while hi < hi_cap {
+                    match self.probe(hi) {
+                        Check::Feasible { .. } => {
+                            lo = hi;
+                            width *= 4.0;
+                            hi = (lo + width).min(hi_cap);
+                        }
+                        Check::Infeasible { bottleneck: b, .. } => {
+                            bottleneck = Some(b);
+                            break;
+                        }
+                    }
+                }
+                if bottleneck.is_none() {
+                    hi = hi_cap;
+                }
+                while hi - lo > tolerance {
+                    let mid = 0.5 * (lo + hi);
+                    match self.probe(mid) {
+                        Check::Feasible { .. } => lo = mid,
+                        Check::Infeasible { bottleneck: b, .. } => {
+                            hi = mid;
+                            bottleneck = Some(b);
+                        }
+                    }
+                }
+            }
+            let horizon = self.drift.horizon;
+            let action = match bottleneck {
+                Some(b) => close_on(self.jobs, &self.sigmoids, &self.sups, b, lo, horizon),
+                None => ActionRec::FinishAll { lo },
+            };
+            self.close(probe_start, floor_ok, hi_cap, action);
+        }
+    }
+
+    /// Places the deferred (zero-gain or time-insensitive) jobs: earliest
+    /// completion that leaves every committed reservation intact — they run
+    /// in the leftover capacity at full parallelism instead of being parked
+    /// at the horizon. Hopeless-but-time-sensitive jobs (level ~0) go before
+    /// genuinely flat ones — any residual utility tail still prefers earlier
+    /// completion — and smaller demands go first within each group.
+    fn finish_deferred(&mut self) {
+        let jobs = self.jobs;
+        self.deferred.sort_by(|a, b| {
+            let flat_a = a.1 > ZERO_LEVEL;
+            let flat_b = b.1 > ZERO_LEVEL;
+            (flat_a, jobs[a.0].demand, a.0).cmp(&(flat_b, jobs[b.0].demand, b.0))
+        });
+        self.catch_up();
+        self.overlay.clear();
+        let (capacity, horizon) = (self.drift.capacity, self.drift.horizon);
+        for &(i, level) in &self.deferred {
+            let asap = asap_deadline(jobs[i].demand, &self.index, &mut self.overlay, capacity);
+            if asap > horizon {
+                self.overloaded = true;
+            }
+            let deadline = asap.min(horizon);
+            self.targets.push(Target { job: i, level, deadline, lax: true });
+            self.committed.push((deadline, jobs[i].demand));
+            self.overlay.placed.insert(deadline, jobs[i].demand);
+        }
+    }
+
+    /// Replays what `state` recorded, runs the real loop from the layer the
+    /// replay stopped at, places the deferred jobs, and hands the trace and
+    /// the buffers of this pass back to `state`.
+    fn run(mut self, now_at: Option<&[usize]>, state: &mut PeelState) -> Vec<Target> {
         let rec = std::mem::take(&mut state.trace);
         let floor = self.level_lo;
-        // An edit that moved the floor itself shares no probe level with
-        // the recorded pass.
-        let resume_at = if floor.to_bits() == state.floor.to_bits() {
-            self.replay_layers(&rec, now_at)
-        } else {
-            Some(0)
+        // A cold pass has no layer to replay, and an edit that moved the
+        // floor itself shares no probe level with the recorded pass.
+        let resume_at = match now_at {
+            Some(now_at) if floor.to_bits() == state.floor.to_bits() => {
+                self.replay_layers(&rec, now_at)
+            }
+            _ => Some(0),
         };
-        self.stats.resumed_at = resume_at;
-        let live = resume_at.map(|_| {
-            self.materialize();
-            self.live.take().unwrap_or_default()
-        });
-        let mut ctx = PeelCtx {
-            jobs: self.jobs,
-            capacity: self.drift.capacity,
-            tolerance: self.tolerance,
-            horizon: self.drift.horizon,
-            active: Vec::new(),
-            active_count: 0,
-            committed: self.committed,
-            index: CommittedIndex::default(),
-            overlay: self.overlay,
-            scratch: ProbeScratch::default(),
-            deferred: self.deferred,
-            targets: self.targets,
-            level_lo: self.level_lo,
-            floor_feasible: self.floor_feasible,
-            overloaded: self.overloaded,
-            trace: self.out,
-            sups: self.sups,
-            sigmoids: self.sigmoids,
-        };
-        if let Some((scratch, index)) = live {
-            let removed = &self.removed;
-            ctx.active = (0..n).map(|i| if removed[i] { DEAD } else { i }).collect();
-            ctx.active_count = n - self.removed_count;
-            ctx.scratch = scratch;
-            ctx.index = index;
-            run_layers(&mut ctx);
-        } else {
-            // Replay covered every layer; only the deferred phase (always
-            // recomputed — its packing order keys on the live demands) needs
-            // the committed index.
-            ctx.index = self.index;
-            ctx.index.rebuild(&ctx.committed);
+        if resume_at.is_some() {
+            // No probe is verified past the divergence: the drift is spent.
+            self.drift.jobs.clear();
+            self.run_layers();
         }
-        finish_deferred(&mut ctx);
-        debug_check_theorem2(&ctx.committed, self.drift.capacity, ctx.overloaded);
-        state.index = ctx.index;
-        state.overlay = ctx.overlay;
-        state.trace = ctx.trace;
+        self.stats.resumed_at = resume_at.filter(|_| self.stats.delta);
+        self.finish_deferred();
+        debug_check_theorem2(&self.committed, self.drift.capacity, self.overloaded);
+        state.trace = self.out;
         state.spare = rec;
-        state.sups = ctx.sups;
-        state.sigmoids = ctx.sigmoids;
+        state.scratch = self.scratch;
+        state.index = self.index;
+        state.overlay = self.overlay;
+        state.sups = self.sups;
+        state.sigmoids = self.sigmoids;
         state.floor = floor;
         state.demands.clear();
         state.demands.extend(self.jobs.iter().map(|j| j.demand));
         state.capacity = self.drift.capacity;
+        state.tolerance = self.tolerance;
+        state.horizon = self.drift.horizon;
+        state.valid = true;
         state.stats = self.stats;
-        ctx.targets
+        self.targets
     }
 }
 
@@ -2788,7 +2577,7 @@ mod tests {
         let full = peel(&jobs, cap, tol, hor).unwrap();
         let inc = replayed(&jobs, cap, tol, hor, &mut state);
         assert_targets_bitwise(&full, &inc, "cold");
-        assert!(!state.last_stats().delta, "first pass records, not replays");
+        assert_eq!(state.last_stats(), ReplayStats::default(), "first pass records, not replays");
 
         let mut saw_replay = false;
         let mut saw_resume = false;
@@ -2902,18 +2691,21 @@ mod tests {
         fn jobs<'a>(d: &[u64], us: &'a [TimeUtility]) -> Vec<OnionJob<'a>> {
             d.iter().zip(us).map(|(&d, u)| OnionJob { demand: d, utility: u }).collect()
         }
+        // A cold pass reports nothing replayed, resumed or refreshed.
+        let cold = |state: &PeelState| assert_eq!(state.last_stats(), ReplayStats::default());
         let mut state = PeelState::new();
         let j = jobs(&[100, 200, 300], &utilities);
         replayed(&j, 8, 1e-4, 1e6, &mut state);
+        cold(&state);
 
         // Caller says nothing carried over.
         peel_incremental(&j, 8, 1e-4, 1e6, JobEdit::COLD, &mut state).unwrap();
-        assert!(!state.last_stats().delta);
+        cold(&state);
         let all_new = [None, None, None];
         let gone: Vec<&dyn Utility> = utilities.iter().map(|u| u as &dyn Utility).collect();
         let edit = JobEdit { prev: &all_new, departed: &gone, tick: 0.0 };
         peel_incremental(&j, 8, 1e-4, 1e6, edit, &mut state).unwrap();
-        assert!(!state.last_stats().delta);
+        cold(&state);
         // Capacity change stays on the delta path, bit-identically.
         let full = peel(&j, 9, 1e-4, 1e6).unwrap();
         let inc = replayed(&j, 9, 1e-4, 1e6, &mut state);
@@ -2929,12 +2721,13 @@ mod tests {
         // An edit that does not account for every recorded job is refused.
         let edit = JobEdit { prev: &[Some(1)], departed: &[], tick: 0.0 };
         peel_incremental(&j2[1..], 9, 1e-4, 1e6, edit, &mut state).unwrap();
-        assert!(!state.last_stats().delta);
+        cold(&state);
         replayed(&j2, 9, 1e-4, 1e6, &mut state);
+        cold(&state);
         // Demand zero-crossing.
         let j3 = jobs(&[100, 0], &utilities[..2]);
         replayed(&j3, 9, 1e-4, 1e6, &mut state);
-        assert!(!state.last_stats().delta);
+        cold(&state);
         // And back on the happy path: same jobs replay.
         let j4 = jobs(&[101, 0], &utilities[..2]);
         let full = peel(&j4, 9, 1e-4, 1e6).unwrap();
@@ -3307,7 +3100,7 @@ mod tests {
         let sigmoids: Vec<_> = jobs.iter().map(|j| j.utility.sigmoid_inverse()).collect();
         let (committed, horizon) = (CommittedIndex::default(), 1e6);
         let mut scratch = ProbeScratch::default();
-        scratch.fill(&jobs);
+        scratch.fill_active(&[false; 60]);
         check_level(&jobs, &sigmoids, &mut scratch, &committed, 10_000, horizon, 0.4);
         let removed: Vec<usize> = (0..60).filter(|i| i % 4 == 1).collect();
         for &j in &removed {
@@ -3324,6 +3117,30 @@ mod tests {
         for (pos, &(_, i)) in scratch.deadlines.iter().enumerate() {
             assert_eq!(scratch.pos_of[i] as usize, pos, "job {i}");
         }
+    }
+
+    /// The sweep state's catch-up inserts a few reservations or rebuilds
+    /// the index: either way the same times and prefix sums, ties in commit
+    /// order, also when inserts follow a rebuild.
+    #[test]
+    fn rebuild_is_the_insert_sequence() {
+        let committed: Vec<(f64, u64)> =
+            (0..200u64).map(|k| ((k * 37 % 23) as f64, 1 + k * k % 17)).collect();
+        let mut inserted = CommittedIndex::default();
+        for &(t, e) in &committed {
+            inserted.insert(t, e);
+        }
+        let bits = |ix: &CommittedIndex| -> Vec<(u64, u64)> {
+            ix.times.iter().map(|t| t.to_bits()).zip(ix.cums.iter().copied()).collect()
+        };
+        let mut rebuilt = CommittedIndex::default();
+        rebuilt.rebuild(&committed);
+        assert_eq!(bits(&rebuilt), bits(&inserted));
+        rebuilt.rebuild(&committed[..120]);
+        for &(t, e) in &committed[120..] {
+            rebuilt.insert(t, e);
+        }
+        assert_eq!(bits(&rebuilt), bits(&inserted));
     }
 
     proptest::proptest! {

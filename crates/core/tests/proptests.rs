@@ -631,6 +631,29 @@ fn assert_peel_matches_oracle_bitwise(specs: &[(u64, TimeUtility)], capacity: u3
         ts.iter().map(|t| (t.job, t.level.to_bits(), t.deadline.to_bits(), t.lax)).collect()
     };
     assert_eq!(bits(&cold.unwrap()), bits(&fast));
+    // Two replayed passes through the same state, each against a cold peel
+    // of its jobs: every seventh demand grows, then every eleventh job
+    // leaves. Long runs of replayed layers leave many reservations for the
+    // sweep state's catch-up to add at once.
+    let mut grown = jobs.clone();
+    for job in grown.iter_mut().step_by(7) {
+        job.demand += 1 + job.demand / 8;
+    }
+    let same: Vec<Option<usize>> = (0..jobs.len()).map(Some).collect();
+    let edit = JobEdit { prev: &same, departed: &[], tick: 0.0 };
+    let warm = peel_incremental(&grown, capacity, tolerance, horizon, edit, &mut state).unwrap();
+    assert!(state.last_stats().delta, "a demand edit replays");
+    assert_eq!(bits(&warm), bits(&peel(&grown, capacity, tolerance, horizon).unwrap()));
+    let stays = |i: &usize| i % 11 != 5;
+    let kept: Vec<usize> = (0..jobs.len()).filter(stays).collect();
+    let rest: Vec<OnionJob<'_>> = kept.iter().map(|&i| grown[i]).collect();
+    let prev: Vec<Option<usize>> = kept.iter().map(|&i| Some(i)).collect();
+    let departed: Vec<&dyn Utility> =
+        (0..jobs.len()).filter(|i| !stays(i)).map(|i| grown[i].utility).collect();
+    let edit = JobEdit { prev: &prev, departed: &departed, tick: 0.0 };
+    let warm = peel_incremental(&rest, capacity, tolerance, horizon, edit, &mut state).unwrap();
+    assert!(state.last_stats().delta, "a departure replays");
+    assert_eq!(bits(&warm), bits(&peel(&rest, capacity, tolerance, horizon).unwrap()));
 }
 
 /// Fleet scale, shaped like `serve_closed_large`: 4 096 containers, 500

@@ -12,21 +12,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Unbiased sample variance (`n − 1` denominator); 0 for fewer than two
-/// samples.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
-/// Unbiased sample standard deviation.
-pub fn sample_std(xs: &[f64]) -> f64 {
-    sample_variance(xs).sqrt()
-}
-
 /// The `q`-th percentile (`q ∈ [0, 1]`) with linear interpolation between
 /// order statistics (the "R-7" definition used by NumPy's default).
 ///
@@ -182,17 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_variance_reference() {
+    fn mean_reference() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        // population var is 4; sample var = 32/7
-        assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
-        assert!((sample_std(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_of_singleton_is_zero() {
-        assert_eq!(sample_variance(&[5.0]), 0.0);
     }
 
     #[test]

@@ -217,18 +217,6 @@ impl ClusterSpec {
         }
         map
     }
-
-    /// The half-open container-index range `[start, end)` hosted by each
-    /// node, in node order.
-    pub fn node_container_ranges(&self) -> Vec<(u32, u32)> {
-        let mut ranges = Vec::with_capacity(self.nodes.len());
-        let mut start = 0;
-        for node in &self.nodes {
-            ranges.push((start, start + node.containers));
-            start += node.containers;
-        }
-        ranges
-    }
 }
 
 /// An ordered pool of free containers over a [`ClusterSpec`]'s flat
@@ -240,9 +228,7 @@ impl ClusterSpec {
 /// `sort_unstable_by_key` after every push). `FreePool` keeps the free set
 /// as a two-level bitset — one bit per container plus a summary bit per
 /// 64-container word — so acquire, release and membership are O(1) word
-/// operations (O(capacity/4096) in the worst case for the summary scan),
-/// and the lowest free container *on a given node* is answerable directly
-/// for locality-aware placement.
+/// operations (O(capacity/4096) in the worst case for the summary scan).
 #[derive(Debug, Clone)]
 pub struct FreePool {
     /// Bit `c % 64` of `words[c / 64]` is set iff container `c` is free.
@@ -253,8 +239,6 @@ pub struct FreePool {
     /// revoked (taken out of service by a capacity event). A revoked
     /// container is never free; the index space itself never shrinks.
     revoked: Vec<u64>,
-    /// Per-node container ranges `[start, end)`, in node order.
-    node_ranges: Vec<(u32, u32)>,
     free: u32,
     revoked_count: u32,
     capacity: u32,
@@ -286,7 +270,6 @@ impl FreePool {
             words,
             summary,
             revoked: vec![0; n_words],
-            node_ranges: spec.node_container_ranges(),
             free: capacity,
             revoked_count: 0,
             capacity,
@@ -416,30 +399,6 @@ impl FreePool {
         self.free += 1;
     }
 
-    /// The lowest free container hosted by `node`, if any — the query a
-    /// data-locality-aware placement needs, answered without scanning the
-    /// whole pool.
-    pub fn lowest_free_on_node(&self, node: NodeId) -> Option<u32> {
-        let &(start, end) = self.node_ranges.get(node.0 as usize)?;
-        if start == end {
-            return None;
-        }
-        let (first_w, last_w) = ((start / 64) as usize, ((end - 1) / 64) as usize);
-        for w in first_w..=last_w {
-            let mut bits = self.words[w];
-            if w == first_w {
-                bits &= u64::MAX << (start % 64);
-            }
-            if w == last_w && end % 64 != 0 {
-                bits &= (1u64 << (end % 64)) - 1;
-            }
-            if bits != 0 {
-                return Some(w as u32 * 64 + bits.trailing_zeros());
-            }
-        }
-        None
-    }
-
     fn clear(&mut self, c: u32) {
         let w = (c / 64) as usize;
         self.words[w] &= !(1 << (c % 64));
@@ -512,7 +471,6 @@ mod tests {
         for (container, &ni) in map.iter().enumerate() {
             assert_eq!(c.nodes()[ni as usize].id(), c.node_of_container(container as u32).id());
         }
-        assert_eq!(c.node_container_ranges(), vec![(0, 3), (3, 4), (4, 6)]);
     }
 
     #[test]
@@ -556,37 +514,6 @@ mod tests {
         assert!(!pool.acquire(99)); // out of range is just "not free"
         assert_eq!(pool.acquire_lowest(), Some(0));
         assert_eq!(pool.len(), 6);
-    }
-
-    #[test]
-    fn free_pool_lowest_free_on_node() {
-        // Node 0: containers 0..3, node 1: 3..4, node 2: 4..6.
-        let spec = ClusterSpec::new(vec![(1.0, 3), (1.0, 1), (1.0, 2)]).unwrap();
-        let mut pool = FreePool::new(&spec);
-        assert_eq!(pool.lowest_free_on_node(NodeId(0)), Some(0));
-        assert_eq!(pool.lowest_free_on_node(NodeId(2)), Some(4));
-        assert!(pool.acquire(4));
-        assert_eq!(pool.lowest_free_on_node(NodeId(2)), Some(5));
-        assert!(pool.acquire(3));
-        assert_eq!(pool.lowest_free_on_node(NodeId(1)), None);
-        assert_eq!(pool.lowest_free_on_node(NodeId(9)), None); // unknown node
-    }
-
-    #[test]
-    fn free_pool_node_query_across_word_boundaries() {
-        // Two nodes of 70 containers each: node 1 spans the 64-bit word seam.
-        let spec = ClusterSpec::new(vec![(1.0, 70), (1.0, 70)]).unwrap();
-        let mut pool = FreePool::new(&spec);
-        assert_eq!(pool.lowest_free_on_node(NodeId(1)), Some(70));
-        for c in 70..128 {
-            assert!(pool.acquire(c));
-        }
-        assert_eq!(pool.lowest_free_on_node(NodeId(1)), Some(128));
-        for c in 128..140 {
-            assert!(pool.acquire(c));
-        }
-        assert_eq!(pool.lowest_free_on_node(NodeId(1)), None);
-        assert_eq!(pool.lowest_free_on_node(NodeId(0)), Some(0));
     }
 
     #[test]

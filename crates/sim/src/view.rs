@@ -115,11 +115,6 @@ impl<'a> ClusterView<'a> {
     pub fn runnable_jobs(&self) -> impl Iterator<Item = &JobView> {
         self.jobs.iter().filter(|j| j.runnable_tasks > 0)
     }
-
-    /// Containers currently occupied.
-    pub fn busy_containers(&self) -> u32 {
-        self.capacity - self.free_containers
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +165,6 @@ mod tests {
         assert_eq!(cv.job(JobId(2)).unwrap().id, JobId(2));
         assert!(cv.job(JobId(9)).is_none());
         assert_eq!(cv.total_runnable(), 10);
-        assert_eq!(cv.busy_containers(), 11);
     }
 
     #[test]

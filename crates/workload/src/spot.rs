@@ -32,12 +32,6 @@ pub struct SpotScenario {
 }
 
 impl SpotScenario {
-    /// An anonymous sweep point at `revocation_rate` with the default
-    /// half-reserved split and a 400-slot churn period.
-    pub fn with_rate(revocation_rate: f64) -> Self {
-        SpotScenario { name: "sweep", reserved_frac: 0.5, revocation_rate, period: 400 }
-    }
-
     /// Splits `capacity` into `(reserved, spot)` counts. The reserved core
     /// is rounded up and never empty, so revoking the whole spot tier can
     /// never revoke the whole cluster.
@@ -88,13 +82,6 @@ impl SpotScenario {
     pub fn sim_events(&self, capacity: u32, horizon: Slot) -> Vec<SimCapacityEvent> {
         self.cluster_model(capacity, horizon).sim_events()
     }
-
-    /// Mean effective capacity over a full churn cycle, as a fraction of
-    /// nominal: `1 − revocation_rate × spot/capacity`.
-    pub fn mean_capacity_frac(&self, capacity: u32) -> f64 {
-        let (_, spot) = self.split(capacity);
-        1.0 - self.revocation_rate * f64::from(spot) / f64::from(capacity)
-    }
 }
 
 /// The four named scenarios bench binaries sweep: a calm control, two
@@ -142,17 +129,16 @@ mod tests {
     }
 
     #[test]
-    fn calm_scenario_has_no_events_and_full_mean_capacity() {
+    fn calm_scenario_has_no_events() {
         let calm = spot_scenarios()[0];
         assert!(calm.sim_events(48, 10_000).is_empty());
-        assert_eq!(calm.mean_capacity_frac(48), 1.0);
     }
 
     #[test]
     fn churn_scales_with_rate() {
-        let light = SpotScenario::with_rate(0.2);
-        let heavy = SpotScenario::with_rate(0.6);
-        assert!(heavy.mean_capacity_frac(48) < light.mean_capacity_frac(48));
+        let light =
+            SpotScenario { name: "light", reserved_frac: 0.5, revocation_rate: 0.2, period: 400 };
+        let heavy = SpotScenario { revocation_rate: 0.6, ..light };
         // Same cycle count, longer outages.
         let ev_l = light.sim_events(48, 4_000);
         let ev_h = heavy.sim_events(48, 4_000);
@@ -196,6 +182,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "revocation_rate")]
     fn full_revocation_rate_is_rejected() {
-        SpotScenario::with_rate(1.0).cluster_model(48, 100);
+        let s =
+            SpotScenario { name: "full", reserved_frac: 0.5, revocation_rate: 1.0, period: 400 };
+        s.cluster_model(48, 100);
     }
 }
