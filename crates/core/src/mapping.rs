@@ -305,19 +305,21 @@ fn check_mapping_contract(jobs: &[MapJob], placements: &[Placement], capacity: u
             jobs[i].tasks
         );
     }
-    check_theorem3(jobs, placements.iter().map(|p| p.completion), capacity);
+    check_theorem3(jobs, placements.iter().map(|p| p.completion).enumerate(), capacity);
 }
 
 /// Theorem 3: when the strict jobs' targets satisfy the Theorem 2
 /// prefix-capacity condition, every strict job completes within one task
 /// runtime of its target. (Lax jobs are packed after every strict job and
-/// cannot affect strict completions.) `completions` parallels `jobs`.
-fn check_theorem3(jobs: &[MapJob], completions: impl Iterator<Item = u64>, capacity: u32) {
+/// cannot affect strict completions.) `completions` names the jobs it
+/// covers: `(index into jobs, completion)`.
+fn check_theorem3(jobs: &[MapJob], completions: impl Iterator<Item = (usize, u64)>, capacity: u32) {
     let strict: Vec<MapJob> = jobs.iter().copied().filter(|j| !j.lax).collect();
     if !capacity_condition_holds(&strict, capacity) {
         return;
     }
-    for (i, (job, completion)) in jobs.iter().zip(completions).enumerate() {
+    for (i, completion) in completions {
+        let job = &jobs[i];
         debug_assert!(
             job.lax || completion <= job.target + job.task_len,
             "Theorem 3 contract: job {i} completion {completion} > T + R = {}",
@@ -326,17 +328,14 @@ fn check_theorem3(jobs: &[MapJob], completions: impl Iterator<Item = u64>, capac
     }
 }
 
-/// Telemetry of a [`map_profile`] pass. The run-length mapper repacks every
-/// job on every pass (a full pass over a few hundred runs beats replaying a
-/// cached per-container prefix), so `delta` is always `false` and
-/// `reused_prefix` 0; the fields stay because phase telemetry reads them.
+/// Telemetry of the most recent call that advanced a map
+/// ([`OccupationProfile::map_through`]).
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MapStats {
-    /// Whether any cached prefix was eligible for reuse.
-    pub delta: bool,
-    /// Pack-order positions whose cached placements were reused verbatim.
+    /// Pack positions an earlier call had already mapped for the same
+    /// plan, and this one resumed after.
     pub reused_prefix: usize,
-    /// Pack-order positions packed by the pass.
+    /// Pack positions this call mapped.
     pub repacked: usize,
 }
 
@@ -375,8 +374,9 @@ struct Lift {
     run: Run,
 }
 
-/// Queue state and scratch of [`map_profile`], recycled across passes so a
-/// steady-state map allocates nothing.
+/// Queue state and scratch of one map, recycled across passes so a
+/// steady-state map allocates nothing, and the cursor that lets a map stop
+/// at any pack position and resume there.
 ///
 /// Algorithm 4 only ever reads a queue's occupation, and both of its moves
 /// treat equally-occupied neighbours alike, so the `C` queues are kept as
@@ -390,9 +390,24 @@ struct Lift {
 /// after the last strict one, only ever water-fill: they share one sort of
 /// the runs into `levels` (least occupied last, ties to the lower queue
 /// last), where the runs a fill raises are the tail.
+///
+/// A map places jobs one pack position at a time and never revisits one, so
+/// what it has placed so far is final: [`OccupationProfile::start`] sets a
+/// map up, [`OccupationProfile::map_through`] advances it to a pack
+/// position, and a later call continues from there on the same queues.
 #[derive(Default, Debug, Clone)]
 pub struct OccupationProfile {
+    jobs: Vec<MapJob>,
+    capacity: u32,
     order: Vec<usize>,
+    /// Pack position of each job: the inverse of `order`.
+    position: Vec<usize>,
+    /// Pack positions placed so far.
+    mapped: usize,
+    /// Pack positions of strict jobs: `order[..strict]`.
+    strict: usize,
+    /// `Σ occupation·len` over `runs`, while strict jobs are placed.
+    volume: u128,
     runs: Vec<Run>,
     lows: BlockLows,
     levels: Vec<Run>,
@@ -401,10 +416,11 @@ pub struct OccupationProfile {
     tied: Vec<(usize, u64)>,
     cuts: Vec<usize>,
     summaries: Vec<MapSummary>,
+    stats: MapStats,
 }
 
 impl OccupationProfile {
-    /// Runs the most recent pass ended with.
+    /// Runs the profile holds now.
     pub fn runs(&self) -> usize {
         if self.levels.is_empty() {
             self.runs.len()
@@ -412,13 +428,184 @@ impl OccupationProfile {
             self.levels.len()
         }
     }
+
+    /// Sets up a map of `jobs` on `capacity` queues, all empty, with
+    /// nothing placed yet: the pack order is fixed here.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] exactly when [`map_continuous`] errs.
+    pub fn start(&mut self, jobs: &[MapJob], capacity: u32) -> Result<(), CoreError> {
+        validate(jobs, capacity)?;
+        self.jobs.clear();
+        self.jobs.extend_from_slice(jobs);
+        self.capacity = capacity;
+        pack_order(jobs, &mut self.order);
+        self.position.clear();
+        self.position.resize(jobs.len(), 0);
+        for (at, &i) in self.order.iter().enumerate() {
+            self.position[i] = at;
+        }
+        self.strict = self.order.partition_point(|&i| !jobs[i].lax);
+        self.mapped = 0;
+        self.volume = 0;
+        self.runs.clear();
+        self.runs.push(Run { occupation: 0, first: 0, len: capacity });
+        self.lows.known = 0;
+        self.levels.clear();
+        self.summaries.clear();
+        self.summaries.resize(jobs.len(), MapSummary::default());
+        self.stats = MapStats::default();
+        Ok(())
+    }
+
+    /// The jobs of the map [`Self::start`] set up, in input order.
+    pub fn jobs(&self) -> &[MapJob] {
+        &self.jobs
+    }
+
+    /// Jobs of the map [`Self::start`] set up.
+    pub fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Whether the map has no job.
+    pub fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Pack position of job `job` (an index into the started map's jobs).
+    pub fn position(&self, job: usize) -> Option<usize> {
+        self.position.get(job).copied()
+    }
+
+    /// Pack positions placed so far: every job whose position is below it
+    /// has its final [`MapSummary`].
+    pub fn mapped(&self) -> usize {
+        self.mapped
+    }
+
+    /// Job `job`'s summary, once its pack position is placed.
+    pub fn summary(&self, job: usize) -> Option<MapSummary> {
+        self.position(job).filter(|&at| at < self.mapped).map(|_| self.summaries[job])
+    }
+
+    /// Every job's summary, in input order, once the whole map is placed.
+    pub fn summaries(&self) -> Option<&[MapSummary]> {
+        (self.mapped == self.jobs.len()).then_some(&self.summaries[..])
+    }
+
+    /// What the most recent [`Self::map_through`] placed.
+    pub fn last_stats(&self) -> MapStats {
+        self.stats
+    }
+
+    /// Places every pack position below `end` (clamped to the job count)
+    /// that is not placed yet, in pack order, and leaves the rest for a
+    /// later call: Algorithm 4 evaluated per run of equally-occupied
+    /// queues. A strict job costs O(runs); a lax job costs the runs its
+    /// water-fill raises, plus those it moves past.
+    pub fn map_through(&mut self, end: usize) {
+        let end = end.min(self.jobs.len());
+        self.stats = MapStats { reused_prefix: self.mapped, repacked: end.saturating_sub(self.mapped) };
+        if end <= self.mapped {
+            return;
+        }
+        let Self {
+            jobs, capacity, order, mapped, strict, volume, runs, lows, levels, lifted, spare, tied, cuts, summaries, ..
+        } = self;
+        let capacity = *capacity;
+        let strict_end = end.min(*strict);
+        for &i in &order[(*mapped).min(strict_end)..strict_end] {
+            let job = &jobs[i];
+            let l = job.task_len;
+            #[cfg(debug_assertions)]
+            let before = footprint(runs);
+            let spill = strict_fill(runs, lows, job, &mut summaries[i]);
+            *volume += (job.tasks - spill) as u128 * l as u128;
+            if spill > 0 {
+                let bracket = spill_bracket(runs, capacity, *volume, l, spill);
+                let upto = |w| {
+                    let at_or_below = move |&(_, r): &(usize, &Run)| r.occupation <= w;
+                    runs.iter().enumerate().filter(at_or_below).map(|(k, &r)| (k, r))
+                };
+                let split = water_fill_runs(upto, bracket, l, spill, lifted, tied, &mut summaries[i]);
+                for x in lifted.iter() {
+                    runs[x.at as usize] = x.run;
+                    lows.known = lows.known.min(x.at as usize / BLOCK);
+                }
+                // The split's winners are the run's lowest queues: they go first.
+                if let Some(x) = split {
+                    runs.insert(x.at as usize, x.run);
+                }
+                *volume += spill as u128 * l as u128;
+            }
+            #[cfg(debug_assertions)]
+            check_placed(i, job, footprint(runs) - before);
+        }
+        if end > *strict && *mapped <= *strict {
+            // The first lax position: the strict jobs' queues, sorted once.
+            levels.extend_from_slice(runs);
+            levels.sort_unstable_by_key(|r| std::cmp::Reverse(r.key()));
+        }
+        for &i in &order[(*mapped).max(*strict).min(end)..end] {
+            let job = &jobs[i];
+            #[cfg(debug_assertions)]
+            let before = footprint(levels);
+            if job.tasks > 0 {
+                let bracket = lax_bracket(levels, job.task_len, job.tasks);
+                let upto = |w| {
+                    let at_or_below = move |&(_, r): &(usize, &Run)| r.occupation <= w;
+                    levels.iter().enumerate().rev().take_while(at_or_below).map(|(k, &r)| (k, r))
+                };
+                let split = water_fill_runs(upto, bracket, job.task_len, job.tasks, lifted, tied, &mut summaries[i]);
+                // The runs raised are the tail of `levels`: take it off, and
+                // merge them back in where they now belong.
+                levels.truncate(lifted.iter().map(|x| x.at as usize).min().unwrap_or(levels.len()));
+                lifted.reverse();
+                if let Some(x) = split {
+                    // The split's winners: the tie winner with the highest
+                    // queue, so the highest key raised.
+                    lifted.insert(0, x);
+                }
+                sort_descending(lifted, spare, cuts);
+                merge_back(levels, lifted);
+            }
+            #[cfg(debug_assertions)]
+            check_placed(i, job, footprint(levels) - before);
+        }
+        *mapped = end;
+        self.check_profile_contract();
+    }
+
+    /// The profile's structure, and Theorem 3 for every job placed so far.
+    /// Debug builds only.
+    fn check_profile_contract(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let (runs, levels, capacity) = (&self.runs, &self.levels, self.capacity);
+        let profile = if levels.is_empty() { &runs[..] } else { &levels[..] };
+        let queues: u64 = profile.iter().map(|r| r.len as u64).sum();
+        debug_assert_eq!(queues, capacity as u64, "profile contract: runs must cover the fleet");
+        debug_assert!(profile.len() <= 1 + 2 * self.mapped, "profile contract: {} runs", profile.len());
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].first + w[0].len == w[1].first)
+                && levels.windows(2).all(|w| w[0].key() > w[1].key()),
+            "profile contract: runs out of order"
+        );
+        let desired: u64 = self.summaries.iter().map(|s| s.desired_now as u64).sum();
+        debug_assert!(desired <= capacity as u64, "profile contract: Σ desired_now = {desired}");
+        let placed = self.order[..self.mapped].iter().map(|&i| (i, self.summaries[i].completion));
+        check_theorem3(&self.jobs, placed, capacity);
+    }
 }
 
-/// Algorithm 4 evaluated per run of equally-occupied queues, emitting only
-/// each job's [`MapSummary`] (borrowed from `profile`, in input order):
-/// equal to `(active_at(0), completion)` of [`map_continuous`]'s placements
-/// in every case. A strict job costs O(runs); a lax job costs the runs its
-/// water-fill raises, plus those it moves past.
+/// Algorithm 4 in one call: [`OccupationProfile::start`], then
+/// [`OccupationProfile::map_through`] every pack position. Emits each job's
+/// [`MapSummary`] (borrowed from `profile`, in input order), equal to
+/// `(active_at(0), completion)` of [`map_continuous`]'s placements in every
+/// case.
 ///
 /// # Errors
 ///
@@ -428,90 +615,9 @@ pub fn map_profile<'a>(
     capacity: u32,
     profile: &'a mut OccupationProfile,
 ) -> Result<&'a [MapSummary], CoreError> {
-    validate(jobs, capacity)?;
-    let OccupationProfile { order, runs, lows, levels, lifted, spare, tied, cuts, summaries } = profile;
-    pack_order(jobs, order);
-    runs.clear();
-    runs.push(Run { occupation: 0, first: 0, len: capacity });
-    lows.known = 0;
-    levels.clear();
-    summaries.clear();
-    summaries.resize(jobs.len(), MapSummary::default());
-    // `Σ occupation·len` over the runs.
-    let mut volume = 0u128;
-    let strict = order.partition_point(|&i| !jobs[i].lax);
-    for &i in &order[..strict] {
-        let job = &jobs[i];
-        let l = job.task_len;
-        #[cfg(debug_assertions)]
-        let before = footprint(runs);
-        let spill = strict_fill(runs, lows, job, &mut summaries[i]);
-        volume += (job.tasks - spill) as u128 * l as u128;
-        if spill > 0 {
-            let bracket = spill_bracket(runs, capacity, volume, l, spill);
-            let upto = |w| {
-                let at_or_below = move |&(_, r): &(usize, &Run)| r.occupation <= w;
-                runs.iter().enumerate().filter(at_or_below).map(|(k, &r)| (k, r))
-            };
-            let split = water_fill_runs(upto, bracket, l, spill, lifted, tied, &mut summaries[i]);
-            for x in lifted.iter() {
-                runs[x.at as usize] = x.run;
-                lows.known = lows.known.min(x.at as usize / BLOCK);
-            }
-            // The split's winners are the run's lowest queues: they go first.
-            if let Some(x) = split {
-                runs.insert(x.at as usize, x.run);
-            }
-            volume += spill as u128 * l as u128;
-        }
-        #[cfg(debug_assertions)]
-        check_placed(i, job, footprint(runs) - before);
-    }
-    if strict < order.len() {
-        levels.extend_from_slice(runs);
-        levels.sort_unstable_by_key(|r| std::cmp::Reverse(r.key()));
-    }
-    for &i in &order[strict..] {
-        let job = &jobs[i];
-        #[cfg(debug_assertions)]
-        let before = footprint(levels);
-        if job.tasks > 0 {
-            let bracket = lax_bracket(levels, job.task_len, job.tasks);
-            let upto = |w| {
-                let at_or_below = move |&(_, r): &(usize, &Run)| r.occupation <= w;
-                levels.iter().enumerate().rev().take_while(at_or_below).map(|(k, &r)| (k, r))
-            };
-            let split = water_fill_runs(upto, bracket, job.task_len, job.tasks, lifted, tied, &mut summaries[i]);
-            // The runs raised are the tail of `levels`: take it off, and
-            // merge them back in where they now belong.
-            levels.truncate(lifted.iter().map(|x| x.at as usize).min().unwrap_or(levels.len()));
-            lifted.reverse();
-            if let Some(x) = split {
-                // The split's winners: the tie winner with the highest
-                // queue, so the highest key raised.
-                lifted.insert(0, x);
-            }
-            sort_descending(lifted, spare, cuts);
-            merge_back(levels, lifted);
-        }
-        #[cfg(debug_assertions)]
-        check_placed(i, job, footprint(levels) - before);
-    }
-    if cfg!(debug_assertions) {
-        let profile = if levels.is_empty() { &runs[..] } else { &levels[..] };
-        let queues: u64 = profile.iter().map(|r| r.len as u64).sum();
-        debug_assert_eq!(queues, capacity as u64, "profile contract: runs must cover the fleet");
-        debug_assert!(profile.len() <= 1 + 2 * jobs.len(), "profile contract: {} runs", profile.len());
-        debug_assert!(
-            runs.windows(2).all(|w| w[0].first + w[0].len == w[1].first)
-                && levels.windows(2).all(|w| w[0].key() > w[1].key()),
-            "profile contract: runs out of order"
-        );
-        let desired: u64 = summaries.iter().map(|s| s.desired_now as u64).sum();
-        debug_assert!(desired <= capacity as u64, "profile contract: Σ desired_now = {desired}");
-        check_theorem3(jobs, summaries.iter().map(|s| s.completion), capacity);
-    }
-    Ok(summaries)
+    profile.start(jobs, capacity)?;
+    profile.map_through(jobs.len());
+    Ok(&profile.summaries)
 }
 
 /// Container·slots reserved across the profile.

@@ -1065,6 +1065,15 @@ pub struct PeelState {
     index: CommittedIndex,
     /// The deferred phase's buffers, between passes.
     overlay: Overlay,
+    /// The recorded pass's deferred jobs, `(job, level)`, until
+    /// [`PeelState::place_deferred`] places them.
+    deferred: Vec<(usize, f64)>,
+    /// The recorded pass's reservations, `(deadline, demand)`: its peeled
+    /// jobs', then its placed deferred jobs'.
+    committed: Vec<(f64, u64)>,
+    /// Whether the recorded pass could not honour every target (see
+    /// [`PeelPass::overloaded`]).
+    overloaded: bool,
 }
 
 impl PeelState {
@@ -1086,6 +1095,51 @@ impl PeelState {
     /// The demand of each job of the recorded pass.
     pub(crate) fn demands(&self) -> &[u64] {
         &self.demands
+    }
+
+    /// The recorded pass's deferred jobs, `(job, level)`, that
+    /// [`Self::place_deferred`] has not placed yet.
+    pub(crate) fn deferred(&self) -> &[(usize, f64)] {
+        &self.deferred
+    }
+
+    /// The deferred phase of the recorded pass: places its deferred (zero-gain
+    /// or time-insensitive) jobs at the earliest completion that leaves every
+    /// reservation intact — they run in the leftover capacity at full
+    /// parallelism instead of being parked at the horizon — and returns their
+    /// lax [`Target`]s, in placement order. Hopeless-but-time-sensitive jobs
+    /// (level ~0) go before genuinely flat ones — any residual utility tail
+    /// still prefers earlier completion — and smaller demands go first within
+    /// each group.
+    ///
+    /// It reads only what the pass wrote back: the demands, the index of the
+    /// peeled jobs' reservations, the capacity and the horizon. No later
+    /// pass reads what it produces (a replay recomputes the phase), so it
+    /// may run any time before the next pass, or never. A second call
+    /// places nothing.
+    pub(crate) fn place_deferred(&mut self) -> Vec<Target> {
+        let mut deferred = std::mem::take(&mut self.deferred);
+        let demands = &self.demands;
+        deferred.sort_by(|a, b| {
+            let flat_a = a.1 > ZERO_LEVEL;
+            let flat_b = b.1 > ZERO_LEVEL;
+            (flat_a, demands[a.0], a.0).cmp(&(flat_b, demands[b.0], b.0))
+        });
+        self.overlay.clear();
+        let mut targets = Vec::with_capacity(deferred.len());
+        for &(i, level) in &deferred {
+            let demand = self.demands[i];
+            let asap = asap_deadline(demand, &self.index, &mut self.overlay, self.capacity);
+            if asap > self.horizon {
+                self.overloaded = true;
+            }
+            let deadline = asap.min(self.horizon);
+            targets.push(Target { job: i, level, deadline, lax: true });
+            self.committed.push((deadline, demand));
+            self.overlay.placed.insert(deadline, demand);
+        }
+        debug_check_theorem2(&self.committed, self.capacity, self.overloaded);
+        targets
     }
 
     /// Checks `edit` against the recorded pass and inverts it: for each
@@ -1177,6 +1231,23 @@ const REPLAY_GUARD: f64 = 1e-6;
 ///
 /// [`CoreError::InvalidConfig`] under the same conditions as [`peel`].
 pub fn peel_incremental(
+    jobs: &[OnionJob<'_>],
+    capacity: u32,
+    tolerance: f64,
+    horizon: f64,
+    edit: JobEdit<'_, '_>,
+    state: &mut PeelState,
+) -> Result<Vec<Target>, CoreError> {
+    let mut targets = peel_layers(jobs, capacity, tolerance, horizon, edit, state)?;
+    targets.extend(state.place_deferred());
+    Ok(targets)
+}
+
+/// The layers of [`peel_incremental`]: every peeled job's [`Target`], in
+/// peel order, with the pass written back into `state`. The deferred jobs
+/// are left for [`PeelState::place_deferred`], which reads only what the
+/// write-back kept; until then [`PeelState::deferred`] lists them.
+pub(crate) fn peel_layers(
     jobs: &[OnionJob<'_>],
     capacity: u32,
     tolerance: f64,
@@ -1624,8 +1695,6 @@ struct PeelPass<'j, 'u> {
     pending_removed: Vec<usize>,
     index: CommittedIndex,
     indexed: usize,
-    /// The deferred phase's reservations, over `index`.
-    overlay: Overlay,
     /// The trace of *this* pass, written layer by layer.
     out: PeelTrace,
     stats: ReplayStats,
@@ -1680,7 +1749,6 @@ impl<'j, 'u> PeelPass<'j, 'u> {
             pending_removed: Vec::new(),
             index,
             indexed: 0,
-            overlay: std::mem::take(&mut state.overlay),
             out,
             stats: ReplayStats {
                 delta: now_at.is_some(),
@@ -1710,11 +1778,11 @@ impl<'j, 'u> PeelPass<'j, 'u> {
         (level_hi + self.tolerance).max(self.level_lo + self.tolerance)
     }
 
-    /// Brings the sweep state up to the closed layers, before a probe or the
-    /// deferred phase reads it. The pass's first catch-up fills the scratch
-    /// with the live jobs; later ones tombstone the jobs removed since, O(1)
-    /// each, which keeps the scratch's deadline memo — a dense run of probes
-    /// at one level costs one utility inversion in total. The new
+    /// Brings the sweep state up to the closed layers, before a probe reads
+    /// it. The pass's first catch-up fills the scratch with the live jobs;
+    /// later ones tombstone the jobs removed since, O(1) each, which keeps
+    /// the scratch's deadline memo — a dense run of probes at one level
+    /// costs one utility inversion in total. The new
     /// reservations go into the index one by one, or past 32 in one rebuild:
     /// either way ties stay in commit order.
     fn catch_up(&mut self) {
@@ -1727,6 +1795,11 @@ impl<'j, 'u> PeelPass<'j, 'u> {
             self.scratch_live = true;
         }
         self.pending_removed.clear();
+        self.index_committed();
+    }
+
+    /// Brings the index up to the closed layers' reservations.
+    fn index_committed(&mut self) {
         if self.committed.len() - self.indexed > 32 {
             self.index.rebuild(&self.committed);
         } else {
@@ -2120,37 +2193,9 @@ impl<'j, 'u> PeelPass<'j, 'u> {
         }
     }
 
-    /// Places the deferred (zero-gain or time-insensitive) jobs: earliest
-    /// completion that leaves every committed reservation intact — they run
-    /// in the leftover capacity at full parallelism instead of being parked
-    /// at the horizon. Hopeless-but-time-sensitive jobs (level ~0) go before
-    /// genuinely flat ones — any residual utility tail still prefers earlier
-    /// completion — and smaller demands go first within each group.
-    fn finish_deferred(&mut self) {
-        let jobs = self.jobs;
-        self.deferred.sort_by(|a, b| {
-            let flat_a = a.1 > ZERO_LEVEL;
-            let flat_b = b.1 > ZERO_LEVEL;
-            (flat_a, jobs[a.0].demand, a.0).cmp(&(flat_b, jobs[b.0].demand, b.0))
-        });
-        self.catch_up();
-        self.overlay.clear();
-        let (capacity, horizon) = (self.drift.capacity, self.drift.horizon);
-        for &(i, level) in &self.deferred {
-            let asap = asap_deadline(jobs[i].demand, &self.index, &mut self.overlay, capacity);
-            if asap > horizon {
-                self.overloaded = true;
-            }
-            let deadline = asap.min(horizon);
-            self.targets.push(Target { job: i, level, deadline, lax: true });
-            self.committed.push((deadline, jobs[i].demand));
-            self.overlay.placed.insert(deadline, jobs[i].demand);
-        }
-    }
-
     /// Replays what `state` recorded, runs the real loop from the layer the
-    /// replay stopped at, places the deferred jobs, and hands the trace and
-    /// the buffers of this pass back to `state`.
+    /// replay stopped at, and hands the trace, the buffers of this pass and
+    /// what its deferred phase will read back to `state`.
     fn run(mut self, now_at: Option<&[usize]>, state: &mut PeelState) -> Vec<Target> {
         let rec = std::mem::take(&mut state.trace);
         let floor = self.level_lo;
@@ -2168,13 +2213,13 @@ impl<'j, 'u> PeelPass<'j, 'u> {
             self.run_layers();
         }
         self.stats.resumed_at = resume_at.filter(|_| self.stats.delta);
-        self.finish_deferred();
+        // The deferred phase reads every peeled job's reservation.
+        self.index_committed();
         debug_check_theorem2(&self.committed, self.drift.capacity, self.overloaded);
         state.trace = self.out;
         state.spare = rec;
         state.scratch = self.scratch;
         state.index = self.index;
-        state.overlay = self.overlay;
         state.sups = self.sups;
         state.sigmoids = self.sigmoids;
         state.floor = floor;
@@ -2185,6 +2230,9 @@ impl<'j, 'u> PeelPass<'j, 'u> {
         state.horizon = self.drift.horizon;
         state.valid = true;
         state.stats = self.stats;
+        state.deferred = self.deferred;
+        state.committed = self.committed;
+        state.overloaded = self.overloaded;
         self.targets
     }
 }

@@ -4,7 +4,10 @@
 //! There is exactly one pipeline body. [`compute_plan_incremental`] runs it
 //! on a caller-held [`PlanState`] (warm: the expensive stages are memoized
 //! across scheduling events); [`compute_plan`] runs the same body on a cold
-//! `PlanState::new()` and is therefore a pure function of its inputs.
+//! `PlanState::new()` and is therefore a pure function of its inputs. The
+//! body is a sequence of stages a [`PlanState`] runs one by one, and a
+//! reader that needs one job's entry runs only the stages that entry reads
+//! ([`PlanState::entry`]).
 //!
 //! A pass chains estimate → WCDE → onion peel → continuous
 //! mapping and reports, per job, the robust demand `η`, the target
@@ -29,14 +32,15 @@
 //! warm pass therefore produces plans bit-identical to a cold one.
 
 use crate::config::{Estimator, EstimatorKind};
-use crate::mapping::{map_profile, MapJob, MapStats, MapSummary, OccupationProfile};
-use crate::onion::{peel_incremental, JobEdit, OnionJob, PeelState, ReplayStats, Shifted};
+use crate::mapping::{MapJob, MapStats, MapSummary, OccupationProfile};
+use crate::onion::{peel_layers, JobEdit, OnionJob, PeelState, ReplayStats, Shifted};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
 use rush_estimator::DistributionEstimator;
 use rush_utility::{TimeUtility, Utility};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Scheduler-visible state of one job, fed into the pipeline.
 ///
@@ -226,16 +230,32 @@ const HI_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// A sample sequence's 128-bit hash, as two 64-bit halves.
 type SampleHash = (u64, u64);
 
+/// Independent lanes per stream of [`sample_hash`].
+const LANES: usize = 4;
+
 /// Two independently seeded 64-bit FNV streams over a sample sequence,
-/// its length included.
+/// its length included. Each stream runs [`LANES`] chains, word `k` feeding
+/// chain `k mod LANES`, and folds them with the length at the end: one
+/// chain waits out every multiply before the next word, four keep the
+/// multiplier busy.
 fn sample_hash(samples: &[u64]) -> SampleHash {
-    let mut lo = Fnv::new(0).u64(samples.len() as u64);
-    let mut hi = Fnv::new(HI_SEED).u64(samples.len() as u64);
-    for &s in samples {
-        lo = lo.u64(s);
-        hi = hi.u64(s.rotate_left(17));
+    let mut lo: [Fnv; LANES] = std::array::from_fn(|k| Fnv::new(k as u64));
+    let mut hi: [Fnv; LANES] = std::array::from_fn(|k| Fnv::new(HI_SEED ^ k as u64));
+    let mut chunks = samples.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for k in 0..LANES {
+            lo[k] = lo[k].u64(chunk[k]);
+            hi[k] = hi[k].u64(chunk[k].rotate_left(17));
+        }
     }
-    (lo.0, hi.0)
+    for (k, &s) in chunks.remainder().iter().enumerate() {
+        lo[k] = lo[k].u64(s);
+        hi[k] = hi[k].u64(s.rotate_left(17));
+    }
+    let fold = |lanes: [Fnv; LANES], seed: u64| {
+        lanes.iter().fold(Fnv::new(seed).u64(samples.len() as u64), |h, lane| h.u64(lane.0)).0
+    };
+    (fold(lo, 0), fold(hi, HI_SEED))
 }
 
 /// 128-bit fingerprint of one job's estimator-visible state: each half of
@@ -397,27 +417,30 @@ pub fn compute_plan(
     compute_plan_incremental(config, capacity, jobs, &mut PlanState::new())
 }
 
-/// Wall-clock phase breakdown and delta telemetry for the most recent
-/// pass through a [`PlanState`]. Times are nanoseconds.
+/// Wall-clock phase breakdown and delta telemetry of the current pass
+/// through a [`PlanState`]: the stages the calls since [`PlanState::solve`]
+/// ran, summed. Times are nanoseconds.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct PlanPhaseStats {
     /// Estimate + WCDE stage (including memo-table lookups).
     pub solve_ns: u64,
-    /// Onion peel (delta replay or full re-peel).
+    /// Onion peel: its layers (delta replay or full re-peel) and, once it
+    /// ran, its deferred phase.
     pub peel_ns: u64,
-    /// Continuous time-slot mapping.
+    /// Continuous time-slot mapping, as far as it ran.
     pub map_ns: u64,
     /// Target/placement bookkeeping and entry assembly.
     pub assemble_ns: u64,
-    /// How the peel executed (replayed / resumed / re-recorded).
+    /// How the most recent peel executed (replayed / resumed / re-recorded).
     pub peel_replay: ReplayStats,
-    /// How the mapping executed (always a full run-length pass).
+    /// What the most recent call that read the map placed: the pack
+    /// positions it mapped, and those an earlier read had already mapped.
     pub map_delta: MapStats,
 }
 
 /// In debug builds, every this-many passes through one state the plan is
-/// recomputed on a cold state and compared — the delta structures must
-/// never drift from a from-scratch pass.
+/// completed, recomputed on a cold state and compared — the delta structures
+/// must never drift from a from-scratch pass.
 const SPOT_CHECK_INTERVAL: u64 = 64;
 
 /// Cross-pass state for [`compute_plan_incremental`]: the per-job memo
@@ -425,18 +448,46 @@ const SPOT_CHECK_INTERVAL: u64 = 64;
 /// the mapper's recycled scratch buffers. A state that has seen no pass
 /// (or was just [invalidated](Self::invalidate)) is *cold*: the next pass
 /// computes everything and is a pure function of its inputs.
+///
+/// It also holds the current pass, which runs in stages, each when a reader
+/// first needs it: [`Self::solve`] fixes every job's `(η, R)`, and
+/// [`Self::entry`] runs the peel's layers, the deferred phase (for a lax job
+/// only) and the map as far as one job's pack position. [`Self::finish`]
+/// runs whatever is left. Every stage computes exactly what a complete pass
+/// computes, so an entry is the same whichever reads came before it.
 #[derive(Debug, Clone)]
 pub struct PlanState {
     cache: PlanCache,
     peel: PeelState,
     map: OccupationProfile,
-    /// Utility/age context of the previous pass: what [`align_jobs`]
-    /// matches this pass's jobs against (bitwise for ages, after the tick)
-    /// to tell the peel replay which jobs stayed, left and arrived.
+    /// Utility/age context of the last pass that peeled: what
+    /// [`align_jobs`] matches a pass's jobs against (bitwise for ages, after
+    /// the tick) to tell the peel replay which jobs stayed, left and arrived.
     last_utilities: Vec<TimeUtility>,
     last_ages: Vec<u64>,
     passes: u64,
     stats: PlanPhaseStats,
+    pass: Pass,
+}
+
+/// The current pass: what its solve stage fixed, copied out of the borrowed
+/// inputs, and how far the later stages have run.
+#[derive(Debug, Clone, Default)]
+struct Pass {
+    capacity: u32,
+    tolerance: f64,
+    horizon: f64,
+    utilities: Vec<TimeUtility>,
+    ages: Vec<f64>,
+    remaining: Vec<u64>,
+    solves: Vec<JobSolve>,
+    /// Per job, once the layers ran: its target (a lax job's once the
+    /// deferred phase placed it), its level, and whether it is lax.
+    targets: Vec<f64>,
+    levels: Vec<f64>,
+    lax: Vec<bool>,
+    layered: bool,
+    placed: bool,
 }
 
 impl Default for PlanState {
@@ -456,6 +507,7 @@ impl PlanState {
             last_ages: Vec::new(),
             passes: 0,
             stats: PlanPhaseStats::default(),
+            pass: Pass::default(),
         }
     }
 
@@ -472,7 +524,7 @@ impl PlanState {
         &self.cache
     }
 
-    /// Phase breakdown of the most recent pass.
+    /// Phase breakdown of the current pass.
     pub fn last_stats(&self) -> PlanPhaseStats {
         self.stats
     }
@@ -481,13 +533,284 @@ impl PlanState {
     pub fn passes(&self) -> u64 {
         self.passes
     }
+
+    /// The solve stage: starts a pass over `jobs` and fixes every job's
+    /// robust demand `η` and task runtime `R` (steps 1–2), memoized through
+    /// the [`PlanCache`]. Nothing later runs until a reader needs it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`compute_plan`]. A failed solve leaves the state as it was,
+    /// the previous pass included.
+    pub fn solve(
+        &mut self,
+        config: &RushConfig,
+        capacity: u32,
+        jobs: &[PlanInput<'_>],
+    ) -> Result<(), CoreError> {
+        config.validate()?;
+        if capacity == 0 {
+            return Err(CoreError::InvalidConfig { reason: "capacity must be > 0" });
+        }
+        if jobs.is_empty() {
+            // A drained cluster retains no per-job state.
+            self.invalidate();
+            self.pass.set_jobs(config, capacity, jobs, Vec::new());
+            (self.pass.layered, self.pass.placed) = (true, true);
+            return self.map.start(&[], capacity);
+        }
+        let t0 = Instant::now();
+        let solves = solve_jobs(config, jobs, &config.estimator(), &mut self.cache)?;
+        self.pass.set_jobs(config, capacity, jobs, solves);
+        self.passes += 1;
+        self.stats = PlanPhaseStats {
+            solve_ns: elapsed_ns(t0),
+            peel_replay: self.peel.last_stats(),
+            ..PlanPhaseStats::default()
+        };
+        if cfg!(debug_assertions) && self.passes.is_multiple_of(SPOT_CHECK_INTERVAL) {
+            self.spot_check(config, jobs)?;
+        }
+        Ok(())
+    }
+
+    /// The current pass's `(η, R)` per job, in input order.
+    pub fn solves(&self) -> &[JobSolve] {
+        &self.pass.solves
+    }
+
+    /// Job `job`'s entry in the current pass (an index into the jobs the
+    /// last [`Self::solve`] saw; `None` past them). Runs only the stages it
+    /// reads: the peel's layers, the deferred phase if the job is lax, and
+    /// the map up to the job's pack position — a later read resumes there.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`compute_plan`]; the stages that ran are kept, and a later
+    /// call retries the rest.
+    pub fn entry(&mut self, job: usize) -> Result<Option<PlanEntry>, CoreError> {
+        if job >= self.pass.solves.len() {
+            return Ok(None);
+        }
+        self.layers()?;
+        if self.pass.lax[job] {
+            self.place_deferred();
+        }
+        let at = self.map.position(job).unwrap_or(usize::MAX);
+        self.map_through(at.saturating_add(1));
+        let t0 = Instant::now();
+        let entry = self.map.summary(job).map(|s| self.pass.entry(job, s));
+        self.stats.assemble_ns += elapsed_ns(t0);
+        Ok(entry)
+    }
+
+    /// Runs what is left of the current pass and returns its plan.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::entry`].
+    pub fn finish(&mut self) -> Result<Plan, CoreError> {
+        self.layers()?;
+        self.place_deferred();
+        self.map_through(self.map.len());
+        let t0 = Instant::now();
+        let summaries = self.map.summaries().unwrap_or(&[]);
+        let entries = summaries.iter().enumerate().map(|(i, &s)| self.pass.entry(i, s)).collect();
+        self.stats.assemble_ns += elapsed_ns(t0);
+        Ok(Plan { entries })
+    }
+
+    /// The peel's layers (step 3 up to its deferred phase), then the map's
+    /// inputs: every strict job's target and level are fixed here, and so is
+    /// the pack order. The pass is written back into the peel state, and its
+    /// jobs become what the next pass aligns with.
+    fn layers(&mut self) -> Result<(), CoreError> {
+        if self.pass.layered {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let Self { peel, last_utilities, last_ages, pass, .. } = self;
+        let n = pass.solves.len();
+        // What the peel replay may assume is exactly what this walk found: a
+        // job mapped to a recorded one has its utility and its age moved by
+        // the tick, so only its demand can differ beyond the tick; everything
+        // else arrived or departed.
+        let (mut prev, mut gone, tick) =
+            align_jobs(last_utilities, last_ages, &pass.utilities, &pass.ages);
+        // A demand crossing zero changes how every probe sees the job (a job
+        // without demand never blocks a level): replay it as a departure and
+        // an arrival.
+        let recorded = peel.demands();
+        for (was, s) in prev.iter_mut().zip(&pass.solves) {
+            let crossed = |&i: &usize| recorded.get(i).is_some_and(|&d| (d == 0) != (s.eta == 0));
+            if let Some(i) = was.filter(crossed) {
+                gone.push(i);
+                *was = None;
+            }
+        }
+        gone.sort_unstable();
+        let targets = {
+            let gone: Vec<Shifted<'_>> = gone
+                .iter()
+                .map(|&i| Shifted::new(&last_utilities[i], f64::from_bits(last_ages[i])))
+                .collect();
+            let departed: Vec<&dyn Utility> = gone.iter().map(|u| u as &dyn Utility).collect();
+            let shifted: Vec<Shifted<'_>> =
+                pass.utilities.iter().zip(&pass.ages).map(|(u, &age)| Shifted::new(u, age)).collect();
+            let onion_jobs: Vec<OnionJob<'_>> = shifted
+                .iter()
+                .zip(&pass.solves)
+                .map(|(u, s)| OnionJob { demand: s.eta, utility: u })
+                .collect();
+            let edit = JobEdit { prev: &prev, departed: &departed, tick };
+            peel_layers(&onion_jobs, pass.capacity, pass.tolerance, pass.horizon, edit, peel)?
+        };
+        if tick != 0.0 || !is_identity(&prev, last_utilities.len()) {
+            last_utilities.clone_from(&pass.utilities);
+            last_ages.clear();
+            last_ages.extend(pass.ages.iter().map(|a| a.to_bits()));
+        }
+        let t1 = Instant::now();
+        pass.targets.clear();
+        pass.targets.resize(n, 0.0);
+        pass.levels.clear();
+        pass.levels.resize(n, 0.0);
+        pass.lax.clear();
+        pass.lax.resize(n, false);
+        for t in &targets {
+            pass.targets[t.job] = t.deadline;
+            pass.levels[t.job] = t.level;
+        }
+        for &(job, level) in peel.deferred() {
+            pass.levels[job] = level;
+            pass.lax[job] = true;
+        }
+        let map_jobs = pass.map_jobs();
+        self.map.start(&map_jobs, pass.capacity)?;
+        pass.layered = true;
+        self.stats.peel_ns += (t1 - t0).as_nanos() as u64;
+        self.stats.map_ns += elapsed_ns(t1);
+        self.stats.peel_replay = peel.last_stats();
+        Ok(())
+    }
+
+    /// The peel's deferred phase: the lax jobs' targets. Only a lax job's
+    /// entry reads them; the map never does.
+    fn place_deferred(&mut self) {
+        if self.pass.placed {
+            return;
+        }
+        let t0 = Instant::now();
+        for t in self.peel.place_deferred() {
+            self.pass.targets[t.job] = t.deadline;
+        }
+        self.pass.placed = true;
+        self.stats.peel_ns += elapsed_ns(t0);
+    }
+
+    /// The map (step 4) through pack position `end` (exclusive).
+    fn map_through(&mut self, end: usize) {
+        let t0 = Instant::now();
+        self.map.map_through(end);
+        self.stats.map_ns += elapsed_ns(t0);
+        self.stats.map_delta = self.map.last_stats();
+    }
+
+    /// Completes the pass, recomputes it on a cold state and compares.
+    fn spot_check(&mut self, config: &RushConfig, jobs: &[PlanInput<'_>]) -> Result<(), CoreError> {
+        let plan = self.finish()?;
+        // A cold state's pass count is 1, so this does not recurse.
+        let scratch = compute_plan(config, self.pass.capacity, jobs)?;
+        debug_assert_eq!(
+            plan, scratch,
+            "delta-plan contract: warm pass {} diverged from a cold CA pass",
+            self.passes
+        );
+        // Both passes share the run-length mapper: hold it to the oracle too.
+        let oracle = crate::mapping::map_continuous(self.map.jobs(), self.pass.capacity)?;
+        debug_assert!(
+            plan.entries.iter().zip(&oracle).all(|(e, p)| {
+                (e.desired_now, e.planned_completion) == (p.active_at(0), p.completion)
+            }),
+            "mapping contract: run-length summary diverged from map_continuous"
+        );
+        Ok(())
+    }
+}
+
+impl Pass {
+    /// Starts the pass over `jobs`, whose solves are `solves`.
+    fn set_jobs(&mut self, config: &RushConfig, capacity: u32, jobs: &[PlanInput<'_>], solves: Vec<JobSolve>) {
+        (self.capacity, self.tolerance, self.horizon) = (capacity, config.tolerance, config.horizon);
+        self.utilities.clear();
+        self.utilities.extend(jobs.iter().map(|j| j.utility));
+        self.ages.clear();
+        self.ages.extend(jobs.iter().map(|j| j.age));
+        self.remaining.clear();
+        self.remaining.extend(jobs.iter().map(|j| j.remaining_tasks as u64));
+        self.solves = solves;
+        self.targets.clear();
+        self.levels.clear();
+        self.lax.clear();
+        (self.layered, self.placed) = (false, false);
+    }
+
+    /// The mapping inputs (step 4 preamble), in input order. A lax job's
+    /// does not read its target: the deferred phase need not have run.
+    fn map_jobs(&self) -> Vec<MapJob> {
+        self.solves
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                // Spread the robust demand over the real remaining tasks:
+                // each task occupies a container for its robust runtime η/n
+                // (≥ R), so the plan provisions exactly η container·slots
+                // with the true task count.
+                let n = self.remaining[i];
+                let r = if n > 0 { s.eta.div_ceil(n).max(s.task_len) } else { s.task_len };
+                if self.lax[i] {
+                    // A lax job's packing ignores its target — the field is
+                    // only the pack-order hint among lax jobs. Key on the
+                    // job's own demand (mirroring the deferred phase's
+                    // smallest-demand-first commit order) rather than its
+                    // ASAP deadline: the deadline shifts for *every* deferred
+                    // job whenever any demand changes, which would reshuffle
+                    // who gets the leftover containers on every event.
+                    MapJob { tasks: n, task_len: r, target: n.saturating_mul(r), lax: true }
+                } else {
+                    // Subtract `R` from the deadline, compensating the
+                    // Theorem 3 `T + R` slack (paper Sec. III-C).
+                    let shaved = (self.targets[i] - r as f64).max(1.0);
+                    MapJob { tasks: n, task_len: r, target: shaved as u64, lax: false }
+                }
+            })
+            .collect()
+    }
+
+    /// Step 5 for one job, whose map summary is `s`.
+    fn entry(&self, i: usize, s: MapSummary) -> PlanEntry {
+        PlanEntry {
+            eta: self.solves[i].eta,
+            task_len: self.solves[i].task_len,
+            target: self.targets[i],
+            level: self.levels[i],
+            desired_now: s.desired_now,
+            planned_completion: s.completion,
+            impossible: self.levels[i] <= 1e-9,
+        }
+    }
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
 }
 
 /// Runs one CA pass with the expensive stages memoized across events: the
 /// per-job estimate + WCDE stage through [`PlanCache`] and the onion peel
 /// through delta replay ([`crate::onion::peel_incremental`]). The continuous
 /// mapping is a full run-length pass ([`crate::mapping::map_profile`]) on
-/// buffers recycled in the state.
+/// buffers recycled in the state. It is [`PlanState::solve`], then
+/// [`PlanState::finish`].
 ///
 /// This is the planner-facing steady-state entry: feeding consecutive
 /// scheduling events through one [`PlanState`] turns the O(n² log n) peel
@@ -507,116 +830,19 @@ pub fn compute_plan_incremental(
     jobs: &[PlanInput<'_>],
     state: &mut PlanState,
 ) -> Result<Plan, CoreError> {
-    use std::time::Instant;
-
-    config.validate()?;
-    if capacity == 0 {
-        return Err(CoreError::InvalidConfig { reason: "capacity must be > 0" });
-    }
-    if jobs.is_empty() {
-        // A drained cluster retains no per-job state.
-        state.invalidate();
-        return Ok(Plan::default());
-    }
-
-    let t0 = Instant::now();
-    let solves = solve_jobs(config, jobs, &config.estimator(), &mut state.cache)?;
-    let t1 = Instant::now();
-    let etas: Vec<u64> = solves.iter().map(|s| s.eta).collect();
-    let task_lens: Vec<u64> = solves.iter().map(|s| s.task_len).collect();
-
-    // What the peel replay may assume is exactly what this walk found: a
-    // job mapped to a recorded one has its utility and its age moved by the
-    // tick, so only its demand can differ beyond the tick; everything else
-    // arrived or departed.
-    let (mut prev, mut gone, tick) = align_jobs(&state.last_utilities, &state.last_ages, jobs);
-    // A demand crossing zero changes how every probe sees the job (a job
-    // without demand never blocks a level): replay it as a departure and an
-    // arrival.
-    let recorded = state.peel.demands();
-    for (was, &eta) in prev.iter_mut().zip(&etas) {
-        let crossed = |&i: &usize| recorded.get(i).is_some_and(|&d| (d == 0) != (eta == 0));
-        if let Some(i) = was.filter(crossed) {
-            gone.push(i);
-            *was = None;
-        }
-    }
-    gone.sort_unstable();
-    let gone: Vec<Shifted<'_>> = gone
-        .iter()
-        .map(|&i| Shifted::new(&state.last_utilities[i], f64::from_bits(state.last_ages[i])))
-        .collect();
-    let departed: Vec<&dyn Utility> = gone.iter().map(|u| u as &dyn Utility).collect();
-
-    let shifted: Vec<Shifted<'_>> =
-        jobs.iter().map(|j| Shifted::new(&j.utility, j.age)).collect();
-    let onion_jobs: Vec<OnionJob<'_>> = shifted
-        .iter()
-        .zip(&etas)
-        .map(|(u, &eta)| OnionJob { demand: eta, utility: u })
-        .collect();
-    let targets = peel_incremental(
-        &onion_jobs,
-        capacity,
-        config.tolerance,
-        config.horizon,
-        JobEdit { prev: &prev, departed: &departed, tick },
-        &mut state.peel,
-    )?;
-    let t2 = Instant::now();
-
-    let (map_jobs, target_of, level_of) = build_map_jobs(jobs, &etas, &task_lens, &targets);
-    let summaries = map_profile(&map_jobs, capacity, &mut state.map)?;
-    let t3 = Instant::now();
-
-    let plan = assemble(&etas, &task_lens, &target_of, &level_of, summaries);
-    if tick != 0.0 || !is_identity(&prev, state.last_utilities.len()) {
-        state.last_utilities.clear();
-        state.last_utilities.extend(jobs.iter().map(|j| j.utility));
-        state.last_ages.clear();
-        state.last_ages.extend(jobs.iter().map(|j| j.age.to_bits()));
-    }
-    state.passes += 1;
-    let t4 = Instant::now();
-
-    if cfg!(debug_assertions) && state.passes.is_multiple_of(SPOT_CHECK_INTERVAL) {
-        // A cold state's pass count is 1, so this does not recurse.
-        let scratch = compute_plan(config, capacity, jobs)?;
-        debug_assert_eq!(
-            plan, scratch,
-            "delta-plan contract: warm pass {} diverged from a cold CA pass",
-            state.passes
-        );
-        // Both passes share the run-length mapper: hold it to the oracle too.
-        let oracle = crate::mapping::map_continuous(&map_jobs, capacity)?;
-        debug_assert!(
-            plan.entries.iter().zip(&oracle).all(|(e, p)| {
-                (e.desired_now, e.planned_completion) == (p.active_at(0), p.completion)
-            }),
-            "mapping contract: run-length summary diverged from map_continuous"
-        );
-    }
-
-    state.stats = PlanPhaseStats {
-        solve_ns: (t1 - t0).as_nanos() as u64,
-        peel_ns: (t2 - t1).as_nanos() as u64,
-        map_ns: (t3 - t2).as_nanos() as u64,
-        assemble_ns: (t4 - t3).as_nanos() as u64,
-        peel_replay: state.peel.last_stats(),
-        map_delta: MapStats { delta: false, reused_prefix: 0, repacked: jobs.len() },
-    };
-    Ok(plan)
+    state.solve(config, capacity, jobs)?;
+    state.finish()
 }
 
-/// Aligns this pass's jobs with the recorded pass's `(utility, age bits)`
-/// list in one order-preserving walk, on job identity: a job continues a
-/// recorded job with its utility whose age, moved by the pass-wide `tick`,
-/// is its own bit for bit. The tick is the age shift the first such pair
-/// implies (0 when nothing matches) — both adapters age every job by the
-/// same whole slots, so one shift fits every survivor, and a wrong one only
-/// loses matches. Returns, per job, the recorded index it continues
-/// (`None`: it arrived), the recorded indices no job continues (they
-/// departed), ascending, and the tick.
+/// Aligns a pass's jobs, `(utility, age)` per job, with the recorded pass's
+/// `(utility, age bits)` list in one order-preserving walk, on job identity:
+/// a job continues a recorded job with its utility whose age, moved by the
+/// pass-wide `tick`, is its own bit for bit. The tick is the age shift the
+/// first such pair implies (0 when nothing matches) — both adapters age
+/// every job by the same whole slots, so one shift fits every survivor, and
+/// a wrong one only loses matches. Returns, per job, the recorded index it
+/// continues (`None`: it arrived), the recorded indices no job continues
+/// (they departed), ascending, and the tick.
 ///
 /// The walk never looks back: a job that does not match the recorded job
 /// under the cursor skips recorded jobs until one matches, so departures
@@ -628,24 +854,23 @@ pub fn compute_plan_incremental(
 fn align_jobs(
     utilities: &[TimeUtility],
     ages: &[u64],
-    jobs: &[PlanInput<'_>],
+    job_utilities: &[TimeUtility],
+    job_ages: &[f64],
 ) -> (Vec<Option<usize>>, Vec<usize>, f64) {
     let mut departed = Vec::new();
     let mut cursor = 0usize;
     let mut tick = None;
-    let prev = jobs
+    let prev = job_utilities
         .iter()
-        .map(|job| {
+        .zip(job_ages)
+        .map(|(utility, &age)| {
             let from = cursor;
             while cursor < utilities.len() {
                 let i = cursor;
                 cursor += 1;
                 let was = f64::from_bits(ages[i]);
-                let shift = tick.unwrap_or(job.age - was);
-                if shift >= 0.0
-                    && (was + shift).to_bits() == job.age.to_bits()
-                    && job.utility == utilities[i]
-                {
+                let shift = tick.unwrap_or(age - was);
+                if shift >= 0.0 && (was + shift).to_bits() == age.to_bits() && *utility == utilities[i] {
                     tick = Some(shift);
                     departed.extend(from..i);
                     return Some(i);
@@ -663,76 +888,6 @@ fn align_jobs(
 /// one-to-one in place (nothing arrived, nothing departed).
 fn is_identity(prev: &[Option<usize>], recorded: usize) -> bool {
     prev.len() == recorded && prev.iter().enumerate().all(|(j, &was)| was == Some(j))
-}
-
-/// Builds the mapping inputs from peel targets (step 4 preamble). Returns
-/// `(map_jobs, target_of, level_of)` in input order.
-fn build_map_jobs(
-    jobs: &[PlanInput<'_>],
-    etas: &[u64],
-    task_lens: &[u64],
-    targets: &[crate::onion::Target],
-) -> (Vec<MapJob>, Vec<f64>, Vec<f64>) {
-    let mut target_of = vec![0.0f64; jobs.len()];
-    let mut level_of = vec![0.0f64; jobs.len()];
-    let mut lax_of = vec![false; jobs.len()];
-    for t in targets {
-        target_of[t.job] = t.deadline;
-        level_of[t.job] = t.level;
-        lax_of[t.job] = t.lax;
-    }
-    let map_jobs: Vec<MapJob> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, job)| {
-            // Spread the robust demand over the real remaining tasks: each
-            // task occupies a container for its robust runtime η/n (≥ R),
-            // so the plan provisions exactly η container·slots with the
-            // true task count.
-            let n = job.remaining_tasks as u64;
-            let r = if n > 0 { etas[i].div_ceil(n).max(task_lens[i]) } else { task_lens[i] };
-            // Subtract `R` from the deadline, compensating the Theorem 3
-            // `T + R` slack (paper Sec. III-C).
-            let shaved = (target_of[i] - r as f64).max(1.0);
-            if lax_of[i] {
-                // A lax job's packing ignores its target — the field is
-                // only the pack-order hint among lax jobs. Key on the
-                // job's own demand (mirroring the deferred phase's
-                // smallest-demand-first commit order) rather than its
-                // ASAP deadline: the deadline shifts for *every* deferred
-                // job whenever any demand changes, which would reshuffle
-                // who gets the leftover containers on every event.
-                MapJob { tasks: n, task_len: r, target: n.saturating_mul(r), lax: true }
-            } else {
-                MapJob { tasks: n, task_len: r, target: shaved as u64, lax: false }
-            }
-        })
-        .collect();
-    (map_jobs, target_of, level_of)
-}
-
-/// Step 5: entry assembly.
-fn assemble(
-    etas: &[u64],
-    task_lens: &[u64],
-    target_of: &[f64],
-    level_of: &[f64],
-    summaries: &[MapSummary],
-) -> Plan {
-    let entries = summaries
-        .iter()
-        .enumerate()
-        .map(|(i, s)| PlanEntry {
-            eta: etas[i],
-            task_len: task_lens[i],
-            target: target_of[i],
-            level: level_of[i],
-            desired_now: s.desired_now,
-            planned_completion: s.completion,
-            impossible: level_of[i] <= 1e-9,
-        })
-        .collect();
-    Plan { entries }
 }
 
 /// Renders a plan as the monitoring table the paper's enhanced HTTP
@@ -1103,7 +1258,9 @@ mod tests {
     ) -> (Vec<Option<usize>>, Vec<usize>, f64) {
         let utilities: Vec<TimeUtility> = recorded.iter().map(|j| j.utility).collect();
         let ages: Vec<u64> = recorded.iter().map(|j| j.age.to_bits()).collect();
-        let (prev, departed, tick) = align_jobs(&utilities, &ages, jobs);
+        let (job_utilities, job_ages): (Vec<TimeUtility>, Vec<f64>) =
+            jobs.iter().map(|j| (j.utility, j.age)).unzip();
+        let (prev, departed, tick) = align_jobs(&utilities, &ages, &job_utilities, &job_ages);
         // Whatever the walk decides, it must be sound: mapped pairs are
         // equal up to the one tick, the map ascends, and every recorded job
         // is accounted for.

@@ -13,17 +13,20 @@
 //!    same-label first, cluster-wide second ([`PlannerCore::pool_sample`]);
 //! 3. the incremental **[`PlanCache`]** memo for the per-job
 //!    estimate+WCDE stage;
-//! 4. the current **[`Plan`]**, its job ids and the slot it was computed
-//!    at.
+//! 4. the current **pass** — its job ids and the slot it was started at —
+//!    and the most recent complete **[`Plan`]**.
 //!
 //! All mutation goes through the named methods; all planning goes through
 //! [`PlannerCore::plan_at`] (registry mode) or [`PlannerCore::plan_roster`]
-//! (roster mode). Both modes share the invalidation rule: a plan is fresh
-//! exactly when nothing changed since it was computed *and* the logical
-//! clock still reads the same slot.
+//! (roster mode), which complete a pass, or through the registry-mode
+//! reads that run only the stages they need: [`PlannerCore::solve_at`]
+//! (every job's η) and [`PlannerCore::entry_at`] (one job's entry). All
+//! share the invalidation rule: a pass is fresh exactly when nothing changed
+//! since it started *and* the logical clock still reads the same slot, and
+//! a read of a fresh pass continues it instead of starting another.
 
 use crate::PlannerError;
-use rush_core::plan::{compute_plan_incremental, Plan, PlanCache, PlanEntry, PlanInput, PlanPhaseStats, PlanState};
+use rush_core::plan::{JobSolve, Plan, PlanCache, PlanEntry, PlanInput, PlanPhaseStats, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
 use rush_estimator::DistributionEstimator;
@@ -151,15 +154,20 @@ pub struct PlannerCore {
     global_pool: Vec<u64>,
     /// Cross-event planning state: the per-job estimate + WCDE memo
     /// table plus the peel trace and mapping pack the delta replan
-    /// patches instead of recomputing (see `rush_core::plan::PlanState`).
+    /// patches instead of recomputing, and the current pass's stages (see
+    /// `rush_core::plan::PlanState`).
     state: PlanState,
-    /// The most recent plan.
+    /// Job ids of the current pass, in its input order.
+    pass_ids: Vec<JobId>,
+    /// Whether `plan` is the current pass, completed.
+    installed: bool,
+    /// The most recent complete plan.
     plan: Plan,
     /// Job ids of `plan.entries`, parallel.
     plan_ids: Vec<JobId>,
-    /// Slot the current plan was computed at.
+    /// Slot the current pass was started at.
     plan_slot: Option<u64>,
-    /// Set by every state-changing call; cleared by a successful replan.
+    /// Set by every state-changing call; cleared by a successful solve.
     dirty: bool,
 }
 
@@ -189,6 +197,8 @@ impl PlannerCore {
             label_pool: BTreeMap::new(),
             global_pool: Vec::new(),
             state: PlanState::new(),
+            pass_ids: Vec::new(),
+            installed: false,
             plan: Plan::default(),
             plan_ids: Vec::new(),
             plan_slot: None,
@@ -277,7 +287,10 @@ impl PlannerCore {
         self.jobs.values().filter(|j| j.parked).count()
     }
 
-    /// The most recent plan.
+    /// The most recent complete plan: the one [`PlannerCore::plan_at`] or
+    /// [`PlannerCore::plan_roster`] last finished. The reads that run part
+    /// of a pass ([`PlannerCore::solve_at`], [`PlannerCore::entry_at`])
+    /// never change it, so it holds only whole entries.
     pub fn plan(&self) -> &Plan {
         &self.plan
     }
@@ -287,18 +300,25 @@ impl PlannerCore {
         &self.plan_ids
     }
 
-    /// Slot the current plan was computed at (`None` before any plan).
+    /// Slot the current pass was started at (`None` before any pass).
     pub fn plan_slot(&self) -> Option<u64> {
         self.plan_slot
     }
 
-    /// Iterates the current plan as `(job, entry)` pairs, in planning
-    /// order: [`PlannerCore::plan_ids`] zipped with the plan's entries.
+    /// Iterates the most recent complete plan as `(job, entry)` pairs, in
+    /// planning order: [`PlannerCore::plan_ids`] zipped with the plan's
+    /// entries.
     pub fn planned(&self) -> impl Iterator<Item = (JobId, &PlanEntry)> {
         self.plan_ids.iter().copied().zip(&self.plan.entries)
     }
 
-    /// The plan entry of one job, if it is in the current plan.
+    /// The current pass's jobs with their `(η, R)`, in planning order, as
+    /// far as [`PlannerCore::solve_at`] (or any read after it) has run it.
+    pub fn solved(&self) -> impl Iterator<Item = (JobId, &JobSolve)> {
+        self.pass_ids.iter().copied().zip(self.state.solves())
+    }
+
+    /// The plan entry of one job, if it is in the most recent complete plan.
     pub fn entry(&self, id: JobId) -> Option<&PlanEntry> {
         let idx = self.plan_ids.iter().position(|p| *p == id)?;
         self.plan.entries.get(idx)
@@ -319,13 +339,15 @@ impl PlannerCore {
         self.state.cache()
     }
 
-    /// Phase breakdown and delta telemetry of the most recent replan.
+    /// Phase breakdown and delta telemetry of the current pass, summed over
+    /// the calls that ran its stages.
     pub fn plan_stats(&self) -> PlanPhaseStats {
         self.state.last_stats()
     }
 
-    /// Whether the current plan is fresh for `now_slot`: nothing changed
-    /// since it was computed and the clock still reads the same slot.
+    /// Whether the current pass is fresh for `now_slot`: nothing changed
+    /// since it started and the clock still reads the same slot. A read of a
+    /// fresh pass continues it; a stale one starts another.
     pub fn is_fresh(&self, now_slot: u64) -> bool {
         !self.dirty && self.plan_slot == Some(now_slot)
     }
@@ -454,7 +476,8 @@ impl PlannerCore {
     // ------------------------------------------------------------------
 
     /// Replans from the kernel's own registry (non-parked jobs, ascending
-    /// id order) unless the current plan [is fresh](Self::is_fresh). A job
+    /// id order) unless the current pass [is fresh](Self::is_fresh), and
+    /// completes the pass: [`PlannerCore::plan`] is then its plan. A job
     /// is sized from its own samples, else its runtime hint, else the
     /// configured prior — exactly as admission sized it ([`estimate_eta`]),
     /// and never from the pools, so a plan depends only on the records and
@@ -465,6 +488,19 @@ impl PlannerCore {
     /// [`PlannerError::Core`] when the pipeline fails; the previous plan
     /// and staleness are left untouched so the next call retries.
     pub fn plan_at(&mut self, now_slot: u64) -> Result<(), PlannerError> {
+        self.solve_at(now_slot)?;
+        self.install()
+    }
+
+    /// The solve stage of a registry-mode pass: unless the current pass [is
+    /// fresh](Self::is_fresh), starts one and fixes every planned job's
+    /// `(η, R)` ([`PlannerCore::solved`]), as [`PlannerCore::plan_at`]
+    /// would, and nothing more.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PlannerCore::plan_at`].
+    pub fn solve_at(&mut self, now_slot: u64) -> Result<(), PlannerError> {
         if self.is_fresh(now_slot) {
             return Ok(());
         }
@@ -490,9 +526,27 @@ impl PlannerCore {
                 utility: j.submission.utility,
             })
             .collect();
-        let plan = compute_plan_incremental(config, *capacity, &inputs, state)?;
-        self.install_plan(now_slot, ids, plan);
+        state.solve(config, *capacity, &inputs)?;
+        self.start_pass(now_slot, ids);
         Ok(())
+    }
+
+    /// One planned job's entry in the registry-mode pass at `now_slot`
+    /// (`None` when the job is not planned): continues the current pass if
+    /// it [is fresh](Self::is_fresh), else starts one, and runs only the
+    /// stages the entry reads — the peel's layers, the deferred phase if the
+    /// job is lax, and the map up to the job's pack position. The entry is
+    /// the one [`PlannerCore::plan_at`] would produce.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PlannerCore::plan_at`].
+    pub fn entry_at(&mut self, now_slot: u64, id: JobId) -> Result<Option<PlanEntry>, PlannerError> {
+        self.solve_at(now_slot)?;
+        let Some(i) = self.pass_ids.iter().position(|&p| p == id) else {
+            return Ok(None);
+        };
+        Ok(self.state.entry(i)?)
     }
 
     /// Replans from the simulator's view at `view.now` unless the current
@@ -511,7 +565,7 @@ impl PlannerCore {
     /// [`PlannerCore::install_empty_plan`].
     pub fn plan_roster(&mut self, view: &ClusterView<'_>) -> Result<(), PlannerError> {
         if self.is_fresh(view.now) {
-            return Ok(());
+            return self.install();
         }
         let Self { config, capacity, label_pool, global_pool, state, .. } = &mut *self;
         let inputs: Vec<PlanInput<'_>> = view
@@ -531,25 +585,39 @@ impl PlannerCore {
                 utility: j.utility,
             })
             .collect();
-        let plan = compute_plan_incremental(config, *capacity, &inputs, state)?;
+        state.solve(config, *capacity, &inputs)?;
         let ids: Vec<JobId> = view.jobs.iter().map(|j| JobId::from(j.id)).collect();
-        self.install_plan(view.now, ids, plan);
-        Ok(())
+        self.start_pass(view.now, ids);
+        self.install()
     }
 
     /// Installs an *empty* plan for `now_slot` — the fallback when a plan
     /// pass fails on pathological inputs and the caller must stay live
     /// (the simulator adapter's stall guards keep the cluster moving).
     pub fn install_empty_plan(&mut self, now_slot: u64) {
-        self.install_plan(now_slot, Vec::new(), Plan::default());
+        self.start_pass(now_slot, Vec::new());
+        self.plan = Plan::default();
+        self.plan_ids.clear();
+        self.installed = true;
     }
 
-    fn install_plan(&mut self, now_slot: u64, ids: Vec<JobId>, plan: Plan) {
-        self.plan = plan;
-        self.plan_ids = ids;
+    /// Makes the pass the planning state just solved, over `ids`, current.
+    fn start_pass(&mut self, now_slot: u64, ids: Vec<JobId>) {
+        self.pass_ids = ids;
         self.plan_slot = Some(now_slot);
         self.dirty = false;
+        self.installed = false;
+    }
+
+    /// Completes the current pass, if it is not yet, and makes it the plan.
+    fn install(&mut self) -> Result<(), PlannerError> {
+        if !self.installed {
+            self.plan = self.state.finish()?;
+            self.plan_ids.clone_from(&self.pass_ids);
+            self.installed = true;
+        }
         self.check_plan_invariants();
+        Ok(())
     }
 
     /// Contract layer: structural invariants every installed plan obeys.
@@ -924,6 +992,41 @@ mod tests {
         k.plan_at(1).expect("plan");
         assert!(k.plan().entries.is_empty());
         assert!(k.plan_ids().is_empty());
+    }
+
+    /// The reads that run part of a pass answer what `plan_at` would, keep
+    /// the complete plan as it was until a pass completes, and a failed
+    /// solve leaves that plan readable and the pass stale for a retry.
+    #[test]
+    fn partial_reads_match_plan_at_and_keep_the_complete_plan() {
+        let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
+        let a = k.admit(job("a", 4, 0));
+        let b = k.admit(job("b", 6, 0));
+        k.plan_at(0).expect("plan");
+        let plan = k.plan().clone();
+        let c = k.admit(job("c", 5, 0));
+        k.solve_at(1).expect("solve");
+        assert!(k.is_fresh(1));
+        assert_eq!(k.solved().map(|(id, _)| id).collect::<Vec<_>>(), [a, b, c]);
+        assert_eq!(k.plan(), &plan, "a solve completes nothing");
+        let entry = k.entry_at(1, c).expect("entry").expect("planned");
+        assert_eq!(k.entry_at(1, JobId(9)).expect("entry"), None);
+        assert_eq!(k.plan(), &plan, "nor does one job's entry");
+        k.plan_at(1).expect("plan");
+        assert_eq!(k.entry(c), Some(&entry));
+        assert_eq!(k.solved().count(), 3);
+
+        let misses = k.cache_misses();
+        let mut huge = job("huge", 1, 1);
+        huge.submission.runtime_hint = Some(1e10);
+        huge.remaining_tasks = 10_000_000_000;
+        let h = k.admit(huge);
+        assert!(k.entry_at(2, a).is_err());
+        assert!(!k.is_fresh(2), "a failed solve leaves the pass stale");
+        assert_eq!(k.entry(c), Some(&entry), "the complete plan stays readable");
+        k.cancel(h);
+        assert!(k.entry_at(2, a).expect("retried").is_some());
+        assert!(k.cache_misses() > misses);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! at once, and batches grow only under load. Two bounds cap an epoch:
 //! `epoch_max_batch` pending submissions, and `epoch_ms`, the *maximum*
 //! wait of the oldest one, which fires only when the channel never
-//! drains. Closing runs one admission sweep for the whole batch; the
-//! replan its admissions need is paid by the next read or the next
-//! epoch's opening plan (the delta path patches the previous onion
-//! layering and mapping, so the unchanged residents are nearly free).
+//! drains. Closing runs one admission sweep for the whole batch, which
+//! reads only the planned jobs' η (the solve stage of a pass); the rest
+//! of the replan its admissions need is paid by the next read, and only
+//! as far as that read needs it (the delta path patches the previous
+//! onion layering, so the unchanged residents are nearly free).
 //! Every waiting client then receives its verdict, stamped with the
 //! microseconds it waited; the planner records that wait in a
 //! [`rush_metrics::Histogram`] that [`ServerHandle::join`] returns (`rushd`

@@ -25,12 +25,16 @@
 //! by count and by wall-clock age) and hands it to
 //! [`ServeState::submit_epoch`], which runs admission per candidate —
 //! each admitted job's reservation immediately counts against the next
-//! candidate in the same epoch — and leaves the replan to the next read:
-//! the kernel's plan goes stale once per epoch, so the WCDE/peel/mapping
-//! cost is amortized across the whole batch and is not paid at all when
-//! another write dirties the plan before anything reads it. Parked
-//! (deferred) jobs are re-probed at the start of every epoch, in
-//! submission order.
+//! candidate in the same epoch. Admission reads only the planned jobs'
+//! η, so an epoch runs only the solve stage of a pass
+//! ([`PlannerCore::solve_at`]); its admissions then mark the plan stale,
+//! and the peel and the map are left to the next read, which pays for
+//! one pass over the whole batch — or nothing, when another write
+//! dirties the plan before anything reads it. That read runs only what
+//! it returns: [`ServeState::predict`] and a one-job [`ServeState::rows`]
+//! map up to their job ([`PlannerCore::entry_at`]), the whole table
+//! completes the pass. Parked (deferred) jobs are re-probed at the start
+//! of every epoch, in submission order.
 
 use crate::admission::{
     admission_deadline, estimate_eta, probe, probe_due, reclaim_defer, remaining_deadline,
@@ -40,6 +44,7 @@ use crate::protocol::{
 };
 use crate::ServeError;
 use rush_core::cluster::ClusterModel;
+use rush_core::plan::PlanEntry;
 use rush_core::RushConfig;
 use rush_planner::{JobId, JobRecord, PlannerCore, PlannerError};
 
@@ -203,26 +208,28 @@ impl ServeState {
     }
 
     /// The `(remaining deadline, η)` reservations of the planned jobs, read
-    /// off the kernel's current plan (replan first).
+    /// off the kernel's current pass (solve it first).
     fn reservations(&self, now_slot: u64) -> Vec<(f64, u64)> {
         let config = self.planner.config();
         self.planner
-            .planned()
-            .filter_map(|(id, entry)| {
+            .solved()
+            .filter_map(|(id, solve)| {
                 let record = self.planner.job(id)?;
                 let age = now_slot.saturating_sub(record.arrived_slot) as f64;
-                Some((remaining_deadline(config, record.submission.budget, age), entry.eta))
+                Some((remaining_deadline(config, record.submission.budget, age), solve.eta))
             })
             .collect()
     }
 
     /// Closes one planning epoch: re-probes parked jobs, then admits /
     /// defers / rejects each new submission (in order, each admission's
-    /// reservation visible to the next candidate). It does not replan for
+    /// reservation visible to the next candidate). Admission reads only the
+    /// planned jobs' η, so the epoch opens with the solve stage of a pass
+    /// ([`PlannerCore::solve_at`]), not a whole one. It does not replan for
     /// its own admissions: they mark the plan stale, and the next
-    /// [`Self::rows`] / [`Self::predict`] or the next epoch's opening plan
-    /// pays for **one** pass over the whole batch. An epoch that admits
-    /// and unparks nothing leaves a fresh plan fresh.
+    /// [`Self::rows`] / [`Self::predict`] pays for **one** pass over the
+    /// whole batch. An epoch that admits and unparks nothing leaves a fresh
+    /// plan fresh.
     ///
     /// Returns one [`EpochVerdict`] per submission, in order; the job id
     /// is `None` exactly when the submission was rejected.
@@ -236,7 +243,7 @@ impl ServeState {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Planner`] when the opening plan (the current
+    /// [`ServeError::Planner`] when the opening solve (the current
     /// reservations admission probes against) fails; it runs before any
     /// state is mutated, so a failed epoch changes nothing. Per-candidate
     /// estimation failures downgrade that candidate to a rejection rather
@@ -246,7 +253,7 @@ impl ServeState {
         subs: Vec<JobSubmission>,
         now_slot: u64,
     ) -> Result<Vec<EpochVerdict>, ServeError> {
-        self.planner.plan_at(now_slot)?;
+        self.planner.solve_at(now_slot)?;
         let mut reservations = self.reservations(now_slot);
 
         // Re-probe parked jobs first: deferred work gets the room freed
@@ -379,7 +386,8 @@ impl ServeState {
     }
 
     /// The current plan table (replanning if stale), optionally filtered to
-    /// one job.
+    /// one job. The whole table completes the pass; one job's row runs only
+    /// the stages that row reads ([`PlannerCore::entry_at`]).
     ///
     /// # Errors
     ///
@@ -391,30 +399,31 @@ impl ServeState {
         now_slot: u64,
         filter: Option<u64>,
     ) -> Result<Vec<PlanRow>, WireError> {
-        if let Some(id) = filter {
-            self.check_planned(id)?;
-        }
-        self.planner.plan_at(now_slot).map_err(|e| internal(ServeError::from(e)))?;
-        Ok(self
-            .planner
-            .planned()
-            .filter(|(id, _)| filter.is_none() || filter == Some(id.0))
-            .filter_map(|(id, e)| {
-                let record = self.planner.job(id)?;
-                Some(PlanRow {
-                    job: id.0,
-                    label: record.submission.label.clone(),
-                    eta: e.eta,
-                    task_len: e.task_len,
-                    target: e.target,
-                    level: e.level,
-                    desired_now: e.desired_now,
-                    planned_completion: e.planned_completion,
-                    impossible: e.impossible,
-                    remaining_tasks: record.remaining_tasks,
-                })
+        let row = |planner: &PlannerCore, id: JobId, e: &PlanEntry| {
+            let record = planner.job(id)?;
+            Some(PlanRow {
+                job: id.0,
+                label: record.submission.label.clone(),
+                eta: e.eta,
+                task_len: e.task_len,
+                target: e.target,
+                level: e.level,
+                desired_now: e.desired_now,
+                planned_completion: e.planned_completion,
+                impossible: e.impossible,
+                remaining_tasks: record.remaining_tasks,
             })
-            .collect())
+        };
+        let Some(id) = filter else {
+            self.planner.plan_at(now_slot).map_err(|e| internal(ServeError::from(e)))?;
+            return Ok(self.planner.planned().filter_map(|(id, e)| row(&self.planner, id, e)).collect());
+        };
+        self.check_planned(id)?;
+        let entry = self
+            .planner
+            .entry_at(now_slot, JobId(id))
+            .map_err(|e| internal(ServeError::from(e)))?;
+        Ok(entry.and_then(|e| row(&self.planner, JobId(id), &e)).into_iter().collect())
     }
 
     /// The Theorem-3 robust completion prediction for one planned job:
@@ -429,8 +438,11 @@ impl ServeState {
         now_slot: u64,
     ) -> Result<(f64, u64, f64, u64, bool), WireError> {
         self.check_planned(job)?;
-        self.planner.plan_at(now_slot).map_err(|e| internal(ServeError::from(e)))?;
-        let e = self.planner.entry(JobId(job)).ok_or_else(|| unknown_job(job))?;
+        let e = self
+            .planner
+            .entry_at(now_slot, JobId(job))
+            .map_err(|e| internal(ServeError::from(e)))?
+            .ok_or_else(|| unknown_job(job))?;
         Ok((e.target, e.task_len, e.target + e.task_len as f64, e.planned_completion, e.impossible))
     }
 
