@@ -62,11 +62,13 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// Synthetic WordCount-like jobs with random configurations (paper Sec.
-/// V-C).
-fn synth_jobs(n: usize, seed: u64) -> Vec<PlanInput<'static>> {
+/// V-C), keyed `first_key..` and stamped with generation 0, as the planner
+/// kernel keys and stamps its jobs.
+fn synth_jobs(n: usize, seed: u64, first_key: u64) -> Vec<PlanInput<'static>> {
     let mut rng = seeded_rng(derive_seed(seed, n as u64));
-    (0..n)
-        .map(|_| {
+    (first_key..)
+        .take(n)
+        .map(|key| {
             let observed = rng.gen_range(5..40);
             let remaining = rng.gen_range(5..80);
             let mean: f64 = rng.gen_range(30.0..90.0);
@@ -75,9 +77,10 @@ fn synth_jobs(n: usize, seed: u64) -> Vec<PlanInput<'static>> {
                 .collect();
             let budget = rng.gen_range(200.0..4000.0);
             PlanInput {
+                key,
+                generation: Some(0),
                 samples: samples.into(),
                 remaining_tasks: remaining,
-                running: 0,
                 failed_attempts: 0,
                 age: rng.gen_range(0.0..200.0),
                 utility: TimeUtility::sigmoid(budget, rng.gen_range(1.0..5.0), 10.0 / budget)
@@ -134,10 +137,11 @@ fn baseline_pass(cfg: &RushConfig, capacity: u32, jobs: &[PlanInput<'_>]) {
 }
 
 /// One scheduling event: a task of job `k` completes. Exactly one job's
-/// estimator-visible state changes — the access pattern the plan cache is
-/// built for.
+/// estimator-visible state changes, and so does its generation — the
+/// access pattern the plan cache is built for.
 fn apply_event(jobs: &mut [PlanInput<'static>], k: usize, sample: u64) {
     let job = &mut jobs[k];
+    job.generation = job.generation.map(|g| g + 1);
     job.samples.to_mut().push(sample);
     if job.samples.len() > 120 {
         job.samples.to_mut().remove(0);
@@ -245,7 +249,7 @@ fn main() -> ExitCode {
     for &n in ns {
         // Baseline: the pre-optimization per-event cost — full recompute
         // with the reference peel (the paper's Fig. 5 measurement).
-        let jobs = synth_jobs(n, seed);
+        let jobs = synth_jobs(n, seed, 0);
         baseline_pass(&cfg, capacity, &jobs); // warm-up
         let baseline_ms = mean_ms(reps, || baseline_pass(&cfg, capacity, &jobs));
 
@@ -271,8 +275,9 @@ fn main() -> ExitCode {
         });
 
         // Churn: every event retires one resident job and admits a new one
-        // at the tail (the order ids are handed out in).
-        let spares = synth_jobs(events, derive_seed(seed, 0xC4));
+        // at the tail, keyed above every resident (the order ids are handed
+        // out in).
+        let spares = synth_jobs(events, derive_seed(seed, 0xC4), n as u64);
         let (churn_ms, churn_phase_ns) = warm_series(&cfg, capacity, &jobs, events, |jobs, e| {
             jobs.remove((e * 7919) % jobs.len());
             jobs.push(spares[e].clone());

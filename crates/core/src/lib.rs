@@ -38,9 +38,10 @@
 //! let cfg = RushConfig::default();
 //! let jobs = vec![
 //!     PlanInput {
+//!         key: 0,
+//!         generation: None,
 //!         samples: vec![50, 60, 70, 55, 65].into(),
 //!         remaining_tasks: 10,
-//!         running: 0,
 //!         failed_attempts: 0,
 //!         age: 0.0,
 //!         utility: TimeUtility::sigmoid(700.0, 5.0, 0.02)?,

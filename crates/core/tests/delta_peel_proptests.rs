@@ -41,16 +41,24 @@ fn job_strategy() -> impl Strategy<Value = RawJob> {
     )
 }
 
-fn build_input(raw: &RawJob) -> PlanInput<'static> {
+/// Job `key` of a stream: keys are handed out in arrival order, as the
+/// planner kernel hands out job ids.
+fn build_input(key: u64, raw: &RawJob) -> PlanInput<'static> {
     let (samples, remaining, failed, budget, weight, age) = raw;
     PlanInput {
+        key,
+        generation: None,
         samples: samples.clone().into(),
         remaining_tasks: *remaining,
-        running: 0,
         failed_attempts: *failed,
         age: *age,
         utility: TimeUtility::sigmoid(*budget, *weight, 10.0 / *budget).unwrap(),
     }
+}
+
+/// A stream's first jobs, keyed in order.
+fn build_fleet(raw: &[RawJob]) -> Vec<PlanInput<'static>> {
+    raw.iter().enumerate().map(|(k, raw)| build_input(k as u64, raw)).collect()
 }
 
 /// One scheduling event. Selectors are reduced modulo the current fleet
@@ -124,7 +132,7 @@ fn long_stream_crosses_spot_check_interval() {
     let cfg = RushConfig::default();
     let mut jobs: Vec<PlanInput<'static>> = (0..6)
         .map(|i| {
-            build_input(&(
+            build_input(i, &(
                 vec![40 + i * 11, 60 + i * 7],
                 8 + i as usize * 5,
                 0,
@@ -685,7 +693,8 @@ proptest! {
         capacity0 in 4u32..64,
     ) {
         let cfg = RushConfig::default();
-        let mut jobs: Vec<PlanInput<'static>> = raw.iter().map(build_input).collect();
+        let mut jobs = build_fleet(&raw);
+        let mut keys = jobs.len() as u64;
         let mut capacity = capacity0;
         let mut state = PlanState::new();
 
@@ -699,7 +708,10 @@ proptest! {
                     let k = sel % jobs.len();
                     jobs[k].samples.to_mut().push(*val);
                 }
-                Ev::Arrival(raw) => jobs.push(build_input(raw)),
+                Ev::Arrival(raw) => {
+                    jobs.push(build_input(keys, raw));
+                    keys += 1;
+                }
                 Ev::Cancel { sel } => {
                     if jobs.len() > 1 {
                         let k = sel % jobs.len();
@@ -746,7 +758,7 @@ proptest! {
             .with_spot_churn(1, 2, period.max(outage + 1), outage, spot, cycles);
         model.validate().unwrap();
 
-        let mut jobs: Vec<PlanInput<'static>> = raw.iter().map(build_input).collect();
+        let mut jobs = build_fleet(&raw);
         let mut state = PlanState::new();
         let full = compute_plan(&cfg, model.total_capacity(), &jobs).unwrap();
         let inc =
@@ -925,7 +937,8 @@ proptest! {
         capacity0 in 4u32..64,
     ) {
         let cfg = RushConfig::default();
-        let mut jobs: Vec<PlanInput<'static>> = raw.iter().map(build_input).collect();
+        let mut jobs = build_fleet(&raw);
+        let mut keys = jobs.len() as u64;
         for job in &mut jobs {
             job.age = job.age.floor();
         }
@@ -940,7 +953,10 @@ proptest! {
                     let k = sel % jobs.len();
                     jobs[k].samples.to_mut().push(*val);
                 }
-                Ev::Arrival(raw) => jobs.push(PlanInput { age: 0.0, ..build_input(raw) }),
+                Ev::Arrival(raw) => {
+                    jobs.push(PlanInput { age: 0.0, ..build_input(keys, raw) });
+                    keys += 1;
+                }
                 Ev::Cancel { sel } => {
                     if jobs.len() > 1 {
                         jobs.remove(sel % jobs.len());

@@ -26,10 +26,12 @@ fn job_strategy() -> impl Strategy<Value = RawJob> {
 
 fn build_inputs(raw: &[RawJob]) -> Vec<PlanInput<'static>> {
     raw.iter()
-        .map(|(samples, remaining, failed, budget, weight, age)| PlanInput {
+        .zip(0..)
+        .map(|((samples, remaining, failed, budget, weight, age), key)| PlanInput {
+            key,
+            generation: None,
             samples: samples.clone().into(),
             remaining_tasks: *remaining,
-            running: 0,
             failed_attempts: *failed,
             age: *age,
             utility: TimeUtility::sigmoid(*budget, *weight, 10.0 / *budget).unwrap(),
@@ -173,4 +175,31 @@ proptest! {
             prop_assert!((f - r).abs() <= bound, "layer level {} vs {}", f, r);
         }
     }
+}
+
+/// What a job's generation decides: a kept generation with kept counts is
+/// served from its entry, a new generation over the same samples still hits
+/// on the fingerprint, and new counts or new samples miss. Every pass still
+/// equals a cold one.
+#[test]
+fn generations_and_counts_decide_what_is_solved() {
+    let cfg = RushConfig::default();
+    let raw: Vec<RawJob> = (0..6u64)
+        .map(|i| (vec![40 + i * 7; 4 + i as usize], 5 + i as usize, 0, 300.0 + 90.0 * i as f64, 2.0, 0.0))
+        .collect();
+    let mut jobs: Vec<PlanInput<'_>> =
+        build_inputs(&raw).into_iter().map(|j| PlanInput { generation: Some(0), ..j }).collect();
+    let mut state = PlanState::new();
+    let mut pass = |jobs: &[PlanInput<'_>]| {
+        let warm = compute_plan_incremental(&cfg, 16, jobs, &mut state).unwrap();
+        assert_eq!(warm, compute_plan(&cfg, 16, jobs).unwrap());
+        (state.cache().misses(), state.cache().hits())
+    };
+    assert_eq!(pass(&jobs), (6, 0));
+    jobs[0].generation = Some(1);
+    jobs[1].remaining_tasks += 1;
+    jobs[2].failed_attempts += 1;
+    jobs[3].samples.to_mut().push(70);
+    jobs[3].generation = Some(1);
+    assert_eq!(pass(&jobs), (9, 3));
 }

@@ -59,9 +59,10 @@ fn fleet(n: usize, seed: u64) -> Vec<PlanInput<'static>> {
                 TimeUtility::sigmoid(budget, 1.0 + 4.0 * rng.unit(), 10.0 / budget).unwrap()
             };
             PlanInput {
+                key: i as u64,
+                generation: None,
                 samples: samples.into(),
                 remaining_tasks: rng.range(5, 80) as usize,
-                running: 0,
                 failed_attempts: 0,
                 age: rng.unit() * 200.0,
                 utility,
@@ -159,7 +160,11 @@ fn event(jobs: &mut Vec<PlanInput<'static>>, rng: &mut Rng, step: u64) {
             job.remaining_tasks = job.remaining_tasks.saturating_sub(1).max(1);
         }
         2 if jobs.len() > 8 => drop(jobs.remove(k)),
-        3 => jobs.extend(fleet(1, step * 7919 + 3)),
+        3 => {
+            // An arrival's key is above every key handed out before it.
+            let key = 1000 + step;
+            jobs.extend(fleet(1, step * 7919 + 3).into_iter().map(|j| PlanInput { key, ..j }));
+        }
         _ => jobs.iter_mut().for_each(|j| j.age += 1.0),
     }
 }

@@ -161,6 +161,8 @@ impl ReferenceScheduler {
             .jobs
             .iter()
             .map(|j| PlanInput {
+                key: u64::from(j.id.0),
+                generation: None,
                 samples: Cow::Borrowed(cold_start_samples(
                     label_pool,
                     global_pool,
@@ -168,7 +170,6 @@ impl ReferenceScheduler {
                     &j.samples,
                 )),
                 remaining_tasks: j.pending_tasks,
-                running: j.running_tasks as u32,
                 failed_attempts: j.failed_attempts,
                 age: j.age(view.now) as f64,
                 utility: j.utility,

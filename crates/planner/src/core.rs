@@ -10,7 +10,10 @@
 //!    CLI read it as it is;
 //! 2. the **sample history**: per-job completed-task runtimes
 //!    ([`PlannerCore::ingest_sample`]) and the cross-job cold-start pools,
-//!    same-label first, cluster-wide second ([`PlannerCore::pool_sample`]);
+//!    same-label first, cluster-wide second ([`PlannerCore::pool_sample`]),
+//!    each job and pool stamped from one monotone counter whenever its
+//!    samples change, so a pass tells the memo which jobs' inputs may have
+//!    moved ([`PlanInput::generation`]);
 //! 3. the incremental **[`PlanCache`]** memo for the per-job
 //!    estimate+WCDE stage;
 //! 4. the current **pass** — its job ids and the slot it was started at —
@@ -145,13 +148,17 @@ impl JobRecord {
 pub struct PlannerCore {
     config: RushConfig,
     capacity: u32,
-    jobs: BTreeMap<JobId, JobRecord>,
+    /// Each record beside its stamp: the counter's value when the record or
+    /// its own samples last changed.
+    jobs: BTreeMap<JobId, (JobRecord, u64)>,
     next_id: u64,
+    /// The last stamp handed out; every change takes the next one.
+    stamp: u64,
     /// Cross-job sample pools keyed by job label (template name).
-    label_pool: BTreeMap<String, Vec<u64>>,
+    label_pool: BTreeMap<String, Pool>,
     /// All observed samples regardless of label — last-resort cold-start
     /// pool before the configured prior.
-    global_pool: Vec<u64>,
+    global_pool: Pool,
     /// Cross-event planning state: the per-job estimate + WCDE memo
     /// table plus the peel trace and mapping pack the delta replan
     /// patches instead of recomputing, and the current pass's stages (see
@@ -194,8 +201,9 @@ impl PlannerCore {
             capacity,
             jobs: BTreeMap::new(),
             next_id: 0,
+            stamp: 0,
             label_pool: BTreeMap::new(),
-            global_pool: Vec::new(),
+            global_pool: Pool::default(),
             state: PlanState::new(),
             pass_ids: Vec::new(),
             installed: false,
@@ -240,7 +248,8 @@ impl PlannerCore {
             rush_estimator::check_runtime(largest, record.remaining_tasks as usize).map_err(
                 |e| PlannerError::Snapshot(format!("job {id}: \"samples\" hold {largest}: {e}")),
             )?;
-            if kernel.jobs.insert(id, record).is_some() {
+            let stamp = kernel.next_stamp();
+            if kernel.jobs.insert(id, (record, stamp)).is_some() {
                 return Err(PlannerError::Snapshot(format!("duplicate job id {id}")));
             }
         }
@@ -269,12 +278,12 @@ impl PlannerCore {
 
     /// Looks up one resident job.
     pub fn job(&self, id: JobId) -> Option<&JobRecord> {
-        self.jobs.get(&id)
+        self.jobs.get(&id).map(|(j, _)| j)
     }
 
     /// Iterates all resident jobs (planned and parked) in id order.
     pub fn jobs(&self) -> impl Iterator<Item = (JobId, &JobRecord)> {
-        self.jobs.iter().map(|(id, j)| (*id, j))
+        self.jobs.iter().map(|(id, (j, _))| (*id, j))
     }
 
     /// Number of resident jobs (planned and parked).
@@ -284,7 +293,7 @@ impl PlannerCore {
 
     /// Number of parked jobs.
     pub fn parked_count(&self) -> usize {
-        self.jobs.values().filter(|j| j.parked).count()
+        self.jobs.values().filter(|(j, _)| j.parked).count()
     }
 
     /// The most recent complete plan: the one [`PlannerCore::plan_at`] or
@@ -376,7 +385,8 @@ impl PlannerCore {
     pub fn admit_as(&mut self, id: JobId, record: JobRecord) {
         self.next_id = self.next_id.max(id.0.saturating_add(1));
         self.dirty = true;
-        self.jobs.insert(id, record);
+        let stamp = self.next_stamp();
+        self.jobs.insert(id, (record, stamp));
     }
 
     /// Records one completed-task runtime among the job's own samples,
@@ -392,8 +402,10 @@ impl PlannerCore {
     /// ([`rush_estimator::check_runtime`]): kept, it would fail every later
     /// plan. Either way the job is left untouched.
     pub fn ingest_sample(&mut self, job: JobId, runtime: u64) -> Result<bool, PlannerError> {
-        let record = self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
+        let next = self.next_stamp();
+        let (record, stamp) = self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
         rush_estimator::check_runtime(runtime, record.remaining_tasks as usize)?;
+        *stamp = next;
         record.samples.push(runtime);
         record.remaining_tasks = record.remaining_tasks.saturating_sub(1);
         let completed = record.remaining_tasks == 0;
@@ -408,15 +420,18 @@ impl PlannerCore {
     /// [`PlannerCore::plan_roster`] borrows from: the job's label pool, if
     /// the job is resident, and the cluster-wide pool either way (evidence
     /// is evidence). The job's own record is not touched.
+    ///
+    /// The job (a roster's own samples grow with the pools), its label pool
+    /// and the cluster-wide pool all take one new stamp.
     pub fn pool_sample(&mut self, job: JobId, runtime: u64) {
         self.dirty = true;
-        if let Some(record) = self.jobs.get(&job) {
+        let next = self.next_stamp();
+        if let Some((record, stamp)) = self.jobs.get_mut(&job) {
+            *stamp = next;
             let pool = self.label_pool.entry(record.submission.label.clone()).or_default();
-            pool.push(runtime);
-            pool.drain(..pool.len().saturating_sub(POOL_CAP));
+            pool.push(runtime, next);
         }
-        self.global_pool.push(runtime);
-        self.global_pool.drain(..self.global_pool.len().saturating_sub(POOL_CAP));
+        self.global_pool.push(runtime, next);
     }
 
     /// Removes a job from the registry. Pooled samples the job
@@ -438,7 +453,7 @@ impl PlannerCore {
     ///
     /// [`PlannerError::UnknownJob`] for a non-resident id.
     pub fn set_parked(&mut self, job: JobId, parked: bool) -> Result<(), PlannerError> {
-        let record = self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
+        let (record, _) = self.jobs.get_mut(&job).ok_or(PlannerError::UnknownJob(job.0))?;
         if record.parked != parked {
             record.parked = parked;
             self.dirty = true;
@@ -507,20 +522,22 @@ impl PlannerCore {
         let (ids, hints): (Vec<JobId>, Vec<Option<u64>>) = self
             .jobs
             .iter()
-            .filter(|(_, j)| !j.parked)
-            .map(|(id, j)| (*id, hint_sample(j.submission.runtime_hint)))
+            .filter(|(_, (j, _))| !j.parked)
+            .map(|(id, (j, _))| (*id, hint_sample(j.submission.runtime_hint)))
             .unzip();
         // Destructure for disjoint borrows: the inputs borrow the records
         // while the pipeline takes the planning state mutably.
         let Self { config, capacity, jobs, state, .. } = &mut *self;
         let inputs: Vec<PlanInput<'_>> = jobs
-            .values()
-            .filter(|j| !j.parked)
+            .iter()
+            .filter(|(_, (j, _))| !j.parked)
             .zip(&hints)
-            .map(|(j, hint)| PlanInput {
+            .map(|((id, (j, stamp)), hint)| PlanInput {
+                key: id.0,
+                // Its own samples or its hint: both change with the record.
+                generation: Some(*stamp),
                 samples: Cow::Borrowed(sizing_samples(&j.samples, hint)),
                 remaining_tasks: j.remaining_tasks as usize,
-                running: 0,
                 failed_attempts: 0,
                 age: now_slot.saturating_sub(j.arrived_slot) as f64,
                 utility: j.submission.utility,
@@ -555,7 +572,10 @@ impl PlannerCore {
     /// authoritative. A job with no samples of its own borrows its label's
     /// pool, else the cluster-wide pool ([`PlannerCore::pool_sample`]),
     /// before the configured prior — as production clusters benchmark
-    /// recurring applications.
+    /// recurring applications. A job the kernel admitted is stamped: every
+    /// sample added to its view must also reach
+    /// [`PlannerCore::pool_sample`]. A job it never admitted is hashed on
+    /// every pass.
     ///
     /// # Errors
     ///
@@ -567,22 +587,24 @@ impl PlannerCore {
         if self.is_fresh(view.now) {
             return self.install();
         }
-        let Self { config, capacity, label_pool, global_pool, state, .. } = &mut *self;
+        let Self { config, capacity, jobs, label_pool, global_pool, state, .. } = &mut *self;
         let inputs: Vec<PlanInput<'_>> = view
             .jobs
             .iter()
-            .map(|j| PlanInput {
-                samples: Cow::Borrowed(cold_start_samples(
-                    label_pool,
-                    global_pool,
-                    &j.label,
-                    &j.samples,
-                )),
-                remaining_tasks: j.pending_tasks,
-                running: j.running_tasks as u32,
-                failed_attempts: j.failed_attempts,
-                age: j.age(view.now) as f64,
-                utility: j.utility,
+            .map(|j| {
+                let key = JobId::from(j.id);
+                let (samples, pool_stamp) =
+                    cold_start_samples(label_pool, global_pool, &j.label, &j.samples);
+                PlanInput {
+                    key: key.0,
+                    // A job the kernel never admitted is not tracked.
+                    generation: jobs.get(&key).map(|&(_, stamp)| stamp.max(pool_stamp)),
+                    samples: Cow::Borrowed(samples),
+                    remaining_tasks: j.pending_tasks,
+                    failed_attempts: j.failed_attempts,
+                    age: j.age(view.now) as f64,
+                    utility: j.utility,
+                }
             })
             .collect();
         state.solve(config, *capacity, &inputs)?;
@@ -599,6 +621,12 @@ impl PlannerCore {
         self.plan = Plan::default();
         self.plan_ids.clear();
         self.installed = true;
+    }
+
+    /// Takes the next stamp.
+    fn next_stamp(&mut self) -> u64 {
+        self.stamp = self.stamp.wrapping_add(1);
+        self.stamp
     }
 
     /// Makes the pass the planning state just solved, over `ids`, current.
@@ -646,26 +674,43 @@ fn check_capacity(capacity: u32) -> Result<(), PlannerError> {
     Ok(())
 }
 
+/// A cold-start pool: the newest [`POOL_CAP`] pooled samples, and the stamp
+/// of its last change.
+#[derive(Debug, Clone, Default)]
+struct Pool {
+    samples: Vec<u64>,
+    stamp: u64,
+}
+
+impl Pool {
+    fn push(&mut self, runtime: u64, stamp: u64) {
+        self.samples.push(runtime);
+        self.samples.drain(..self.samples.len().saturating_sub(POOL_CAP));
+        self.stamp = stamp;
+    }
+}
+
 /// Picks the sample set backing a job's estimate: its own completed-task
-/// runtimes, else the same-label pool, else the cluster-wide pool. A label
-/// pool that exists but holds no samples is *no evidence* — it must not
-/// shadow the global pool (a label entry can outlive its drained samples).
-/// The returned slice may be empty, in which case the estimator falls back
-/// to the configured prior.
+/// runtimes, else the same-label pool, else the cluster-wide pool, with the
+/// stamp of the pool it picked (0 for the job's own samples, whose stamp is
+/// the job's). A label pool that exists but holds no samples is *no
+/// evidence* — it must not shadow the global pool (a label entry can
+/// outlive its drained samples). The returned slice may be empty, in which
+/// case the estimator falls back to the configured prior.
 fn cold_start_samples<'v>(
-    label_pool: &'v BTreeMap<String, Vec<u64>>,
-    global_pool: &'v [u64],
+    label_pool: &'v BTreeMap<String, Pool>,
+    global_pool: &'v Pool,
     label: &str,
     own: &'v [u64],
-) -> &'v [u64] {
+) -> (&'v [u64], u64) {
     if !own.is_empty() {
-        own
-    } else if let Some(pool) = label_pool.get(label).filter(|p| !p.is_empty()) {
-        pool
+        (own, 0)
+    } else if let Some(pool) = label_pool.get(label).filter(|p| !p.samples.is_empty()) {
+        (&pool.samples, pool.stamp)
     } else {
         // Same-template history is best, but any cluster-local runtime
         // evidence beats an arbitrary prior.
-        global_pool
+        (&global_pool.samples, global_pool.stamp)
     }
 }
 
@@ -859,7 +904,7 @@ mod tests {
         let mut k = PlannerCore::new(RushConfig::default(), 8).expect("kernel");
         let a = k.admit(job("tpl", 2, 0));
         k.ingest_sample(a, 30).expect("known");
-        assert!(k.label_pool.is_empty() && k.global_pool.is_empty());
+        assert!(k.label_pool.is_empty() && k.global_pool.samples.is_empty());
 
         let b = k.admit(job("tpl", 1, 0));
         k.plan_at(0).expect("plan");
@@ -881,11 +926,11 @@ mod tests {
         // Both samples landed in the global pool; only the known one in
         // the label pool. A fresh same-label job borrows the label pool.
         assert_eq!(
-            cold_start_samples(&k.label_pool, &k.global_pool, "tpl", &[]),
+            cold_start_samples(&k.label_pool, &k.global_pool, "tpl", &[]).0,
             &[30]
         );
         assert_eq!(
-            cold_start_samples(&k.label_pool, &k.global_pool, "other", &[]),
+            cold_start_samples(&k.label_pool, &k.global_pool, "other", &[]).0,
             &[30, 31]
         );
     }
@@ -897,10 +942,10 @@ mod tests {
         for i in 0..(POOL_CAP as u64 + 10) {
             k.pool_sample(a, i);
         }
-        assert_eq!(k.global_pool.len(), POOL_CAP);
-        assert_eq!(k.global_pool.first().copied(), Some(10));
+        assert_eq!(k.global_pool.samples.len(), POOL_CAP);
+        assert_eq!(k.global_pool.samples.first().copied(), Some(10));
         let pool = k.label_pool.get("tpl").expect("label pool exists");
-        assert_eq!(pool.len(), POOL_CAP);
+        assert_eq!(pool.samples.len(), POOL_CAP);
     }
 
     #[test]

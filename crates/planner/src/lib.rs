@@ -28,7 +28,10 @@
 //!   [`ClusterView`] is the roster, read in place; the kernel contributes
 //!   config, the label and cluster-wide cold-start pools and the plan
 //!   cache. This keeps the hot path allocation-light and bit-identical to
-//!   the pre-kernel scheduler.
+//!   the pre-kernel scheduler. Each view job's own samples must reach the
+//!   kernel through [`PlannerCore::pool_sample`], as the simulator's task
+//!   completions do: that call stamps the job, and the memo trusts the
+//!   stamp ([`rush_core::plan::PlanInput::generation`]).
 //!
 //! [`RushScheduler`] is the thin `rush_sim::Scheduler` adapter over the
 //! kernel; `rush-serve` and `rush-cli` drive the same kernel for the

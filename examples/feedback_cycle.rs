@@ -35,9 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let samples: Vec<u64> = all_runtimes[..done].to_vec();
         let age: f64 = samples.iter().sum::<u64>() as f64 / capacity as f64; // rough elapsed
         let inputs = vec![PlanInput {
+            key: 0,
+            generation: None,
             samples: samples.into(),
             remaining_tasks: total_tasks - done,
-            running: 0,
             failed_attempts: 0,
             age,
             utility,

@@ -52,9 +52,10 @@ fn fig3_shape_more_samples_help() {
 fn plan_errors_propagate() {
     let cfg = RushConfig::default().with_theta(7.0);
     let jobs = vec![PlanInput {
+        key: 0,
+        generation: None,
         samples: vec![30].into(),
         remaining_tasks: 1,
-        running: 0,
         failed_attempts: 0,
         age: 0.0,
         utility: TimeUtility::constant(1.0).unwrap(),
@@ -85,9 +86,10 @@ fn plan_is_deterministic() {
     let cfg = RushConfig::default();
     let jobs: Vec<PlanInput> = (0..6)
         .map(|i| PlanInput {
-            samples: vec![40 + i as u64; 8].into(),
+            key: i,
+            generation: None,
+            samples: vec![40 + i; 8].into(),
             remaining_tasks: 12,
-            running: 1,
             failed_attempts: 0,
             age: 10.0 * i as f64,
             utility: TimeUtility::sigmoid(300.0 + 40.0 * i as f64, 4.0, 0.03).unwrap(),
