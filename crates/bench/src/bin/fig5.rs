@@ -49,7 +49,7 @@ use rush_bench::{
     fatal, fig5_gate, fig5_numbers, flag, parse_args, MAX_CACHED_REGRESSION, MIN_GATED_PHASE_NS,
 };
 use rush_core::mapping::{map_continuous, MapJob};
-use rush_core::onion::{OnionJob, Shifted};
+use rush_core::onion::OnionJob;
 use rush_core::plan::{compute_plan_incremental, PlanInput, PlanPhaseStats, PlanState};
 use rush_core::wcde::worst_case_quantile;
 use rush_core::RushConfig;
@@ -114,9 +114,11 @@ fn baseline_pass(cfg: &RushConfig, capacity: u32, jobs: &[PlanInput<'_>]) {
         etas.push(eta);
         task_lens.push(est.mean_task_runtime.ceil().max(1.0) as u64);
     }
-    let shifted: Vec<Shifted<'_>> = jobs.iter().map(|j| Shifted::new(&j.utility, j.age)).collect();
-    let onion_jobs: Vec<OnionJob<'_>> =
-        shifted.iter().zip(&etas).map(|(u, &eta)| OnionJob { demand: eta, utility: u }).collect();
+    let onion_jobs: Vec<OnionJob> = jobs
+        .iter()
+        .zip(&etas)
+        .map(|(j, &eta)| OnionJob { demand: eta, utility: j.utility, age: j.age })
+        .collect();
     let targets = naive::peel(&onion_jobs, capacity, cfg.tolerance, cfg.horizon).expect("peel");
     let mut target_of = vec![0.0f64; n];
     let mut lax_of = vec![false; n];

@@ -89,6 +89,12 @@ pub struct RushConfig {
     /// `1/(1−p̂)` when task failures have been observed (`p̂` is the
     /// Laplace-smoothed per-attempt failure rate) — the failure-probability
     /// estimation the paper lists as future work.
+    ///
+    /// It acts only where failures are reported: in the simulator, whose
+    /// views count failed attempts. The daemon (`rushd`) has no failure
+    /// report on its wire, and its kernel plans every job with
+    /// `failed_attempts: 0` (`PlannerCore::plan_at`), so there the flag
+    /// changes nothing.
     pub failure_aware: bool,
 }
 

@@ -17,26 +17,85 @@
 //! last infeasible level has reached its best achievable utility: it is
 //! *peeled* — its target fixed, its demand added to `G` — and the loop
 //! continues on the remaining jobs, one onion layer at a time.
+//!
+//! # Inversions without the transcendental tax
+//!
+//! A probe at a new level inverts every live job. For an aged sigmoid,
+//! [`OnionJob::latest_time`] costs an `exp` (the sigmoid's supremum) and an
+//! `ln`, and a cold pass over a testbed's jobs makes thousands of them for
+//! jobs that share a handful of weights. The kernel removes that arithmetic
+//! and keeps every floating-point operation that still runs, in its order:
+//!
+//! - *The record.* A job's [`SigmoidInverse`] is its utility's own record
+//!   ([`TimeUtility::sigmoid_inverse`]: budget, weight, β and the unshifted
+//!   supremum, evaluated once) with the job's age as its shift. A pass
+//!   holds one per job, built once per job identity and carried through
+//!   [`PeelState`] exactly like the suprema: a replay moves the vector
+//!   whole when the job list is unchanged, and otherwise gathers it through
+//!   the [`JobEdit`].
+//! - *The kernel is the definition.* [`SigmoidInverse::latest_time`] and
+//!   the sigmoid arm of [`TimeUtility::latest_time`] share one body, and
+//!   both shift by the age with [`LatestTime::after`]. So a probe computes
+//!   [`OnionJob::latest_time`]`(L).deadline_within(h)` with the same
+//!   operations, minus the repeated `exp`; the unit proptest
+//!   `sigmoid_kernel_is_latest_time_bit_for_bit` compares the bits at every
+//!   branch point.
+//! - *One `ln` per weight.* `ln(W/L − 1)` depends on the weight and the
+//!   level only. `LnMemo` is a 16-slot direct-mapped memo keyed by the
+//!   weight's bits (Fibonacci hashing on the high bits), reset when the
+//!   level changes; weights `1..5` land in five distinct slots. It is
+//!   direct-mapped on purpose: a scanning memo goes quadratic on continuous
+//!   weights, where every job's weight is distinct.
+//! - *Sort only live entries.* A refill drops tombstones first (order kept,
+//!   positions rebuilt), then sorts with an insertion pass that falls back
+//!   to the library sort past `2n` moves. The `(deadline, job)` keys are
+//!   unique, so any correct sort yields the same order.
 
 use crate::CoreError;
-use rush_utility::{LatestTime, SigmoidInverse, Utility};
+use rush_utility::{LatestTime, SigmoidInverse, TimeUtility};
 
-/// One job as seen by the peeling algorithm.
-#[derive(Clone, Copy)]
-pub struct OnionJob<'a> {
+/// One job as seen by the peeling algorithm: plain data, posed in "time
+/// from now". A job that arrived `age` slots ago and completes `t` slots
+/// from now completes `age + t` slots after its arrival, so its due time at
+/// level `L` is `U⁻¹(L)` moved `age` slots earlier
+/// ([`OnionJob::latest_time`]); a level only attainable before now is
+/// [`LatestTime::Never`]. This is what lets the static TAS formulation re-run
+/// inside the dynamic feedback cycle: every scheduling event re-poses the
+/// problem in the jobs' current ages.
+#[derive(Debug, Clone, Copy)]
+pub struct OnionJob {
     /// Robust remaining demand `η` in container·slots (WCDE output).
     pub demand: u64,
-    /// The job's completion-time utility (already shifted to "time from
-    /// now" if the job has been running for a while).
-    pub utility: &'a dyn Utility,
+    /// The job's completion-time utility, measured from its arrival.
+    pub utility: TimeUtility,
+    /// Slots since the job arrived (a negative age reads as 0).
+    pub age: f64,
 }
 
-impl std::fmt::Debug for OnionJob<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OnionJob")
-            .field("demand", &self.demand)
-            .field("sup", &self.utility.sup())
-            .finish()
+impl OnionJob {
+    /// The age the utility is shifted by.
+    fn shift(&self) -> f64 {
+        self.age.max(0.0)
+    }
+
+    /// The highest utility still attainable: completing now.
+    pub fn sup(&self) -> f64 {
+        self.utility.utility(self.shift())
+    }
+
+    /// The latest completion time from now that attains utility `level`:
+    /// `U⁻¹(L)` less the age.
+    pub fn latest_time(&self, level: f64) -> LatestTime {
+        self.utility.latest_time(level).after(self.shift())
+    }
+
+    /// For a sigmoid, the record whose [`SigmoidInverse::latest_time`] is
+    /// [`Self::latest_time`] bit for bit: the utility's own record (its
+    /// unshifted supremum evaluated once) with the age as its shift. `None`
+    /// for every other class.
+    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
+        let base = self.utility.sigmoid_inverse()?;
+        Some(SigmoidInverse { shift: self.shift(), ..base })
     }
 }
 
@@ -55,61 +114,11 @@ pub struct Target {
     pub lax: bool,
 }
 
-/// A [`Utility`] shifted by the job's age: if a job arrived `shift` slots
-/// ago, completing `t` slots *from now* completes it at `shift + t` from
-/// arrival.
-///
-/// This adapter is what lets the static TAS formulation re-run inside the
-/// dynamic feedback cycle: every scheduling event re-poses the problem in
-/// "time from now" coordinates.
-#[derive(Clone, Copy)]
-pub struct Shifted<'a> {
-    base: &'a dyn Utility,
-    shift: f64,
-}
-
-impl std::fmt::Debug for Shifted<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shifted").field("shift", &self.shift).finish()
-    }
-}
-
-impl<'a> Shifted<'a> {
-    /// Wraps `base`, measuring time from `shift` slots after the job's
-    /// arrival.
-    pub fn new(base: &'a dyn Utility, shift: f64) -> Self {
-        Shifted { base, shift: shift.max(0.0) }
-    }
-}
-
-impl Utility for Shifted<'_> {
-    fn utility(&self, t: f64) -> f64 {
-        self.base.utility(self.shift + t.max(0.0))
-    }
-
-    fn inf(&self) -> f64 {
-        self.base.inf()
-    }
-
-    fn latest_time(&self, level: f64) -> LatestTime {
-        // A level only achievable before now is `Never`.
-        self.base.latest_time(level).after(self.shift)
-    }
-
-    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
-        // A base already shifted by +0.0 composes (its `after(0.0)` is the
-        // identity on the sigmoid's non-negative, non-NaN times); any other
-        // base shift would round differently, so it keeps the slow path.
-        let base = self.base.sigmoid_inverse().filter(|s| s.shift.to_bits() == 0)?;
-        Some(SigmoidInverse { shift: self.shift, ..base })
-    }
-}
-
-/// `job.utility.latest_time(level).deadline_within(horizon)`, bit for bit:
-/// through the job's sigmoid record when it has one (`sigmoid`, from
-/// [`Utility::sigmoid_inverse`]), whose `ln` term comes from `memo`.
+/// `job.latest_time(level).deadline_within(horizon)`, bit for bit: through
+/// the job's sigmoid record when it has one (`sigmoid`, from
+/// [`OnionJob::sigmoid_inverse`]), whose `ln` term comes from `memo`.
 fn inverse_deadline(
-    job: &OnionJob<'_>,
+    job: &OnionJob,
     sigmoid: Option<&SigmoidInverse>,
     level: f64,
     horizon: f64,
@@ -117,7 +126,7 @@ fn inverse_deadline(
 ) -> Option<f64> {
     match sigmoid {
         Some(s) => s.latest_time(level, || memo.ln_term(s.weight, level)),
-        None => job.utility.latest_time(level),
+        None => job.latest_time(level),
     }
     .deadline_within(horizon)
 }
@@ -564,9 +573,9 @@ fn sort_deadlines(entries: &mut [(f64, usize)]) {
 
 /// Tests whether level `L` is feasible for the active jobs (the entries of
 /// `scratch`) given the committed reservations of already-peeled jobs.
-/// `sigmoids` holds each job's [`Utility::sigmoid_inverse`].
+/// `sigmoids` holds each job's [`OnionJob::sigmoid_inverse`].
 fn check_level(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     sigmoids: &[Option<SigmoidInverse>],
     scratch: &mut ProbeScratch,
     committed: &CommittedIndex,
@@ -820,7 +829,7 @@ fn debug_check_barrier(demand: u64, base: &CommittedIndex, placed: &CommittedInd
 /// either the level has collapsed to ~0 (nothing left to gain) or the
 /// utility is flat at/above the level (time-insensitive).
 fn close_on(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     sigmoids: &[Option<SigmoidInverse>],
     sups: &[f64],
     b: usize,
@@ -833,7 +842,7 @@ fn close_on(
     }
     let latest = match &sigmoids[b] {
         Some(s) => s.latest_time(level, || SigmoidInverse::ln_term(s.weight, level)),
-        None => jobs[b].utility.latest_time(level),
+        None => jobs[b].latest_time(level),
     };
     match latest {
         LatestTime::Always => ActionRec::Defer { job: b, level },
@@ -867,8 +876,8 @@ fn close_on(
 /// let tight = TimeUtility::sigmoid(100.0, 5.0, 0.5)?;
 /// let loose = TimeUtility::sigmoid(1000.0, 5.0, 0.01)?;
 /// let jobs = [
-///     OnionJob { demand: 300, utility: &tight },
-///     OnionJob { demand: 300, utility: &loose },
+///     OnionJob { demand: 300, utility: tight, age: 0.0 },
+///     OnionJob { demand: 300, utility: loose, age: 0.0 },
 /// ];
 /// let targets = peel(&jobs, 8, 0.01, 1e6)?;
 /// let t0 = targets.iter().find(|t| t.job == 0).unwrap();
@@ -878,7 +887,7 @@ fn close_on(
 /// # }
 /// ```
 pub fn peel(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
@@ -959,7 +968,7 @@ impl PeelTrace {
 
 /// The global floor a peel starts from: the lowest utility any job can end
 /// up with.
-fn initial_floor(jobs: &[OnionJob<'_>]) -> f64 {
+fn initial_floor(jobs: &[OnionJob]) -> f64 {
     let lo = jobs.iter().map(|j| j.utility.inf()).fold(f64::INFINITY, f64::min);
     if lo.is_finite() {
         lo
@@ -1008,29 +1017,29 @@ pub struct ReplayStats {
 /// the pass its [`PeelState`] recorded: the edit that turns one into the
 /// other. Both lists share their order.
 #[derive(Clone, Copy)]
-pub struct JobEdit<'a, 'u> {
+pub struct JobEdit<'a> {
     /// For each job of this pass, its index in the recorded pass (`None`:
     /// the job is new). The `Some` values ascend strictly, and a mapped job
-    /// carries the utility it was recorded under moved `tick` slots later
-    /// (a [`Shifted`] whose age grew by exactly `tick`) — only that and its
-    /// demand may differ. The identity map says "same jobs"; all `None` (or
+    /// carries the utility it was recorded under with its age grown by
+    /// exactly `tick` — only that and its demand may differ. The identity map says "same jobs"; all `None` (or
     /// a map of the wrong length) says "nothing in common" and peels from
     /// scratch.
     pub prev: &'a [Option<usize>],
-    /// The utilities of the recorded jobs no entry of `prev` names — the
-    /// departed jobs — in recorded order, as they were recorded (no tick).
-    /// A departed job is replayed as a job that left the boundary set,
-    /// which needs to know where its demand was due.
-    pub departed: &'a [&'u dyn Utility],
+    /// The recorded jobs no entry of `prev` names — the departed jobs — in
+    /// recorded order, as they were recorded (no tick). A departed job is
+    /// replayed as a job that left the boundary set, which needs to know
+    /// where its demand was due; the demand itself is read from the
+    /// recording.
+    pub departed: &'a [OnionJob],
     /// Slots the clock advanced since the recorded pass: every due time
     /// of a mapped job moved `tick` slots closer (one the horizon clamps
     /// moves less).
     pub tick: f64,
 }
 
-impl JobEdit<'_, '_> {
+impl JobEdit<'_> {
     /// The edit of a pass that shares nothing with the recorded one.
-    pub const COLD: JobEdit<'static, 'static> = JobEdit {
+    pub const COLD: JobEdit<'static> = JobEdit {
         prev: &[],
         departed: &[],
         tick: 0.0,
@@ -1092,11 +1101,6 @@ impl PeelState {
         self.stats
     }
 
-    /// The demand of each job of the recorded pass.
-    pub(crate) fn demands(&self) -> &[u64] {
-        &self.demands
-    }
-
     /// The recorded pass's deferred jobs, `(job, level)`, that
     /// [`Self::place_deferred`] has not placed yet.
     pub(crate) fn deferred(&self) -> &[(usize, f64)] {
@@ -1147,10 +1151,10 @@ impl PeelState {
     /// `None` when the pass cannot be replayed at all.
     fn align(
         &self,
-        jobs: &[OnionJob<'_>],
+        jobs: &[OnionJob],
         tolerance: f64,
         horizon: f64,
-        edit: &JobEdit<'_, '_>,
+        edit: &JobEdit<'_>,
     ) -> Option<Vec<usize>> {
         let recorded = self.demands.len();
         if !(self.valid
@@ -1231,11 +1235,11 @@ const REPLAY_GUARD: f64 = 1e-6;
 ///
 /// [`CoreError::InvalidConfig`] under the same conditions as [`peel`].
 pub fn peel_incremental(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    edit: JobEdit<'_, '_>,
+    edit: JobEdit<'_>,
     state: &mut PeelState,
 ) -> Result<Vec<Target>, CoreError> {
     let mut targets = peel_layers(jobs, capacity, tolerance, horizon, edit, state)?;
@@ -1248,11 +1252,11 @@ pub fn peel_incremental(
 /// are left for [`PeelState::place_deferred`], which reads only what the
 /// write-back kept; until then [`PeelState::deferred`] lists them.
 pub(crate) fn peel_layers(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    edit: JobEdit<'_, '_>,
+    edit: JobEdit<'_>,
     state: &mut PeelState,
 ) -> Result<Vec<Target>, CoreError> {
     validate_params(capacity, tolerance, horizon)?;
@@ -1277,12 +1281,12 @@ enum ChangedStatus {
 /// [`Drift`]. A job in both passes stays a member of the boundary set; an
 /// arrival joined it with its whole demand, a departure left it with its
 /// whole demand.
-struct JobDrift<'u> {
+struct JobDrift {
     /// Index in this pass — in the recorded pass for a job that left.
     idx: usize,
-    /// The utility its due time is read from (the recorded one for a job
-    /// that left: it is not among this pass's jobs).
-    utility: &'u dyn Utility,
+    /// The job its due time is read from (the recorded one for a job that
+    /// left: it is not among this pass's jobs).
+    job: OnionJob,
     /// `new − old`; exact in f64 for demands below 2⁵³.
     delta: f64,
     /// Only in this pass.
@@ -1296,7 +1300,7 @@ struct JobDrift<'u> {
     inv: Option<(u64, Option<f64>)>,
 }
 
-impl JobDrift<'_> {
+impl JobDrift {
     /// Whether the job's demand bears on the current layer's probes: a
     /// deferred job's does not.
     fn in_play(&self) -> bool {
@@ -1313,7 +1317,7 @@ impl JobDrift<'_> {
         match self.inv {
             Some((bits, d)) if bits == level.to_bits() => d,
             _ => {
-                let d = self.utility.latest_time(level).deadline_within(horizon);
+                let d = self.job.latest_time(level).deadline_within(horizon);
                 self.inv = Some((level.to_bits(), d));
                 d
             }
@@ -1329,7 +1333,7 @@ impl JobDrift<'_> {
 /// re-verifies every recorded probe against it, whatever the event. A cold
 /// pass has nothing recorded, so nothing drifted.
 #[derive(Default)]
-struct Drift<'u> {
+struct Drift {
     /// This pass's capacity `C` and horizon; [`PeelPass`] reads them here.
     capacity: u32,
     horizon: f64,
@@ -1348,7 +1352,7 @@ struct Drift<'u> {
     demand_bound: f64,
     /// The changed jobs: departures in recorded order, then this pass's
     /// moved and arrived jobs in ascending index.
-    jobs: Vec<JobDrift<'u>>,
+    jobs: Vec<JobDrift>,
     /// Under the layer being replayed (see [`Drift::enter_layer`]): the
     /// in-play members' demand increases, the in-play joiners' demand, and
     /// whether nothing at all moved under it.
@@ -1357,32 +1361,32 @@ struct Drift<'u> {
     still: bool,
 }
 
-impl<'u> Drift<'u> {
+impl Drift {
     fn new(
-        jobs: &[OnionJob<'u>],
+        jobs: &[OnionJob],
         capacity: u32,
         horizon: f64,
-        edit: &JobEdit<'_, 'u>,
+        edit: &JobEdit<'_>,
         now_at: &[usize],
         state: &PeelState,
     ) -> Self {
         let mut changed = Vec::new();
-        let mut change = |idx, utility, delta, joined, left| {
+        let mut change = |idx, job, delta, joined, left| {
             let status = ChangedStatus::Active;
-            changed.push(JobDrift { idx, utility, delta, joined, left, status, inv: None });
+            changed.push(JobDrift { idx, job, delta, joined, left, status, inv: None });
         };
         let gone = now_at.iter().enumerate().filter(|&(_, &j)| j == DEAD);
-        for ((i, _), &utility) in gone.zip(edit.departed) {
-            change(i, utility, -(state.demands[i] as f64), false, true);
+        for ((i, _), &job) in gone.zip(edit.departed) {
+            change(i, job, -(state.demands[i] as f64), false, true);
         }
         for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
             match *was {
                 Some(i) if job.demand != state.demands[i] => {
                     let delta = job.demand as f64 - state.demands[i] as f64;
-                    change(j, job.utility, delta, false, false);
+                    change(j, *job, delta, false, false);
                 }
                 Some(_) => {}
-                None => change(j, job.utility, job.demand as f64, true, false),
+                None => change(j, *job, job.demand as f64, true, false),
             }
         }
         let revoked = f64::from(state.capacity.saturating_sub(capacity));
@@ -1645,12 +1649,12 @@ enum Splice {
 /// [`PeelPass::close`]; a cold pass is a replay with nothing recorded,
 /// resumed at layer 0. This is what makes a resumed run bit-identical to a
 /// from-scratch one. See [`peel_incremental`] for the contract.
-struct PeelPass<'j, 'u> {
-    jobs: &'j [OnionJob<'u>],
+struct PeelPass<'j> {
+    jobs: &'j [OnionJob],
     tolerance: f64,
     /// What moved since the recorded pass; also holds the pass's capacity
     /// and horizon.
-    drift: Drift<'u>,
+    drift: Drift,
     /// Whether a recorded layer's bisection cap can move: the job set
     /// changed (a departure or an arrival), or a tick moved every supremum.
     recap: bool,
@@ -1658,7 +1662,7 @@ struct PeelPass<'j, 'u> {
     /// transcendental for the sigmoid class, and a job that survives into
     /// the next pass keeps its value (see [`PeelState`]).
     sups: Vec<f64>,
-    /// [`Utility::sigmoid_inverse`] per job, kept the same way: it carries
+    /// [`OnionJob::sigmoid_inverse`] per job, kept the same way: it carries
     /// the unshifted `sup()`, so a probe inverts a sigmoid with one `ln`.
     sigmoids: Vec<Option<SigmoidInverse>>,
     /// The live jobs in descending-supremum order (ties by index), built at
@@ -1700,15 +1704,15 @@ struct PeelPass<'j, 'u> {
     stats: ReplayStats,
 }
 
-impl<'j, 'u> PeelPass<'j, 'u> {
+impl<'j> PeelPass<'j> {
     /// A pass over `state`'s buffers; `now_at` (from [`PeelState::align`])
     /// is `None` when nothing recorded can be replayed.
     fn new(
-        jobs: &'j [OnionJob<'u>],
+        jobs: &'j [OnionJob],
         capacity: u32,
         tolerance: f64,
         horizon: f64,
-        edit: &JobEdit<'_, 'u>,
+        edit: &JobEdit<'_>,
         now_at: Option<&[usize]>,
         state: &mut PeelState,
     ) -> Self {
@@ -1719,10 +1723,8 @@ impl<'j, 'u> PeelPass<'j, 'u> {
         };
         let edited = drift.jobs.iter().any(|j| j.joined || j.left);
         let prev = (now_at.is_some() && edit.tick == 0.0).then_some(edit.prev);
-        let sups = carried(&mut state.sups, prev, edited, n, |j| jobs[j].utility.sup());
-        let sigmoids = carried(&mut state.sigmoids, prev, edited, n, |j| {
-            jobs[j].utility.sigmoid_inverse()
-        });
+        let sups = carried(&mut state.sups, prev, edited, n, |j| jobs[j].sup());
+        let sigmoids = carried(&mut state.sigmoids, prev, edited, n, |j| jobs[j].sigmoid_inverse());
         let mut index = std::mem::take(&mut state.index);
         index.rebuild(&[]);
         let mut out = std::mem::take(&mut state.spare);
@@ -1934,7 +1936,7 @@ impl<'j, 'u> PeelPass<'j, 'u> {
         if self.drift.lag > 0.0 && first.reach <= self.drift.lag {
             return Splice::Diverged;
         }
-        let never = |level, at: usize, drift: &mut Drift<'_>| ProbeRec {
+        let never = |level, at: usize, drift: &mut Drift| ProbeRec {
             level,
             reach: drift.reach(level, first.reach),
             outcome: Check::never(drift.jobs[at].idx),
@@ -2322,7 +2324,7 @@ pub fn prefix_capacity_feasible(reservations: &[(f64, u64)], capacity: u32) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rush_utility::{PiecewiseLinear, TimeUtility};
+    use rush_utility::TimeUtility;
 
     fn sigmoid(budget: f64, weight: f64, beta: f64) -> TimeUtility {
         TimeUtility::sigmoid(budget, weight, beta).unwrap()
@@ -2340,7 +2342,7 @@ mod tests {
     #[test]
     fn single_job_peels_near_its_sup() {
         let u = sigmoid(100.0, 5.0, 0.1);
-        let jobs = [OnionJob { demand: 200, utility: &u }];
+        let jobs = [OnionJob { demand: 200, utility: u, age: 0.0 }];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         assert_eq!(t.len(), 1);
         // Demand 200 on 8 containers needs ≥ 25 slots; deadline must be
@@ -2354,7 +2356,7 @@ mod tests {
     fn capacity_binds_the_deadline() {
         let u = sigmoid(10.0, 5.0, 0.5);
         // Demand 800 on 8 containers needs ≥ 100 slots >> budget 10.
-        let jobs = [OnionJob { demand: 800, utility: &u }];
+        let jobs = [OnionJob { demand: 800, utility: u, age: 0.0 }];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         assert!(t[0].deadline >= 100.0 - 1e-6, "deadline {}", t[0].deadline);
         assert!(t[0].level < 0.01, "utility is gone at 10x the budget");
@@ -2364,8 +2366,8 @@ mod tests {
     fn equal_jobs_share_equally() {
         let u = sigmoid(100.0, 5.0, 0.1);
         let jobs = [
-            OnionJob { demand: 400, utility: &u },
-            OnionJob { demand: 400, utility: &u },
+            OnionJob { demand: 400, utility: u, age: 0.0 },
+            OnionJob { demand: 400, utility: u, age: 0.0 },
         ];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         assert_eq!(t.len(), 2);
@@ -2382,8 +2384,8 @@ mod tests {
         let tight = sigmoid(50.0, 5.0, 0.2);
         let loose = sigmoid(5000.0, 5.0, 0.002);
         let jobs = [
-            OnionJob { demand: 200, utility: &tight },
-            OnionJob { demand: 200, utility: &loose },
+            OnionJob { demand: 200, utility: tight, age: 0.0 },
+            OnionJob { demand: 200, utility: loose, age: 0.0 },
         ];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         let d_tight = t.iter().find(|x| x.job == 0).unwrap().deadline;
@@ -2397,8 +2399,8 @@ mod tests {
         let hopeless = sigmoid(1.0, 5.0, 5.0); // effectively expired
         let healthy = sigmoid(500.0, 5.0, 0.05);
         let jobs = [
-            OnionJob { demand: 1000, utility: &hopeless },
-            OnionJob { demand: 200, utility: &healthy },
+            OnionJob { demand: 1000, utility: hopeless, age: 0.0 },
+            OnionJob { demand: 200, utility: healthy, age: 0.0 },
         ];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         let lvl_healthy = t.iter().find(|x| x.job == 1).unwrap().level;
@@ -2410,8 +2412,8 @@ mod tests {
         let c = TimeUtility::constant(3.0).unwrap();
         let s = sigmoid(100.0, 5.0, 0.1);
         let jobs = [
-            OnionJob { demand: 400, utility: &c },
-            OnionJob { demand: 400, utility: &s },
+            OnionJob { demand: 400, utility: c, age: 0.0 },
+            OnionJob { demand: 400, utility: s, age: 0.0 },
         ];
         let t = peel(&jobs, 8, 0.001, 10_000.0).unwrap();
         let tc = t.iter().find(|x| x.job == 0).unwrap();
@@ -2431,8 +2433,8 @@ mod tests {
         let low = sigmoid(10.0, 1.0, 0.5); // low sup
         let high = sigmoid(100.0, 5.0, 0.1);
         let jobs = [
-            OnionJob { demand: 0, utility: &low },
-            OnionJob { demand: 100, utility: &high },
+            OnionJob { demand: 0, utility: low, age: 0.0 },
+            OnionJob { demand: 100, utility: high, age: 0.0 },
         ];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         assert_eq!(t.len(), 2);
@@ -2443,8 +2445,8 @@ mod tests {
     #[test]
     fn overload_peels_everyone_without_panic() {
         let u = sigmoid(5.0, 5.0, 1.0);
-        let jobs: Vec<OnionJob<'_>> =
-            (0..10).map(|_| OnionJob { demand: 10_000, utility: &u }).collect();
+        let jobs: Vec<OnionJob> =
+            (0..10).map(|_| OnionJob { demand: 10_000, utility: u, age: 0.0 }).collect();
         let t = peel(&jobs, 1, 0.01, 1e5).unwrap();
         assert_eq!(t.len(), 10);
     }
@@ -2457,9 +2459,9 @@ mod tests {
         let b = sigmoid(120.0, 4.0, 0.1);
         let c = TimeUtility::constant(2.0).unwrap();
         let jobs = [
-            OnionJob { demand: 300, utility: &a },
-            OnionJob { demand: 500, utility: &b },
-            OnionJob { demand: 400, utility: &c },
+            OnionJob { demand: 300, utility: a, age: 0.0 },
+            OnionJob { demand: 500, utility: b, age: 0.0 },
+            OnionJob { demand: 400, utility: c, age: 0.0 },
         ];
         let capacity = 8u32;
         let t = peel(&jobs, capacity, 0.001, 1e5).unwrap();
@@ -2480,7 +2482,7 @@ mod tests {
     #[test]
     fn validation_errors() {
         let u = sigmoid(10.0, 1.0, 0.1);
-        let jobs = [OnionJob { demand: 1, utility: &u }];
+        let jobs = [OnionJob { demand: 1, utility: u, age: 0.0 }];
         assert!(peel(&jobs, 0, 0.01, 1e6).is_err());
         assert!(peel(&jobs, 8, 0.0, 1e6).is_err());
         assert!(peel(&jobs, 8, 0.01, 0.0).is_err());
@@ -2493,25 +2495,25 @@ mod tests {
     }
 
     #[test]
-    fn shifted_utility_behaves() {
+    fn aged_job_measures_time_from_now() {
         let u = sigmoid(100.0, 5.0, 0.1);
-        let s = Shifted::new(&u, 40.0);
-        assert_eq!(s.utility(10.0), u.utility(50.0));
-        assert_eq!(s.inf(), u.inf());
-        match (s.latest_time(2.5), u.latest_time(2.5)) {
+        let aged = OnionJob { demand: 1, utility: u, age: 40.0 };
+        assert_eq!(aged.sup(), u.utility(40.0));
+        match (aged.latest_time(2.5), u.latest_time(2.5)) {
             (LatestTime::At(a), LatestTime::At(b)) => assert!((a - (b - 40.0)).abs() < 1e-9),
             other => panic!("unexpected {other:?}"),
         }
         // A level only achievable before "now" becomes Never.
-        let s_late = Shifted::new(&u, 1000.0);
-        assert_eq!(s_late.latest_time(4.9), LatestTime::Never);
+        let late = OnionJob { age: 1000.0, ..aged };
+        assert_eq!(late.latest_time(4.9), LatestTime::Never);
     }
 
     #[test]
-    fn shifted_negative_shift_clamps() {
+    fn negative_age_clamps() {
         let u = sigmoid(100.0, 5.0, 0.1);
-        let s = Shifted::new(&u, -5.0);
-        assert_eq!(s.utility(10.0), u.utility(10.0));
+        let job = OnionJob { demand: 1, utility: u, age: -5.0 };
+        assert_eq!(job.sup(), u.sup());
+        assert_eq!(job.latest_time(2.5), u.latest_time(2.5));
     }
 
     #[test]
@@ -2523,8 +2525,8 @@ mod tests {
         let heavy = sigmoid(50.0, 5.0, 0.1);
         let light = sigmoid(50.0, 1.0, 0.1);
         let jobs = [
-            OnionJob { demand: 400, utility: &heavy },
-            OnionJob { demand: 400, utility: &light },
+            OnionJob { demand: 400, utility: heavy, age: 0.0 },
+            OnionJob { demand: 400, utility: light, age: 0.0 },
         ];
         let t = peel(&jobs, 8, 0.001, 1e6).unwrap();
         let d_heavy = t.iter().find(|x| x.job == 0).unwrap().deadline;
@@ -2567,9 +2569,9 @@ mod tests {
         let b = sigmoid(400.0, 3.0, 0.02);
         let c = sigmoid(800.0, 1.0, 0.01);
         let jobs = [
-            OnionJob { demand: 300, utility: &a },
-            OnionJob { demand: 500, utility: &b },
-            OnionJob { demand: 400, utility: &c },
+            OnionJob { demand: 300, utility: a, age: 0.0 },
+            OnionJob { demand: 500, utility: b, age: 0.0 },
+            OnionJob { demand: 400, utility: c, age: 0.0 },
         ];
         let targets = peel(&jobs, 4, 0.001, 1e6).unwrap();
         let reservations: Vec<(f64, u64)> =
@@ -2581,7 +2583,7 @@ mod tests {
 
     /// One pass over the same jobs, in the same order, as the recorded one.
     fn replayed(
-        jobs: &[OnionJob<'_>],
+        jobs: &[OnionJob],
         capacity: u32,
         tolerance: f64,
         horizon: f64,
@@ -2617,10 +2619,10 @@ mod tests {
         let mut state = PeelState::new();
         let (cap, tol, hor) = (16u32, 1e-4, 1e6);
 
-        let jobs: Vec<OnionJob<'_>> = demands
+        let jobs: Vec<OnionJob> = demands
             .iter()
             .zip(&utilities)
-            .map(|(&d, u)| OnionJob { demand: d, utility: u })
+            .map(|(&d, u)| OnionJob { demand: d, utility: *u, age: 0.0 })
             .collect();
         let full = peel(&jobs, cap, tol, hor).unwrap();
         let inc = replayed(&jobs, cap, tol, hor, &mut state);
@@ -2645,10 +2647,10 @@ mod tests {
                     }
                 }
             }
-            let jobs: Vec<OnionJob<'_>> = demands
+            let jobs: Vec<OnionJob> = demands
                 .iter()
                 .zip(&utilities)
-                .map(|(&d, u)| OnionJob { demand: d, utility: u })
+                .map(|(&d, u)| OnionJob { demand: d, utility: *u, age: 0.0 })
                 .collect();
             let full = peel(&jobs, cap, tol, hor).unwrap();
             let inc = replayed(&jobs, cap, tol, hor, &mut state);
@@ -2681,10 +2683,10 @@ mod tests {
         let capacities: [u32; 12] = [16, 14, 14, 9, 12, 3, 3, 16, 15, 2, 11, 16];
 
         {
-            let jobs: Vec<OnionJob<'_>> = demands
+            let jobs: Vec<OnionJob> = demands
                 .iter()
                 .zip(&utilities)
-                .map(|(&d, u)| OnionJob { demand: d, utility: u })
+                .map(|(&d, u)| OnionJob { demand: d, utility: *u, age: 0.0 })
                 .collect();
             replayed(&jobs, capacities[0], tol, hor, &mut state);
         }
@@ -2697,10 +2699,10 @@ mod tests {
                 let k = (step * 5) % demands.len();
                 demands[k] = (demands[k] + 29).max(1);
             }
-            let jobs: Vec<OnionJob<'_>> = demands
+            let jobs: Vec<OnionJob> = demands
                 .iter()
                 .zip(&utilities)
-                .map(|(&d, u)| OnionJob { demand: d, utility: u })
+                .map(|(&d, u)| OnionJob { demand: d, utility: *u, age: 0.0 })
                 .collect();
             let full = peel(&jobs, cap, tol, hor).unwrap();
             let inc = replayed(&jobs, cap, tol, hor, &mut state);
@@ -2717,10 +2719,10 @@ mod tests {
         assert!(saw_resume, "churn never forced a divergence resume");
         assert!(max_verified >= 20, "drain bound never verified a dense probe prefix");
         // A pass with no change at all replays the whole trajectory.
-        let jobs: Vec<OnionJob<'_>> = demands
+        let jobs: Vec<OnionJob> = demands
             .iter()
             .zip(&utilities)
-            .map(|(&d, u)| OnionJob { demand: d, utility: u })
+            .map(|(&d, u)| OnionJob { demand: d, utility: *u, age: 0.0 })
             .collect();
         let cap = *capacities.last().unwrap();
         let full = peel(&jobs, cap, tol, hor).unwrap();
@@ -2736,8 +2738,8 @@ mod tests {
     fn incremental_peel_cold_triggers() {
         let u = sigmoid(300.0, 2.0, 0.03);
         let utilities = vec![u, u, u];
-        fn jobs<'a>(d: &[u64], us: &'a [TimeUtility]) -> Vec<OnionJob<'a>> {
-            d.iter().zip(us).map(|(&d, u)| OnionJob { demand: d, utility: u }).collect()
+        fn jobs(d: &[u64], us: &[TimeUtility]) -> Vec<OnionJob> {
+            d.iter().zip(us).map(|(&d, u)| OnionJob { demand: d, utility: *u, age: 0.0 }).collect()
         }
         // A cold pass reports nothing replayed, resumed or refreshed.
         let cold = |state: &PeelState| assert_eq!(state.last_stats(), ReplayStats::default());
@@ -2750,7 +2752,7 @@ mod tests {
         peel_incremental(&j, 8, 1e-4, 1e6, JobEdit::COLD, &mut state).unwrap();
         cold(&state);
         let all_new = [None, None, None];
-        let gone: Vec<&dyn Utility> = utilities.iter().map(|u| u as &dyn Utility).collect();
+        let gone = j.clone();
         let edit = JobEdit { prev: &all_new, departed: &gone, tick: 0.0 };
         peel_incremental(&j, 8, 1e-4, 1e6, edit, &mut state).unwrap();
         cold(&state);
@@ -2788,8 +2790,8 @@ mod tests {
     /// plus arrivals, placed by `prev`) and checks it bitwise against a
     /// from-scratch peel.
     fn replay_arrivals(
-        before: &[OnionJob<'_>],
-        after: &[OnionJob<'_>],
+        before: &[OnionJob],
+        after: &[OnionJob],
         prev: &[Option<usize>],
         capacity: u32,
     ) -> ReplayStats {
@@ -2813,49 +2815,34 @@ mod tests {
     fn replay_charges_arrivals_their_own_boundaries_and_answers() {
         let (late, low, top) = (step(5000.0, 2.0), step(3000.0, 0.5), step(500.0, 2.0));
         let before =
-            [OnionJob { demand: 100, utility: &late }, OnionJob { demand: 100, utility: &low }];
+            [OnionJob { demand: 100, utility: late, age: 0.0 }, OnionJob { demand: 100, utility: low, age: 0.0 }];
         // Due at 20, before every recorded boundary: the feasible probes'
         // slack absorbs its 500, but 10 containers · 20 slots do not.
         let early = step(20.0, 1.0);
-        let after = [before[0], before[1], OnionJob { demand: 500, utility: &early }];
+        let after = [before[0], before[1], OnionJob { demand: 500, utility: early, age: 0.0 }];
         assert!(replay_arrivals(&before, &after, &[Some(0), Some(1), None], 10).delta);
         // Out of reach above 1.5, where the second recorded layer probed
         // feasible levels: from scratch it answers `never` there.
         let mid = step(5000.0, 1.5);
-        let after = [before[0], before[1], OnionJob { demand: 100, utility: &mid }];
+        let after = [before[0], before[1], OnionJob { demand: 100, utility: mid, age: 0.0 }];
         assert!(replay_arrivals(&before, &after, &[Some(0), Some(1), None], 10).delta);
         // A twin of the recorded job `top`, inserted ahead of it: the same
         // levels are out of reach for both, and the `never` scan answers
         // with the lower index.
         let before =
-            [OnionJob { demand: 10, utility: &low }, OnionJob { demand: 10, utility: &top }];
+            [OnionJob { demand: 10, utility: low, age: 0.0 }, OnionJob { demand: 10, utility: top, age: 0.0 }];
         let after = [before[0], before[1], before[1]];
         assert!(replay_arrivals(&before, &after, &[Some(0), None, Some(1)], 1000).delta);
     }
 
-    /// Records a pass over `jobs` (`(utility, demand, age)` each), moves the
-    /// clock `tick` slots and replays, bitwise against a from-scratch peel.
-    fn replay_tick(
-        jobs: &[(&dyn Utility, u64, f64)],
-        tick: f64,
-        capacity: u32,
-        horizon: f64,
-    ) -> ReplayStats {
+    /// Records a pass over `before`, moves the clock `tick` slots and
+    /// replays, bitwise against a from-scratch peel.
+    fn replay_tick(before: &[OnionJob], tick: f64, capacity: u32, horizon: f64) -> ReplayStats {
         let tol = 1e-3;
-        let shifted = |by: f64| -> Vec<Shifted<'_>> {
-            jobs.iter().map(|&(u, _, age)| Shifted::new(u, age + by)).collect()
-        };
-        let (old, new) = (shifted(0.0), shifted(tick));
-        let (before, after): (Vec<OnionJob<'_>>, Vec<OnionJob<'_>>) = jobs
-            .iter()
-            .zip(old.iter().zip(&new))
-            .map(|(&(_, demand, _), (old, new))| {
-                (OnionJob { demand, utility: old }, OnionJob { demand, utility: new })
-            })
-            .unzip();
+        let after: Vec<OnionJob> = before.iter().map(|&j| OnionJob { age: j.age + tick, ..j }).collect();
         let mut state = PeelState::new();
-        peel_incremental(&before, capacity, tol, horizon, JobEdit::COLD, &mut state).unwrap();
-        let prev: Vec<Option<usize>> = (0..jobs.len()).map(Some).collect();
+        peel_incremental(before, capacity, tol, horizon, JobEdit::COLD, &mut state).unwrap();
+        let prev: Vec<Option<usize>> = (0..before.len()).map(Some).collect();
         let edit = JobEdit { prev: &prev, departed: &[], tick };
         let inc = peel_incremental(&after, capacity, tol, horizon, edit, &mut state).unwrap();
         assert_targets_bitwise(&peel(&after, capacity, tol, horizon).unwrap(), &inc, "tick");
@@ -2864,8 +2851,17 @@ mod tests {
         stats
     }
 
-    fn piecewise(points: &[(f64, f64)]) -> PiecewiseLinear {
-        PiecewiseLinear::new(points.to_vec()).unwrap()
+    /// A demand-`demand` job of utility `u` that arrives now.
+    fn job(u: TimeUtility, demand: u64) -> OnionJob {
+        OnionJob { demand, utility: u, age: 0.0 }
+    }
+
+    /// A sigmoid steep in level, 603.84 slots old: supremum 0.523, due 6.02
+    /// slots from now at level 0.5 and 5.75 at 0.501. A tick of 6 slots
+    /// moves it out of reach of every level above 0.50008 and leaves it due
+    /// 0.02 slots from now at 0.5.
+    fn steep() -> OnionJob {
+        OnionJob { age: 603.84, ..job(sigmoid(500.0, 2.0, 0.01), 1) }
     }
 
     /// A tick moves a job due before it out of reach of the level. On a
@@ -2873,41 +2869,32 @@ mod tests {
     /// holds its demand); on a `never` probe only [`ProbeRec::reach`] does.
     #[test]
     fn tick_moves_jobs_due_before_it_out_of_reach() {
-        let top = step(10_000.0, 3.0);
-        // Due at 5 + (3 − L)·995/3: under 6 slots only within 0.003 of its
+        let top = job(step(10_000.0, 3.0), 1);
+        // Under 6 slots from now only above 0.5, within 0.023 of its
         // supremum, where the recorded layer's last feasible probes sit.
-        let edge = piecewise(&[(5.0, 3.0), (1000.0, 0.0)]);
-        let stats = replay_tick(&[(&edge, 1, 0.0), (&top, 1, 0.0)], 6.0, 1000, 1e6);
+        let stats = replay_tick(&[steep(), top], 6.0, 1000, 1e6);
         assert_eq!(stats.resumed_at, Some(0), "{stats:?}");
         assert!(stats.verified_probes >= 10 && stats.refreshed_probes == 1, "{stats:?}");
-        // Due at about 5 above 1.2 and at 50 or later below it (a flat stretch):
-        // the `never` probes above 1.2 are `low`'s, and the tick moves the
-        // lower-indexed `jump` out of reach there, not at the feasible
+        // Over 6 slots from now up to 0.5 and under it above 0.5: the
+        // `never` probes above 0.5 are `low`'s, and the tick moves the
+        // lower-indexed `steep` out of reach there, not at the feasible
         // probes below.
-        let jump = piecewise(&[(4.0, 2.0), (5.0, 1.2), (50.0, 1.2), (60.0, 0.0)]);
-        let low = step(10_000.0, 1.2);
-        let jobs = [(&jump as &dyn Utility, 1, 0.0), (&low, 1, 0.0), (&top, 1, 0.0)];
-        let stats = replay_tick(&jobs, 6.0, 1000, 1e6);
+        let low = job(step(10_000.0, 0.5), 1);
+        let stats = replay_tick(&[steep(), low, top], 6.0, 1000, 1e6);
         assert_eq!(stats.resumed_at, Some(0), "{stats:?}");
         assert!(stats.verified_probes >= 5 && stats.refreshed_probes >= 2, "{stats:?}");
     }
 
     /// An arrival out of reach of a layer's first probe is spliced in ahead
     /// of it only while no member, lower-indexed, can answer that probe
-    /// instead: here the tick moved `jump` out of reach there.
+    /// instead: here the tick moved `steep` out of reach there.
     #[test]
     fn tick_splices_no_arrival_ahead_of_a_member_it_moved_out_of_reach() {
-        let jump = piecewise(&[(4.0, 2.0), (5.0, 0.5), (500.0, 0.5), (600.0, 0.0)]);
-        let (low, top) = (step(10_000.0, 0.5), step(10_000.0, 3.0));
+        let (low, top) = (job(step(10_000.0, 0.5), 1), job(step(10_000.0, 3.0), 1));
+        let before = [low, steep(), top];
+        let mut after: Vec<OnionJob> = before.iter().map(|&j| OnionJob { age: j.age + 6.0, ..j }).collect();
         // Out of reach just above `low`'s level, where the second layer starts.
-        let late = step(10_000.0, 0.5002);
-        let at = |age: f64| [&low as &dyn Utility, &jump, &top].map(|u| Shifted::new(u, age));
-        let (old, new) = (at(0.0), at(6.0));
-        let arrival = Shifted::new(&late, 0.0);
-        let onion = |u| OnionJob { demand: 1, utility: u };
-        let before: Vec<OnionJob<'_>> = old.iter().map(|u| onion(u as &dyn Utility)).collect();
-        let mut after: Vec<OnionJob<'_>> = new.iter().map(|u| onion(u as &dyn Utility)).collect();
-        after.push(onion(&arrival));
+        after.push(job(step(10_000.0, 0.5002), 1));
         let (tol, hor) = (1e-3, 1e6);
         let mut state = PeelState::new();
         peel_incremental(&before, 1000, tol, hor, JobEdit::COLD, &mut state).unwrap();
@@ -2926,7 +2913,7 @@ mod tests {
         // Due at 1003 and 1010 under a horizon of 1000: the tick unclamps
         // the first (to 998) and leaves the second at the horizon.
         let (near, far) = (step(1003.0, 1.0), step(1010.0, 2.0));
-        let stats = replay_tick(&[(&near, 400, 0.0), (&far, 400, 0.0)], 5.0, 1, 1000.0);
+        let stats = replay_tick(&[job(near, 400), job(far, 400)], 5.0, 1, 1000.0);
         assert_eq!((stats.resumed_at, stats.refreshed_probes), (None, 0), "{stats:?}");
         assert!(stats.verified_probes > 0 && stats.replayed_layers == 2, "{stats:?}");
     }
@@ -2939,8 +2926,7 @@ mod tests {
         // Supremum 3 − 0.01·age: 3 recorded, 2.95 after the tick.
         let top = TimeUtility::linear(100.0, 2.0, 0.01).unwrap();
         let (first, second) = (step(10_000.0, 0.5), step(10_000.0, 2.5));
-        let jobs = [(&first as &dyn Utility, 1, 0.0), (&second, 1, 0.0), (&top, 1, 0.0)];
-        let stats = replay_tick(&jobs, 5.0, 1000, 1e6);
+        let stats = replay_tick(&[job(first, 1), job(second, 1), job(top, 1)], 5.0, 1000, 1e6);
         assert_eq!((stats.resumed_at, stats.replayed_layers), (Some(1), 1), "{stats:?}");
         assert_eq!(stats.refreshed_probes, 0, "{stats:?}");
     }
@@ -2950,28 +2936,23 @@ mod tests {
     #[test]
     fn tick_recomputes_recorded_targets() {
         let (early, late) = (step(300.0, 0.5), step(400.0, 1.0));
-        let stats = replay_tick(&[(&early, 20, 0.0), (&late, 20, 0.0)], 3.0, 1000, 1e6);
+        let stats = replay_tick(&[job(early, 20), job(late, 20)], 3.0, 1000, 1e6);
         assert_eq!((stats.resumed_at, stats.refreshed_probes), (None, 0), "{stats:?}");
         assert_eq!(stats.replayed_layers, 2, "{stats:?}");
     }
 
-    /// `check_level`'s inversion of `u` at `level`: the sigmoid record with
-    /// its `ln` from `memo`.
-    fn kernel_deadline(
-        u: &Shifted<'_>,
-        level: f64,
-        horizon: f64,
-        memo: &mut LnMemo,
-    ) -> Option<f64> {
-        let record = u.sigmoid_inverse();
-        assert!(record.is_some(), "a shifted sigmoid has a record");
+    /// `check_level`'s inversion of `job` at `level`: the sigmoid record
+    /// with its `ln` from `memo`.
+    fn kernel_deadline(job: &OnionJob, level: f64, horizon: f64, memo: &mut LnMemo) -> Option<f64> {
+        let record = job.sigmoid_inverse();
+        assert!(record.is_some(), "an aged sigmoid has a record");
         memo.at_level(level);
-        inverse_deadline(&OnionJob { demand: 1, utility: u }, record.as_ref(), level, horizon, memo)
+        inverse_deadline(job, record.as_ref(), level, horizon, memo)
     }
 
     /// What the kernel must reproduce bit for bit.
-    fn reference_deadline(u: &Shifted<'_>, level: f64, horizon: f64) -> Option<f64> {
-        u.latest_time(level).deadline_within(horizon)
+    fn reference_deadline(job: &OnionJob, level: f64, horizon: f64) -> Option<f64> {
+        job.latest_time(level).deadline_within(horizon)
     }
 
     fn bits(d: Option<f64>) -> Option<u64> {
@@ -2981,13 +2962,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4000))]
 
-        /// The inversion kernel is `Shifted::latest_time(..).deadline_within(..)`
-        /// bit for bit: over budgets, weights and steepness; shifts of 0,
+        /// The inversion kernel is `OnionJob::latest_time(..).deadline_within(..)`
+        /// bit for bit: over budgets, weights and steepness; ages of 0,
         /// inside and far beyond the base deadline (and negative, which
         /// clamps); levels at and around every branch point — non-positive,
         /// tiny, interior, one ulp around the sigmoid's `sup`, `sup + 1e-12`
-        /// and past it, and one ulp around the shifted `sup`, where the base
-        /// deadline lands on the shift; small and large horizons.
+        /// and past it, and one ulp around the aged `sup`, where the base
+        /// deadline lands on the age; small and large horizons.
         #[test]
         fn sigmoid_kernel_is_latest_time_bit_for_bit(
             (budget, weight, beta) in (0.0f64..5000.0, 0.1f64..10.0, 1e-4f64..2.0),
@@ -3003,7 +2984,7 @@ mod tests {
                 2 => budget * (2.0 + 10.0 * shift_frac) + 100.0 / beta,
                 _ => -shift_frac * 10.0,
             };
-            let s = Shifted::new(&u, shift);
+            let s = OnionJob { demand: 1, utility: u, age: shift };
             let sup = u.sup();
             let level = match level_kind {
                 0 => 0.0,
@@ -3046,7 +3027,7 @@ mod tests {
                 sigmoid(300.0 + 7.0 * f64::from(i), w, 0.03)
             })
             .collect();
-        let shifted: Vec<Shifted<'_>> = utilities.iter().map(|u| Shifted::new(u, 20.0)).collect();
+        let shifted: Vec<OnionJob> = utilities.iter().map(|&u| OnionJob { age: 20.0, ..job(u, 1) }).collect();
         let mut memo = LnMemo::default();
         for level in [0.3, 0.5, 0.7, 0.3] {
             for s in &shifted {
@@ -3066,10 +3047,10 @@ mod tests {
         let utilities: Vec<TimeUtility> = (0..400)
             .map(|i| sigmoid(200.0 + 9.0 * f64::from(i), 1.0 + f64::from(i) * 0.01, 0.02))
             .collect();
-        let shifted: Vec<Shifted<'_>> = utilities
+        let shifted: Vec<OnionJob> = utilities
             .iter()
             .enumerate()
-            .map(|(i, u)| Shifted::new(u, (i % 50) as f64))
+            .map(|(i, &u)| OnionJob { age: (i % 50) as f64, ..job(u, 1) })
             .collect();
         let mut memo = LnMemo::default();
         for level in [1e-9, 0.05, 0.9, 2.5, 4.99] {
@@ -3143,9 +3124,9 @@ mod tests {
         let utilities: Vec<TimeUtility> = (0..60)
             .map(|i| sigmoid(100.0 + 37.0 * f64::from(i % 23), 1.0 + f64::from(i % 5), 0.05))
             .collect();
-        let jobs: Vec<OnionJob<'_>> =
-            utilities.iter().map(|u| OnionJob { demand: 1, utility: u }).collect();
-        let sigmoids: Vec<_> = jobs.iter().map(|j| j.utility.sigmoid_inverse()).collect();
+        let jobs: Vec<OnionJob> =
+            utilities.iter().map(|u| OnionJob { demand: 1, utility: *u, age: 0.0 }).collect();
+        let sigmoids: Vec<_> = jobs.iter().map(OnionJob::sigmoid_inverse).collect();
         let (committed, horizon) = (CommittedIndex::default(), 1e6);
         let mut scratch = ProbeScratch::default();
         scratch.fill_active(&[false; 60]);

@@ -50,11 +50,11 @@
 
 use crate::config::{Estimator, EstimatorKind};
 use crate::mapping::{MapJob, MapStats, MapSummary, OccupationProfile};
-use crate::onion::{peel_layers, JobEdit, OnionJob, PeelState, ReplayStats, Shifted};
+use crate::onion::{peel_layers, JobEdit, OnionJob, PeelState, ReplayStats};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
 use rush_estimator::DistributionEstimator;
-use rush_utility::{TimeUtility, Utility};
+use rush_utility::TimeUtility;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -316,30 +316,54 @@ fn fingerprint(tag: u64, job: &PlanInput<'_>) -> u128 {
     (u128::from(fold(s_hi)) << 64) | u128::from(fold(s_lo))
 }
 
-/// Estimate + WCDE + failure inflation for one job (steps 1–2 of the CA
-/// pass). Pure in its inputs — the contract the memo table relies on.
+/// Sizes one job from its runtime samples (steps 1–2 of the CA pass): the
+/// `estimator`'s distribution of the demand of `remaining_tasks` tasks, then
+/// WCDE's worst-case θ-quantile of it within the KL ball of radius δ.
+/// Returns that robust demand `η` (container·slots) and the mean task
+/// runtime (slots).
+///
+/// Planning sizes every job with it, and so does admission
+/// (`rush_planner::estimate_eta`): the two never disagree about a job's
+/// size.
+///
+/// # Errors
+///
+/// [`CoreError::Estimator`] when the estimate fails (e.g. no samples and no
+/// prior), or WCDE's errors.
+pub fn robust_demand(
+    config: &RushConfig,
+    estimator: &Estimator,
+    samples: &[u64],
+    remaining_tasks: usize,
+) -> Result<(u64, f64), CoreError> {
+    let est = estimator.estimate(samples, remaining_tasks)?;
+    let wcde = worst_case_quantile(&est.pmf, config.theta, config.delta)?;
+    Ok((wcde.eta, est.mean_task_runtime))
+}
+
+/// [`robust_demand`] plus failure inflation for one job; a job with no task
+/// left needs nothing. Pure in its inputs — the contract the memo table
+/// relies on.
 fn solve_one(
     config: &RushConfig,
     job: &PlanInput<'_>,
     estimator: &Estimator,
 ) -> Result<JobSolve, CoreError> {
-    let est = estimator.estimate(&job.samples, job.remaining_tasks)?;
+    let (base, mean_task_runtime) =
+        robust_demand(config, estimator, &job.samples, job.remaining_tasks)?;
     let eta = if job.remaining_tasks == 0 {
         0
+    } else if config.failure_aware && job.failed_attempts > 0 {
+        // Inflate by the expected rework factor 1/(1−p̂) with a
+        // Laplace-smoothed failure rate — the paper's stated future-work
+        // extension.
+        let attempts = job.failed_attempts + job.samples.len() + 1;
+        let p_hat = (job.failed_attempts as f64 / attempts as f64).min(0.9);
+        (base as f64 / (1.0 - p_hat)).ceil() as u64
     } else {
-        let base = worst_case_quantile(&est.pmf, config.theta, config.delta)?.eta;
-        if config.failure_aware && job.failed_attempts > 0 {
-            // Inflate by the expected rework factor 1/(1−p̂) with a
-            // Laplace-smoothed failure rate — the paper's stated
-            // future-work extension.
-            let attempts = job.failed_attempts + job.samples.len() + 1;
-            let p_hat = (job.failed_attempts as f64 / attempts as f64).min(0.9);
-            (base as f64 / (1.0 - p_hat)).ceil() as u64
-        } else {
-            base
-        }
+        base
     };
-    Ok(JobSolve { eta, task_len: est.mean_task_runtime.ceil().max(1.0) as u64 })
+    Ok(JobSolve { eta, task_len: mean_task_runtime.ceil().max(1.0) as u64 })
 }
 
 /// Per-job stage, memoized (see [`PlanCache`]). On success the cache holds
@@ -635,31 +659,18 @@ impl PlanState {
         // A demand crossing zero changes how every probe sees the job (a job
         // without demand never blocks a level): replay it as a departure and
         // an arrival.
-        let recorded = peel.demands();
-        for (was, s) in prev.iter_mut().zip(&pass.solves) {
-            let crossed = |&i: &usize| recorded.get(i).is_some_and(|&d| (d == 0) != (s.eta == 0));
+        for (was, job) in prev.iter_mut().zip(&pass.peers.jobs) {
+            let crossed = |&i: &usize| (peeled.jobs[i].demand == 0) != (job.demand == 0);
             if let Some(i) = was.filter(crossed) {
                 gone.push(i);
                 *was = None;
             }
         }
         gone.sort_unstable();
-        let targets = {
-            let gone: Vec<Shifted<'_>> = gone
-                .iter()
-                .map(|&i| Shifted::new(&peeled.utilities[i], peeled.ages[i]))
-                .collect();
-            let departed: Vec<&dyn Utility> = gone.iter().map(|u| u as &dyn Utility).collect();
-            let shifted: Vec<Shifted<'_>> =
-                pass.peers.utilities.iter().zip(&pass.peers.ages).map(|(u, &a)| Shifted::new(u, a)).collect();
-            let onion_jobs: Vec<OnionJob<'_>> = shifted
-                .iter()
-                .zip(&pass.solves)
-                .map(|(u, s)| OnionJob { demand: s.eta, utility: u })
-                .collect();
-            let edit = JobEdit { prev: &prev, departed: &departed, tick };
-            peel_layers(&onion_jobs, pass.capacity, pass.tolerance, pass.horizon, edit, peel)?
-        };
+        let departed: Vec<OnionJob> = gone.iter().map(|&i| peeled.jobs[i]).collect();
+        let edit = JobEdit { prev: &prev, departed: &departed, tick };
+        let targets =
+            peel_layers(&pass.peers.jobs, pass.capacity, pass.tolerance, pass.horizon, edit, peel)?;
         peeled.clone_from(&pass.peers);
         let t1 = Instant::now();
         pass.targets.clear();
@@ -733,7 +744,7 @@ impl Pass {
     /// Starts the pass over `jobs`, whose solves are `solves`.
     fn set_jobs(&mut self, config: &RushConfig, capacity: u32, jobs: &[PlanInput<'_>], solves: Vec<JobSolve>) {
         (self.capacity, self.tolerance, self.horizon) = (capacity, config.tolerance, config.horizon);
-        self.peers.fill(jobs);
+        self.peers.fill(jobs, &solves);
         self.remaining.clear();
         self.remaining.extend(jobs.iter().map(|j| j.remaining_tasks as u64));
         self.solves = solves;
@@ -822,23 +833,27 @@ pub fn compute_plan_incremental(
     state.finish()
 }
 
-/// What the peel stage aligns passes on, per job: its key, utility and age.
+/// A pass's jobs as the peel stage sees them — what it peels, and what the
+/// next pass aligns with: per job its key, and its robust demand, utility
+/// and age.
 #[derive(Debug, Clone, Default)]
 struct Peers {
     keys: Vec<u64>,
-    utilities: Vec<TimeUtility>,
-    ages: Vec<f64>,
+    jobs: Vec<OnionJob>,
 }
 
 impl Peers {
-    /// Refills the buffers with `jobs`'s keys, utilities and ages.
-    fn fill(&mut self, jobs: &[PlanInput<'_>]) {
+    /// Refills the buffers with `jobs`'s keys and peel jobs, whose robust
+    /// demands are `solves`'s.
+    fn fill(&mut self, jobs: &[PlanInput<'_>], solves: &[JobSolve]) {
         self.keys.clear();
         self.keys.extend(jobs.iter().map(|j| j.key));
-        self.utilities.clear();
-        self.utilities.extend(jobs.iter().map(|j| j.utility));
-        self.ages.clear();
-        self.ages.extend(jobs.iter().map(|j| j.age));
+        self.jobs.clear();
+        self.jobs.extend(jobs.iter().zip(solves).map(|(j, s)| OnionJob {
+            demand: s.eta,
+            utility: j.utility,
+            age: j.age,
+        }));
     }
 }
 
@@ -854,11 +869,11 @@ impl Peers {
 fn align_jobs(recorded: &Peers, now: &Peers) -> (Vec<Option<usize>>, Vec<usize>, f64) {
     let (mut prev, mut departed) = merge_keys(&recorded.keys, &now.keys);
     let mut tick = None;
-    for ((was, utility), &age) in prev.iter_mut().zip(&now.utilities).zip(&now.ages) {
+    for (was, job) in prev.iter_mut().zip(&now.jobs) {
         let Some(i) = *was else { continue };
-        let then = recorded.ages[i];
-        let shift = tick.unwrap_or(age - then);
-        if shift >= 0.0 && (then + shift).to_bits() == age.to_bits() && *utility == recorded.utilities[i] {
+        let then = &recorded.jobs[i];
+        let shift = tick.unwrap_or(job.age - then.age);
+        if shift >= 0.0 && (then.age + shift).to_bits() == job.age.to_bits() && job.utility == then.utility {
             tick = Some(shift);
         } else {
             departed.push(i);
@@ -1309,8 +1324,9 @@ mod tests {
         jobs: &[PlanInput<'_>],
     ) -> (Vec<Option<usize>>, Vec<usize>, f64) {
         let (mut was, mut now) = (Peers::default(), Peers::default());
-        was.fill(recorded);
-        now.fill(jobs);
+        let solves = [JobSolve { eta: 1, task_len: 1 }].repeat(recorded.len().max(jobs.len()));
+        was.fill(recorded, &solves);
+        now.fill(jobs, &solves);
         let (prev, departed, tick) = align_jobs(&was, &now);
         // Whatever the alignment decides, it must be sound: mapped pairs are
         // the same key, equal up to the one tick, the map ascends, and every

@@ -22,10 +22,10 @@
 //! its `ReplayStats` totals pinned exactly.
 
 use proptest::prelude::*;
-use rush_core::onion::{self, JobEdit, OnionJob, PeelState, Shifted};
+use rush_core::onion::{self, JobEdit, OnionJob, PeelState};
 use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
 use rush_core::RushConfig;
-use rush_utility::{TimeUtility, Utility};
+use rush_utility::TimeUtility;
 
 /// (samples, remaining, failed, budget, weight, age)
 type RawJob = (Vec<u64>, usize, usize, f64, f64, f64);
@@ -174,10 +174,9 @@ struct Fleet {
     ticks: &'static [f64],
     next_id: usize,
     state: PeelState,
-    /// The previous pass: ids, utilities, ages and peel order.
+    /// The previous pass: ids, jobs and peel order.
     prev_ids: Vec<usize>,
-    prev_utilities: Vec<TimeUtility>,
-    prev_ages: Vec<f64>,
+    prev_jobs: Vec<OnionJob>,
     prev_order: Vec<onion::Target>,
     passes: usize,
     /// Passes whose resume bound was checked.
@@ -220,8 +219,7 @@ impl Fleet {
             next_id: 0,
             state: PeelState::new(),
             prev_ids: Vec::new(),
-            prev_utilities: Vec::new(),
-            prev_ages: Vec::new(),
+            prev_jobs: Vec::new(),
             prev_order: Vec::new(),
             passes: 0,
             bounded: 0,
@@ -269,27 +267,15 @@ impl Fleet {
         for age in &mut self.ages {
             *age += tick;
         }
-        let shifted: Vec<Shifted<'_>> = self
-            .utilities
-            .iter()
-            .zip(&self.ages)
-            .map(|(u, &age)| Shifted::new(u, age))
-            .collect();
-        let jobs: Vec<OnionJob<'_>> = self
+        let jobs: Vec<OnionJob> = self
             .demands
             .iter()
-            .zip(&shifted)
-            .map(|(&d, u)| OnionJob {
-                demand: d,
-                utility: u,
-            })
+            .zip(&self.utilities)
+            .zip(&self.ages)
+            .map(|((&demand, &utility), &age)| OnionJob { demand, utility, age })
             .collect();
         let (prev, gone) = edit_between(&self.prev_ids, &self.ids);
-        let recorded: Vec<Shifted<'_>> = gone
-            .iter()
-            .map(|&i| Shifted::new(&self.prev_utilities[i], self.prev_ages[i]))
-            .collect();
-        let departed: Vec<&dyn Utility> = recorded.iter().map(|u| u as &dyn Utility).collect();
+        let departed: Vec<OnionJob> = gone.iter().map(|&i| self.prev_jobs[i]).collect();
         let edit = JobEdit {
             prev: &prev,
             departed: &departed,
@@ -380,8 +366,7 @@ impl Fleet {
         }
         self.passes += 1;
         self.prev_ids.clone_from(&self.ids);
-        self.prev_utilities.clone_from(&self.utilities);
-        self.prev_ages.clone_from(&self.ages);
+        self.prev_jobs = jobs;
         self.prev_order = inc;
     }
 }
@@ -805,7 +790,7 @@ proptest! {
         let mut ids: Vec<usize> = (0..demands.len()).collect();
         let mut next_id = demands.len();
         let mut prev_ids = ids.clone();
-        let mut prev_utilities = utilities.clone();
+        let mut prev_jobs: Vec<OnionJob> = Vec::new();
         let mut capacity = capacity0;
         let mut state = PeelState::new();
 
@@ -844,14 +829,13 @@ proptest! {
                     }
                 }
             }
-            let jobs: Vec<OnionJob<'_>> = demands
+            let jobs: Vec<OnionJob> = demands
                 .iter()
                 .zip(&utilities)
-                .map(|(&d, u)| OnionJob { demand: d, utility: u })
+                .map(|(&demand, &utility)| OnionJob { demand, utility, age: 0.0 })
                 .collect();
             let (prev, gone) = edit_between(&prev_ids, &ids);
-            let departed: Vec<&dyn Utility> =
-                gone.iter().map(|&i| &prev_utilities[i] as &dyn Utility).collect();
+            let departed: Vec<OnionJob> = gone.iter().map(|&i| prev_jobs[i]).collect();
             let edit = JobEdit { prev: &prev, departed: &departed, tick: 0.0 };
 
             let full = onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
@@ -907,7 +891,7 @@ proptest! {
                 );
             }
             prev_ids.clone_from(&ids);
-            prev_utilities.clone_from(&utilities);
+            prev_jobs.clone_from(&jobs);
             let mut inc_levels: Vec<f64> = inc.iter().map(|t| t.level).collect();
             let mut ref_levels: Vec<f64> = naive.iter().map(|t| t.level).collect();
             inc_levels.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -138,10 +138,10 @@ proptest! {
             .iter()
             .map(|(_, budget, weight)| TimeUtility::sigmoid(*budget, *weight, 10.0 / *budget).unwrap())
             .collect();
-        let jobs: Vec<OnionJob<'_>> = raw
+        let jobs: Vec<OnionJob> = raw
             .iter()
             .zip(&utilities)
-            .map(|((demand, _, _), u)| OnionJob { demand: *demand, utility: u })
+            .map(|(&(demand, _, _), &utility)| OnionJob { demand, utility, age: 0.0 })
             .collect();
         let fast = onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
         let reference = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();

@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use rush_core::mapping::{
     capacity_condition_holds, map_continuous, map_profile, MapJob, OccupationProfile,
 };
-use rush_core::onion::{peel, peel_incremental, JobEdit, OnionJob, PeelState, Shifted, Target};
+use rush_core::onion::{peel, peel_incremental, JobEdit, OnionJob, PeelState, Target};
 use rush_core::rem;
 use rush_core::wcde::worst_case_quantile;
 use rush_prob::Pmf;
-use rush_utility::{LatestTime, TimeUtility, Utility};
+use rush_utility::{LatestTime, TimeUtility};
 
 fn pmf_strategy() -> impl Strategy<Value = Pmf> {
     prop::collection::vec(0.01f64..10.0, 4..64)
@@ -120,10 +120,10 @@ proptest! {
             .iter()
             .map(|&(_, b, w, beta)| TimeUtility::sigmoid(b, w, beta).unwrap())
             .collect();
-        let jobs: Vec<OnionJob<'_>> = utils
+        let jobs: Vec<OnionJob> = utils
             .iter()
             .zip(&specs)
-            .map(|(u, &(d, ..))| OnionJob { demand: d, utility: u })
+            .map(|(&utility, &(d, ..))| OnionJob { demand: d, utility, age: 0.0 })
             .collect();
         let targets = peel(&jobs, capacity, 0.01, 1e7).unwrap();
         prop_assert_eq!(targets.len(), jobs.len());
@@ -149,10 +149,10 @@ proptest! {
             .iter()
             .map(|&(_, b, w, beta)| TimeUtility::sigmoid(b, w, beta).unwrap())
             .collect();
-        let jobs: Vec<OnionJob<'_>> = utils
+        let jobs: Vec<OnionJob> = utils
             .iter()
             .zip(&specs)
-            .map(|(u, &(d, ..))| OnionJob { demand: d, utility: u })
+            .map(|(&utility, &(d, ..))| OnionJob { demand: d, utility, age: 0.0 })
             .collect();
         let targets = peel(&jobs, capacity, 0.01, 1e7).unwrap();
         for t in &targets {
@@ -181,10 +181,10 @@ proptest! {
             .iter()
             .map(|&(_, b, w, beta)| TimeUtility::sigmoid(b, w, beta).unwrap())
             .collect();
-        let jobs: Vec<OnionJob<'_>> = utils
+        let jobs: Vec<OnionJob> = utils
             .iter()
             .zip(&specs)
-            .map(|(u, &(d, ..))| OnionJob { demand: d, utility: u })
+            .map(|(&utility, &(d, ..))| OnionJob { demand: d, utility, age: 0.0 })
             .collect();
         let targets = peel(&jobs, capacity, 0.01, 1e7).unwrap();
         let reservations: Vec<(usize, f64)> =
@@ -252,10 +252,10 @@ proptest! {
             .iter()
             .map(|&(_, b, w, beta)| TimeUtility::sigmoid(b, w, beta).unwrap())
             .collect();
-        let jobs: Vec<OnionJob<'_>> = utils
+        let jobs: Vec<OnionJob> = utils
             .iter()
             .zip(&specs)
-            .map(|(u, &(d, ..))| OnionJob { demand: d, utility: u })
+            .map(|(&utility, &(d, ..))| OnionJob { demand: d, utility, age: 0.0 })
             .collect();
         let lp = rush_oracle::lp::max_min_level_lp(&jobs, capacity, 1e-3, 1e7).unwrap();
         let targets = peel(&jobs, capacity, 1e-3, 1e7).unwrap();
@@ -267,33 +267,10 @@ proptest! {
     }
 }
 
-/// A utility with its sigmoid record hidden: the peel must invert it through
-/// `latest_time`, the path every other utility class takes.
-struct Opaque<'a>(&'a dyn Utility);
-
-impl Utility for Opaque<'_> {
-    fn utility(&self, t: f64) -> f64 {
-        self.0.utility(t)
-    }
-
-    fn sup(&self) -> f64 {
-        self.0.sup()
-    }
-
-    fn inf(&self) -> f64 {
-        self.0.inf()
-    }
-
-    fn latest_time(&self, level: f64) -> LatestTime {
-        self.0.latest_time(level)
-    }
-}
-
 /// A cold 1000-job peel of aged sigmoids with continuous weights — every job
 /// its own `ln` memo key, the shape that made a scanning memo quadratic — is
-/// bit for bit the peel of the same jobs inverted through `latest_time`
-/// alone; is what a state that recorded another pass computes when told
-/// nothing carried over; and agrees level for level with the frozen oracle
+/// what a state that recorded another pass computes when told nothing
+/// carried over, and agrees level for level with the frozen oracle
 /// within bisection wobble (tolerance 1e-6, bound 1e-3, as in
 /// `optimized_peel_matches_reference_algorithm`).
 #[test]
@@ -315,18 +292,8 @@ fn cold_peel_of_continuous_weights() {
             (demand, TimeUtility::sigmoid(budget, weight, 10.0 / budget).unwrap(), age)
         })
         .collect();
-    let shifted: Vec<Shifted<'_>> = specs.iter().map(|(_, u, age)| Shifted::new(u, *age)).collect();
-    let opaque: Vec<Opaque<'_>> = shifted.iter().map(|s| Opaque(s)).collect();
-    let jobs: Vec<OnionJob<'_>> = specs
-        .iter()
-        .zip(&shifted)
-        .map(|((d, ..), u)| OnionJob { demand: *d, utility: u })
-        .collect();
-    let hidden: Vec<OnionJob<'_>> = specs
-        .iter()
-        .zip(&opaque)
-        .map(|((d, ..), u)| OnionJob { demand: *d, utility: u })
-        .collect();
+    let jobs: Vec<OnionJob> =
+        specs.iter().map(|&(demand, utility, age)| OnionJob { demand, utility, age }).collect();
 
     let fast = peel(&jobs, capacity, tolerance, horizon).unwrap();
     // Contended, not hopeless: many layers at distinct positive levels.
@@ -337,7 +304,6 @@ fn cold_peel_of_continuous_weights() {
     let bits = |ts: &[Target]| -> Vec<(usize, u64, u64, bool)> {
         ts.iter().map(|t| (t.job, t.level.to_bits(), t.deadline.to_bits(), t.lax)).collect()
     };
-    assert_eq!(bits(&fast), bits(&peel(&hidden, capacity, tolerance, horizon).unwrap()));
 
     let mut state = PeelState::new();
     let first_half = &jobs[..500];
@@ -614,8 +580,8 @@ fn placement_bits(targets: &[Target]) -> Vec<(usize, u64, bool)> {
 /// took, so every target — the deferred placements above all — must agree
 /// bit for bit; the levels differ by bisection wobble only.
 fn assert_peel_matches_oracle_bitwise(specs: &[(u64, TimeUtility)], capacity: u32, horizon: f64) {
-    let jobs: Vec<OnionJob<'_>> =
-        specs.iter().map(|(d, u)| OnionJob { demand: *d, utility: u }).collect();
+    let jobs: Vec<OnionJob> =
+        specs.iter().map(|&(demand, utility)| OnionJob { demand, utility, age: 0.0 }).collect();
     let tolerance = 1e-3;
     let fast = peel(&jobs, capacity, tolerance, horizon).unwrap();
     let reference = rush_oracle::onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
@@ -646,10 +612,9 @@ fn assert_peel_matches_oracle_bitwise(specs: &[(u64, TimeUtility)], capacity: u3
     assert_eq!(bits(&warm), bits(&peel(&grown, capacity, tolerance, horizon).unwrap()));
     let stays = |i: &usize| i % 11 != 5;
     let kept: Vec<usize> = (0..jobs.len()).filter(stays).collect();
-    let rest: Vec<OnionJob<'_>> = kept.iter().map(|&i| grown[i]).collect();
+    let rest: Vec<OnionJob> = kept.iter().map(|&i| grown[i]).collect();
     let prev: Vec<Option<usize>> = kept.iter().map(|&i| Some(i)).collect();
-    let departed: Vec<&dyn Utility> =
-        (0..jobs.len()).filter(|i| !stays(i)).map(|i| grown[i].utility).collect();
+    let departed: Vec<OnionJob> = (0..jobs.len()).filter(|i| !stays(i)).map(|i| grown[i]).collect();
     let edit = JobEdit { prev: &prev, departed: &departed, tick: 0.0 };
     let warm = peel_incremental(&rest, capacity, tolerance, horizon, edit, &mut state).unwrap();
     assert!(state.last_stats().delta, "a departure replays");
@@ -696,8 +661,8 @@ fn overloaded_testbed_peel_matches_oracle_bit_for_bit() {
         })
         .collect();
     let horizon = 20_000.0;
-    let jobs: Vec<OnionJob<'_>> =
-        specs.iter().map(|(d, u)| OnionJob { demand: *d, utility: u }).collect();
+    let jobs: Vec<OnionJob> =
+        specs.iter().map(|&(demand, utility)| OnionJob { demand, utility, age: 0.0 }).collect();
     let clamped = peel(&jobs, 48, 1e-3, horizon)
         .unwrap()
         .iter()
@@ -711,7 +676,7 @@ fn overloaded_testbed_peel_matches_oracle_bit_for_bit() {
 /// were deferred.
 fn assert_deferred(specs: &[(u64, TimeUtility)], capacity: u32, horizon: f64) -> usize {
     assert_peel_matches_oracle_bitwise(specs, capacity, horizon);
-    let jobs: Vec<OnionJob<'_>> =
-        specs.iter().map(|(d, u)| OnionJob { demand: *d, utility: u }).collect();
+    let jobs: Vec<OnionJob> =
+        specs.iter().map(|&(demand, utility)| OnionJob { demand, utility, age: 0.0 }).collect();
     peel(&jobs, capacity, 1e-3, horizon).unwrap().iter().filter(|t| t.lax).count()
 }

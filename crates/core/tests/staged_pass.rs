@@ -76,13 +76,11 @@ fn fleet(n: usize, seed: u64) -> Vec<PlanInput<'static>> {
 fn map_jobs(jobs: &[PlanInput<'_>], capacity: u32) -> Vec<MapJob> {
     let cfg = RushConfig::default();
     let plan = compute_plan(&cfg, capacity, jobs).unwrap();
-    let utilities: Vec<rush_core::onion::Shifted<'_>> =
-        jobs.iter().map(|j| rush_core::onion::Shifted::new(&j.utility, j.age)).collect();
-    let onion: Vec<OnionJob<'_>> = plan
+    let onion: Vec<OnionJob> = plan
         .entries
         .iter()
-        .zip(&utilities)
-        .map(|(e, u)| OnionJob { demand: e.eta, utility: u })
+        .zip(jobs)
+        .map(|(e, j)| OnionJob { demand: e.eta, utility: j.utility, age: j.age })
         .collect();
     let mut lax = vec![false; jobs.len()];
     for t in peel(&onion, capacity, cfg.tolerance, cfg.horizon).unwrap() {

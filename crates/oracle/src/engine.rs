@@ -23,7 +23,6 @@ use rush_sim::scheduler::Scheduler;
 use rush_sim::trace::{Trace, TraceEvent};
 use rush_sim::view::{ClusterView, JobView, TaskSample};
 use rush_sim::{JobId, SimError, Slot, TaskId};
-use rush_utility::Utility;
 use std::cmp::Reverse;
 use std::time::Instant;
 

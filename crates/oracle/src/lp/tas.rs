@@ -25,7 +25,7 @@ use rush_core::CoreError;
 ///
 /// [`CoreError::InvalidConfig`] if `capacity == 0` or `horizon ≤ 0`.
 pub fn level_feasible_lp(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     capacity: u32,
     horizon: f64,
     level: f64,
@@ -39,7 +39,7 @@ pub fn level_feasible_lp(
     // Deadlines; a Never with positive demand is immediately infeasible.
     let mut deadlines = Vec::with_capacity(jobs.len());
     for j in jobs {
-        match j.utility.latest_time(level).deadline_within(horizon) {
+        match j.latest_time(level).deadline_within(horizon) {
             Some(d) => deadlines.push(d.max(0.0)),
             None => {
                 if j.demand > 0 {
@@ -99,7 +99,7 @@ pub fn level_feasible_lp(
 ///
 /// Propagates [`level_feasible_lp`]'s configuration errors.
 pub fn max_min_level_lp(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
@@ -111,7 +111,7 @@ pub fn max_min_level_lp(
     if !lo.is_finite() {
         lo = 0.0;
     }
-    let hi0 = jobs.iter().map(|j| j.utility.sup()).fold(lo, f64::max);
+    let hi0 = jobs.iter().map(|j| j.sup()).fold(lo, f64::max);
     let mut hi = hi0 + tolerance;
     if !level_feasible_lp(jobs, capacity, horizon, lo)? {
         return Ok(lo);
@@ -131,7 +131,7 @@ pub fn max_min_level_lp(
 mod tests {
     use super::*;
     use rush_core::onion::peel;
-    use rush_utility::{TimeUtility, Utility};
+    use rush_utility::TimeUtility;
 
     fn sigmoid(budget: f64, weight: f64, beta: f64) -> TimeUtility {
         TimeUtility::sigmoid(budget, weight, beta).unwrap()
@@ -142,7 +142,7 @@ mod tests {
         // Demand 800 on 8 containers ⇒ earliest completion 100; the max-min
         // level is U(100).
         let u = sigmoid(100.0, 5.0, 0.1);
-        let jobs = [OnionJob { demand: 800, utility: &u }];
+        let jobs = [OnionJob { demand: 800, utility: u, age: 0.0 }];
         let lvl = max_min_level_lp(&jobs, 8, 1e-4, 1e6).unwrap();
         let expect = u.utility(100.0);
         assert!((lvl - expect).abs() < 0.01, "lvl {lvl} vs U(100) {expect}");
@@ -154,9 +154,9 @@ mod tests {
         let b = sigmoid(150.0, 4.0, 0.05);
         let c = sigmoid(300.0, 3.0, 0.02);
         let jobs = [
-            OnionJob { demand: 300, utility: &a },
-            OnionJob { demand: 500, utility: &b },
-            OnionJob { demand: 400, utility: &c },
+            OnionJob { demand: 300, utility: a, age: 0.0 },
+            OnionJob { demand: 500, utility: b, age: 0.0 },
+            OnionJob { demand: 400, utility: c, age: 0.0 },
         ];
         let lp = max_min_level_lp(&jobs, 8, 1e-4, 1e6).unwrap();
         let targets = peel(&jobs, 8, 1e-4, 1e6).unwrap();
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn infeasible_level_detected() {
         let u = sigmoid(10.0, 5.0, 1.0);
-        let jobs = [OnionJob { demand: 1000, utility: &u }];
+        let jobs = [OnionJob { demand: 1000, utility: u, age: 0.0 }];
         // Level 4.9 needs completion by ~budget 10 → 1000 > 8*10.
         assert!(!level_feasible_lp(&jobs, 8, 1e6, 4.9).unwrap());
         // Level 0 is always feasible (flat region: deadline → horizon).
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn zero_demand_jobs_are_free() {
         let u = sigmoid(10.0, 1.0, 0.5);
-        let jobs = [OnionJob { demand: 0, utility: &u }];
+        let jobs = [OnionJob { demand: 0, utility: u, age: 0.0 }];
         assert!(level_feasible_lp(&jobs, 1, 1e6, 0.5).unwrap());
         // Above the sup with zero demand: Never but nothing needed.
         assert!(level_feasible_lp(&jobs, 1, 1e6, 2.0).unwrap());
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn validation() {
         let u = sigmoid(10.0, 1.0, 0.5);
-        let jobs = [OnionJob { demand: 1, utility: &u }];
+        let jobs = [OnionJob { demand: 1, utility: u, age: 0.0 }];
         assert!(level_feasible_lp(&jobs, 0, 1e6, 0.5).is_err());
         assert!(level_feasible_lp(&jobs, 1, 0.0, 0.5).is_err());
         assert!(max_min_level_lp(&jobs, 1, 0.0, 1e6).is_err());

@@ -21,10 +21,10 @@ use rush_utility::LatestTime;
 const ZERO_LEVEL: f64 = 1e-9;
 
 /// The deadline a job should be given when peeling at `level`.
-fn deadline_for(job: &OnionJob<'_>, level: f64, horizon: f64) -> f64 {
+fn deadline_for(job: &OnionJob, level: f64, horizon: f64) -> f64 {
     // A job can never be asked to exceed its own supremum.
-    let lvl = level.min(job.utility.sup());
-    match job.utility.latest_time(lvl).deadline_within(horizon) {
+    let lvl = level.min(job.sup());
+    match job.latest_time(lvl).deadline_within(horizon) {
         Some(d) => d.max(0.0),
         // Level above sup by floating-point noise: complete ASAP.
         None => 0.0,
@@ -34,11 +34,11 @@ fn deadline_for(job: &OnionJob<'_>, level: f64, horizon: f64) -> f64 {
 /// Whether a job's utility is indifferent to *when* it completes at the
 /// given level: either the level has collapsed to ~0 (nothing left to
 /// gain) or the utility is flat at/above the level (time-insensitive).
-fn is_deadline_free(job: &OnionJob<'_>, level: f64) -> bool {
-    if level <= ZERO_LEVEL && job.utility.sup() > ZERO_LEVEL {
+fn is_deadline_free(job: &OnionJob, level: f64) -> bool {
+    if level <= ZERO_LEVEL && job.sup() > ZERO_LEVEL {
         return true;
     }
-    matches!(job.utility.latest_time(level), LatestTime::Always)
+    matches!(job.latest_time(level), LatestTime::Always)
 }
 
 /// Frozen two-outcome probe verdict. The optimized peel's `Check`
@@ -122,7 +122,7 @@ impl CommittedIndex {
 
 /// Theorem 2 feasibility probe, allocating and sorting per call.
 fn check_level(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     active: &[usize],
     committed: &CommittedIndex,
     capacity: u32,
@@ -131,7 +131,7 @@ fn check_level(
 ) -> Check {
     let mut deadlines: Vec<(f64, usize)> = Vec::with_capacity(active.len());
     for &i in active {
-        match jobs[i].utility.latest_time(level).deadline_within(horizon) {
+        match jobs[i].latest_time(level).deadline_within(horizon) {
             Some(d) => deadlines.push((d, i)),
             None => {
                 if jobs[i].demand > 0 {
@@ -178,7 +178,7 @@ fn check_level(
 /// [`CoreError::InvalidConfig`] under the same conditions as
 /// [`rush_core::onion::peel`].
 pub fn peel(
-    jobs: &[OnionJob<'_>],
+    jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
@@ -204,7 +204,7 @@ pub fn peel(
     while !active.is_empty() {
         let level_hi = active
             .iter()
-            .map(|&i| jobs[i].utility.sup())
+            .map(|&i| jobs[i].sup())
             .fold(f64::NEG_INFINITY, f64::max)
             .max(level_lo);
         let mut lo = level_lo;
@@ -230,7 +230,7 @@ pub fn peel(
 
         match bottleneck {
             Some(b) => {
-                let level_b = lo.min(jobs[b].utility.sup());
+                let level_b = lo.min(jobs[b].sup());
                 if is_deadline_free(&jobs[b], level_b) {
                     deferred.push((b, level_b));
                     active.retain(|&i| i != b);
@@ -244,7 +244,7 @@ pub fn peel(
             }
             None => {
                 for &i in &active {
-                    let level_i = lo.min(jobs[i].utility.sup());
+                    let level_i = lo.min(jobs[i].sup());
                     if is_deadline_free(&jobs[i], level_i) {
                         deferred.push((i, level_i));
                         continue;

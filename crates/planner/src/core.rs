@@ -29,10 +29,10 @@
 //! a read of a fresh pass continues it instead of starting another.
 
 use crate::PlannerError;
-use rush_core::plan::{JobSolve, Plan, PlanCache, PlanEntry, PlanInput, PlanPhaseStats, PlanState};
-use rush_core::wcde::worst_case_quantile;
-use rush_core::RushConfig;
-use rush_estimator::DistributionEstimator;
+use rush_core::plan::{
+    robust_demand, JobSolve, Plan, PlanCache, PlanEntry, PlanInput, PlanPhaseStats, PlanState,
+};
+use rush_core::{CoreError, RushConfig};
 use rush_sim::view::ClusterView;
 use rush_utility::TimeUtility;
 use std::borrow::Cow;
@@ -496,7 +496,9 @@ impl PlannerCore {
     /// is sized from its own samples, else its runtime hint, else the
     /// configured prior — exactly as admission sized it ([`estimate_eta`]),
     /// and never from the pools, so a plan depends only on the records and
-    /// a snapshot restore reproduces it bit for bit.
+    /// a snapshot restore reproduces it bit for bit. The records count no
+    /// failed attempts, so [`RushConfig::failure_aware`] inflates nothing
+    /// here.
     ///
     /// # Errors
     ///
@@ -752,10 +754,12 @@ pub fn estimate_eta(
     remaining_tasks: usize,
 ) -> Result<(u64, f64), PlannerError> {
     let hint = hint_sample(runtime_hint);
-    let estimate =
-        config.estimator().estimate(sizing_samples(samples, &hint), remaining_tasks)?;
-    let wcde = worst_case_quantile(&estimate.pmf, config.theta, config.delta)?;
-    Ok((wcde.eta, estimate.mean_task_runtime))
+    let samples = sizing_samples(samples, &hint);
+    robust_demand(config, &config.estimator(), samples, remaining_tasks).map_err(|e| match e {
+        // A failed estimate is reported as the estimator's own error.
+        CoreError::Estimator(e) => PlannerError::Estimator(e),
+        e => PlannerError::Core(e),
+    })
 }
 
 #[cfg(test)]
@@ -1025,6 +1029,31 @@ mod tests {
         let (small, _) = estimate_eta(&c, &[], Some(10.0), 10).expect("estimate");
         let (big, _) = estimate_eta(&c, &[], Some(1000.0), 10).expect("estimate");
         assert!(big > small);
+    }
+
+    /// Admission's sizing, pinned bit for bit: a job with no task left still
+    /// gets WCDE's one-bin demand (planning alone sizes it 0), a hint seeds
+    /// a sample-less job, own samples win over a hint, the cold prior sizes
+    /// a job with neither, and an estimate that fails is the estimator's
+    /// error.
+    #[test]
+    fn estimate_eta_is_pinned() {
+        let c = RushConfig::default();
+        let pin = |samples: &[u64], hint: Option<f64>, remaining: usize, want: (u64, f64)| {
+            let got = estimate_eta(&c, samples, hint, remaining).expect("estimate");
+            let bits = |(eta, runtime): (u64, f64)| (eta, runtime.to_bits());
+            assert_eq!(bits(got), bits(want), "{samples:?} {hint:?} {remaining}");
+        };
+        pin(&[50, 60, 55], None, 0, (1, 55.0));
+        pin(&[], Some(10.0), 0, (1, 10.0));
+        pin(&[], Some(10.0), 10, (352, 10.0));
+        pin(&[50, 60, 55], Some(10.0), 5, (320, 55.0));
+        pin(&[], None, 0, (1, 60.0));
+        pin(&[], None, 10, (852, 60.0));
+        assert!(matches!(
+            estimate_eta(&c, &[1 << 60], None, 4),
+            Err(PlannerError::Estimator(rush_estimator::EstimatorError::RangeTooLarge { .. }))
+        ));
     }
 
     #[test]

@@ -50,7 +50,6 @@
 
 use rush_sim::view::{ClusterView, JobView};
 use rush_sim::{JobId, Scheduler};
-use rush_utility::Utility;
 
 /// Default per-task runtime guess (slots) before any sample exists —
 /// matches the RUSH cold prior so baselines are not handicapped.

@@ -35,6 +35,12 @@
 //! map up to their job ([`PlannerCore::entry_at`]), the whole table
 //! completes the pass. Parked (deferred) jobs are re-probed at the start
 //! of every epoch, in submission order.
+//!
+//! **Failure-blind.** No request reports a failed task attempt, and the
+//! kernel plans every job with `failed_attempts: 0`
+//! ([`PlannerCore::plan_at`]). So [`RushConfig::failure_aware`] inflates no
+//! job's demand in the daemon; only the simulator, which counts failed
+//! attempts, exercises it.
 
 use crate::admission::{
     admission_deadline, estimate_eta, probe, probe_due, reclaim_defer, remaining_deadline,

@@ -36,9 +36,9 @@
 //! interference, speculation and capacity churn.
 
 use crate::cluster::{
-    validate_capacity_events, CapacityChange, CapacityEvent, ClusterSpec, FreePool,
+    validate_capacity_events, CapacityChange, CapacityEvent, ClusterSpec, FreePool, Node,
 };
-use crate::job::{JobSpec, Phase};
+use crate::job::{JobSpec, Phase, TaskSpec};
 use crate::outcome::{JobOutcome, SimResult};
 use crate::perturb::{FailureModel, Interference};
 use crate::scheduler::Scheduler;
@@ -47,7 +47,6 @@ use crate::view::{ClusterView, JobView, TaskSample};
 use crate::{JobId, SimError, Slot, TaskId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rush_utility::Utility;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -404,6 +403,26 @@ impl EngineState {
             .map(|i| i as u32)
     }
 
+    /// Calls the scheduler (through `call`) on the cluster as it stands at
+    /// `now`, charging the call's wall time to `result.scheduler_time`.
+    fn consult<T>(
+        &self,
+        now: Slot,
+        result: &mut SimResult,
+        call: impl FnOnce(&ClusterView<'_>) -> T,
+    ) -> T {
+        let view = ClusterView {
+            now,
+            capacity: self.free.effective_capacity(),
+            free_containers: self.free.len(),
+            jobs: &self.views,
+        };
+        let t0 = Instant::now();
+        let out = call(&view);
+        result.scheduler_time += t0.elapsed();
+        out
+    }
+
     /// Removes a completed job's view and re-indexes the views behind it
     /// (views stay in arrival order, which schedulers observe).
     fn remove_view(&mut self, vi: usize) {
@@ -515,15 +534,7 @@ impl Simulation {
                         &mut trace,
                     );
                     st.refresh_oldest(a.job);
-                    let view = ClusterView {
-                        now,
-                        capacity: st.free.effective_capacity(),
-                        free_containers: st.free.len(),
-                        jobs: &st.views,
-                    };
-                    let t0 = Instant::now();
-                    scheduler.on_task_failed(&view, sample);
-                    result.scheduler_time += t0.elapsed();
+                    st.consult(now, &mut result, |view| scheduler.on_task_failed(view, sample));
                 } else {
                     // First successful attempt wins: kill any duplicate of
                     // the same task before recording the completion.
@@ -547,15 +558,7 @@ impl Simulation {
                     }
                     let sample = self.complete_task_ix(&mut st, a, now, &mut result, &mut trace);
                     st.refresh_oldest(a.job);
-                    let view = ClusterView {
-                        now,
-                        capacity: st.free.effective_capacity(),
-                        free_containers: st.free.len(),
-                        jobs: &st.views,
-                    };
-                    let t0 = Instant::now();
-                    scheduler.on_task_complete(&view, sample);
-                    result.scheduler_time += t0.elapsed();
+                    st.consult(now, &mut result, |view| scheduler.on_task_complete(view, sample));
                 }
             }
 
@@ -604,15 +607,7 @@ impl Simulation {
                             );
                             result.revoked_attempts += 1;
                             st.refresh_oldest(a.job);
-                            let view = ClusterView {
-                                now,
-                                capacity: st.free.effective_capacity(),
-                                free_containers: st.free.len(),
-                                jobs: &st.views,
-                            };
-                            let t0 = Instant::now();
-                            scheduler.on_task_failed(&view, sample);
-                            result.scheduler_time += t0.elapsed();
+                            st.consult(now, &mut result, |view| scheduler.on_task_failed(view, sample));
                         }
                     }
                     CapacityChange::Restock { n } => {
@@ -627,15 +622,7 @@ impl Simulation {
                         }
                     }
                 }
-                let view = ClusterView {
-                    now,
-                    capacity: st.free.effective_capacity(),
-                    free_containers: st.free.len(),
-                    jobs: &st.views,
-                };
-                let t0 = Instant::now();
-                scheduler.on_capacity_change(&view);
-                result.scheduler_time += t0.elapsed();
+                st.consult(now, &mut result, |view| scheduler.on_capacity_change(view));
             }
 
             // 2. Arrivals at `now`.
@@ -653,15 +640,7 @@ impl Simulation {
                 if let Some(trace) = &mut trace {
                     trace.push(TraceEvent::JobArrived { job: id, at: now });
                 }
-                let view = ClusterView {
-                    now,
-                    capacity: st.free.effective_capacity(),
-                    free_containers: st.free.len(),
-                    jobs: &st.views,
-                };
-                let t0 = Instant::now();
-                scheduler.on_job_arrival(&view, id);
-                result.scheduler_time += t0.elapsed();
+                st.consult(now, &mut result, |view| scheduler.on_job_arrival(view, id));
             }
 
             // 3. Dispatch loop. A bounded misassignment budget lets a
@@ -669,15 +648,7 @@ impl Simulation {
             // a persistently confused one spin the engine forever.
             let mut misassign_budget = st.free.effective_capacity() as u64 + 1;
             while !st.free.is_empty() && st.total_runnable > 0 {
-                let view = ClusterView {
-                    now,
-                    capacity: st.free.effective_capacity(),
-                    free_containers: st.free.len(),
-                    jobs: &st.views,
-                };
-                let t0 = Instant::now();
-                let choice = scheduler.assign(&view);
-                result.scheduler_time += t0.elapsed();
+                let choice = st.consult(now, &mut result, |view| scheduler.assign(view));
                 result.scheduler_invocations += 1;
                 match choice {
                     None => break,
@@ -725,15 +696,7 @@ impl Simulation {
             let mut spec_budget = st.free.effective_capacity() as u64;
             while !st.free.is_empty() && spec_budget > 0 {
                 spec_budget -= 1;
-                let view = ClusterView {
-                    now,
-                    capacity: st.free.effective_capacity(),
-                    free_containers: st.free.len(),
-                    jobs: &st.views,
-                };
-                let t0 = Instant::now();
-                let choice = scheduler.speculate(&view);
-                result.scheduler_time += t0.elapsed();
+                let choice = st.consult(now, &mut result, |view| scheduler.speculate(view));
                 let Some(id) = choice else { break };
                 let job_idx = id.0 as usize;
                 let target = st.job_attempts.get(job_idx).and_then(|attempts| {
@@ -757,16 +720,8 @@ impl Simulation {
                 )]
                 let container = st.free.acquire_lowest().expect("free checked");
                 let task = self.jobs[job_idx].spec.tasks()[primary.task as usize];
-                let base = task.base_runtime();
                 let node = &self.config.cluster.nodes()[st.node_of[container as usize] as usize];
-                let locality = match task.preferred_node() {
-                    Some(pref) if pref != node.id() => self.config.remote_penalty,
-                    _ => 1.0,
-                };
-                let factor = self.config.interference.draw(&mut rng);
-                let fails = self.config.failures.draw(&mut rng);
-                let duration =
-                    (base * node.speed_factor() * locality * factor).ceil().max(1.0) as Slot;
+                let (duration, fails) = self.draw_attempt(&task, node, &mut rng);
                 if let Some(trace) = &mut trace {
                     trace.push(TraceEvent::TaskSpeculated {
                         job: id,
@@ -923,7 +878,6 @@ impl Simulation {
         let job_idx = st.views[vi].id.0 as usize;
         let node = &self.config.cluster.nodes()[st.node_of[container as usize] as usize];
         let node_id = node.id();
-        let speed = node.speed_factor();
         let job = &mut self.jobs[job_idx];
         // Locality-aware pick: prefer a pending task whose input lives on
         // this container's node (the data-local choice a YARN node manager
@@ -949,21 +903,12 @@ impl Simulation {
             unreachable!("runnable task exists")
         };
         let task = job.spec.tasks()[task_idx];
-        let base = task.base_runtime();
-        let locality = match task.preferred_node() {
-            Some(pref) if pref != node_id => {
-                result.remote_starts += 1;
-                self.config.remote_penalty
-            }
-            Some(_) => {
-                result.local_starts += 1;
-                1.0
-            }
-            None => 1.0,
-        };
-        let factor = self.config.interference.draw(rng);
-        let fails = self.config.failures.draw(rng);
-        let duration = (base * speed * locality * factor).ceil().max(1.0) as Slot;
+        match task.preferred_node() {
+            Some(pref) if pref != node_id => result.remote_starts += 1,
+            Some(_) => result.local_starts += 1,
+            None => {}
+        }
+        let (duration, fails) = self.draw_attempt(&task, node, rng);
         if let Some(trace) = trace {
             trace.push(TraceEvent::TaskStarted {
                 job: JobId(job_idx as u32),
@@ -990,6 +935,22 @@ impl Simulation {
         v.running_tasks += 1;
         st.total_runnable -= 1;
         st.refresh_oldest(job_idx as u32);
+    }
+
+    /// Draws an attempt of `task` on `node`: its duration — the base runtime
+    /// times the node's speed factor, the remote penalty when the task's
+    /// input lives on another node, and an interference draw, rounded up to
+    /// at least one slot — then whether it fails, in that RNG order.
+    fn draw_attempt(&self, task: &TaskSpec, node: &Node, rng: &mut SmallRng) -> (Slot, bool) {
+        let locality = match task.preferred_node() {
+            Some(pref) if pref != node.id() => self.config.remote_penalty,
+            _ => 1.0,
+        };
+        let factor = self.config.interference.draw(rng);
+        let fails = self.config.failures.draw(rng);
+        let duration =
+            (task.base_runtime() * node.speed_factor() * locality * factor).ceil().max(1.0) as Slot;
+        (duration, fails)
     }
 
     /// Records a task completion (indexed engine); returns the sample

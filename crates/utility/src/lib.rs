@@ -4,14 +4,27 @@
 //! **non-increasing** utility function `U_i(T_i)` of its completion time.
 //! The paper's job-configuration interface ships three utility classes —
 //! piece-wise linear, sigmoid and constant — parameterized by a time budget
-//! `B`, a priority `W` and a sensitivity `β`; this crate implements those
-//! (plus a hard step deadline) as the closed enum [`TimeUtility`], and the
-//! open trait [`Utility`] for user-supplied classes.
+//! `B`, a priority `W` and a sensitivity `β`. This crate implements them —
+//! the piece-wise linear class in its one-breakpoint form
+//! `max(β(B−T)+W, 0)` — plus a hard step deadline, as the closed, `Copy`
+//! enum [`TimeUtility`]: the one form a utility takes on every input path
+//! (workload files, the wire, the planner).
 //!
 //! The onion-peeling algorithm needs the *inverse* `U⁻¹(L)`: the latest
-//! completion time that still attains utility level `L`. Because some
-//! utilities are flat (constant class) or bounded (all classes), the inverse
-//! is the three-valued [`LatestTime`].
+//! completion time that still attains utility level `L`
+//! ([`TimeUtility::latest_time`]). Because some utilities are flat
+//! (constant class) or bounded (all classes), the inverse is the
+//! three-valued [`LatestTime`]. For a job that arrived `a` slots ago the
+//! planner measures it from now: [`LatestTime::after`]`(a)`.
+//!
+//! A sigmoid's inverse costs an `exp` (its supremum `U(0)`) and an `ln`.
+//! [`TimeUtility::sigmoid_inverse`] evaluates the supremum once into a
+//! [`SigmoidInverse`] record, whose [`SigmoidInverse::latest_time`] is the
+//! sigmoid arm of [`TimeUtility::latest_time`] bit for bit — the two share
+//! one body, and shifting by the age is the same [`LatestTime::after`] —
+//! with the `ln` term ([`SigmoidInverse::ln_term`]) handed in by the
+//! caller, so a caller inverting many jobs at one level can share it between
+//! jobs of equal weight.
 //!
 //! **Paper erratum**: the paper prints the sigmoid as `W/(1+e^{β(B−T)})`,
 //! which *increases* with `T`, contradicting its own non-increasing
@@ -21,7 +34,7 @@
 //! # Example
 //!
 //! ```
-//! use rush_utility::{LatestTime, TimeUtility, Utility};
+//! use rush_utility::{LatestTime, TimeUtility};
 //!
 //! # fn main() -> Result<(), rush_utility::UtilityError> {
 //! let u = TimeUtility::sigmoid(600.0, 5.0, 0.05)?; // budget 600 s, W=5
@@ -118,8 +131,8 @@ impl LatestTime {
 }
 
 /// Everything inverting a sigmoid reads, with its supremum evaluated once:
-/// what [`Utility::sigmoid_inverse`] hands a caller that inverts one job at
-/// many levels.
+/// what [`TimeUtility::sigmoid_inverse`] hands a caller that inverts one job
+/// at many levels.
 ///
 /// An inversion then costs one `ln(W/L − 1)` ([`SigmoidInverse::ln_term`]),
 /// and that term depends on the weight and the level only, so jobs sharing a
@@ -134,8 +147,8 @@ pub struct SigmoidInverse {
     pub beta: f64,
     /// `U(0)` of the sigmoid itself (before any shift).
     pub sup: f64,
-    /// Slots between the sigmoid's time origin and the caller's "now"
-    /// (`0` for a bare [`TimeUtility`]).
+    /// Slots between the sigmoid's time origin and the caller's "now": the
+    /// job's age (`0` from [`TimeUtility::sigmoid_inverse`]).
     pub shift: f64,
 }
 
@@ -178,34 +191,6 @@ fn sigmoid_latest_time(
     }
     // W/(1+e^{β(T−B)}) = L  ⇒  T = B + ln(W/L − 1)/β
     LatestTime::At((budget + ln() / beta).max(0.0))
-}
-
-/// A non-increasing utility of completion time.
-///
-/// Implementations must guarantee `utility(t1) ≥ utility(t2)` whenever
-/// `t1 ≤ t2`, with `sup() = utility(0)` and `inf() = lim_{t→∞} utility(t)`.
-pub trait Utility {
-    /// Utility of completing at time `t ≥ 0`.
-    fn utility(&self, t: f64) -> f64;
-
-    /// Supremum of the utility (attained at `t = 0`).
-    fn sup(&self) -> f64 {
-        self.utility(0.0)
-    }
-
-    /// Infimum of the utility as `t → ∞`.
-    fn inf(&self) -> f64;
-
-    /// The latest completion time attaining utility at least `level`
-    /// (`U⁻¹(L)` in the paper's onion-peeling algorithm).
-    fn latest_time(&self, level: f64) -> LatestTime;
-
-    /// For a sigmoid, the record whose [`SigmoidInverse::latest_time`]
-    /// equals [`Utility::latest_time`] bit for bit; `None` (the default)
-    /// for every other class.
-    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
-        None
-    }
 }
 
 /// The closed set of utility classes shipped with RUSH's job-configuration
@@ -338,8 +323,10 @@ fn validate_beta(beta: f64) -> Result<(), UtilityError> {
     Ok(())
 }
 
-impl Utility for TimeUtility {
-    fn utility(&self, t: f64) -> f64 {
+impl TimeUtility {
+    /// Utility of completing at time `t ≥ 0` (a negative `t` reads as 0).
+    /// Non-increasing in `t`.
+    pub fn utility(&self, t: f64) -> f64 {
         let t = t.max(0.0);
         match *self {
             TimeUtility::Linear { budget, weight, beta } => (beta * (budget - t) + weight).max(0.0),
@@ -357,14 +344,22 @@ impl Utility for TimeUtility {
         }
     }
 
-    fn inf(&self) -> f64 {
+    /// Supremum of the utility, attained at `t = 0`.
+    pub fn sup(&self) -> f64 {
+        self.utility(0.0)
+    }
+
+    /// Infimum of the utility as `t → ∞`.
+    pub fn inf(&self) -> f64 {
         match *self {
             TimeUtility::Constant { weight } => weight,
             _ => 0.0,
         }
     }
 
-    fn latest_time(&self, level: f64) -> LatestTime {
+    /// The latest completion time attaining utility at least `level`
+    /// (`U⁻¹(L)` in the paper's onion-peeling algorithm).
+    pub fn latest_time(&self, level: f64) -> LatestTime {
         match *self {
             TimeUtility::Linear { budget, weight, beta } => {
                 if level <= 0.0 {
@@ -402,123 +397,16 @@ impl Utility for TimeUtility {
         }
     }
 
-    fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
+    /// For a sigmoid, the record whose [`SigmoidInverse::latest_time`]
+    /// equals [`Self::latest_time`] bit for bit (with `shift` 0); `None` for
+    /// every other class.
+    pub fn sigmoid_inverse(&self) -> Option<SigmoidInverse> {
         match *self {
             TimeUtility::Sigmoid { budget, weight, beta } => {
                 Some(SigmoidInverse { budget, weight, beta, sup: self.sup(), shift: 0.0 })
             }
             _ => None,
         }
-    }
-}
-
-/// A general piece-wise linear, non-increasing utility defined by
-/// `(time, utility)` breakpoints — the "piece-wise linear class" the
-/// paper's job-configuration interface accepts in its most general form.
-///
-/// Before the first breakpoint the utility is the first value; after the
-/// last it is the last value; in between it interpolates linearly.
-///
-/// # Example
-///
-/// ```
-/// use rush_utility::{PiecewiseLinear, Utility};
-///
-/// # fn main() -> Result<(), rush_utility::UtilityError> {
-/// // Full value to t=100, linear decay to 1 at t=200, floor at 1.
-/// let u = PiecewiseLinear::new(vec![(100.0, 5.0), (200.0, 1.0)])?;
-/// assert_eq!(u.utility(50.0), 5.0);
-/// assert_eq!(u.utility(150.0), 3.0);
-/// assert_eq!(u.utility(1000.0), 1.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiecewiseLinear {
-    points: Vec<(f64, f64)>,
-}
-
-impl PiecewiseLinear {
-    /// Creates a piece-wise linear utility from breakpoints.
-    ///
-    /// # Errors
-    ///
-    /// [`UtilityError::InvalidParameter`] if fewer than one breakpoint is
-    /// given, times are not strictly increasing, utilities are increasing
-    /// anywhere, any value is non-finite, or any utility is negative.
-    pub fn new(points: Vec<(f64, f64)>) -> Result<Self, UtilityError> {
-        if points.is_empty() {
-            return Err(UtilityError::InvalidParameter { name: "points", value: 0.0 });
-        }
-        let mut prev_t = f64::NEG_INFINITY;
-        let mut prev_u = f64::INFINITY;
-        for &(t, u) in &points {
-            if !t.is_finite() || t < 0.0 || t <= prev_t {
-                return Err(UtilityError::InvalidParameter { name: "time", value: t });
-            }
-            if !u.is_finite() || u < 0.0 || u > prev_u {
-                return Err(UtilityError::InvalidParameter { name: "utility", value: u });
-            }
-            prev_t = t;
-            prev_u = u;
-        }
-        Ok(PiecewiseLinear { points })
-    }
-
-    /// The breakpoints.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-}
-
-impl Utility for PiecewiseLinear {
-    fn utility(&self, t: f64) -> f64 {
-        let t = t.max(0.0);
-        // bound: points is validated non-empty at construction
-        let first = self.points[0];
-        if t <= first.0 {
-            return first.1;
-        }
-        for w in self.points.windows(2) {
-            // bound: windows(2) yields exactly two elements
-            let ((t0, u0), (t1, u1)) = (w[0], w[1]);
-            if t <= t1 {
-                return u0 + (u1 - u0) * (t - t0) / (t1 - t0);
-            }
-        }
-        self.points.last().map_or(0.0, |&(_, u)| u)
-    }
-
-    fn inf(&self) -> f64 {
-        // Points are validated non-empty at construction; an empty curve
-        // degenerates to zero utility rather than a panic.
-        self.points.last().map_or(0.0, |&(_, u)| u)
-    }
-
-    fn latest_time(&self, level: f64) -> LatestTime {
-        // bound: points is validated non-empty at construction
-        let sup = self.points[0].1;
-        let inf = self.inf();
-        if level <= inf {
-            return LatestTime::Always;
-        }
-        if level > sup + 1e-12 {
-            return LatestTime::Never;
-        }
-        // Walk segments to find the last time with utility ≥ level.
-        // bound: points is validated non-empty at construction
-        let mut latest = self.points[0].0;
-        for w in self.points.windows(2) {
-            // bound: windows(2) yields exactly two elements
-            let ((t0, u0), (t1, u1)) = (w[0], w[1]);
-            if u1 >= level {
-                latest = t1;
-            } else if u0 >= level {
-                // Crossing inside this segment.
-                latest = t0 + (u0 - level) / (u0 - u1) * (t1 - t0);
-            }
-        }
-        LatestTime::At(latest)
     }
 }
 
@@ -713,70 +601,6 @@ mod tests {
         assert!(Sensitivity::Critical.is_time_aware());
         assert!(!Sensitivity::Insensitive.is_time_aware());
         assert!(Sensitivity::Critical.utility_for(0.0, 5.0).is_err());
-    }
-
-    #[test]
-    fn piecewise_shape_and_bounds() {
-        let u = PiecewiseLinear::new(vec![(100.0, 5.0), (200.0, 1.0), (300.0, 0.0)]).unwrap();
-        assert_eq!(u.utility(0.0), 5.0);
-        assert_eq!(u.utility(100.0), 5.0);
-        assert_eq!(u.utility(150.0), 3.0);
-        assert_eq!(u.utility(250.0), 0.5);
-        assert_eq!(u.utility(300.0), 0.0);
-        assert_eq!(u.utility(1e9), 0.0);
-        assert_eq!(u.sup(), 5.0);
-        assert_eq!(u.inf(), 0.0);
-        assert_eq!(u.points().len(), 3);
-    }
-
-    #[test]
-    fn piecewise_is_non_increasing() {
-        let u = PiecewiseLinear::new(vec![(10.0, 4.0), (20.0, 4.0), (50.0, 0.5)]).unwrap();
-        let mut prev = f64::INFINITY;
-        let mut t = 0.0;
-        while t < 100.0 {
-            let v = u.utility(t);
-            assert!(v <= prev + 1e-12);
-            prev = v;
-            t += 0.5;
-        }
-    }
-
-    #[test]
-    fn piecewise_inverse_round_trips() {
-        let u = PiecewiseLinear::new(vec![(100.0, 5.0), (200.0, 1.0)]).unwrap();
-        for level in [1.5, 2.5, 4.0, 5.0] {
-            match u.latest_time(level) {
-                LatestTime::At(t) => {
-                    assert!((u.utility(t) - level).abs() < 1e-9, "level {level} at t {t}");
-                }
-                other => panic!("level {level}: {other:?}"),
-            }
-        }
-        assert_eq!(u.latest_time(0.5), LatestTime::Always); // below inf=1
-        assert_eq!(u.latest_time(6.0), LatestTime::Never);
-        // Flat-segment boundary: level = sup is attainable until the first
-        // breakpoint time.
-        assert_eq!(u.latest_time(5.0), LatestTime::At(100.0));
-    }
-
-    #[test]
-    fn piecewise_validation() {
-        assert!(PiecewiseLinear::new(vec![]).is_err());
-        assert!(PiecewiseLinear::new(vec![(10.0, 1.0), (5.0, 0.5)]).is_err()); // time order
-        assert!(PiecewiseLinear::new(vec![(10.0, 1.0), (20.0, 2.0)]).is_err()); // increasing
-        assert!(PiecewiseLinear::new(vec![(10.0, -1.0)]).is_err()); // negative
-        assert!(PiecewiseLinear::new(vec![(f64::NAN, 1.0)]).is_err());
-        assert!(PiecewiseLinear::new(vec![(10.0, 2.0), (10.0, 1.0)]).is_err()); // dup time
-    }
-
-    #[test]
-    fn piecewise_single_point_is_step_like() {
-        let u = PiecewiseLinear::new(vec![(50.0, 2.0)]).unwrap();
-        assert_eq!(u.utility(10.0), 2.0);
-        assert_eq!(u.utility(100.0), 2.0); // constant after the last point
-        assert_eq!(u.inf(), 2.0);
-        assert_eq!(u.latest_time(2.0), LatestTime::Always);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! inverse consistency, for every class.
 
 use proptest::prelude::*;
-use rush_utility::{LatestTime, PiecewiseLinear, TimeUtility, Utility};
+use rush_utility::{LatestTime, TimeUtility};
 
 fn any_utility() -> impl Strategy<Value = TimeUtility> {
     prop_oneof![
@@ -51,42 +51,6 @@ proptest! {
             }
             LatestTime::Never => {
                 prop_assert!(level > u.sup() - 1e-9);
-            }
-        }
-    }
-
-    /// Piecewise-linear utilities honour the same contract.
-    #[test]
-    fn piecewise_contract(
-        raw in prop::collection::vec((1.0f64..100.0, 0.0f64..5.0), 1..6),
-        frac in 0.05f64..0.95,
-    ) {
-        // Build valid breakpoints: strictly increasing times, non-increasing utils.
-        let mut t_acc = 0.0;
-        let mut u_acc = 6.0;
-        let points: Vec<(f64, f64)> = raw
-            .iter()
-            .map(|&(dt, du)| {
-                t_acc += dt;
-                u_acc = (u_acc - du * 0.2).max(0.0);
-                (t_acc, u_acc)
-            })
-            .collect();
-        let u = PiecewiseLinear::new(points).unwrap();
-        // Non-increasing sweep.
-        let mut prev = f64::INFINITY;
-        let mut t = 0.0;
-        while t < t_acc + 50.0 {
-            let v = u.utility(t);
-            prop_assert!(v <= prev + 1e-9);
-            prev = v;
-            t += t_acc / 64.0 + 0.1;
-        }
-        // Inverse consistency at an interior level.
-        let level = u.inf() + (u.sup() - u.inf()) * frac;
-        if level > u.inf() + 1e-9 && level < u.sup() - 1e-9 {
-            if let LatestTime::At(t) = u.latest_time(level) {
-                prop_assert!(u.utility(t) + 1e-6 >= level);
             }
         }
     }

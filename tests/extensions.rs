@@ -106,7 +106,7 @@ fn cora_mode_runs_and_is_less_conservative() {
 
 #[test]
 fn lp_reference_validates_a_real_plan_level() {
-    use rush::core::onion::{peel, OnionJob, Shifted};
+    use rush::core::onion::{peel, OnionJob};
     use rush_oracle::lp::max_min_level_lp;
     use rush::utility::TimeUtility;
     // A realistic mid-run state: three jobs with different slack.
@@ -115,12 +115,10 @@ fn lp_reference_validates_a_real_plan_level() {
         TimeUtility::sigmoid(400.0, 3.0, 0.02).unwrap(),
         TimeUtility::sigmoid(250.0, 4.0, 0.05).unwrap(),
     ];
-    let shifted: Vec<Shifted<'_>> =
-        utils.iter().map(|u| Shifted::new(u, 20.0)).collect();
-    let jobs: Vec<OnionJob<'_>> = shifted
+    let jobs: Vec<OnionJob> = utils
         .iter()
         .zip([600u64, 900, 700])
-        .map(|(u, demand)| OnionJob { demand, utility: u })
+        .map(|(&utility, demand)| OnionJob { demand, utility, age: 20.0 })
         .collect();
     let lp = max_min_level_lp(&jobs, 12, 1e-3, 1e6).unwrap();
     let targets = peel(&jobs, 12, 1e-3, 1e6).unwrap();
