@@ -31,8 +31,8 @@
 //!   supremum, evaluated once) with the job's age as its shift. A pass
 //!   holds one per job, built once per job identity and carried through
 //!   [`PeelState`] exactly like the suprema: a replay moves the vector
-//!   whole when the job list is unchanged, and otherwise gathers it through
-//!   the [`JobEdit`].
+//!   whole when the job list is unchanged, and otherwise gathers it by the
+//!   pass's alignment with the recorded one.
 //! - *The kernel is the definition.* [`SigmoidInverse::latest_time`] and
 //!   the sigmoid arm of [`TimeUtility::latest_time`] share one body, and
 //!   both shift by the age with [`LatestTime::after`]. So a probe computes
@@ -50,6 +50,13 @@
 //!   positions rebuilt), then sorts with an insertion pass that falls back
 //!   to the library sort past `2n` moves. The `(deadline, job)` keys are
 //!   unique, so any correct sort yields the same order.
+//!
+//! # Incremental replay
+//!
+//! [`peel_incremental`] replays the pass its [`PeelState`] recorded instead
+//! of peeling it again. How a changed job set and a slot tick replay is
+//! documented on the private `PeelPass`, next to the items it names (build
+//! with `cargo doc --document-private-items`).
 
 use crate::CoreError;
 use rush_utility::{LatestTime, SigmoidInverse, TimeUtility};
@@ -892,7 +899,7 @@ pub fn peel(
     tolerance: f64,
     horizon: f64,
 ) -> Result<Vec<Target>, CoreError> {
-    peel_incremental(jobs, capacity, tolerance, horizon, JobEdit::COLD, &mut PeelState::new())
+    peel_incremental(&[], jobs, capacity, tolerance, horizon, &mut PeelState::new())
 }
 
 fn validate_params(capacity: u32, tolerance: f64, horizon: f64) -> Result<(), CoreError> {
@@ -984,17 +991,13 @@ fn initial_floor(jobs: &[OnionJob]) -> f64 {
 pub struct ReplayStats {
     /// Whether the pass took the delta-replay path at all. False means a
     /// full re-peel, because:
-    /// - the state holds no valid recording (a first pass, or
-    ///   [`PeelState::invalidate`]);
+    /// - the state holds no recording (a first pass,
+    ///   [`PeelState::invalidate`], or a pass whose keys did not parallel
+    ///   its jobs);
     /// - the tolerance or the horizon changed;
-    /// - [`JobEdit::tick`] is negative or not finite;
-    /// - [`JobEdit::prev`] does not have one entry per job;
-    /// - its indices do not ascend strictly, or one is past the recorded
-    ///   job count;
-    /// - a surviving job's demand crossed zero;
-    /// - no job of this pass was in the recorded one;
-    /// - [`JobEdit::departed`] does not list exactly the recorded jobs
-    ///   nobody continues.
+    /// - no job of this pass stands for a recorded one (see
+    ///   [`peel_incremental`]);
+    /// - the clock moved by an infinite tick.
     pub delta: bool,
     /// Recorded layers whose trajectory was verified and applied.
     pub replayed_layers: usize,
@@ -1013,41 +1016,8 @@ pub struct ReplayStats {
     pub spliced_layers: usize,
 }
 
-/// How the job list of a [`peel_incremental`] pass relates to the list of
-/// the pass its [`PeelState`] recorded: the edit that turns one into the
-/// other. Both lists share their order.
-#[derive(Clone, Copy)]
-pub struct JobEdit<'a> {
-    /// For each job of this pass, its index in the recorded pass (`None`:
-    /// the job is new). The `Some` values ascend strictly, and a mapped job
-    /// carries the utility it was recorded under with its age grown by
-    /// exactly `tick` — only that and its demand may differ. The identity map says "same jobs"; all `None` (or
-    /// a map of the wrong length) says "nothing in common" and peels from
-    /// scratch.
-    pub prev: &'a [Option<usize>],
-    /// The recorded jobs no entry of `prev` names — the departed jobs — in
-    /// recorded order, as they were recorded (no tick). A departed job is
-    /// replayed as a job that left the boundary set, which needs to know
-    /// where its demand was due; the demand itself is read from the
-    /// recording.
-    pub departed: &'a [OnionJob],
-    /// Slots the clock advanced since the recorded pass: every due time
-    /// of a mapped job moved `tick` slots closer (one the horizon clamps
-    /// moves less).
-    pub tick: f64,
-}
-
-impl JobEdit<'_> {
-    /// The edit of a pass that shares nothing with the recorded one.
-    pub const COLD: JobEdit<'static> = JobEdit {
-        prev: &[],
-        departed: &[],
-        tick: 0.0,
-    };
-}
-
-/// Cross-pass state for [`peel_incremental`]: the previous pass's
-/// execution trace, demands and parameters.
+/// Cross-pass state for [`peel_incremental`]: the previous pass's keys,
+/// jobs, execution trace and parameters.
 ///
 /// The state is opaque; it only promises that feeding consecutive passes
 /// through it yields plans bit-identical to from-scratch [`peel`] calls.
@@ -1057,7 +1027,11 @@ pub struct PeelState {
     /// The buffers of the trace before `trace`, recycled: a replay writes
     /// the re-indexed trace here and swaps.
     spare: PeelTrace,
-    demands: Vec<u64>,
+    /// The recorded pass's keys, parallel to `jobs`; empty when nothing
+    /// can be aligned with it.
+    keys: Vec<u64>,
+    /// The recorded pass's jobs, as it peeled them.
+    jobs: Vec<OnionJob>,
     /// `sup()` per recorded job (see [`PeelPass::sups`]).
     sups: Vec<f64>,
     /// Sigmoid record per recorded job (see [`PeelPass::sigmoids`]).
@@ -1067,7 +1041,6 @@ pub struct PeelState {
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    valid: bool,
     stats: ReplayStats,
     /// The sweep state's buffers, between passes.
     scratch: ProbeScratch,
@@ -1091,9 +1064,10 @@ impl PeelState {
         Self::default()
     }
 
-    /// Drops the recorded trace: the next pass re-peels from scratch.
+    /// Forgets the recorded pass's keys: no job of the next pass stands for
+    /// a recorded one, so it re-peels from scratch.
     pub fn invalidate(&mut self) {
-        self.valid = false;
+        self.keys.clear();
     }
 
     /// How the most recent pass executed.
@@ -1123,16 +1097,16 @@ impl PeelState {
     /// places nothing.
     pub(crate) fn place_deferred(&mut self) -> Vec<Target> {
         let mut deferred = std::mem::take(&mut self.deferred);
-        let demands = &self.demands;
+        let jobs = &self.jobs;
         deferred.sort_by(|a, b| {
             let flat_a = a.1 > ZERO_LEVEL;
             let flat_b = b.1 > ZERO_LEVEL;
-            (flat_a, demands[a.0], a.0).cmp(&(flat_b, demands[b.0], b.0))
+            (flat_a, jobs[a.0].demand, a.0).cmp(&(flat_b, jobs[b.0].demand, b.0))
         });
         self.overlay.clear();
         let mut targets = Vec::with_capacity(deferred.len());
         for &(i, level) in &deferred {
-            let demand = self.demands[i];
+            let demand = self.jobs[i].demand;
             let asap = asap_deadline(demand, &self.index, &mut self.overlay, self.capacity);
             if asap > self.horizon {
                 self.overloaded = true;
@@ -1146,41 +1120,88 @@ impl PeelState {
         targets
     }
 
-    /// Checks `edit` against the recorded pass and inverts it: for each
-    /// recorded job its index in this pass, [`DEAD`] when it departed.
-    /// `None` when the pass cannot be replayed at all.
-    fn align(
+    /// How this pass's `keys` and `jobs` continue the recorded pass's;
+    /// `None` when the pass cannot be replayed at all: the tolerance or the
+    /// horizon moved, the keys do not parallel the jobs, or no pair stands.
+    fn aligned(
         &self,
+        keys: &[u64],
         jobs: &[OnionJob],
         tolerance: f64,
         horizon: f64,
-        edit: &JobEdit<'_>,
-    ) -> Option<Vec<usize>> {
-        let recorded = self.demands.len();
-        if !(self.valid
-            && edit.prev.len() == jobs.len()
-            && (0.0..f64::INFINITY).contains(&edit.tick)
-            && self.tolerance.to_bits() == tolerance.to_bits()
-            && self.horizon.to_bits() == horizon.to_bits())
-        {
+    ) -> Option<Alignment> {
+        let params = self.tolerance.to_bits() == tolerance.to_bits()
+            && self.horizon.to_bits() == horizon.to_bits();
+        if !params || keys.len() != jobs.len() {
             return None;
         }
-        let mut now_at = vec![DEAD; recorded];
-        let mut unclaimed_from = 0usize;
-        let mut survivors = 0usize;
-        for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
-            let Some(i) = *was else { continue };
-            // A demand crossing zero flips the job's never-blocks/∞-sentinel
-            // classification inside probes; replay does not model that.
-            if i < unclaimed_from || i >= recorded || (job.demand == 0) != (self.demands[i] == 0) {
-                return None;
-            }
-            now_at[i] = j;
-            unclaimed_from = i + 1;
-            survivors += 1;
-        }
-        (survivors > 0 && edit.departed.len() == recorded - survivors).then_some(now_at)
+        let aligned = Alignment::new(&self.keys, &self.jobs, keys, jobs);
+        let stands = aligned.tick < f64::INFINITY && aligned.now_at.iter().any(|&j| j != DEAD);
+        stands.then_some(aligned)
     }
+}
+
+/// How the jobs of a pass continue the recorded pass's, decided by key:
+/// [`merge_keys`] pairs equal keys, and a pair stands only if the job kept
+/// its utility, its age is the recorded one moved by the pass-wide `tick`
+/// bit for bit, and its demand did not cross zero (a job without demand
+/// never blocks a level, a classification the replay does not move). Any
+/// other pair is a departure plus an arrival.
+struct Alignment {
+    /// Per job of this pass, the recorded job it continues (`None`: it
+    /// arrived). The `Some` values ascend strictly.
+    prev: Vec<Option<usize>>,
+    /// Per recorded job, its index in this pass ([`DEAD`]: it departed).
+    now_at: Vec<usize>,
+    /// Slots the clock advanced since the recorded pass: the shift the first
+    /// pair with its utility implies (0 when there is none). Both planner
+    /// adapters age every job by the same whole slots, so one shift fits
+    /// every survivor.
+    tick: f64,
+}
+
+impl Alignment {
+    /// Aligns `jobs`, keyed `keys`, with the `recorded` jobs, keyed
+    /// `recorded_keys`.
+    fn new(recorded_keys: &[u64], recorded: &[OnionJob], keys: &[u64], jobs: &[OnionJob]) -> Self {
+        let mut prev = merge_keys(recorded_keys, keys);
+        let mut now_at = vec![DEAD; recorded.len()];
+        let mut tick = None;
+        for (j, (was, job)) in prev.iter_mut().zip(jobs).enumerate() {
+            let Some(i) = *was else { continue };
+            let then = &recorded[i];
+            let shift = tick.unwrap_or(job.age - then.age);
+            let aged = (then.age + shift).to_bits() == job.age.to_bits();
+            if shift >= 0.0 && aged && job.utility == then.utility {
+                tick = Some(shift);
+                if (then.demand == 0) == (job.demand == 0) {
+                    now_at[i] = j;
+                    continue;
+                }
+            }
+            *was = None;
+        }
+        Alignment { prev, now_at, tick: tick.unwrap_or(0.0) }
+    }
+}
+
+/// Aligns a pass's job keys with a recorded pass's in one order-preserving
+/// merge: per job, the recorded index with its key (`None`: it arrived).
+/// Two lists in ascending key order align exactly, whatever arrived or
+/// departed where; a list out of order only loses matches, every match
+/// pairs equal keys, and the matched indices ascend strictly.
+pub(crate) fn merge_keys(recorded: &[u64], keys: &[u64]) -> Vec<Option<usize>> {
+    let mut at = 0;
+    keys.iter()
+        .map(|&key| {
+            while recorded.get(at).is_some_and(|&r| r < key) {
+                at += 1;
+            }
+            let found = recorded.get(at) == Some(&key);
+            at += usize::from(found);
+            found.then(|| at - 1)
+        })
+        .collect()
 }
 
 /// Absolute slack (container·slots) a recorded margin must retain beyond
@@ -1189,9 +1210,19 @@ impl PeelState {
 const REPLAY_GUARD: f64 = 1e-6;
 
 /// [`peel`] with cross-pass memoization: the recorded probe trajectory of
-/// the previous pass is *replayed* under `edit` instead of re-peeled.
-/// Demands, the capacity, the job set itself and the clock may all have
-/// moved; tolerance and horizon are checked against the state.
+/// the previous pass is *replayed* instead of re-peeled. Demands, the
+/// capacity, the job set itself and the clock may all have moved;
+/// tolerance and horizon are checked against the state.
+///
+/// `keys` holds each job's identity across passes, one per job. The pass
+/// aligns with the recorded one by key, in one order-preserving merge: a
+/// job stands for the recorded job with its key if it kept its utility, its
+/// age moved by the one pass-wide tick the first such pair implies (≥ 0,
+/// bit for bit) and its demand did not cross zero. Every other job arrived,
+/// and every recorded job nobody stands for departed. Keys in ascending
+/// order align exactly; a list out of order, or with a key twice, only
+/// loses pairs. A key list of another length than `jobs` shares nothing:
+/// the pass peels from scratch and records no keys for the next one.
 ///
 /// Every event is one **drift** of the condition each probe tests at a
 /// boundary `e`, the budget `C·e` against the load `Σ_{T_k ≤ e} η_k`: the
@@ -1235,14 +1266,14 @@ const REPLAY_GUARD: f64 = 1e-6;
 ///
 /// [`CoreError::InvalidConfig`] under the same conditions as [`peel`].
 pub fn peel_incremental(
+    keys: &[u64],
     jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    edit: JobEdit<'_>,
     state: &mut PeelState,
 ) -> Result<Vec<Target>, CoreError> {
-    let mut targets = peel_layers(jobs, capacity, tolerance, horizon, edit, state)?;
+    let mut targets = peel_layers(keys, jobs, capacity, tolerance, horizon, state)?;
     targets.extend(state.place_deferred());
     Ok(targets)
 }
@@ -1252,17 +1283,22 @@ pub fn peel_incremental(
 /// are left for [`PeelState::place_deferred`], which reads only what the
 /// write-back kept; until then [`PeelState::deferred`] lists them.
 pub(crate) fn peel_layers(
+    keys: &[u64],
     jobs: &[OnionJob],
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    edit: JobEdit<'_>,
     state: &mut PeelState,
 ) -> Result<Vec<Target>, CoreError> {
     validate_params(capacity, tolerance, horizon)?;
-    let now_at = state.align(jobs, tolerance, horizon, &edit);
-    let pass = PeelPass::new(jobs, capacity, tolerance, horizon, &edit, now_at.as_deref(), state);
-    Ok(pass.run(now_at.as_deref(), state))
+    let aligned = state.aligned(keys, jobs, tolerance, horizon);
+    let pass = PeelPass::new(jobs, capacity, tolerance, horizon, aligned.as_ref(), state);
+    let targets = pass.run(aligned.as_ref(), state);
+    state.keys.clear();
+    if keys.len() == jobs.len() {
+        state.keys.extend_from_slice(keys);
+    }
+    Ok(targets)
 }
 
 /// Where a changed job's demand currently sits during replay.
@@ -1366,8 +1402,7 @@ impl Drift {
         jobs: &[OnionJob],
         capacity: u32,
         horizon: f64,
-        edit: &JobEdit<'_>,
-        now_at: &[usize],
+        aligned: &Alignment,
         state: &PeelState,
     ) -> Self {
         let mut changed = Vec::new();
@@ -1375,14 +1410,14 @@ impl Drift {
             let status = ChangedStatus::Active;
             changed.push(JobDrift { idx, job, delta, joined, left, status, inv: None });
         };
-        let gone = now_at.iter().enumerate().filter(|&(_, &j)| j == DEAD);
-        for ((i, _), &job) in gone.zip(edit.departed) {
-            change(i, job, -(state.demands[i] as f64), false, true);
+        for (i, _) in aligned.now_at.iter().enumerate().filter(|&(_, &j)| j == DEAD) {
+            let job = state.jobs[i];
+            change(i, job, -(job.demand as f64), false, true);
         }
-        for (j, (job, was)) in jobs.iter().zip(edit.prev).enumerate() {
+        for (j, (job, was)) in jobs.iter().zip(&aligned.prev).enumerate() {
             match *was {
-                Some(i) if job.demand != state.demands[i] => {
-                    let delta = job.demand as f64 - state.demands[i] as f64;
+                Some(i) if job.demand != state.jobs[i].demand => {
+                    let delta = job.demand as f64 - state.jobs[i].demand as f64;
                     change(j, *job, delta, false, false);
                 }
                 Some(_) => {}
@@ -1396,8 +1431,8 @@ impl Drift {
             revoked,
             grew: capacity > state.capacity,
             shrink: revoked / f64::from(state.capacity.max(1)),
-            lag: if edit.tick > 0.0 { edit.tick + tick_slop(horizon) } else { 0.0 },
-            demand_bound: state.demands.iter().map(|&d| d as f64).sum(),
+            lag: if aligned.tick > 0.0 { aligned.tick + tick_slop(horizon) } else { 0.0 },
+            demand_bound: state.jobs.iter().map(|j| j.demand as f64).sum(),
             jobs: changed,
             grown: 0.0,
             joined: 0.0,
@@ -1515,8 +1550,8 @@ impl Drift {
                 // A grown budget could heal the violated boundary. A tick
                 // cannot, but due times do not all move by the same Δ (a
                 // clamp, a re-timed target, rounding), so two boundaries
-                // close together may swap (DESIGN.md §12): only a real
-                // probe tells which breaks first, and who is blamed.
+                // close together may swap ([`PeelPass`] docs): only a real probe
+                // tells which breaks first, and who is blamed.
                 if self.grew || self.lag > 0.0 {
                     return None;
                 }
@@ -1649,6 +1684,146 @@ enum Splice {
 /// [`PeelPass::close`]; a cold pass is a replay with nothing recorded,
 /// resumed at layer 0. This is what makes a resumed run bit-identical to a
 /// from-scratch one. See [`peel_incremental`] for the contract.
+///
+/// # A changed job set is an edit, not a reset
+///
+/// [`peel_incremental`] takes each job's key, and a [`PeelState`] keeps the
+/// keys and jobs of the pass it recorded. One order-preserving merge of the
+/// two key lists pairs the jobs ([`merge_keys`], which the plan's solve
+/// stage shares), and a pair stands only if the job kept its utility, aged
+/// by the one pass-wide tick the first such pair implies (≥ 0, bit for
+/// bit), and its demand did not cross zero; any other pair is a departure
+/// plus an arrival. A pass in which no pair stands, or whose tolerance or
+/// horizon moved, is the only one that still peels from scratch
+/// ([`ReplayStats::delta`]).
+///
+/// Replay re-indexes the trace into a second buffer as it goes. A departure
+/// is a job that *left* the boundary set and an arrival one that *joined*
+/// it, at whatever index the merge found it: both are verified by the one
+/// drift rule, [`Drift::stands`]. Around it sit the rules for the layer
+/// structure itself:
+///
+/// - **The departed job's own layer** leaves the trace unprobed when it
+///   *handed nothing on*: a Defer, or a Peel at the entering `level_lo`,
+///   with `floor_feasible` unchanged — which is every single-probe layer of
+///   a `never` run. The next recorded layer then started from exactly the
+///   state this pass is in, less the job's reservation, and that difference
+///   is the departure its probes are verified under. Otherwise (the job
+///   opened a run: its layer raised the floor) the real loop resumes there.
+/// - **Splice** ([`PeelPass::splice_arrival`]). The first probe of a
+///   recorded layer entered with a feasible floor sits at `lo + tolerance`.
+///   If an active arrival cannot reach it and no lower-indexed job is
+///   recorded as its `never` answer, a from-scratch run answers with the
+///   arrival, bisects down on `never` answers alone (no recorded job is out
+///   of reach below a level all of them reached) and peels the last one
+///   named at the floor — a layer that hands nothing on, written straight
+///   into the new trace ahead of the recorded one. If a bisection step finds
+///   no arrival out of reach (it would need a sweep), the loop resumes
+///   instead. Arrivals still active after the last recorded layer are peeled
+///   by the real loop from there (`resumed_at ==` the recorded layer count:
+///   a handful of live jobs, not a re-peel).
+/// - **Floor and cap.** `level_lo` starts at the minimum `inf()`; an edit
+///   that moves it shares no probe level with the trace and resumes at
+///   layer 0. Each layer records its bisection cap (max live supremum +
+///   tolerance); replay recomputes it from the new live set (suprema are
+///   carried per job across passes) and accepts the layer if the cap is
+///   unchanged **or** its gallop broke out on an infeasible probe below the
+///   new cap — every level up to there is `lo + width` under either cap.
+/// - **Bottleneck identity** only matters for a layer's *last* infeasible
+///   probe (the one whose bottleneck the action removes); an earlier probe
+///   refreshed against live state may name a different job and still
+///   confirm the trajectory.
+///
+/// The fallback ladder: arithmetic rule → refresh the probe against the
+/// caught-up sweep state (this pass's jobs) → resume the real loop at the
+/// first layer whose outcome flips or that no rule covers. Each step is
+/// exact, so the output stays bit-identical to [`peel`] by construction;
+/// [`ReplayStats`] reports `dropped_layers` / `spliced_layers` next to the
+/// verified / refreshed probe counts, and `resumed_at` is an index into the
+/// *recorded* layers.
+///
+/// Three structures keep the live sweep cheap when a pass drops into it (a
+/// cold pass starts there):
+///
+/// - **[`ProbeScratch`] tombstones**: commits mark entries `DEAD` in place
+///   (amortized compaction at 2× waste), so a layer's deadline list is
+///   sorted once, not re-sorted per probe. The position index is kept
+///   current by every fill, sort and compaction, so a removal is O(1)
+///   whether or not the deadline memo is filled.
+/// - **[`SweepCursor`]**: a probe that fails at an *active-deadline*
+///   boundary captures the merged-sweep position (index, cumulative demand
+///   excluding the violator, running margin, committed cursor) plus the
+///   [`CommittedIndex::epoch`] it was valid against. The next probe at the
+///   same level resumes mid-sweep: sound because the intervening `Defer`
+///   tombstones exactly the violating entry and commits nothing, so the
+///   prefix arithmetic is bit-identical. Any mutation that could change the
+///   prefix — memo refill, removal before the cursor, compaction, a
+///   committed-prefix epoch bump, a refill of the active set — invalidates
+///   the cursor. This turns the cascade sweep from O(n) per probe into O(n)
+///   amortized per layer (~10× fewer scan steps at 1000 jobs).
+/// - **[`NeverList`]**: the `never` scan's result, kept instead of
+///   discarded: every positive-demand entry that cannot reach the probed
+///   level bits, in ascending index. A supremum-capped run probes one level
+///   for a whole run of layers and each probe's answer is the *next* job of
+///   the list (the previous one was just peeled; the live set only
+///   shrinks), so the level is inverted once per run instead of once per
+///   layer — the ≈ 3 ms of a 4.3 ms cold peel at 500 jobs. Invalidated by a
+///   refill of the active set, by a probe at other level bits (its scan
+///   overwrites the list), and by the removal of a listed job other than the
+///   next answer. This is what cold passes, refreshes and resumed suffixes
+///   run on.
+///
+/// # A slot tick is one more drift
+///
+/// Between two scheduling events the clock has usually moved, and a tick of
+/// Δ slots moves every job's age. The tick is one more term of the drift,
+/// with Δ = 0 exactly the rule above.
+///
+/// Every due time of a job that stands is `U⁻¹(L) − (a + Δ)` now against
+/// `U⁻¹(L) − a` recorded: it moves down by Δ — by less when the horizon
+/// clamps it, not at all when it is `Always` — up to rounding, which
+/// [`tick_slop`] (8 ulp of the horizon) bounds. So the drift carries one
+/// number, `lag = Δ + tick_slop`, and charges `C·lag` as growth: every
+/// boundary's budget falls by at most that much, and a boundary's load can
+/// only have come from an old boundary at most `lag` later. Per probe kind:
+///
+/// - **Feasible** absorbs `C·lag` in its margin like a drain. That also
+///   keeps every job in reach: a job with demand is due no earlier than
+///   `(1 + margin)/C`, so a margin that survives `C·lag` leaves it due after
+///   the tick.
+/// - **`never`** stands only if no member can have moved out of reach,
+///   which the margin cannot tell: each probe records [`ProbeRec::reach`], a
+///   lower bound on the due time of every job with demand at its level (the
+///   minimum of its inversion scan; removals only raise it). It must exceed
+///   `lag`, and moves down by `lag` (and to any joiner's due time) in the
+///   new trace. A tick never brings a job back into reach, so the recorded
+///   answer stays out.
+/// - **Boundary violation** is refreshed under a tick. A tick never heals a
+///   violation — budgets only fall — but the violated boundary need not
+///   stay the first one, nor its blame the same job: due times do not all
+///   move by the same Δ (a clamp, a target re-timed at a fallen supremum, a
+///   rounding tie), and two boundaries within that difference of each other
+///   can swap. The ticking fleet stream found one at tick 35: a rule that
+///   let the violation stand on its pre-violation slack less `C·lag`
+///   replayed a layer that blames job 68 where a from-scratch peel blames
+///   job 3. In `sim_rush` this costs about 2 refreshes per pass.
+///
+/// Around the rule, the layer structure:
+///
+/// - **Suprema and sigmoid records** are recomputed per job identity after
+///   a tick (they depend on the shift), and a layer's bisection cap is
+///   recomputed as after a job-set edit: a falling maximum supremum moves
+///   it, and the cap rule above (the gallop broke out below the new cap)
+///   decides.
+/// - **Recorded actions are re-timed** ([`PeelPass::retimed`]): the layer's
+///   converged level is its last feasible probe's (else the floor), and
+///   [`close_on`] — the one closing rule the real loop uses too — gives the
+///   bottleneck's class and target from its new supremum and due time. A
+///   flip between deferred and peeled, or a target that moved down past
+///   `lag` (the later probes were verified assuming it could not), resumes
+///   the real loop.
+/// - **Splice** needs the recorded first probe's `reach` above `lag` too: a
+///   member the tick moved out of reach would answer before the arrival.
 struct PeelPass<'j> {
     jobs: &'j [OnionJob],
     tolerance: f64,
@@ -1705,24 +1880,24 @@ struct PeelPass<'j> {
 }
 
 impl<'j> PeelPass<'j> {
-    /// A pass over `state`'s buffers; `now_at` (from [`PeelState::align`])
-    /// is `None` when nothing recorded can be replayed.
+    /// A pass over `state`'s buffers; `aligned` (from
+    /// [`PeelState::aligned`]) is `None` when nothing recorded can be
+    /// replayed.
     fn new(
         jobs: &'j [OnionJob],
         capacity: u32,
         tolerance: f64,
         horizon: f64,
-        edit: &JobEdit<'_>,
-        now_at: Option<&[usize]>,
+        aligned: Option<&Alignment>,
         state: &mut PeelState,
     ) -> Self {
         let n = jobs.len();
-        let drift = match now_at {
-            Some(now_at) => Drift::new(jobs, capacity, horizon, edit, now_at, state),
+        let drift = match aligned {
+            Some(aligned) => Drift::new(jobs, capacity, horizon, aligned, state),
             None => Drift { capacity, horizon, ..Drift::default() },
         };
         let edited = drift.jobs.iter().any(|j| j.joined || j.left);
-        let prev = (now_at.is_some() && edit.tick == 0.0).then_some(edit.prev);
+        let prev = aligned.filter(|a| a.tick == 0.0).map(|a| &a.prev[..]);
         let sups = carried(&mut state.sups, prev, edited, n, |j| jobs[j].sup());
         let sigmoids = carried(&mut state.sigmoids, prev, edited, n, |j| jobs[j].sigmoid_inverse());
         let mut index = std::mem::take(&mut state.index);
@@ -1753,7 +1928,7 @@ impl<'j> PeelPass<'j> {
             indexed: 0,
             out,
             stats: ReplayStats {
-                delta: now_at.is_some(),
+                delta: aligned.is_some(),
                 ..Default::default()
             },
         }
@@ -2198,14 +2373,14 @@ impl<'j> PeelPass<'j> {
     /// Replays what `state` recorded, runs the real loop from the layer the
     /// replay stopped at, and hands the trace, the buffers of this pass and
     /// what its deferred phase will read back to `state`.
-    fn run(mut self, now_at: Option<&[usize]>, state: &mut PeelState) -> Vec<Target> {
+    fn run(mut self, aligned: Option<&Alignment>, state: &mut PeelState) -> Vec<Target> {
         let rec = std::mem::take(&mut state.trace);
         let floor = self.level_lo;
         // A cold pass has no layer to replay, and an edit that moved the
         // floor itself shares no probe level with the recorded pass.
-        let resume_at = match now_at {
-            Some(now_at) if floor.to_bits() == state.floor.to_bits() => {
-                self.replay_layers(&rec, now_at)
+        let resume_at = match aligned {
+            Some(aligned) if floor.to_bits() == state.floor.to_bits() => {
+                self.replay_layers(&rec, &aligned.now_at)
             }
             _ => Some(0),
         };
@@ -2225,12 +2400,11 @@ impl<'j> PeelPass<'j> {
         state.sups = self.sups;
         state.sigmoids = self.sigmoids;
         state.floor = floor;
-        state.demands.clear();
-        state.demands.extend(self.jobs.iter().map(|j| j.demand));
+        state.jobs.clear();
+        state.jobs.extend_from_slice(self.jobs);
         state.capacity = self.drift.capacity;
         state.tolerance = self.tolerance;
         state.horizon = self.drift.horizon;
-        state.valid = true;
         state.stats = self.stats;
         state.deferred = self.deferred;
         state.committed = self.committed;
@@ -2581,7 +2755,13 @@ mod tests {
         assert!(!prefix_capacity_feasible(&reservations, 1));
     }
 
-    /// One pass over the same jobs, in the same order, as the recorded one.
+    /// Keys by position: a pass keyed so aligns its `k`-th job with the
+    /// recorded pass's `k`-th.
+    fn positions(n: usize) -> Vec<u64> {
+        (0..n as u64).collect()
+    }
+
+    /// One pass whose jobs are keyed by position.
     fn replayed(
         jobs: &[OnionJob],
         capacity: u32,
@@ -2589,9 +2769,8 @@ mod tests {
         horizon: f64,
         state: &mut PeelState,
     ) -> Vec<Target> {
-        let prev: Vec<Option<usize>> = (0..jobs.len()).map(Some).collect();
-        let edit = JobEdit { prev: &prev, departed: &[], tick: 0.0 };
-        peel_incremental(jobs, capacity, tolerance, horizon, edit, state).unwrap()
+        let keys = positions(jobs.len());
+        peel_incremental(&keys, jobs, capacity, tolerance, horizon, state).unwrap()
     }
 
     fn assert_targets_bitwise(a: &[Target], b: &[Target], ctx: &str) {
@@ -2731,9 +2910,10 @@ mod tests {
         assert!(state.last_stats().resumed_at.is_none(), "quiescent pass must fully replay");
     }
 
-    /// What still forces the full-record path: an edit with nothing in
-    /// common, and a surviving demand crossing zero. A capacity change or a
-    /// departure alone does *not* — they replay.
+    /// What still forces the full-record path: keys with nothing in
+    /// common, and keys that do not parallel the jobs (nothing is recorded
+    /// to align the next pass with either). A capacity change, a departure
+    /// or a surviving demand crossing zero does *not*: they replay.
     #[test]
     fn incremental_peel_cold_triggers() {
         let u = sigmoid(300.0, 2.0, 0.03);
@@ -2748,58 +2928,53 @@ mod tests {
         replayed(&j, 8, 1e-4, 1e6, &mut state);
         cold(&state);
 
-        // Caller says nothing carried over.
-        peel_incremental(&j, 8, 1e-4, 1e6, JobEdit::COLD, &mut state).unwrap();
+        // All-fresh keys: nothing carried over.
+        peel_incremental(&[10, 11, 12], &j, 8, 1e-4, 1e6, &mut state).unwrap();
         cold(&state);
-        let all_new = [None, None, None];
-        let gone = j.clone();
-        let edit = JobEdit { prev: &all_new, departed: &gone, tick: 0.0 };
-        peel_incremental(&j, 8, 1e-4, 1e6, edit, &mut state).unwrap();
+        // Keys that do not parallel the jobs, then the recorded keys again.
+        peel_incremental(&[10, 11], &j, 8, 1e-4, 1e6, &mut state).unwrap();
+        cold(&state);
+        peel_incremental(&[10, 11, 12], &j, 8, 1e-4, 1e6, &mut state).unwrap();
         cold(&state);
         // Capacity change stays on the delta path, bit-identically.
         let full = peel(&j, 9, 1e-4, 1e6).unwrap();
-        let inc = replayed(&j, 9, 1e-4, 1e6, &mut state);
+        let inc = peel_incremental(&[10, 11, 12], &j, 9, 1e-4, 1e6, &mut state).unwrap();
         assert_targets_bitwise(&full, &inc, "capacity delta");
         assert!(state.last_stats().delta);
         // So does the last job leaving.
         let j2 = jobs(&[100, 200], &utilities[..2]);
         let full = peel(&j2, 9, 1e-4, 1e6).unwrap();
-        let edit = JobEdit { prev: &[Some(0), Some(1)], departed: &gone[2..], tick: 0.0 };
-        let inc = peel_incremental(&j2, 9, 1e-4, 1e6, edit, &mut state).unwrap();
+        let inc = peel_incremental(&[10, 11], &j2, 9, 1e-4, 1e6, &mut state).unwrap();
         assert_targets_bitwise(&full, &inc, "departure delta");
         assert!(state.last_stats().delta);
-        // An edit that does not account for every recorded job is refused.
-        let edit = JobEdit { prev: &[Some(1)], departed: &[], tick: 0.0 };
-        peel_incremental(&j2[1..], 9, 1e-4, 1e6, edit, &mut state).unwrap();
-        cold(&state);
-        replayed(&j2, 9, 1e-4, 1e6, &mut state);
-        cold(&state);
-        // Demand zero-crossing.
+        // A demand crossing zero is a departure plus an arrival.
         let j3 = jobs(&[100, 0], &utilities[..2]);
-        replayed(&j3, 9, 1e-4, 1e6, &mut state);
-        cold(&state);
+        let full = peel(&j3, 9, 1e-4, 1e6).unwrap();
+        let inc = peel_incremental(&[10, 11], &j3, 9, 1e-4, 1e6, &mut state).unwrap();
+        assert_targets_bitwise(&full, &inc, "zero-crossing delta");
+        assert!(state.last_stats().delta);
         // And back on the happy path: same jobs replay.
         let j4 = jobs(&[101, 0], &utilities[..2]);
         let full = peel(&j4, 9, 1e-4, 1e6).unwrap();
-        let inc = replayed(&j4, 9, 1e-4, 1e6, &mut state);
+        let inc = peel_incremental(&[10, 11], &j4, 9, 1e-4, 1e6, &mut state).unwrap();
         assert_targets_bitwise(&full, &inc, "post-reset delta");
         assert!(state.last_stats().delta);
     }
 
-    /// Records a pass over `before`, replays `after` (the jobs of `before`
-    /// plus arrivals, placed by `prev`) and checks it bitwise against a
-    /// from-scratch peel.
+    /// Records a pass over `before`, keyed `before_keys`, replays `after`
+    /// (the jobs of `before` plus arrivals, keyed `keys`) and checks it
+    /// bitwise against a from-scratch peel.
     fn replay_arrivals(
+        before_keys: &[u64],
         before: &[OnionJob],
+        keys: &[u64],
         after: &[OnionJob],
-        prev: &[Option<usize>],
         capacity: u32,
     ) -> ReplayStats {
         let (tol, hor) = (1e-3, 1e6);
         let mut state = PeelState::new();
-        replayed(before, capacity, tol, hor, &mut state);
-        let edit = JobEdit { prev, departed: &[], tick: 0.0 };
-        let inc = peel_incremental(after, capacity, tol, hor, edit, &mut state).unwrap();
+        peel_incremental(before_keys, before, capacity, tol, hor, &mut state).unwrap();
+        let inc = peel_incremental(keys, after, capacity, tol, hor, &mut state).unwrap();
         assert_targets_bitwise(&peel(after, capacity, tol, hor).unwrap(), &inc, "arrivals");
         state.last_stats()
     }
@@ -2820,19 +2995,19 @@ mod tests {
         // slack absorbs its 500, but 10 containers · 20 slots do not.
         let early = step(20.0, 1.0);
         let after = [before[0], before[1], OnionJob { demand: 500, utility: early, age: 0.0 }];
-        assert!(replay_arrivals(&before, &after, &[Some(0), Some(1), None], 10).delta);
+        assert!(replay_arrivals(&[0, 1], &before, &[0, 1, 2], &after, 10).delta);
         // Out of reach above 1.5, where the second recorded layer probed
         // feasible levels: from scratch it answers `never` there.
         let mid = step(5000.0, 1.5);
         let after = [before[0], before[1], OnionJob { demand: 100, utility: mid, age: 0.0 }];
-        assert!(replay_arrivals(&before, &after, &[Some(0), Some(1), None], 10).delta);
+        assert!(replay_arrivals(&[0, 1], &before, &[0, 1, 2], &after, 10).delta);
         // A twin of the recorded job `top`, inserted ahead of it: the same
         // levels are out of reach for both, and the `never` scan answers
         // with the lower index.
         let before =
             [OnionJob { demand: 10, utility: low, age: 0.0 }, OnionJob { demand: 10, utility: top, age: 0.0 }];
         let after = [before[0], before[1], before[1]];
-        assert!(replay_arrivals(&before, &after, &[Some(0), None, Some(1)], 1000).delta);
+        assert!(replay_arrivals(&[0, 2], &before, &[0, 1, 2], &after, 1000).delta);
     }
 
     /// Records a pass over `before`, moves the clock `tick` slots and
@@ -2841,10 +3016,9 @@ mod tests {
         let tol = 1e-3;
         let after: Vec<OnionJob> = before.iter().map(|&j| OnionJob { age: j.age + tick, ..j }).collect();
         let mut state = PeelState::new();
-        peel_incremental(before, capacity, tol, horizon, JobEdit::COLD, &mut state).unwrap();
-        let prev: Vec<Option<usize>> = (0..before.len()).map(Some).collect();
-        let edit = JobEdit { prev: &prev, departed: &[], tick };
-        let inc = peel_incremental(&after, capacity, tol, horizon, edit, &mut state).unwrap();
+        let keys = positions(before.len());
+        peel_incremental(&keys, before, capacity, tol, horizon, &mut state).unwrap();
+        let inc = peel_incremental(&keys, &after, capacity, tol, horizon, &mut state).unwrap();
         assert_targets_bitwise(&peel(&after, capacity, tol, horizon).unwrap(), &inc, "tick");
         let stats = state.last_stats();
         assert!(stats.delta, "a tick replays");
@@ -2897,9 +3071,8 @@ mod tests {
         after.push(job(step(10_000.0, 0.5002), 1));
         let (tol, hor) = (1e-3, 1e6);
         let mut state = PeelState::new();
-        peel_incremental(&before, 1000, tol, hor, JobEdit::COLD, &mut state).unwrap();
-        let edit = JobEdit { prev: &[Some(0), Some(1), Some(2), None], departed: &[], tick: 6.0 };
-        let inc = peel_incremental(&after, 1000, tol, hor, edit, &mut state).unwrap();
+        peel_incremental(&[0, 1, 2], &before, 1000, tol, hor, &mut state).unwrap();
+        let inc = peel_incremental(&[0, 1, 2, 3], &after, 1000, tol, hor, &mut state).unwrap();
         assert_targets_bitwise(&peel(&after, 1000, tol, hor).unwrap(), &inc, "splice");
         let stats = state.last_stats();
         assert_eq!((stats.resumed_at, stats.spliced_layers), (Some(1), 0), "{stats:?}");
@@ -2939,6 +3112,133 @@ mod tests {
         let stats = replay_tick(&[job(early, 20), job(late, 20)], 3.0, 1000, 1e6);
         assert_eq!((stats.resumed_at, stats.refreshed_probes), (None, 0), "{stats:?}");
         assert_eq!(stats.replayed_layers, 2, "{stats:?}");
+    }
+
+    /// The peel's alignment of `now` with `recorded`, `(key, job)` lists:
+    /// per job of `now` the recorded job it continues, the recorded jobs
+    /// that departed, and the tick it found.
+    fn aligned_ticked(
+        recorded: &[(u64, OnionJob)],
+        now: &[(u64, OnionJob)],
+    ) -> (Vec<Option<usize>>, Vec<usize>, f64) {
+        let split = |list: &[(u64, OnionJob)]| -> (Vec<u64>, Vec<OnionJob>) {
+            list.iter().copied().unzip()
+        };
+        let ((was_keys, was), (keys, jobs)) = (split(recorded), split(now));
+        let Alignment { prev, now_at, tick } = Alignment::new(&was_keys, &was, &keys, &jobs);
+        // Whatever the alignment decides, it must be sound: mapped pairs are
+        // the same key, equal up to the one tick, with demand on both sides
+        // or on neither, the map ascends, and `now_at` inverts it.
+        let mapped: Vec<usize> = prev.iter().flatten().copied().collect();
+        assert!(mapped.windows(2).all(|w| w[0] < w[1]), "{prev:?}");
+        assert!(tick >= 0.0);
+        for (j, (job, pair)) in jobs.iter().zip(&prev).enumerate() {
+            if let Some(i) = *pair {
+                let then = &was[i];
+                assert_eq!((keys[j], now_at[i]), (was_keys[i], j));
+                assert_eq!(job.age.to_bits(), (then.age + tick).to_bits());
+                assert!(job.utility == then.utility);
+                assert_eq!(job.demand == 0, then.demand == 0);
+            }
+        }
+        let departed: Vec<usize> = (0..was.len()).filter(|&i| now_at[i] == DEAD).collect();
+        assert_eq!(mapped.len() + departed.len(), was.len(), "{prev:?} / {departed:?}");
+        (prev, departed, tick)
+    }
+
+    /// [`aligned_ticked`] of a pass whose clock did not move.
+    fn aligned(
+        recorded: &[(u64, OnionJob)],
+        now: &[(u64, OnionJob)],
+    ) -> (Vec<Option<usize>>, Vec<usize>) {
+        let (prev, departed, tick) = aligned_ticked(recorded, now);
+        assert_eq!(tick, 0.0);
+        (prev, departed)
+    }
+
+    /// A job keyed `key` with a sigmoid budget of `budget`, `age` slots old.
+    fn keyed(key: u64, budget: f64, age: f64) -> (u64, OnionJob) {
+        (key, OnionJob { age, ..job(sigmoid(budget, 3.0, 0.02), 1) })
+    }
+
+    #[test]
+    fn alignment_follows_departures_and_arrivals_anywhere() {
+        let (a, b) = (keyed(1, 100.0, 0.0), keyed(2, 200.0, 0.0));
+        let (c, d) = (keyed(4, 300.0, 0.0), keyed(5, 400.0, 0.0));
+        let abc = [a, b, c];
+        // Same list: the identity.
+        assert_eq!(aligned(&abc, &abc), (vec![Some(0), Some(1), Some(2)], vec![]));
+        // First, middle, last removed.
+        assert_eq!(aligned(&abc, &[b, c]), (vec![Some(1), Some(2)], vec![0]));
+        assert_eq!(aligned(&abc, &[a, c]), (vec![Some(0), Some(2)], vec![1]));
+        assert_eq!(aligned(&abc, &[a, b]), (vec![Some(0), Some(1)], vec![2]));
+        // Identical jobs are told apart by key: losing the first reads as
+        // losing the first.
+        let twin = (3, b.1);
+        assert_eq!(aligned(&[b, twin], &[twin]), (vec![Some(1)], vec![0]));
+        // A removal and an arrival in one pass.
+        assert_eq!(aligned(&abc, &[a, c, d]), (vec![Some(0), Some(2), None], vec![1]));
+        // Arrivals only, a batch at the tail.
+        let e = keyed(6, 500.0, 0.0);
+        assert_eq!(
+            aligned(&abc, &[a, b, c, d, e]),
+            (vec![Some(0), Some(1), Some(2), None, None], vec![])
+        );
+        // A job that re-enters mid-list keeps every survivor behind it mapped.
+        let mid = keyed(3, 250.0, 0.0);
+        assert_eq!(
+            aligned(&abc, &[a, b, mid, c]),
+            (vec![Some(0), Some(1), None, Some(2)], vec![])
+        );
+        // A key that kept its place but changed its utility is a departure
+        // and an arrival.
+        let reborn = (b.0, OnionJob { utility: sigmoid(999.0, 1.0, 0.1), ..b.1 });
+        assert_eq!(aligned(&abc, &[a, reborn, c]), (vec![Some(0), None, Some(2)], vec![1]));
+        // So is one whose demand crossed zero, either way.
+        let drained = (b.0, OnionJob { demand: 0, ..b.1 });
+        assert_eq!(aligned(&abc, &[a, drained, c]), (vec![Some(0), None, Some(2)], vec![1]));
+        assert_eq!(aligned(&[a, drained, c], &abc), (vec![Some(0), None, Some(2)], vec![1]));
+        // A list out of key order loses matches, never soundness.
+        assert_eq!(aligned(&abc, &[b, a, c]), (vec![Some(1), None, Some(2)], vec![0]));
+        // Nothing recorded: all new.
+        assert_eq!(aligned(&[], &[a, b]), (vec![None, None], vec![]));
+    }
+
+    #[test]
+    fn alignment_of_a_slot_tick_maps_every_job_in_one_pass() {
+        // Every age moved by the same three slots: one pass-wide tick maps
+        // every job, in one merge — linear, which 200 000 jobs would not
+        // survive otherwise.
+        let recorded: Vec<(u64, OnionJob)> =
+            (0..200_000).map(|i| keyed(i, 100.0 + i as f64, (i % 50) as f64)).collect();
+        let older = |by: f64, jobs: &[(u64, OnionJob)]| -> Vec<(u64, OnionJob)> {
+            jobs.iter().map(|&(k, j)| (k, OnionJob { age: j.age + by, ..j })).collect()
+        };
+        let (prev, departed, tick) = aligned_ticked(&recorded, &older(3.0, &recorded));
+        assert!(prev.iter().enumerate().all(|(j, &was)| was == Some(j)) && departed.is_empty());
+        assert_eq!(tick, 3.0);
+        // A tick with churn: the first survivor sets the tick, a departure
+        // and a tail arrival align as without one.
+        let (a, b) = (keyed(1, 100.0, 4.0), keyed(2, 200.0, 2.0));
+        let (c, d) = (keyed(3, 300.0, 0.0), keyed(4, 400.0, 0.0));
+        let abc = [a, b, c];
+        let mut now = older(5.0, &[a, c]);
+        now.push(d);
+        assert_eq!(aligned_ticked(&abc, &now), (vec![Some(0), Some(2), None], vec![1], 5.0));
+        // One tick fits every survivor: a job that aged by another amount
+        // is not the job it was.
+        let mut mixed = older(1.0, &abc);
+        mixed[1].1.age = b.1.age + 2.0;
+        assert_eq!(aligned_ticked(&abc, &mixed), (vec![Some(0), None, Some(2)], vec![1], 1.0));
+        // The first pair with its utility sets the tick even when its
+        // demand crossed zero.
+        let mut crossed = older(1.0, &abc);
+        crossed[0].1.demand = 0;
+        crossed[2].1.age = c.1.age + 2.0;
+        assert_eq!(aligned_ticked(&abc, &crossed), (vec![None, Some(1), None], vec![0, 2], 1.0));
+        // A clock that ran backwards matches nothing.
+        let (prev, _, tick) = aligned_ticked(&abc, &older(-1.0, &abc));
+        assert!(prev.iter().all(Option::is_none) && tick == 0.0);
     }
 
     /// `check_level`'s inversion of `job` at `level`: the sigmoid record

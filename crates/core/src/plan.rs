@@ -25,9 +25,9 @@
 //! estimator-visible state of a handful of jobs; the other jobs' robust
 //! demands `(η, R)` are unchanged. A [`PlanState`] therefore aligns each
 //! pass with the recorded one by job identity, [`PlanInput::key`], in one
-//! order-preserving merge of the two key lists, used twice: the solve stage
-//! merges against the last *solved* pass, the peel stage against the last
-//! *peeled* one.
+//! order-preserving merge of the two key lists: the solve stage merges
+//! against the last *solved* pass, and the onion peel, handed the keys,
+//! against the last pass it *peeled* ([`crate::onion::peel_incremental`]).
 //!
 //! The solve stage's [`PlanCache`] keeps one entry per recorded key: the
 //! job's [`PlanInput::generation`], its remaining-task and failure counts,
@@ -41,16 +41,15 @@
 //! utilities are deliberately **not** part of the fingerprint: they only
 //! enter the peel and mapping stages.
 //!
-//! The peel stage hands the replay a pair only if the job kept its utility
-//! and aged by one pass-wide tick (the shift the first such pair implies),
-//! and its demand did not cross zero (a job without demand never blocks a
-//! level); any other pair is a departure plus an arrival. Two key lists in
-//! ascending order align exactly, whatever arrived or departed where.
-//! Either way a warm pass produces plans bit-identical to a cold one.
+//! The peel keeps its own books: it records each pass's keys and jobs and
+//! decides itself which pairs stand (same utility, one pass-wide age tick,
+//! no demand crossing zero; see [`crate::onion::peel_incremental`]).
+//! Whatever either alignment finds, a warm pass produces plans
+//! bit-identical to a cold one.
 
 use crate::config::{Estimator, EstimatorKind};
 use crate::mapping::{MapJob, MapStats, MapSummary, OccupationProfile};
-use crate::onion::{peel_layers, JobEdit, OnionJob, PeelState, ReplayStats};
+use crate::onion::{merge_keys, peel_layers, OnionJob, PeelState, ReplayStats};
 use crate::wcde::worst_case_quantile;
 use crate::{CoreError, RushConfig};
 use rush_estimator::DistributionEstimator;
@@ -320,7 +319,8 @@ fn fingerprint(tag: u64, job: &PlanInput<'_>) -> u128 {
 /// `estimator`'s distribution of the demand of `remaining_tasks` tasks, then
 /// WCDE's worst-case θ-quantile of it within the KL ball of radius δ.
 /// Returns that robust demand `η` (container·slots) and the mean task
-/// runtime (slots).
+/// runtime (slots). A job with no task left needs nothing: `η` is 0, and
+/// only the estimate runs, for the runtime and for its errors.
 ///
 /// Planning sizes every job with it, and so does admission
 /// (`rush_planner::estimate_eta`): the two never disagree about a job's
@@ -337,13 +337,15 @@ pub fn robust_demand(
     remaining_tasks: usize,
 ) -> Result<(u64, f64), CoreError> {
     let est = estimator.estimate(samples, remaining_tasks)?;
+    if remaining_tasks == 0 {
+        return Ok((0, est.mean_task_runtime));
+    }
     let wcde = worst_case_quantile(&est.pmf, config.theta, config.delta)?;
     Ok((wcde.eta, est.mean_task_runtime))
 }
 
-/// [`robust_demand`] plus failure inflation for one job; a job with no task
-/// left needs nothing. Pure in its inputs — the contract the memo table
-/// relies on.
+/// [`robust_demand`] plus failure inflation for one job. Pure in its inputs
+/// — the contract the memo table relies on.
 fn solve_one(
     config: &RushConfig,
     job: &PlanInput<'_>,
@@ -351,9 +353,7 @@ fn solve_one(
 ) -> Result<JobSolve, CoreError> {
     let (base, mean_task_runtime) =
         robust_demand(config, estimator, &job.samples, job.remaining_tasks)?;
-    let eta = if job.remaining_tasks == 0 {
-        0
-    } else if config.failure_aware && job.failed_attempts > 0 {
+    let eta = if config.failure_aware && job.failed_attempts > 0 {
         // Inflate by the expected rework factor 1/(1−p̂) with a
         // Laplace-smoothed failure rate — the paper's stated future-work
         // extension.
@@ -378,7 +378,7 @@ fn solve_jobs(
     debug_assert!(tracked_keys_unique(jobs), "generation contract: two tracked jobs share a key");
     let keys: Vec<u64> = jobs.iter().map(|j| j.key).collect();
     let recorded: &[u64] = if cache.tag == tag { &cache.keys } else { &[] };
-    let (prev, _) = merge_keys(recorded, &keys);
+    let prev = merge_keys(recorded, &keys);
     // The jobs fingerprinted so far in this pass: a job its own entry does
     // not serve shares the solve of one with its fingerprint (a twin, or a
     // cold-start job borrowing the same pool) before it is solved.
@@ -485,9 +485,6 @@ pub struct PlanState {
     cache: PlanCache,
     peel: PeelState,
     map: OccupationProfile,
-    /// The jobs of the last pass that peeled: what the peel stage aligns a
-    /// pass with to tell the replay which jobs stayed, left and arrived.
-    peeled: Peers,
     passes: u64,
     stats: PlanPhaseStats,
     pass: Pass,
@@ -500,7 +497,10 @@ struct Pass {
     capacity: u32,
     tolerance: f64,
     horizon: f64,
-    peers: Peers,
+    /// Per job, its key and what the peel sees of it: its robust demand,
+    /// utility and age.
+    keys: Vec<u64>,
+    jobs: Vec<OnionJob>,
     remaining: Vec<u64>,
     solves: Vec<JobSolve>,
     /// Per job, once the layers ran: its target (a lax job's once the
@@ -525,7 +525,6 @@ impl PlanState {
             cache: PlanCache::new(),
             peel: PeelState::new(),
             map: OccupationProfile::default(),
-            peeled: Peers::default(),
             passes: 0,
             stats: PlanPhaseStats::default(),
             pass: Pass::default(),
@@ -536,7 +535,6 @@ impl PlanState {
     pub fn invalidate(&mut self) {
         self.cache.clear();
         self.peel.invalidate();
-        self.peeled = Peers::default();
     }
 
     /// The per-job estimate + WCDE memo table (hit/miss counters).
@@ -649,29 +647,10 @@ impl PlanState {
             return Ok(());
         }
         let t0 = Instant::now();
-        let Self { peel, peeled, pass, .. } = self;
+        let Self { peel, pass, .. } = self;
         let n = pass.solves.len();
-        // What the peel replay may assume is exactly what the alignment
-        // found: a job mapped to a recorded one has its utility and its age
-        // moved by the tick, so only its demand can differ beyond the tick;
-        // everything else arrived or departed.
-        let (mut prev, mut gone, tick) = align_jobs(peeled, &pass.peers);
-        // A demand crossing zero changes how every probe sees the job (a job
-        // without demand never blocks a level): replay it as a departure and
-        // an arrival.
-        for (was, job) in prev.iter_mut().zip(&pass.peers.jobs) {
-            let crossed = |&i: &usize| (peeled.jobs[i].demand == 0) != (job.demand == 0);
-            if let Some(i) = was.filter(crossed) {
-                gone.push(i);
-                *was = None;
-            }
-        }
-        gone.sort_unstable();
-        let departed: Vec<OnionJob> = gone.iter().map(|&i| peeled.jobs[i]).collect();
-        let edit = JobEdit { prev: &prev, departed: &departed, tick };
-        let targets =
-            peel_layers(&pass.peers.jobs, pass.capacity, pass.tolerance, pass.horizon, edit, peel)?;
-        peeled.clone_from(&pass.peers);
+        let (keys, jobs) = (&pass.keys, &pass.jobs);
+        let targets = peel_layers(keys, jobs, pass.capacity, pass.tolerance, pass.horizon, peel)?;
         let t1 = Instant::now();
         pass.targets.clear();
         pass.targets.resize(n, 0.0);
@@ -744,7 +723,14 @@ impl Pass {
     /// Starts the pass over `jobs`, whose solves are `solves`.
     fn set_jobs(&mut self, config: &RushConfig, capacity: u32, jobs: &[PlanInput<'_>], solves: Vec<JobSolve>) {
         (self.capacity, self.tolerance, self.horizon) = (capacity, config.tolerance, config.horizon);
-        self.peers.fill(jobs, &solves);
+        self.keys.clear();
+        self.keys.extend(jobs.iter().map(|j| j.key));
+        self.jobs.clear();
+        self.jobs.extend(jobs.iter().zip(&solves).map(|(j, s)| OnionJob {
+            demand: s.eta,
+            utility: j.utility,
+            age: j.age,
+        }));
         self.remaining.clear();
         self.remaining.extend(jobs.iter().map(|j| j.remaining_tasks as u64));
         self.solves = solves;
@@ -831,80 +817,6 @@ pub fn compute_plan_incremental(
 ) -> Result<Plan, CoreError> {
     state.solve(config, capacity, jobs)?;
     state.finish()
-}
-
-/// A pass's jobs as the peel stage sees them — what it peels, and what the
-/// next pass aligns with: per job its key, and its robust demand, utility
-/// and age.
-#[derive(Debug, Clone, Default)]
-struct Peers {
-    keys: Vec<u64>,
-    jobs: Vec<OnionJob>,
-}
-
-impl Peers {
-    /// Refills the buffers with `jobs`'s keys and peel jobs, whose robust
-    /// demands are `solves`'s.
-    fn fill(&mut self, jobs: &[PlanInput<'_>], solves: &[JobSolve]) {
-        self.keys.clear();
-        self.keys.extend(jobs.iter().map(|j| j.key));
-        self.jobs.clear();
-        self.jobs.extend(jobs.iter().zip(solves).map(|(j, s)| OnionJob {
-            demand: s.eta,
-            utility: j.utility,
-            age: j.age,
-        }));
-    }
-}
-
-/// Aligns a pass's jobs with the recorded pass's: [`merge_keys`] pairs them
-/// by key, and a pair stands only if the job kept its utility and its age
-/// is the recorded one moved by the pass-wide `tick`, bit for bit. The tick
-/// is the shift the first standing pair implies (0 when none stands) — both
-/// adapters age every job by the same whole slots, so one shift fits every
-/// survivor. A pair that does not stand is a departure plus an arrival.
-/// Returns, per job, the recorded index it continues (`None`: it arrived),
-/// the recorded indices no job continues (they departed), ascending, and
-/// the tick.
-fn align_jobs(recorded: &Peers, now: &Peers) -> (Vec<Option<usize>>, Vec<usize>, f64) {
-    let (mut prev, mut departed) = merge_keys(&recorded.keys, &now.keys);
-    let mut tick = None;
-    for (was, job) in prev.iter_mut().zip(&now.jobs) {
-        let Some(i) = *was else { continue };
-        let then = &recorded.jobs[i];
-        let shift = tick.unwrap_or(job.age - then.age);
-        if shift >= 0.0 && (then.age + shift).to_bits() == job.age.to_bits() && job.utility == then.utility {
-            tick = Some(shift);
-        } else {
-            departed.push(i);
-            *was = None;
-        }
-    }
-    departed.sort_unstable();
-    (prev, departed, tick.unwrap_or(0.0))
-}
-
-/// Aligns a pass's job keys with a recorded pass's in one order-preserving
-/// merge: per job, the recorded index with its key (`None`: it arrived), and
-/// the recorded indices no job took (they departed), ascending. Two lists in
-/// ascending key order align exactly, whatever arrived or departed where; a
-/// list out of order only loses matches, and every match pairs equal keys.
-fn merge_keys(recorded: &[u64], keys: &[u64]) -> (Vec<Option<usize>>, Vec<usize>) {
-    let (mut departed, mut at) = (Vec::new(), 0);
-    let prev = keys
-        .iter()
-        .map(|&key| {
-            while recorded.get(at).is_some_and(|&r| r < key) {
-                departed.push(at);
-                at += 1;
-            }
-            let found = recorded.get(at) == Some(&key);
-            at += usize::from(found);
-            found.then(|| at - 1)
-        })
-        .collect();
-    departed.extend(at..recorded.len());
-    (prev, departed)
 }
 
 /// Renders a plan as the monitoring table the paper's enhanced HTTP
@@ -1315,132 +1227,6 @@ mod tests {
             (j.key, j.generation) = (5, Some(1));
         }
         let _ = compute_plan(&RushConfig::default(), 16, &jobs);
-    }
-
-    /// `align_jobs` against a recorded `(key, utility, age)` list, with the
-    /// tick it found.
-    fn aligned_ticked(
-        recorded: &[PlanInput<'_>],
-        jobs: &[PlanInput<'_>],
-    ) -> (Vec<Option<usize>>, Vec<usize>, f64) {
-        let (mut was, mut now) = (Peers::default(), Peers::default());
-        let solves = [JobSolve { eta: 1, task_len: 1 }].repeat(recorded.len().max(jobs.len()));
-        was.fill(recorded, &solves);
-        now.fill(jobs, &solves);
-        let (prev, departed, tick) = align_jobs(&was, &now);
-        // Whatever the alignment decides, it must be sound: mapped pairs are
-        // the same key, equal up to the one tick, the map ascends, and every
-        // recorded job is accounted for.
-        let mapped: Vec<usize> = prev.iter().flatten().copied().collect();
-        assert!(mapped.windows(2).all(|w| w[0] < w[1]), "{prev:?}");
-        assert!(tick >= 0.0);
-        for (job, was) in jobs.iter().zip(&prev) {
-            if let Some(i) = *was {
-                let shifted = (recorded[i].age + tick).to_bits();
-                assert_eq!(job.key, recorded[i].key);
-                assert!(job.utility == recorded[i].utility && job.age.to_bits() == shifted);
-            }
-        }
-        let mut all: Vec<usize> = mapped.iter().chain(&departed).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..recorded.len()).collect::<Vec<_>>(), "{prev:?} / {departed:?}");
-        (prev, departed, tick)
-    }
-
-    /// [`aligned_ticked`] of a pass whose clock did not move.
-    fn aligned(
-        recorded: &[PlanInput<'_>],
-        jobs: &[PlanInput<'_>],
-    ) -> (Vec<Option<usize>>, Vec<usize>) {
-        let (prev, departed, tick) = aligned_ticked(recorded, jobs);
-        assert_eq!(tick, 0.0);
-        (prev, departed)
-    }
-
-    /// A job keyed `key` with a sigmoid budget of `budget`.
-    fn keyed(key: u64, budget: f64, age: f64) -> PlanInput<'static> {
-        PlanInput { key, ..input(vec![50; 4], 5, age, sigmoid(budget, 3.0, 0.02)) }
-    }
-
-    #[test]
-    fn alignment_follows_departures_and_arrivals_anywhere() {
-        let (a, b, c, d) = (keyed(1, 100.0, 0.0), keyed(2, 200.0, 0.0), keyed(4, 300.0, 0.0), keyed(5, 400.0, 0.0));
-        let abc = [a.clone(), b.clone(), c.clone()];
-        // Same list: the identity.
-        assert_eq!(aligned(&abc, &abc), (vec![Some(0), Some(1), Some(2)], vec![]));
-        // First, middle, last removed.
-        assert_eq!(aligned(&abc, &[b.clone(), c.clone()]), (vec![Some(1), Some(2)], vec![0]));
-        assert_eq!(aligned(&abc, &[a.clone(), c.clone()]), (vec![Some(0), Some(2)], vec![1]));
-        assert_eq!(aligned(&abc, &[a.clone(), b.clone()]), (vec![Some(0), Some(1)], vec![2]));
-        // Identical jobs are told apart by key: losing the first reads as
-        // losing the first.
-        let twin = PlanInput { key: 3, ..b.clone() };
-        assert_eq!(aligned(&[b.clone(), twin.clone()], std::slice::from_ref(&twin)), (vec![Some(1)], vec![0]));
-        // A removal and an arrival in one pass.
-        assert_eq!(
-            aligned(&abc, &[a.clone(), c.clone(), d.clone()]),
-            (vec![Some(0), Some(2), None], vec![1])
-        );
-        // Arrivals only, a batch at the tail.
-        let e = keyed(6, 500.0, 0.0);
-        assert_eq!(
-            aligned(&abc, &[a.clone(), b.clone(), c.clone(), d.clone(), e]),
-            (vec![Some(0), Some(1), Some(2), None, None], vec![])
-        );
-        // A job that re-enters mid-list keeps every survivor behind it mapped.
-        let mid = keyed(3, 250.0, 0.0);
-        assert_eq!(
-            aligned(&abc, &[a.clone(), b.clone(), mid, c.clone()]),
-            (vec![Some(0), Some(1), None, Some(2)], vec![])
-        );
-        // A key that kept its place but changed its utility is a departure
-        // and an arrival.
-        let reborn = PlanInput { utility: sigmoid(999.0, 1.0, 0.1), ..b.clone() };
-        assert_eq!(
-            aligned(&abc, &[a.clone(), reborn, c.clone()]),
-            (vec![Some(0), None, Some(2)], vec![1])
-        );
-        // A list out of key order loses matches, never soundness.
-        assert_eq!(
-            aligned(&abc, &[b.clone(), a.clone(), c.clone()]),
-            (vec![Some(1), None, Some(2)], vec![0])
-        );
-        // Nothing recorded: all new.
-        assert_eq!(aligned(&[], &[a, b]), (vec![None, None], vec![]));
-    }
-
-    #[test]
-    fn alignment_of_a_slot_tick_maps_every_job_in_one_pass() {
-        // Every age moved by the same three slots: one pass-wide tick maps
-        // every job, in one merge — linear, which 200 000 jobs would not
-        // survive otherwise.
-        let recorded: Vec<PlanInput<'static>> = (0..200_000)
-            .map(|i| PlanInput {
-                key: i,
-                ..input(Vec::new(), 1, (i % 50) as f64, sigmoid(100.0 + i as f64, 2.0, 0.05))
-            })
-            .collect();
-        let older = |by: f64, jobs: &[PlanInput<'static>]| -> Vec<PlanInput<'static>> {
-            jobs.iter().map(|j| PlanInput { age: j.age + by, ..j.clone() }).collect()
-        };
-        let (prev, departed, tick) = aligned_ticked(&recorded, &older(3.0, &recorded));
-        assert!(prev.iter().enumerate().all(|(j, &was)| was == Some(j)) && departed.is_empty());
-        assert_eq!(tick, 3.0);
-        // A tick with churn: the first survivor sets the tick, a departure
-        // and a tail arrival align as without one.
-        let (a, b, c, d) = (keyed(1, 100.0, 4.0), keyed(2, 200.0, 2.0), keyed(3, 300.0, 0.0), keyed(4, 400.0, 0.0));
-        let abc = [a.clone(), b.clone(), c.clone()];
-        let mut now = older(5.0, &[a.clone(), c.clone()]);
-        now.push(d.clone());
-        assert_eq!(aligned_ticked(&abc, &now), (vec![Some(0), Some(2), None], vec![1], 5.0));
-        // One tick fits every survivor: a job that aged by another amount
-        // is not the job it was.
-        let mut mixed = older(1.0, &abc);
-        mixed[1].age = b.age + 2.0;
-        assert_eq!(aligned_ticked(&abc, &mixed), (vec![Some(0), None, Some(2)], vec![1], 1.0));
-        // A clock that ran backwards matches nothing.
-        let (prev, _, tick) = aligned_ticked(&abc, &older(-1.0, &abc));
-        assert!(prev.iter().all(Option::is_none) && tick == 0.0);
     }
 
     #[test]

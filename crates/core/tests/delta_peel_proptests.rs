@@ -13,16 +13,18 @@
 //!   as the non-incremental differential suite checks.
 //!
 //! Job churn (arrival, cancel) is replayed, not re-peeled: the peel-level
-//! stream hands `peel_incremental` the real edit between consecutive passes
-//! and asserts the delta path on every pass after the first, and three
-//! deterministic fleet-scale streams (`*_fleet_replays_job_churn`: 300+
-//! jobs, 88+ events each, one per regime — supremum-capped, overloaded,
-//! contended) additionally pin the *path*: layers dropped and spliced, how
-//! far the trace carried, and where a pass may not give it up — each with
-//! its `ReplayStats` totals pinned exactly.
+//! stream hands `peel_incremental` each job's id as its key, the peel
+//! aligns consecutive passes by them, and the stream asserts the delta path
+//! on every pass after the first; three deterministic fleet-scale streams
+//! (`*_fleet_replays_job_churn`: 300+ jobs, 88+ events each, one per regime
+//! — supremum-capped, overloaded, contended) additionally pin the *path*:
+//! layers dropped and spliced, how far the trace carried, and where a pass
+//! may not give it up — each with its `ReplayStats` totals pinned exactly.
+//! Hostile key lists (shuffled, duplicated, all fresh, …) must still
+//! replay bit for bit, and replay exactly when a pair stands.
 
 use proptest::prelude::*;
-use rush_core::onion::{self, JobEdit, OnionJob, PeelState};
+use rush_core::onion::{self, OnionJob, PeelState};
 use rush_core::plan::{compute_plan, compute_plan_incremental, PlanInput, PlanState};
 use rush_core::RushConfig;
 use rush_utility::TimeUtility;
@@ -91,20 +93,6 @@ fn event_strategy() -> impl Strategy<Value = Ev> {
     ]
 }
 
-/// The edit between two passes whose jobs carry unique ascending ids: per
-/// job of this pass its index in the previous one, and the previous
-/// indices that are gone.
-fn edit_between(prev_ids: &[usize], ids: &[usize]) -> (Vec<Option<usize>>, Vec<usize>) {
-    let prev = ids
-        .iter()
-        .map(|id| prev_ids.binary_search(id).ok())
-        .collect();
-    let departed = (0..prev_ids.len())
-        .filter(|&i| ids.binary_search(&prev_ids[i]).is_err())
-        .collect();
-    (prev, departed)
-}
-
 /// Bit-exact plan comparison: every entry field, including float bits.
 fn assert_plans_identical(
     a: &rush_core::plan::Plan,
@@ -164,7 +152,8 @@ struct Fleet {
     /// How far a level may sit from the frozen oracle's (bisection wobble);
     /// `None` skips the oracle.
     oracle_bound: Option<f64>,
-    ids: Vec<usize>,
+    /// Each job's id, its key: ids ascend in arrival order.
+    ids: Vec<u64>,
     utilities: Vec<TimeUtility>,
     demands: Vec<u64>,
     /// Slots since each job arrived: its utility is shifted by it.
@@ -172,11 +161,10 @@ struct Fleet {
     /// The slot ticks a ticking fleet cycles through: before every pass
     /// after the first, every job ages by the next one.
     ticks: &'static [f64],
-    next_id: usize,
+    next_id: u64,
     state: PeelState,
-    /// The previous pass: ids, jobs and peel order.
-    prev_ids: Vec<usize>,
-    prev_jobs: Vec<OnionJob>,
+    /// The previous pass: ids and peel order.
+    prev_ids: Vec<u64>,
     prev_order: Vec<onion::Target>,
     passes: usize,
     /// Passes whose resume bound was checked.
@@ -219,7 +207,6 @@ impl Fleet {
             next_id: 0,
             state: PeelState::new(),
             prev_ids: Vec::new(),
-            prev_jobs: Vec::new(),
             prev_order: Vec::new(),
             passes: 0,
             bounded: 0,
@@ -274,17 +261,11 @@ impl Fleet {
             .zip(&self.ages)
             .map(|((&demand, &utility), &age)| OnionJob { demand, utility, age })
             .collect();
-        let (prev, gone) = edit_between(&self.prev_ids, &self.ids);
-        let departed: Vec<OnionJob> = gone.iter().map(|&i| self.prev_jobs[i]).collect();
-        let edit = JobEdit {
-            prev: &prev,
-            departed: &departed,
-            tick,
-        };
         let (cap, tol) = (self.capacity, self.tolerance);
         let full = onion::peel(&jobs, cap, tol, FLEET_HORIZON).unwrap();
         let inc =
-            onion::peel_incremental(&jobs, cap, tol, FLEET_HORIZON, edit, &mut self.state).unwrap();
+            onion::peel_incremental(&self.ids, &jobs, cap, tol, FLEET_HORIZON, &mut self.state)
+                .unwrap();
         assert_eq!(inc.len(), full.len(), "{what}");
         for (a, b) in inc.iter().zip(&full) {
             assert!(
@@ -344,16 +325,17 @@ impl Fleet {
             let place = |order: &[onion::Target], job: usize| {
                 order.iter().filter(|t| !t.lax).position(|t| t.job == job)
             };
-            let arrivals = prev.iter().filter(|p| p.is_none()).count();
+            let only_in = |ids: &[u64], other: &[u64]| -> Vec<usize> {
+                (0..ids.len()).filter(|&i| other.binary_search(&ids[i]).is_err()).collect()
+            };
+            let gone = only_in(&self.prev_ids, &self.ids);
+            let arrived = only_in(&self.ids, &self.prev_ids);
             let bounds: Option<Vec<usize>> = gone
                 .iter()
                 .map(|&i| place(&self.prev_order, i))
-                .chain(
-                    prev.iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.is_none())
-                        .map(|(j, _)| place(&inc, j).map(|q| q.saturating_sub(arrivals))),
-                )
+                .chain(arrived.iter().map(|&j| {
+                    place(&inc, j).map(|q| q.saturating_sub(arrived.len()))
+                }))
                 .collect();
             if let (true, Some(bounds), Some(at)) = (bounded_resume, bounds, stats.resumed_at) {
                 let first_edit = bounds.iter().copied().min().unwrap_or(usize::MAX);
@@ -366,7 +348,6 @@ impl Fleet {
         }
         self.passes += 1;
         self.prev_ids.clone_from(&self.ids);
-        self.prev_jobs = jobs;
         self.prev_order = inc;
     }
 }
@@ -784,13 +765,9 @@ proptest! {
             })
             .collect();
         let mut demands: Vec<u64> = raw.iter().map(|(d, _, _)| *d).collect();
-        // Job identity per index: the edit handed to the peel may only map
-        // a job to a recorded one with the same utility (the contract
-        // `compute_plan` upholds by comparing utilities).
-        let mut ids: Vec<usize> = (0..demands.len()).collect();
-        let mut next_id = demands.len();
-        let mut prev_ids = ids.clone();
-        let mut prev_jobs: Vec<OnionJob> = Vec::new();
+        // Job identity per index, handed to the peel as its key.
+        let mut ids: Vec<u64> = (0..demands.len() as u64).collect();
+        let mut next_id = demands.len() as u64;
         let mut capacity = capacity0;
         let mut state = PeelState::new();
 
@@ -834,13 +811,9 @@ proptest! {
                 .zip(&utilities)
                 .map(|(&demand, &utility)| OnionJob { demand, utility, age: 0.0 })
                 .collect();
-            let (prev, gone) = edit_between(&prev_ids, &ids);
-            let departed: Vec<OnionJob> = gone.iter().map(|&i| prev_jobs[i]).collect();
-            let edit = JobEdit { prev: &prev, departed: &departed, tick: 0.0 };
-
             let full = onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
             let inc =
-                onion::peel_incremental(&jobs, capacity, tolerance, horizon, edit, &mut state)
+                onion::peel_incremental(&ids, &jobs, capacity, tolerance, horizon, &mut state)
                     .unwrap();
             // Demands here never reach zero and one job always survives, so
             // nothing but the very first pass may peel from scratch: an
@@ -890,8 +863,6 @@ proptest! {
                     step, f.job, f.level, r.level
                 );
             }
-            prev_ids.clone_from(&ids);
-            prev_jobs.clone_from(&jobs);
             let mut inc_levels: Vec<f64> = inc.iter().map(|t| t.level).collect();
             let mut ref_levels: Vec<f64> = naive.iter().map(|t| t.level).collect();
             inc_levels.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -909,7 +880,7 @@ proptest! {
     /// Ticks mixed into the event stream at the plan level: after every
     /// event the clock moves 0, 1, 2, 3 or 7 slots, every job ages by it,
     /// and the incremental plan must stay bit-identical to a from-scratch
-    /// pass. Here the planner finds the tick itself (`align_jobs`) and a
+    /// pass. Here the peel finds the tick itself (its key alignment) and a
     /// demand that drops to zero is replayed as a departure and an arrival,
     /// so no pass after the first may peel from scratch. (The frozen-oracle
     /// tier runs on the ticking fleet streams: a random contended instance
@@ -964,5 +935,128 @@ proptest! {
             assert_plans_identical(&full, &inc)?;
             prop_assert!(state.last_stats().peel_replay.delta, "step {}: path", step);
         }
+    }
+}
+
+/// The kinds of key list [`hostile_key_lists_replay_bit_for_bit`] hands the
+/// second pass.
+#[derive(Clone, Copy, Debug)]
+enum Keys {
+    /// The recorded keys rotated: the `j`-th job claims the recorded job
+    /// `rot` places later.
+    Shuffled,
+    /// One job repeats its predecessor's key.
+    Duplicated,
+    /// No key was recorded.
+    AllFresh,
+    /// The recorded keys, with one job's utility changed.
+    UtilityChanged,
+    /// The recorded keys, with one job aged a slot more than the rest.
+    AgedUnevenly,
+    /// The recorded keys, with one job's demand crossing zero.
+    CrossesZero,
+}
+
+const KEYS: [Keys; 6] = [
+    Keys::Shuffled,
+    Keys::Duplicated,
+    Keys::AllFresh,
+    Keys::UtilityChanged,
+    Keys::AgedUnevenly,
+    Keys::CrossesZero,
+];
+
+/// Whether any of `pairs` — `(recorded, now)` jobs the key merge paired —
+/// stands, by the rules as stated: the utility is kept, the age moves by
+/// the tick the first pair with its utility implies (≥ 0, bit for bit), and
+/// the demand does not cross zero.
+fn any_pair_stands(pairs: impl Iterator<Item = (OnionJob, OnionJob)>) -> bool {
+    let mut tick = None;
+    for (then, now) in pairs {
+        let shift = tick.unwrap_or(now.age - then.age);
+        let aged = (then.age + shift).to_bits() == now.age.to_bits();
+        if shift >= 0.0 && aged && now.utility == then.utility {
+            tick = Some(shift);
+            if (then.demand == 0) == (now.demand == 0) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever keys a caller hands `peel_incremental`, a warm pass is
+    /// bitwise the from-scratch peel, and it replays exactly when some pair
+    /// of the key merge stands. Utilities come from a palette of four, so
+    /// jobs a hostile list pairs by mistake often share one.
+    #[test]
+    fn hostile_key_lists_replay_bit_for_bit(
+        raw in prop::collection::vec((0u64..5000, 0usize..4, 0u32..40), 2..16),
+        kind in 0usize..6,
+        sel in 0usize..64,
+        tick in 0u32..4,
+        capacity in 4u32..400,
+    ) {
+        let (tolerance, horizon) = (1e-6, 1e6);
+        let palette = |u: usize| {
+            let budget = [300.0, 800.0, 1500.0, 2500.0][u];
+            TimeUtility::sigmoid(budget, 1.0 + u as f64, 10.0 / budget).unwrap()
+        };
+        // One job in five without demand.
+        let recorded: Vec<OnionJob> = raw
+            .iter()
+            .map(|&(d, u, age)| OnionJob {
+                demand: if d < 4000 { d } else { 0 },
+                utility: palette(u),
+                age: f64::from(age),
+            })
+            .collect();
+        let n = recorded.len();
+        let recorded_keys: Vec<u64> = (0..n as u64).collect();
+        let kind = KEYS[kind];
+        let (s, rot) = (sel % n, 1 + sel % (n - 1));
+        let mut jobs: Vec<OnionJob> =
+            recorded.iter().map(|&j| OnionJob { age: j.age + f64::from(tick), ..j }).collect();
+        // Some demand moves whatever the keys say.
+        jobs[(s + 1) % n].demand += 1 + jobs[(s + 1) % n].demand / 16;
+        let mut keys = recorded_keys.clone();
+        // The recorded index each job's key merges with.
+        let mut merged: Vec<Option<usize>> = (0..n).map(Some).collect();
+        match kind {
+            Keys::Shuffled => {
+                keys.rotate_left(rot);
+                merged = (0..n).map(|j| (j + rot < n).then_some(j + rot)).collect();
+            }
+            Keys::Duplicated => {
+                let d = rot;
+                keys[d] = keys[d - 1];
+                merged[d] = None;
+            }
+            Keys::AllFresh => {
+                keys.iter_mut().for_each(|k| *k += n as u64);
+                merged = vec![None; n];
+            }
+            Keys::UtilityChanged => jobs[s].utility = palette((raw[s].1 + 1) % 4),
+            Keys::AgedUnevenly => jobs[s].age += 1.0,
+            Keys::CrossesZero => jobs[s].demand = if jobs[s].demand == 0 { 100 } else { 0 },
+        }
+
+        let mut state = PeelState::new();
+        let mut peel_warm = |keys: &[u64], jobs: &[OnionJob]| {
+            onion::peel_incremental(keys, jobs, capacity, tolerance, horizon, &mut state).unwrap()
+        };
+        peel_warm(&recorded_keys, &recorded);
+        let inc = peel_warm(&keys, &jobs);
+        let full = onion::peel(&jobs, capacity, tolerance, horizon).unwrap();
+        let bits = |ts: &[onion::Target]| -> Vec<(usize, u64, u64, bool)> {
+            ts.iter().map(|t| (t.job, t.level.to_bits(), t.deadline.to_bits(), t.lax)).collect()
+        };
+        prop_assert_eq!(bits(&inc), bits(&full), "{:?}", kind);
+        let pairs =
+            jobs.iter().zip(&merged).filter_map(|(&now, was)| was.map(|i| (recorded[i], now)));
+        prop_assert_eq!(state.last_stats().delta, any_pair_stands(pairs), "{:?}", kind);
     }
 }

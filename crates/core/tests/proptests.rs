@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rush_core::mapping::{
     capacity_condition_holds, map_continuous, map_profile, MapJob, OccupationProfile,
 };
-use rush_core::onion::{peel, peel_incremental, JobEdit, OnionJob, PeelState, Target};
+use rush_core::onion::{peel, peel_incremental, OnionJob, PeelState, Target};
 use rush_core::rem;
 use rush_core::wcde::worst_case_quantile;
 use rush_prob::Pmf;
@@ -306,9 +306,11 @@ fn cold_peel_of_continuous_weights() {
     };
 
     let mut state = PeelState::new();
-    let first_half = &jobs[..500];
-    peel_incremental(first_half, capacity, tolerance, horizon, JobEdit::COLD, &mut state).unwrap();
-    let cold = peel_incremental(&jobs, capacity, tolerance, horizon, JobEdit::COLD, &mut state);
+    // All-fresh keys: the second pass shares no job with the first.
+    let n = jobs.len() as u64;
+    let (old_keys, keys): (Vec<u64>, Vec<u64>) = ((n..n + 500).collect(), (0..n).collect());
+    peel_incremental(&old_keys, &jobs[..500], capacity, tolerance, horizon, &mut state).unwrap();
+    let cold = peel_incremental(&keys, &jobs, capacity, tolerance, horizon, &mut state);
     assert_eq!(bits(&fast), bits(&cold.unwrap()));
     assert!(!state.last_stats().delta);
 
@@ -592,7 +594,8 @@ fn assert_peel_matches_oracle_bitwise(specs: &[(u64, TimeUtility)], capacity: u3
         assert!(wobble <= tolerance, "job {}: level {} off by {wobble}", t.job, t.level);
     }
     let mut state = PeelState::new();
-    let cold = peel_incremental(&jobs, capacity, tolerance, horizon, JobEdit::COLD, &mut state);
+    let keys: Vec<u64> = (0..jobs.len() as u64).collect();
+    let cold = peel_incremental(&keys, &jobs, capacity, tolerance, horizon, &mut state);
     let bits = |ts: &[Target]| -> Vec<(usize, u64, u64, bool)> {
         ts.iter().map(|t| (t.job, t.level.to_bits(), t.deadline.to_bits(), t.lax)).collect()
     };
@@ -605,18 +608,13 @@ fn assert_peel_matches_oracle_bitwise(specs: &[(u64, TimeUtility)], capacity: u3
     for job in grown.iter_mut().step_by(7) {
         job.demand += 1 + job.demand / 8;
     }
-    let same: Vec<Option<usize>> = (0..jobs.len()).map(Some).collect();
-    let edit = JobEdit { prev: &same, departed: &[], tick: 0.0 };
-    let warm = peel_incremental(&grown, capacity, tolerance, horizon, edit, &mut state).unwrap();
+    let warm = peel_incremental(&keys, &grown, capacity, tolerance, horizon, &mut state).unwrap();
     assert!(state.last_stats().delta, "a demand edit replays");
     assert_eq!(bits(&warm), bits(&peel(&grown, capacity, tolerance, horizon).unwrap()));
-    let stays = |i: &usize| i % 11 != 5;
-    let kept: Vec<usize> = (0..jobs.len()).filter(stays).collect();
-    let rest: Vec<OnionJob> = kept.iter().map(|&i| grown[i]).collect();
-    let prev: Vec<Option<usize>> = kept.iter().map(|&i| Some(i)).collect();
-    let departed: Vec<OnionJob> = (0..jobs.len()).filter(|i| !stays(i)).map(|i| grown[i]).collect();
-    let edit = JobEdit { prev: &prev, departed: &departed, tick: 0.0 };
-    let warm = peel_incremental(&rest, capacity, tolerance, horizon, edit, &mut state).unwrap();
+    let stays = |k: &&u64| *k % 11 != 5;
+    let kept: Vec<u64> = keys.iter().filter(stays).copied().collect();
+    let rest: Vec<OnionJob> = kept.iter().map(|&k| grown[k as usize]).collect();
+    let warm = peel_incremental(&kept, &rest, capacity, tolerance, horizon, &mut state).unwrap();
     assert!(state.last_stats().delta, "a departure replays");
     assert_eq!(bits(&warm), bits(&peel(&rest, capacity, tolerance, horizon).unwrap()));
 }

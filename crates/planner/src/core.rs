@@ -1031,8 +1031,8 @@ mod tests {
         assert!(big > small);
     }
 
-    /// Admission's sizing, pinned bit for bit: a job with no task left still
-    /// gets WCDE's one-bin demand (planning alone sizes it 0), a hint seeds
+    /// Admission's sizing, pinned bit for bit: a job with no task left needs
+    /// nothing (as planning sizes it) but keeps its runtime, a hint seeds
     /// a sample-less job, own samples win over a hint, the cold prior sizes
     /// a job with neither, and an estimate that fails is the estimator's
     /// error.
@@ -1044,11 +1044,11 @@ mod tests {
             let bits = |(eta, runtime): (u64, f64)| (eta, runtime.to_bits());
             assert_eq!(bits(got), bits(want), "{samples:?} {hint:?} {remaining}");
         };
-        pin(&[50, 60, 55], None, 0, (1, 55.0));
-        pin(&[], Some(10.0), 0, (1, 10.0));
+        pin(&[50, 60, 55], None, 0, (0, 55.0));
+        pin(&[], Some(10.0), 0, (0, 10.0));
         pin(&[], Some(10.0), 10, (352, 10.0));
         pin(&[50, 60, 55], Some(10.0), 5, (320, 55.0));
-        pin(&[], None, 0, (1, 60.0));
+        pin(&[], None, 0, (0, 60.0));
         pin(&[], None, 10, (852, 60.0));
         assert!(matches!(
             estimate_eta(&c, &[1 << 60], None, 4),
