@@ -11,7 +11,6 @@
 //! | module | freezes | read by |
 //! |---|---|---|
 //! | [`onion`] | Algorithm 3 as written: sort per probe, full-range bisection per layer | `rush-core` `delta_peel_proptests`, `plan_cache_proptests`, `proptests`; `fig5`'s seed-baseline series |
-//! | [`engine`] | the seed simulator loop: linear scans over a running `Vec`, a re-sorted free list | `rush-sim` `engine_differential` |
 //! | [`scheduler`] | the pre-kernel container-assignment unit | `rush-planner` `adapter_differential` |
 //! | [`lp`] | a dense two-phase simplex and the LP form of Time-Aware Scheduling | `rush-core` `proptests`, the facade's `tests/extensions.rs` |
 //!
@@ -23,8 +22,11 @@
 //! crate's `tests/` directory, never in its `src/`.
 //!
 //! Do not evolve these modules with new features. A change of contract
-//! (a new `SimResult` counter, a new capacity event) is transcribed here in
-//! the same naive style; an optimization never is.
+//! (a new input of the peel, a new scheduler callback) is transcribed here
+//! in the same naive style; an optimization never is. The simulator has
+//! no twin: `rush-sim` runs one scan-based engine, guarded by the results
+//! its `engine_pins` test pins and by the `figures` reports, so a new
+//! simulator contract is written once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +49,6 @@
     )
 )]
 
-pub mod engine;
 pub mod lp;
 pub mod onion;
 pub mod scheduler;

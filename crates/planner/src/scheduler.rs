@@ -110,10 +110,10 @@ impl RushScheduler {
     ///
     /// The simulator calls [`Scheduler::on_task_complete`] with the job
     /// already gone from the view when it finishes naturally, which prunes
-    /// the record — but a job *cancelled* mid-flight (or completed while
-    /// no further task-completion event fires) would otherwise leak its
-    /// entry forever and keep polluting [`Self::last_plan`] until the next
-    /// event. Long-running daemons must call this on every cancel.
+    /// the record. The simulator has no cancellation, so nothing in the
+    /// workspace needs this outside tests: `adapter_differential` is its
+    /// only caller. (`rushd` does not run this adapter: its `cancel` calls
+    /// `PlannerCore::cancel` directly.)
     ///
     /// Pooled runtime samples the job contributed are deliberately kept:
     /// they are evidence about the *template*, not the job, and future

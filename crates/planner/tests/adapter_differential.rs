@@ -9,10 +9,10 @@
 //! which encodes the exact assignment order) is compared. Wall-clock
 //! `scheduler_time` is the only field allowed to differ.
 //!
-//! The workload generator mirrors the `engine_differential` corpus but
-//! swaps the trivial FCFS-style scheduler for the RUSH CA unit and mixes
-//! time-utility shapes so the onion peel and the insensitive-reserve gate
-//! are both exercised.
+//! The workload generator mirrors the corpus of `rush-sim`'s `engine_pins`
+//! but swaps the trivial FCFS-style scheduler for the RUSH CA unit and
+//! mixes time-utility shapes so the onion peel and the insensitive-reserve
+//! gate are both exercised.
 
 use proptest::prelude::*;
 use rush_core::RushConfig;

@@ -1,11 +1,12 @@
 //! The reactor's timer wheel: deadlines that fire even when every
 //! connection is idle.
 //!
-//! A lazy-deletion binary heap (the same idiom as the simulator's
-//! completion heap): `unschedule` marks the timer id dead in O(log n) amortized
-//! time and the heap entry is discarded when it surfaces. The reactor
-//! derives its `epoll_wait` timeout from [`TimerWheel::next_deadline`], so
-//! slow-reader evictions fire on schedule with no traffic at all.
+//! A lazy-deletion binary heap over a set of live ids: `unschedule` drops
+//! the id from the set in O(log n) time and the heap entry is discarded
+//! when it surfaces. A fired or unknown id is in no set, so unscheduling
+//! it leaves nothing behind. The reactor derives its `epoll_wait` timeout
+//! from [`TimerWheel::next_deadline`], so slow-reader evictions fire on
+//! schedule with no traffic at all.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -19,7 +20,8 @@ pub struct TimerId(u64);
 #[derive(Debug, Default)]
 pub struct TimerWheel {
     heap: BinaryHeap<Reverse<(Instant, u64, u64)>>,
-    cancelled: BTreeSet<u64>,
+    /// Ids scheduled and neither fired nor unscheduled.
+    live: BTreeSet<u64>,
     next_id: u64,
 }
 
@@ -34,6 +36,7 @@ impl TimerWheel {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         self.heap.push(Reverse((at, id, token)));
+        self.live.insert(id);
         TimerId(id)
     }
 
@@ -42,14 +45,14 @@ impl TimerWheel {
     /// deep lint's name-based call graph cannot confuse it with the
     /// blocking client-side `cancel` RPC.)
     pub fn unschedule(&mut self, id: TimerId) {
-        self.cancelled.insert(id.0);
+        self.live.remove(&id.0);
     }
 
     /// The earliest live deadline, or `None` when the wheel is empty.
     /// Compacts surfaced cancelled entries as a side effect.
     pub fn next_deadline(&mut self) -> Option<Instant> {
         while let Some(Reverse((at, id, _))) = self.heap.peek().copied() {
-            if self.cancelled.remove(&id) {
+            if !self.live.contains(&id) {
                 self.heap.pop();
                 continue;
             }
@@ -63,7 +66,7 @@ impl TimerWheel {
     pub fn expired(&mut self, now: Instant) -> Vec<u64> {
         let mut due = Vec::new();
         while let Some(Reverse((at, id, token))) = self.heap.peek().copied() {
-            if self.cancelled.remove(&id) {
+            if !self.live.contains(&id) {
                 self.heap.pop();
                 continue;
             }
@@ -71,6 +74,7 @@ impl TimerWheel {
                 break;
             }
             self.heap.pop();
+            self.live.remove(&id);
             due.push(token);
         }
         due
@@ -129,6 +133,27 @@ mod tests {
         // Cancelling a fired id is a no-op.
         wheel.unschedule(keep);
         assert!(wheel.next_deadline().is_none());
+        assert!(wheel.is_empty() && wheel.live.is_empty());
+    }
+
+    #[test]
+    fn unscheduling_fired_timers_leaves_nothing_behind() {
+        // The reactor's slow-reader path: a timer fires, then the eviction
+        // it triggers unschedules the same id. Every other round the fired
+        // timer is left alone, as a re-armed one is.
+        let mut wheel = TimerWheel::new();
+        let base = Instant::now();
+        for round in 0..100 {
+            let id = wheel.schedule(base, round);
+            assert_eq!(wheel.expired(base), vec![round]);
+            if round % 2 == 1 {
+                wheel.unschedule(id);
+            }
+        }
+        // Unknown ids are no-ops too.
+        wheel.unschedule(TimerId(u64::MAX));
+        assert!(wheel.is_empty());
+        assert!(wheel.live.is_empty(), "fired ids must not linger: {}", wheel.live.len());
     }
 
     #[test]

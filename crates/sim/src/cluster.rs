@@ -188,10 +188,8 @@ impl ClusterSpec {
         self.nodes.iter().map(|n| n.containers).sum()
     }
 
-    /// Maps a flat container index (`0..capacity()`) to its hosting node.
-    ///
-    /// This walks the node list; hot paths should precompute
-    /// [`container_node_map`](Self::container_node_map) instead.
+    /// Maps a flat container index (`0..capacity()`) to its hosting node,
+    /// walking the node list.
     ///
     /// # Panics
     ///
@@ -207,16 +205,6 @@ impl ClusterSpec {
         }
         panic!("container index {container} out of range (capacity {})", self.capacity());
     }
-
-    /// Precomputes the container → node-index map, one entry per container,
-    /// so per-event lookups cost one array read instead of a node walk.
-    pub fn container_node_map(&self) -> Vec<u32> {
-        let mut map = Vec::with_capacity(self.capacity() as usize);
-        for (i, node) in self.nodes.iter().enumerate() {
-            map.extend(std::iter::repeat_n(i as u32, node.containers as usize));
-        }
-        map
-    }
 }
 
 /// An ordered pool of free containers over a [`ClusterSpec`]'s flat
@@ -224,8 +212,7 @@ impl ClusterSpec {
 ///
 /// The simulation engine acquires the lowest free container on every task
 /// start and releases one on every completion; with a sorted `Vec` those
-/// operations cost a re-sort per completion (the seed engine's
-/// `sort_unstable_by_key` after every push). `FreePool` keeps the free set
+/// operations cost a re-sort per completion. `FreePool` keeps the free set
 /// as a two-level bitset — one bit per container plus a summary bit per
 /// 64-container word — so acquire, release and membership are O(1) word
 /// operations (O(capacity/4096) in the worst case for the summary scan).
@@ -461,16 +448,6 @@ mod tests {
     fn container_out_of_range_panics() {
         let c = ClusterSpec::homogeneous(1, 1).unwrap();
         c.node_of_container(1);
-    }
-
-    #[test]
-    fn container_node_map_matches_walk() {
-        let c = ClusterSpec::new(vec![(1.0, 3), (2.0, 1), (0.5, 2)]).unwrap();
-        let map = c.container_node_map();
-        assert_eq!(map.len(), 6);
-        for (container, &ni) in map.iter().enumerate() {
-            assert_eq!(c.nodes()[ni as usize].id(), c.node_of_container(container as u32).id());
-        }
     }
 
     #[test]

@@ -8,37 +8,42 @@
 //! Per event, the processing order is:
 //!
 //! 1. task completions at the current slot (containers are freed, samples
-//!    are reported to the scheduler);
-//! 2. job arrivals at the current slot;
-//! 3. the **dispatch loop**: while containers are free and runnable tasks
+//!    are reported to the scheduler), the due attempt with the smallest
+//!    `(job, task, container)` first;
+//! 2. capacity events at the current slot (revocations claim the
+//!    highest-indexed in-service containers, restocks return the
+//!    lowest-indexed revoked ones);
+//! 3. job arrivals at the current slot;
+//! 4. the **dispatch loop**: while containers are free and runnable tasks
 //!    exist, the scheduler is asked to name the job that gets the next
-//!    container. Returning `None` leaves the remaining containers idle
-//!    until the next event — a legitimate decision for a completion-time
-//!    aware scheduler.
+//!    container (always the lowest-indexed free one). Returning `None`
+//!    leaves the remaining containers idle until the next event — a
+//!    legitimate decision for a completion-time aware scheduler;
+//! 5. the speculation loop, offering the containers still free for
+//!    duplicates of running attempts.
 //!
-//! # Two engines, one contract
+//! # One engine, scanned
 //!
-//! The default engine is **indexed**: completions live in a lazy-deletion
-//! binary heap keyed by `(end, job, task, container)` (O(log n) next
-//! event), free containers in a two-level bitset
-//! [`FreePool`] (O(1) word-op acquire/release),
-//! the dispatch condition is a maintained `total_runnable` counter, and
-//! per-event scratch (attempt slab, per-job attempt lists, the job → view
-//! index) is allocated once up front, so the steady state allocates only
-//! when a job's sample vector or the optional trace grows.
+//! The running attempts are a plain `Vec` that every event scans: for the
+//! due completion, a sibling duplicate, the attempt on a revoked container,
+//! the next end slot and a job's oldest start. Job views are found by a
+//! scan over the active jobs. Free containers sit in a [`FreePool`]
+//! bitset. At the sizes this simulator runs — the paper's 48-container
+//! testbed with up to a few hundred jobs — the engine is about 1.5 % of
+//! a RUSH-scheduled run; the scheduler's replans are the rest (DESIGN.md
+//! §8).
 //!
-//! The seed engine — linear scans over a running `Vec`, a re-sorted free
-//! list — is preserved verbatim outside this crate, as
-//! `rush_oracle::engine::run`, and must produce **bit-identical** results:
-//! same outcomes, same counters, same trace event sequence, same RNG draw
-//! order. The differential property test in `tests/engine_differential.rs`
-//! holds the two to that contract under randomized workloads, failures,
-//! interference, speculation and capacity churn.
+//! What guards the engine's order of operations is the exact result of
+//! fixed scenarios: `tests/engine_pins.rs` pins the paper testbed with and
+//! without capacity churn, a seeded run with failures, speculation and
+//! locality, and a primary and its duplicate falling due together; and
+//! `figures` regenerates `results/` and `BENCH_ablation_capacity.json`
+//! byte for byte.
 
 use crate::cluster::{
-    validate_capacity_events, CapacityChange, CapacityEvent, ClusterSpec, FreePool, Node,
+    validate_capacity_events, CapacityChange, CapacityEvent, ClusterSpec, FreePool,
 };
-use crate::job::{JobSpec, Phase, TaskSpec};
+use crate::job::{JobSpec, Phase};
 use crate::outcome::{JobOutcome, SimResult};
 use crate::perturb::{FailureModel, Interference};
 use crate::scheduler::Scheduler;
@@ -48,7 +53,6 @@ use crate::{JobId, SimError, Slot, TaskId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Configuration of one simulation run.
@@ -208,27 +212,22 @@ struct JobState {
     pending_reduces: Vec<usize>,
     maps_remaining: usize,
     completed: usize,
-    finish: Option<Slot>,
     /// Container·slots consumed by successful attempts.
     useful_slots: u64,
     /// Container·slots wasted on failed or killed attempts.
     wasted_slots: u64,
 }
 
-/// A task attempt occupying a container until `end`, stored in the
-/// indexed engine's attempt slab.
+/// A task attempt occupying a container until `end`.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
     end: Slot,
-    job: u32,
-    task: u32,
+    job: usize,
+    task: usize,
     container: u32,
     duration: Slot,
     fails: bool,
     speculative: bool,
-    /// Cleared when the attempt is killed or popped; a dead slab entry
-    /// lingers until its heap entry surfaces (lazy deletion).
-    alive: bool,
 }
 
 impl Attempt {
@@ -237,180 +236,64 @@ impl Attempt {
     }
 }
 
-/// Completion-queue key: `(end, job, task, container, attempt_id)`.
-///
-/// The first four fields replicate the naive engine's pop order — the due
-/// attempt with the smallest `(job, task, container)` — and are unique
-/// among *alive* attempts (containers are exclusive; duplicates of one
-/// task sit on different containers), so the trailing slab id never
-/// decides between two live entries; it only keeps the ordering total once
-/// dead entries are in the heap.
-type QueueKey = (Slot, u32, u32, u32, u32);
-
-/// All per-run engine indexes, allocated once before the event loop.
-///
-/// Nothing here allocates in the steady state: the attempt slab recycles
-/// slots through a free list, the completion queue's backing buffer is
-/// pre-sized to cluster capacity (an attempt needs a container, so at most
-/// `capacity` entries are alive; dead entries are drained lazily), and the
-/// per-job attempt lists grow to each job's high-water running count.
+/// What one run mutates besides the jobs.
 #[derive(Debug)]
-struct EngineState {
-    /// Attempt storage; `slab_free` holds recyclable slots.
-    slab: Vec<Attempt>,
-    slab_free: Vec<u32>,
-    /// Min-heap of completions with lazy deletion of killed attempts.
-    queue: BinaryHeap<Reverse<QueueKey>>,
-    /// Free containers as a two-level bitset (lowest-index acquire).
+struct Run {
+    rng: SmallRng,
     free: FreePool,
+    /// Running attempts, in no particular order: every lookup is a scan
+    /// with a unique answer.
+    running: Vec<Attempt>,
     /// Scheduler-visible views of active jobs, in arrival order.
     views: Vec<JobView>,
-    /// Job index → position in `views`, `None` once the job completed (or
-    /// before it arrives).
-    view_of: Vec<Option<u32>>,
-    /// Alive attempt ids per job — sized for sibling lookup, speculation
-    /// targeting and oldest-start refresh without scanning all running
-    /// attempts.
-    job_attempts: Vec<Vec<u32>>,
-    /// Container → node index, precomputed from the cluster spec.
-    node_of: Vec<u32>,
-    /// Maintained sum of `views[*].runnable_tasks` — the dispatch-loop
-    /// condition without a view scan.
-    total_runnable: usize,
-    /// Jobs with `finish` set — the termination condition without a job
-    /// scan.
-    finished_jobs: usize,
+    result: SimResult,
+    trace: Option<Trace>,
 }
 
-impl EngineState {
-    fn new(config: &SimConfig, n_jobs: usize) -> Self {
-        let capacity = config.capacity() as usize;
-        EngineState {
-            slab: Vec::with_capacity(capacity),
-            slab_free: Vec::with_capacity(capacity),
-            queue: BinaryHeap::with_capacity(capacity + 1),
-            free: FreePool::new(config.cluster()),
-            views: Vec::new(),
-            view_of: vec![None; n_jobs],
-            job_attempts: vec![Vec::new(); n_jobs],
-            node_of: config.cluster().container_node_map(),
-            total_runnable: 0,
-            finished_jobs: 0,
-        }
-    }
-
-    /// Registers a new attempt: slab slot (recycled if possible), heap
-    /// entry, per-job list entry.
-    fn spawn(&mut self, a: Attempt) {
-        let id = match self.slab_free.pop() {
-            Some(id) => {
-                self.slab[id as usize] = a;
-                id
-            }
-            None => {
-                self.slab.push(a);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.queue.push(Reverse((a.end, a.job, a.task, a.container, id)));
-        self.job_attempts[a.job as usize].push(id);
-    }
-
-    /// Pops the next attempt due at `now`, in the naive engine's order
-    /// (smallest `(job, task, container)` first). Dead heap entries are
-    /// discarded — and their slab slots recycled — on the way.
+impl Run {
+    /// Removes and returns the attempt due at `now` with the smallest
+    /// `(job, task, container)`.
     fn pop_due(&mut self, now: Slot) -> Option<Attempt> {
-        while let Some(&Reverse((end, _, _, _, id))) = self.queue.peek() {
-            let a = self.slab[id as usize];
-            if !a.alive {
-                self.queue.pop();
-                self.slab_free.push(id);
-                continue;
-            }
-            if end != now {
-                return None;
-            }
-            self.queue.pop();
-            let attempts = &mut self.job_attempts[a.job as usize];
-            #[expect(
-                clippy::expect_used,
-                reason = "attempt slab and per-job lists are updated together"
-            )]
-            let pos = attempts.iter().position(|&x| x == id).expect("attempt tracked");
-            attempts.swap_remove(pos);
-            self.slab[id as usize].alive = false;
-            self.slab_free.push(id);
-            return Some(a);
-        }
-        None
-    }
-
-    /// Earliest end across alive attempts. Dead heap tops are drained so
-    /// the engine never advances to a slot where nothing happens (which
-    /// would add scheduler invocations the naive engine does not issue).
-    fn next_end(&mut self) -> Option<Slot> {
-        while let Some(&Reverse((end, _, _, _, id))) = self.queue.peek() {
-            if self.slab[id as usize].alive {
-                return Some(end);
-            }
-            self.queue.pop();
-            self.slab_free.push(id);
-        }
-        None
-    }
-
-    /// Kills attempt `id` (sibling lost the duplicate race). The slab slot
-    /// is **not** recycled here — the heap still holds an entry pointing at
-    /// it; the slot frees when that entry surfaces in
-    /// [`pop_due`](Self::pop_due)/[`next_end`](Self::next_end).
-    fn kill(&mut self, id: u32) {
-        let job = self.slab[id as usize].job as usize;
-        self.slab[id as usize].alive = false;
-        let attempts = &mut self.job_attempts[job];
-        #[expect(
-            clippy::expect_used,
-            reason = "attempt slab and per-job lists are updated together"
-        )]
-        let pos = attempts.iter().position(|&x| x == id).expect("attempt tracked");
-        attempts.swap_remove(pos);
-    }
-
-    /// The alive duplicate of `(job, task)`, if one is running. At most one
-    /// exists: speculation only duplicates singleton attempts.
-    fn sibling_of(&self, job: u32, task: u32) -> Option<u32> {
-        self.job_attempts[job as usize]
+        let (i, _) = self
+            .running
             .iter()
-            .copied()
-            .find(|&a| self.slab[a as usize].task == task)
+            .enumerate()
+            .filter(|(_, a)| a.end == now)
+            .min_by_key(|(_, a)| (a.job, a.task, a.container))?;
+        Some(self.running.swap_remove(i))
     }
 
-    /// Refreshes the job view's oldest-running-attempt start from the
-    /// job's alive attempts (no-op once the job's view is gone).
-    fn refresh_oldest(&mut self, job: u32) {
-        if let Some(vi) = self.view_of[job as usize] {
-            self.views[vi as usize].oldest_running_start = self.job_attempts[job as usize]
-                .iter()
-                .map(|&a| self.slab[a as usize].start())
-                .min();
+    /// Position of another running attempt of `a`'s task — its speculative
+    /// duplicate or the primary it duplicates. At most one exists:
+    /// speculation only duplicates attempts that have none.
+    fn sibling_of(&self, a: &Attempt) -> Option<usize> {
+        self.running
+            .iter()
+            .position(|o| o.job == a.job && o.task == a.task && o.container != a.container)
+    }
+
+    /// The view of job `job`, if it has arrived and not completed.
+    fn view_mut(&mut self, job: usize) -> Option<&mut JobView> {
+        self.views.iter_mut().find(|v| v.id.0 as usize == job)
+    }
+
+    /// Refreshes the job view's oldest-running-attempt start.
+    fn refresh_oldest(&mut self, job: usize) {
+        let oldest = self.running.iter().filter(|a| a.job == job).map(Attempt::start).min();
+        if let Some(v) = self.view_mut(job) {
+            v.oldest_running_start = oldest;
         }
     }
 
-    /// The alive attempt currently occupying container `c`, if any.
-    fn attempt_on(&self, c: u32) -> Option<u32> {
-        self.slab
-            .iter()
-            .position(|a| a.alive && a.container == c)
-            .map(|i| i as u32)
+    fn record(&mut self, event: TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(event);
+        }
     }
 
     /// Calls the scheduler (through `call`) on the cluster as it stands at
     /// `now`, charging the call's wall time to `result.scheduler_time`.
-    fn consult<T>(
-        &self,
-        now: Slot,
-        result: &mut SimResult,
-        call: impl FnOnce(&ClusterView<'_>) -> T,
-    ) -> T {
+    fn consult<T>(&mut self, now: Slot, call: impl FnOnce(&ClusterView<'_>) -> T) -> T {
         let view = ClusterView {
             now,
             capacity: self.free.effective_capacity(),
@@ -419,19 +302,8 @@ impl EngineState {
         };
         let t0 = Instant::now();
         let out = call(&view);
-        result.scheduler_time += t0.elapsed();
+        self.result.scheduler_time += t0.elapsed();
         out
-    }
-
-    /// Removes a completed job's view and re-indexes the views behind it
-    /// (views stay in arrival order, which schedulers observe).
-    fn remove_view(&mut self, vi: usize) {
-        let job = self.views[vi].id.0 as usize;
-        self.views.remove(vi);
-        self.view_of[job] = None;
-        for (w, v) in self.views.iter().enumerate().skip(vi) {
-            self.view_of[v.id.0 as usize] = Some(w as u32);
-        }
     }
 }
 
@@ -464,7 +336,6 @@ impl Simulation {
                     pending_maps: maps,
                     pending_reduces: reduces,
                     completed: 0,
-                    finish: None,
                     useful_slots: 0,
                     wasted_slots: 0,
                     spec,
@@ -474,18 +345,7 @@ impl Simulation {
         Ok(Simulation { config, jobs })
     }
 
-    /// Takes the validated simulation apart again: its configuration and
-    /// the submitted job specs, in submission order. This is how an
-    /// engine outside this crate (the scan-based oracle in `rush-oracle`)
-    /// runs exactly what [`Simulation::new`] accepted.
-    pub fn into_parts(self) -> (SimConfig, Vec<JobSpec>) {
-        (self.config, self.jobs.into_iter().map(|j| j.spec).collect())
-    }
-
     /// Runs the simulation to completion under `scheduler`, consuming it.
-    ///
-    /// This is the indexed engine; `rush_oracle::engine::run` executes the
-    /// same semantics with scan-based structures and must agree bit-for-bit.
     ///
     /// # Errors
     ///
@@ -494,83 +354,61 @@ impl Simulation {
     /// * [`SimError::SchedulerStalled`] if the scheduler refuses to assign
     ///   while nothing is running and no arrival is pending.
     pub fn run<S: Scheduler + ?Sized>(mut self, scheduler: &mut S) -> Result<SimResult, SimError> {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-
         // Arrivals sorted descending so the next arrival pops from the back.
         let mut arrivals: Vec<usize> = (0..self.jobs.len()).collect();
         arrivals.sort_by_key(|&i| Reverse((self.jobs[i].spec.arrival(), i)));
 
-        let cap_events = self.config.capacity_events.clone();
+        let cap_events = std::mem::take(&mut self.config.capacity_events);
         let mut cap_idx = 0usize;
 
-        let mut st = EngineState::new(&self.config, self.jobs.len());
-        let mut result = SimResult::default();
-        let mut trace: Option<Trace> = if self.config.record_trace {
-            // Every job arrives and completes; every task starts and
-            // finishes at least once. Failures, kills and speculation push
-            // past the hint, but the common case never reallocates.
-            let total_tasks: usize = self.jobs.iter().map(|j| j.spec.tasks().len()).sum();
-            Some(Trace::with_capacity(2 * self.jobs.len() + 2 * total_tasks))
-        } else {
-            None
+        let mut run = Run {
+            rng: SmallRng::seed_from_u64(self.config.seed),
+            free: FreePool::new(&self.config.cluster),
+            running: Vec::with_capacity(self.config.capacity() as usize),
+            views: Vec::new(),
+            result: SimResult::default(),
+            trace: self.config.record_trace.then(Trace::new),
         };
-        let mut now: Slot = match arrivals.last() {
-            Some(&i) => self.jobs[i].spec.arrival(),
-            None => 0,
-        };
+        let mut now: Slot = arrivals.last().map_or(0, |&i| self.jobs[i].spec.arrival());
 
         loop {
             // 1. Completions (and attempt failures) at `now`.
-            while let Some(a) = st.pop_due(now) {
-                st.free.release(a.container);
-                let sibling = st.sibling_of(a.job, a.task);
+            while let Some(a) = run.pop_due(now) {
+                run.free.release(a.container);
+                let sibling = run.sibling_of(&a);
                 if a.fails {
-                    let sample = self.fail_task_ix(
-                        &mut st,
-                        a,
-                        now,
-                        sibling.is_some(),
-                        &mut result,
-                        &mut trace,
-                    );
-                    st.refresh_oldest(a.job);
-                    st.consult(now, &mut result, |view| scheduler.on_task_failed(view, sample));
+                    let sample = self.fail_task(&mut run, a, now, sibling.is_some());
+                    run.consult(now, |view| scheduler.on_task_failed(view, sample));
                 } else {
                     // First successful attempt wins: kill any duplicate of
                     // the same task before recording the completion.
-                    if let Some(sib_id) = sibling {
-                        let sib = st.slab[sib_id as usize];
-                        st.kill(sib_id);
-                        st.free.release(sib.container);
-                        result.killed_attempts += 1;
-                        self.jobs[sib.job as usize].wasted_slots +=
-                            now.saturating_sub(sib.start());
-                        if let Some(vi) = st.view_of[sib.job as usize] {
-                            st.views[vi as usize].running_tasks -= 1;
+                    if let Some(i) = sibling {
+                        let sib = run.running.swap_remove(i);
+                        run.free.release(sib.container);
+                        run.result.killed_attempts += 1;
+                        self.jobs[sib.job].wasted_slots += now.saturating_sub(sib.start());
+                        if let Some(v) = run.view_mut(sib.job) {
+                            v.running_tasks -= 1;
                         }
-                        if let Some(trace) = &mut trace {
-                            trace.push(TraceEvent::TaskKilled {
-                                job: JobId(sib.job),
-                                task: TaskId(sib.task),
-                                at: now,
-                            });
-                        }
+                        run.record(TraceEvent::TaskKilled {
+                            job: JobId(sib.job as u32),
+                            task: TaskId(sib.task as u32),
+                            at: now,
+                        });
                     }
-                    let sample = self.complete_task_ix(&mut st, a, now, &mut result, &mut trace);
-                    st.refresh_oldest(a.job);
-                    st.consult(now, &mut result, |view| scheduler.on_task_complete(view, sample));
+                    let sample = self.complete_task(&mut run, a, now);
+                    run.consult(now, |view| scheduler.on_task_complete(view, sample));
                 }
             }
 
-            // 1b. Capacity events at `now`, after completions have freed
+            // 2. Capacity events at `now`, after completions have freed
             // their containers: a revocation claims the highest-indexed
             // in-service containers (whatever runs on one is killed and
             // re-queued as a failure, charged as wasted slots); a restock
             // returns the lowest-indexed revoked containers. The scheduler
             // observes the change through `on_capacity_change` and through
             // every later view's effective capacity.
-            while cap_idx < cap_events.len() && cap_events[cap_idx].at <= now {
-                let ev = cap_events[cap_idx];
+            while let Some(ev) = cap_events.get(cap_idx).filter(|ev| ev.at <= now) {
                 cap_idx += 1;
                 match ev.change {
                     CapacityChange::Revoke { n } => {
@@ -579,35 +417,29 @@ impl Simulation {
                                 clippy::expect_used,
                                 reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
                             )]
-                            let c = st.free.highest_in_service().expect("schedule validated");
-                            result.revoked_containers += 1;
-                            if st.free.revoke(c) {
+                            let c = run.free.highest_in_service().expect("schedule validated");
+                            run.result.revoked_containers += 1;
+                            if run.free.revoke(c) {
                                 continue; // was free: nothing to kill
                             }
                             #[expect(
                                 clippy::expect_used,
                                 reason = "a revoked container that was not free always carries a running attempt"
                             )]
-                            let id = st.attempt_on(c).expect("busy container has an attempt");
-                            let a = st.slab[id as usize];
-                            st.kill(id);
-                            let sibling = st.sibling_of(a.job, a.task);
+                            let i = run
+                                .running
+                                .iter()
+                                .position(|a| a.container == c)
+                                .expect("busy container has an attempt");
+                            let a = run.running.swap_remove(i);
+                            let sibling = run.sibling_of(&a).is_some();
                             // The attempt dies mid-flight: only the elapsed
                             // runtime was wasted, and that is what the
                             // scheduler observes as the failure sample.
-                            let killed =
-                                Attempt { end: now, duration: now - a.start(), ..a };
-                            let sample = self.fail_task_ix(
-                                &mut st,
-                                killed,
-                                now,
-                                sibling.is_some(),
-                                &mut result,
-                                &mut trace,
-                            );
-                            result.revoked_attempts += 1;
-                            st.refresh_oldest(a.job);
-                            st.consult(now, &mut result, |view| scheduler.on_task_failed(view, sample));
+                            let killed = Attempt { end: now, duration: now - a.start(), ..a };
+                            let sample = self.fail_task(&mut run, killed, now, sibling);
+                            run.result.revoked_attempts += 1;
+                            run.consult(now, |view| scheduler.on_task_failed(view, sample));
                         }
                     }
                     CapacityChange::Restock { n } => {
@@ -616,156 +448,91 @@ impl Simulation {
                                 clippy::expect_used,
                                 reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
                             )]
-                            let c = st.free.lowest_revoked().expect("schedule validated");
-                            st.free.restore(c);
-                            result.restocked_containers += 1;
+                            let c = run.free.lowest_revoked().expect("schedule validated");
+                            run.free.restore(c);
+                            run.result.restocked_containers += 1;
                         }
                     }
                 }
-                st.consult(now, &mut result, |view| scheduler.on_capacity_change(view));
+                run.consult(now, |view| scheduler.on_capacity_change(view));
             }
 
-            // 2. Arrivals at `now`.
-            while arrivals.last().is_some_and(|&i| self.jobs[i].spec.arrival() == now) {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "pop follows a successful peek of the same heap"
-                )]
-                let i = arrivals.pop().expect("peeked");
+            // 3. Arrivals at `now`.
+            while let Some(&i) = arrivals.last().filter(|&&i| self.jobs[i].spec.arrival() == now) {
+                arrivals.pop();
                 let v = self.make_view(i);
                 let id = v.id;
-                st.view_of[i] = Some(st.views.len() as u32);
-                st.total_runnable += v.runnable_tasks;
-                st.views.push(v);
-                if let Some(trace) = &mut trace {
-                    trace.push(TraceEvent::JobArrived { job: id, at: now });
-                }
-                st.consult(now, &mut result, |view| scheduler.on_job_arrival(view, id));
+                run.views.push(v);
+                run.record(TraceEvent::JobArrived { job: id, at: now });
+                run.consult(now, |view| scheduler.on_job_arrival(view, id));
             }
 
-            // 3. Dispatch loop. A bounded misassignment budget lets a
-            // scheduler recover from naming an invalid job without letting
-            // a persistently confused one spin the engine forever.
-            let mut misassign_budget = st.free.effective_capacity() as u64 + 1;
-            while !st.free.is_empty() && st.total_runnable > 0 {
-                let choice = st.consult(now, &mut result, |view| scheduler.assign(view));
-                result.scheduler_invocations += 1;
-                match choice {
-                    None => break,
-                    Some(id) => {
-                        let Some(vi) = st.view_of.get(id.0 as usize).copied().flatten() else {
-                            result.misassignments += 1;
-                            misassign_budget -= 1;
-                            if misassign_budget == 0 {
-                                break;
-                            }
-                            continue;
-                        };
-                        let vi = vi as usize;
-                        if st.views[vi].runnable_tasks == 0 {
-                            result.misassignments += 1;
-                            misassign_budget -= 1;
-                            if misassign_budget == 0 {
-                                break;
-                            }
-                            continue;
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "acquire follows a non-empty free-pool check"
-                        )]
-                        let container = st.free.acquire_lowest().expect("free checked");
-                        self.start_task_ix(
-                            &mut st,
-                            vi,
-                            container,
-                            now,
-                            &mut rng,
-                            &mut trace,
-                            &mut result,
-                        );
-                        result.assignments += 1;
+            // 4. Dispatch loop. A bounded misassignment budget lets a
+            // scheduler recover from naming an invalid job (unknown,
+            // finished or with nothing runnable) without letting a
+            // persistently confused one spin the engine forever.
+            let mut misassign_budget = run.free.effective_capacity() as u64 + 1;
+            while !run.free.is_empty() && run.views.iter().any(|v| v.runnable_tasks > 0) {
+                let choice = run.consult(now, |view| scheduler.assign(view));
+                run.result.scheduler_invocations += 1;
+                let Some(id) = choice else { break };
+                let Some(vi) = run.views.iter().position(|v| v.id == id && v.runnable_tasks > 0)
+                else {
+                    run.result.misassignments += 1;
+                    misassign_budget -= 1;
+                    if misassign_budget == 0 {
+                        break;
                     }
-                }
+                    continue;
+                };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "acquire follows a non-empty free-pool check"
+                )]
+                let container = run.free.acquire_lowest().expect("free checked");
+                self.start_task(&mut run, vi, container, now);
+                run.result.assignments += 1;
             }
 
-            // 3b. Speculation loop: with containers still free, offer the
+            // 5. Speculation loop: with containers still free, offer the
             // scheduler the chance to duplicate a long-running attempt
             // (Hadoop-style speculative execution). The engine picks the
             // oldest non-duplicated primary attempt of the named job.
-            let mut spec_budget = st.free.effective_capacity() as u64;
-            while !st.free.is_empty() && spec_budget > 0 {
+            let mut spec_budget = run.free.effective_capacity() as u64;
+            while !run.free.is_empty() && spec_budget > 0 {
                 spec_budget -= 1;
-                let choice = st.consult(now, &mut result, |view| scheduler.speculate(view));
-                let Some(id) = choice else { break };
-                let job_idx = id.0 as usize;
-                let target = st.job_attempts.get(job_idx).and_then(|attempts| {
-                    attempts
-                        .iter()
-                        .map(|&aid| st.slab[aid as usize])
-                        .filter(|a| {
-                            !a.speculative
-                                && attempts
-                                    .iter()
-                                    .filter(|&&o| st.slab[o as usize].task == a.task)
-                                    .count()
-                                    == 1
-                        })
-                        .min_by_key(|a| (a.start(), a.task))
-                });
+                let Some(id) = run.consult(now, |view| scheduler.speculate(view)) else { break };
+                let job = id.0 as usize;
+                let target = run
+                    .running
+                    .iter()
+                    .filter(|a| a.job == job && !a.speculative && run.sibling_of(a).is_none())
+                    .min_by_key(|a| (a.start(), a.task))
+                    .copied();
                 let Some(primary) = target else { break };
                 #[expect(
                     clippy::expect_used,
                     reason = "acquire follows a non-empty free-pool check"
                 )]
-                let container = st.free.acquire_lowest().expect("free checked");
-                let task = self.jobs[job_idx].spec.tasks()[primary.task as usize];
-                let node = &self.config.cluster.nodes()[st.node_of[container as usize] as usize];
-                let (duration, fails) = self.draw_attempt(&task, node, &mut rng);
-                if let Some(trace) = &mut trace {
-                    trace.push(TraceEvent::TaskSpeculated {
-                        job: id,
-                        task: TaskId(primary.task),
-                        container,
-                        node: node.id(),
-                        at: now,
-                        duration,
-                    });
-                }
-                st.spawn(Attempt {
-                    end: now + duration,
-                    job: job_idx as u32,
-                    task: primary.task,
-                    container,
-                    duration,
-                    fails,
-                    speculative: true,
-                    alive: true,
-                });
-                if let Some(vi) = st.view_of[job_idx] {
-                    st.views[vi as usize].running_tasks += 1;
-                }
-                st.refresh_oldest(job_idx as u32);
-                result.speculative_attempts += 1;
+                let container = run.free.acquire_lowest().expect("free checked");
+                self.launch(&mut run, job, primary.task, container, now, true);
+                run.result.speculative_attempts += 1;
             }
 
-            // 4. Advance to the next event.
-            if st.finished_jobs == self.jobs.len() {
+            // 6. Advance to the next event.
+            let unfinished = self.jobs.len() - run.result.outcomes.len();
+            if unfinished == 0 {
                 break;
             }
-            let next_completion = st.next_end();
+            let next_completion = run.running.iter().map(|a| a.end).min();
             let next_arrival = arrivals.last().map(|&i| self.jobs[i].spec.arrival());
             let next_capacity = cap_events.get(cap_idx).map(|e| e.at);
-            let next = [next_completion, next_arrival, next_capacity]
-                .into_iter()
-                .flatten()
-                .min();
+            let next = [next_completion, next_arrival, next_capacity].into_iter().flatten().min();
             let Some(next) = next else {
                 return Err(SimError::SchedulerStalled { at: now });
             };
             debug_assert!(next > now, "time must advance");
             if next > self.config.max_slots {
-                let unfinished = self.jobs.len() - st.finished_jobs;
                 return Err(SimError::HorizonExceeded {
                     max_slots: self.config.max_slots,
                     unfinished,
@@ -774,37 +541,35 @@ impl Simulation {
             now = next;
         }
 
+        let mut result = run.result;
         result.makespan = now;
         result.sort_outcomes();
-        result.trace = trace;
+        result.trace = run.trace;
         Ok(result)
     }
 
-    /// Handles a failed attempt (indexed engine): the task is re-queued and
-    /// the wasted runtime reported.
-    fn fail_task_ix(
+    /// Handles a failed attempt: the task is re-queued and the wasted
+    /// runtime reported.
+    fn fail_task(
         &mut self,
-        st: &mut EngineState,
+        run: &mut Run,
         a: Attempt,
         now: Slot,
         sibling_running: bool,
-        result: &mut SimResult,
-        trace: &mut Option<Trace>,
     ) -> TaskSample {
-        let job = &mut self.jobs[a.job as usize];
-        let was_map = job.spec.tasks()[a.task as usize].phase() == Phase::Map;
+        let job = &mut self.jobs[a.job];
+        let was_map = job.spec.tasks()[a.task].phase() == Phase::Map;
         // With a duplicate attempt still in flight, the failure is absorbed:
         // the task stays running elsewhere and is not re-queued.
         if !sibling_running {
             if was_map {
-                job.pending_maps.push(a.task as usize);
+                job.pending_maps.push(a.task);
             } else {
-                job.pending_reduces.push(a.task as usize);
+                job.pending_reduces.push(a.task);
             }
         }
-        #[expect(clippy::expect_used, reason = "view index is maintained for every active job")]
-        let vi = st.view_of[a.job as usize].expect("failing task of an active job") as usize;
-        let v = &mut st.views[vi];
+        #[expect(clippy::expect_used, reason = "an attempt only runs for an active job")]
+        let v = run.view_mut(a.job).expect("failing task of an active job");
         v.running_tasks -= 1;
         v.failed_attempts += 1;
         if !sibling_running {
@@ -813,25 +578,24 @@ impl Simulation {
             // map barrier has cleared (it has, if a reduce was running).
             if was_map || job.maps_remaining == 0 {
                 v.runnable_tasks += 1;
-                st.total_runnable += 1;
             }
         }
-        result.failed_attempts += 1;
+        run.result.failed_attempts += 1;
         job.wasted_slots += a.duration;
-        if let Some(trace) = trace {
-            trace.push(TraceEvent::TaskFailed {
-                job: JobId(a.job),
-                task: TaskId(a.task),
-                at: now,
-                runtime: a.duration,
-            });
-        }
-        TaskSample {
-            job: JobId(a.job),
-            task: TaskId(a.task),
+        let sample = TaskSample {
+            job: JobId(a.job as u32),
+            task: TaskId(a.task as u32),
             runtime: a.duration,
             finished_at: now,
-        }
+        };
+        run.record(TraceEvent::TaskFailed {
+            job: sample.job,
+            task: sample.task,
+            at: now,
+            runtime: a.duration,
+        });
+        run.refresh_oldest(a.job);
+        sample
     }
 
     /// Builds the initial view of job `i`.
@@ -862,22 +626,11 @@ impl Simulation {
         }
     }
 
-    /// Starts the next runnable task of the job behind `views[vi]`
-    /// (indexed engine).
-    #[allow(clippy::too_many_arguments)] // engine plumbing, not public API
-    fn start_task_ix(
-        &mut self,
-        st: &mut EngineState,
-        vi: usize,
-        container: u32,
-        now: Slot,
-        rng: &mut SmallRng,
-        trace: &mut Option<Trace>,
-        result: &mut SimResult,
-    ) {
-        let job_idx = st.views[vi].id.0 as usize;
-        let node = &self.config.cluster.nodes()[st.node_of[container as usize] as usize];
-        let node_id = node.id();
+    /// Starts the next runnable task of the job behind `run.views[vi]` on
+    /// `container`.
+    fn start_task(&mut self, run: &mut Run, vi: usize, container: u32, now: Slot) {
+        let job_idx = run.views[vi].id.0 as usize;
+        let node_id = self.config.cluster.node_of_container(container).id();
         let job = &mut self.jobs[job_idx];
         // Locality-aware pick: prefer a pending task whose input lives on
         // this container's node (the data-local choice a YARN node manager
@@ -886,8 +639,9 @@ impl Simulation {
             pending.iter().rposition(|&t| spec.tasks()[t].preferred_node() == Some(node_id))
         };
         #[expect(
-            clippy::expect_used, clippy::unreachable,
-            reason = "dispatch only fires while the runnable counter is positive"
+            clippy::expect_used,
+            clippy::unreachable,
+            reason = "dispatch only picks a view with a runnable task"
         )]
         let task_idx = if let Some(pos) = pick_local(&job.pending_maps, &job.spec) {
             job.pending_maps.remove(pos)
@@ -902,105 +656,117 @@ impl Simulation {
         } else {
             unreachable!("runnable task exists")
         };
-        let task = job.spec.tasks()[task_idx];
-        match task.preferred_node() {
-            Some(pref) if pref != node_id => result.remote_starts += 1,
-            Some(_) => result.local_starts += 1,
+        match job.spec.tasks()[task_idx].preferred_node() {
+            Some(pref) if pref != node_id => run.result.remote_starts += 1,
+            Some(_) => run.result.local_starts += 1,
             None => {}
         }
-        let (duration, fails) = self.draw_attempt(&task, node, rng);
-        if let Some(trace) = trace {
-            trace.push(TraceEvent::TaskStarted {
-                job: JobId(job_idx as u32),
-                task: TaskId(task_idx as u32),
+        let v = &mut run.views[vi];
+        v.pending_tasks -= 1;
+        v.runnable_tasks -= 1;
+        self.launch(run, job_idx, task_idx, container, now, false);
+    }
+
+    /// Launches an attempt of task `task` of job `job` on `container` and
+    /// counts it as running. Its duration is the base runtime times the
+    /// node's speed factor, the remote penalty when the task's input lives
+    /// on another node, and an interference draw, rounded up to at least
+    /// one slot; whether it fails is drawn after the interference.
+    fn launch(
+        &self,
+        run: &mut Run,
+        job: usize,
+        task: usize,
+        container: u32,
+        now: Slot,
+        speculative: bool,
+    ) {
+        let spec = self.jobs[job].spec.tasks()[task];
+        let node = self.config.cluster.node_of_container(container);
+        let locality = match spec.preferred_node() {
+            Some(pref) if pref != node.id() => self.config.remote_penalty,
+            _ => 1.0,
+        };
+        let factor = self.config.interference.draw(&mut run.rng);
+        let fails = self.config.failures.draw(&mut run.rng);
+        let duration =
+            (spec.base_runtime() * node.speed_factor() * locality * factor).ceil().max(1.0) as Slot;
+        let (job_id, task_id, node_id) = (JobId(job as u32), TaskId(task as u32), node.id());
+        run.record(if speculative {
+            TraceEvent::TaskSpeculated {
+                job: job_id,
+                task: task_id,
                 container,
                 node: node_id,
                 at: now,
                 duration,
-            });
-        }
-        st.spawn(Attempt {
+            }
+        } else {
+            TraceEvent::TaskStarted {
+                job: job_id,
+                task: task_id,
+                container,
+                node: node_id,
+                at: now,
+                duration,
+            }
+        });
+        run.running.push(Attempt {
             end: now + duration,
-            job: job_idx as u32,
-            task: task_idx as u32,
+            job,
+            task,
             container,
             duration,
             fails,
-            speculative: false,
-            alive: true,
+            speculative,
         });
-        let v = &mut st.views[vi];
-        v.pending_tasks -= 1;
-        v.runnable_tasks -= 1;
-        v.running_tasks += 1;
-        st.total_runnable -= 1;
-        st.refresh_oldest(job_idx as u32);
+        if let Some(v) = run.view_mut(job) {
+            v.running_tasks += 1;
+        }
+        run.refresh_oldest(job);
     }
 
-    /// Draws an attempt of `task` on `node`: its duration — the base runtime
-    /// times the node's speed factor, the remote penalty when the task's
-    /// input lives on another node, and an interference draw, rounded up to
-    /// at least one slot — then whether it fails, in that RNG order.
-    fn draw_attempt(&self, task: &TaskSpec, node: &Node, rng: &mut SmallRng) -> (Slot, bool) {
-        let locality = match task.preferred_node() {
-            Some(pref) if pref != node.id() => self.config.remote_penalty,
-            _ => 1.0,
-        };
-        let factor = self.config.interference.draw(rng);
-        let fails = self.config.failures.draw(rng);
-        let duration =
-            (task.base_runtime() * node.speed_factor() * locality * factor).ceil().max(1.0) as Slot;
-        (duration, fails)
-    }
-
-    /// Records a task completion (indexed engine); returns the sample
-    /// reported to the scheduler. Removes the job's view once the job is
-    /// fully complete.
-    fn complete_task_ix(
-        &mut self,
-        st: &mut EngineState,
-        a: Attempt,
-        now: Slot,
-        result: &mut SimResult,
-        trace: &mut Option<Trace>,
-    ) -> TaskSample {
-        let job = &mut self.jobs[a.job as usize];
+    /// Records a task completion; returns the sample reported to the
+    /// scheduler. Removes the job's view once the job is fully complete.
+    fn complete_task(&mut self, run: &mut Run, a: Attempt, now: Slot) -> TaskSample {
+        let job = &mut self.jobs[a.job];
         job.completed += 1;
         job.useful_slots += a.duration;
-        let was_map = job.spec.tasks()[a.task as usize].phase() == Phase::Map;
+        let was_map = job.spec.tasks()[a.task].phase() == Phase::Map;
         if was_map {
             job.maps_remaining -= 1;
         }
-        #[expect(clippy::expect_used, reason = "view index is maintained for every active job")]
-        let vi = st.view_of[a.job as usize].expect("completing task of an active job") as usize;
-        let v = &mut st.views[vi];
+        #[expect(clippy::expect_used, reason = "an attempt only runs for an active job")]
+        let vi = run
+            .views
+            .iter()
+            .position(|v| v.id.0 as usize == a.job)
+            .expect("completing task of an active job");
+        let v = &mut run.views[vi];
         v.running_tasks -= 1;
         v.completed_tasks += 1;
         if was_map && job.maps_remaining == 0 {
             // Map barrier cleared: reduces become runnable.
             v.runnable_tasks += job.pending_reduces.len();
-            st.total_runnable += job.pending_reduces.len();
         }
         v.samples.push(a.duration);
-        if let Some(trace) = trace {
-            trace.push(TraceEvent::TaskFinished {
-                job: JobId(a.job),
-                task: TaskId(a.task),
-                at: now,
-                runtime: a.duration,
-            });
-        }
         let sample = TaskSample {
-            job: JobId(a.job),
-            task: TaskId(a.task),
+            job: JobId(a.job as u32),
+            task: TaskId(a.task as u32),
             runtime: a.duration,
             finished_at: now,
         };
+        run.record(TraceEvent::TaskFinished {
+            job: sample.job,
+            task: sample.task,
+            at: now,
+            runtime: a.duration,
+        });
+        run.refresh_oldest(a.job);
         if job.completed == job.spec.tasks().len() {
-            job.finish = Some(now);
             let runtime_slots = now - job.spec.arrival();
-            result.outcomes.push(JobOutcome {
-                id: JobId(a.job),
+            run.result.outcomes.push(JobOutcome {
+                id: sample.job,
                 label: job.spec.label().to_owned(),
                 arrival: job.spec.arrival(),
                 finish: now,
@@ -1013,11 +779,8 @@ impl Simulation {
                 container_slots: job.useful_slots,
                 wasted_slots: job.wasted_slots,
             });
-            if let Some(trace) = trace {
-                trace.push(TraceEvent::JobCompleted { job: JobId(a.job), at: now });
-            }
-            st.remove_view(vi);
-            st.finished_jobs += 1;
+            run.record(TraceEvent::JobCompleted { job: sample.job, at: now });
+            run.views.remove(vi);
         }
         sample
     }

@@ -47,8 +47,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Bit-identical to the naive engine and panic-free in library code: no
-// hash-order iteration, no exact float compares, no panic family. Excuses
+// Bit-reproducible and panic-free in library code: no hash-order
+// iteration, no exact float compares, no panic family. Excuses
 // are `#[expect(.., reason)]` at the site (DESIGN.md §9).
 #![cfg_attr(
     not(test),

@@ -127,12 +127,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace with room for `events` entries, so a run with
-    /// a known event count never reallocates mid-simulation.
-    pub fn with_capacity(events: usize) -> Self {
-        Trace { events: Vec::with_capacity(events) }
-    }
-
     /// Appends one event. Events must be pushed in non-decreasing slot
     /// order (the engine guarantees this).
     pub fn push(&mut self, event: TraceEvent) {

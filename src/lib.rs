@@ -25,7 +25,7 @@
 //!   control, snapshots and a blocking client.
 //!
 //! Not re-exported: `rush-oracle`, the frozen reference implementations
-//! (naive peel, scan-based sim engine, pre-kernel scheduler, LP path) the
+//! (naive peel, pre-kernel scheduler, LP path) the
 //! differential suites compare against. It is a dev-dependency only.
 //!
 //! # Quickstart
