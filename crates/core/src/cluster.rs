@@ -49,7 +49,7 @@ impl ReliabilityTier {
 
     /// Tiers ordered least-reliable first — the order in which a capacity
     /// deficit is attributed to classes (spot capacity vanishes first).
-    pub fn least_reliable_first() -> [ReliabilityTier; 3] {
+    fn least_reliable_first() -> [ReliabilityTier; 3] {
         [ReliabilityTier::Spot, ReliabilityTier::OnDemand, ReliabilityTier::Reserved]
     }
 
@@ -194,31 +194,11 @@ impl ClusterModel {
         self
     }
 
-    /// Appends a correlated node-failure burst: at `at`, every class loses
-    /// `ceil(count · frac)` containers at once (capped so at least one
-    /// container survives overall), all restored `repair` slots later.
-    /// Models a rack or AZ outage that cuts across reliability tiers.
-    pub fn with_failure_burst(mut self, at: Slot, frac: f64, repair: Slot) -> Self {
-        let total = self.total_capacity();
-        let mut survivors = total;
-        for (class, c) in self.classes.iter().enumerate() {
-            let mut n = (f64::from(c.count) * frac).ceil() as u32;
-            n = n.min(c.count).min(survivors.saturating_sub(1));
-            if n == 0 {
-                continue;
-            }
-            survivors = survivors.saturating_sub(n);
-            self.events.push(CapacityEvent { at, change: CapacityChange::Revoke { class, n } });
-            self.events
-                .push(CapacityEvent { at: at.saturating_add(repair), change: CapacityChange::Restock { class, n } });
-        }
-        self.events.sort_by_key(|e| e.at);
-        self
-    }
-
-    /// Total provisioned capacity at slot 0 (before any events).
+    /// Total provisioned capacity at slot 0 (before any events), saturating
+    /// at `u32::MAX`: [`validate`](Self::validate) refuses a model whose
+    /// classes add up past it.
     pub fn total_capacity(&self) -> u32 {
-        self.classes.iter().map(|c| c.count).sum()
+        self.classes.iter().fold(0, |total, c| total.saturating_add(c.count))
     }
 
     /// Checks internal consistency. Required before handing the model to
@@ -240,8 +220,10 @@ impl ClusterModel {
                 return Err(CoreError::InvalidConfig { reason: "container class names must be unique" });
             }
         }
-        if self.total_capacity() == 0 {
-            return Err(CoreError::InvalidConfig { reason: "cluster model must provision at least one container" });
+        match self.classes.iter().try_fold(0u32, |total, c| total.checked_add(c.count)) {
+            None => return Err(CoreError::InvalidConfig { reason: "cluster model provisions more than u32::MAX containers" }),
+            Some(0) => return Err(CoreError::InvalidConfig { reason: "cluster model must provision at least one container" }),
+            Some(_) => {}
         }
         // Replay the event stream with per-class bookkeeping.
         let mut revoked: Vec<u32> = vec![0; self.classes.len()];
@@ -392,24 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn failure_burst_cuts_across_classes() {
-        let m = ClusterModel::tiered(8, 4, 4).with_failure_burst(50, 0.25, 20);
-        m.validate().unwrap();
-        // ceil(8·0.25)=2 reserved, ceil(4·0.25)=1 each of the others.
-        assert_eq!(m.capacity_at(50), 12);
-        assert_eq!(m.capacity_at(70), 16);
-        // Deficit attribution is least-reliable-first: a deficit of 4 is
-        // chalked up to spot even though the burst actually hit reserved —
-        // the heuristic only defers when *some* optimistic attribution
-        // fits, and deficits past spot + on-demand defeat it (see
-        // `reclaim_prediction_attributes_deficit_least_reliable_first`).
-        assert_eq!(m.predicted_reclaim_slots(12), Some(60));
-    }
-
-    #[test]
     fn validation_rejects_malformed_models() {
         assert!(ClusterModel::default().validate().is_err());
         assert!(ClusterModel::fixed(0).validate().is_err());
+        // Class counts that add up past `u32::MAX`.
+        assert!(ClusterModel::tiered(u32::MAX, 2, 0).validate().is_err());
+        assert_eq!(ClusterModel::tiered(u32::MAX, 2, 0).total_capacity(), u32::MAX);
 
         let mut m = ClusterModel::tiered(4, 0, 4);
         m.classes[1].name = "reserved".into();
@@ -478,9 +448,13 @@ mod tests {
 
     #[test]
     fn sim_accepts_lowered_events() {
-        let m = ClusterModel::tiered(8, 4, 4)
-            .with_spot_churn(2, 10, 100, 30, 3, 2)
-            .with_failure_burst(500, 0.2, 40);
+        let mut m = ClusterModel::tiered(8, 4, 4).with_spot_churn(2, 10, 100, 30, 3, 2);
+        // A burst across every class at once, all restored together.
+        for (class, n) in [(0, 2), (1, 1), (2, 1)] {
+            m.events.push(CapacityEvent { at: 500, change: CapacityChange::Revoke { class, n } });
+            m.events.push(CapacityEvent { at: 540, change: CapacityChange::Restock { class, n } });
+        }
+        m.events.sort_by_key(|e| e.at);
         m.validate().unwrap();
         rush_sim::cluster::validate_capacity_events(m.total_capacity(), &m.sim_events()).unwrap();
     }

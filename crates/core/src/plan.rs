@@ -120,13 +120,6 @@ pub struct Plan {
     pub entries: Vec<PlanEntry>,
 }
 
-impl Plan {
-    /// Total containers the plan wants occupied next slot.
-    pub fn total_desired_now(&self) -> u32 {
-        self.entries.iter().map(|e| e.desired_now).sum()
-    }
-}
-
 /// The memoized result of the estimate + WCDE stage for one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSolve {
@@ -873,7 +866,6 @@ mod tests {
     fn empty_jobs_empty_plan() {
         let p = compute_plan(&RushConfig::default(), 8, &[]).unwrap();
         assert!(p.entries.is_empty());
-        assert_eq!(p.total_desired_now(), 0);
     }
 
     #[test]
@@ -916,7 +908,7 @@ mod tests {
         // The insensitive job's planned completion lands after the urgent
         // job's (it is packed into leftover capacity).
         assert!(p.entries[1].planned_completion >= p.entries[0].planned_completion);
-        assert!(p.total_desired_now() <= 4);
+        assert!(p.entries.iter().map(|e| e.desired_now).sum::<u32>() <= 4);
     }
 
     #[test]
@@ -1031,7 +1023,8 @@ mod tests {
             .map(|i| input(vec![60; 10], 10, 0.0, sigmoid(200.0 + i as f64 * 50.0, 5.0, 0.1)))
             .collect();
         let p = compute_plan(&cfg, 8, &jobs).unwrap();
-        assert!(p.total_desired_now() <= 8, "desired {} > capacity", p.total_desired_now());
+        let desired: u32 = p.entries.iter().map(|e| e.desired_now).sum();
+        assert!(desired <= 8, "desired {desired} > capacity");
     }
 
     fn mixed_fleet(n: usize) -> Vec<PlanInput<'static>> {

@@ -150,7 +150,7 @@ fn erf(x: f64) -> f64 {
 }
 
 /// Draws a standard normal variate via Box–Muller.
-pub fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
@@ -255,58 +255,6 @@ impl Continuous for LogNormal {
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * sample_std_normal(rng)).exp()
-    }
-}
-
-/// The continuous uniform distribution on `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProbError::InvalidParameter`] if bounds are non-finite or
-    /// `lo ≥ hi`.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, ProbError> {
-        if !lo.is_finite() {
-            return Err(ProbError::InvalidParameter { name: "lo", value: lo });
-        }
-        if !hi.is_finite() || hi <= lo {
-            return Err(ProbError::InvalidParameter { name: "hi", value: hi });
-        }
-        Ok(Uniform { lo, hi })
-    }
-}
-
-impl Continuous for Uniform {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            0.0
-        } else {
-            1.0 / (self.hi - self.lo)
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
-    }
-
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-
-    fn variance(&self) -> f64 {
-        let span = self.hi - self.lo;
-        span * span / 12.0
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.lo + rng.gen::<f64>() * (self.hi - self.lo)).max(0.0)
     }
 }
 
@@ -493,28 +441,6 @@ mod tests {
         assert!(LogNormal::new(0.0, 0.0).is_err());
         assert!(LogNormal::from_mean_std(-1.0, 1.0).is_err());
         assert!(LogNormal::from_mean_std(1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn uniform_moments_and_bounds() {
-        let u = Uniform::new(2.0, 6.0).unwrap();
-        assert_eq!(u.mean(), 4.0);
-        assert!((u.variance() - 16.0 / 12.0).abs() < 1e-12);
-        assert_eq!(u.cdf(1.0), 0.0);
-        assert_eq!(u.cdf(7.0), 1.0);
-        assert_eq!(u.pdf(3.0), 0.25);
-        assert_eq!(u.pdf(1.0), 0.0);
-        let mut rng = seeded_rng(3);
-        for _ in 0..1000 {
-            let s = u.sample(&mut rng);
-            assert!((2.0..=6.0).contains(&s));
-        }
-    }
-
-    #[test]
-    fn uniform_rejects_inverted_bounds() {
-        assert!(Uniform::new(5.0, 5.0).is_err());
-        assert!(Uniform::new(5.0, 4.0).is_err());
     }
 
     #[test]

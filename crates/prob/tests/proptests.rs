@@ -1,7 +1,7 @@
 //! Property-based tests for the probability substrate.
 
 use proptest::prelude::*;
-use rush_prob::dist::{Continuous, Exponential, Gaussian, LogNormal, Uniform};
+use rush_prob::dist::{Continuous, Exponential, Gaussian, LogNormal};
 use rush_prob::stats::{percentile, Ecdf, FiveNumber};
 use rush_prob::Pmf;
 
@@ -91,8 +91,6 @@ proptest! {
         let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
         let g = Gaussian::new(10.0, 5.0).unwrap();
         prop_assert!(g.cdf(lo) <= g.cdf(hi) + 1e-12);
-        let u = Uniform::new(-50.0, 50.0).unwrap();
-        prop_assert!(u.cdf(lo) <= u.cdf(hi) + 1e-12);
         let e = Exponential::new(0.1).unwrap();
         prop_assert!(e.cdf(lo) <= e.cdf(hi) + 1e-12);
         let ln = LogNormal::new(1.0, 0.5).unwrap();

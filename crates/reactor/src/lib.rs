@@ -15,36 +15,30 @@
 //!   descriptors under integer tokens, `wait` with an optional timeout.
 //! * [`Waker`] — an eventfd registered in the poller; any thread can make
 //!   a parked reactor return from `wait` (wakes coalesce).
-//! * [`TimerWheel`] — lazy-deletion deadline heap; the reactor derives its
-//!   poll timeout from `next_deadline`, so timers (slow-reader
-//!   eviction) fire even when every connection is idle.
 //! * [`ReadBuf`] / [`WriteBuf`] — per-connection byte queues with
 //!   occupancy accounting for backpressure decisions.
 //!
 //! The crate deliberately stops below the protocol layer: it knows nothing
 //! about frames, codecs, or the planner. `rush-serve` composes these
-//! primitives into its connection state machines.
+//! primitives into its connection state machines, and keeps its own
+//! deadlines: a `wait` timeout is all a timer needs from this crate.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use rush_reactor::{Interest, Poller, TimerWheel, Waker};
+//! use rush_reactor::{Interest, Poller, Waker};
 //! use std::time::{Duration, Instant};
 //!
 //! let mut poller = Poller::new()?;
 //! let waker = Waker::new()?;
 //! poller.register(waker.fd(), 0, Interest::READ)?;
-//! let mut timers = TimerWheel::new();
-//! timers.schedule(Instant::now() + Duration::from_millis(25), 1);
-//!
-//! let timeout = timers.next_deadline().map(|d| d.saturating_duration_since(Instant::now()));
-//! for event in poller.wait(timeout)? {
+//! // A deadline 25 ms out bounds the wait: the loop wakes for it even
+//! // when no descriptor is ready.
+//! let deadline = Instant::now() + Duration::from_millis(25);
+//! for event in poller.wait(Some(deadline.saturating_duration_since(Instant::now())))? {
 //!     if event.token == 0 {
 //!         waker.drain();
 //!     }
-//! }
-//! for token in timers.expired(Instant::now()) {
-//!     assert_eq!(token, 1); // the timer scheduled above is due
 //! }
 //! # Ok::<(), std::io::Error>(())
 //! ```
@@ -72,10 +66,8 @@
 pub mod buffer;
 pub mod poller;
 pub mod sys;
-pub mod timer;
 pub mod waker;
 
 pub use buffer::{ReadBuf, ReadOutcome, WriteBuf, WriteOutcome};
 pub use poller::{Event, Interest, Poller};
-pub use timer::{TimerId, TimerWheel};
 pub use waker::Waker;

@@ -26,9 +26,14 @@
 //! (overflow evicts), and a slow-reader timer (a write buffer that stays
 //! non-empty for `slow_reader_ms` evicts).
 //!
-//! **No clock.** Epoch deadlines belong to the planner threads (see
-//! [`crate::server`]); the timer wheel here serves slow-reader eviction
-//! only.
+//! **One clock.** Epoch deadlines belong to the planner threads (see
+//! [`crate::server`]); the only deadline here is slow-reader eviction.
+//! Every stall starts at `Instant::now()` and lasts the one
+//! `slow_reader_ms`, so stalls fall due in the order they start: a
+//! `VecDeque` of `(stall start, token)` is the whole timer. An entry is
+//! live while its connection's `write_since` still equals its start (a
+//! drained or evicted connection leaves it stale), and the live front
+//! sets the `epoll_wait` timeout.
 //!
 //! Off Linux there is no epoll: `spawn` returns the
 //! [`std::io::ErrorKind::Unsupported`] error `rush_reactor` reports.
@@ -40,8 +45,8 @@ use crate::server::{
     ServeConfig,
 };
 use crate::ServeError;
-use rush_reactor::{Event, Interest, Poller, ReadBuf, ReadOutcome, TimerId, TimerWheel, Waker};
-use std::collections::BTreeMap;
+use rush_reactor::{Event, Interest, Poller, ReadBuf, ReadOutcome, Waker};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -158,8 +163,6 @@ struct Conn {
     read_closed: bool,
     /// When the write buffer last transitioned empty → non-empty.
     write_since: Option<Instant>,
-    /// Pending slow-reader eviction timer.
-    slow_timer: Option<TimerId>,
 }
 
 impl Conn {
@@ -178,7 +181,6 @@ impl Conn {
             closing: false,
             read_closed: false,
             write_since: None,
-            slow_timer: None,
         }
     }
 
@@ -268,7 +270,8 @@ pub(crate) struct Reactor {
     waker: Arc<Waker>,
     completions: CompletionQueue,
     stop: Arc<AtomicBool>,
-    timers: TimerWheel,
+    /// Stall starts in order, `(write_since, token)`; see the module docs.
+    stalls: VecDeque<(Instant, u64)>,
     conns: BTreeMap<u64, Conn>,
     next_token: u64,
 }
@@ -292,15 +295,16 @@ impl Reactor {
             waker,
             completions: CompletionQueue::default(),
             stop,
-            timers: TimerWheel::new(),
+            stalls: VecDeque::new(),
             conns: BTreeMap::new(),
             next_token: FIRST_CONN,
         })
     }
 
-    /// The event loop: wait, dispatch, drain completions, fire timers.
+    /// The event loop: wait, dispatch, drain completions, evict slow readers.
     pub(crate) fn run(&mut self) {
         let idle = Duration::from_millis(200);
+        let slow = self.slow();
         // Once the stop flag is up, the loop keeps running for a short
         // grace window so in-flight requests (e.g. the other shards'
         // parts of the shutdown broadcast itself) can complete and
@@ -320,10 +324,10 @@ impl Reactor {
                 }
             }
             let now = Instant::now();
-            let mut timeout = self
-                .timers
-                .next_deadline()
-                .map_or(idle, |d| d.saturating_duration_since(now).min(idle));
+            // `evict_slow_readers` left a live front (or none).
+            let mut timeout = self.stalls.front().map_or(idle, |&(since, _)| {
+                (since + slow).saturating_duration_since(now).min(idle)
+            });
             if drain_until.is_some() {
                 timeout = timeout.min(Duration::from_millis(10));
             }
@@ -344,7 +348,7 @@ impl Reactor {
                 }
             }
             self.drain_completions();
-            self.fire_timers();
+            self.evict_slow_readers();
         }
     }
 
@@ -631,14 +635,11 @@ impl Reactor {
         self.pump_writes(token);
     }
 
-    /// Flushes the write buffer as far as the socket allows, manages
-    /// the slow-reader timer, closes finished connections, and keeps
-    /// poller interest in sync.
+    /// Flushes the write buffer as far as the socket allows, queues a
+    /// stall when the buffer stays non-empty, closes finished
+    /// connections, and keeps poller interest in sync.
     fn pump_writes(&mut self, token: u64) {
-        let slow = Duration::from_millis(self.config.slow_reader_ms.max(1));
         let mut evict = false;
-        let mut schedule_at: Option<Instant> = None;
-        let mut cancel: Option<TimerId> = None;
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             if !conn.wbuf.is_empty() && conn.wbuf.flush_to(&mut conn.stream).is_err() {
@@ -647,7 +648,6 @@ impl Reactor {
             if !evict {
                 if conn.wbuf.is_empty() {
                     conn.write_since = None;
-                    cancel = conn.slow_timer.take();
                     let drained = conn.inflight == 0
                         && conn.ready.is_empty()
                         && conn.broadcasts.is_empty();
@@ -657,22 +657,13 @@ impl Reactor {
                 } else if conn.write_since.is_none() {
                     let now = Instant::now();
                     conn.write_since = Some(now);
-                    schedule_at = Some(now + slow);
+                    self.stalls.push_back((now, token));
                 }
             }
-        }
-        if let Some(id) = cancel {
-            self.timers.unschedule(id);
         }
         if evict {
             self.evict(token);
             return;
-        }
-        if let Some(at) = schedule_at {
-            let id = self.timers.schedule(at, token);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.slow_timer = Some(id);
-            }
         }
         self.update_interest(token);
     }
@@ -695,42 +686,29 @@ impl Reactor {
         }
     }
 
-    /// Drops one connection: poller deregistration, timer cleanup,
-    /// socket close (on drop). Pending completions for it are
+    /// Drops one connection: poller deregistration, socket close (on
+    /// drop). Its stall entry goes stale; pending completions for it are
     /// discarded when they arrive.
     fn evict(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            if let Some(id) = conn.slow_timer {
-                self.timers.unschedule(id);
-            }
         }
     }
 
-    /// Handles expired timers: slow-reader evictions (a timer's token is
-    /// its connection's).
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        let slow = Duration::from_millis(self.config.slow_reader_ms.max(1));
-        for tok in self.timers.expired(now) {
-            let verdict = self.conns.get(&tok).map(|conn| {
-                conn.write_since
-                    .map(|since| now.saturating_duration_since(since) >= slow)
-                    .unwrap_or(false)
-            });
-            match verdict {
-                // Still stuck past the deadline: a slow reader.
-                Some(true) => self.evict(tok),
-                // Writes drained and refilled since; re-arm from the
-                // new stall start.
-                Some(false) => {
-                    if let Some(conn) = self.conns.get_mut(&tok) {
-                        conn.slow_timer =
-                            conn.write_since.map(|since| self.timers.schedule(since + slow, tok));
-                    }
-                }
-                None => {}
-            }
+    /// How long a write buffer may stay non-empty.
+    fn slow(&self) -> Duration {
+        Duration::from_millis(self.config.slow_reader_ms.max(1))
+    }
+
+    /// Evicts the slow readers: every connection whose stall has lasted
+    /// `slow_reader_ms`.
+    fn evict_slow_readers(&mut self) {
+        let (slow, conns) = (self.slow(), &self.conns);
+        let due = expire_stalls(&mut self.stalls, Instant::now(), slow, |token| {
+            conns.get(&token).and_then(|conn| conn.write_since)
+        });
+        for token in due {
+            self.evict(token);
         }
     }
 
@@ -749,7 +727,75 @@ impl Reactor {
     }
 }
 
+/// The stall-queue rule. Pops the stale entries at the front (`write_since`
+/// reports the connection gone or stalled since another start) and the
+/// live ones due at `now`, and returns the due tokens in stall order. The
+/// front it leaves, if any, is live and not yet due.
+fn expire_stalls(
+    stalls: &mut VecDeque<(Instant, u64)>,
+    now: Instant,
+    slow: Duration,
+    write_since: impl Fn(u64) -> Option<Instant>,
+) -> Vec<u64> {
+    let mut due = Vec::new();
+    while let Some(&(since, token)) = stalls.front() {
+        let live = write_since(token) == Some(since);
+        if live && since + slow > now {
+            break;
+        }
+        stalls.pop_front();
+        if live {
+            due.push(token);
+        }
+    }
+    due
+}
+
 /// The canned "planner channel is gone" reply.
 fn shutting_down() -> Response {
     Response::error(ErrorCode::Shutdown, "daemon is shutting down")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SLOW: Duration = Duration::from_millis(50);
+
+    fn at(t0: Instant, ms: u64) -> Instant {
+        t0 + Duration::from_millis(ms)
+    }
+
+    #[test]
+    fn a_stall_that_drains_and_restalls_is_timed_from_its_second_start() {
+        // Token 7 stalled at 0 ms, drained, and stalled again at 30 ms.
+        let t0 = Instant::now();
+        let mut stalls = VecDeque::from([(t0, 7), (at(t0, 30), 7)]);
+        let since = |_| Some(at(t0, 30));
+        assert_eq!(expire_stalls(&mut stalls, at(t0, 60), SLOW, since), Vec::<u64>::new());
+        assert_eq!(stalls, [(at(t0, 30), 7)]);
+        assert_eq!(expire_stalls(&mut stalls, at(t0, 80), SLOW, since), vec![7]);
+        assert!(stalls.is_empty());
+    }
+
+    #[test]
+    fn stale_entries_leave_the_queue() {
+        // 1 was evicted, 2 drained, 3 is still stalled, 4 drained.
+        let t0 = Instant::now();
+        let mut stalls: VecDeque<_> = (1..=4).map(|token| (at(t0, token), token)).collect();
+        let since = |token| (token == 3).then(|| at(t0, 3));
+        assert_eq!(expire_stalls(&mut stalls, at(t0, 10), SLOW, since), Vec::<u64>::new());
+        assert_eq!(stalls.front(), Some(&(at(t0, 3), 3)), "stale fronts go, the live one stays");
+        assert_eq!(expire_stalls(&mut stalls, at(t0, 53), SLOW, since), vec![3]);
+        assert!(stalls.is_empty(), "the stale entry behind it goes too");
+    }
+
+    #[test]
+    fn due_entries_fire_in_order() {
+        let t0 = Instant::now();
+        let mut stalls: VecDeque<_> = (0..4).map(|i| (at(t0, i), 10 + i)).collect();
+        let since = |token: u64| Some(at(t0, token - 10));
+        assert_eq!(expire_stalls(&mut stalls, at(t0, 52), SLOW, since), vec![10, 11, 12]);
+        assert_eq!(stalls, [(at(t0, 3), 13)]);
+    }
 }

@@ -8,9 +8,10 @@
 //! slot, which is exactly the restart contract (the restored daemon's
 //! clock starts at the snapshot slot, not at zero).
 
+use rush_core::{ClusterModel, RushConfig};
 use rush_serve::protocol::Decision;
 use rush_serve::server::{serve, ServeConfig};
-use rush_serve::Client;
+use rush_serve::{snapshot, Client, ServeError, ServeState};
 use rush_utility::TimeUtility;
 use std::path::PathBuf;
 
@@ -102,4 +103,25 @@ fn snapshotless_shutdown_writes_nothing() {
     assert!(!client.shutdown(false).expect("shutdown"));
     handle.join().expect("join");
     assert!(!snap.exists(), "no snapshot requested, none should exist");
+}
+
+#[test]
+fn classes_past_u32_max_containers_are_refused_not_wrapped() {
+    // A snapshot file is outside input: class counts that add up past
+    // `u32::MAX` must come back as a typed error, whether the document's
+    // `provisioned` total is saturated or wrapped (u32::MAX + 24 wraps to
+    // 23, enough for the daemon's 16 containers).
+    let state = ServeState::new(RushConfig::default(), 16)
+        .and_then(|s| s.with_cluster_model(ClusterModel::tiered(8, 4, 4)))
+        .expect("valid model");
+    let text = snapshot::encode(&state, 0);
+    for provisioned in [u32::MAX, 23] {
+        let bad = text
+            .replace("\"count\":4", "\"count\":12")
+            .replace("\"count\":8", &format!("\"count\":{}", u32::MAX))
+            .replace("\"provisioned\":16", &format!("\"provisioned\":{provisioned}"));
+        assert_ne!(bad, text, "the class count and total must be in the document");
+        let restored = snapshot::decode(&bad, RushConfig::default(), 16);
+        assert!(matches!(restored, Err(ServeError::Snapshot(_))), "provisioned {provisioned}");
+    }
 }

@@ -82,7 +82,7 @@ pub fn validate_capacity_events(
                         reason: "capacity event must change at least one container",
                     });
                 }
-                if in_service + n > capacity {
+                if n > capacity - in_service {
                     return Err(SimError::InvalidConfig {
                         reason: "restock exceeds the revoked container count",
                     });
@@ -207,33 +207,36 @@ impl ClusterSpec {
     }
 }
 
-/// An ordered pool of free containers over a [`ClusterSpec`]'s flat
-/// container index space.
+/// The free containers over a [`ClusterSpec`]'s flat container index
+/// space, and how many of them are in service.
 ///
-/// The simulation engine acquires the lowest free container on every task
-/// start and releases one on every completion; with a sorted `Vec` those
-/// operations cost a re-sort per completion. `FreePool` keeps the free set
-/// as a two-level bitset — one bit per container plus a summary bit per
-/// 64-container word — so acquire, release and membership are O(1) word
-/// operations (O(capacity/4096) in the worst case for the summary scan).
-#[derive(Debug, Clone)]
-pub struct FreePool {
+/// The engine acquires the lowest free container on every task start and
+/// releases one on every completion. A revocation always takes the highest
+/// in-service container and a restock returns the lowest revoked one, so
+/// the revoked containers are always the suffix `in_service..capacity` and
+/// a count is all the pool keeps of them. The free set is one bit per
+/// container; acquire scans for the first non-zero 64-container word.
+///
+/// Crate-private as a whole: only the engine's capacity-event queue takes
+/// containers out of service, so a revocation is always a scheduled,
+/// replayable [`CapacityEvent`].
+///
+/// ```compile_fail
+/// use rush_sim::cluster::FreePool; // private: E0603
+/// ```
+#[derive(Debug)]
+pub(crate) struct FreePool {
     /// Bit `c % 64` of `words[c / 64]` is set iff container `c` is free.
+    /// A revoked container is never free.
     words: Vec<u64>,
-    /// Bit `w % 64` of `summary[w / 64]` is set iff `words[w] != 0`.
-    summary: Vec<u64>,
-    /// Bit `c % 64` of `revoked[c / 64]` is set iff container `c` has been
-    /// revoked (taken out of service by a capacity event). A revoked
-    /// container is never free; the index space itself never shrinks.
-    revoked: Vec<u64>,
     free: u32,
-    revoked_count: u32,
-    capacity: u32,
+    /// Containers `0..in_service` are in service; the rest are revoked.
+    in_service: u32,
 }
 
 impl FreePool {
     /// Creates a pool over `spec`'s containers with every container free.
-    pub fn new(spec: &ClusterSpec) -> Self {
+    pub(crate) fn new(spec: &ClusterSpec) -> Self {
         let capacity = spec.capacity();
         let n_words = (capacity as usize).div_ceil(64);
         let mut words = vec![u64::MAX; n_words];
@@ -242,156 +245,76 @@ impl FreePool {
         if tail != 0 {
             words[n_words - 1] = (1u64 << tail) - 1;
         }
-        let summary = (0..n_words.div_ceil(64))
-            .map(|s| {
-                let mut bits = 0u64;
-                for b in 0..64.min(n_words - s * 64) {
-                    if words[s * 64 + b] != 0 {
-                        bits |= 1 << b;
-                    }
-                }
-                bits
-            })
-            .collect();
-        FreePool {
-            words,
-            summary,
-            revoked: vec![0; n_words],
-            free: capacity,
-            revoked_count: 0,
-            capacity,
-        }
+        FreePool { words, free: capacity, in_service: capacity }
     }
 
     /// Number of free containers.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.free
     }
 
     /// Whether no container is free.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.free == 0
     }
 
-    /// Total container capacity — the fixed index space, including
-    /// containers currently revoked.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
+    /// Containers currently in service (free or busy).
+    pub(crate) fn in_service(&self) -> u32 {
+        self.in_service
     }
 
-    /// Containers currently in service: `capacity() - revoked`.
-    pub fn effective_capacity(&self) -> u32 {
-        self.capacity - self.revoked_count
-    }
-
-    /// Containers currently revoked (out of service).
-    pub fn revoked_count(&self) -> u32 {
-        self.revoked_count
-    }
-
-    /// Whether container `c` is currently revoked.
-    pub fn is_revoked(&self, c: u32) -> bool {
-        c < self.capacity && self.revoked[(c / 64) as usize] & (1 << (c % 64)) != 0
-    }
-
-    /// Takes container `c` out of service. Returns `true` if it was free
-    /// (and has been removed from the pool); `false` if it was busy — the
-    /// caller owns killing whatever runs on it.
-    ///
-    /// Crate-private, like [`restore`](Self::restore): only the engine's
-    /// capacity-event queue takes containers out of service, so a revocation
-    /// is always a scheduled, replayable [`CapacityEvent`].
-    ///
-    /// ```compile_fail
-    /// use rush_sim::cluster::{ClusterSpec, FreePool};
-    /// let mut pool = FreePool::new(&ClusterSpec::homogeneous(1, 4).unwrap());
-    /// pool.revoke(3); // private: E0624
-    /// ```
+    /// Takes the highest in-service container out of service. Returns it
+    /// and whether it was free (and has left the pool); a busy one's
+    /// attempt is the caller's to kill.
     ///
     /// # Panics
     ///
-    /// Panics if `c` is out of range or already revoked.
-    pub(crate) fn revoke(&mut self, c: u32) -> bool {
-        assert!(c < self.capacity, "container {c} out of range (capacity {})", self.capacity);
-        assert!(!self.is_revoked(c), "container {c} revoked twice");
-        self.revoked[(c / 64) as usize] |= 1 << (c % 64);
-        self.revoked_count += 1;
-        let was_free = self.contains(c);
+    /// Panics if no container is in service.
+    pub(crate) fn revoke_highest(&mut self) -> (u32, bool) {
+        self.in_service -= 1;
+        let c = self.in_service;
+        let was_free = self.words[(c / 64) as usize] & (1 << (c % 64)) != 0;
         if was_free {
             self.clear(c);
         }
-        was_free
+        (c, was_free)
     }
 
-    /// Returns a revoked container to service (and to the free set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range or not currently revoked.
-    pub(crate) fn restore(&mut self, c: u32) {
-        assert!(c < self.capacity, "container {c} out of range (capacity {})", self.capacity);
-        assert!(self.is_revoked(c), "restore of in-service container {c}");
-        self.revoked[(c / 64) as usize] &= !(1 << (c % 64));
-        self.revoked_count -= 1;
+    /// Puts the lowest revoked container back in service and in the free
+    /// set, and returns it. The caller restores only what it revoked
+    /// ([`validate_capacity_events`] bounds a restock by the revoked
+    /// count).
+    pub(crate) fn restore_lowest(&mut self) -> u32 {
+        let c = self.in_service;
+        self.in_service += 1;
         self.release(c);
-    }
-
-    /// The highest-indexed in-service container (free or busy) — the next
-    /// victim of a deterministic revocation sweep.
-    pub fn highest_in_service(&self) -> Option<u32> {
-        (0..self.capacity).rev().find(|&c| !self.is_revoked(c))
-    }
-
-    /// The lowest-indexed revoked container — the next container a
-    /// deterministic restock returns to service.
-    pub fn lowest_revoked(&self) -> Option<u32> {
-        (0..self.capacity).find(|&c| self.is_revoked(c))
-    }
-
-    /// Whether container `c` is currently free.
-    pub fn contains(&self, c: u32) -> bool {
-        c < self.capacity && self.words[(c / 64) as usize] & (1 << (c % 64)) != 0
+        c
     }
 
     /// Acquires (removes and returns) the lowest-indexed free container.
-    pub fn acquire_lowest(&mut self) -> Option<u32> {
-        let si = self.summary.iter().position(|&s| s != 0)?;
-        let w = si * 64 + self.summary[si].trailing_zeros() as usize;
+    pub(crate) fn acquire_lowest(&mut self) -> Option<u32> {
+        let w = self.words.iter().position(|&w| w != 0)?;
         let c = w as u32 * 64 + self.words[w].trailing_zeros();
         self.clear(c);
         Some(c)
-    }
-
-    /// Acquires a specific container; returns `false` if it was not free.
-    pub fn acquire(&mut self, c: u32) -> bool {
-        if !self.contains(c) {
-            return false;
-        }
-        self.clear(c);
-        true
     }
 
     /// Returns container `c` to the pool.
     ///
     /// # Panics
     ///
-    /// Panics if `c` is out of range; debug-asserts it was not already free.
-    pub fn release(&mut self, c: u32) {
-        assert!(c < self.capacity, "container {c} out of range (capacity {})", self.capacity);
+    /// Panics if `c` is not in service; debug-asserts it was not already
+    /// free.
+    pub(crate) fn release(&mut self, c: u32) {
+        assert!(c < self.in_service, "release of container {c}, which is not in service");
         let w = (c / 64) as usize;
-        debug_assert!(!self.is_revoked(c), "release of revoked container {c}");
         debug_assert!(self.words[w] & (1 << (c % 64)) == 0, "double release of container {c}");
         self.words[w] |= 1 << (c % 64);
-        self.summary[w / 64] |= 1 << (w % 64);
         self.free += 1;
     }
 
     fn clear(&mut self, c: u32) {
-        let w = (c / 64) as usize;
-        self.words[w] &= !(1 << (c % 64));
-        if self.words[w] == 0 {
-            self.summary[w / 64] &= !(1 << (w % 64));
-        }
+        self.words[(c / 64) as usize] &= !(1 << (c % 64));
         self.free -= 1;
     }
 }
@@ -455,7 +378,7 @@ mod tests {
         let spec = ClusterSpec::homogeneous(2, 3).unwrap();
         let mut pool = FreePool::new(&spec);
         assert_eq!(pool.len(), 6);
-        assert_eq!(pool.capacity(), 6);
+        assert_eq!(pool.in_service(), 6);
         assert_eq!(pool.acquire_lowest(), Some(0));
         assert_eq!(pool.acquire_lowest(), Some(1));
         pool.release(0);
@@ -481,63 +404,81 @@ mod tests {
     }
 
     #[test]
-    fn free_pool_specific_acquire_and_membership() {
-        let spec = ClusterSpec::homogeneous(1, 8).unwrap();
-        let mut pool = FreePool::new(&spec);
-        assert!(pool.contains(5));
-        assert!(pool.acquire(5));
-        assert!(!pool.contains(5));
-        assert!(!pool.acquire(5)); // already taken
-        assert!(!pool.acquire(99)); // out of range is just "not free"
-        assert_eq!(pool.acquire_lowest(), Some(0));
-        assert_eq!(pool.len(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "not in service")]
     fn free_pool_release_out_of_range_panics() {
         let spec = ClusterSpec::homogeneous(1, 4).unwrap();
         FreePool::new(&spec).release(4);
     }
 
     #[test]
-    fn free_pool_revoke_and_restore() {
+    fn free_pool_revokes_highest_and_restores_lowest() {
         let spec = ClusterSpec::homogeneous(1, 6).unwrap();
         let mut pool = FreePool::new(&spec);
-        assert_eq!(pool.effective_capacity(), 6);
-        assert_eq!(pool.highest_in_service(), Some(5));
         // Revoking a free container removes it from the pool.
-        assert!(pool.revoke(5));
-        assert_eq!(pool.len(), 5);
-        assert_eq!(pool.effective_capacity(), 5);
-        assert!(!pool.contains(5));
-        assert!(pool.is_revoked(5));
-        assert_eq!(pool.highest_in_service(), Some(4));
-        assert_eq!(pool.lowest_revoked(), Some(5));
+        assert_eq!(pool.revoke_highest(), (5, true));
+        assert_eq!((pool.len(), pool.in_service()), (5, 5));
         // Revoking a busy container leaves the free count alone.
-        assert!(pool.acquire(4));
-        assert!(!pool.revoke(4));
-        assert_eq!(pool.len(), 4);
-        assert_eq!(pool.effective_capacity(), 4);
-        assert_eq!(pool.revoked_count(), 2);
-        assert_eq!(pool.lowest_revoked(), Some(4));
+        for c in 0..5 {
+            assert_eq!(pool.acquire_lowest(), Some(c));
+        }
+        assert_eq!(pool.revoke_highest(), (4, false));
+        assert_eq!((pool.len(), pool.in_service()), (0, 4));
         // Restock returns the lowest revoked container to the free set.
-        pool.restore(4);
-        assert!(pool.contains(4));
-        assert_eq!(pool.effective_capacity(), 5);
-        pool.restore(5);
-        assert_eq!(pool.len(), 6);
-        assert_eq!(pool.revoked_count(), 0);
-        assert_eq!(pool.lowest_revoked(), None);
+        assert_eq!(pool.restore_lowest(), 4);
+        assert_eq!(pool.acquire_lowest(), Some(4));
+        assert_eq!(pool.restore_lowest(), 5);
+        assert_eq!((pool.len(), pool.in_service()), (1, 6));
     }
 
-    #[test]
-    #[should_panic(expected = "revoked twice")]
-    fn free_pool_double_revoke_panics() {
-        let spec = ClusterSpec::homogeneous(1, 4).unwrap();
-        let mut pool = FreePool::new(&spec);
-        pool.revoke(3);
-        pool.revoke(3);
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Over random acquire / release / revoke / restore sequences the
+        /// pool hands out the same containers as a naive model: a free
+        /// flag and a revoked flag per container, scanned linearly.
+        #[test]
+        fn free_pool_matches_a_naive_model(
+            capacity in 1u32..150,
+            ops in proptest::collection::vec((0usize..4, 0usize..1000), 0..400),
+        ) {
+            let mut pool = FreePool::new(&ClusterSpec::homogeneous(1, capacity).unwrap());
+            let n = capacity as usize;
+            let (mut free, mut revoked) = (vec![true; n], vec![false; n]);
+            for (op, pick) in ops {
+                match op {
+                    0 => {
+                        let want = (0..n).find(|&c| free[c] && !revoked[c]);
+                        if let Some(c) = want {
+                            free[c] = false;
+                        }
+                        proptest::prop_assert_eq!(pool.acquire_lowest(), want.map(|c| c as u32));
+                    }
+                    1 => {
+                        let busy: Vec<usize> = (0..n).filter(|&c| !free[c] && !revoked[c]).collect();
+                        if busy.is_empty() {
+                            continue;
+                        }
+                        let c = busy[pick % busy.len()];
+                        free[c] = true;
+                        pool.release(c as u32);
+                    }
+                    2 => {
+                        let Some(c) = (0..n).rev().find(|&c| !revoked[c]) else { continue };
+                        let was_free = free[c];
+                        (free[c], revoked[c]) = (false, true);
+                        proptest::prop_assert_eq!(pool.revoke_highest(), (c as u32, was_free));
+                    }
+                    _ => {
+                        let Some(c) = (0..n).find(|&c| revoked[c]) else { continue };
+                        (free[c], revoked[c]) = (true, false);
+                        proptest::prop_assert_eq!(pool.restore_lowest(), c as u32);
+                    }
+                }
+                let free_count = (0..n).filter(|&c| free[c]).count() as u32;
+                let in_service = (0..n).filter(|&c| !revoked[c]).count() as u32;
+                proptest::prop_assert_eq!((pool.len(), pool.in_service()), (free_count, in_service));
+            }
+        }
     }
 
     #[test]
@@ -565,6 +506,12 @@ mod tests {
         assert!(validate_capacity_events(4, &bad).is_err());
         // Zero-sized change.
         let bad = vec![CapacityEvent { at: 0, change: CapacityChange::Revoke { n: 0 } }];
+        assert!(validate_capacity_events(4, &bad).is_err());
+        // A restock whose count would overflow the in-service count.
+        let bad = vec![
+            CapacityEvent { at: 0, change: CapacityChange::Revoke { n: 1 } },
+            CapacityEvent { at: 1, change: CapacityChange::Restock { n: u32::MAX } },
+        ];
         assert!(validate_capacity_events(4, &bad).is_err());
     }
 }

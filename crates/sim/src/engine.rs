@@ -27,11 +27,13 @@
 //! The running attempts are a plain `Vec` that every event scans: for the
 //! due completion, a sibling duplicate, the attempt on a revoked container,
 //! the next end slot and a job's oldest start. Job views are found by a
-//! scan over the active jobs. Free containers sit in a [`FreePool`]
-//! bitset. At the sizes this simulator runs — the paper's 48-container
-//! testbed with up to a few hundred jobs — the engine is about 1.5 % of
-//! a RUSH-scheduled run; the scheduler's replans are the rest (DESIGN.md
-//! §8).
+//! scan over the active jobs. Free containers sit in a one-level bitset
+//! (`cluster::FreePool`), and the revoked ones are a count: a revocation
+//! takes the highest in-service container and a restock the lowest revoked
+//! one, so the revoked set is always a suffix of the index space. At the
+//! sizes this simulator runs — the paper's 48-container testbed with up to
+//! a few hundred jobs — the engine is about 1.5 % of a RUSH-scheduled run;
+//! the scheduler's replans are the rest (DESIGN.md §8).
 //!
 //! What guards the engine's order of operations is the exact result of
 //! fixed scenarios: `tests/engine_pins.rs` pins the paper testbed with and
@@ -186,16 +188,6 @@ impl SimConfig {
         &self.failures
     }
 
-    /// Whether the run records a [`Trace`].
-    pub fn records_trace(&self) -> bool {
-        self.record_trace
-    }
-
-    /// The runtime multiplier for a task placed off its preferred node.
-    pub fn remote_penalty(&self) -> f64 {
-        self.remote_penalty
-    }
-
     /// The safety horizon after which the run aborts.
     pub fn max_slots(&self) -> Slot {
         self.max_slots
@@ -296,7 +288,7 @@ impl Run {
     fn consult<T>(&mut self, now: Slot, call: impl FnOnce(&ClusterView<'_>) -> T) -> T {
         let view = ClusterView {
             now,
-            capacity: self.free.effective_capacity(),
+            capacity: self.free.in_service(),
             free_containers: self.free.len(),
             jobs: &self.views,
         };
@@ -408,19 +400,17 @@ impl Simulation {
             // returns the lowest-indexed revoked containers. The scheduler
             // observes the change through `on_capacity_change` and through
             // every later view's effective capacity.
+            // `validate_capacity_events` keeps a container in service and
+            // bounds every restock by the revoked count.
             while let Some(ev) = cap_events.get(cap_idx).filter(|ev| ev.at <= now) {
                 cap_idx += 1;
                 match ev.change {
                     CapacityChange::Revoke { n } => {
                         for _ in 0..n {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
-                            )]
-                            let c = run.free.highest_in_service().expect("schedule validated");
+                            let (c, was_free) = run.free.revoke_highest();
                             run.result.revoked_containers += 1;
-                            if run.free.revoke(c) {
-                                continue; // was free: nothing to kill
+                            if was_free {
+                                continue; // nothing to kill
                             }
                             #[expect(
                                 clippy::expect_used,
@@ -444,12 +434,7 @@ impl Simulation {
                     }
                     CapacityChange::Restock { n } => {
                         for _ in 0..n {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "validate_capacity_events bounds revocations by in-service and restocks by revoked containers"
-                            )]
-                            let c = run.free.lowest_revoked().expect("schedule validated");
-                            run.free.restore(c);
+                            run.free.restore_lowest();
                             run.result.restocked_containers += 1;
                         }
                     }
@@ -471,7 +456,7 @@ impl Simulation {
             // scheduler recover from naming an invalid job (unknown,
             // finished or with nothing runnable) without letting a
             // persistently confused one spin the engine forever.
-            let mut misassign_budget = run.free.effective_capacity() as u64 + 1;
+            let mut misassign_budget = run.free.in_service() as u64 + 1;
             while !run.free.is_empty() && run.views.iter().any(|v| v.runnable_tasks > 0) {
                 let choice = run.consult(now, |view| scheduler.assign(view));
                 run.result.scheduler_invocations += 1;
@@ -498,7 +483,7 @@ impl Simulation {
             // scheduler the chance to duplicate a long-running attempt
             // (Hadoop-style speculative execution). The engine picks the
             // oldest non-duplicated primary attempt of the named job.
-            let mut spec_budget = run.free.effective_capacity() as u64;
+            let mut spec_budget = run.free.in_service() as u64;
             while !run.free.is_empty() && spec_budget > 0 {
                 spec_budget -= 1;
                 let Some(id) = run.consult(now, |view| scheduler.speculate(view)) else { break };

@@ -104,12 +104,6 @@ impl<'a> ClusterView<'a> {
         self.jobs.iter().find(|j| j.id == id)
     }
 
-    /// Total number of runnable (phase-eligible, unstarted) tasks across all
-    /// active jobs.
-    pub fn total_runnable(&self) -> usize {
-        self.jobs.iter().map(|j| j.runnable_tasks).sum()
-    }
-
     /// Jobs with at least one runnable task, in arrival order — the
     /// candidate set every assignment policy filters down to.
     pub fn runnable_jobs(&self) -> impl Iterator<Item = &JobView> {
@@ -159,12 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn cluster_view_lookup_and_totals() {
+    fn cluster_view_lookup() {
         let jobs = vec![view(1, 4), view(2, 6)];
         let cv = ClusterView { now: 30, capacity: 16, free_containers: 5, jobs: &jobs };
         assert_eq!(cv.job(JobId(2)).unwrap().id, JobId(2));
         assert!(cv.job(JobId(9)).is_none());
-        assert_eq!(cv.total_runnable(), 10);
     }
 
     #[test]

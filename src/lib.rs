@@ -18,7 +18,7 @@
 //! * [`workload`] — PUMA-like job templates and the experiment driver.
 //! * [`metrics`] — boxplots, ECDFs and table rendering for the harness.
 //! * [`reactor`] — nonblocking event-loop primitives (epoll poller,
-//!   eventfd waker, timer wheel, backpressure-aware buffers) behind the
+//!   eventfd waker, backpressure-aware buffers) behind the
 //!   daemon's connection frontend.
 //! * [`serve`] — the `rushd` scheduling daemon: versioned JSON and
 //!   length-prefixed binary wire protocols, epoch batching, admission
