@@ -203,26 +203,30 @@ impl ClusterModel {
 
     /// Checks internal consistency. Required before handing the model to
     /// the sim or serve layers; [`ClusterModel::sim_events`] assumes it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidClusterModel`] naming the first inconsistency.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.classes.is_empty() {
-            return Err(CoreError::InvalidConfig { reason: "cluster model needs at least one container class" });
+            return Err(CoreError::InvalidClusterModel { reason: "cluster model needs at least one container class" });
         }
         for c in &self.classes {
             if c.name.is_empty() {
-                return Err(CoreError::InvalidConfig { reason: "container class name must be non-empty" });
+                return Err(CoreError::InvalidClusterModel { reason: "container class name must be non-empty" });
             }
             if !(c.price.is_finite() && c.price >= 0.0) {
-                return Err(CoreError::InvalidConfig { reason: "container class price must be finite and >= 0" });
+                return Err(CoreError::InvalidClusterModel { reason: "container class price must be finite and >= 0" });
             }
         }
         for (i, a) in self.classes.iter().enumerate() {
             if self.classes.iter().take(i).any(|b| b.name == a.name) {
-                return Err(CoreError::InvalidConfig { reason: "container class names must be unique" });
+                return Err(CoreError::InvalidClusterModel { reason: "container class names must be unique" });
             }
         }
         match self.classes.iter().try_fold(0u32, |total, c| total.checked_add(c.count)) {
-            None => return Err(CoreError::InvalidConfig { reason: "cluster model provisions more than u32::MAX containers" }),
-            Some(0) => return Err(CoreError::InvalidConfig { reason: "cluster model must provision at least one container" }),
+            None => return Err(CoreError::InvalidClusterModel { reason: "cluster model provisions more than u32::MAX containers" }),
+            Some(0) => return Err(CoreError::InvalidClusterModel { reason: "cluster model must provision at least one container" }),
             Some(_) => {}
         }
         // Replay the event stream with per-class bookkeeping.
@@ -231,36 +235,36 @@ impl ClusterModel {
         let mut last_at: Slot = 0;
         for e in &self.events {
             if e.at < last_at {
-                return Err(CoreError::InvalidConfig { reason: "capacity events must be sorted by slot" });
+                return Err(CoreError::InvalidClusterModel { reason: "capacity events must be sorted by slot" });
             }
             last_at = e.at;
             match e.change {
                 CapacityChange::Revoke { class, n } => {
                     if n == 0 {
-                        return Err(CoreError::InvalidConfig { reason: "capacity event count must be >= 1" });
+                        return Err(CoreError::InvalidClusterModel { reason: "capacity event count must be >= 1" });
                     }
                     let Some(c) = self.classes.get(class) else {
-                        return Err(CoreError::InvalidConfig { reason: "capacity event names an unknown container class" });
+                        return Err(CoreError::InvalidClusterModel { reason: "capacity event names an unknown container class" });
                     };
                     let avail = c.count.saturating_sub(revoked[class]);
                     if n > avail {
-                        return Err(CoreError::InvalidConfig { reason: "revocation exceeds the class's in-service count" });
+                        return Err(CoreError::InvalidClusterModel { reason: "revocation exceeds the class's in-service count" });
                     }
                     if n >= in_service {
-                        return Err(CoreError::InvalidConfig { reason: "revocation would leave the cluster with no containers" });
+                        return Err(CoreError::InvalidClusterModel { reason: "revocation would leave the cluster with no containers" });
                     }
                     revoked[class] = revoked[class].saturating_add(n);
                     in_service = in_service.saturating_sub(n);
                 }
                 CapacityChange::Restock { class, n } => {
                     if n == 0 {
-                        return Err(CoreError::InvalidConfig { reason: "capacity event count must be >= 1" });
+                        return Err(CoreError::InvalidClusterModel { reason: "capacity event count must be >= 1" });
                     }
                     if class >= self.classes.len() {
-                        return Err(CoreError::InvalidConfig { reason: "capacity event names an unknown container class" });
+                        return Err(CoreError::InvalidClusterModel { reason: "capacity event names an unknown container class" });
                     }
                     if n > revoked[class] {
-                        return Err(CoreError::InvalidConfig { reason: "restock exceeds the class's revoked count" });
+                        return Err(CoreError::InvalidClusterModel { reason: "restock exceeds the class's revoked count" });
                     }
                     revoked[class] = revoked[class].saturating_sub(n);
                     in_service = in_service.saturating_add(n);

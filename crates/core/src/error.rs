@@ -18,6 +18,14 @@ pub enum CoreError {
         /// Description of the problem.
         reason: &'static str,
     },
+    /// A [`crate::cluster::ClusterModel`] failed its consistency check.
+    /// The model is not part of [`crate::RushConfig`], and the reason names
+    /// its own subject (the model, a container class, a capacity event), so
+    /// it displays as the bare reason.
+    InvalidClusterModel {
+        /// Description of the problem.
+        reason: &'static str,
+    },
     /// An underlying probability operation failed.
     Prob(ProbError),
     /// A demand estimation failed.
@@ -30,6 +38,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidTheta(t) => write!(f, "theta must be in (0, 1), got {t}"),
             CoreError::InvalidDelta(d) => write!(f, "delta must be finite and >= 0, got {d}"),
             CoreError::InvalidConfig { reason } => write!(f, "invalid RUSH config: {reason}"),
+            CoreError::InvalidClusterModel { reason } => f.write_str(reason),
             CoreError::Prob(e) => write!(f, "probability error: {e}"),
             CoreError::Estimator(e) => write!(f, "estimator error: {e}"),
         }
@@ -67,6 +76,7 @@ mod tests {
         assert!(CoreError::InvalidTheta(1.5).to_string().contains("theta"));
         assert!(CoreError::InvalidDelta(-1.0).to_string().contains("delta"));
         assert!(CoreError::InvalidConfig { reason: "x" }.to_string().contains("x"));
+        assert_eq!(CoreError::InvalidClusterModel { reason: "x" }.to_string(), "x");
         let e: CoreError = ProbError::ZeroMass.into();
         assert!(Error::source(&e).is_some());
         let e: CoreError = EstimatorError::NoSamples.into();

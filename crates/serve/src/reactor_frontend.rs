@@ -16,6 +16,17 @@
 //! after an eventfd wake — the planner thread never blocks on a slow
 //! connection.
 //!
+//! **One wake per burst, one write per turn.** Only the reply that finds
+//! the completion queue empty writes the eventfd; the loop drains the
+//! eventfd before it takes the whole queue in the same turn, so the
+//! replies queued behind that one ride its wake. Landing a reply only
+//! serializes it into the connection's write buffer and marks the
+//! connection touched, as reading from it does. At the end of each turn
+//! every touched connection is flushed once, and its poller interest is
+//! updated after that flush (updating it before would arm and disarm
+//! `WRITE` around every reply). A burst of k replies to one connection
+//! thus costs one wake and one `write`, not k of each.
+//!
 //! **Broadcasts.** Cluster-wide requests fan out to every planner shard;
 //! the parts accumulate in a per-request slot and are merged in shard
 //! order with `server::merge_pair`, so "first error wins" is deterministic.
@@ -23,8 +34,9 @@
 //! **Backpressure.** Three bounds protect the daemon from slow or
 //! hostile peers: a per-connection cap on in-flight requests (reads pause
 //! until replies drain), a hard byte cap on the pending write buffer
-//! (overflow evicts), and a slow-reader timer (a write buffer that stays
-//! non-empty for `slow_reader_ms` evicts).
+//! (a buffer past it is offered to the socket at once, and what the peer
+//! refuses past it evicts), and a slow-reader timer (a write buffer that
+//! stays non-empty for `slow_reader_ms` evicts).
 //!
 //! **One clock.** Epoch deadlines belong to the planner threads (see
 //! [`crate::server`]); the only deadline here is slow-reader eviction.
@@ -272,6 +284,9 @@ pub(crate) struct Reactor {
     stop: Arc<AtomicBool>,
     /// Stall starts in order, `(write_since, token)`; see the module docs.
     stalls: VecDeque<(Instant, u64)>,
+    /// Connections read, written to or handed a reply this turn: each is
+    /// flushed once at the end of the turn.
+    touched: Vec<u64>,
     conns: BTreeMap<u64, Conn>,
     next_token: u64,
 }
@@ -296,12 +311,14 @@ impl Reactor {
             completions: CompletionQueue::default(),
             stop,
             stalls: VecDeque::new(),
+            touched: Vec::new(),
             conns: BTreeMap::new(),
             next_token: FIRST_CONN,
         })
     }
 
-    /// The event loop: wait, dispatch, drain completions, evict slow readers.
+    /// The event loop: wait, dispatch, drain completions, flush each
+    /// touched connection once, evict slow readers.
     pub(crate) fn run(&mut self) {
         let idle = Duration::from_millis(200);
         let slow = self.slow();
@@ -319,6 +336,7 @@ impl Reactor {
                     self.conns.values().any(|c| c.inflight > 0 || !c.wbuf.is_empty());
                 if !inflight || now >= deadline {
                     self.drain_completions();
+                    self.flush_touched();
                     self.final_flush();
                     return;
                 }
@@ -348,6 +366,7 @@ impl Reactor {
                 }
             }
             self.drain_completions();
+            self.flush_touched();
             self.evict_slow_readers();
         }
     }
@@ -393,9 +412,8 @@ impl Reactor {
         if ev.readable {
             self.conn_readable(token);
         }
-        if ev.writable {
-            self.pump_writes(token);
-        }
+        // Readable or writable, the socket is written at the end of the turn.
+        self.touched.push(token);
     }
 
     /// Reads and parses as much as backpressure allows.
@@ -432,7 +450,6 @@ impl Reactor {
                 }
             }
         }
-        self.pump_writes(token);
     }
 
     /// Parses buffered bytes into requests until the buffer runs dry
@@ -551,20 +568,35 @@ impl Reactor {
     }
 
     /// Moves every completion out of the shared queue and into its
-    /// connection.
+    /// connection's write buffer.
     fn drain_completions(&mut self) {
         for c in self.completions.take_all() {
             self.deliver(c);
         }
     }
 
+    /// Flushes every connection touched this turn once, through
+    /// [`Reactor::pump_writes`], which then brings its poller interest up to
+    /// date.
+    fn flush_touched(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        for token in touched.drain(..) {
+            self.pump_writes(token);
+        }
+        self.touched = touched;
+    }
+
     /// Lands one planner reply: translates wire ids, folds broadcast
-    /// parts (merging in shard order once all arrive), then emits any
-    /// responses that are next in sequence.
+    /// parts (merging in shard order once all arrive), then serializes any
+    /// responses that are next in sequence. The socket is written at the
+    /// end of the turn.
     fn deliver(&mut self, c: Completion) {
         let shards = self.txs.len();
         let resp = encode_response(c.resp, c.shard, shards);
         let token = c.conn;
+        self.touched.push(token);
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             if conn.broadcasts.contains_key(&c.seq) {
@@ -602,13 +634,13 @@ impl Reactor {
         self.emit_ready(token);
         // A drained reply may unpause parsing of already-buffered
         // requests.
-        if self.process_input(token) {
-            self.update_interest(token);
-        }
+        self.process_input(token);
     }
 
-    /// Serializes every response that is next in sequence, enforces
-    /// the write-buffer cap, then pumps the socket.
+    /// Serializes every response that is next in sequence and enforces
+    /// the write-buffer cap. The socket is written at the end of the turn,
+    /// unless the buffer has passed the cap: then it is offered to the
+    /// socket at once, and only what the peer refuses counts against it.
     fn emit_ready(&mut self, token: u64) {
         let cap = self.config.max_write_buffer.max(1);
         let overflow = {
@@ -625,14 +657,13 @@ impl Reactor {
                 conn.inflight = conn.inflight.saturating_sub(1);
             }
             conn.wbuf.len() > cap
+                && (conn.wbuf.flush_to(&mut conn.stream).is_err() || conn.wbuf.len() > cap)
         };
         if overflow {
             // The peer let responses pile past the hard cap: evict
             // rather than buffer without bound.
             self.evict(token);
-            return;
         }
-        self.pump_writes(token);
     }
 
     /// Flushes the write buffer as far as the socket allows, queues a

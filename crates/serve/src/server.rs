@@ -183,10 +183,15 @@ mod handoff {
     pub(crate) struct CompletionQueue(Arc<Mutex<VecDeque<Completion>>>);
 
     impl CompletionQueue {
-        pub(crate) fn push(&self, completion: Completion) {
-            if let Ok(mut queue) = self.0.lock() {
+        /// Queues one completion. Returns whether the queue was empty
+        /// before it, decided under the lock: exactly one push per batch
+        /// the reactor takes sees the empty queue, and that push owns the
+        /// wake (see [`super::ReplySink::send`]).
+        pub(crate) fn push(&self, completion: Completion) -> bool {
+            self.0.lock().is_ok_and(|mut queue| {
                 queue.push_back(completion);
-            }
+                queue.len() == 1
+            })
         }
 
         pub(crate) fn take_all(&self) -> VecDeque<Completion> {
@@ -197,8 +202,14 @@ mod handoff {
 pub(crate) use handoff::CompletionQueue;
 
 /// Where a planner reply goes: onto the owning reactor's completion
-/// queue, followed by a wake of its event loop. `send` never blocks the
-/// planner.
+/// queue, followed by a wake of its event loop when the reply found the
+/// queue empty. `send` never blocks the planner.
+///
+/// One wake per burst is enough: the reactor drains its eventfd before it
+/// takes the whole queue in the same loop turn, so a reply that lands on a
+/// non-empty queue is collected under a wake already pending (written by
+/// the push that found the queue empty, and not yet drained, or drained
+/// in a turn whose `take_all` is still to come).
 pub(crate) struct ReplySink {
     pub(crate) queue: CompletionQueue,
     pub(crate) waker: Arc<rush_reactor::Waker>,
@@ -211,10 +222,12 @@ impl ReplySink {
     /// Delivers one response. Delivery failures (a vanished peer) are
     /// dropped — the planner does not care whether anyone is listening.
     pub(crate) fn send(self, resp: Response) {
-        self.queue.push(Completion { conn: self.conn, seq: self.seq, shard: self.shard, resp });
+        let (conn, seq, shard) = (self.conn, self.seq, self.shard);
         // A failed wake is survivable — the reactor also drains its
         // completion queue on every loop turn.
-        let _ = self.waker.wake();
+        if self.queue.push(Completion { conn, seq, shard, resp }) {
+            let _ = self.waker.wake();
+        }
     }
 }
 
@@ -392,7 +405,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
                     .into(),
             ));
         }
-        model.validate().map_err(|e| ServeError::Config(format!("cluster model: {e}")))?;
+        model.validate().map_err(|e| ServeError::Config(e.to_string()))?;
         // `capacity > total` (serving more than is provisioned) is
         // rejected per shard by `with_cluster_model`; `capacity < total`
         // is legitimate — a daemon restarted mid-outage.
@@ -952,6 +965,28 @@ mod tests {
         let (epoch, waited_us) = verdicts[0];
         assert_eq!(epoch, 1);
         assert!(waited_us < 1_000_000, "waited {waited_us} us of a {epoch_ms} ms window");
+    }
+
+    /// A burst of replies costs one wake: only the reply that finds the
+    /// reactor's queue empty writes the eventfd. Once the reactor has taken
+    /// the queue, the next reply wakes it again.
+    #[test]
+    fn replies_coalesce_their_wakes() {
+        const N: usize = 16;
+        let mut inbox = Inbox::new();
+        for _ in 0..N {
+            inbox.immediate(Request::Stats);
+        }
+        inbox.immediate(Request::Shutdown { snapshot: false });
+        inbox.planner(config(8, 60_000));
+        assert_eq!(inbox.waker.drain(), 1, "one wake for {} replies", N + 1);
+        assert_eq!(inbox.queue.take_all().len(), N + 1);
+
+        inbox.immediate(Request::Stats);
+        inbox.immediate(Request::Shutdown { snapshot: false });
+        inbox.planner(config(8, 60_000));
+        assert_eq!(inbox.waker.drain(), 1, "the first reply after a take wakes again");
+        assert_eq!(inbox.queue.take_all().len(), 2);
     }
 
     /// A submission whose window has run out is closed by the timer on its

@@ -186,9 +186,12 @@ pub fn decode(text: &str, config: RushConfig, capacity: u32) -> Result<(ServeSta
     let state = ServeState::from_parts(config, capacity, doc.jobs, doc.next_id, doc.counters)?;
     let state = match doc.cluster {
         None => state,
-        Some(model) => state
-            .with_cluster_model(model)
-            .map_err(|e| snap_err(format!("cluster model: {e}")))?,
+        // The refusal already names the model: it is re-filed as a
+        // snapshot error, not prefixed again.
+        Some(model) => state.with_cluster_model(model).map_err(|e| match e {
+            ServeError::Config(reason) => snap_err(reason),
+            other => other,
+        })?,
     };
     Ok((state, doc.now_slot))
 }

@@ -127,7 +127,7 @@ impl ServeState {
     /// state's current capacity (observed capacity can sag below the
     /// provisioned total during an outage, never exceed it).
     pub fn with_cluster_model(mut self, model: ClusterModel) -> Result<Self, ServeError> {
-        model.validate().map_err(|e| ServeError::Config(format!("cluster model: {e}")))?;
+        model.validate().map_err(|e| ServeError::Config(e.to_string()))?;
         if self.capacity() > model.total_capacity() {
             return Err(ServeError::Config(format!(
                 "cluster model provisions {} containers but the daemon serves {}",

@@ -4,7 +4,9 @@
 //!
 //! * several reactor threads over several shards, both codecs on one
 //!   daemon;
-//! * pipelined requests answered strictly in order;
+//! * pipelined requests answered strictly in order over both codecs,
+//!   including a 64-request burst, so one loop turn lands many replies
+//!   on one connection;
 //! * the idle-epoch regression — a lone submission must be planned within
 //!   one epoch with **no** further traffic on any connection;
 //! * transport independence — a fixed request stream must leave the
@@ -15,11 +17,12 @@
 
 #![cfg(target_os = "linux")]
 
+use rush_serve::binary::{self, Scan};
 use rush_serve::protocol::{Decision, Request, Response};
 use rush_serve::server::{even_split, serve, shard_of_label, ServeConfig};
 use rush_serve::{Client, ServeError};
 use rush_utility::TimeUtility;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -87,39 +90,157 @@ fn sharded_reactor_serves_both_codecs() {
     handle.join().expect("join");
 }
 
+/// One codec's side of a raw pipelined connection: the test writes a
+/// whole burst of frames at once, before reading anything.
+#[derive(Clone, Copy, Debug)]
+enum Codec {
+    Json,
+    Rush1,
+}
+
+impl Codec {
+    /// The bytes that open the connection (RUSH1's hello; nothing for
+    /// JSON).
+    fn opening(self) -> Vec<u8> {
+        match self {
+            Codec::Json => Vec::new(),
+            Codec::Rush1 => binary::hello(binary::BINARY_VERSION).to_vec(),
+        }
+    }
+
+    fn frame(self, req: &Request) -> Vec<u8> {
+        match self {
+            Codec::Json => (req.encode() + "\n").into_bytes(),
+            Codec::Rush1 => binary::frame_request(req),
+        }
+    }
+
+    /// A well-framed request with an unknown op: the reactor answers it
+    /// `bad-op` itself, without a planner.
+    fn bad_op(self) -> Vec<u8> {
+        match self {
+            Codec::Json => b"{\"v\":1,\"op\":\"warp\"}\n".to_vec(),
+            Codec::Rush1 => {
+                let mut frame = Vec::new();
+                binary::frame_into(&[0xEE], &mut frame);
+                frame
+            }
+        }
+    }
+
+    /// Reads the daemon's opening bytes (RUSH1's hello, which must agree
+    /// on the version).
+    fn read_opening(self, reader: &mut impl Read) {
+        if let Codec::Rush1 = self {
+            let mut hello = [0u8; 6];
+            reader.read_exact(&mut hello).expect("server hello");
+            assert_eq!(hello, binary::hello(binary::BINARY_VERSION));
+        }
+    }
+
+    /// Reads and decodes one reply.
+    fn read(self, reader: &mut BufReader<TcpStream>) -> Response {
+        match self {
+            Codec::Json => {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read");
+                Response::decode(line.trim()).expect("decode")
+            }
+            Codec::Rush1 => {
+                let mut frame = Vec::new();
+                let payload = loop {
+                    let mut byte = [0u8; 1];
+                    reader.read_exact(&mut byte).expect("read");
+                    frame.extend_from_slice(&byte);
+                    if let Scan::Done { item, .. } = binary::scan_frame(&frame).expect("frame") {
+                        break item;
+                    }
+                };
+                binary::decode_response(&frame[payload]).expect("decode")
+            }
+        }
+    }
+}
+
+/// Writes `burst` (a request stream of `codec` frames) in one write on a
+/// fresh connection to a two-shard daemon, before reading anything, and
+/// returns the `replies` replies. Broadcasts merge both shards' parts,
+/// per-job requests alternate between the shards and `bad-op` completes
+/// on the reactor, so the replies complete out of order; the reactor must
+/// still answer in request order.
+fn pipelined_replies(codec: Codec, burst: &[u8], replies: usize) -> Vec<Response> {
+    let cfg = ServeConfig { shards: 2, ..reactor_config() };
+    let handle = serve(cfg).expect("serve");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut bytes = codec.opening();
+    bytes.extend_from_slice(burst);
+    stream.write_all(&bytes).expect("write");
+    codec.read_opening(&mut reader);
+    let answers = (0..replies).map(|_| codec.read(&mut reader)).collect();
+
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.shutdown(false).expect("shutdown");
+    handle.join().expect("join");
+    answers
+}
+
 #[test]
 fn pipelined_requests_answer_in_order() {
     // Fire a burst of distinguishable requests in one write, before
     // reading anything: the reactor must answer them strictly in request
     // order even though they complete on planner threads asynchronously.
-    let cfg = ServeConfig { shards: 2, ..reactor_config() };
-    let handle = serve(cfg).expect("serve");
-    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-
-    let mut burst = String::new();
-    burst.push_str(&(Request::Stats.encode() + "\n"));
-    burst.push_str("{\"v\":1,\"op\":\"warp\"}\n"); // BadOp — completes locally
-    burst.push_str(&(Request::QueryPlan { job: None }.encode() + "\n"));
-    burst.push_str(&(Request::Predict { job: 9999 }.encode() + "\n")); // unknown job
-    burst.push_str(&(Request::Stats.encode() + "\n"));
-    stream.write_all(burst.as_bytes()).expect("write");
-
-    let mut replies = Vec::new();
-    for _ in 0..5 {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        replies.push(Response::decode(line.trim()).expect("decode"));
+    for codec in [Codec::Json, Codec::Rush1] {
+        let mut burst = codec.frame(&Request::Stats);
+        burst.extend(codec.bad_op());
+        burst.extend(codec.frame(&Request::QueryPlan { job: None }));
+        burst.extend(codec.frame(&Request::Predict { job: 9999 })); // unknown job
+        burst.extend(codec.frame(&Request::Stats));
+        let replies = pipelined_replies(codec, &burst, 5);
+        assert!(matches!(replies[0], Response::Stats(_)), "{codec:?}: {:?}", replies[0]);
+        assert!(matches!(&replies[1], Response::Error(e) if e.code.as_str() == "bad-op"));
+        assert!(matches!(replies[2], Response::PlanTable { .. }), "{codec:?}: {:?}", replies[2]);
+        assert!(matches!(&replies[3], Response::Error(e) if e.code.as_str() == "unknown-job"));
+        assert!(matches!(replies[4], Response::Stats(_)), "{codec:?}: {:?}", replies[4]);
     }
-    assert!(matches!(replies[0], Response::Stats(_)), "{:?}", replies[0]);
-    assert!(matches!(&replies[1], Response::Error(e) if e.code.as_str() == "bad-op"));
-    assert!(matches!(replies[2], Response::PlanTable { .. }), "{:?}", replies[2]);
-    assert!(matches!(&replies[3], Response::Error(e) if e.code.as_str() == "unknown-job"));
-    assert!(matches!(replies[4], Response::Stats(_)), "{:?}", replies[4]);
+}
 
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
-    client.shutdown(false).expect("shutdown");
-    handle.join().expect("join");
+/// A 64-request burst of every kind of reply path (epoch-batched
+/// submissions, per-job requests on both shards, broadcasts, requests the
+/// reactor answers itself) lands many completions on one connection in
+/// one loop turn. The kinds follow no period, so a reply that lands in
+/// another request's place shows up as a reply of the wrong kind.
+#[test]
+fn a_mixed_burst_of_64_answers_in_order() {
+    const REQUESTS: u64 = 64;
+    // Knuth's multiplicative hash spreads the six kinds without a period.
+    let kind = |i: u64| (i.wrapping_mul(2_654_435_761) >> 16) % 6;
+    for codec in [Codec::Json, Codec::Rush1] {
+        let mut burst = Vec::new();
+        for i in 0..REQUESTS {
+            burst.extend(match kind(i) {
+                0 => codec.frame(&Request::Predict { job: 1000 + i }),
+                1 => codec.frame(&Request::Submit(submission(&format!("tpl-{i}"), 2))),
+                2 => codec.frame(&Request::Stats),
+                3 => codec.bad_op(),
+                4 => codec.frame(&Request::QueryPlan { job: None }),
+                _ => codec.frame(&Request::Cancel { job: 1000 + i }),
+            });
+        }
+        let replies = pipelined_replies(codec, &burst, REQUESTS as usize);
+        for (i, reply) in (0..REQUESTS).zip(&replies) {
+            let ok = match (kind(i), reply) {
+                (0 | 5, Response::Error(e)) => e.code.as_str() == "unknown-job",
+                (3, Response::Error(e)) => e.code.as_str() == "bad-op",
+                (1, Response::Submitted { .. })
+                | (2, Response::Stats(_))
+                | (4, Response::PlanTable { .. }) => true,
+                _ => false,
+            };
+            assert!(ok, "{codec:?} reply {i}: {reply:?}");
+        }
+    }
 }
 
 /// A JSON frame whose bytes are not UTF-8 is refused as `bad-json`, as

@@ -115,7 +115,13 @@ fn classes_past_u32_max_containers_are_refused_not_wrapped() {
         .and_then(|s| s.with_cluster_model(ClusterModel::tiered(8, 4, 4)))
         .expect("valid model");
     let text = snapshot::encode(&state, 0);
-    for provisioned in [u32::MAX, 23] {
+    // A saturated total matches the classes' saturated sum, so the model's
+    // own check refuses it; a wrapped one disagrees with the classes first.
+    // Either refusal names its cause once.
+    for (provisioned, refusal) in [
+        (u32::MAX, "cluster model provisions more than u32::MAX containers"),
+        (23, "field \"provisioned\": disagrees with the classes"),
+    ] {
         let bad = text
             .replace("\"count\":4", "\"count\":12")
             .replace("\"count\":8", &format!("\"count\":{}", u32::MAX))
@@ -123,5 +129,10 @@ fn classes_past_u32_max_containers_are_refused_not_wrapped() {
         assert_ne!(bad, text, "the class count and total must be in the document");
         let restored = snapshot::decode(&bad, RushConfig::default(), 16);
         assert!(matches!(restored, Err(ServeError::Snapshot(_))), "provisioned {provisioned}");
+        assert_eq!(
+            restored.err().map(|e| e.to_string()),
+            Some(format!("snapshot: {refusal}")),
+            "provisioned {provisioned}"
+        );
     }
 }
