@@ -135,6 +135,17 @@ impl WriteBuf {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Queues whatever `write` appends to the buffer's backing storage, so
+    /// a frame is serialized in place instead of built and then copied.
+    /// `write` must only append: the queued bytes ahead of it are not its
+    /// to change.
+    pub fn append<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let r = write(&mut self.buf);
+        // A `write` that truncated leaves the cursor inside the buffer.
+        self.start = self.start.min(self.buf.len());
+        r
+    }
+
     /// Number of queued, unwritten bytes.
     pub fn len(&self) -> usize {
         self.buf.len() - self.start
@@ -232,6 +243,19 @@ mod tests {
         // More pushes after a full flush start clean.
         wb.push(b"ab");
         assert_eq!(wb.len(), 2);
+    }
+
+    #[test]
+    fn append_queues_what_it_writes_behind_the_pending_bytes() {
+        let mut wb = WriteBuf::new();
+        wb.push(b"0123");
+        let mut sink = Trickle { accepted: Vec::new(), budget: 2 };
+        assert_eq!(wb.flush_to(&mut sink).expect("flush"), WriteOutcome::Partial);
+        wb.append(|out| out.extend_from_slice(b"ab"));
+        assert_eq!(wb.len(), 4);
+        sink.budget = 100;
+        assert_eq!(wb.flush_to(&mut sink).expect("flush"), WriteOutcome::Flushed);
+        assert_eq!(sink.accepted, b"0123ab");
     }
 
     #[cfg(target_os = "linux")]

@@ -154,7 +154,9 @@ pub fn scan_frame(buf: &[u8]) -> Result<Scan<std::ops::Range<usize>>, WireError>
 
 /// Encodes a request payload (tag + fields, no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    wire::request_to_rush1(req)
+    let mut out = Vec::with_capacity(32);
+    wire::request_rush1_into(req, &mut out);
+    out
 }
 
 /// Decodes a request payload, applying exactly the validation the JSON
@@ -171,7 +173,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 
 /// Encodes a response payload (tag + fields, no length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    wire::response_to_rush1(resp)
+    let mut out = Vec::with_capacity(64);
+    wire::response_rush1_into(resp, &mut out);
+    out
 }
 
 /// Decodes a response payload (the client side of the codec).
@@ -183,20 +187,42 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     wire::response_from_rush1(payload)
 }
 
+/// Appends one frame to `out`: the payload `write` appends, behind its
+/// length prefix. The prefix's first byte is reserved before the payload
+/// and filled in once the length is known; a payload of 128 bytes or more
+/// moves up, in place, by the 1–3 bytes more its prefix takes.
+fn frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.push(0);
+    write(out);
+    let (prefix, n) = wire::varint((out.len() - start - 1) as u64);
+    if let (Some(slot), Some(&first)) = (out.get_mut(start), prefix.first()) {
+        *slot = first;
+    }
+    let more = prefix.get(1..n).unwrap_or_default();
+    if !more.is_empty() {
+        out.splice(start + 1..start + 1, more.iter().copied());
+    }
+}
+
 /// Encodes a request as one complete frame (length prefix + payload).
 pub fn frame_request(req: &Request) -> Vec<u8> {
-    let payload = encode_request(req);
-    let mut out = Vec::with_capacity(payload.len() + 3);
-    frame_into(&payload, &mut out);
+    let mut out = Vec::with_capacity(32);
+    frame_with(&mut out, |payload| wire::request_rush1_into(req, payload));
     out
 }
 
 /// Encodes a response as one complete frame (length prefix + payload).
 pub fn frame_response(resp: &Response) -> Vec<u8> {
-    let payload = encode_response(resp);
-    let mut out = Vec::with_capacity(payload.len() + 3);
-    frame_into(&payload, &mut out);
+    let mut out = Vec::with_capacity(64);
+    frame_response_into(resp, &mut out);
     out
+}
+
+/// Appends a response as one complete frame (length prefix + payload) to
+/// `out`; into a buffer with room, this allocates nothing.
+pub fn frame_response_into(resp: &Response, out: &mut Vec<u8>) {
+    frame_with(out, |payload| wire::response_rush1_into(resp, payload));
 }
 
 #[cfg(test)]
@@ -289,6 +315,25 @@ mod tests {
         };
         assert_eq!(buf[item.clone()].len(), 300);
         assert_eq!(consumed, buf.len());
+    }
+
+    #[test]
+    fn frames_written_in_place_match_framed_payloads() {
+        // Payloads under 128 bytes, over 128 bytes and over 16 KiB: length
+        // prefixes of 1, 2 and 3 bytes.
+        for rows in [0, 4, 600] {
+            let rows = (0..rows)
+                .map(|job| PlanRow { job, label: format!("job-{job}"), ..PlanRow::default() })
+                .collect();
+            let resp = Response::PlanTable { now_slot: 1, epoch: 2, rows };
+            let mut want = Vec::new();
+            frame_into(&encode_response(&resp), &mut want);
+            let mut queued = b"queued".to_vec();
+            frame_response_into(&resp, &mut queued);
+            assert_eq!(queued[..6], *b"queued", "bytes ahead of the frame stay");
+            assert_eq!(queued[6..], want[..]);
+            assert_eq!(frame_response(&resp), want);
+        }
     }
 
     #[test]

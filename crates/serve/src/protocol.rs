@@ -19,7 +19,7 @@
 //! validation are stated once, for every encoding, in `wire.rs`. The
 //! full grammar is documented in `DESIGN.md` §10.
 
-use crate::wire;
+use crate::{json, wire};
 pub use rush_planner::JobSubmission;
 use std::fmt;
 
@@ -273,7 +273,9 @@ pub enum Response {
 impl Request {
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        wire::request_to_json(self)
+        let mut out = Vec::with_capacity(128);
+        wire::request_json_into(self, &mut out);
+        json::into_text(out)
     }
 
     /// Decodes one request line.
@@ -291,7 +293,16 @@ impl Request {
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        wire::response_to_json(self)
+        // A prediction or a one-row plan table fits without regrowing.
+        let mut out = Vec::with_capacity(256);
+        self.encode_into(&mut out);
+        json::into_text(out)
+    }
+
+    /// Appends the response's JSON line (no trailing newline) to `out`;
+    /// into a buffer with room, this allocates nothing.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        wire::response_json_into(self, out);
     }
 
     /// Decodes one response line (the client side of the codec).

@@ -20,12 +20,15 @@
 //! the completion queue empty writes the eventfd; the loop drains the
 //! eventfd before it takes the whole queue in the same turn, so the
 //! replies queued behind that one ride its wake. Landing a reply only
-//! serializes it into the connection's write buffer and marks the
-//! connection touched, as reading from it does. At the end of each turn
-//! every touched connection is flushed once, and its poller interest is
-//! updated after that flush (updating it before would arm and disarm
-//! `WRITE` around every reply). A burst of k replies to one connection
-//! thus costs one wake and one `write`, not k of each.
+//! serializes it, straight into the connection's write buffer (through
+//! [`rush_reactor::WriteBuf::append`]: no per-reply `String` or `Vec`),
+//! and marks the connection touched, as reading from it does. At the end
+//! of each turn every touched connection is flushed once, and its poller
+//! interest is updated after that flush (updating it before would arm and
+//! disarm `WRITE` around every reply). A burst of k replies to one
+//! connection thus costs one wake and one `write`, not k of each, and a
+//! turn allocates nothing of its own: its events are copied into a buffer
+//! the reactor keeps.
 //!
 //! **Broadcasts.** Cluster-wide requests fan out to every planner shard;
 //! the parts accumulate in a per-request slot and are merged in shard
@@ -287,6 +290,8 @@ pub(crate) struct Reactor {
     /// Connections read, written to or handed a reply this turn: each is
     /// flushed once at the end of the turn.
     touched: Vec<u64>,
+    /// The turn's readiness events, copied out of the poller.
+    events: Vec<Event>,
     conns: BTreeMap<u64, Conn>,
     next_token: u64,
 }
@@ -312,6 +317,7 @@ impl Reactor {
             stop,
             stalls: VecDeque::new(),
             touched: Vec::new(),
+            events: Vec::new(),
             conns: BTreeMap::new(),
             next_token: FIRST_CONN,
         })
@@ -349,13 +355,19 @@ impl Reactor {
             if drain_until.is_some() {
                 timeout = timeout.min(Duration::from_millis(10));
             }
-            let events: Vec<Event> = match self.poller.wait(Some(timeout)) {
-                Ok(evs) => evs.to_vec(),
+            // The handlers need `&mut self`, so the turn's events are
+            // copied out of the poller, into a buffer the reactor keeps.
+            let mut events = std::mem::take(&mut self.events);
+            match self.poller.wait(Some(timeout)) {
+                Ok(evs) => {
+                    events.clear();
+                    events.extend_from_slice(evs);
+                }
                 // The poller retries EINTR itself; any surviving
                 // error means the epoll fd is gone. Bail out rather
                 // than spin.
                 Err(_) => return,
-            };
+            }
             for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_all(),
@@ -365,6 +377,7 @@ impl Reactor {
                     token => self.handle_conn_event(token, ev),
                 }
             }
+            self.events = events;
             self.drain_completions();
             self.flush_touched();
             self.evict_slow_readers();
@@ -650,8 +663,13 @@ impl Reactor {
                     conn.closing = true;
                 }
                 match conn.codec {
-                    Codec::Binary => conn.wbuf.push(&binary::frame_response(&resp)),
-                    _ => conn.wbuf.push((resp.encode() + "\n").as_bytes()),
+                    Codec::Binary => {
+                        conn.wbuf.append(|out| binary::frame_response_into(&resp, out))
+                    }
+                    _ => conn.wbuf.append(|out| {
+                        resp.encode_into(out);
+                        out.push(b'\n');
+                    }),
                 }
                 conn.next_write_seq += 1;
                 conn.inflight = conn.inflight.saturating_sub(1);

@@ -51,7 +51,7 @@
 
 use crate::protocol::{ErrorCode, JobSubmission, Request, Response, WireError};
 use crate::snapshot;
-use crate::state::ServeState;
+use crate::state::{local_to_wire, wire_shard, wire_to_local, ServeState};
 use crate::ServeError;
 use rush_core::cluster::ClusterModel;
 use rush_core::RushConfig;
@@ -442,6 +442,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     for (state, base_slot, path, slice) in shard_states {
         let (tx, rx) = mpsc::channel::<PlannerMsg>();
         let shard = txs.len();
+        let state = state.on_shard(shard, config.shards);
         txs.push(tx);
         let stop = Arc::clone(&stop);
         // Each planner sees a shard-local view of the config: its slice
@@ -666,18 +667,6 @@ pub fn even_split(total: u32, shards: usize) -> Vec<u32> {
     let base = total.checked_div(n).unwrap_or(0);
     let extra = total.checked_rem(n).unwrap_or(0);
     (0..n).map(|i| base.saturating_add(u32::from(i < extra))).collect()
-}
-
-fn wire_shard(job: u64, shards: usize) -> usize {
-    (job % shards as u64) as usize
-}
-
-fn wire_to_local(job: u64, shards: usize) -> u64 {
-    job / shards as u64
-}
-
-fn local_to_wire(job: u64, shard: usize, shards: usize) -> u64 {
-    job * shards as u64 + shard as u64
 }
 
 /// Rewrites the shard-local job ids of a planner reply to wire ids.

@@ -54,6 +54,23 @@ use rush_core::plan::PlanEntry;
 use rush_core::RushConfig;
 use rush_planner::{JobId, JobRecord, PlannerCore, PlannerError};
 
+/// The planner shard of `shards` that owns wire id `job`: wire ids are
+/// striped across shards, `job % shards`.
+pub(crate) fn wire_shard(job: u64, shards: usize) -> usize {
+    (job % shards as u64) as usize
+}
+
+/// The shard-local id of wire id `job`.
+pub(crate) fn wire_to_local(job: u64, shards: usize) -> u64 {
+    job / shards as u64
+}
+
+/// The wire id of shard `shard`'s local id `job`: the inverse of
+/// [`wire_shard`] and [`wire_to_local`].
+pub(crate) fn local_to_wire(job: u64, shard: usize, shards: usize) -> u64 {
+    job * shards as u64 + shard as u64
+}
+
 /// Monotonic daemon counters (all start at zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
@@ -97,6 +114,10 @@ pub struct ServeState {
     /// Admission consults it to upgrade supply-side rejections into
     /// [`DeferReason::AwaitingRestock`] deferrals.
     model: Option<ClusterModel>,
+    /// This state's planner shard and the daemon's shard count, so an
+    /// error message names a job by the wire id its client sent; `(0, 1)`
+    /// (wire id = local id) until [`ServeState::on_shard`] places it.
+    shard: (usize, usize),
 }
 
 impl ServeState {
@@ -111,6 +132,7 @@ impl ServeState {
             planner: PlannerCore::new(config, capacity)?,
             counters: Counters::default(),
             model: None,
+            shard: (0, 1),
         })
     }
 
@@ -139,6 +161,14 @@ impl ServeState {
         Ok(self)
     }
 
+    /// Places the state as planner shard `shard` of `shards`: its error
+    /// messages then name jobs by wire id (the typed fields of a reply are
+    /// rewritten by the server instead).
+    pub(crate) fn on_shard(mut self, shard: usize, shards: usize) -> Self {
+        self.shard = (shard, shards);
+        self
+    }
+
     /// The attached cluster model, if any.
     pub fn cluster_model(&self) -> Option<&ClusterModel> {
         self.model.as_ref()
@@ -160,7 +190,7 @@ impl ServeState {
     ) -> Result<Self, ServeError> {
         let records = jobs.into_iter().map(|(id, j)| (JobId(id), j)).collect();
         let planner = PlannerCore::from_parts(config, capacity, records, next_id)?;
-        Ok(ServeState { planner, counters, model: None })
+        Ok(ServeState { planner, counters, model: None, shard: (0, 1) })
     }
 
     /// The scheduler configuration.
@@ -364,10 +394,10 @@ impl ServeState {
     /// job's remaining tasks from (the sample is dropped, the job stays).
     pub fn report_sample(&mut self, job: u64, runtime: u64) -> Result<bool, WireError> {
         let completed = self.planner.ingest_sample(JobId(job), runtime).map_err(|e| match e {
-            PlannerError::UnknownJob(id) => unknown_job(id),
+            PlannerError::UnknownJob(id) => self.unknown_job(id),
             PlannerError::Estimator(e) => WireError {
                 code: ErrorCode::BadField,
-                message: format!("runtime {runtime} of job {job}: {e}"),
+                message: format!("runtime {runtime} of job {}: {e}", self.wire_id(job)),
             },
             other => internal(ServeError::from(other)),
         })?;
@@ -385,7 +415,7 @@ impl ServeState {
     /// [`ErrorCode::UnknownJob`] for a non-resident id.
     pub fn cancel(&mut self, job: u64) -> Result<(), WireError> {
         if !self.planner.cancel(JobId(job)) {
-            return Err(unknown_job(job));
+            return Err(self.unknown_job(job));
         }
         self.counters.cancelled += 1;
         Ok(())
@@ -448,7 +478,7 @@ impl ServeState {
             .planner
             .entry_at(now_slot, JobId(job))
             .map_err(|e| internal(ServeError::from(e)))?
-            .ok_or_else(|| unknown_job(job))?;
+            .ok_or_else(|| self.unknown_job(job))?;
         Ok((e.target, e.task_len, e.target + e.task_len as f64, e.planned_completion, e.impossible))
     }
 
@@ -474,18 +504,24 @@ impl ServeState {
 
     fn check_planned(&self, job: u64) -> Result<(), WireError> {
         match self.planner.job(JobId(job)) {
-            None => Err(unknown_job(job)),
+            None => Err(self.unknown_job(job)),
             Some(j) if j.parked => Err(WireError {
                 code: ErrorCode::Deferred,
-                message: format!("job {job} is deferred by admission control"),
+                message: format!("job {} is deferred by admission control", self.wire_id(job)),
             }),
             Some(_) => Ok(()),
         }
     }
-}
 
-fn unknown_job(job: u64) -> WireError {
-    WireError { code: ErrorCode::UnknownJob, message: format!("job {job} is not resident") }
+    /// The id the client knows the shard-local job `job` by.
+    fn wire_id(&self, job: u64) -> u64 {
+        local_to_wire(job, self.shard.0, self.shard.1)
+    }
+
+    fn unknown_job(&self, job: u64) -> WireError {
+        let message = format!("job {} is not resident", self.wire_id(job));
+        WireError { code: ErrorCode::UnknownJob, message }
+    }
 }
 
 fn internal(e: ServeError) -> WireError {

@@ -19,6 +19,13 @@
 //! the fields as [`Format::reject`], which only readers enforce, so the
 //! first faulty field in declaration order wins in every codec.
 //!
+//! The writers append to a caller's byte buffer: the reactor hands them a
+//! connection's write buffer, so a reply is serialized once, in place
+//! (`json.rs` has what each value costs). [`JsonReader`] looks members up
+//! by key on the tape of `json.rs`'s one tokenizer, and [`Format::str`]
+//! hands a string back borrowed where it can, so a reader copies only the
+//! strings the decoded value keeps.
+//!
 //! Adding a field: add it to the struct or variant in `protocol.rs` and
 //! give it one line, in wire position, in its description here (rustc
 //! points at both the pattern and the blank). Adding a message: a variant,
@@ -30,13 +37,14 @@
 //! checked access only (the crate denies the panic family and
 //! `clippy::indexing_slicing`, see `lib.rs`).
 
-use crate::json::{self, Json, MAX_SAFE_INT};
+use crate::json::{self, Doc, Node, MAX_SAFE_INT};
 use crate::protocol::{
     Decision, DeferReason, ErrorCode, JobSubmission, PlanRow, Request, Response, StatsReport,
     WireError, PROTOCOL_VERSION,
 };
 use rush_utility::{utility_from_text, utility_to_text};
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::cell::Cell;
 
 /// Result of walking a description.
 pub(crate) type Wire<T> = Result<T, WireError>;
@@ -138,7 +146,9 @@ pub(crate) trait Format: Sized {
     fn u64(&mut self, name: &str, v: u64) -> Wire<u64>;
     fn f64(&mut self, name: &str, v: f64) -> Wire<f64>;
     fn boolean(&mut self, name: &str, v: bool) -> Wire<bool>;
-    fn string(&mut self, name: &str, v: &str) -> Wire<String>;
+    /// A string a reader hands back borrowed where it can (writers echo
+    /// an empty one).
+    fn str(&mut self, name: &str, v: &str) -> Wire<Cow<'_, str>>;
     /// Whether an optional field is there: writers record `is_some`
     /// (RUSH1 as a presence byte, JSON by omission), readers look.
     fn present(&mut self, name: &str, is_some: bool) -> Wire<bool>;
@@ -152,12 +162,18 @@ pub(crate) trait Format: Sized {
         u32::try_from(self.u64(name, u64::from(v))?).map_err(|_| bad_field(name, "must fit in u32"))
     }
 
-    /// A value that travels as a string with its own grammar.
+    /// A string the decoded value keeps.
+    fn string(&mut self, name: &str, v: &str) -> Wire<String> {
+        self.str(name, v).map(Cow::into_owned)
+    }
+
+    /// A value that travels as a string with its own grammar; a reader
+    /// parses the text where it lies.
     fn text<T: Copy>(&mut self, name: &str, v: T, to: fn(&T) -> String, from: Parse<T>) -> Wire<T> {
         if Self::READS {
-            from(&self.string(name, "")?).map_err(|e| bad_field(name, &e))
+            from(&self.str(name, "")?).map_err(|e| bad_field(name, &e))
         } else {
-            self.string(name, &to(&v)).map(|_| v)
+            self.str(name, &to(&v)).map(|_| v)
         }
     }
 
@@ -387,37 +403,36 @@ fn response<F: Format>(f: &mut F, r: &Response) -> Wire<Response> {
 // JSON back-ends
 // ---------------------------------------------------------------------------
 
-/// Writes the fields of one JSON object straight into the output text.
-pub(crate) struct JsonWriter {
-    out: String,
+/// Writes the fields of one JSON object straight into the output bytes.
+pub(crate) struct JsonWriter<'o> {
+    out: &'o mut Vec<u8>,
 }
 
-impl JsonWriter {
+impl JsonWriter<'_> {
     /// `,` unless this is the first member, then `"name":`.
     fn key(&mut self, name: &str) {
-        if !self.out.ends_with('{') {
-            self.out.push(',');
+        if self.out.last() != Some(&b'{') {
+            self.out.push(b',');
         }
-        self.out.push('"');
-        self.out.push_str(name);
-        self.out.push_str("\":");
+        self.out.push(b'"');
+        self.out.extend_from_slice(name.as_bytes());
+        self.out.extend_from_slice(b"\":");
     }
 
     /// `,` unless this is the first element.
     fn element(&mut self) {
-        if !self.out.ends_with('[') {
-            self.out.push(',');
+        if self.out.last() != Some(&b'[') {
+            self.out.push(b',');
         }
     }
 
-    /// Integers at or above 2^53 saturate, as in [`Json::u64`].
+    /// Integers at or above 2^53 saturate, as in [`json::Json::u64`].
     fn integer(&mut self, v: u64) {
-        // Writing to a String cannot fail.
-        let _ = write!(self.out, "{}", v.min(MAX_SAFE_INT - 1));
+        json::write_u64(v.min(MAX_SAFE_INT - 1), self.out);
     }
 }
 
-impl Format for JsonWriter {
+impl Format for JsonWriter<'_> {
     const READS: bool = false;
 
     fn u64(&mut self, name: &str, v: u64) -> Wire<u64> {
@@ -428,20 +443,20 @@ impl Format for JsonWriter {
 
     fn f64(&mut self, name: &str, v: f64) -> Wire<f64> {
         self.key(name);
-        json::write_num(v, &mut self.out);
+        json::write_num(v, self.out);
         Ok(v)
     }
 
     fn boolean(&mut self, name: &str, v: bool) -> Wire<bool> {
         self.key(name);
-        self.out.push_str(if v { "true" } else { "false" });
+        self.out.extend_from_slice(if v { b"true" } else { b"false" });
         Ok(v)
     }
 
-    fn string(&mut self, name: &str, v: &str) -> Wire<String> {
+    fn str(&mut self, name: &str, v: &str) -> Wire<Cow<'_, str>> {
         self.key(name);
-        json::write_escaped(v, &mut self.out);
-        Ok(String::new())
+        json::write_escaped(v, self.out);
+        Ok(Cow::Borrowed(""))
     }
 
     fn present(&mut self, _name: &str, is_some: bool) -> Wire<bool> {
@@ -451,68 +466,92 @@ impl Format for JsonWriter {
     fn choice<E: Choice>(&mut self, name: &str, v: E) -> Wire<E> {
         let spelled = name_of(v);
         if !spelled.is_empty() {
-            self.string(name, spelled)?;
+            self.str(name, spelled)?;
         }
         Ok(v)
     }
 
     fn list<T>(&mut self, name: &str, items: &[T], _: &T, item: Walk<Self, T>) -> Wire<Vec<T>> {
         self.key(name);
-        self.out.push('[');
+        self.out.push(b'[');
         for it in items {
             self.element();
-            self.out.push('{');
+            self.out.push(b'{');
             item(self, it)?;
-            self.out.push('}');
+            self.out.push(b'}');
         }
-        self.out.push(']');
+        self.out.push(b']');
         Ok(Vec::new())
     }
 }
 
-impl DocFormat for JsonWriter {
+impl DocFormat for JsonWriter<'_> {
     fn u64s(&mut self, name: &str, v: &[u64]) -> Wire<Vec<u64>> {
         self.key(name);
-        self.out.push('[');
+        self.out.push(b'[');
         for &x in v {
             self.element();
             self.integer(x);
         }
-        self.out.push(']');
+        self.out.push(b']');
         Ok(Vec::new())
     }
 
     fn nested<T>(&mut self, name: &str, v: &T, inner: Walk<Self, T>) -> Wire<T> {
         self.key(name);
-        self.out.push('{');
+        self.out.push(b'{');
         let echo = inner(self, v)?;
-        self.out.push('}');
+        self.out.push(b'}');
         Ok(echo)
     }
 }
 
-/// Writes one JSON object whose members `body` emits.
-pub(crate) fn to_json(body: impl FnOnce(&mut JsonWriter) -> Wire<()>) -> String {
-    let mut w = JsonWriter { out: String::from("{") };
+/// Appends one JSON object whose members `body` emits to `out`.
+pub(crate) fn json_into(out: &mut Vec<u8>, body: impl FnOnce(&mut JsonWriter<'_>) -> Wire<()>) {
+    out.push(b'{');
     // Writers have no failure path; `Wire` is only the shared signature.
-    let _ = body(&mut w);
-    w.out.push('}');
-    w.out
+    let _ = body(&mut JsonWriter { out: &mut *out });
+    out.push(b'}');
 }
 
-/// Reads fields, by key, out of one parsed JSON object.
+/// One JSON object whose members `body` emits, as text.
+pub(crate) fn to_json(body: impl FnOnce(&mut JsonWriter<'_>) -> Wire<()>) -> String {
+    let mut out = Vec::with_capacity(128);
+    json_into(&mut out, body);
+    json::into_text(out)
+}
+
+/// Reads fields, by key, out of one object of a tokenized document.
 pub(crate) struct JsonReader<'a> {
-    obj: &'a Json,
+    doc: Doc<'a>,
+    /// The object's node.
+    at: usize,
 }
 
 impl<'a> JsonReader<'a> {
-    fn need<T>(&self, name: &str, expected: &str, get: fn(&'a Json) -> Option<T>) -> Wire<T> {
-        let v = self.obj.get(name).ok_or_else(|| bad_field(name, "missing"))?;
-        get(v).ok_or_else(|| bad_field(name, expected))
+    fn new(doc: Doc<'a>, at: usize) -> Self {
+        JsonReader { doc, at }
     }
 
-    fn str(&self, name: &str) -> Wire<&'a str> {
-        self.need(name, "expected a string", Json::as_str)
+    /// The value of member `name`, if the object has one.
+    fn get(&self, name: &str) -> Option<usize> {
+        self.doc.member(self.at, name)
+    }
+
+    fn need<T>(&self, name: &str, expected: &str, get: fn(Doc<'a>, usize) -> Option<T>) -> Wire<T> {
+        let v = self.get(name).ok_or_else(|| bad_field(name, "missing"))?;
+        get(self.doc, v).ok_or_else(|| bad_field(name, expected))
+    }
+
+    /// The value of member `name` as an array node.
+    fn array(&self, name: &str) -> Wire<usize> {
+        self.need(name, "expected an array", |doc, at| doc.is_arr(at).then_some(at))
+    }
+
+    /// The string naming the frame's kind (`op`, `kind`): `None` when it
+    /// is absent or not a string.
+    fn tag(&self, name: &str) -> Option<Cow<'a, str>> {
+        self.get(name).and_then(|at| self.doc.str(at))
     }
 }
 
@@ -520,15 +559,17 @@ impl Format for JsonReader<'_> {
     const READS: bool = true;
 
     fn u64(&mut self, name: &str, _v: u64) -> Wire<u64> {
-        self.need(name, "expected a non-negative integer", Json::as_u64)
+        self.need(name, "expected a non-negative integer", |doc, at| {
+            doc.num(at).and_then(json::exact_u64)
+        })
     }
 
     fn f64(&mut self, name: &str, _v: f64) -> Wire<f64> {
-        self.need(name, "expected a number", Json::as_f64)
+        self.need(name, "expected a number", Doc::num)
     }
 
     fn boolean(&mut self, name: &str, _v: bool) -> Wire<bool> {
-        self.need(name, "expected a boolean", Json::as_bool)
+        self.need(name, "expected a boolean", Doc::boolean)
     }
 
     fn boolean_or(&mut self, name: &str, v: bool, default: bool) -> Wire<bool> {
@@ -539,74 +580,126 @@ impl Format for JsonReader<'_> {
         }
     }
 
-    fn string(&mut self, name: &str, _v: &str) -> Wire<String> {
-        self.str(name).map(str::to_string)
+    fn str(&mut self, name: &str, _v: &str) -> Wire<Cow<'_, str>> {
+        self.need(name, "expected a string", Doc::str)
     }
 
     fn present(&mut self, name: &str, _is_some: bool) -> Wire<bool> {
-        Ok(!matches!(self.obj.get(name), None | Some(Json::Null)))
+        Ok(self.get(name).is_some_and(|at| !self.doc.is_null(at)))
     }
 
     fn choice<E: Choice>(&mut self, name: &str, _v: E) -> Wire<E> {
-        by_name(name, if self.present(name, false)? { self.str(name)? } else { "" })
+        if !self.present(name, false)? {
+            return by_name(name, "");
+        }
+        by_name(name, &self.str(name, "")?)
     }
 
     fn list<T>(&mut self, name: &str, _: &[T], blank: &T, item: Walk<Self, T>) -> Wire<Vec<T>> {
-        let elements = self.need(name, "expected an array", Json::as_arr)?;
-        elements.iter().map(|obj| item(&mut JsonReader { obj }, blank)).collect()
+        let doc = self.doc;
+        doc.elements(self.array(name)?)
+            .map(|at| item(&mut JsonReader::new(doc, at), blank))
+            .collect()
     }
 }
 
 impl DocFormat for JsonReader<'_> {
     fn u64s(&mut self, name: &str, _v: &[u64]) -> Wire<Vec<u64>> {
-        let elements = self.need(name, "expected an array", Json::as_arr)?;
-        elements.iter().map(|x| x.as_u64().ok_or_else(|| bad_field(name, "non-integer"))).collect()
+        let doc = self.doc;
+        let elements = doc.elements(self.array(name)?);
+        elements
+            .map(|at| {
+                doc.num(at).and_then(json::exact_u64).ok_or_else(|| bad_field(name, "non-integer"))
+            })
+            .collect()
     }
 
     fn nested<T>(&mut self, name: &str, v: &T, inner: Walk<Self, T>) -> Wire<T> {
-        let obj = self.obj.get(name).ok_or_else(|| bad_field(name, "missing"))?;
-        inner(&mut JsonReader { obj }, v)
+        let at = self.get(name).ok_or_else(|| bad_field(name, "missing"))?;
+        inner(&mut JsonReader::new(self.doc, at), v)
     }
 }
 
-/// Parses one JSON object and hands `body` a reader over it.
+/// A tape this large or smaller stays with its thread for the next frame;
+/// a larger one (a snapshot's) is freed.
+const KEPT_TAPE_NODES: usize = 4096;
+
+thread_local! {
+    /// The tape [`from_json`] tokenizes into, reused across the thread's
+    /// frames so a frame's decode allocates only what its value keeps.
+    static TAPE: Cell<Vec<Node>> = const { Cell::new(Vec::new()) };
+}
+
+/// Tokenizes one JSON object and hands `body` a reader over it.
 pub(crate) fn from_json<T>(
     text: &str,
     body: impl FnOnce(&mut JsonReader<'_>) -> Wire<T>,
 ) -> Wire<T> {
-    let obj = json::parse(text).map_err(|e| WireError::new(ErrorCode::BadJson, e.to_string()))?;
-    if !matches!(obj, Json::Obj(_)) {
-        return Err(WireError::new(ErrorCode::BadJson, "frame must be a JSON object"));
+    let mut nodes = TAPE.take();
+    let read = match json::tokenize(text, &mut nodes) {
+        Err(e) => Err(WireError::new(ErrorCode::BadJson, e.to_string())),
+        Ok(()) => {
+            let doc = Doc { text, nodes: &nodes };
+            if doc.is_obj(0) {
+                body(&mut JsonReader::new(doc, 0))
+            } else {
+                Err(WireError::new(ErrorCode::BadJson, "frame must be a JSON object"))
+            }
+        }
+    };
+    if nodes.capacity() <= KEPT_TAPE_NODES {
+        TAPE.set(nodes);
     }
-    body(&mut JsonReader { obj: &obj })
+    read
 }
 
 // ---------------------------------------------------------------------------
 // RUSH1 back-ends
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_varint(mut v: u64, out: &mut Vec<u8>) {
+/// Hands `v`'s LEB128 bytes, low seven bits first, to `push`.
+fn leb128(mut v: u64, mut push: impl FnMut(u8)) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            out.push(byte);
+            push(byte);
             return;
         }
-        out.push(byte | 0x80);
+        push(byte | 0x80);
     }
 }
 
-/// Appends fields to one RUSH1 payload.
-struct Rush1Writer {
-    out: Vec<u8>,
+/// `v` as an LEB128 varint: the bytes, and how many of them it takes.
+pub(crate) fn varint(v: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0u8; 10];
+    let mut n = 0;
+    leb128(v, |byte| {
+        if let Some(slot) = bytes.get_mut(n) {
+            *slot = byte;
+        }
+        n += 1;
+    });
+    (bytes, n)
 }
 
-impl Format for Rush1Writer {
+/// Appends `v` as an LEB128 varint. Byte by byte: copying [`varint`]'s
+/// array instead is a variable-length copy per field, which made a
+/// one-row plan's payload take over twice as long to encode.
+pub(crate) fn put_varint(v: u64, out: &mut Vec<u8>) {
+    leb128(v, |byte| out.push(byte));
+}
+
+/// Appends fields to one RUSH1 payload.
+struct Rush1Writer<'o> {
+    out: &'o mut Vec<u8>,
+}
+
+impl Format for Rush1Writer<'_> {
     const READS: bool = false;
 
     fn u64(&mut self, _name: &str, v: u64) -> Wire<u64> {
-        put_varint(v, &mut self.out);
+        put_varint(v, self.out);
         Ok(v)
     }
 
@@ -620,10 +713,10 @@ impl Format for Rush1Writer {
         Ok(v)
     }
 
-    fn string(&mut self, _name: &str, v: &str) -> Wire<String> {
-        put_varint(v.len() as u64, &mut self.out);
+    fn str(&mut self, _name: &str, v: &str) -> Wire<Cow<'_, str>> {
+        put_varint(v.len() as u64, self.out);
         self.out.extend_from_slice(v.as_bytes());
-        Ok(String::new())
+        Ok(Cow::Borrowed(""))
     }
 
     fn present(&mut self, name: &str, is_some: bool) -> Wire<bool> {
@@ -636,7 +729,7 @@ impl Format for Rush1Writer {
     }
 
     fn list<T>(&mut self, _: &str, items: &[T], _: &T, item: Walk<Self, T>) -> Wire<Vec<T>> {
-        put_varint(items.len() as u64, &mut self.out);
+        put_varint(items.len() as u64, self.out);
         for it in items {
             item(self, it)?;
         }
@@ -680,12 +773,6 @@ impl<'a> Rush1Reader<'a> {
         }
     }
 
-    fn str(&mut self, what: &str) -> Wire<&'a str> {
-        let len = usize::try_from(self.varint(what)?).unwrap_or(usize::MAX);
-        let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes).map_err(|_| bad_frame(format!("invalid UTF-8 in {what}")))
-    }
-
     fn finish(&self) -> Wire<()> {
         match self.buf.len() - self.pos {
             0 => Ok(()),
@@ -715,8 +802,12 @@ impl Format for Rush1Reader<'_> {
         }
     }
 
-    fn string(&mut self, name: &str, _v: &str) -> Wire<String> {
-        self.str(name).map(str::to_string)
+    fn str(&mut self, name: &str, _v: &str) -> Wire<Cow<'_, str>> {
+        let len = usize::try_from(self.varint(name)?).unwrap_or(usize::MAX);
+        let bytes = self.take(len, name)?;
+        let s = std::str::from_utf8(bytes)
+            .map_err(|_| bad_frame(format!("invalid UTF-8 in {name}")))?;
+        Ok(Cow::Borrowed(s))
     }
 
     fn present(&mut self, name: &str, _is_some: bool) -> Wire<bool> {
@@ -746,17 +837,17 @@ fn bad_op(why: String) -> WireError {
     WireError::new(ErrorCode::BadOp, why)
 }
 
-pub(crate) fn request_to_json(req: &Request) -> String {
-    to_json(|w| {
+pub(crate) fn request_json_into(req: &Request, out: &mut Vec<u8>) {
+    json_into(out, |w| {
         w.u64("v", PROTOCOL_VERSION)?;
-        w.string("op", request_id(req).0)?;
+        w.str("op", request_id(req).0)?;
         request(w, req).map(drop)
-    })
+    });
 }
 
 pub(crate) fn request_from_json(line: &str) -> Wire<Request> {
     from_json(line, |r| {
-        let v = r.obj.get("v").and_then(Json::as_u64);
+        let v = r.get("v").and_then(|at| r.doc.num(at)).and_then(json::exact_u64);
         if v != Some(PROTOCOL_VERSION) {
             let why = match v {
                 Some(v) => {
@@ -766,22 +857,21 @@ pub(crate) fn request_from_json(line: &str) -> Wire<Request> {
             };
             return Err(WireError::new(ErrorCode::BadVersion, why));
         }
-        let op = r.obj.get("op").and_then(Json::as_str);
-        let op = op.ok_or_else(|| bad_op("missing \"op\" field".into()))?;
+        let op = r.tag("op").ok_or_else(|| bad_op("missing \"op\" field".into()))?;
         let blank = request_blanks().into_iter().find(|b| request_id(b).0 == op);
         request(r, &blank.ok_or_else(|| bad_op(format!("unknown op \"{op}\"")))?)
     })
 }
 
-pub(crate) fn response_to_json(resp: &Response) -> String {
-    to_json(|w| {
+pub(crate) fn response_json_into(resp: &Response, out: &mut Vec<u8>) {
+    json_into(out, |w| {
         let ok = !matches!(resp, Response::Error(_));
         w.boolean("ok", ok)?;
         if ok {
-            w.string("kind", response_id(resp).0)?;
+            w.str("kind", response_id(resp).0)?;
         }
         response(w, resp).map(drop)
-    })
+    });
 }
 
 pub(crate) fn response_from_json(line: &str) -> Wire<Response> {
@@ -789,8 +879,7 @@ pub(crate) fn response_from_json(line: &str) -> Wire<Response> {
         if !r.boolean("ok", true)? {
             return response(r, &blank_error());
         }
-        let kind = r.obj.get("kind").and_then(Json::as_str);
-        let kind = kind.ok_or_else(|| bad_op("missing \"kind\" field".into()))?;
+        let kind = r.tag("kind").ok_or_else(|| bad_op("missing \"kind\" field".into()))?;
         let blank = response_blanks()
             .into_iter()
             .find(|b| !matches!(b, Response::Error(_)) && response_id(b).0 == kind);
@@ -798,17 +887,16 @@ pub(crate) fn response_from_json(line: &str) -> Wire<Response> {
     })
 }
 
-/// One RUSH1 payload: the tag byte, then the fields `body` emits.
-fn to_rush1(tag: u8, body: impl FnOnce(&mut Rush1Writer) -> Wire<()>) -> Vec<u8> {
-    let mut w = Rush1Writer { out: Vec::with_capacity(32) };
-    w.out.push(tag);
+/// Appends one RUSH1 payload to `out`: the tag byte, then the fields `body`
+/// emits.
+fn rush1_into(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Rush1Writer<'_>) -> Wire<()>) {
+    out.push(tag);
     // Writers have no failure path; `Wire` is only the shared signature.
-    let _ = body(&mut w);
-    w.out
+    let _ = body(&mut Rush1Writer { out });
 }
 
-pub(crate) fn request_to_rush1(req: &Request) -> Vec<u8> {
-    to_rush1(request_id(req).1, |w| request(w, req).map(drop))
+pub(crate) fn request_rush1_into(req: &Request, out: &mut Vec<u8>) {
+    rush1_into(out, request_id(req).1, |w| request(w, req).map(drop));
 }
 
 pub(crate) fn request_from_rush1(payload: &[u8]) -> Wire<Request> {
@@ -819,8 +907,8 @@ pub(crate) fn request_from_rush1(payload: &[u8]) -> Wire<Request> {
     r.finish().map(|()| req)
 }
 
-pub(crate) fn response_to_rush1(resp: &Response) -> Vec<u8> {
-    to_rush1(response_id(resp).1, |w| response(w, resp).map(drop))
+pub(crate) fn response_rush1_into(resp: &Response, out: &mut Vec<u8>) {
+    rush1_into(out, response_id(resp).1, |w| response(w, resp).map(drop));
 }
 
 pub(crate) fn response_from_rush1(payload: &[u8]) -> Wire<Response> {

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use rush_serve::binary::{self, Scan};
+use rush_serve::json::{self, Json};
 use rush_serve::protocol::{
     Decision, DeferReason, ErrorCode, JobSubmission, PlanRow, Request, Response, StatsReport,
     WireError,
@@ -20,6 +21,20 @@ use rush_utility::TimeUtility;
 /// control characters, multi-byte UTF-8 and an astral-plane emoji.
 const PALETTE: &[char] =
     &['a', 'Z', '7', ' ', '-', '_', '"', '\\', '\n', '\t', '\r', '\u{1}', 'é', '木', '🚀'];
+
+/// `text` re-encoded with every object's members in reverse order.
+fn reversed(text: &str) -> String {
+    fn flip(v: Json) -> Json {
+        match v {
+            Json::Obj(members) => {
+                Json::Obj(members.into_iter().rev().map(|(k, v)| (k, flip(v))).collect())
+            }
+            Json::Arr(items) => Json::Arr(items.into_iter().map(flip).collect()),
+            other => other,
+        }
+    }
+    flip(json::parse(text).expect("encoded frame parses")).encode()
+}
 
 fn label_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(0usize..PALETTE.len(), 0..12)
@@ -219,6 +234,19 @@ proptest! {
         let back = Response::decode(&line);
         prop_assert!(back.is_ok(), "decode failed on {:?}: {:?}", line, back);
         prop_assert_eq!(resp, back.expect("checked ok"));
+    }
+
+    /// A reader looks members up by key, not by position: a frame whose
+    /// objects list their members in reverse decodes to the same value.
+    #[test]
+    fn reversed_member_order_decodes_the_same(
+        req in request_strategy(),
+        resp in response_strategy(),
+    ) {
+        let req_back = Request::decode(&reversed(&req.encode()));
+        prop_assert_eq!(req, req_back.expect("reversed request decodes"));
+        let resp_back = Response::decode(&reversed(&resp.encode()));
+        prop_assert_eq!(resp, resp_back.expect("reversed response decodes"));
     }
 
     /// Truncating an encoded request anywhere never panics the decoder:

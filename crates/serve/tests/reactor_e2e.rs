@@ -201,7 +201,12 @@ fn pipelined_requests_answer_in_order() {
         assert!(matches!(replies[0], Response::Stats(_)), "{codec:?}: {:?}", replies[0]);
         assert!(matches!(&replies[1], Response::Error(e) if e.code.as_str() == "bad-op"));
         assert!(matches!(replies[2], Response::PlanTable { .. }), "{codec:?}: {:?}", replies[2]);
-        assert!(matches!(&replies[3], Response::Error(e) if e.code.as_str() == "unknown-job"));
+        assert!(
+            matches!(&replies[3], Response::Error(e) if e.code.as_str() == "unknown-job"
+                && e.message == "job 9999 is not resident"),
+            "{codec:?}: {:?}",
+            replies[3]
+        );
         assert!(matches!(replies[4], Response::Stats(_)), "{codec:?}: {:?}", replies[4]);
     }
 }
@@ -231,7 +236,11 @@ fn a_mixed_burst_of_64_answers_in_order() {
         let replies = pipelined_replies(codec, &burst, REQUESTS as usize);
         for (i, reply) in (0..REQUESTS).zip(&replies) {
             let ok = match (kind(i), reply) {
-                (0 | 5, Response::Error(e)) => e.code.as_str() == "unknown-job",
+                // Shard-local id 500 + i/2: the message names the wire id.
+                (0 | 5, Response::Error(e)) => {
+                    e.code.as_str() == "unknown-job"
+                        && e.message == format!("job {} is not resident", 1000 + i)
+                }
                 (3, Response::Error(e)) => e.code.as_str() == "bad-op",
                 (1, Response::Submitted { .. })
                 | (2, Response::Stats(_))
